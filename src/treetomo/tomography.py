@@ -8,20 +8,23 @@ solved shell by shell, outermost first.
 For a base vertex ``u`` at shell ``k`` with child ``w``, the observable
 "first arrival in the outer targets below ``w`` at time ``3R+4-2k``" splits
 over the time of the first visit to the inner layer.  Each piece with a late
-first visit factors into a measured inner-hit probability times a
-first-passage probability that involves only already-solved rows.  The lone
-remaining family consists of paths that run straight out to the inner layer,
-straight back up to ``u``, and straight out again through ``w``; its total
-probability is the unknown ``t(u, w)`` times a coefficient built from solved
-rows and boundary values, so the unknown drops out by division.
+first visit is a measured inner-hit probability times a tail-class
+first-passage probability over already-solved rows.  The remaining family
+runs straight out to the inner layer below ``u`` (through any child, not only
+``w``), straight back up, and straight out through ``w``; its probability is
+``t(u, w) * head(u) * tail(w)``, so the unknown drops out by division.  With
+``z'`` the outer child of inner vertex ``z``, both factors are sums over rows
+already solved:
 
-The out-and-back family is indexed by every inner vertex below ``u`` (the
-first ballistic leg may descend through any child of ``u``, not only ``w``)
-paired with every outer target below ``w``, and its coefficient factorizes
-accordingly.  On chains and at the outermost shell this reduces to a single
-product; the general form is what makes the recursion close on branching
-trees, and it is validated against brute-force path enumeration in the test
-suite.
+    head(z) = p_out(R+2, z') / t(z, z'),   head(x) = sum_c t(c, x) head(c),
+    tail(z') = 1,                          tail(x) = sum_c t(x, c) tail(c).
+
+:func:`recover_all` carries head, tail and one tail-class table per shell
+inward: each vertex gets its two sums once, and shell ``k`` one first-passage
+recursion over shells ``k+1 .. R+1``, which serves every edge of the shell
+because a walk confined there stays in the subtree it started in.  The
+per-edge functions run the same recurrences restricted to ``subtree(u)`` or
+``subtree(w)``, one table and two subtree scans per edge.
 """
 
 from __future__ import annotations
@@ -91,33 +94,122 @@ class RecoveryReport:
     raw_kernel: TransitionKernel | None = None
 
 
+def _require_two_layers(aug: AugmentedTree) -> None:
+    if aug.aug_len != 2:
+        raise InvalidParameter(
+            f"recovery needs a 2-spherical augmentation, got aug_len={aug.aug_len}"
+        )
+
+
+def _unit(value: Number, u: int, v: int, mode: str, clamp: bool) -> Number:
+    """Recovered ``t(u, v)`` if in (0, 1] up to float slack, else clamped or raised."""
+    slack = 0 if mode == RATIONAL else FLOAT_EDGE_SLACK
+    if value <= 0 or value > 1 + slack:
+        if not clamp:
+            raise OutOfRange(f"recovered t({u},{v}) = {value} outside (0, 1]")
+        value = min(max(value, CLAMP_EPS), 1 - CLAMP_EPS)
+    return value
+
+
+def _root_sum_off(total: Number, mode: str) -> bool:
+    return total != 1 if mode == RATIONAL else abs(total - 1) > ROOT_SUM_TOL
+
+
+class _AccRows(dict):
+    """Kernel rows in the accumulation type of :func:`acc_rows`, converted on
+    first read.  A row stored directly, such as a recovered one, is held once."""
+
+    def __init__(self, kernel: TransitionKernel):
+        super().__init__()
+        self.kernel = kernel
+
+    def __missing__(self, z: int) -> dict[int, Number]:
+        try:
+            r = self.kernel.entries[z]
+        except KeyError:
+            raise MissingKnownRow(f"row for vertex {z} required but absent") from None
+        if self.kernel.mode != RATIONAL:
+            r = {v: np.longdouble(p) for v, p in r.items()}
+        self[z] = r
+        return r
+
+
+def _plan(aug: AugmentedTree, u: int, w: int, inner: tuple[int, ...]) -> EdgeRecoveryPlan:
+    k, r = aug.full.norm[u], aug.hull_radius
+    outer = tuple(aug.outer_child(z) for z in inner)
+    return EdgeRecoveryPlan(k, u, w, r, 3 * r + 4 - 2 * k, r + 2 - k, outer, inner)
+
+
 def make_plan(aug: AugmentedTree, u: int, w: int) -> EdgeRecoveryPlan:
     """Build the recovery plan for the edge ``u -> w``.
 
     Requires ``aug.aug_len == 2`` and ``u`` in the base tree.
     """
-    if aug.aug_len != 2:
-        raise InvalidParameter(
-            f"recovery needs a 2-spherical augmentation, got aug_len={aug.aug_len}"
-        )
+    _require_two_layers(aug)
     if u not in aug.origin or not aug.is_original(u):
         raise NotInLambda(f"vertex {u} is not a base-tree vertex")
     if w not in aug.full.children[u]:
         raise NotAChild(f"{w} is not a child of {u}")
-    k = aug.full.norm[u]
-    r = aug.hull_radius
-    outer_targets = aug.layer_descendants(w, aug.outer_layer)
-    inner_targets = aug.layer_descendants(w, aug.inner_layer)
-    return EdgeRecoveryPlan(
-        shell=k,
-        vertex=u,
-        child=w,
-        hull_radius=r,
-        hit_time=3 * r + 4 - 2 * k,
-        num_classes=r + 2 - k,
-        outer_targets=outer_targets,
-        inner_targets=inner_targets,
-    )
+    return _plan(aug, u, w, aug.layer_descendants(w, aug.inner_layer))
+
+
+def _head(
+    aug: AugmentedTree, rows: _AccRows, p_out: HittingDistribution,
+    head: dict[int, Number], x: int,
+) -> Number:
+    """Head sum at ``x`` from the head sums of its children.
+
+    Over inner vertices ``z`` below ``x``: the ballistic outer arrival at
+    time ``R + 2`` through ``z``'s outer child, divided by that last known
+    step, times the inward path product from ``z`` up to ``x``.
+    """
+    if x in aug.inner_layer:
+        xo = aug.outer_child(x)
+        ballistic = p_out.prob(aug.hull_radius + 2, xo)
+        return ballistic / rows[x][xo] if ballistic else 0
+    return sum(rows[c][x] * head[c] for c in aug.full.children[x])
+
+
+def _tail(aug: AugmentedTree, rows: _AccRows, tail: dict[int, Number], x: int) -> Number:
+    """Tail sum at ``x``: outward path products from ``x`` to each outer vertex below."""
+    if x in aug.inner_layer:
+        return rows[x][aug.outer_child(x)]
+    return sum(rows[x][c] * tail[c] for c in aug.full.children[x])
+
+
+def _bottom_up(aug: AugmentedTree, v: int) -> list[int]:
+    """Vertices of the subtree of ``v`` off the outer layer, deepest first."""
+    below = [x for x in aug.full.subtree(v) if x not in aug.outer_layer]
+    return sorted(below, key=aug.full.norm.__getitem__, reverse=True)
+
+
+def _tail_classes(
+    aug: AugmentedTree, rows: _AccRows, inner: tuple[int, ...], shell: int
+) -> dict[tuple[int, int], Number]:
+    """Tail-class first-passage table over the inner vertices ``inner``.
+
+    Entry ``(v, l)``, for ``l = 1 .. R + 2 - shell``, is the probability that
+    a walk from ``v`` first reaches the outer layer after exactly ``2l-1``
+    steps while every earlier position lies at shells ``shell+1 .. R+1``.
+    The recursion pushes first-passage mass inward from ``inner`` one step at
+    a time, keeping only the current step.
+    """
+    norm = aug.full.norm
+    lo, hi = shell + 1, aug.hull_radius + 1
+    cur = {z: rows[z][aug.outer_child(z)] for z in inner}
+    out: dict[tuple[int, int], Number] = {}
+    for s in range(1, 2 * (hi + 1 - shell)):
+        if s > 1:
+            nxt: dict[int, Number] = {}
+            for x, px in cur.items():
+                for z in rows[x]:
+                    if lo <= norm[z] <= hi:
+                        nxt[z] = nxt.get(z, 0) + rows[z][x] * px
+            cur = nxt
+        if s % 2:
+            for v in inner:
+                out[(v, (s + 1) // 2)] = cur.get(v, 0)
+    return out
 
 
 def tail_passage_probs(
@@ -133,88 +225,7 @@ def tail_passage_probs(
     single backward recursion over the subtree of ``plan.child`` yields all
     entries; only rows at shells above ``plan.shell`` are read.
     """
-    norm = aug.full.norm
-    lo = plan.shell + 1
-    hi = plan.hull_radius + 2
-    band = [
-        z
-        for z in aug.full.subtree(plan.child)
-        if lo <= norm[z] < hi and z not in plan.outer_targets
-    ]
-    targets = set(plan.outer_targets)
-    horizon = 2 * plan.num_classes - 1
-
-    to_acc = kernel.mode != RATIONAL
-    conv: dict[int, dict[int, Number]] = {}
-
-    def row(z: int) -> dict[int, Number]:
-        got = conv.get(z)
-        if got is None:
-            try:
-                r = kernel.entries[z]
-            except KeyError:
-                raise MissingKnownRow(
-                    f"row for shell-{norm[z]} vertex {z} required but absent"
-                ) from None
-            got = {v: np.longdouble(p) for v, p in r.items()} if to_acc else r
-            conv[z] = got
-        return got
-
-    psi: dict[int, Number] = {}
-    for z in band:
-        p = sum(q for x, q in row(z).items() if x in targets)
-        if p:
-            psi[z] = p
-    table: dict[int, dict[int, Number]] = {1: psi}
-    band_set = set(band)
-    for s in range(2, horizon + 1):
-        prev = table[s - 1]
-        cur: dict[int, Number] = {}
-        for z in band:
-            acc: Number = 0
-            for x, q in row(z).items():
-                if x in band_set and x in prev:
-                    acc = acc + q * prev[x]
-            if acc:
-                cur[z] = acc
-        table[s] = cur
-    return {
-        (v, l): table[2 * l - 1].get(v, 0)
-        for v in plan.inner_targets
-        for l in range(1, plan.num_classes + 1)
-    }
-
-
-def _acc_one(kernel: TransitionKernel) -> Number:
-    return 1 if kernel.mode == RATIONAL else np.longdouble(1)
-
-
-def _up_product(aug: AugmentedTree, kernel: TransitionKernel, z: int, u: int) -> Number:
-    """Product of inward transitions along the unique path from ``z`` up to ``u``."""
-    acc = _acc_one(kernel)
-    x = z
-    while x != u:
-        p = aug.full.parent[x]
-        if p is None:
-            raise NotAChild(f"{z} is not a descendant of {u}")
-        acc = acc * kernel.prob(x, p)
-        x = p
-    return acc
-
-
-def _down_product(aug: AugmentedTree, kernel: TransitionKernel, w: int, v: int) -> Number:
-    """Product of outward transitions along the unique path from ``w`` down to ``v``."""
-    chain = [v]
-    while chain[-1] != w:
-        p = aug.full.parent[chain[-1]]
-        if p is None:
-            raise NotAChild(f"{v} is not a descendant of {w}")
-        chain.append(p)
-    chain.reverse()
-    acc = _acc_one(kernel)
-    for a, b in zip(chain, chain[1:]):
-        acc = acc * kernel.prob(a, b)
-    return acc
+    return _tail_classes(aug, _AccRows(kernel), plan.inner_targets, plan.shell)
 
 
 def unknown_edge_coefficient(
@@ -228,23 +239,41 @@ def unknown_edge_coefficient(
     This is the total probability, per unit of ``t(vertex, child)``, of the
     out-and-back path family: straight to some inner vertex below ``vertex``,
     straight back up, and straight out to some outer target below ``child``.
-    The ballistic head is read off the outer law at time ``R + 2`` (one known
-    factor divided out); the remaining factors are known up- and down-leg
-    products.  The two legs are independent, so the sum factorizes.
+    The two legs are independent, so the sum factorizes into the head sum at
+    ``vertex`` times the tail sum at ``child``, each built bottom-up over its
+    subtree from rows already known.
     """
-    u = plan.vertex
-    r = plan.hull_radius
-    head: Number = 0
-    for z in aug.layer_descendants(u, aug.inner_layer):
-        vz = aug.outer_child(z)
-        ballistic = p_out.prob(r + 2, vz)
-        if ballistic == 0:
-            continue
-        head = head + (ballistic / kernel.prob(z, vz)) * _up_product(aug, kernel, z, u)
-    tail: Number = 0
-    for v in plan.outer_targets:
-        tail = tail + _down_product(aug, kernel, plan.child, v)
-    return head * tail
+    rows = _AccRows(kernel)
+    head: dict[int, Number] = {}
+    for x in _bottom_up(aug, plan.vertex):
+        head[x] = _head(aug, rows, p_out, head, x)
+    tail: dict[int, Number] = {}
+    for x in _bottom_up(aug, plan.child):
+        tail[x] = _tail(aug, rows, tail, x)
+    return head[plan.vertex] * tail[plan.child]
+
+
+def _solve_edge(
+    plan: EdgeRecoveryPlan, denom: Number, chis: dict[tuple[int, int], Number],
+    p_in: HittingDistribution, p_out: HittingDistribution,
+    mode: str, clamp: bool, flags: list[tuple[str, int]] | None,
+) -> Number:
+    if denom == 0:
+        raise ZeroDenominator(
+            f"edge ({plan.vertex}, {plan.child}): out-and-back coefficient is zero"
+        )
+    total = sum(p_out.prob(plan.hit_time, v) for v in plan.outer_targets)
+    for l in range(1, plan.num_classes + 1):
+        s = plan.hit_time - (2 * l - 1)
+        for vstar in plan.inner_targets:
+            c = chis[(vstar, l)]
+            if c:
+                total = total - p_in.prob(s, vstar) * c
+    value = total / denom
+    got = _unit(value, plan.vertex, plan.child, mode, clamp)
+    if got != value and flags is not None:
+        flags.append(("OutOfRange", plan.child))
+    return got
 
 
 def recover_edge(
@@ -265,32 +294,8 @@ def recover_edge(
     clamped and flagged when ``clamp`` is set and raised otherwise.
     """
     denom = unknown_edge_coefficient(aug, kernel, plan, p_out)
-    if denom == 0:
-        raise ZeroDenominator(
-            f"edge ({plan.vertex}, {plan.child}): out-and-back coefficient is zero"
-        )
     chis = tail_passage_probs(aug, kernel, plan)
-    total: Number = 0
-    for v in plan.outer_targets:
-        total = total + p_out.prob(plan.hit_time, v)
-    for l in range(1, plan.num_classes + 1):
-        s = plan.hit_time - (2 * l - 1)
-        for vstar in plan.inner_targets:
-            c = chis[(vstar, l)]
-            if c:
-                total = total - p_in.prob(s, vstar) * c
-    value = total / denom
-
-    slack = 0 if kernel.mode == RATIONAL else FLOAT_EDGE_SLACK
-    if value <= 0 or value > 1 + slack:
-        if not clamp:
-            raise OutOfRange(
-                f"recovered t({plan.vertex},{plan.child}) = {value} outside (0, 1]"
-            )
-        if flags is not None:
-            flags.append(("OutOfRange", plan.child))
-        value = min(max(value, CLAMP_EPS), 1 - CLAMP_EPS)
-    return value
+    return _solve_edge(plan, denom, chis, p_in, p_out, kernel.mode, clamp, flags)
 
 
 def _coverage_check(r: int, p_in: HittingDistribution, p_out: HittingDistribution) -> None:
@@ -317,15 +322,14 @@ def recover_all(
 
     ``known`` must carry the given rows (added vertices, plus any base rows
     already known); base vertices without a row, or flagged unknown, are the
-    targets.  Children edges are solved independently via
-    :func:`recover_edge`; the inward entry is the row complement.  The
-    report's ``shell_time_reads`` records the largest distribution time index
-    touched while working on each shell.
+    targets.  Before shell ``k`` is solved, the head sums of shell ``k``, the
+    tail sums of shell ``k + 1`` and the shell's tail-class table are built
+    (see the module docstring); each child edge is then solved as
+    :func:`recover_edge` solves it alone, and the inward entry is the row
+    complement.  The report's ``shell_time_reads`` records the largest
+    distribution time index touched while working on each shell.
     """
-    if aug.aug_len != 2:
-        raise InvalidParameter(
-            f"recovery needs a 2-spherical augmentation, got aug_len={aug.aug_len}"
-        )
+    _require_two_layers(aug)
     r = aug.hull_radius
     _coverage_check(r, p_in, p_out)
 
@@ -338,38 +342,47 @@ def recover_all(
     flags: list[tuple[str, int]] = []
     shell_reads: dict[int, int] = {}
 
+    full = aug.full
+    shells = full.shells()
+    inner_below = {z: (z,) for z in shells[r + 1]}
+    for k in range(r, 0, -1):
+        for x in shells[k]:
+            inner_below[x] = tuple(z for c in full.children[x] for z in inner_below[c])
+    rows = _AccRows(work)
+    head: dict[int, Number] = {}
+    tail: dict[int, Number] = {}
+
     orig_in, orig_out = p_in.max_time_read, p_out.max_time_read
     run_in, run_out = -1, -1
-    root = aug.full.root
+    root = full.root
     for k in range(r, -1, -1):
         p_in.max_time_read = -1
         p_out.max_time_read = -1
-        for u in aug.full.shell(k):
-            if not aug.is_original(u):
-                continue
-            if work.provenance.get(u, UNKNOWN) in (KNOWN, RECOVERED):
-                continue
+        for x in shells[r + 1] if k == r else ():  # heads start on the inner layer
+            head[x] = _head(aug, rows, p_out, head, x)
+        for x in shells[k + 1]:
+            tail[x] = _tail(aug, rows, tail, x)
+        for x in shells[k]:
+            head[x] = _head(aug, rows, p_out, head, x)
+        targets = [u for u in shells[k] if aug.is_original(u)
+                   and work.provenance.get(u, UNKNOWN) not in (KNOWN, RECOVERED)]
+        chis = _tail_classes(aug, rows, shells[r + 1], k) if targets else {}
+        for u in targets:
             row: dict[int, Number] = {}
-            for w in aug.full.children[u]:
-                plan = make_plan(aug, u, w)
-                row[w] = recover_edge(aug, work, plan, p_in, p_out, clamp, flags)
+            for w in full.children[u]:
+                plan = _plan(aug, u, w, inner_below[w])
+                row[w] = _solve_edge(
+                    plan, head[u] * tail[w], chis, p_in, p_out, work.mode, clamp, flags
+                )
             child_sum = sum(row.values())
             if u == root:
                 residuals[u] = child_sum - 1
-                bad = (
-                    child_sum != 1
-                    if known.mode == RATIONAL
-                    else abs(child_sum - 1) > ROOT_SUM_TOL
-                )
-                if bad:
+                if _root_sum_off(child_sum, known.mode):
                     if not clamp:
                         raise RowSumViolation(
                             f"root row sums to {child_sum}, expected 1"
                         )
                     flags.append(("RowSumViolation", u))
-                if clamp:
-                    raw_entries[u] = dict(row)
-                    row = {w: p / child_sum for w, p in row.items()}
             else:
                 comp = 1 - child_sum
                 ok = 0 < comp < 1
@@ -381,14 +394,14 @@ def recover_all(
                     flags.append(("RowSumViolation", u))
                     comp = min(max(comp, CLAMP_EPS), 1 - CLAMP_EPS)
                 residuals[u] = child_sum + comp - 1
-                parent = aug.full.parent[u]
-                row[parent] = comp  # type: ignore[index]
-                if clamp:
-                    raw_entries[u] = dict(row)
-                    s = sum(row.values())
-                    row = {w: p / s for w, p in row.items()}
-            work.entries[u] = row
+                row[full.parent[u]] = comp  # type: ignore[index]
+            if clamp:
+                raw_entries[u] = dict(row)
+                s = sum(row.values())
+                row = {w: p / s for w, p in row.items()}
+            work.entries[u] = rows[u] = row
             work.provenance[u] = RECOVERED
+        del chis
         shell_reads[k] = max(p_in.max_time_read, p_out.max_time_read)
         run_in = max(run_in, p_in.max_time_read)
         run_out = max(run_out, p_out.max_time_read)
@@ -458,7 +471,6 @@ def recover_star(
     aug = spherical_augmentation(star(1, m), 2)
 
     result = known.copy()
-    slack = 0 if known.mode == RATIONAL else FLOAT_EDGE_SLACK
     root_row: dict[int, Number] = {}
     for j in range(1, m + 1):
         inner_v = m + j
@@ -470,27 +482,14 @@ def recover_star(
         t_back = known.prob(inner_v, j)
         if po3 == 0 or pi2 == 0 or t_back == 0:
             raise ZeroDenominator(f"branch {j}: a required boundary cell is zero")
-        t_out = (po5 / po3 - pi4 / pi2) / t_back
-        if t_out <= 0 or t_out > 1 + slack:
-            if not clamp:
-                raise OutOfRange(f"t({j},{inner_v}) = {t_out} outside (0, 1]")
-            t_out = min(max(t_out, CLAMP_EPS), 1 - CLAMP_EPS)
-        t_root = pi2 / t_out
-        if t_root <= 0 or t_root > 1 + slack:
-            if not clamp:
-                raise OutOfRange(f"t(0,{j}) = {t_root} outside (0, 1]")
-            t_root = min(max(t_root, CLAMP_EPS), 1 - CLAMP_EPS)
+        t_out = _unit((po5 / po3 - pi4 / pi2) / t_back, j, inner_v, known.mode, clamp)
+        t_root = _unit(pi2 / t_out, 0, j, known.mode, clamp)
         t_out = settle(t_out, known.mode)
         result.entries[j] = {0: settle(1 - t_out, known.mode), inner_v: t_out}
         result.provenance[j] = RECOVERED
         root_row[j] = settle(t_root, known.mode)
     root_sum = sum(root_row.values())
-    bad = (
-        root_sum != 1
-        if known.mode == RATIONAL
-        else abs(root_sum - 1) > ROOT_SUM_TOL
-    )
-    if bad and not clamp:
+    if _root_sum_off(root_sum, known.mode) and not clamp:
         raise RowSumViolation(f"root row sums to {root_sum}, expected 1")
     if clamp:
         root_row = {j: p / root_sum for j, p in root_row.items()}

@@ -64,3 +64,57 @@ def small_bases(max_aug_vertices: int = 9) -> list[RootedTree]:
             seen.add(sig)
             out.append(tree)
     return out
+
+
+def broom(a: int, b: int) -> RootedTree:
+    """Root with ``a`` children, each carrying ``b`` leaves (radius 2)."""
+    edges = []
+    for i in range(a):
+        c = 1 + i * (b + 1)
+        edges.append((0, c))
+        edges.extend((c, c + 1 + j) for j in range(b))
+    return build_tree(edges, 0)
+
+
+def comb(r: int) -> RootedTree:
+    """Spine ``0..r`` with a one-edge tooth below each spine vertex but the tip."""
+    edges = [(i, i + 1) for i in range(r)] + [(i, r + 1 + i) for i in range(r)]
+    return build_tree(edges, 0)
+
+
+def up_product(aug: AugmentedTree, kernel: TransitionKernel, z: int, u: int):
+    """Product of inward transitions along the path from ``z`` up to ``u``."""
+    acc = 1
+    while z != u:
+        p = aug.full.parent[z]
+        acc = acc * kernel.prob(z, p)
+        z = p
+    return acc
+
+
+def down_product(aug: AugmentedTree, kernel: TransitionKernel, w: int, v: int):
+    """Product of outward transitions along the path from ``w`` down to ``v``."""
+    acc = 1
+    while v != w:
+        p = aug.full.parent[v]
+        acc = acc * kernel.prob(p, v)
+        v = p
+    return acc
+
+
+def explicit_edge_coefficient(aug, kernel, plan, p_out):
+    """Out-and-back coefficient as an explicit sum over path pairs.
+
+    Sums, over every inner vertex ``z`` below ``plan.vertex`` and every outer
+    target ``v`` below ``plan.child``, the ballistic outer arrival through
+    ``z`` divided by its last step, times the inward product from ``z`` up to
+    the vertex and the outward product from the child down to ``v``.
+    """
+    total = 0
+    for z in aug.layer_descendants(plan.vertex, aug.inner_layer):
+        zo = aug.outer_child(z)
+        ballistic = p_out.prob(aug.hull_radius + 2, zo) / kernel.prob(z, zo)
+        head = ballistic * up_product(aug, kernel, z, plan.vertex)
+        for v in plan.outer_targets:
+            total = total + head * down_product(aug, kernel, plan.child, v)
+    return total

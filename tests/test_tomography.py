@@ -15,6 +15,7 @@ from treetomo import (
     kernel_max_error,
     make_plan,
     path_class_prob,
+    random_kernel,
     recover_all,
     recover_edge,
     recover_star,
@@ -33,7 +34,7 @@ from treetomo.errors import (
 from treetomo.forward_solver import HittingDistribution
 from treetomo.tree_model import build_tree, segment, spherical_augmentation, star
 
-from helpers import known_part, rand_instance
+from helpers import broom, comb, explicit_edge_coefficient, known_part, rand_instance
 
 
 def segment_fixture(p=0.7):
@@ -192,6 +193,21 @@ class TestUnknownEdgeCoefficient:
         rep = recover_all(aug, known_part(kernel), p_in, p_out, reference=kernel)
         assert rep.max_error == 0
 
+    def test_matches_explicit_path_products(self):
+        # the bottom-up head and tail sums equal the sum over (inner z below
+        # u) x (outer v below w) of explicit path products, exactly
+        cases = [rand_instance(s, rout=1 + s % 4, mode="rational") for s in range(6)]
+        for base in (broom(4, 3), comb(6)):
+            aug = spherical_augmentation(base, 2)
+            cases.append((aug, random_kernel(aug, 5, scope="all", mode="rational")))
+        for aug, kernel in cases:
+            _, p_out = forward_pair(aug, kernel)
+            for u in range(aug.base.vertex_count):
+                for w in aug.full.children[u]:
+                    plan = make_plan(aug, u, w)
+                    got = unknown_edge_coefficient(aug, kernel, plan, p_out)
+                    assert got == explicit_edge_coefficient(aug, kernel, plan, p_out)
+
 
 class TestDecompositionIdentity:
     """Outer arrivals at the plan time split exactly into tail classes plus
@@ -312,6 +328,35 @@ class TestRecoverAll:
             for u, flag in kernel.provenance.items():
                 if flag == "unknown":
                     assert rep.kernel.entries[u] == kernel.entries[u]
+
+    def test_matches_per_edge_route_rational(self):
+        # the per-shell tables give exactly the rows of make_plan + recover_edge
+        # run edge by edge, outermost shell first; broom(12,12) is wider than
+        # any random tree
+        cases = [rand_instance(s, rout=1 + s % 3, mode="rational") for s in range(4)]
+        for base in (broom(12, 12), comb(4)):
+            aug = spherical_augmentation(base, 2)
+            cases.append((aug, random_kernel(aug, 11, scope="all", mode="rational")))
+        for aug, kernel in cases:
+            full = aug.full
+            p_in, p_out = forward_pair(aug, kernel)
+            rep = recover_all(aug, known_part(kernel), p_in, p_out, reference=kernel)
+            assert rep.max_error == 0
+            work = known_part(kernel)
+            for k in range(aug.hull_radius, -1, -1):
+                for u in full.shell(k):
+                    if not aug.is_original(u) or u in work.entries:
+                        continue
+                    row = {
+                        w: recover_edge(aug, work, make_plan(aug, u, w), p_in, p_out)
+                        for w in full.children[u]
+                    }
+                    if u != full.root:
+                        row[full.parent[u]] = 1 - sum(row.values())
+                    work.entries[u] = row
+            for u, flag in rep.kernel.provenance.items():
+                if flag == "recovered":
+                    assert rep.kernel.entries[u] == work.entries[u]
 
     def test_access_bounds(self):
         for seed in range(10):
