@@ -21,13 +21,10 @@ from .chain_model import (
 from .errors import TreetomoError
 from .estimation import (
     SampleBatch,
-    WalkSample,
-    WalkStream,
     collect_batch,
     consistency_curve,
     empirical_joint,
     estimate_kernel,
-    sample_walk,
 )
 from .forward_solver import (
     INNER,
@@ -80,8 +77,6 @@ __all__ = [
     "TransitionKernel",
     "TreetomoError",
     "UNKNOWN",
-    "WalkSample",
-    "WalkStream",
     "brute_force_hitting",
     "build_tree",
     "collect_batch",
@@ -100,7 +95,6 @@ __all__ = [
     "recover_all",
     "recover_edge",
     "recover_star",
-    "sample_walk",
     "segment",
     "spherical_augmentation",
     "star",

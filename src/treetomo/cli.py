@@ -256,7 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--t-cap", type=int, default=None)
+    p.add_argument(
+        "--t-cap", type=int, default=None,
+        help="steps simulated per walk (default 3R+4, the read horizon)",
+    )
     p.add_argument("--out")
 
     p = sub.add_parser("estimate", help="plug-in estimation from a batch file")

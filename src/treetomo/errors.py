@@ -73,9 +73,5 @@ class InsufficientData(TreetomoError):
     """An empirical cell required by the estimator is empty."""
 
 
-class NonTermination(TreetomoError):
-    """Simulated walk exceeded the step cap; kernel is likely invalid."""
-
-
 class FormatError(TreetomoError):
     """A text artifact is malformed or covers an insufficient time range."""

@@ -2,10 +2,12 @@
 
 Randomness is counter based: the uniform used by walk ``i`` at step ``t`` is
 a pure function of ``(seed, i, t)``, so a batch is bit-identical no matter
-how it is chunked across workers, and any single walk can be replayed in
-isolation.  Batches are simulated in vectorized blocks; walks that have not
-been absorbed by the time cap land in an overflow bucket and are excluded
-from the empirical mass.
+how it is chunked across workers, and walk ``i`` is replayed by simulating
+the block ``[i]``.  Walks are simulated in vectorized blocks up to a time
+cap, by default the read horizon ``3R + 4`` of the inversion.  Every first
+inner-layer contact within the cap is counted; a walk with no outer-layer
+contact by the cap lands in the overflow bucket, which therefore estimates
+``P(tau_out > t_cap)``.
 """
 
 from __future__ import annotations
@@ -16,13 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain_model import KNOWN, Number, TransitionKernel
-from .errors import (
-    InsufficientData,
-    InvalidParameter,
-    NonTermination,
-    ZeroDenominator,
-)
+from .chain_model import KNOWN, TransitionKernel
+from .errors import InsufficientData, InvalidParameter, ZeroDenominator
 from .forward_solver import INNER, OUTER, HittingDistribution
 from .tomography import RecoveryReport, recover_all
 from .tree_model import AugmentedTree
@@ -32,14 +29,7 @@ _GOLD = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-STEP_CAP = 10**7
 CHUNK = 1 << 18
-
-
-def _mix(z: int) -> int:
-    z = (z ^ (z >> 30)) * _MIX1 & _MASK
-    z = (z ^ (z >> 27)) * _MIX2 & _MASK
-    return z ^ (z >> 31)
 
 
 def _mix_vec(z: np.ndarray) -> np.ndarray:
@@ -49,19 +39,10 @@ def _mix_vec(z: np.ndarray) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
-def _walk_base(seed: int, walk: int) -> int:
-    return _mix((_mix(seed & _MASK) + (walk + 1) * _GOLD) & _MASK)
-
-
 def _walk_base_vec(seed: int, walks: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
-        z = np.uint64(_mix(seed & _MASK)) + (walks + np.uint64(1)) * np.uint64(_GOLD)
+        z = _mix_vec(np.uint64(seed & _MASK)) + (walks + np.uint64(1)) * np.uint64(_GOLD)
     return _mix_vec(z)
-
-
-def _u01(base: int, step: int) -> float:
-    v = _mix((base + (step + 1) * _GOLD) & _MASK)
-    return (v >> 11) * 2.0**-53
 
 
 def _u01_vec(bases: np.ndarray, step: int) -> np.ndarray:
@@ -70,31 +51,15 @@ def _u01_vec(bases: np.ndarray, step: int) -> np.ndarray:
     return (v >> np.uint64(11)) * 2.0**-53
 
 
-class WalkStream:
-    """Replayable uniform stream for one walk, derived from (seed, index)."""
-
-    def __init__(self, seed: int, walk_index: int):
-        self.seed = seed
-        self.walk_index = walk_index
-        self._base = _walk_base(seed, walk_index)
-
-    def u(self, step: int) -> float:
-        return _u01(self._base, step)
-
-
-@dataclass(frozen=True)
-class WalkSample:
-    """First boundary contacts of a single probe walk."""
-
-    tau_in: int
-    place_in: int
-    tau_out: int
-    place_out: int
-
-
 @dataclass
 class SampleBatch:
-    """Counted boundary observations of ``n`` independent probe walks."""
+    """Counted boundary observations of ``n`` independent probe walks.
+
+    ``counts_in`` and ``counts_out`` map ``(time, vertex)`` to the number of
+    walks whose first inner / outer contact happened there, at times
+    ``1..t_cap``; ``overflow`` counts the walks with no outer contact by
+    ``t_cap``, so it equals ``n`` minus the outer counts.
+    """
 
     n: int
     seed: int
@@ -104,47 +69,34 @@ class SampleBatch:
     overflow: int = 0
 
 
-def _float_rows(aug: AugmentedTree, kernel: TransitionKernel):
-    """Sorted neighbors and float cumulative rows, absorbing vertices excluded."""
-    rows: dict[int, tuple[list[int], list[float]]] = {}
-    for u, row in kernel.entries.items():
-        if u in aug.outer_layer or not row:
-            continue
-        nbrs = sorted(row)
-        cum = list(itertools.accumulate(float(row[v]) for v in nbrs))
-        rows[u] = (nbrs, cum)
-    return rows
+def _walk_tables(
+    aug: AugmentedTree, kernel: TransitionKernel
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Neighbor and float cumulative-row tables plus inner/outer layer masks.
 
-
-def sample_walk(
-    aug: AugmentedTree, kernel: TransitionKernel, stream: WalkStream
-) -> WalkSample:
-    """Simulate one killed walk from the root to outer absorption.
-
-    Records the first inner-layer and outer-layer contacts.  Raises
-    :class:`NonTermination` after ``10**7`` steps, which indicates an invalid
-    kernel rather than bad luck.
+    Row ``u`` lists the sorted neighbors of ``u``, padded with the last one;
+    cumulative probabilities are padded with 2.0.  Absorbing outer vertices
+    get no row.
     """
-    rows = _float_rows(aug, kernel)
-    v = aug.full.root
-    tau_in = place_in = -1
-    t = 0
-    while True:
-        if t >= STEP_CAP:
-            raise NonTermination(f"walk exceeded {STEP_CAP} steps")
-        nbrs, cum = rows[v]
-        u = stream.u(t)
-        nxt = nbrs[-1]
-        for i, c in enumerate(cum):
-            if u < c:
-                nxt = nbrs[i]
-                break
-        t += 1
-        if tau_in < 0 and nxt in aug.inner_layer:
-            tau_in, place_in = t, nxt
-        if nxt in aug.outer_layer:
-            return WalkSample(tau_in, place_in, t, nxt)
-        v = nxt
+    nv = aug.full.vertex_count
+    rows = {
+        u: row for u, row in kernel.entries.items()
+        if row and u not in aug.outer_layer
+    }
+    maxdeg = max(map(len, rows.values()), default=1)
+    nbr_tab = np.zeros((nv, maxdeg), dtype=np.int64)
+    cum_tab = np.full((nv, maxdeg), 2.0)
+    for u, row in rows.items():
+        nbrs = sorted(row)
+        d = len(nbrs)
+        nbr_tab[u, :d] = nbrs
+        nbr_tab[u, d:] = nbrs[-1]
+        cum_tab[u, :d] = list(itertools.accumulate(float(row[v]) for v in nbrs))
+    is_inner = np.zeros(nv, dtype=bool)
+    is_outer = np.zeros(nv, dtype=bool)
+    is_inner[list(aug.inner_layer)] = True
+    is_outer[list(aug.outer_layer)] = True
+    return nbr_tab, cum_tab, is_inner, is_outer
 
 
 def _simulate_block(
@@ -192,62 +144,53 @@ def collect_batch(
     workers: int = 1,
     t_cap: int | None = None,
 ) -> SampleBatch:
-    """Simulate ``n`` probe walks and tally boundary contacts.
+    """Simulate ``n`` probe walks for up to ``t_cap`` steps and tally contacts.
 
-    The result is bit-identical for a fixed ``(seed, n, t_cap)`` regardless
-    of ``workers`` or internal chunking.  Walks not absorbed within
-    ``t_cap`` steps are counted in the overflow bucket only.
+    ``t_cap`` defaults to the read horizon ``3R + 4``.  Every first inner
+    contact at or before ``t_cap`` is counted, absorbed or not; outer
+    contacts come from the absorbed walks, and the rest (no outer contact by
+    ``t_cap``) form the overflow bucket.  The result is bit-identical for a
+    fixed ``(seed, n, t_cap)`` regardless of ``workers`` or internal chunking.
     """
     if n < 1:
         raise InvalidParameter(f"sample count must be >= 1, got {n}")
     if workers < 1:
         raise InvalidParameter(f"workers must be >= 1, got {workers}")
     if t_cap is None:
-        t_cap = max(3 * aug.hull_radius + 4, 64)
+        t_cap = 3 * aug.hull_radius + 4
+    if t_cap < 1:
+        raise InvalidParameter(f"time cap must be >= 1, got {t_cap}")
 
-    full = aug.full
-    nv = full.vertex_count
-    maxdeg = max(len(r) for u, r in kernel.entries.items() if r) if kernel.entries else 1
-    nbr_tab = np.zeros((nv, maxdeg), dtype=np.int64)
-    cum_tab = np.full((nv, maxdeg), 2.0)
-    for u, (nbrs, cum) in _float_rows(aug, kernel).items():
-        d = len(nbrs)
-        nbr_tab[u, :d] = nbrs
-        nbr_tab[u, d:] = nbrs[-1]
-        cum_tab[u, :d] = cum
-    is_inner = np.zeros(nv, dtype=bool)
-    is_outer = np.zeros(nv, dtype=bool)
-    is_inner[list(aug.inner_layer)] = True
-    is_outer[list(aug.outer_layer)] = True
+    tables = _walk_tables(aug, kernel)
+    nv = aug.full.vertex_count
+    cells = (t_cap + 1) * nv
+
+    def run(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        tau_in, place_in, tau_out, place_out = _simulate_block(
+            block, seed, t_cap, *tables, aug.full.root
+        )
+        hit = tau_in >= 0
+        done = tau_out >= 0
+        return (
+            np.bincount(tau_in[hit] * nv + place_in[hit], minlength=cells),
+            np.bincount(tau_out[done] * nv + place_out[done], minlength=cells),
+        )
 
     blocks = [
         np.arange(a, min(a + CHUNK, n), dtype=np.int64) for a in range(0, n, CHUNK)
     ]
-
-    def run(block: np.ndarray):
-        return _simulate_block(
-            block, seed, t_cap, nbr_tab, cum_tab, is_inner, is_outer, full.root
-        )
-
-    if workers == 1 or len(blocks) == 1:
-        results = [run(b) for b in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, blocks))
+    tally_in = np.zeros(cells, dtype=np.int64)
+    tally_out = np.zeros(cells, dtype=np.int64)
+    with ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
+        for part_in, part_out in pool.map(run, blocks):
+            tally_in += part_in
+            tally_out += part_out
 
     batch = SampleBatch(n=n, seed=seed, t_cap=t_cap)
-    for tau_in, place_in, tau_out, place_out in results:
-        done = tau_out >= 0
-        batch.overflow += int((~done).sum())
-        for key_t, key_v, counts in (
-            (tau_in[done], place_in[done], batch.counts_in),
-            (tau_out[done], place_out[done], batch.counts_out),
-        ):
-            pairs = np.stack([key_t, key_v], axis=1)
-            uniq, cnt = np.unique(pairs, axis=0, return_counts=True)
-            for (t, v), c in zip(uniq, cnt):
-                k = (int(t), int(v))
-                counts[k] = counts.get(k, 0) + int(c)
+    for tally, counts in ((tally_in, batch.counts_in), (tally_out, batch.counts_out)):
+        for k in np.flatnonzero(tally):
+            counts[divmod(int(k), nv)] = int(tally[k])
+    batch.overflow = n - int(tally_out.sum())
     return batch
 
 

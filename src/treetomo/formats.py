@@ -203,16 +203,29 @@ def parse_batch(text: str) -> SampleBatch:
         parts = line.split()
         try:
             if parts[0] == "batch":
+                if batch is not None:
+                    raise FormatError("repeated batch header")
                 batch = SampleBatch(int(parts[1]), int(parts[2]), int(parts[3]))
+                if batch.n < 1 or batch.t_cap < 1:
+                    raise FormatError(f"bad batch header {line!r}")
             elif parts[0] in ("in", "out"):
                 if batch is None:
                     raise FormatError("counts before batch header")
                 counts = batch.counts_in if parts[0] == "in" else batch.counts_out
-                counts[(int(parts[1]), int(parts[2]))] = int(parts[3])
+                t, v, c = int(parts[1]), int(parts[2]), int(parts[3])
+                if not 1 <= t <= batch.t_cap:
+                    raise FormatError(
+                        f"time {t} outside 1..{batch.t_cap} in {line!r}"
+                    )
+                if c < 0 or (t, v) in counts:
+                    raise FormatError(f"negative or repeated count {line!r}")
+                counts[(t, v)] = c
             elif parts[0] == "overflow":
                 if batch is None:
                     raise FormatError("overflow before batch header")
                 batch.overflow = int(parts[1])
+                if batch.overflow < 0:
+                    raise FormatError(f"negative overflow {line!r}")
             else:
                 raise FormatError(f"unknown record {parts[0]!r}")
         except (IndexError, ValueError) as exc:
@@ -222,6 +235,9 @@ def parse_batch(text: str) -> SampleBatch:
     total = sum(batch.counts_out.values()) + batch.overflow
     if total != batch.n:
         raise FormatError(f"outer counts plus overflow {total} != n {batch.n}")
+    total_in = sum(batch.counts_in.values())
+    if total_in > batch.n:
+        raise FormatError(f"inner counts {total_in} exceed n {batch.n}")
     return batch
 
 

@@ -173,6 +173,24 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("error 3 InsufficientData")
 
+    def test_inconsistent_batch_exit_2(self, tmp_path, capsys):
+        # an inner cell past the batch's own time cap cannot come from a run
+        work = str(tmp_path / "w")
+        run(capsys, "gen", "--tree", "star", "--l", "1", "--n", "2",
+            "--seed", "2", "--out", work)
+        batch = "\n".join(
+            ["batch 4 0 7", "in 2 3 2", "in 9 4 2",
+             "out 3 5 2", "out 3 6 2", "overflow 0"]
+        )
+        (tmp_path / "w" / "batch.txt").write_text(batch + "\n")
+        code, _, err = run(
+            capsys, "estimate", "--tree-file", f"{work}/tree.txt",
+            "--known-file", f"{work}/known.txt",
+            "--batch-file", f"{work}/batch.txt",
+        )
+        assert code == 2
+        assert err.startswith("error 2 FormatError")
+
 
 class TestSeedEnvFallback:
     def test_env_seed(self, tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Probe sampling, empirical laws, and the plug-in estimator."""
 
 from collections import Counter
+import math
 
 import pytest
 
@@ -9,21 +10,20 @@ from treetomo import (
     INNER,
     OUTER,
     TransitionKernel,
-    WalkStream,
     collect_batch,
     consistency_curve,
     default_augmented_kernel,
     empirical_joint,
     estimate_kernel,
     first_hitting_joint,
+    random_kernel,
     recover_all,
-    sample_walk,
 )
 from treetomo.errors import InvalidParameter
-from treetomo.estimation import _u01, _u01_vec, _walk_base, _walk_base_vec
+from treetomo.estimation import _simulate_block, _u01_vec, _walk_base_vec, _walk_tables
 from treetomo.tree_model import segment, spherical_augmentation, star
 
-from helpers import known_part, rand_instance
+from helpers import known_part, rand_instance, reference_walk, u01, walk_base
 
 import numpy as np
 
@@ -43,6 +43,12 @@ def segment_fixture():
     return aug, kernel
 
 
+def simulate(aug, kernel, seed, walk_ids, t_cap):
+    """Rows of ``_simulate_block`` for the given walk indices."""
+    ids = np.asarray(walk_ids, dtype=np.int64)
+    return _simulate_block(ids, seed, t_cap, *_walk_tables(aug, kernel), aug.full.root)
+
+
 class TestCounterStream:
     def test_scalar_vector_agree(self):
         walks = np.arange(50, dtype=np.uint64)
@@ -50,10 +56,10 @@ class TestCounterStream:
         for step in (0, 1, 7, 63):
             vec = _u01_vec(bases, step)
             for i in range(50):
-                assert vec[i] == _u01(_walk_base(123, i), step)
+                assert vec[i] == u01(walk_base(123, i), step)
 
     def test_uniform_range(self):
-        vals = [_u01(_walk_base(9, i), t) for i in range(200) for t in range(4)]
+        vals = [u01(walk_base(9, i), t) for i in range(200) for t in range(4)]
         assert all(0 <= v < 1 for v in vals)
         assert 0.45 < sum(vals) / len(vals) < 0.55
 
@@ -64,7 +70,7 @@ class TestSampleWalk:
         # to tau_out is any positive odd number, not always one
         aug, kernel = segment_fixture()
         for i in range(50):
-            s = sample_walk(aug, kernel, WalkStream(5, i))
+            s = reference_walk(aug, kernel, 5, i)
             assert (s.place_in, s.place_out) == (2, 3)
             assert s.tau_out > s.tau_in
             assert (s.tau_out - s.tau_in) % 2 == 1
@@ -74,28 +80,37 @@ class TestSampleWalk:
         aug, kernel = star_fixture()
         r = aug.hull_radius
         for i in range(80):
-            s = sample_walk(aug, kernel, WalkStream(1, i))
+            s = reference_walk(aug, kernel, 1, i)
             assert s.tau_in < s.tau_out
             assert (s.tau_in - (r + 1)) % 2 == 0
             assert (s.tau_out - (r + 2)) % 2 == 0
 
     def test_replay(self):
+        # walk i alone replays row i of a wider block, which is the scalar walk
         aug, kernel = star_fixture()
-        a = sample_walk(aug, kernel, WalkStream(7, 3))
-        b = sample_walk(aug, kernel, WalkStream(7, 3))
-        assert a == b
+        wide = simulate(aug, kernel, 7, range(12), t_cap=200)
+        for i in range(12):
+            alone = simulate(aug, kernel, 7, [i], t_cap=200)
+            assert [int(col[0]) for col in alone] == [int(col[i]) for col in wide]
+            s = reference_walk(aug, kernel, 7, i)
+            assert (s.tau_in, s.place_in, s.tau_out, s.place_out) == tuple(
+                int(col[i]) for col in wide
+            )
 
 
 class TestCollectBatch:
     def test_matches_scalar_walks(self):
+        # every first inner contact within the cap counts, absorbed or not;
+        # outer contacts and overflow come from absorption by the cap
         aug, kernel = star_fixture()
         batch = collect_batch(aug, kernel, 400, seed=42)
         cin, cout = Counter(), Counter()
         overflow = 0
         for i in range(400):
-            s = sample_walk(aug, kernel, WalkStream(42, i))
-            if s.tau_out <= batch.t_cap:
+            s = reference_walk(aug, kernel, 42, i)
+            if s.tau_in <= batch.t_cap:
                 cin[(s.tau_in, s.place_in)] += 1
+            if s.tau_out <= batch.t_cap:
                 cout[(s.tau_out, s.place_out)] += 1
             else:
                 overflow += 1
@@ -126,6 +141,23 @@ class TestCollectBatch:
             collect_batch(aug, kernel, 0, seed=1)
         with pytest.raises(InvalidParameter):
             collect_batch(aug, kernel, 10, seed=1, workers=0)
+        with pytest.raises(InvalidParameter):
+            collect_batch(aug, kernel, 10, seed=1, t_cap=0)
+
+    @pytest.mark.parametrize("radius", [6, 8])
+    def test_inner_law_unbiased_at_horizon(self, radius):
+        # at the default cap most walks on a long path are not yet absorbed;
+        # their inner contacts must still count, or P(tau_in <= 3R+4) reads low
+        aug = spherical_augmentation(segment(0, radius), 2)
+        kernel = random_kernel(aug, 7, scope="all")
+        n = 200_000
+        batch = collect_batch(aug, kernel, n, seed=1)
+        horizon = 3 * aug.hull_radius + 4
+        assert batch.t_cap == horizon
+        exact = float(first_hitting_joint(aug, kernel, INNER, horizon).total())
+        empirical = sum(batch.counts_in.values()) / n
+        z = (empirical - exact) / math.sqrt(exact * (1 - exact) / n)
+        assert abs(z) < 5, (empirical, exact, z)
 
     def test_empirical_close_to_exact(self):
         # binomial error at n = 1e5 is about 0.0014; 0.01 is a 7 sigma bound

@@ -130,6 +130,29 @@ class TestBatchFormat:
         with pytest.raises(FormatError):
             parse_batch(dump_batch(bad))
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "batch 4 0 7\nin 8 3 1\nout 5 5 4\noverflow 0\n",  # in past t_cap
+            "batch 4 0 7\nin 0 3 1\nout 5 5 4\noverflow 0\n",  # in before t=1
+            "batch 4 0 7\nin 2 3 1\nout 9 5 4\noverflow 0\n",  # out past t_cap
+            "batch 4 0 7\nin 2 3 5\nout 5 5 4\noverflow 0\n",  # in-mass > n
+            "batch 4 0 7\nin 2 3 -1\nout 5 5 4\noverflow 0\n",  # negative
+            "batch 4 0 7\nin 2 3 1\nout 5 5 5\noverflow -1\n",  # negative
+            "batch 4 0 7\nin 2 3 1\nin 2 3 1\nout 5 5 4\noverflow 0\n",  # repeat
+            "batch 4 0 0\noverflow 4\n",  # empty time range
+            "batch 4 0 7\nout 3 5 4\noverflow 0\nbatch 2 0 7\noverflow 2\n",
+        ],
+    )
+    def test_inconsistent_rejected(self, text):
+        with pytest.raises(FormatError):
+            parse_batch(text)
+
+    def test_consistent_accepted(self):
+        batch = parse_batch("batch 4 0 7\nin 2 3 4\nout 7 5 1\noverflow 3\n")
+        assert batch.counts_in == {(2, 3): 4}
+        assert batch.counts_out == {(7, 5): 1}
+
 
 class TestReportFormat:
     def test_contains_diagnostics(self):
