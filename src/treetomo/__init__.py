@@ -30,10 +30,8 @@ from .forward_solver import (
     INNER,
     OUTER,
     HittingDistribution,
-    PathClassQuery,
     brute_force_hitting,
     first_hitting_joint,
-    path_class_prob,
 )
 from .tomography import (
     EdgeRecoveryPlan,
@@ -68,7 +66,6 @@ __all__ = [
     "INNER",
     "KNOWN",
     "OUTER",
-    "PathClassQuery",
     "RATIONAL",
     "RECOVERED",
     "RecoveryReport",
@@ -88,7 +85,6 @@ __all__ = [
     "kernel_max_error",
     "l_augment_at",
     "make_plan",
-    "path_class_prob",
     "radii",
     "random_kernel",
     "random_tree",

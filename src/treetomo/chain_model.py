@@ -7,17 +7,24 @@ which rows are measurement targets (``unknown``), which are given
 (``known``), and which it has already solved (``recovered``).
 
 Two arithmetic modes are supported end to end: ``float`` (doubles) and
-``rational`` (exact :class:`fractions.Fraction` entries).
+``rational`` (exact :class:`fractions.Fraction` entries).  Recurrences that
+multiply row entries along walks read them through :class:`AccRows`, which
+owns the accumulation representation: in float mode, scale 1 and
+``np.longdouble`` entries; in rational mode, a common denominator ``D`` of
+the rows read and the integer numerators ``p * D``, so a mass built from
+``s`` entries is an integer ``N`` standing for ``N / D**s``.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegreeMismatch, InvalidParameter, MissingRow
+from .errors import DegreeMismatch, InvalidParameter, MissingKnownRow, MissingRow
 from .tree_model import AugmentedTree
 
 KNOWN = "known"
@@ -32,20 +39,79 @@ ROW_SUM_TOL = 1e-12
 Number = float | Fraction
 
 
-def acc_rows(kernel: "TransitionKernel") -> dict[int, dict[int, Number]]:
-    """Kernel rows in the accumulation type of the kernel's mode.
+class AccRows(dict):
+    """Kernel rows in the accumulation representation, converted on first read.
 
-    Float-mode arithmetic runs internally on extended-precision scalars: the
-    inversion subtracts nearly equal hitting masses, and the extra mantissa
-    bits keep the round trip comfortably inside its double-precision
-    tolerance.  Rational rows pass through unchanged.
+    Float mode: scale 1 and ``np.longdouble`` entries.  The inversion
+    subtracts nearly equal hitting masses, and the extra mantissa bits keep
+    the round trip comfortably inside its double-precision tolerance.
+
+    Rational mode: scale ``D``, a common multiple of the denominators of the
+    rows handed to :meth:`cover`, and integer entries ``p * D``.  A mass
+    pushed through ``s`` entries from a start of 1 is then an integer ``N``
+    for the exact value ``N / D**s``: the multiply-adds need no gcd, and
+    :meth:`value` builds the one :class:`~fractions.Fraction` per result.
+    Once a covered row holds a float, as rows estimated from empirical laws
+    do, the rows are read as they are at scale 1 and mixed ``Fraction`` and
+    float arithmetic yields floats.
+
+    A reader covers every row it will touch before reading; a change of
+    scale drops the converted rows.  Reading a row the kernel lacks raises
+    :class:`MissingKnownRow`.
     """
-    if kernel.mode == RATIONAL:
-        return kernel.entries
-    return {
-        u: {v: np.longdouble(p) for v, p in row.items()}
-        for u, row in kernel.entries.items()
-    }
+
+    def __init__(self, kernel: "TransitionKernel", vertices: Iterable[int] = ()):
+        super().__init__()
+        self.kernel = kernel
+        self.exact = kernel.mode == RATIONAL
+        self.scale = 1
+        self.cover(vertices)
+
+    def cover(self, vertices: Iterable[int]) -> None:
+        """Make the scale a multiple of the denominators of these rows.
+
+        Vertices without a row are skipped.  A no-op unless exact.
+        """
+        if not self.exact:
+            return
+        entries = self.kernel.entries
+        dens = {getattr(p, "denominator", 0) for u in vertices
+                for p in entries.get(u, {}).values()}
+        if 0 in dens:  # a float entry
+            self.exact, self.scale = False, 1
+            self.clear()
+            return
+        scale = math.lcm(self.scale, *dens)
+        if scale != self.scale:
+            self.scale = scale
+            self.clear()
+
+    def __missing__(self, u: int) -> dict:
+        try:
+            row = self.kernel.entries[u]
+        except KeyError:
+            raise MissingKnownRow(f"row for vertex {u} required but absent") from None
+        if self.exact:
+            d = self.scale
+            if d % math.lcm(*(p.denominator for p in row.values())):
+                raise InvalidParameter(f"scale {d} does not cover the row of vertex {u}")
+            row = {v: p.numerator * (d // p.denominator) for v, p in row.items()}
+        elif self.kernel.mode != RATIONAL:
+            row = {v: np.longdouble(p) for v, p in row.items()}
+        self[u] = row
+        return row
+
+    def hold(self, u: int, row: dict) -> None:
+        """Take a row whose entries are values, such as a recovered one.
+
+        Held as it is at scale 1; when exact, converted on first read.
+        """
+        if not self.exact:
+            self[u] = row
+
+    def value(self, n, steps: int):
+        """Value of accumulated mass ``n`` built from ``steps`` entries."""
+        return Fraction(n, self.scale**steps) if self.exact else n
 
 
 def settle(value, mode: str) -> Number:

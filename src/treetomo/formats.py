@@ -139,9 +139,11 @@ def parse_kernel(text: str, default_provenance: str = "known") -> TransitionKern
                 for cell in parts[2:]:
                     v, p = cell.split(":", 1)
                     row[int(v)] = _parse_number(p, mode)
-                entries[u] = row
             except (IndexError, ValueError) as exc:
                 raise FormatError(f"bad kernel line {line!r}") from exc
+            if u in entries or len(row) != len(parts) - 2:
+                raise FormatError(f"repeated row or cell in {line!r}")
+            entries[u] = row
         else:
             raise FormatError(f"unknown record {parts[0]!r}")
     if not saw_header:
@@ -177,7 +179,10 @@ def parse_distribution(text: str, mode: str = FLOAT) -> HittingDistribution:
             t, v = int(parts[1]), int(parts[2])
         except ValueError as exc:
             raise FormatError(f"bad distribution line {line!r}") from exc
-        mass[(t, v)] = _parse_number(parts[3], mode)
+        p = _parse_number(parts[3], mode)
+        if t < 0 or p < 0 or (t, v) in mass:
+            raise FormatError(f"negative or repeated cell {line!r}")
+        mass[(t, v)] = p
         t_max = max(t_max, t)
     if layer is None:
         raise FormatError("distribution file is empty")

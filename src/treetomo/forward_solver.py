@@ -1,11 +1,15 @@
-"""Exact first-hitting distributions and constrained path-class probabilities.
+"""Exact first-hitting distributions.
 
 The chain starts at the root and is killed on the outer layer.  For either
 boundary layer, the joint law of (first hitting time, hitting place) is
 computed by forward dynamic programming: a sub-probability vector is pushed
 over the non-target vertices and the mass stepping onto the target layer is
 harvested at each time.  All sums involve nonnegative terms only, so the
-float path has no cancellation; with rational kernels every value is exact.
+float path has no cancellation.  The vector lives in the accumulation
+representation of :class:`~treetomo.chain_model.AccRows`: ``np.longdouble``
+in float mode, and in rational mode integer numerators over ``D**t`` at time
+``t``, with ``D`` the lcm of the kernel's row denominators, so every value is
+exact and each harvested cell becomes a ``Fraction`` once, at the end.
 
 ``brute_force_hitting`` recomputes the same object by explicit path
 enumeration and serves as the independent oracle in the test suite.
@@ -15,13 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .chain_model import Number, TransitionKernel, acc_rows, validate_kernel
-from .errors import (
-    InvalidKernel,
-    InvalidQuery,
-    MissingKnownRow,
-    TooLarge,
-)
+from .chain_model import AccRows, Number, TransitionKernel, validate_kernel
+from .errors import InvalidKernel, InvalidQuery, TooLarge
 from .tree_model import AugmentedTree
 
 INNER = "inner"
@@ -108,107 +107,28 @@ def first_hitting_joint(
     if aug.full.root in target:
         dist.mass[(0, aug.full.root)] = 1
         return dist
-    rows = acc_rows(kernel)
+    entries = kernel.entries
+    rows = AccRows(kernel, entries)
+    mass = dist.mass
     cur: dict[int, Number] = {aug.full.root: 1}
     for t in range(1, t_max + 1):
         nxt: dict[int, Number] = {}
         for v, p in cur.items():
-            row = rows.get(v)
-            if row is None:
+            if v not in entries:
                 continue  # absorbed off-target (outer while targeting inner)
-            for w, q in row.items():
+            for w, q in rows[v].items():
                 m = p * q
                 if w in target:
                     key = (t, w)
-                    dist.mass[key] = dist.mass.get(key, 0) + m
+                    mass[key] = mass.get(key, 0) + m
                 else:
                     nxt[w] = nxt.get(w, 0) + m
         cur = nxt
         if not cur:
             break
+    for key, n in mass.items():
+        mass[key] = rows.value(n, key[0])
     return dist
-
-
-@dataclass(frozen=True)
-class PathClassQuery:
-    """Constrained first-passage event.
-
-    The event: starting from ``start``, the first visit to ``target`` happens
-    exactly at ``exact_hit_time``, and every earlier position has norm at
-    least ``min_shell`` and strictly less than ``max_shell_strict`` (and lies
-    in the subtree of ``restrict_to_subtree`` when that is set).  The target
-    itself may sit outside the shell band.
-    """
-
-    start: int
-    target: frozenset[int]
-    exact_hit_time: int
-    min_shell: int = 0
-    max_shell_strict: int | None = None
-    restrict_to_subtree: int | None = None
-
-
-def path_class_prob(
-    aug: AugmentedTree,
-    kernel: TransitionKernel,
-    query: PathClassQuery,
-) -> Number:
-    """Probability of a :class:`PathClassQuery` under ``kernel``.
-
-    Only rows of vertices inside the shell band are read, so a kernel that is
-    known merely on that band is sufficient.
-    """
-    if not query.target:
-        raise InvalidQuery("target set is empty")
-    if query.exact_hit_time < 0:
-        raise InvalidQuery("exact_hit_time must be >= 0")
-    hi = query.max_shell_strict
-    if hi is not None and query.min_shell >= hi:
-        raise InvalidQuery(
-            f"shell bounds inconsistent: [{query.min_shell}, {hi})"
-        )
-    norm = aug.full.norm
-    allowed_sub = (
-        None
-        if query.restrict_to_subtree is None
-        else set(aug.full.subtree(query.restrict_to_subtree))
-    )
-
-    def in_band(v: int) -> bool:
-        if norm[v] < query.min_shell:
-            return False
-        if hi is not None and norm[v] >= hi:
-            return False
-        if allowed_sub is not None and v not in allowed_sub:
-            return False
-        return True
-
-    if query.exact_hit_time == 0:
-        return 1 if query.start in query.target else 0
-    if query.start in query.target or not in_band(query.start):
-        return 0
-
-    rows = acc_rows(kernel)
-    cur: dict[int, Number] = {query.start: 1}
-    for t in range(1, query.exact_hit_time + 1):
-        last = t == query.exact_hit_time
-        nxt: dict[int, Number] = {}
-        hit: Number = 0
-        for v, p in cur.items():
-            if v not in rows:
-                raise MissingKnownRow(f"row for vertex {v} required but absent")
-            for w, q in rows[v].items():
-                if w in query.target:
-                    if last:
-                        hit = hit + p * q
-                elif in_band(w):
-                    nxt[w] = nxt.get(w, 0) + p * q
-        if last:
-            return hit
-        cur = nxt
-        if not cur:
-            return 0
-    return 0
 
 
 def brute_force_hitting(

@@ -24,20 +24,21 @@ inward: each vertex gets its two sums once, and shell ``k`` one first-passage
 recursion over shells ``k+1 .. R+1``, which serves every edge of the shell
 because a walk confined there stays in the subtree it started in.  The
 per-edge functions run the same recurrences restricted to ``subtree(u)`` or
-``subtree(w)``, one table and two subtree scans per edge.
+``subtree(w)``, one table and two subtree scans per edge.  All three read
+rows through :class:`~treetomo.chain_model.AccRows`; the tail-class tables
+run on its integer numerators in rational mode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .chain_model import (
     KNOWN,
     RATIONAL,
     RECOVERED,
     UNKNOWN,
+    AccRows,
     Number,
     TransitionKernel,
     settle,
@@ -45,7 +46,6 @@ from .chain_model import (
 from .errors import (
     FormatError,
     InvalidParameter,
-    MissingKnownRow,
     NotAChild,
     NotInLambda,
     OutOfRange,
@@ -115,25 +115,6 @@ def _root_sum_off(total: Number, mode: str) -> bool:
     return total != 1 if mode == RATIONAL else abs(total - 1) > ROOT_SUM_TOL
 
 
-class _AccRows(dict):
-    """Kernel rows in the accumulation type of :func:`acc_rows`, converted on
-    first read.  A row stored directly, such as a recovered one, is held once."""
-
-    def __init__(self, kernel: TransitionKernel):
-        super().__init__()
-        self.kernel = kernel
-
-    def __missing__(self, z: int) -> dict[int, Number]:
-        try:
-            r = self.kernel.entries[z]
-        except KeyError:
-            raise MissingKnownRow(f"row for vertex {z} required but absent") from None
-        if self.kernel.mode != RATIONAL:
-            r = {v: np.longdouble(p) for v, p in r.items()}
-        self[z] = r
-        return r
-
-
 def _plan(aug: AugmentedTree, u: int, w: int, inner: tuple[int, ...]) -> EdgeRecoveryPlan:
     k, r = aug.full.norm[u], aug.hull_radius
     outer = tuple(aug.outer_child(z) for z in inner)
@@ -154,7 +135,7 @@ def make_plan(aug: AugmentedTree, u: int, w: int) -> EdgeRecoveryPlan:
 
 
 def _head(
-    aug: AugmentedTree, rows: _AccRows, p_out: HittingDistribution,
+    aug: AugmentedTree, rows: AccRows, p_out: HittingDistribution,
     head: dict[int, Number], x: int,
 ) -> Number:
     """Head sum at ``x`` from the head sums of its children.
@@ -166,15 +147,15 @@ def _head(
     if x in aug.inner_layer:
         xo = aug.outer_child(x)
         ballistic = p_out.prob(aug.hull_radius + 2, xo)
-        return ballistic / rows[x][xo] if ballistic else 0
-    return sum(rows[c][x] * head[c] for c in aug.full.children[x])
+        return ballistic / rows.value(rows[x][xo], 1) if ballistic else 0
+    return sum(rows.value(rows[c][x], 1) * head[c] for c in aug.full.children[x])
 
 
-def _tail(aug: AugmentedTree, rows: _AccRows, tail: dict[int, Number], x: int) -> Number:
+def _tail(aug: AugmentedTree, rows: AccRows, tail: dict[int, Number], x: int) -> Number:
     """Tail sum at ``x``: outward path products from ``x`` to each outer vertex below."""
     if x in aug.inner_layer:
-        return rows[x][aug.outer_child(x)]
-    return sum(rows[x][c] * tail[c] for c in aug.full.children[x])
+        return rows.value(rows[x][aug.outer_child(x)], 1)
+    return sum(rows.value(rows[x][c], 1) * tail[c] for c in aug.full.children[x])
 
 
 def _bottom_up(aug: AugmentedTree, v: int) -> list[int]:
@@ -184,7 +165,7 @@ def _bottom_up(aug: AugmentedTree, v: int) -> list[int]:
 
 
 def _tail_classes(
-    aug: AugmentedTree, rows: _AccRows, inner: tuple[int, ...], shell: int
+    aug: AugmentedTree, rows: AccRows, inner: tuple[int, ...], shell: int
 ) -> dict[tuple[int, int], Number]:
     """Tail-class first-passage table over the inner vertices ``inner``.
 
@@ -192,7 +173,10 @@ def _tail_classes(
     a walk from ``v`` first reaches the outer layer after exactly ``2l-1``
     steps while every earlier position lies at shells ``shell+1 .. R+1``.
     The recursion pushes first-passage mass inward from ``inner`` one step at
-    a time, keeping only the current step.
+    a time, keeping only the current step.  The mass is held in the scale of
+    ``rows``, which must cover every row of the band: in rational mode an
+    integer ``N`` after ``s`` steps, so entry ``(v, l)`` is
+    ``Fraction(N, D**(2l-1))``.
     """
     norm = aug.full.norm
     lo, hi = shell + 1, aug.hull_radius + 1
@@ -208,7 +192,7 @@ def _tail_classes(
             cur = nxt
         if s % 2:
             for v in inner:
-                out[(v, (s + 1) // 2)] = cur.get(v, 0)
+                out[(v, (s + 1) // 2)] = rows.value(cur.get(v, 0), s)
     return out
 
 
@@ -225,7 +209,8 @@ def tail_passage_probs(
     single backward recursion over the subtree of ``plan.child`` yields all
     entries; only rows at shells above ``plan.shell`` are read.
     """
-    return _tail_classes(aug, _AccRows(kernel), plan.inner_targets, plan.shell)
+    rows = AccRows(kernel, _bottom_up(aug, plan.child))
+    return _tail_classes(aug, rows, plan.inner_targets, plan.shell)
 
 
 def unknown_edge_coefficient(
@@ -243,9 +228,10 @@ def unknown_edge_coefficient(
     ``vertex`` times the tail sum at ``child``, each built bottom-up over its
     subtree from rows already known.
     """
-    rows = _AccRows(kernel)
+    below = _bottom_up(aug, plan.vertex)
+    rows = AccRows(kernel, below)
     head: dict[int, Number] = {}
-    for x in _bottom_up(aug, plan.vertex):
+    for x in below:
         head[x] = _head(aug, rows, p_out, head, x)
     tail: dict[int, Number] = {}
     for x in _bottom_up(aug, plan.child):
@@ -298,8 +284,11 @@ def recover_edge(
     return _solve_edge(plan, denom, chis, p_in, p_out, kernel.mode, clamp, flags)
 
 
-def _coverage_check(r: int, p_in: HittingDistribution, p_out: HittingDistribution) -> None:
-    need = 3 * r + 4
+def _check_laws(
+    aug: AugmentedTree, p_in: HittingDistribution, p_out: HittingDistribution
+) -> None:
+    """Both laws reach the read horizon, and each cell lies on its own layer at t >= 1."""
+    need = 3 * aug.hull_radius + 4
     if p_out.t_max < need:
         raise FormatError(
             f"outer law covers t <= {p_out.t_max}, recovery needs t <= {need}"
@@ -308,6 +297,12 @@ def _coverage_check(r: int, p_in: HittingDistribution, p_out: HittingDistributio
         raise FormatError(
             f"inner law covers t <= {p_in.t_max}, recovery needs t <= {need - 1}"
         )
+    laws = (("inner", p_in, aug.inner_layer), ("outer", p_out, aug.outer_layer))
+    for name, dist, layer in laws:
+        for t, v in dist.mass:
+            if t < 1 or v not in layer:
+                where = f"time {t} < 1" if t < 1 else f"vertex {v} off the {name} layer"
+                raise FormatError(f"{name} law has mass at {where}")
 
 
 def recover_all(
@@ -322,7 +317,9 @@ def recover_all(
 
     ``known`` must carry the given rows (added vertices, plus any base rows
     already known); base vertices without a row, or flagged unknown, are the
-    targets.  Before shell ``k`` is solved, the head sums of shell ``k``, the
+    targets.  Both laws must reach time ``3R+4`` (``3R+3`` inner) and hold
+    cells only on their own layer at times ``>= 1``, else :class:`FormatError`.
+    Before shell ``k`` is solved, the head sums of shell ``k``, the
     tail sums of shell ``k + 1`` and the shell's tail-class table are built
     (see the module docstring); each child edge is then solved as
     :func:`recover_edge` solves it alone, and the inward entry is the row
@@ -331,7 +328,7 @@ def recover_all(
     """
     _require_two_layers(aug)
     r = aug.hull_radius
-    _coverage_check(r, p_in, p_out)
+    _check_laws(aug, p_in, p_out)
 
     work = known.copy()
     for u in range(aug.full.vertex_count):
@@ -348,7 +345,7 @@ def recover_all(
     for k in range(r, 0, -1):
         for x in shells[k]:
             inner_below[x] = tuple(z for c in full.children[x] for z in inner_below[c])
-    rows = _AccRows(work)
+    rows = AccRows(work)
     head: dict[int, Number] = {}
     tail: dict[int, Number] = {}
 
@@ -358,6 +355,7 @@ def recover_all(
     for k in range(r, -1, -1):
         p_in.max_time_read = -1
         p_out.max_time_read = -1
+        rows.cover(shells[k + 1])  # the band of shell k: shells k+1 .. R+1
         for x in shells[r + 1] if k == r else ():  # heads start on the inner layer
             head[x] = _head(aug, rows, p_out, head, x)
         for x in shells[k + 1]:
@@ -399,7 +397,8 @@ def recover_all(
                 raw_entries[u] = dict(row)
                 s = sum(row.values())
                 row = {w: p / s for w, p in row.items()}
-            work.entries[u] = rows[u] = row
+            work.entries[u] = row
+            rows.hold(u, row)
             work.provenance[u] = RECOVERED
         del chis
         shell_reads[k] = max(p_in.max_time_read, p_out.max_time_read)

@@ -3,14 +3,20 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import accumulate, product
+
+import numpy as np
 
 from treetomo import (
     KNOWN,
+    RATIONAL,
+    UNKNOWN,
     TransitionKernel,
     random_kernel,
     spherical_augmentation,
 )
+from treetomo.errors import InvalidQuery, MissingKnownRow
 from treetomo.tree_model import AugmentedTree, RootedTree, build_tree, random_tree
 
 
@@ -83,6 +89,32 @@ def comb(r: int) -> RootedTree:
     return build_tree(edges, 0)
 
 
+def mixed_denominator_instance() -> tuple[AugmentedTree, TransitionKernel]:
+    """Rational kernel whose rows use thirds, fifths and sevenths.
+
+    Base tree 0-1, 0-2, 1-3, 1-4 (radius 2); augmented it has 12 vertices,
+    inside the brute-force oracle's caps.  Denominators vary within and
+    across shells, and the known rows (added vertices) use only thirds and
+    sevenths, so a common scale taken from one row, or from the known rows
+    alone, misses a factor.
+    """
+    aug = spherical_augmentation(build_tree([(0, 1), (0, 2), (1, 3), (1, 4)], 0), 2)
+    F = Fraction
+    rows = {
+        0: {1: F(1, 3), 2: F(2, 3)},
+        1: {0: F(1, 5), 3: F(3, 5), 4: F(1, 5)},
+        2: {0: F(3, 7), 5: F(4, 7)},
+        3: {1: F(2, 5), 7: F(3, 5)},
+        4: {1: F(2, 7), 8: F(5, 7)},
+        5: {2: F(1, 3), 6: F(2, 3)},
+        6: {5: F(2, 7), 9: F(5, 7)},
+        7: {3: F(2, 3), 10: F(1, 3)},
+        8: {4: F(3, 7), 11: F(4, 7)},
+    }
+    prov = {u: UNKNOWN if aug.is_original(u) else KNOWN for u in rows}
+    return aug, TransitionKernel(rows, prov, RATIONAL)
+
+
 def up_product(aug: AugmentedTree, kernel: TransitionKernel, z: int, u: int):
     """Product of inward transitions along the path from ``z`` up to ``u``."""
     acc = 1
@@ -119,6 +151,85 @@ def explicit_edge_coefficient(aug, kernel, plan, p_out):
         for v in plan.outer_targets:
             total = total + head * down_product(aug, kernel, plan.child, v)
     return total
+
+
+@dataclass(frozen=True)
+class PathClassQuery:
+    """Constrained first-passage event.
+
+    The event: starting from ``start``, the first visit to ``target`` happens
+    exactly at ``exact_hit_time``, and every earlier position has norm at
+    least ``min_shell`` and strictly less than ``max_shell_strict`` (and lies
+    in the subtree of ``restrict_to_subtree`` when that is set).  The target
+    itself may sit outside the shell band.
+    """
+
+    start: int
+    target: frozenset[int]
+    exact_hit_time: int
+    min_shell: int = 0
+    max_shell_strict: int | None = None
+    restrict_to_subtree: int | None = None
+
+
+def path_class_prob(
+    aug: AugmentedTree, kernel: TransitionKernel, query: PathClassQuery
+):
+    """Probability of a :class:`PathClassQuery` under ``kernel``.
+
+    The unscaled oracle for ``tail_passage_probs``: a forward recursion on
+    the kernel's own entries, ``Fraction`` in rational mode and
+    ``np.longdouble`` in float mode.  Only rows of vertices inside the shell
+    band are read, so a kernel that is known merely on that band suffices.
+    """
+    if not query.target:
+        raise InvalidQuery("target set is empty")
+    if query.exact_hit_time < 0:
+        raise InvalidQuery("exact_hit_time must be >= 0")
+    hi = query.max_shell_strict
+    if hi is not None and query.min_shell >= hi:
+        raise InvalidQuery(f"shell bounds inconsistent: [{query.min_shell}, {hi})")
+    norm = aug.full.norm
+    allowed_sub = (
+        None
+        if query.restrict_to_subtree is None
+        else set(aug.full.subtree(query.restrict_to_subtree))
+    )
+
+    def in_band(v: int) -> bool:
+        if norm[v] < query.min_shell:
+            return False
+        if hi is not None and norm[v] >= hi:
+            return False
+        return allowed_sub is None or v in allowed_sub
+
+    if query.exact_hit_time == 0:
+        return 1 if query.start in query.target else 0
+    if query.start in query.target or not in_band(query.start):
+        return 0
+
+    rational = kernel.mode == RATIONAL
+    cur = {query.start: 1}
+    for t in range(1, query.exact_hit_time + 1):
+        last = t == query.exact_hit_time
+        nxt = {}
+        hit = 0
+        for v, p in cur.items():
+            if v not in kernel.entries:
+                raise MissingKnownRow(f"row for vertex {v} required but absent")
+            for w, q in kernel.entries[v].items():
+                m = p * (q if rational else np.longdouble(q))
+                if w in query.target:
+                    if last:
+                        hit = hit + m
+                elif in_band(w):
+                    nxt[w] = nxt.get(w, 0) + m
+        if last:
+            return hit
+        cur = nxt
+        if not cur:
+            return 0
+    return 0
 
 
 # Scalar SplitMix64 counter stream and one-walk simulator: the reference that

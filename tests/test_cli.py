@@ -2,7 +2,18 @@
 
 import pytest
 
+from treetomo import (
+    INNER,
+    KNOWN,
+    OUTER,
+    first_hitting_joint,
+    random_kernel,
+    recover_all,
+    segment,
+    spherical_augmentation,
+)
 from treetomo.cli import main
+from treetomo.formats import parse_kernel
 
 
 def run(capsys, *argv):
@@ -57,6 +68,42 @@ class TestPipeline:
         assert float(lines["max_error"]) <= 1e-9
         assert (tmp_path / "w" / "report.txt").exists()
 
+    def test_gen_forward_invert_rational(self, tmp_path, capsys):
+        # path of depth 8: exact through the files, rows as in memory
+        work = str(tmp_path / "w")
+        code, _, _ = run(
+            capsys, "gen", "--tree", "segment", "--l", "8", "--scope", "all",
+            "--mode", "rational", "--seed", "5", "--out", work,
+        )
+        assert code == 0
+        code, _, _ = run(
+            capsys, "forward", "--tree-file", f"{work}/tree.txt",
+            "--kernel-file", f"{work}/kernel.txt", "--out", work,
+        )
+        assert code == 0
+        code, out, _ = run(
+            capsys, "invert", "--tree-file", f"{work}/tree.txt",
+            "--known-file", f"{work}/known.txt",
+            "--in-dist", f"{work}/in.tsv", "--out-dist", f"{work}/out.tsv",
+            "--reference", f"{work}/kernel.txt", "--out", work,
+        )
+        assert code == 0
+        lines = dict(l.split(" ", 1) for l in out.strip().splitlines())
+        assert lines["max_error"] == "0"
+        report = (tmp_path / "w" / "report.txt").read_text().splitlines()
+        on_disk = parse_kernel("\n".join(
+            l for l in report if l.startswith(("mode ", "row "))
+        ))
+
+        aug = spherical_augmentation(segment(0, 8), 2)
+        kernel = random_kernel(aug, 5, scope="all", mode="rational")
+        t_max = 3 * aug.hull_radius + 4
+        p_in = first_hitting_joint(aug, kernel, INNER, t_max)
+        p_out = first_hitting_joint(aug, kernel, OUTER, t_max)
+        in_memory = recover_all(aug, kernel.restricted_to({KNOWN}), p_in, p_out)
+        assert on_disk.mode == "rational"
+        assert on_disk.entries == in_memory.kernel.entries
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         for out in (a, b):
@@ -89,6 +136,23 @@ class TestPipeline:
         assert code == 0
         lines = dict(l.split(" ", 1) for l in out.strip().splitlines())
         assert float(lines["max_error"]) < 0.2
+
+    def test_sample_estimate_rational_known(self, tmp_path, capsys):
+        # exact given rows with empirical laws: the recovered rows are floats
+        work = str(tmp_path / "w")
+        run(capsys, "gen", "--tree", "segment", "--l", "3", "--mode", "rational",
+            "--seed", "2", "--out", work)
+        run(capsys, "sample", "--tree-file", f"{work}/tree.txt",
+            "--kernel-file", f"{work}/kernel.txt", "--n", "20000",
+            "--seed", "8", "--out", work)
+        code, out, _ = run(
+            capsys, "estimate", "--tree-file", f"{work}/tree.txt",
+            "--known-file", f"{work}/known.txt",
+            "--batch-file", f"{work}/batch.txt",
+            "--reference", f"{work}/kernel.txt", "--out", work,
+        )
+        assert code == 0
+        assert "max_error" in out
 
     def test_consistency_tsv(self, tmp_path, capsys):
         work = str(tmp_path / "w")
@@ -191,6 +255,43 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error 2 FormatError")
 
+
+    def test_batch_cell_off_its_layer_exit_2(self, tmp_path, capsys):
+        # a sampled batch edited so one inner contact sits on the root
+        work = str(tmp_path / "w")
+        run(capsys, "gen", "--tree", "star", "--l", "1", "--n", "2",
+            "--seed", "2", "--out", work)
+        run(capsys, "sample", "--tree-file", f"{work}/tree.txt",
+            "--kernel-file", f"{work}/kernel.txt", "--n", "20000",
+            "--seed", "8", "--out", work)
+        path = tmp_path / "w" / "batch.txt"
+        text = path.read_text()
+        edited = text.replace("\nin 2 3 ", "\nin 2 0 ")
+        assert edited != text
+        path.write_text(edited)
+        code, _, err = run(
+            capsys, "estimate", "--tree-file", f"{work}/tree.txt",
+            "--known-file", f"{work}/known.txt",
+            "--batch-file", f"{work}/batch.txt",
+        )
+        assert code == 2
+        assert err.startswith("error 2 FormatError")
+
+    def test_swapped_laws_exit_2(self, tmp_path, capsys):
+        # horizon 12 > 3R+4, so both files also cover the time range needed
+        work = str(tmp_path / "w")
+        run(capsys, "gen", "--tree", "segment", "--k", "1", "--l", "2",
+            "--seed", "5", "--out", work)
+        run(capsys, "forward", "--tree-file", f"{work}/tree.txt",
+            "--kernel-file", f"{work}/kernel.txt", "--t-max", "12", "--out", work)
+        code, _, err = run(
+            capsys, "invert", "--tree-file", f"{work}/tree.txt",
+            "--known-file", f"{work}/known.txt",
+            "--in-dist", f"{work}/out.tsv", "--out-dist", f"{work}/in.tsv",
+            "--out", work,
+        )
+        assert code == 2
+        assert err.startswith("error 2 FormatError")
 
 class TestSeedEnvFallback:
     def test_env_seed(self, tmp_path, capsys, monkeypatch):

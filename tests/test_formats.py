@@ -85,6 +85,18 @@ class TestKernelFormat:
         with pytest.raises(FormatError):
             parse_kernel("mode nonsense\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "mode float\nrow 0 1:0.5 2:0.5\nrow 0 1:0.25 2:0.75\n",  # row twice
+            "mode rational\nrow 0 1:1/2 2:1/2\nrow 0 1:1/2 2:1/2\n",  # same row twice
+            "mode float\nrow 1 0:0.5 2:0.25 2:0.25\n",  # cell twice in a row
+        ],
+    )
+    def test_inconsistent_rejected(self, text):
+        with pytest.raises(FormatError):
+            parse_kernel(text)
+
 
 class TestDistributionFormat:
     def test_round_trip(self):
@@ -109,6 +121,21 @@ class TestDistributionFormat:
     def test_empty_rejected(self):
         with pytest.raises(FormatError):
             parse_distribution("")
+
+    @pytest.mark.parametrize(
+        "text, mode",
+        [
+            ("outer 3 5 0.25\nouter 3 5 0.5\n", "float"),  # cell twice
+            ("inner 2 3 1/4\ninner 2 3 1/4\n", "rational"),  # same cell twice
+            ("outer -2 5 0.1\n", "float"),  # negative time
+            ("outer 3 5 -0.1\n", "float"),  # negative mass
+            ("outer -2 5 -0.1\n", "float"),
+            ("inner 2 3 -1/4\n", "rational"),
+        ],
+    )
+    def test_inconsistent_rejected(self, text, mode):
+        with pytest.raises(FormatError):
+            parse_distribution(text, mode)
 
 
 class TestBatchFormat:

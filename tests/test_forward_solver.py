@@ -7,17 +7,20 @@ import pytest
 from treetomo import (
     INNER,
     OUTER,
-    PathClassQuery,
     TransitionKernel,
     brute_force_hitting,
     default_augmented_kernel,
     first_hitting_joint,
-    path_class_prob,
 )
 from treetomo.errors import InvalidKernel, InvalidQuery, TooLarge
 from treetomo.tree_model import segment, spherical_augmentation, star
 
-from helpers import rand_instance
+from helpers import (
+    PathClassQuery,
+    mixed_denominator_instance,
+    path_class_prob,
+    rand_instance,
+)
 
 
 def segment_fixture(p=0.7):
@@ -116,8 +119,9 @@ class TestOracleEquivalence:
                     assert abs(dp.mass.get(key, 0) - bf.mass.get(key, 0)) < 1e-12
 
     def test_random_rational(self):
-        for seed in range(6):
-            aug, kernel = rand_instance(seed, rout=1, size=3, mode="rational")
+        # the last instance mixes rows over 3, 5 and 7, so the DP's scale is 105
+        cases = [rand_instance(seed, rout=1, size=3, mode="rational") for seed in range(6)]
+        for aug, kernel in cases + [mixed_denominator_instance()]:
             for layer in (INNER, OUTER):
                 dp = first_hitting_joint(aug, kernel, layer, 10)
                 bf = brute_force_hitting(aug, kernel, layer, 10)

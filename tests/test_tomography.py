@@ -8,13 +8,11 @@ from treetomo import (
     INNER,
     KNOWN,
     OUTER,
-    PathClassQuery,
     TransitionKernel,
     default_augmented_kernel,
     first_hitting_joint,
     kernel_max_error,
     make_plan,
-    path_class_prob,
     random_kernel,
     recover_all,
     recover_edge,
@@ -34,7 +32,16 @@ from treetomo.errors import (
 from treetomo.forward_solver import HittingDistribution
 from treetomo.tree_model import build_tree, segment, spherical_augmentation, star
 
-from helpers import broom, comb, explicit_edge_coefficient, known_part, rand_instance
+from helpers import (
+    PathClassQuery,
+    broom,
+    comb,
+    explicit_edge_coefficient,
+    known_part,
+    mixed_denominator_instance,
+    path_class_prob,
+    rand_instance,
+)
 
 
 def segment_fixture(p=0.7):
@@ -146,6 +153,22 @@ class TestTailClasses:
                         )
                         want = path_class_prob(aug, kernel, q)
                         assert abs(float(got) - float(want)) < 1e-13
+
+    def test_mixed_denominators_match_oracle_exactly(self):
+        # rows over 3, 5 and 7 that vary across shells; see the helper
+        aug, kernel = mixed_denominator_instance()
+        for u in range(aug.base.vertex_count):
+            for w in aug.full.children[u]:
+                plan = make_plan(aug, u, w)
+                for (v, l), got in tail_passage_probs(aug, kernel, plan).items():
+                    q = PathClassQuery(
+                        start=v,
+                        target=frozenset(plan.outer_targets),
+                        exact_hit_time=2 * l - 1,
+                        min_shell=plan.shell + 1,
+                        max_shell_strict=plan.hull_radius + 2,
+                    )
+                    assert got == path_class_prob(aug, kernel, q)
 
 
 class TestUnknownEdgeCoefficient:
@@ -320,8 +343,9 @@ class TestRecoverAll:
             assert not rep.flags
 
     def test_round_trip_rational_exact(self):
-        for seed in range(8):
-            aug, kernel = rand_instance(seed, rout=1 + seed % 3, mode="rational")
+        # the last instance mixes rows over 3, 5 and 7 across shells
+        cases = [rand_instance(s, rout=1 + s % 3, mode="rational") for s in range(8)]
+        for aug, kernel in cases + [mixed_denominator_instance()]:
             p_in, p_out = forward_pair(aug, kernel)
             rep = recover_all(aug, known_part(kernel), p_in, p_out, reference=kernel)
             assert rep.max_error == 0
@@ -371,6 +395,18 @@ class TestRecoverAll:
     def test_insufficient_horizon(self):
         aug, kernel = segment_fixture()
         p_in, p_out = forward_pair(aug, kernel, t_max=3 * aug.hull_radius + 3)
+        with pytest.raises(FormatError):
+            recover_all(aug, known_part(kernel), p_in, p_out)
+
+    @pytest.mark.parametrize(
+        "layer, cell",
+        [(INNER, (2, 0)), (INNER, (0, 3)), (OUTER, (5, 3)), (OUTER, (0, 5))],
+    )
+    def test_cell_off_its_layer(self, layer, cell):
+        # star(1, 2): root 0, inner layer {3, 4}, outer layer {5, 6}
+        aug, kernel = symmetric_star_fixture()
+        p_in, p_out = forward_pair(aug, kernel)
+        (p_in if layer == INNER else p_out).mass[cell] = Fraction(1, 64)
         with pytest.raises(FormatError):
             recover_all(aug, known_part(kernel), p_in, p_out)
 
