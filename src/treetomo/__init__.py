@@ -14,7 +14,6 @@ from .chain_model import (
     RECOVERED,
     UNKNOWN,
     TransitionKernel,
-    default_augmented_kernel,
     random_kernel,
     validate_kernel,
 )
@@ -30,7 +29,6 @@ from .forward_solver import (
     INNER,
     OUTER,
     HittingDistribution,
-    brute_force_hitting,
     first_hitting_joint,
 )
 from .tomography import (
@@ -48,8 +46,6 @@ from .tree_model import (
     AugmentedTree,
     RootedTree,
     build_tree,
-    l_augment_at,
-    radii,
     random_tree,
     segment,
     spherical_augmentation,
@@ -74,18 +70,14 @@ __all__ = [
     "TransitionKernel",
     "TreetomoError",
     "UNKNOWN",
-    "brute_force_hitting",
     "build_tree",
     "collect_batch",
     "consistency_curve",
-    "default_augmented_kernel",
     "empirical_joint",
     "estimate_kernel",
     "first_hitting_joint",
     "kernel_max_error",
-    "l_augment_at",
     "make_plan",
-    "radii",
     "random_kernel",
     "random_tree",
     "recover_all",

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegreeMismatch, InvalidParameter, MissingKnownRow, MissingRow
+from .errors import InvalidKernel, InvalidParameter, MissingKnownRow, MissingRow
 from .tree_model import AugmentedTree
 
 KNOWN = "known"
@@ -51,9 +51,7 @@ class AccRows(dict):
     pushed through ``s`` entries from a start of 1 is then an integer ``N``
     for the exact value ``N / D**s``: the multiply-adds need no gcd, and
     :meth:`value` builds the one :class:`~fractions.Fraction` per result.
-    Once a covered row holds a float, as rows estimated from empirical laws
-    do, the rows are read as they are at scale 1 and mixed ``Fraction`` and
-    float arithmetic yields floats.
+    Every entry of a rational kernel must be rational.
 
     A reader covers every row it will touch before reading; a change of
     scale drops the converted rows.  Reading a row the kernel lacks raises
@@ -70,17 +68,15 @@ class AccRows(dict):
     def cover(self, vertices: Iterable[int]) -> None:
         """Make the scale a multiple of the denominators of these rows.
 
-        Vertices without a row are skipped.  A no-op unless exact.
+        Vertices without a row are skipped.  A no-op in float mode.
         """
         if not self.exact:
             return
         entries = self.kernel.entries
         dens = {getattr(p, "denominator", 0) for u in vertices
                 for p in entries.get(u, {}).values()}
-        if 0 in dens:  # a float entry
-            self.exact, self.scale = False, 1
-            self.clear()
-            return
+        if 0 in dens:
+            raise InvalidKernel("a rational kernel holds a float entry")
         scale = math.lcm(self.scale, *dens)
         if scale != self.scale:
             self.scale = scale
@@ -96,7 +92,7 @@ class AccRows(dict):
             if d % math.lcm(*(p.denominator for p in row.values())):
                 raise InvalidParameter(f"scale {d} does not cover the row of vertex {u}")
             row = {v: p.numerator * (d // p.denominator) for v, p in row.items()}
-        elif self.kernel.mode != RATIONAL:
+        else:
             row = {v: np.longdouble(p) for v, p in row.items()}
         self[u] = row
         return row
@@ -104,7 +100,7 @@ class AccRows(dict):
     def hold(self, u: int, row: dict) -> None:
         """Take a row whose entries are values, such as a recovered one.
 
-        Held as it is at scale 1; when exact, converted on first read.
+        Held as it is in float mode; in rational mode converted on first read.
         """
         if not self.exact:
             self[u] = row
@@ -207,47 +203,9 @@ def _one(mode: str) -> Number:
     return Fraction(1) if mode == RATIONAL else 1.0
 
 
-def default_augmented_kernel(
-    aug: AugmentedTree, base: TransitionKernel
-) -> TransitionKernel:
-    """Extend base-tree rows to the full augmented chain.
-
-    Every vertex that is neither an internal base vertex nor outer-layer gets
-    the symmetric (1/2, 1/2) row over its two neighbors, flagged known.  Base
-    rows are copied and flagged unknown: they are the recovery targets.  A
-    degree-1 root is forced to probability one and flagged known, since
-    nondegeneracy leaves it no freedom.
-    """
-    mode = base.mode
-    full = aug.full
-    internal = set(range(aug.base.vertex_count)) - set(aug.base.terminals())
-    entries: dict[int, dict[int, Number]] = {}
-    prov: dict[int, str] = {}
-    for u in range(full.vertex_count):
-        if u in aug.outer_layer:
-            continue
-        nbrs = full.neighbors(u)
-        if u in internal:
-            if u == full.root and len(nbrs) == 1:
-                entries[u] = {nbrs[0]: _one(mode)}
-                prov[u] = KNOWN
-                continue
-            if u not in base.entries:
-                raise MissingRow(f"base kernel lacks a row for internal vertex {u}")
-            entries[u] = dict(base.entries[u])
-            prov[u] = UNKNOWN
-        else:
-            if len(nbrs) != 2:
-                raise DegreeMismatch(
-                    f"vertex {u} should have exactly 2 neighbors, has {len(nbrs)}"
-                )
-            entries[u] = {nbrs[0]: _half(mode), nbrs[1]: _half(mode)}
-            prov[u] = KNOWN
-    return TransitionKernel(entries, prov, mode)
-
-
 LAMBDA_ONLY = "lambda"
 ALL_VERTICES = "all"
+RATIONAL_GRID = 64
 
 
 def random_kernel(
@@ -256,7 +214,6 @@ def random_kernel(
     floor: float = 0.05,
     scope: str = LAMBDA_ONLY,
     mode: str = FLOAT,
-    denominator: int = 64,
 ) -> TransitionKernel:
     """Reproducible random kernel with all entries at least ``floor``.
 
@@ -265,7 +222,8 @@ def random_kernel(
     ``"all"`` also randomizes the added non-outer rows.  Base-tree rows are
     flagged unknown, added rows known.  Rows are drawn uniformly on the
     floor-truncated simplex; in rational mode entries are multiples of
-    ``1/denominator`` summing exactly to one.
+    ``1/RATIONAL_GRID``, or of a finer dyadic grid where the floor needs it,
+    summing exactly to one.
     """
     if scope not in (LAMBDA_ONLY, ALL_VERTICES):
         raise InvalidParameter(f"unknown scope {scope!r}")
@@ -299,7 +257,7 @@ def random_kernel(
         probs = floor + (1.0 - d * floor) * raw
         if mode == RATIONAL:
             # grid must leave room above the floor for every neighbor
-            den = denominator
+            den = RATIONAL_GRID
             while int(np.ceil(floor * den)) * d >= den:
                 den *= 2
             lo = max(int(np.ceil(floor * den)), 1)

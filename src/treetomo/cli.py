@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .chain_model import FLOAT, KNOWN, TransitionKernel, random_kernel
+from .chain_model import KNOWN, random_kernel
 from .errors import (
     FormatError,
     InsufficientData,
@@ -111,7 +111,7 @@ def _outdir(args: argparse.Namespace) -> Path:
 
 def _gen_objects(args: argparse.Namespace, seed: int):
     base = _resolve_tree(args, seed)
-    aug = spherical_augmentation(base, args.aug_len)
+    aug = spherical_augmentation(base, 2)  # recovery reads the two detector layers
     kernel = random_kernel(
         aug, seed, floor=args.floor, scope=args.scope, mode=args.mode
     )
@@ -132,7 +132,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_forward(args: argparse.Namespace) -> int:
     aug = _load_aug(args.tree_file)
     kernel = parse_kernel(read_text(args.kernel_file))
-    t_max = args.t_max if args.t_max is not None else 3 * aug.hull_radius + 4
+    t_max = 3 * aug.hull_radius + 4
     out = _outdir(args)
     for layer, name in ((INNER, "in.tsv"), (OUTER, "out.tsv")):
         dist = first_hitting_joint(aug, kernel, layer, t_max)
@@ -162,9 +162,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     aug = _load_aug(args.tree_file)
     kernel = parse_kernel(read_text(args.kernel_file))
     seed = args.seed if args.seed is not None else _default_seed()
-    batch = collect_batch(
-        aug, kernel, args.n, seed, workers=args.workers, t_cap=args.t_cap
-    )
+    batch = collect_batch(aug, kernel, args.n, seed, workers=args.workers)
     out = _outdir(args)
     write_text(out / "batch.txt", dump_batch(batch))
     print(f"sampled {batch.n} walks, overflow {batch.overflow}")
@@ -190,7 +188,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 def cmd_roundtrip(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     aug, kernel = _gen_objects(args, seed)
-    t_max = args.t_max if args.t_max is not None else 3 * aug.hull_radius + 4
+    t_max = 3 * aug.hull_radius + 4
     p_in = first_hitting_joint(aug, kernel, INNER, t_max)
     p_out = first_hitting_joint(aug, kernel, OUTER, t_max)
     known = kernel.restricted_to({KNOWN})
@@ -233,13 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate an augmented tree and a kernel")
     _tree_source(p)
     _kernel_flags(p)
-    p.add_argument("--aug-len", type=int, default=2)
     p.add_argument("--out")
 
     p = sub.add_parser("forward", help="compute both boundary hitting laws")
     p.add_argument("--tree-file", required=True)
     p.add_argument("--kernel-file", required=True)
-    p.add_argument("--t-max", type=int, default=None)
     p.add_argument("--out")
 
     p = sub.add_parser("invert", help="recover unknown rows from hitting laws")
@@ -250,16 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference")
     p.add_argument("--out")
 
-    p = sub.add_parser("sample", help="simulate probe walks into a batch file")
+    p = sub.add_parser(
+        "sample", help="simulate probe walks up to the read horizon 3R+4 into a batch file"
+    )
     p.add_argument("--tree-file", required=True)
     p.add_argument("--kernel-file", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument(
-        "--t-cap", type=int, default=None,
-        help="steps simulated per walk (default 3R+4, the read horizon)",
-    )
     p.add_argument("--out")
 
     p = sub.add_parser("estimate", help="plug-in estimation from a batch file")
@@ -272,14 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roundtrip", help="generate, forward-solve, invert, compare")
     _tree_source(p)
     _kernel_flags(p)
-    p.add_argument("--aug-len", type=int, default=2)
-    p.add_argument("--t-max", type=int, default=None)
     p.add_argument("--out")
 
     p = sub.add_parser("consistency", help="estimation error versus sample size")
     _tree_source(p)
     _kernel_flags(p)
-    p.add_argument("--aug-len", type=int, default=2)
     p.add_argument("--n-grid", default="10000,100000")
     p.add_argument("--seeds", default="1,2,3,4,5")
     p.add_argument("--workers", type=int, default=1)

@@ -21,10 +21,6 @@ class InvalidParameter(TreetomoError):
     """An argument is outside its documented domain."""
 
 
-class NotTerminal(TreetomoError):
-    """Operation requires a terminal (degree-1, non-root) vertex."""
-
-
 class MissingRow(TreetomoError):
     """A required transition row is absent from the kernel."""
 
@@ -33,20 +29,12 @@ class MissingKnownRow(MissingRow):
     """A row that the recovery step assumes known is absent."""
 
 
-class DegreeMismatch(TreetomoError):
-    """A vertex that must have exactly two neighbors does not."""
-
-
 class InvalidKernel(TreetomoError):
     """Kernel fails validation (support, positivity, or row sums)."""
 
 
 class InvalidQuery(TreetomoError):
     """Path-class query has inconsistent bounds or an empty target."""
-
-
-class TooLarge(TreetomoError):
-    """Instance exceeds the caps of the brute-force oracle."""
 
 
 class NotInLambda(TreetomoError):

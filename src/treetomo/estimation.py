@@ -3,11 +3,11 @@
 Randomness is counter based: the uniform used by walk ``i`` at step ``t`` is
 a pure function of ``(seed, i, t)``, so a batch is bit-identical no matter
 how it is chunked across workers, and walk ``i`` is replayed by simulating
-the block ``[i]``.  Walks are simulated in vectorized blocks up to a time
-cap, by default the read horizon ``3R + 4`` of the inversion.  Every first
-inner-layer contact within the cap is counted; a walk with no outer-layer
-contact by the cap lands in the overflow bucket, which therefore estimates
-``P(tau_out > t_cap)``.
+the block ``[i]``.  Walks are simulated in vectorized blocks up to the read
+horizon ``t_cap = 3R + 4`` of the inversion, which reads nothing later.
+Every first inner-layer contact within it is counted; a walk with no
+outer-layer contact by then lands in the overflow bucket, which therefore
+estimates ``P(tau_out > 3R + 4)``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain_model import KNOWN, TransitionKernel
+from .chain_model import FLOAT, KNOWN, TransitionKernel
 from .errors import InsufficientData, InvalidParameter, ZeroDenominator
 from .forward_solver import INNER, OUTER, HittingDistribution
 from .tomography import RecoveryReport, recover_all
@@ -142,24 +142,21 @@ def collect_batch(
     n: int,
     seed: int,
     workers: int = 1,
-    t_cap: int | None = None,
 ) -> SampleBatch:
-    """Simulate ``n`` probe walks for up to ``t_cap`` steps and tally contacts.
+    """Simulate ``n`` probe walks up to the read horizon and tally contacts.
 
-    ``t_cap`` defaults to the read horizon ``3R + 4``.  Every first inner
-    contact at or before ``t_cap`` is counted, absorbed or not; outer
-    contacts come from the absorbed walks, and the rest (no outer contact by
-    ``t_cap``) form the overflow bucket.  The result is bit-identical for a
-    fixed ``(seed, n, t_cap)`` regardless of ``workers`` or internal chunking.
+    Each walk runs for at most ``t_cap = 3R + 4`` steps, the last time the
+    inversion reads.  Every first inner contact at or before ``t_cap`` is
+    counted, absorbed or not; outer contacts come from the absorbed walks,
+    and the rest (no outer contact by ``t_cap``) form the overflow bucket.
+    The result is bit-identical for a fixed ``(seed, n)`` regardless of
+    ``workers`` or internal chunking.
     """
     if n < 1:
         raise InvalidParameter(f"sample count must be >= 1, got {n}")
     if workers < 1:
         raise InvalidParameter(f"workers must be >= 1, got {workers}")
-    if t_cap is None:
-        t_cap = 3 * aug.hull_radius + 4
-    if t_cap < 1:
-        raise InvalidParameter(f"time cap must be >= 1, got {t_cap}")
+    t_cap = 3 * aug.hull_radius + 4
 
     tables = _walk_tables(aug, kernel)
     nv = aug.full.vertex_count
@@ -207,7 +204,7 @@ def empirical_joint(
         mass = {
             (t, v): c / batch.n for (t, v), c in counts.items() if t <= t_max
         }
-        dists.append(HittingDistribution(layer, -1, t_max, mass))
+        dists.append(HittingDistribution(layer, t_max, mass))
     return dists[0], dists[1]
 
 
@@ -219,15 +216,17 @@ def estimate_kernel(
 ) -> RecoveryReport:
     """Plug-in estimator: exact inversion applied to empirical hitting laws.
 
+    The known rows enter as floats, so the estimate is a float kernel.
     Out-of-simplex recoveries are clamped and flagged; an empty empirical
-    cell that the inversion needs surfaces as :class:`InsufficientData`.
+    cell that the inversion needs surfaces as :class:`InsufficientData`, and
+    a batch shorter than the read horizon as :class:`FormatError`.
     """
-    need = 3 * aug.hull_radius + 4
-    if batch.t_cap < need:
-        raise InvalidParameter(
-            f"batch time cap {batch.t_cap} below required horizon {need}"
-        )
     p_in, p_out = empirical_joint(batch, batch.t_cap)
+    known = TransitionKernel(
+        {u: {v: float(p) for v, p in row.items()} for u, row in known.entries.items()},
+        dict(known.provenance),
+        FLOAT,
+    )
     try:
         return recover_all(aug, known, p_in, p_out, reference=reference, clamp=True)
     except ZeroDenominator as exc:

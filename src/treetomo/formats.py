@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .chain_model import FLOAT, RATIONAL, Number, TransitionKernel
+from .chain_model import FLOAT, KNOWN, RATIONAL, Number, TransitionKernel
 from .errors import FormatError
 from .estimation import SampleBatch
 from .forward_solver import INNER, OUTER, HittingDistribution
@@ -118,7 +118,8 @@ def dump_kernel(kernel: TransitionKernel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_kernel(text: str, default_provenance: str = "known") -> TransitionKernel:
+def parse_kernel(text: str) -> TransitionKernel:
+    """Parse :func:`dump_kernel` output; every row is flagged known."""
     mode = FLOAT
     entries: dict[int, dict[int, Number]] = {}
     saw_header = False
@@ -148,7 +149,7 @@ def parse_kernel(text: str, default_provenance: str = "known") -> TransitionKern
             raise FormatError(f"unknown record {parts[0]!r}")
     if not saw_header:
         raise FormatError("missing mode header")
-    prov = {u: default_provenance for u in entries}
+    prov = {u: KNOWN for u in entries}
     return TransitionKernel(entries, prov, mode)
 
 
@@ -186,7 +187,7 @@ def parse_distribution(text: str, mode: str = FLOAT) -> HittingDistribution:
         t_max = max(t_max, t)
     if layer is None:
         raise FormatError("distribution file is empty")
-    return HittingDistribution(layer, -1, t_max, mass)
+    return HittingDistribution(layer, t_max, mass)
 
 
 def dump_batch(batch: SampleBatch) -> str:

@@ -10,9 +10,6 @@ representation of :class:`~treetomo.chain_model.AccRows`: ``np.longdouble``
 in float mode, and in rational mode integer numerators over ``D**t`` at time
 ``t``, with ``D`` the lcm of the kernel's row denominators, so every value is
 exact and each harvested cell becomes a ``Fraction`` once, at the end.
-
-``brute_force_hitting`` recomputes the same object by explicit path
-enumeration and serves as the independent oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -20,14 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .chain_model import AccRows, Number, TransitionKernel, validate_kernel
-from .errors import InvalidKernel, InvalidQuery, TooLarge
+from .errors import InvalidKernel, InvalidQuery
 from .tree_model import AugmentedTree
 
 INNER = "inner"
 OUTER = "outer"
-
-BRUTE_T_CAP = 16
-BRUTE_VERTEX_CAP = 12
 
 
 @dataclass
@@ -42,7 +36,6 @@ class HittingDistribution:
     """
 
     layer: str
-    start: int
     t_max: int
     mass: dict[tuple[int, int], Number] = field(default_factory=dict)
     max_time_read: int = -1
@@ -59,9 +52,6 @@ class HittingDistribution:
     def total(self, up_to: int | None = None) -> Number:
         horizon = self.t_max if up_to is None else up_to
         return sum(p for (t, _), p in self.mass.items() if t <= horizon)
-
-    def support(self) -> list[tuple[int, int]]:
-        return sorted(self.mass)
 
 
 def _layer_set(aug: AugmentedTree, layer: str) -> frozenset[int]:
@@ -103,7 +93,7 @@ def first_hitting_joint(
         first = bad[0]
         raise InvalidKernel(f"{first.kind} at vertex {first.vertex}: {first.detail}")
     target = _layer_set(aug, layer)
-    dist = HittingDistribution(layer, aug.full.root, t_max)
+    dist = HittingDistribution(layer, t_max)
     if aug.full.root in target:
         dist.mass[(0, aug.full.root)] = 1
         return dist
@@ -130,39 +120,3 @@ def first_hitting_joint(
         mass[key] = rows.value(n, key[0])
     return dist
 
-
-def brute_force_hitting(
-    aug: AugmentedTree,
-    kernel: TransitionKernel,
-    layer: str,
-    t_max: int,
-    t_cap: int = BRUTE_T_CAP,
-    vertex_cap: int = BRUTE_VERTEX_CAP,
-) -> HittingDistribution:
-    """Hitting law by explicit enumeration of every path from the root.
-
-    Independent of the dynamic program: walks the tree recursively,
-    multiplying transition probabilities along each path and recording the
-    first step onto the target layer.  Guarded by size caps.
-    """
-    if t_max > t_cap:
-        raise TooLarge(f"t_max {t_max} exceeds oracle cap {t_cap}")
-    if aug.full.vertex_count > vertex_cap:
-        raise TooLarge(
-            f"{aug.full.vertex_count} vertices exceed oracle cap {vertex_cap}"
-        )
-    target = _layer_set(aug, layer)
-    dist = HittingDistribution(layer, aug.full.root, t_max)
-
-    def walk(v: int, t: int, p: Number) -> None:
-        if v in target:
-            key = (t, v)
-            dist.mass[key] = dist.mass.get(key, 0) + p
-            return
-        if t == t_max or v not in kernel.entries:
-            return
-        for w, q in kernel.entries[v].items():
-            walk(w, t + 1, p * q)
-
-    walk(aug.full.root, 0, 1)
-    return dist

@@ -32,6 +32,7 @@ run on its integer numerators in rational mode.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .chain_model import (
     KNOWN,
@@ -91,7 +92,6 @@ class RecoveryReport:
     times_accessed: dict[str, int] = field(default_factory=dict)
     flags: list[tuple[str, int]] = field(default_factory=list)
     shell_time_reads: dict[int, int] = field(default_factory=dict)
-    raw_kernel: TransitionKernel | None = None
 
 
 def _require_two_layers(aug: AugmentedTree) -> None:
@@ -101,13 +101,19 @@ def _require_two_layers(aug: AugmentedTree) -> None:
         )
 
 
+def _clamp(value: Number, mode: str) -> Number:
+    """``value`` moved into ``[CLAMP_EPS, 1 - CLAMP_EPS]``, exactly in rational mode."""
+    eps = Fraction(str(CLAMP_EPS)) if mode == RATIONAL else CLAMP_EPS
+    return min(max(value, eps), 1 - eps)
+
+
 def _unit(value: Number, u: int, v: int, mode: str, clamp: bool) -> Number:
     """Recovered ``t(u, v)`` if in (0, 1] up to float slack, else clamped or raised."""
     slack = 0 if mode == RATIONAL else FLOAT_EDGE_SLACK
     if value <= 0 or value > 1 + slack:
         if not clamp:
             raise OutOfRange(f"recovered t({u},{v}) = {value} outside (0, 1]")
-        value = min(max(value, CLAMP_EPS), 1 - CLAMP_EPS)
+        value = _clamp(value, mode)
     return value
 
 
@@ -285,9 +291,10 @@ def recover_edge(
 
 
 def _check_laws(
-    aug: AugmentedTree, p_in: HittingDistribution, p_out: HittingDistribution
+    aug: AugmentedTree, p_in: HittingDistribution, p_out: HittingDistribution, mode: str
 ) -> None:
-    """Both laws reach the read horizon, and each cell lies on its own layer at t >= 1."""
+    """Both laws reach the read horizon, each cell lies on its own layer at t >= 1,
+    and under a rational kernel every cell is a ``Fraction``."""
     need = 3 * aug.hull_radius + 4
     if p_out.t_max < need:
         raise FormatError(
@@ -299,10 +306,12 @@ def _check_laws(
         )
     laws = (("inner", p_in, aug.inner_layer), ("outer", p_out, aug.outer_layer))
     for name, dist, layer in laws:
-        for t, v in dist.mass:
+        for (t, v), p in dist.mass.items():
             if t < 1 or v not in layer:
                 where = f"time {t} < 1" if t < 1 else f"vertex {v} off the {name} layer"
                 raise FormatError(f"{name} law has mass at {where}")
+            if mode == RATIONAL and not isinstance(p, Fraction):
+                raise FormatError(f"{name} law cell ({t}, {v}) = {p!r} under a rational kernel")
 
 
 def recover_all(
@@ -318,7 +327,8 @@ def recover_all(
     ``known`` must carry the given rows (added vertices, plus any base rows
     already known); base vertices without a row, or flagged unknown, are the
     targets.  Both laws must reach time ``3R+4`` (``3R+3`` inner) and hold
-    cells only on their own layer at times ``>= 1``, else :class:`FormatError`.
+    cells only on their own layer at times ``>= 1``, and under a rational
+    ``known`` only ``Fraction`` cells, else :class:`FormatError`.
     Before shell ``k`` is solved, the head sums of shell ``k``, the
     tail sums of shell ``k + 1`` and the shell's tail-class table are built
     (see the module docstring); each child edge is then solved as
@@ -328,13 +338,12 @@ def recover_all(
     """
     _require_two_layers(aug)
     r = aug.hull_radius
-    _check_laws(aug, p_in, p_out)
+    _check_laws(aug, p_in, p_out, known.mode)
 
     work = known.copy()
     for u in range(aug.full.vertex_count):
         if u in work.entries and u not in work.provenance:
             work.provenance[u] = KNOWN
-    raw_entries: dict[int, dict[int, Number]] = {}
     residuals: dict[int, Number] = {}
     flags: list[tuple[str, int]] = []
     shell_reads: dict[int, int] = {}
@@ -390,11 +399,10 @@ def recover_all(
                     )
                 if not ok:
                     flags.append(("RowSumViolation", u))
-                    comp = min(max(comp, CLAMP_EPS), 1 - CLAMP_EPS)
+                    comp = _clamp(comp, work.mode)
                 residuals[u] = child_sum + comp - 1
                 row[full.parent[u]] = comp  # type: ignore[index]
             if clamp:
-                raw_entries[u] = dict(row)
                 s = sum(row.values())
                 row = {w: p / s for w, p in row.items()}
             work.entries[u] = row
@@ -420,11 +428,6 @@ def recover_all(
         flags=flags,
         shell_time_reads=shell_reads,
     )
-    if clamp and raw_entries:
-        raw = work.copy()
-        for u, row in raw_entries.items():
-            raw.entries[u] = {v: settle(p, mode) for v, p in row.items()}
-        report.raw_kernel = raw
     if reference is not None:
         report.max_error = kernel_max_error(work, reference)
     return report

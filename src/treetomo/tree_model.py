@@ -1,4 +1,4 @@
-"""Finite rooted trees, shells, radii, and boundary-layer augmentations.
+"""Finite rooted trees, shells, and boundary-layer augmentations.
 
 A rooted tree is stored with parents oriented away from the root and with
 every vertex carrying its distance to the root (its norm).  The shell ``k``
@@ -14,10 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, NotATree, NotTerminal, UnknownVertex
+from .errors import InvalidParameter, NotATree, UnknownVertex
 
 ORIGINAL = "original"
 ADDED = "added"
+
+MAX_DEGREE = 10  # vertex degree bound of random_tree
 
 
 @dataclass(frozen=True)
@@ -34,7 +36,6 @@ class RootedTree:
     parent: dict[int, int | None]
     children: dict[int, tuple[int, ...]]
     norm: dict[int, int]
-    labels: dict[int, str] | None = None
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Parent (if any) followed by children, as one tuple."""
@@ -45,10 +46,6 @@ class RootedTree:
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
-
-    def shell(self, k: int) -> tuple[int, ...]:
-        """Vertices at norm exactly ``k``, ascending."""
-        return tuple(v for v in range(self.vertex_count) if self.norm[v] == k)
 
     def shells(self) -> dict[int, tuple[int, ...]]:
         out: dict[int, list[int]] = {}
@@ -119,11 +116,7 @@ class AugmentedTree:
         return kids[0]
 
 
-def build_tree(
-    edges: list[tuple[int, int]],
-    root: int,
-    labels: dict[int, str] | None = None,
-) -> RootedTree:
+def build_tree(edges: list[tuple[int, int]], root: int) -> RootedTree:
     """Build a rooted tree from an undirected edge list.
 
     Args:
@@ -175,7 +168,7 @@ def build_tree(
     children = {
         v: tuple(sorted(w for w in adj[v] if parent.get(w) == v)) for v in range(n)
     }
-    return RootedTree(n, root, parent, children, norm, labels)
+    return RootedTree(n, root, parent, children, norm)
 
 
 def segment(k: int, l: int) -> RootedTree:
@@ -206,41 +199,6 @@ def star(l: int, n: int) -> RootedTree:
         base = (s - 2) * n
         edges.extend((base + j, base + n + j) for j in range(1, n + 1))
     return build_tree(edges, 0)
-
-
-def radii(tree: RootedTree) -> tuple[int, int, bool]:
-    """Return ``(inner_radius, outer_radius, spherical)``.
-
-    The outer radius is the maximum norm; the inner radius is the minimum
-    norm over terminal vertices (root excluded from the terminal set).
-    """
-    r_out = max(tree.norm.values())
-    terms = tree.terminals()
-    if not terms:
-        raise InvalidParameter("tree has no terminal vertex")
-    r_in = min(tree.norm[v] for v in terms)
-    return r_in, r_out, r_in == r_out
-
-
-def l_augment_at(tree: RootedTree, v: int, l: int) -> RootedTree:
-    """Glue a chain of ``l`` new vertices below terminal vertex ``v``.
-
-    Original ids are preserved; the new chain gets ids
-    ``n, n+1, ..., n+l-1`` in root-to-tip order.
-    """
-    if l < 1:
-        raise InvalidParameter(f"chain length must be >= 1, got {l}")
-    if v not in tree.norm:
-        raise UnknownVertex(f"vertex {v} not in tree")
-    if v == tree.root or tree.degree(v) != 1:
-        raise NotTerminal(f"vertex {v} is not a terminal vertex")
-    edges = list(tree.edges())
-    n = tree.vertex_count
-    prev = v
-    for i in range(l):
-        edges.append((prev, n + i))
-        prev = n + i
-    return build_tree(edges, tree.root)
 
 
 def spherical_augmentation(tree: RootedTree, l: int) -> AugmentedTree:
@@ -279,21 +237,17 @@ def spherical_augmentation(tree: RootedTree, l: int) -> AugmentedTree:
     return AugmentedTree(tree, full, origin, r_out, l, inner, outer)
 
 
-def random_tree(
-    rout: int, seed: int, size: int | None = None, max_degree: int = 10
-) -> RootedTree:
+def random_tree(rout: int, seed: int, size: int | None = None) -> RootedTree:
     """Reproducible random rooted tree with outer radius exactly ``rout``.
 
     A spine of length ``rout`` guarantees the radius; remaining vertices
     attach to uniformly chosen parents at norms below ``rout`` whose child
-    count is below ``max_degree - 1``.  ``size`` is an upper bound (growth
+    count is below ``MAX_DEGREE - 1``.  ``size`` is an upper bound (growth
     stops early once every eligible parent is saturated) and defaults to a
     seed-dependent draw; trees never exceed 40 vertices.
     """
     if rout < 1:
         raise InvalidParameter(f"rout must be >= 1, got {rout}")
-    if max_degree < 3:
-        raise InvalidParameter(f"max_degree must be >= 3, got {max_degree}")
     rng = np.random.default_rng(seed)
     if size is None:
         size = int(rng.integers(rout + 1, min(40, rout + 16) + 1))
@@ -305,7 +259,7 @@ def random_tree(
     kids = {i: (1 if i < rout else 0) for i in range(rout + 1)}
     for v in range(rout + 1, size):
         shallow = [
-            u for u in range(v) if norm[u] < rout and kids[u] < max_degree - 1
+            u for u in range(v) if norm[u] < rout and kids[u] < MAX_DEGREE - 1
         ]
         if not shallow:
             break

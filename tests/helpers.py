@@ -1,4 +1,4 @@
-"""Shared instance generators for the test suite."""
+"""Shared instance generators and the test oracles for the test suite."""
 
 from __future__ import annotations
 
@@ -9,14 +9,23 @@ from itertools import accumulate, product
 import numpy as np
 
 from treetomo import (
+    INNER,
     KNOWN,
     RATIONAL,
     UNKNOWN,
+    HittingDistribution,
     TransitionKernel,
+    TreetomoError,
     random_kernel,
     spherical_augmentation,
 )
-from treetomo.errors import InvalidQuery, MissingKnownRow
+from treetomo.errors import (
+    InvalidParameter,
+    InvalidQuery,
+    MissingKnownRow,
+    MissingRow,
+    UnknownVertex,
+)
 from treetomo.tree_model import AugmentedTree, RootedTree, build_tree, random_tree
 
 
@@ -39,6 +48,134 @@ def rand_instance(
 
 def known_part(kernel: TransitionKernel) -> TransitionKernel:
     return kernel.restricted_to({KNOWN})
+
+
+class NotTerminal(TreetomoError):
+    """Operation requires a terminal (degree-1, non-root) vertex."""
+
+
+class DegreeMismatch(TreetomoError):
+    """A vertex that must have exactly two neighbors does not."""
+
+
+class TooLarge(TreetomoError):
+    """Instance exceeds the caps of the brute-force oracle."""
+
+
+def radii(tree: RootedTree) -> tuple[int, int, bool]:
+    """Return ``(inner_radius, outer_radius, spherical)``.
+
+    The outer radius is the maximum norm; the inner radius is the minimum
+    norm over terminal vertices (root excluded from the terminal set).
+    """
+    r_out = max(tree.norm.values())
+    terms = tree.terminals()
+    if not terms:
+        raise InvalidParameter("tree has no terminal vertex")
+    r_in = min(tree.norm[v] for v in terms)
+    return r_in, r_out, r_in == r_out
+
+
+def l_augment_at(tree: RootedTree, v: int, l: int) -> RootedTree:
+    """Glue a chain of ``l`` new vertices below terminal vertex ``v``.
+
+    Original ids are preserved; the new chain gets ids
+    ``n, n+1, ..., n+l-1`` in root-to-tip order.
+    """
+    if l < 1:
+        raise InvalidParameter(f"chain length must be >= 1, got {l}")
+    if v not in tree.norm:
+        raise UnknownVertex(f"vertex {v} not in tree")
+    if v == tree.root or tree.degree(v) != 1:
+        raise NotTerminal(f"vertex {v} is not a terminal vertex")
+    edges = list(tree.edges())
+    n = tree.vertex_count
+    prev = v
+    for i in range(l):
+        edges.append((prev, n + i))
+        prev = n + i
+    return build_tree(edges, tree.root)
+
+
+def default_augmented_kernel(
+    aug: AugmentedTree, base: TransitionKernel
+) -> TransitionKernel:
+    """Extend base-tree rows to the full augmented chain.
+
+    Every vertex that is neither an internal base vertex nor outer-layer gets
+    the symmetric (1/2, 1/2) row over its two neighbors, flagged known.  Base
+    rows are copied and flagged unknown: they are the recovery targets.  A
+    degree-1 root is forced to probability one and flagged known, since
+    nondegeneracy leaves it no freedom.
+    """
+    mode = base.mode
+    half, one = (Fraction(1, 2), Fraction(1)) if mode == RATIONAL else (0.5, 1.0)
+    full = aug.full
+    internal = set(range(aug.base.vertex_count)) - set(aug.base.terminals())
+    entries = {}
+    prov = {}
+    for u in range(full.vertex_count):
+        if u in aug.outer_layer:
+            continue
+        nbrs = full.neighbors(u)
+        if u in internal:
+            if u == full.root and len(nbrs) == 1:
+                entries[u] = {nbrs[0]: one}
+                prov[u] = KNOWN
+                continue
+            if u not in base.entries:
+                raise MissingRow(f"base kernel lacks a row for internal vertex {u}")
+            entries[u] = dict(base.entries[u])
+            prov[u] = UNKNOWN
+        else:
+            if len(nbrs) != 2:
+                raise DegreeMismatch(
+                    f"vertex {u} should have exactly 2 neighbors, has {len(nbrs)}"
+                )
+            entries[u] = {nbrs[0]: half, nbrs[1]: half}
+            prov[u] = KNOWN
+    return TransitionKernel(entries, prov, mode)
+
+
+BRUTE_T_CAP = 16
+BRUTE_VERTEX_CAP = 12
+
+
+def brute_force_hitting(
+    aug: AugmentedTree,
+    kernel: TransitionKernel,
+    layer: str,
+    t_max: int,
+    t_cap: int = BRUTE_T_CAP,
+    vertex_cap: int = BRUTE_VERTEX_CAP,
+) -> HittingDistribution:
+    """Hitting law by explicit enumeration of every path from the root.
+
+    The oracle for ``first_hitting_joint``: walks the tree recursively,
+    multiplying transition probabilities along each path and recording the
+    first step onto the target layer.  Guarded by size caps.
+    """
+    if t_max > t_cap:
+        raise TooLarge(f"t_max {t_max} exceeds oracle cap {t_cap}")
+    if aug.full.vertex_count > vertex_cap:
+        raise TooLarge(
+            f"{aug.full.vertex_count} vertices exceed oracle cap {vertex_cap}"
+        )
+    target = aug.inner_layer if layer == INNER else aug.outer_layer
+    dist = HittingDistribution(layer, t_max)
+
+    def walk(v: int, t: int, p) -> None:
+        if v in target:
+            key = (t, v)
+            dist.mass[key] = dist.mass.get(key, 0) + p
+            return
+        if t == t_max or v not in kernel.entries:
+            return
+        for w, q in kernel.entries[v].items():
+            walk(w, t + 1, p * q)
+
+    walk(aug.full.root, 0, 1)
+    return dist
 
 
 def shape_signature(tree: RootedTree, v: int | None = None):

@@ -15,11 +15,7 @@ from treetomo import (
     INNER,
     OUTER,
     TransitionKernel,
-    brute_force_hitting,
-    collect_batch,
     consistency_curve,
-    default_augmented_kernel,
-    estimate_kernel,
     first_hitting_joint,
     make_plan,
     random_kernel,
@@ -37,7 +33,13 @@ from treetomo.tree_model import (
     star,
 )
 
-from helpers import known_part, rand_instance, small_bases
+from helpers import (
+    brute_force_hitting,
+    default_augmented_kernel,
+    known_part,
+    rand_instance,
+    small_bases,
+)
 
 
 @contextmanager

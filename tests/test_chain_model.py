@@ -9,14 +9,13 @@ from treetomo import (
     RATIONAL,
     UNKNOWN,
     TransitionKernel,
-    default_augmented_kernel,
     random_kernel,
     validate_kernel,
 )
 from treetomo.errors import InvalidParameter, MissingRow
 from treetomo.tree_model import segment, spherical_augmentation, star
 
-from helpers import rand_instance
+from helpers import default_augmented_kernel, rand_instance
 
 
 @pytest.fixture

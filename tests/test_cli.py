@@ -13,13 +13,28 @@ from treetomo import (
     spherical_augmentation,
 )
 from treetomo.cli import main
-from treetomo.formats import parse_kernel
+from treetomo.formats import (
+    dump_distribution,
+    parse_kernel,
+    parse_tree,
+    read_text,
+    write_text,
+)
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_laws(work, t_max):
+    """``in.tsv`` and ``out.tsv`` of the generated chain, computed to ``t_max``."""
+    aug = parse_tree(read_text(f"{work}/tree.txt"))
+    kernel = parse_kernel(read_text(f"{work}/kernel.txt"))
+    for layer, name in ((INNER, "in.tsv"), (OUTER, "out.tsv")):
+        dist = first_hitting_joint(aug, kernel, layer, t_max)
+        write_text(f"{work}/{name}", dump_distribution(dist, kernel.mode))
 
 
 class TestRoundtrip:
@@ -153,6 +168,8 @@ class TestPipeline:
         )
         assert code == 0
         assert "max_error" in out
+        report = (tmp_path / "w" / "report.txt").read_text()
+        assert report.startswith("mode float\n")
 
     def test_consistency_tsv(self, tmp_path, capsys):
         work = str(tmp_path / "w")
@@ -174,9 +191,7 @@ class TestExitCodes:
         run(capsys, "gen", "--tree", "segment", "--k", "0", "--l", "1",
             "--seed", "5", "--out", work)
         # horizon 3R+3 = 6 instead of the required 7
-        run(capsys, "forward", "--tree-file", f"{work}/tree.txt",
-            "--kernel-file", f"{work}/kernel.txt", "--t-max", "6",
-            "--out", work)
+        write_laws(work, 6)
         code, _, err = run(
             capsys, "invert", "--tree-file", f"{work}/tree.txt",
             "--known-file", f"{work}/known.txt",
@@ -255,6 +270,23 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error 2 FormatError")
 
+    def test_short_batch_exit_2(self, tmp_path, capsys):
+        # a batch cut at t_cap 6 misses the read horizon 3R+4 = 7 of star(1, 2)
+        work = str(tmp_path / "w")
+        run(capsys, "gen", "--tree", "star", "--l", "1", "--n", "2",
+            "--seed", "2", "--out", work)
+        batch = "\n".join(
+            ["batch 4 0 6", "in 2 3 2", "in 2 4 2",
+             "out 3 5 2", "out 3 6 2", "overflow 0"]
+        )
+        (tmp_path / "w" / "batch.txt").write_text(batch + "\n")
+        code, _, err = run(
+            capsys, "estimate", "--tree-file", f"{work}/tree.txt",
+            "--known-file", f"{work}/known.txt",
+            "--batch-file", f"{work}/batch.txt",
+        )
+        assert code == 2
+        assert err.startswith("error 2 FormatError")
 
     def test_batch_cell_off_its_layer_exit_2(self, tmp_path, capsys):
         # a sampled batch edited so one inner contact sits on the root
@@ -282,8 +314,7 @@ class TestExitCodes:
         work = str(tmp_path / "w")
         run(capsys, "gen", "--tree", "segment", "--k", "1", "--l", "2",
             "--seed", "5", "--out", work)
-        run(capsys, "forward", "--tree-file", f"{work}/tree.txt",
-            "--kernel-file", f"{work}/kernel.txt", "--t-max", "12", "--out", work)
+        write_laws(work, 12)
         code, _, err = run(
             capsys, "invert", "--tree-file", f"{work}/tree.txt",
             "--known-file", f"{work}/known.txt",

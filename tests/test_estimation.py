@@ -9,21 +9,28 @@ import treetomo.estimation as estimation
 from treetomo import (
     INNER,
     OUTER,
+    SampleBatch,
     TransitionKernel,
     collect_batch,
     consistency_curve,
-    default_augmented_kernel,
     empirical_joint,
     estimate_kernel,
     first_hitting_joint,
     random_kernel,
     recover_all,
 )
-from treetomo.errors import InvalidParameter
+from treetomo.errors import FormatError, InvalidParameter
 from treetomo.estimation import _simulate_block, _u01_vec, _walk_base_vec, _walk_tables
 from treetomo.tree_model import segment, spherical_augmentation, star
 
-from helpers import known_part, rand_instance, reference_walk, u01, walk_base
+from helpers import (
+    default_augmented_kernel,
+    known_part,
+    rand_instance,
+    reference_walk,
+    u01,
+    walk_base,
+)
 
 import numpy as np
 
@@ -141,8 +148,6 @@ class TestCollectBatch:
             collect_batch(aug, kernel, 0, seed=1)
         with pytest.raises(InvalidParameter):
             collect_batch(aug, kernel, 10, seed=1, workers=0)
-        with pytest.raises(InvalidParameter):
-            collect_batch(aug, kernel, 10, seed=1, t_cap=0)
 
     @pytest.mark.parametrize("radius", [6, 8])
     def test_inner_law_unbiased_at_horizon(self, radius):
@@ -230,9 +235,13 @@ class TestEstimateKernel:
             pass
 
     def test_horizon_precondition(self):
+        # a batch that stops short of 3R+4 = 7 cannot feed the inversion
         aug, kernel = star_fixture()
-        batch = collect_batch(aug, kernel, 100, seed=4, t_cap=6)
-        with pytest.raises(InvalidParameter):
+        batch = SampleBatch(
+            n=4, seed=0, t_cap=6, counts_in={(2, 3): 2, (2, 4): 2},
+            counts_out={(3, 5): 2, (3, 6): 2},
+        )
+        with pytest.raises(FormatError):
             estimate_kernel(aug, known_part(kernel), batch)
 
 

@@ -8,15 +8,16 @@ from treetomo import (
     INNER,
     OUTER,
     TransitionKernel,
-    brute_force_hitting,
-    default_augmented_kernel,
     first_hitting_joint,
 )
-from treetomo.errors import InvalidKernel, InvalidQuery, TooLarge
+from treetomo.errors import InvalidKernel, InvalidQuery
 from treetomo.tree_model import segment, spherical_augmentation, star
 
 from helpers import (
     PathClassQuery,
+    TooLarge,
+    brute_force_hitting,
+    default_augmented_kernel,
     mixed_denominator_instance,
     path_class_prob,
     rand_instance,
@@ -228,3 +229,9 @@ class TestKernelValidationHook:
         )
         with pytest.raises(InvalidKernel):
             first_hitting_joint(aug, bad, INNER, 4)
+
+    def test_float_entry_in_rational_kernel_rejected(self):
+        aug, kernel = segment_fixture(p=0.5)
+        kernel.mode = "rational"
+        with pytest.raises(InvalidKernel):
+            first_hitting_joint(aug, kernel, INNER, 4)

@@ -9,7 +9,6 @@ from treetomo import (
     KNOWN,
     OUTER,
     TransitionKernel,
-    default_augmented_kernel,
     first_hitting_joint,
     kernel_max_error,
     make_plan,
@@ -36,6 +35,7 @@ from helpers import (
     PathClassQuery,
     broom,
     comb,
+    default_augmented_kernel,
     explicit_edge_coefficient,
     known_part,
     mixed_denominator_instance,
@@ -303,7 +303,7 @@ class TestRecoverEdge:
     def test_zero_denominator(self):
         aug, kernel = segment_fixture()
         p_in, _ = forward_pair(aug, kernel)
-        empty = HittingDistribution(OUTER, 0, 8, {})
+        empty = HittingDistribution(OUTER, 8, {})
         with pytest.raises(ZeroDenominator):
             recover_edge(aug, kernel, make_plan(aug, 1, 2), p_in, empty)
 
@@ -311,7 +311,7 @@ class TestRecoverEdge:
         aug, kernel = segment_fixture()
         p_in, p_out = forward_pair(aug, kernel)
         plan = make_plan(aug, 1, 2)
-        bumped = HittingDistribution(OUTER, 0, p_out.t_max, dict(p_out.mass))
+        bumped = HittingDistribution(OUTER, p_out.t_max, dict(p_out.mass))
         bumped.mass[(5, 3)] = float(bumped.mass[(5, 3)]) + 0.4
         with pytest.raises(OutOfRange):
             recover_edge(aug, kernel, plan, p_in, bumped)
@@ -368,7 +368,7 @@ class TestRecoverAll:
             assert rep.max_error == 0
             work = known_part(kernel)
             for k in range(aug.hull_radius, -1, -1):
-                for u in full.shell(k):
+                for u in full.shells()[k]:
                     if not aug.is_original(u) or u in work.entries:
                         continue
                     row = {
@@ -410,6 +410,27 @@ class TestRecoverAll:
         with pytest.raises(FormatError):
             recover_all(aug, known_part(kernel), p_in, p_out)
 
+    def test_float_laws_under_rational_kernel(self):
+        # empirical laws are floats; exact known rows cannot absorb them
+        aug, kernel = symmetric_star_fixture()
+        p_in, p_out = forward_pair(aug, kernel)
+        p_out.mass = {key: float(p) for key, p in p_out.mass.items()}
+        with pytest.raises(FormatError):
+            recover_all(aug, known_part(kernel), p_in, p_out)
+
+    def test_clamped_rational_rows_stay_exact(self):
+        aug, kernel = symmetric_star_fixture()
+        p_in, p_out = forward_pair(aug, kernel)
+        for key in p_out.mass:
+            p_out.mass[key] *= Fraction(3, 2)
+        rep = recover_all(aug, known_part(kernel), p_in, p_out, clamp=True)
+        assert rep.flags
+        for u, flag in rep.kernel.provenance.items():
+            if flag == "recovered":
+                row = rep.kernel.entries[u].values()
+                assert all(isinstance(p, Fraction) for p in row)
+                assert sum(row) == 1
+
     def test_distorted_input_strict_vs_clamped(self):
         aug, kernel = symmetric_star_fixture()
         flt = TransitionKernel(
@@ -424,7 +445,6 @@ class TestRecoverAll:
             recover_all(aug, known_part(flt), p_in, p_out)
         rep = recover_all(aug, known_part(flt), p_in, p_out, clamp=True)
         assert rep.flags
-        assert rep.raw_kernel is not None
         for u, flag in rep.kernel.provenance.items():
             if flag == "recovered":
                 assert abs(sum(rep.kernel.entries[u].values()) - 1) < 1e-9

@@ -2,16 +2,16 @@
 
 import pytest
 
-from treetomo.errors import InvalidParameter, NotATree, NotTerminal
+from treetomo.errors import InvalidParameter, NotATree
 from treetomo.tree_model import (
     build_tree,
-    l_augment_at,
-    radii,
     random_tree,
     segment,
     spherical_augmentation,
     star,
 )
+
+from helpers import NotTerminal, l_augment_at, radii
 
 
 class TestBuildTree:
@@ -85,8 +85,8 @@ class TestStar:
     def test_shellwise_enumeration(self):
         # root 0, then branch j occupies (s-1)*n + j at shell s
         t = star(2, 3)
-        assert t.shell(1) == (1, 2, 3)
-        assert t.shell(2) == (4, 5, 6)
+        assert t.shells()[1] == (1, 2, 3)
+        assert t.shells()[2] == (4, 5, 6)
         assert t.parent[4] == 1 and t.parent[6] == 3
 
     def test_single_branch_is_segment(self):
