@@ -32,15 +32,9 @@ from .forward_solver import (
     first_hitting_joint,
 )
 from .tomography import (
-    EdgeRecoveryPlan,
     RecoveryReport,
     kernel_max_error,
-    make_plan,
     recover_all,
-    recover_edge,
-    recover_star,
-    tail_passage_probs,
-    unknown_edge_coefficient,
 )
 from .tree_model import (
     AugmentedTree,
@@ -56,7 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AugmentedTree",
-    "EdgeRecoveryPlan",
     "FLOAT",
     "HittingDistribution",
     "INNER",
@@ -77,16 +70,11 @@ __all__ = [
     "estimate_kernel",
     "first_hitting_joint",
     "kernel_max_error",
-    "make_plan",
     "random_kernel",
     "random_tree",
     "recover_all",
-    "recover_edge",
-    "recover_star",
     "segment",
     "spherical_augmentation",
     "star",
-    "tail_passage_probs",
-    "unknown_edge_coefficient",
     "validate_kernel",
 ]

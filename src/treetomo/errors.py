@@ -34,7 +34,7 @@ class InvalidKernel(TreetomoError):
 
 
 class InvalidQuery(TreetomoError):
-    """Path-class query has inconsistent bounds or an empty target."""
+    """A law is asked for a time past its horizon, an unknown layer, or ``t_max < 0``."""
 
 
 class NotInLambda(TreetomoError):

@@ -191,20 +191,12 @@ def collect_batch(
     return batch
 
 
-def empirical_joint(
-    batch: SampleBatch, t_max: int
-) -> tuple[HittingDistribution, HittingDistribution]:
-    """Empirical inner and outer hitting laws, ``count / n`` per cell."""
-    if t_max > batch.t_cap:
-        raise InvalidParameter(
-            f"t_max {t_max} exceeds the batch time cap {batch.t_cap}"
-        )
+def empirical_joint(batch: SampleBatch) -> tuple[HittingDistribution, HittingDistribution]:
+    """Empirical inner and outer hitting laws up to ``t_cap``, ``count / n`` per cell."""
     dists = []
     for layer, counts in ((INNER, batch.counts_in), (OUTER, batch.counts_out)):
-        mass = {
-            (t, v): c / batch.n for (t, v), c in counts.items() if t <= t_max
-        }
-        dists.append(HittingDistribution(layer, t_max, mass))
+        mass = {(t, v): c / batch.n for (t, v), c in counts.items()}
+        dists.append(HittingDistribution(layer, batch.t_cap, mass))
     return dists[0], dists[1]
 
 
@@ -221,7 +213,7 @@ def estimate_kernel(
     cell that the inversion needs surfaces as :class:`InsufficientData`, and
     a batch shorter than the read horizon as :class:`FormatError`.
     """
-    p_in, p_out = empirical_joint(batch, batch.t_cap)
+    p_in, p_out = empirical_joint(batch)
     known = TransitionKernel(
         {u: {v: float(p) for v, p in row.items()} for u, row in known.entries.items()},
         dict(known.provenance),

@@ -102,6 +102,8 @@ def parse_tree(text: str) -> RootedTree | AugmentedTree:
     aug_len = radius - hull
     inner = frozenset(v for v in range(n) if full.norm[v] == radius - 1)
     outer = frozenset(v for v in range(n) if full.norm[v] == radius)
+    if any(not full.children[v] for v in range(n) if v not in outer):
+        raise FormatError("a branch stops short of the outer layer")
     if "inner" in layers and layers["inner"] != set(inner):
         raise FormatError("inner layer does not match shell structure")
     if "outer" in layers and layers["outer"] != set(outer):

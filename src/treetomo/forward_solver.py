@@ -49,10 +49,6 @@ class HittingDistribution:
             self.max_time_read = t
         return self.mass.get((t, v), 0)
 
-    def total(self, up_to: int | None = None) -> Number:
-        horizon = self.t_max if up_to is None else up_to
-        return sum(p for (t, _), p in self.mass.items() if t <= horizon)
-
 
 def _layer_set(aug: AugmentedTree, layer: str) -> frozenset[int]:
     if layer == INNER:

@@ -22,11 +22,12 @@ already solved:
 :func:`recover_all` carries head, tail and one tail-class table per shell
 inward: each vertex gets its two sums once, and shell ``k`` one first-passage
 recursion over shells ``k+1 .. R+1``, which serves every edge of the shell
-because a walk confined there stays in the subtree it started in.  The
-per-edge functions run the same recurrences restricted to ``subtree(u)`` or
-``subtree(w)``, one table and two subtree scans per edge.  All three read
-rows through :class:`~treetomo.chain_model.AccRows`; the tail-class tables
-run on its integer numerators in rational mode.
+because a walk confined there stays in the subtree it started in.
+:func:`make_plan`, :func:`tail_passage_probs` and
+:func:`unknown_edge_coefficient` give one edge's terms alone, running the same
+recurrences restricted to ``subtree(u)`` or ``subtree(w)``.  Rows are read
+through :class:`~treetomo.chain_model.AccRows`; the tail-class tables run on
+its integer numerators in rational mode.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .forward_solver import HittingDistribution
-from .tree_model import AugmentedTree, spherical_augmentation, star
+from .tree_model import AugmentedTree
 
 CLAMP_EPS = 1e-6
 ROOT_SUM_TOL = 1e-6
@@ -121,12 +122,6 @@ def _root_sum_off(total: Number, mode: str) -> bool:
     return total != 1 if mode == RATIONAL else abs(total - 1) > ROOT_SUM_TOL
 
 
-def _plan(aug: AugmentedTree, u: int, w: int, inner: tuple[int, ...]) -> EdgeRecoveryPlan:
-    k, r = aug.full.norm[u], aug.hull_radius
-    outer = tuple(aug.outer_child(z) for z in inner)
-    return EdgeRecoveryPlan(k, u, w, r, 3 * r + 4 - 2 * k, r + 2 - k, outer, inner)
-
-
 def make_plan(aug: AugmentedTree, u: int, w: int) -> EdgeRecoveryPlan:
     """Build the recovery plan for the edge ``u -> w``.
 
@@ -137,7 +132,10 @@ def make_plan(aug: AugmentedTree, u: int, w: int) -> EdgeRecoveryPlan:
         raise NotInLambda(f"vertex {u} is not a base-tree vertex")
     if w not in aug.full.children[u]:
         raise NotAChild(f"{w} is not a child of {u}")
-    return _plan(aug, u, w, aug.layer_descendants(w, aug.inner_layer))
+    k, r = aug.full.norm[u], aug.hull_radius
+    inner = aug.layer_descendants(w, aug.inner_layer)
+    outer = tuple(aug.outer_child(z) for z in inner)
+    return EdgeRecoveryPlan(k, u, w, r, 3 * r + 4 - 2 * k, r + 2 - k, outer, inner)
 
 
 def _head(
@@ -246,48 +244,29 @@ def unknown_edge_coefficient(
 
 
 def _solve_edge(
-    plan: EdgeRecoveryPlan, denom: Number, chis: dict[tuple[int, int], Number],
+    aug: AugmentedTree, u: int, w: int, inner: tuple[int, ...],
+    denom: Number, chis: dict[tuple[int, int], Number],
     p_in: HittingDistribution, p_out: HittingDistribution,
-    mode: str, clamp: bool, flags: list[tuple[str, int]] | None,
+    mode: str, clamp: bool, flags: list[tuple[str, int]],
 ) -> Number:
+    """``t(u, w)`` for ``u`` at shell ``k``: the outer arrivals below ``w`` at time
+    ``3R+4-2k``, less the ``R+2-k`` tail classes over ``inner``, over ``denom``."""
     if denom == 0:
-        raise ZeroDenominator(
-            f"edge ({plan.vertex}, {plan.child}): out-and-back coefficient is zero"
-        )
-    total = sum(p_out.prob(plan.hit_time, v) for v in plan.outer_targets)
-    for l in range(1, plan.num_classes + 1):
-        s = plan.hit_time - (2 * l - 1)
-        for vstar in plan.inner_targets:
+        raise ZeroDenominator(f"edge ({u}, {w}): out-and-back coefficient is zero")
+    k, r = aug.full.norm[u], aug.hull_radius
+    hit_time = 3 * r + 4 - 2 * k
+    total = sum(p_out.prob(hit_time, aug.outer_child(z)) for z in inner)
+    for l in range(1, r + 3 - k):
+        s = hit_time - (2 * l - 1)
+        for vstar in inner:
             c = chis[(vstar, l)]
             if c:
                 total = total - p_in.prob(s, vstar) * c
     value = total / denom
-    got = _unit(value, plan.vertex, plan.child, mode, clamp)
-    if got != value and flags is not None:
-        flags.append(("OutOfRange", plan.child))
+    got = _unit(value, u, w, mode, clamp)
+    if got != value:
+        flags.append(("OutOfRange", w))
     return got
-
-
-def recover_edge(
-    aug: AugmentedTree,
-    kernel: TransitionKernel,
-    plan: EdgeRecoveryPlan,
-    p_in: HittingDistribution,
-    p_out: HittingDistribution,
-    clamp: bool = False,
-    flags: list[tuple[str, int]] | None = None,
-) -> Number:
-    """Solve the single transition probability ``t(plan.vertex, plan.child)``.
-
-    Subtracts every tail-class contribution from the outer arrival mass at
-    ``plan.hit_time`` and divides by the out-and-back coefficient.  With
-    analytic inputs the result is exact (rational mode) or accurate to
-    roundoff; with empirical inputs it may leave [0, 1], in which case it is
-    clamped and flagged when ``clamp`` is set and raised otherwise.
-    """
-    denom = unknown_edge_coefficient(aug, kernel, plan, p_out)
-    chis = tail_passage_probs(aug, kernel, plan)
-    return _solve_edge(plan, denom, chis, p_in, p_out, kernel.mode, clamp, flags)
 
 
 def _check_laws(
@@ -331,10 +310,10 @@ def recover_all(
     ``known`` only ``Fraction`` cells, else :class:`FormatError`.
     Before shell ``k`` is solved, the head sums of shell ``k``, the
     tail sums of shell ``k + 1`` and the shell's tail-class table are built
-    (see the module docstring); each child edge is then solved as
-    :func:`recover_edge` solves it alone, and the inward entry is the row
-    complement.  The report's ``shell_time_reads`` records the largest
-    distribution time index touched while working on each shell.
+    (see the module docstring); each child edge is then solved from its
+    arrival decomposition, and the inward entry is the row complement.  The
+    report's ``shell_time_reads`` records the largest distribution time index
+    touched while working on each shell; the caller's laws are not marked.
     """
     _require_two_layers(aug)
     r = aug.hull_radius
@@ -358,29 +337,26 @@ def recover_all(
     head: dict[int, Number] = {}
     tail: dict[int, Number] = {}
 
-    orig_in, orig_out = p_in.max_time_read, p_out.max_time_read
     run_in, run_out = -1, -1
     root = full.root
     for k in range(r, -1, -1):
-        p_in.max_time_read = -1
-        p_out.max_time_read = -1
+        # fresh views over the caller's cells record the reads of this shell only
+        q_in, q_out = (HittingDistribution(d.layer, d.t_max, d.mass) for d in (p_in, p_out))
         rows.cover(shells[k + 1])  # the band of shell k: shells k+1 .. R+1
         for x in shells[r + 1] if k == r else ():  # heads start on the inner layer
-            head[x] = _head(aug, rows, p_out, head, x)
+            head[x] = _head(aug, rows, q_out, head, x)
         for x in shells[k + 1]:
             tail[x] = _tail(aug, rows, tail, x)
         for x in shells[k]:
-            head[x] = _head(aug, rows, p_out, head, x)
+            head[x] = _head(aug, rows, q_out, head, x)
         targets = [u for u in shells[k] if aug.is_original(u)
                    and work.provenance.get(u, UNKNOWN) not in (KNOWN, RECOVERED)]
         chis = _tail_classes(aug, rows, shells[r + 1], k) if targets else {}
         for u in targets:
             row: dict[int, Number] = {}
             for w in full.children[u]:
-                plan = _plan(aug, u, w, inner_below[w])
-                row[w] = _solve_edge(
-                    plan, head[u] * tail[w], chis, p_in, p_out, work.mode, clamp, flags
-                )
+                row[w] = _solve_edge(aug, u, w, inner_below[w], head[u] * tail[w],
+                                     chis, q_in, q_out, work.mode, clamp, flags)
             child_sum = sum(row.values())
             if u == root:
                 residuals[u] = child_sum - 1
@@ -409,11 +385,9 @@ def recover_all(
             rows.hold(u, row)
             work.provenance[u] = RECOVERED
         del chis
-        shell_reads[k] = max(p_in.max_time_read, p_out.max_time_read)
-        run_in = max(run_in, p_in.max_time_read)
-        run_out = max(run_out, p_out.max_time_read)
-    p_in.max_time_read = max(orig_in, run_in)
-    p_out.max_time_read = max(orig_out, run_out)
+        shell_reads[k] = max(q_in.max_time_read, q_out.max_time_read)
+        run_in = max(run_in, q_in.max_time_read)
+        run_out = max(run_out, q_out.max_time_read)
 
     mode = work.mode
     for u, flag in work.provenance.items():
@@ -446,55 +420,3 @@ def kernel_max_error(
             if d > worst:
                 worst = d
     return worst
-
-
-def recover_star(
-    m: int,
-    known: TransitionKernel,
-    p_in: HittingDistribution,
-    p_out: HittingDistribution,
-    clamp: bool = False,
-) -> TransitionKernel:
-    """Closed-form recovery on the augmented star with ``m`` unit branches.
-
-    Vertex ids follow the star constructor: root 0, branch vertices
-    ``1..m``, inner layer ``m+1..2m``, outer layer ``2m+1..3m`` (branch ``j``
-    runs ``0, j, m+j, 2m+j``).  For each branch the ratio of outer arrivals
-    at times 5 and 3 minus the ratio of inner arrivals at times 4 and 2
-    isolates the outward probability at shell one; the root entry then falls
-    out of the time-2 inner arrival.
-    """
-    if m < 1:
-        raise InvalidParameter(f"star needs at least one branch, got {m}")
-    if p_out.t_max < 5:
-        raise FormatError(f"outer law covers t <= {p_out.t_max}, star recovery needs 5")
-    if p_in.t_max < 4:
-        raise FormatError(f"inner law covers t <= {p_in.t_max}, star recovery needs 4")
-    aug = spherical_augmentation(star(1, m), 2)
-
-    result = known.copy()
-    root_row: dict[int, Number] = {}
-    for j in range(1, m + 1):
-        inner_v = m + j
-        outer_v = 2 * m + j
-        po3 = p_out.prob(3, outer_v)
-        po5 = p_out.prob(5, outer_v)
-        pi2 = p_in.prob(2, inner_v)
-        pi4 = p_in.prob(4, inner_v)
-        t_back = known.prob(inner_v, j)
-        if po3 == 0 or pi2 == 0 or t_back == 0:
-            raise ZeroDenominator(f"branch {j}: a required boundary cell is zero")
-        t_out = _unit((po5 / po3 - pi4 / pi2) / t_back, j, inner_v, known.mode, clamp)
-        t_root = _unit(pi2 / t_out, 0, j, known.mode, clamp)
-        t_out = settle(t_out, known.mode)
-        result.entries[j] = {0: settle(1 - t_out, known.mode), inner_v: t_out}
-        result.provenance[j] = RECOVERED
-        root_row[j] = settle(t_root, known.mode)
-    root_sum = sum(root_row.values())
-    if _root_sum_off(root_sum, known.mode) and not clamp:
-        raise RowSumViolation(f"root row sums to {root_sum}, expected 1")
-    if clamp:
-        root_row = {j: p / root_sum for j, p in root_row.items()}
-    result.entries[aug.full.root] = root_row
-    result.provenance[aug.full.root] = RECOVERED
-    return result

@@ -61,13 +61,6 @@ class RootedTree:
             if v != self.root and self.degree(v) == 1
         )
 
-    def path_to_root(self, v: int) -> tuple[int, ...]:
-        """Vertices from ``v`` up to and including the root."""
-        out = [v]
-        while self.parent[out[-1]] is not None:
-            out.append(self.parent[out[-1]])  # type: ignore[arg-type]
-        return tuple(out)
-
     def subtree(self, v: int) -> tuple[int, ...]:
         """All descendants of ``v`` including ``v`` (``v`` first), deterministic."""
         out = [v]

@@ -12,6 +12,7 @@ from treetomo import (
     INNER,
     KNOWN,
     RATIONAL,
+    RECOVERED,
     UNKNOWN,
     HittingDistribution,
     TransitionKernel,
@@ -19,12 +20,23 @@ from treetomo import (
     random_kernel,
     spherical_augmentation,
 )
+from treetomo.chain_model import Number, settle
 from treetomo.errors import (
+    FormatError,
     InvalidParameter,
     InvalidQuery,
     MissingKnownRow,
     MissingRow,
+    RowSumViolation,
     UnknownVertex,
+    ZeroDenominator,
+)
+from treetomo.tomography import (
+    EdgeRecoveryPlan,
+    _root_sum_off,
+    _unit,
+    tail_passage_probs,
+    unknown_edge_coefficient,
 )
 from treetomo.tree_model import AugmentedTree, RootedTree, build_tree, random_tree
 
@@ -288,6 +300,100 @@ def explicit_edge_coefficient(aug, kernel, plan, p_out):
         for v in plan.outer_targets:
             total = total + head * down_product(aug, kernel, plan.child, v)
     return total
+
+
+def recover_edge(
+    aug: AugmentedTree,
+    kernel: TransitionKernel,
+    plan: EdgeRecoveryPlan,
+    p_in: HittingDistribution,
+    p_out: HittingDistribution,
+    clamp: bool = False,
+    flags: list[tuple[str, int]] | None = None,
+) -> Number:
+    """Single-edge oracle of ``recover_all``: ``t(plan.vertex, plan.child)`` alone.
+
+    Subtracts every tail-class contribution from the outer arrival mass at
+    ``plan.hit_time`` and divides by the out-and-back coefficient, both built
+    over the edge's own subtrees.  A value outside (0, 1] is clamped and
+    flagged when ``clamp`` is set and raised otherwise.
+    """
+    denom = unknown_edge_coefficient(aug, kernel, plan, p_out)
+    if denom == 0:
+        raise ZeroDenominator(f"edge ({plan.vertex}, {plan.child}): coefficient is zero")
+    chis = tail_passage_probs(aug, kernel, plan)
+    total = sum(p_out.prob(plan.hit_time, v) for v in plan.outer_targets)
+    for l in range(1, plan.num_classes + 1):
+        s = plan.hit_time - (2 * l - 1)
+        for vstar in plan.inner_targets:
+            total = total - p_in.prob(s, vstar) * chis[(vstar, l)]
+    value = total / denom
+    got = _unit(value, plan.vertex, plan.child, kernel.mode, clamp)
+    if got != value and flags is not None:
+        flags.append(("OutOfRange", plan.child))
+    return got
+
+
+def recover_star(
+    m: int,
+    known: TransitionKernel,
+    p_in: HittingDistribution,
+    p_out: HittingDistribution,
+    clamp: bool = False,
+) -> TransitionKernel:
+    """Closed-form oracle of ``recover_all`` on the augmented star with ``m`` unit branches.
+
+    Vertex ids follow the star constructor: root 0, branch vertices
+    ``1..m``, inner layer ``m+1..2m``, outer layer ``2m+1..3m`` (branch ``j``
+    runs ``0, j, m+j, 2m+j``).  For each branch the ratio of outer arrivals
+    at times 5 and 3 minus the ratio of inner arrivals at times 4 and 2
+    isolates the outward probability at shell one; the root entry then falls
+    out of the time-2 inner arrival.
+    """
+    if m < 1:
+        raise InvalidParameter(f"star needs at least one branch, got {m}")
+    if p_out.t_max < 5:
+        raise FormatError(f"outer law covers t <= {p_out.t_max}, star recovery needs 5")
+    if p_in.t_max < 4:
+        raise FormatError(f"inner law covers t <= {p_in.t_max}, star recovery needs 4")
+    mode = known.mode
+    result = known.copy()
+    root_row: dict[int, Number] = {}
+    for j in range(1, m + 1):
+        inner_v, outer_v = m + j, 2 * m + j
+        po3, po5 = p_out.prob(3, outer_v), p_out.prob(5, outer_v)
+        pi2, pi4 = p_in.prob(2, inner_v), p_in.prob(4, inner_v)
+        t_back = known.prob(inner_v, j)
+        if po3 == 0 or pi2 == 0 or t_back == 0:
+            raise ZeroDenominator(f"branch {j}: a required boundary cell is zero")
+        t_out = _unit((po5 / po3 - pi4 / pi2) / t_back, j, inner_v, mode, clamp)
+        t_root = _unit(pi2 / t_out, 0, j, mode, clamp)
+        t_out = settle(t_out, mode)
+        result.entries[j] = {0: settle(1 - t_out, mode), inner_v: t_out}
+        result.provenance[j] = RECOVERED
+        root_row[j] = settle(t_root, mode)
+    root_sum = sum(root_row.values())
+    if _root_sum_off(root_sum, mode) and not clamp:
+        raise RowSumViolation(f"root row sums to {root_sum}, expected 1")
+    if clamp:
+        root_row = {j: p / root_sum for j, p in root_row.items()}
+    result.entries[0] = root_row
+    result.provenance[0] = RECOVERED
+    return result
+
+
+def law_total(dist: HittingDistribution, up_to: int | None = None) -> Number:
+    """Mass of ``dist`` at times up to ``up_to`` (default: its horizon)."""
+    horizon = dist.t_max if up_to is None else up_to
+    return sum(p for (t, _), p in dist.mass.items() if t <= horizon)
+
+
+def path_to_root(tree: RootedTree, v: int) -> tuple[int, ...]:
+    """Vertices from ``v`` up to and including the root."""
+    out = [v]
+    while tree.parent[out[-1]] is not None:
+        out.append(tree.parent[out[-1]])
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -201,6 +201,40 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error 2 FormatError")
 
+    def test_branch_short_of_outer_layer_exit_2(self, tmp_path, capsys):
+        # star(1, 2) with outer vertex 6 cut off: inner vertex 4 ends its branch
+        work = tmp_path / "w"
+        run(capsys, "gen", "--tree", "star", "--l", "1", "--n", "2",
+            "--seed", "2", "--out", str(work))
+        run(capsys, "forward", "--tree-file", str(work / "tree.txt"),
+            "--kernel-file", str(work / "kernel.txt"), "--out", str(work))
+        cut = {"tree 7 0": "tree 6 0", "layer outer 5 6": "layer outer 5",
+               "edge 4 6": None, "origin 6 added": None}
+        tree = [cut.get(ln, ln) for ln in (work / "tree.txt").read_text().splitlines()]
+        (work / "tree.txt").write_text("\n".join(ln for ln in tree if ln) + "\n")
+        for name in ("kernel.txt", "known.txt"):
+            text = (work / name).read_text().splitlines()
+            rows = [ln for ln in text if not ln.startswith("row 4 ")] + ["row 4 2:1"]
+            (work / name).write_text("\n".join(rows) + "\n")
+        laws = (work / "out.tsv").read_text().splitlines()
+        (work / "out.tsv").write_text(
+            "\n".join(ln for ln in laws if ln.split("\t")[2] != "6") + "\n"
+        )
+        files = {f: str(work / f) for f in ("tree.txt", "kernel.txt", "known.txt",
+                                            "in.tsv", "out.tsv")}
+        for argv in (
+            ["forward", "--tree-file", files["tree.txt"],
+             "--kernel-file", files["kernel.txt"], "--out", str(work)],
+            ["sample", "--tree-file", files["tree.txt"],
+             "--kernel-file", files["kernel.txt"], "--n", "100", "--out", str(work)],
+            ["invert", "--tree-file", files["tree.txt"],
+             "--known-file", files["known.txt"], "--in-dist", files["in.tsv"],
+             "--out-dist", files["out.tsv"], "--out", str(work)],
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 2, (argv[0], err)
+            assert err.startswith("error 2 FormatError"), (argv[0], err)
+
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "forward", "--tree-file", str(tmp_path / "nope.txt"),

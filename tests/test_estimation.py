@@ -26,6 +26,7 @@ from treetomo.tree_model import segment, spherical_augmentation, star
 from helpers import (
     default_augmented_kernel,
     known_part,
+    law_total,
     rand_instance,
     reference_walk,
     u01,
@@ -159,7 +160,7 @@ class TestCollectBatch:
         batch = collect_batch(aug, kernel, n, seed=1)
         horizon = 3 * aug.hull_radius + 4
         assert batch.t_cap == horizon
-        exact = float(first_hitting_joint(aug, kernel, INNER, horizon).total())
+        exact = float(law_total(first_hitting_joint(aug, kernel, INNER, horizon)))
         empirical = sum(batch.counts_in.values()) / n
         z = (empirical - exact) / math.sqrt(exact * (1 - exact) / n)
         assert abs(z) < 5, (empirical, exact, z)
@@ -168,7 +169,7 @@ class TestCollectBatch:
         # binomial error at n = 1e5 is about 0.0014; 0.01 is a 7 sigma bound
         aug, kernel = star_fixture(p01=0.5)
         batch = collect_batch(aug, kernel, 100_000, seed=11)
-        p_in, _ = empirical_joint(batch, batch.t_cap)
+        p_in, _ = empirical_joint(batch)
         for v in (3, 4):
             assert abs(p_in.prob(2, v) - 0.25) < 0.01
 
@@ -177,27 +178,21 @@ class TestEmpiricalJoint:
     def test_counts_over_n(self):
         aug, kernel = star_fixture()
         batch = collect_batch(aug, kernel, 1000, seed=2)
-        p_in, p_out = empirical_joint(batch, batch.t_cap)
+        p_in, p_out = empirical_joint(batch)
         some_cell = next(iter(batch.counts_in))
         assert p_in.prob(*some_cell) == batch.counts_in[some_cell] / 1000
-        assert float(p_out.total()) <= 1.0 + 1e-12
+        assert float(law_total(p_out)) <= 1.0 + 1e-12
 
     def test_invariants(self):
         aug, kernel = star_fixture()
         norm = aug.full.norm
         batch = collect_batch(aug, kernel, 5000, seed=9)
-        p_in, p_out = empirical_joint(batch, batch.t_cap)
+        p_in, p_out = empirical_joint(batch)
         for dist, layer in ((p_in, aug.inner_layer), (p_out, aug.outer_layer)):
             for (t, v), mass in dist.mass.items():
                 assert v in layer
                 assert mass > 0
                 assert t >= norm[v] and (t - norm[v]) % 2 == 0
-
-    def test_t_max_guard(self):
-        aug, kernel = star_fixture()
-        batch = collect_batch(aug, kernel, 100, seed=2)
-        with pytest.raises(InvalidParameter):
-            empirical_joint(batch, batch.t_cap + 1)
 
 
 class TestEstimateKernel:

@@ -18,8 +18,10 @@ from helpers import (
     TooLarge,
     brute_force_hitting,
     default_augmented_kernel,
+    law_total,
     mixed_denominator_instance,
     path_class_prob,
+    path_to_root,
     rand_instance,
 )
 
@@ -148,16 +150,16 @@ class TestDistributionInvariants:
                     assert mass >= 0
                     assert t >= aug.full.norm[v]
                     assert (t - aug.full.norm[v]) % 2 == 0
-            assert float(p_out.total()) <= 1 + 1e-12
+            assert float(law_total(p_out)) <= 1 + 1e-12
             # outer mass is nondecreasing in the horizon
             prev = 0.0
             for t in range(t_max + 1):
-                cur = float(p_out.total(t))
+                cur = float(law_total(p_out, t))
                 assert cur >= prev - 1e-15
                 prev = cur
             # the walk crosses inner before outer
             for t in range(t_max + 1):
-                assert float(p_in.total(t)) >= float(p_out.total(t)) - 1e-12
+                assert float(law_total(p_in, t)) >= float(law_total(p_out, t)) - 1e-12
 
     def test_ballistic_identity(self):
         for seed in range(12):
@@ -165,7 +167,7 @@ class TestDistributionInvariants:
             r = aug.hull_radius
             p_out = first_hitting_joint(aug, kernel, OUTER, r + 2)
             for v in aug.outer_layer:
-                path = aug.full.path_to_root(v)[::-1]
+                path = path_to_root(aug.full, v)[::-1]
                 prod = 1.0
                 for a, b in zip(path, path[1:]):
                     prod *= float(kernel.prob(a, b))

@@ -4,7 +4,6 @@ import treetomo
 
 PUBLIC = [
     "AugmentedTree",
-    "EdgeRecoveryPlan",
     "FLOAT",
     "HittingDistribution",
     "INNER",
@@ -25,17 +24,12 @@ PUBLIC = [
     "estimate_kernel",
     "first_hitting_joint",
     "kernel_max_error",
-    "make_plan",
     "random_kernel",
     "random_tree",
     "recover_all",
-    "recover_edge",
-    "recover_star",
     "segment",
     "spherical_augmentation",
     "star",
-    "tail_passage_probs",
-    "unknown_edge_coefficient",
     "validate_kernel",
 ]
 

@@ -11,13 +11,8 @@ from treetomo import (
     TransitionKernel,
     first_hitting_joint,
     kernel_max_error,
-    make_plan,
     random_kernel,
     recover_all,
-    recover_edge,
-    recover_star,
-    tail_passage_probs,
-    unknown_edge_coefficient,
 )
 from treetomo.errors import (
     FormatError,
@@ -29,6 +24,7 @@ from treetomo.errors import (
     ZeroDenominator,
 )
 from treetomo.forward_solver import HittingDistribution
+from treetomo.tomography import make_plan, tail_passage_probs, unknown_edge_coefficient
 from treetomo.tree_model import build_tree, segment, spherical_augmentation, star
 
 from helpers import (
@@ -41,6 +37,8 @@ from helpers import (
     mixed_denominator_instance,
     path_class_prob,
     rand_instance,
+    recover_edge,
+    recover_star,
 )
 
 
@@ -391,6 +389,16 @@ class TestRecoverAll:
             assert max(rep.times_accessed.values()) <= 3 * r + 4
             for k, t_read in rep.shell_time_reads.items():
                 assert t_read <= 3 * r + 4 - 2 * k
+
+    def test_input_laws_left_unmarked(self):
+        # reads are recorded on the report, not on the caller's laws
+        aug, kernel = rand_instance(3, rout=3)
+        p_in, p_out = forward_pair(aug, kernel)
+        p_in.prob(1, next(iter(aug.inner_layer)))
+        before = (p_in.max_time_read, p_out.max_time_read)
+        rep = recover_all(aug, known_part(kernel), p_in, p_out)
+        assert (p_in.max_time_read, p_out.max_time_read) == before == (1, -1)
+        assert rep.times_accessed["outer"] == 3 * aug.hull_radius + 4
 
     def test_insufficient_horizon(self):
         aug, kernel = segment_fixture()
