@@ -51,11 +51,15 @@ class AccRows(dict):
     pushed through ``s`` entries from a start of 1 is then an integer ``N``
     for the exact value ``N / D**s``: the multiply-adds need no gcd, and
     :meth:`value` builds the one :class:`~fractions.Fraction` per result.
-    Every entry of a rational kernel must be rational.
+    :meth:`law` puts hitting-law cells on the same footing, as integers over
+    one denominator per time, so the forward DP and the whole inversion run
+    on integer numerators.  Every entry of a rational kernel must be
+    rational.
 
-    A reader covers every row it will touch before reading; a change of
-    scale drops the converted rows.  Reading a row the kernel lacks raises
-    :class:`MissingKnownRow`.
+    A reader covers every row it will touch before reading.  A change of
+    scale rescales the converted rows; numerators a reader built before it
+    must be rescaled by the factor :meth:`cover` returns.  Reading a row the
+    kernel lacks raises :class:`MissingKnownRow`.
     """
 
     def __init__(self, kernel: "TransitionKernel", vertices: Iterable[int] = ()):
@@ -65,22 +69,27 @@ class AccRows(dict):
         self.scale = 1
         self.cover(vertices)
 
-    def cover(self, vertices: Iterable[int]) -> None:
+    def cover(self, vertices: Iterable[int]) -> int:
         """Make the scale a multiple of the denominators of these rows.
 
-        Vertices without a row are skipped.  A no-op in float mode.
+        Returns the factor by which the scale grew.  Vertices without a row
+        are skipped.  A no-op in float mode.
         """
         if not self.exact:
-            return
+            return 1
         entries = self.kernel.entries
         dens = {getattr(p, "denominator", 0) for u in vertices
                 for p in entries.get(u, {}).values()}
         if 0 in dens:
             raise InvalidKernel("a rational kernel holds a float entry")
         scale = math.lcm(self.scale, *dens)
-        if scale != self.scale:
+        grow = scale // self.scale
+        if grow != 1:
             self.scale = scale
-            self.clear()
+            for row in self.values():
+                for v in row:
+                    row[v] *= grow
+        return grow
 
     def __missing__(self, u: int) -> dict:
         try:
@@ -89,9 +98,10 @@ class AccRows(dict):
             raise MissingKnownRow(f"row for vertex {u} required but absent") from None
         if self.exact:
             d = self.scale
-            if d % math.lcm(*(p.denominator for p in row.values())):
+            ratios = [(v, *p.as_integer_ratio()) for v, p in row.items()]
+            if any(d % q for _, _, q in ratios):
                 raise InvalidParameter(f"scale {d} does not cover the row of vertex {u}")
-            row = {v: p.numerator * (d // p.denominator) for v, p in row.items()}
+            row = {v: n * (d // q) for v, n, q in ratios}
         else:
             row = {v: np.longdouble(p) for v, p in row.items()}
         self[u] = row
@@ -105,9 +115,28 @@ class AccRows(dict):
         if not self.exact:
             self[u] = row
 
-    def value(self, n, steps: int):
-        """Value of accumulated mass ``n`` built from ``steps`` entries."""
-        return Fraction(n, self.scale**steps) if self.exact else n
+    def value(self, n, steps: int, den: int = 1):
+        """Value of accumulated mass ``n`` built from ``steps`` entries, over ``den``."""
+        return Fraction(n, den * self.scale**steps) if self.exact else n
+
+    def law(self, mass: dict) -> tuple[dict, dict[int, int]]:
+        """Hitting-law cells as numerators, with one denominator per time.
+
+        Rational mode: cell ``(t, v)`` becomes the integer ``N`` for
+        ``N / dens[t]``, where ``dens[t]`` is the lcm of the denominators of
+        the cells at time ``t`` (law files may hold any rationals, not only
+        multiples of ``D**-t``).  Float mode: the cells as they are, and no
+        denominators.
+        """
+        if not self.exact:
+            return mass, {}
+        cells = [(key, *p.as_integer_ratio()) for key, p in mass.items()]
+        dens: dict[int, int] = {}
+        for (t, _), _, d in cells:
+            cur = dens.setdefault(t, 1)
+            if cur % d:
+                dens[t] = math.lcm(cur, d)
+        return {key: n * (dens[key[0]] // d) for key, n, d in cells}, dens
 
 
 def settle(value, mode: str) -> Number:

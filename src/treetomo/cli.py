@@ -3,7 +3,8 @@
 Subcommands wire generation, forward solving, inversion, sampling,
 estimation, and round-trip verification into reproducible runs.  Every
 command is a pure function of its flags and input files.  Exit codes:
-0 ok, 2 format, 3 insufficient data, 4 out-of-range recovery, 5 internal.
+0 ok, 2 format (including a kernel file without a row the tree needs),
+3 insufficient data, 4 out-of-range recovery, 5 internal.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .errors import (
     FormatError,
     InsufficientData,
     InvalidParameter,
+    MissingRow,
     OutOfRange,
     RowSumViolation,
     TreetomoError,
@@ -295,7 +297,7 @@ def _exit_code(exc: Exception) -> int:
         return EXIT_INSUFFICIENT
     if isinstance(exc, (OutOfRange, RowSumViolation)):
         return EXIT_OUT_OF_RANGE
-    if isinstance(exc, (FormatError, OSError)):
+    if isinstance(exc, (FormatError, MissingRow, OSError)):
         return EXIT_FORMAT
     return EXIT_INTERNAL
 

@@ -25,13 +25,22 @@ recursion over shells ``k+1 .. R+1``, which serves every edge of the shell
 because a walk confined there stays in the subtree it started in.
 :func:`make_plan`, :func:`tail_passage_probs` and
 :func:`unknown_edge_coefficient` give one edge's terms alone, running the same
-recurrences restricted to ``subtree(u)`` or ``subtree(w)``.  Rows are read
-through :class:`~treetomo.chain_model.AccRows`; the tail-class tables run on
-its integer numerators in rational mode.
+recurrences restricted to ``subtree(u)`` or ``subtree(w)``.
+
+Rows and law cells are read through :class:`~treetomo.chain_model.AccRows`.
+In rational mode the whole inversion runs on its integer numerators, in the
+manner of fraction-free (Bareiss) elimination: each law is scaled once to one
+denominator per time, heads, tails and tail classes are integers over known
+powers of the row scale ``D`` (rescaled when ``D`` widens), each class sum of
+an edge is one integer, and each recovered entry is one ``Fraction``.  Float
+mode runs the same recurrences on ``np.longdouble`` values, with its
+operations in the order they always had.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -108,12 +117,19 @@ def _clamp(value: Number, mode: str) -> Number:
     return min(max(value, eps), 1 - eps)
 
 
+def _show(value: Number) -> str:
+    """``value`` for an error message.  An exact value shows as its nearest
+    float: the digits of a fraction built from arbitrary law cells can run
+    past what ``str`` of an int may print."""
+    return repr(float(value)) if isinstance(value, Fraction) else f"{value}"
+
+
 def _unit(value: Number, u: int, v: int, mode: str, clamp: bool) -> Number:
     """Recovered ``t(u, v)`` if in (0, 1] up to float slack, else clamped or raised."""
     slack = 0 if mode == RATIONAL else FLOAT_EDGE_SLACK
     if value <= 0 or value > 1 + slack:
         if not clamp:
-            raise OutOfRange(f"recovered t({u},{v}) = {value} outside (0, 1]")
+            raise OutOfRange(f"recovered t({u},{v}) = {_show(value)} outside (0, 1]")
         value = _clamp(value, mode)
     return value
 
@@ -138,28 +154,48 @@ def make_plan(aug: AugmentedTree, u: int, w: int) -> EdgeRecoveryPlan:
     return EdgeRecoveryPlan(k, u, w, r, 3 * r + 4 - 2 * k, r + 2 - k, outer, inner)
 
 
-def _head(
-    aug: AugmentedTree, rows: AccRows, p_out: HittingDistribution,
-    head: dict[int, Number], x: int,
-) -> Number:
-    """Head sum at ``x`` from the head sums of its children.
+def _inner_heads(
+    aug: AugmentedTree, rows: AccRows, p_out: HittingDistribution, den: int,
+    inner: Iterable[int],
+) -> tuple[dict[int, Number], int]:
+    """Head sums on the inner vertices ``inner``, and their denominator ``Q``.
 
-    Over inner vertices ``z`` below ``x``: the ballistic outer arrival at
-    time ``R + 2`` through ``z``'s outer child, divided by that last known
-    step, times the inward path product from ``z`` up to ``x``.
+    The head at ``z`` is the ballistic outer arrival at time ``R + 2``
+    through ``z``'s outer child, divided by that last known step.  Float
+    mode: the values, and ``Q = 1``.  Rational mode: ``p_out`` holds cells
+    ``N / den`` at that time (``N`` integer, or a value with ``den = 1``),
+    and with ``L`` the lcm of the last steps' numerators ``n``, the head at
+    ``z`` is ``N * D * (L / n)`` over ``Q = den * L``.
     """
-    if x in aug.inner_layer:
-        xo = aug.outer_child(x)
-        ballistic = p_out.prob(aug.hull_radius + 2, xo)
-        return ballistic / rows.value(rows[x][xo], 1) if ballistic else 0
-    return sum(rows.value(rows[c][x], 1) * head[c] for c in aug.full.children[x])
+    t = aug.hull_radius + 2
+    last = {z: rows[z][aug.outer_child(z)] for z in inner}
+    lcm = math.lcm(*last.values()) if rows.exact else 1
+    head: dict[int, Number] = {}
+    for z, n in last.items():
+        a = p_out.prob(t, aug.outer_child(z))
+        if not a:
+            head[z] = 0
+        elif rows.exact:
+            head[z] = a * rows.scale * (lcm // n)
+        else:
+            head[z] = a / n
+    return head, den * lcm
+
+
+def _head(aug: AugmentedTree, rows: AccRows, head: dict[int, Number], x: int) -> Number:
+    """Head sum at ``x`` from the head sums of its children: over inner
+    vertices ``z`` below ``x``, the head at ``z`` times the inward path
+    product from ``z`` up to ``x``.  In rational mode an integer over
+    ``Q * D**(R+1-|x|)``."""
+    return sum(rows[c][x] * head[c] for c in aug.full.children[x])
 
 
 def _tail(aug: AugmentedTree, rows: AccRows, tail: dict[int, Number], x: int) -> Number:
-    """Tail sum at ``x``: outward path products from ``x`` to each outer vertex below."""
+    """Tail sum at ``x``: outward path products from ``x`` to each outer vertex
+    below.  In rational mode an integer over ``D**(R+2-|x|)``."""
     if x in aug.inner_layer:
-        return rows.value(rows[x][aug.outer_child(x)], 1)
-    return sum(rows.value(rows[x][c], 1) * tail[c] for c in aug.full.children[x])
+        return rows[x][aug.outer_child(x)]
+    return sum(rows[x][c] * tail[c] for c in aug.full.children[x])
 
 
 def _bottom_up(aug: AugmentedTree, v: int) -> list[int]:
@@ -169,25 +205,34 @@ def _bottom_up(aug: AugmentedTree, v: int) -> list[int]:
 
 
 def _tail_classes(
-    aug: AugmentedTree, rows: AccRows, inner: tuple[int, ...], shell: int
-) -> dict[tuple[int, int], Number]:
+    aug: AugmentedTree, rows: AccRows, inner: Sequence[int], shell: int
+) -> list[dict[int, Number]]:
     """Tail-class first-passage table over the inner vertices ``inner``.
 
-    Entry ``(v, l)``, for ``l = 1 .. R + 2 - shell``, is the probability that
-    a walk from ``v`` first reaches the outer layer after exactly ``2l-1``
-    steps while every earlier position lies at shells ``shell+1 .. R+1``.
-    The recursion pushes first-passage mass inward from ``inner`` one step at
-    a time, keeping only the current step.  The mass is held in the scale of
-    ``rows``, which must cover every row of the band: in rational mode an
-    integer ``N`` after ``s`` steps, so entry ``(v, l)`` is
-    ``Fraction(N, D**(2l-1))``.
+    Class ``l = 1 .. R + 2 - shell`` maps vertices, among them those of
+    ``inner``, to the probability that a walk from the vertex first reaches
+    the outer children of ``inner`` after exactly ``2l-1`` steps while
+    every earlier position lies at shells ``shell+1 .. R+1``; a vertex
+    missing from the map has probability zero.  The probability is held in
+    the scale of ``rows``, which must cover every row of that band: in
+    rational mode an integer ``N`` for ``N / D**(2l-1)``.
+
+    The recursion pushes first-passage mass inward from ``inner`` one step
+    at a time, keeping only the current step.  The last class is read at
+    step ``last = 2(R+2-shell) - 1``, so step ``s`` keeps only the shells
+    ``max(shell+1, R+1-(last-s)) .. R+1``: from lower shells the inner
+    layer is out of reach by step ``last``, so a vertex dropped there feeds
+    no entry, and every entry is computed by the same operations as over
+    the whole band.
     """
     norm = aug.full.norm
-    lo, hi = shell + 1, aug.hull_radius + 1
+    hi = aug.hull_radius + 1
+    last = 2 * (hi + 1 - shell) - 1
     cur = {z: rows[z][aug.outer_child(z)] for z in inner}
-    out: dict[tuple[int, int], Number] = {}
-    for s in range(1, 2 * (hi + 1 - shell)):
+    out: list[dict[int, Number]] = []
+    for s in range(1, last + 1):
         if s > 1:
+            lo = max(shell + 1, hi - (last - s))
             nxt: dict[int, Number] = {}
             for x, px in cur.items():
                 for z in rows[x]:
@@ -195,8 +240,7 @@ def _tail_classes(
                         nxt[z] = nxt.get(z, 0) + rows[z][x] * px
             cur = nxt
         if s % 2:
-            for v in inner:
-                out[(v, (s + 1) // 2)] = rows.value(cur.get(v, 0), s)
+            out.append(cur)
     return out
 
 
@@ -214,7 +258,9 @@ def tail_passage_probs(
     entries; only rows at shells above ``plan.shell`` are read.
     """
     rows = AccRows(kernel, _bottom_up(aug, plan.child))
-    return _tail_classes(aug, rows, plan.inner_targets, plan.shell)
+    table = _tail_classes(aug, rows, plan.inner_targets, plan.shell)
+    return {(v, l): rows.value(chi.get(v, 0), 2 * l - 1)
+            for l, chi in enumerate(table, 1) for v in plan.inner_targets}
 
 
 def unknown_edge_coefficient(
@@ -234,37 +280,54 @@ def unknown_edge_coefficient(
     """
     below = _bottom_up(aug, plan.vertex)
     rows = AccRows(kernel, below)
-    head: dict[int, Number] = {}
+    head, q = _inner_heads(aug, rows, p_out, 1, [x for x in below if x in aug.inner_layer])
     for x in below:
-        head[x] = _head(aug, rows, p_out, head, x)
+        if x not in head:
+            head[x] = _head(aug, rows, head, x)
     tail: dict[int, Number] = {}
     for x in _bottom_up(aug, plan.child):
         tail[x] = _tail(aug, rows, tail, x)
-    return head[plan.vertex] * tail[plan.child]
+    steps = 2 * (plan.hull_radius + 1 - plan.shell)
+    return rows.value(head[plan.vertex] * tail[plan.child], steps, q)
 
 
 def _solve_edge(
     aug: AugmentedTree, u: int, w: int, inner: tuple[int, ...],
-    denom: Number, chis: dict[tuple[int, int], Number],
-    p_in: HittingDistribution, p_out: HittingDistribution,
+    head_u: Number, tail_w: Number, chis: list[dict[int, Number]],
+    q_in: HittingDistribution, q_out: HittingDistribution,
+    scales: tuple[list[int], int, int] | None,
     mode: str, clamp: bool, flags: list[tuple[str, int]],
 ) -> Number:
     """``t(u, w)`` for ``u`` at shell ``k``: the outer arrivals below ``w`` at time
-    ``3R+4-2k``, less the ``R+2-k`` tail classes over ``inner``, over ``denom``."""
+    ``3R+4-2k``, less the ``R+2-k`` tail classes ``chis`` over ``inner``, over
+    the out-and-back coefficient ``head(u) * tail(w)``.
+
+    Float mode subtracts the terms one at a time.  Rational mode reads law,
+    tail-class, head and tail numerators: ``scales = (mults, num, den)``
+    brings the arrival sum and each class sum, one integer each, to the
+    shell's common denominator ``den``, and the entry is the one
+    ``Fraction(net * num, den * head * tail)``.
+    """
+    denom = head_u * tail_w
     if denom == 0:
         raise ZeroDenominator(f"edge ({u}, {w}): out-and-back coefficient is zero")
     k, r = aug.full.norm[u], aug.hull_radius
     hit_time = 3 * r + 4 - 2 * k
-    total = sum(p_out.prob(hit_time, aug.outer_child(z)) for z in inner)
-    for l in range(1, r + 3 - k):
+    mults, num, den = scales or ((), 1, 1)
+    total = sum(q_out.prob(hit_time, aug.outer_child(z)) for z in inner)
+    if mults:
+        total *= mults[0]
+    for l, chi in enumerate(chis, 1):
         s = hit_time - (2 * l - 1)
-        for vstar in inner:
-            c = chis[(vstar, l)]
-            if c:
-                total = total - p_in.prob(s, vstar) * c
-    value = total / denom
+        terms = (q_in.prob(s, v) * c for v in inner if (c := chi.get(v)))
+        if mults:
+            total -= sum(terms) * mults[l]
+        else:
+            for term in terms:
+                total = total - term
+    value = Fraction(total * num, den * denom) if mults else total / denom
     got = _unit(value, u, w, mode, clamp)
-    if got != value:
+    if got is not value:  # clamped
         flags.append(("OutOfRange", w))
     return got
 
@@ -334,36 +397,52 @@ def recover_all(
         for x in shells[k]:
             inner_below[x] = tuple(z for c in full.children[x] for z in inner_below[c])
     rows = AccRows(work)
+    in_mass, den_in = rows.law(p_in.mass)
+    out_mass, den_out = rows.law(p_out.mass)
     head: dict[int, Number] = {}
     tail: dict[int, Number] = {}
+    q = 1
 
     run_in, run_out = -1, -1
     root = full.root
     for k in range(r, -1, -1):
-        # fresh views over the caller's cells record the reads of this shell only
-        q_in, q_out = (HittingDistribution(d.layer, d.t_max, d.mass) for d in (p_in, p_out))
-        rows.cover(shells[k + 1])  # the band of shell k: shells k+1 .. R+1
-        for x in shells[r + 1] if k == r else ():  # heads start on the inner layer
-            head[x] = _head(aug, rows, q_out, head, x)
-        for x in shells[k + 1]:
-            tail[x] = _tail(aug, rows, tail, x)
-        for x in shells[k]:
-            head[x] = _head(aug, rows, q_out, head, x)
+        # fresh views over the law numerators record the reads of this shell only
+        q_in = HittingDistribution(p_in.layer, p_in.t_max, in_mass)
+        q_out = HittingDistribution(p_out.layer, p_out.t_max, out_mass)
+        # the band of shell k is shells k+1 .. R+1; the heads of shell k+1 and
+        # the tails of shell k+2 hold R-k entries each
+        grow = rows.cover(shells[k + 1]) ** (r - k)
+        if grow != 1:
+            head = {x: h * grow for x, h in head.items()}
+            tail = {x: t * grow for x, t in tail.items()}
+        if k == r:  # heads start on the inner layer
+            head, q = _inner_heads(aug, rows, q_out, den_out.get(r + 2, 1), shells[r + 1])
+        tail = {x: _tail(aug, rows, tail, x) for x in shells[k + 1]}
+        head = {x: _head(aug, rows, head, x) for x in shells[k]}
         targets = [u for u in shells[k] if aug.is_original(u)
                    and work.provenance.get(u, UNKNOWN) not in (KNOWN, RECOVERED)]
-        chis = _tail_classes(aug, rows, shells[r + 1], k) if targets else {}
+        chis = _tail_classes(aug, rows, shells[r + 1], k) if targets else []
+        scales = None
+        if targets and rows.exact:
+            hit = 3 * r + 4 - 2 * k
+            dens = [den_out.get(hit, 1)] + [
+                den_in.get(hit - (2 * l - 1), 1) * rows.scale ** (2 * l - 1)
+                for l in range(1, len(chis) + 1)
+            ]
+            den = math.lcm(*dens)
+            scales = ([den // d for d in dens], q * rows.scale ** (2 * (r + 1 - k)), den)
         for u in targets:
             row: dict[int, Number] = {}
             for w in full.children[u]:
-                row[w] = _solve_edge(aug, u, w, inner_below[w], head[u] * tail[w],
-                                     chis, q_in, q_out, work.mode, clamp, flags)
+                row[w] = _solve_edge(aug, u, w, inner_below[w], head[u], tail[w], chis,
+                                     q_in, q_out, scales, work.mode, clamp, flags)
             child_sum = sum(row.values())
             if u == root:
                 residuals[u] = child_sum - 1
                 if _root_sum_off(child_sum, known.mode):
                     if not clamp:
                         raise RowSumViolation(
-                            f"root row sums to {child_sum}, expected 1"
+                            f"root row sums to {_show(child_sum)}, expected 1"
                         )
                     flags.append(("RowSumViolation", u))
             else:
@@ -371,7 +450,7 @@ def recover_all(
                 ok = 0 < comp < 1
                 if not ok and not clamp:
                     raise RowSumViolation(
-                        f"inward entry of vertex {u} is {comp}, outside (0, 1)"
+                        f"inward entry of vertex {u} is {_show(comp)}, outside (0, 1)"
                     )
                 if not ok:
                     flags.append(("RowSumViolation", u))
@@ -410,13 +489,20 @@ def recover_all(
 def kernel_max_error(
     recovered: TransitionKernel, reference: TransitionKernel
 ) -> Number:
-    """Largest absolute entry difference over recovered rows."""
+    """Largest absolute entry difference over recovered rows.
+
+    A reference without a row or an entry that was recovered, as from
+    another tree, raises :class:`FormatError` naming the vertex.
+    """
     worst: Number = 0
     for u, flag in recovered.provenance.items():
         if flag != RECOVERED:
             continue
+        ref = reference.entries.get(u, {})
         for v, p in recovered.entries[u].items():
-            d = abs(p - reference.entries[u][v])
+            if v not in ref:
+                raise FormatError(f"reference kernel has no entry t({u},{v}) of vertex {u}")
+            d = abs(p - ref[v])
             if d > worst:
                 worst = d
     return worst

@@ -33,8 +33,10 @@ from treetomo.errors import (
 )
 from treetomo.tomography import (
     EdgeRecoveryPlan,
+    _clamp,
     _root_sum_off,
     _unit,
+    make_plan,
     tail_passage_probs,
     unknown_edge_coefficient,
 )
@@ -332,6 +334,52 @@ def recover_edge(
     if got != value and flags is not None:
         flags.append(("OutOfRange", plan.child))
     return got
+
+
+def recover_by_edges(
+    aug: AugmentedTree,
+    known: TransitionKernel,
+    p_in: HittingDistribution,
+    p_out: HittingDistribution,
+    clamp: bool = False,
+) -> TransitionKernel:
+    """Per-edge oracle of ``recover_all``: every row ``known`` lacks, from
+    :func:`recover_edge` edge by edge, outermost shell first.
+
+    Each step works on the laws' own cells in ``Fraction`` arithmetic under a
+    rational kernel.  Rows are assembled and checked as ``recover_all`` does:
+    the inward entry is the complement, a complement outside (0, 1) or a root
+    row that does not sum to one raises :class:`RowSumViolation` unless
+    ``clamp`` is set, and ``clamp`` renormalizes every row.
+    """
+    full = aug.full
+    mode = known.mode
+    work = known.copy()
+    for k in range(aug.hull_radius, -1, -1):
+        for u in full.shells()[k]:
+            if not aug.is_original(u) or u in work.entries:
+                continue
+            row = {
+                w: recover_edge(aug, work, make_plan(aug, u, w), p_in, p_out, clamp)
+                for w in full.children[u]
+            }
+            child_sum = sum(row.values())
+            if u == full.root:
+                if _root_sum_off(child_sum, mode) and not clamp:
+                    raise RowSumViolation(f"root row sums to {float(child_sum)}, expected 1")
+            else:
+                comp = 1 - child_sum
+                if not 0 < comp < 1:
+                    if not clamp:
+                        raise RowSumViolation(f"inward entry of vertex {u} is {float(comp)}")
+                    comp = _clamp(comp, mode)
+                row[full.parent[u]] = comp
+            if clamp:
+                s = sum(row.values())
+                row = {w: p / s for w, p in row.items()}
+            work.entries[u] = row
+            work.provenance[u] = RECOVERED
+    return work
 
 
 def recover_star(

@@ -37,6 +37,22 @@ def write_laws(work, t_max):
         write_text(f"{work}/{name}", dump_distribution(dist, kernel.mode))
 
 
+def star_recovery_argv(capsys, work, command):
+    """Arguments of ``invert`` or ``estimate`` on the star generated in ``work``,
+    after writing the laws or a batch it reads."""
+    common = ["--tree-file", str(work / "tree.txt"), "--known-file", str(work / "known.txt"),
+              "--out", str(work)]
+    if command == "invert":
+        run(capsys, "forward", "--tree-file", str(work / "tree.txt"),
+            "--kernel-file", str(work / "kernel.txt"), "--out", str(work))
+        return ["invert", *common, "--in-dist", str(work / "in.tsv"),
+                "--out-dist", str(work / "out.tsv")]
+    run(capsys, "sample", "--tree-file", str(work / "tree.txt"),
+        "--kernel-file", str(work / "kernel.txt"), "--n", "20000", "--seed", "8",
+        "--out", str(work))
+    return ["estimate", *common, "--batch-file", str(work / "batch.txt")]
+
+
 class TestRoundtrip:
     def test_star_rational_exact(self, capsys):
         code, out, _ = run(
@@ -342,6 +358,35 @@ class TestExitCodes:
         )
         assert code == 2
         assert err.startswith("error 2 FormatError")
+
+    @pytest.mark.parametrize("command", ["invert", "estimate"])
+    def test_reference_from_another_tree_exit_2(self, tmp_path, capsys, command):
+        # star(1, 2) recovers row 1 over {0, 3}; in segment(0, 1) vertex 3 is
+        # no neighbor of vertex 1
+        work, other = tmp_path / "w", tmp_path / "other"
+        run(capsys, "gen", "--tree", "star", "--l", "1", "--n", "2",
+            "--seed", "2", "--out", str(work))
+        run(capsys, "gen", "--tree", "segment", "--k", "0", "--l", "1",
+            "--seed", "2", "--out", str(other))
+        code, _, err = run(capsys, *star_recovery_argv(capsys, work, command),
+                           "--reference", str(other / "kernel.txt"))
+        assert code == 2, err
+        assert err.startswith("error 2 FormatError"), err
+        assert "no entry t(1,3) of vertex 1" in err
+
+    @pytest.mark.parametrize("command", ["invert", "estimate"])
+    def test_known_file_missing_row_exit_2(self, tmp_path, capsys, command):
+        # inner vertex 3 of star(1, 2) carries a known row the recovery reads
+        work = tmp_path / "w"
+        run(capsys, "gen", "--tree", "star", "--l", "1", "--n", "2",
+            "--seed", "2", "--out", str(work))
+        argv = star_recovery_argv(capsys, work, command)
+        known = work / "known.txt"
+        lines = known.read_text().splitlines()
+        known.write_text("\n".join(ln for ln in lines if not ln.startswith("row 3 ")) + "\n")
+        code, _, err = run(capsys, *argv)
+        assert code == 2, err
+        assert err.startswith("error 2 MissingKnownRow"), err
 
     def test_swapped_laws_exit_2(self, tmp_path, capsys):
         # horizon 12 > 3R+4, so both files also cover the time range needed

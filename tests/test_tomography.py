@@ -9,6 +9,7 @@ from treetomo import (
     KNOWN,
     OUTER,
     TransitionKernel,
+    TreetomoError,
     first_hitting_joint,
     kernel_max_error,
     random_kernel,
@@ -37,6 +38,7 @@ from helpers import (
     mixed_denominator_instance,
     path_class_prob,
     rand_instance,
+    recover_by_edges,
     recover_edge,
     recover_star,
 )
@@ -69,6 +71,17 @@ def forward_pair(aug, kernel, t_max=None):
         first_hitting_joint(aug, kernel, INNER, t_max),
         first_hitting_joint(aug, kernel, OUTER, t_max),
     )
+
+
+def off_scale_laws(aug, kernel):
+    """Exact laws with one inner cell per time moved by 1/(3*10**12)."""
+    p_in, p_out = forward_pair(aug, kernel)
+    first = {}
+    for t, v in sorted(p_in.mass):
+        first.setdefault(t, v)
+    for t, v in first.items():
+        p_in.mass[(t, v)] += Fraction(1, 3 * 10**12)
+    return p_in, p_out
 
 
 class TestMakePlan:
@@ -151,6 +164,25 @@ class TestTailClasses:
                         )
                         want = path_class_prob(aug, kernel, q)
                         assert abs(float(got) - float(want)) < 1e-13
+
+    @pytest.mark.parametrize("base", [comb(8), segment(0, 8)], ids=["comb8", "segment0-8"])
+    def test_matches_path_class_prob_deep_exact(self, base):
+        # radius 8: over the last steps the step bound of the recursion drops
+        # many more shells of the band than on the shallow trees above
+        aug = spherical_augmentation(base, 2)
+        kernel = random_kernel(aug, 13, scope="all", mode="rational")
+        for u in range(aug.base.vertex_count):
+            for w in aug.full.children[u]:
+                plan = make_plan(aug, u, w)
+                for (v, l), got in tail_passage_probs(aug, kernel, plan).items():
+                    q = PathClassQuery(
+                        start=v,
+                        target=frozenset(plan.outer_targets),
+                        exact_hit_time=2 * l - 1,
+                        min_shell=plan.shell + 1,
+                        max_shell_strict=plan.hull_radius + 2,
+                    )
+                    assert got == path_class_prob(aug, kernel, q)
 
     def test_mixed_denominators_match_oracle_exactly(self):
         # rows over 3, 5 and 7 that vary across shells; see the helper
@@ -354,31 +386,57 @@ class TestRecoverAll:
     def test_matches_per_edge_route_rational(self):
         # the per-shell tables give exactly the rows of make_plan + recover_edge
         # run edge by edge, outermost shell first; broom(12,12) is wider than
-        # any random tree
+        # any random tree, and on comb(8) the step bound of the tail-class
+        # recursion drops many shells
         cases = [rand_instance(s, rout=1 + s % 3, mode="rational") for s in range(4)]
-        for base in (broom(12, 12), comb(4)):
+        for base in (broom(12, 12), comb(4), comb(8)):
             aug = spherical_augmentation(base, 2)
             cases.append((aug, random_kernel(aug, 11, scope="all", mode="rational")))
         for aug, kernel in cases:
-            full = aug.full
             p_in, p_out = forward_pair(aug, kernel)
             rep = recover_all(aug, known_part(kernel), p_in, p_out, reference=kernel)
             assert rep.max_error == 0
-            work = known_part(kernel)
-            for k in range(aug.hull_radius, -1, -1):
-                for u in full.shells()[k]:
-                    if not aug.is_original(u) or u in work.entries:
-                        continue
-                    row = {
-                        w: recover_edge(aug, work, make_plan(aug, u, w), p_in, p_out)
-                        for w in full.children[u]
-                    }
-                    if u != full.root:
-                        row[full.parent[u]] = 1 - sum(row.values())
-                    work.entries[u] = row
+            work = recover_by_edges(aug, known_part(kernel), p_in, p_out)
             for u, flag in rep.kernel.provenance.items():
                 if flag == "recovered":
                     assert rep.kernel.entries[u] == work.entries[u]
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_off_scale_laws_match_per_edge_route(self, clamp):
+        # the per-time law denominators are no powers of the kernel scale;
+        # recover_all must give exactly the rows of the per-edge Fraction
+        # route, or fail alike
+        cases = [rand_instance(s, rout=1 + s % 3, mode="rational") for s in range(4)]
+        for base in (broom(4, 3), comb(5)):
+            aug = spherical_augmentation(base, 2)
+            cases.append((aug, random_kernel(aug, 11, scope="all", mode="rational")))
+        for aug, kernel in cases:
+            p_in, p_out = off_scale_laws(aug, kernel)
+            known = known_part(kernel)
+            try:
+                got = recover_all(aug, known, p_in, p_out, clamp=clamp).kernel
+            except TreetomoError as exc:
+                got = type(exc)
+            try:
+                want = recover_by_edges(aug, known, p_in, p_out, clamp=clamp)
+            except TreetomoError as exc:
+                want = type(exc)
+            if isinstance(want, type):
+                assert got is want
+                continue
+            assert not isinstance(got, type), got
+            for u, flag in got.provenance.items():
+                if flag == "recovered":
+                    assert got.entries[u] == want.entries[u]
+
+    def test_long_exact_value_in_message(self):
+        # on comb(6) the off-scale root row sum has more digits than str of
+        # an int may print; the refusal must still be a RowSumViolation
+        aug = spherical_augmentation(comb(6), 2)
+        kernel = random_kernel(aug, 11, scope="all", mode="rational")
+        p_in, p_out = off_scale_laws(aug, kernel)
+        with pytest.raises(RowSumViolation, match=r"root row sums to \d\.\d+(e-\d+)?, expected 1"):
+            recover_all(aug, known_part(kernel), p_in, p_out)
 
     def test_access_bounds(self):
         for seed in range(10):
