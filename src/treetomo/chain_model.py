@@ -224,6 +224,14 @@ def validate_kernel(aug: AugmentedTree, kernel: TransitionKernel) -> list[Kernel
     return out
 
 
+def require_valid(aug: AugmentedTree, kernel: TransitionKernel) -> None:
+    """Raise :class:`InvalidKernel` naming the first violation of :func:`validate_kernel`."""
+    bad = validate_kernel(aug, kernel)
+    if bad:
+        first = bad[0]
+        raise InvalidKernel(f"{first.kind} at vertex {first.vertex}: {first.detail}")
+
+
 def _half(mode: str) -> Number:
     return Fraction(1, 2) if mode == RATIONAL else 0.5
 

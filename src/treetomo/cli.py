@@ -3,14 +3,14 @@
 Subcommands wire generation, forward solving, inversion, sampling,
 estimation, and round-trip verification into reproducible runs.  Every
 command is a pure function of its flags and input files.  Exit codes:
-0 ok, 2 format (including a kernel file without a row the tree needs),
-3 insufficient data, 4 out-of-range recovery, 5 internal.
+0 ok, 2 format (including a kernel file without a row the tree needs, or
+one that fails validation), 3 insufficient data, 4 out-of-range recovery,
+5 internal.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -19,6 +19,7 @@ from .chain_model import KNOWN, random_kernel
 from .errors import (
     FormatError,
     InsufficientData,
+    InvalidKernel,
     InvalidParameter,
     MissingRow,
     OutOfRange,
@@ -58,32 +59,27 @@ EXIT_OUT_OF_RANGE = 4
 EXIT_INTERNAL = 5
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("TREETOMO_SEED", "0"))
-
-
 def _tree_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tree", help="builtin name (star, segment) or a tree file path")
     p.add_argument("--random-tree", action="store_true", help="generate a random tree")
     p.add_argument("--rout", type=int, help="outer radius for --random-tree")
-    p.add_argument("--size", type=int, help="vertex count for --random-tree")
     p.add_argument("--l", type=int, help="arm length for star/segment builtins")
     p.add_argument("--n", type=int, help="branch count for the star builtin")
     p.add_argument("--k", type=int, default=0, help="second arm length for segment")
 
 
 def _kernel_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=["float", "rational"], default="float")
     p.add_argument("--floor", type=float, default=0.05)
     p.add_argument("--scope", choices=["lambda", "all"], default="lambda")
 
 
-def _resolve_tree(args: argparse.Namespace, seed: int) -> RootedTree:
+def _resolve_tree(args: argparse.Namespace) -> RootedTree:
     if args.random_tree:
         if args.rout is None:
             raise InvalidParameter("--random-tree requires --rout")
-        return random_tree(args.rout, seed, args.size)
+        return random_tree(args.rout, args.seed)
     if args.tree is None:
         raise InvalidParameter("one of --tree or --random-tree is required")
     if args.tree == "star":
@@ -111,18 +107,17 @@ def _outdir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _gen_objects(args: argparse.Namespace, seed: int):
-    base = _resolve_tree(args, seed)
+def _gen_objects(args: argparse.Namespace):
+    base = _resolve_tree(args)
     aug = spherical_augmentation(base, 2)  # recovery reads the two detector layers
     kernel = random_kernel(
-        aug, seed, floor=args.floor, scope=args.scope, mode=args.mode
+        aug, args.seed, floor=args.floor, scope=args.scope, mode=args.mode
     )
     return aug, kernel
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    aug, kernel = _gen_objects(args, seed)
+    aug, kernel = _gen_objects(args)
     out = _outdir(args)
     write_text(out / "tree.txt", dump_tree(aug))
     write_text(out / "kernel.txt", dump_kernel(kernel))
@@ -163,8 +158,7 @@ def cmd_invert(args: argparse.Namespace) -> int:
 def cmd_sample(args: argparse.Namespace) -> int:
     aug = _load_aug(args.tree_file)
     kernel = parse_kernel(read_text(args.kernel_file))
-    seed = args.seed if args.seed is not None else _default_seed()
-    batch = collect_batch(aug, kernel, args.n, seed, workers=args.workers)
+    batch = collect_batch(aug, kernel, args.n, args.seed, workers=args.workers)
     out = _outdir(args)
     write_text(out / "batch.txt", dump_batch(batch))
     print(f"sampled {batch.n} walks, overflow {batch.overflow}")
@@ -188,8 +182,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_roundtrip(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    aug, kernel = _gen_objects(args, seed)
+    aug, kernel = _gen_objects(args)
     t_max = 3 * aug.hull_radius + 4
     p_in = first_hitting_joint(aug, kernel, INNER, t_max)
     p_out = first_hitting_joint(aug, kernel, OUTER, t_max)
@@ -206,8 +199,7 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
 
 
 def cmd_consistency(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    aug, kernel = _gen_objects(args, seed)
+    aug, kernel = _gen_objects(args)
     n_grid = [int(x) for x in args.n_grid.split(",")]
     seeds = [int(x) for x in args.seeds.split(",")]
     rows = consistency_curve(aug, kernel, n_grid, seeds, workers=args.workers)
@@ -254,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree-file", required=True)
     p.add_argument("--kernel-file", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out")
 
@@ -297,7 +289,7 @@ def _exit_code(exc: Exception) -> int:
         return EXIT_INSUFFICIENT
     if isinstance(exc, (OutOfRange, RowSumViolation)):
         return EXIT_OUT_OF_RANGE
-    if isinstance(exc, (FormatError, MissingRow, OSError)):
+    if isinstance(exc, (FormatError, MissingRow, InvalidKernel, OSError)):
         return EXIT_FORMAT
     return EXIT_INTERNAL
 

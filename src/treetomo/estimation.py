@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain_model import FLOAT, KNOWN, TransitionKernel
+from .chain_model import FLOAT, KNOWN, TransitionKernel, require_valid
 from .errors import InsufficientData, InvalidParameter, ZeroDenominator
 from .forward_solver import INNER, OUTER, HittingDistribution
 from .tomography import RecoveryReport, recover_all
@@ -150,12 +150,14 @@ def collect_batch(
     counted, absorbed or not; outer contacts come from the absorbed walks,
     and the rest (no outer contact by ``t_cap``) form the overflow bucket.
     The result is bit-identical for a fixed ``(seed, n)`` regardless of
-    ``workers`` or internal chunking.
+    ``workers`` or internal chunking.  A kernel that fails validation raises
+    :class:`InvalidKernel`, as in the forward solver.
     """
     if n < 1:
         raise InvalidParameter(f"sample count must be >= 1, got {n}")
     if workers < 1:
         raise InvalidParameter(f"workers must be >= 1, got {workers}")
+    require_valid(aug, kernel)
     t_cap = 3 * aug.hull_radius + 4
 
     tables = _walk_tables(aug, kernel)

@@ -2,11 +2,15 @@
 
 All formats are diffable plain text.  Floats are written with 17 significant
 digits so a write/read trip is lossless; rationals are written ``num/den``
-and round-trip bit-exactly.
+and round-trip bit-exactly, at any number of digits.  A rational kernel or
+law file holds only ``num/den`` and integer tokens, so no value in it is
+rounded.
 """
 
 from __future__ import annotations
 
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 from .chain_model import FLOAT, KNOWN, RATIONAL, Number, TransitionKernel
@@ -17,24 +21,41 @@ from .tomography import RecoveryReport
 from .tree_model import ADDED, ORIGINAL, AugmentedTree, RootedTree, build_tree
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _int(token: str) -> int:
+    """``int(token)``, also past the interpreter's str-to-int digit limit."""
+    try:
+        return int(token)
+    except ValueError:
+        if not _INTEGER.fullmatch(token):
+            raise
+        return int(Decimal(token))
+
+
 def _fmt(x: Number, mode: str) -> str:
     if mode == RATIONAL:
         f = Fraction(x)
-        return f"{f.numerator}/{f.denominator}"
+        try:
+            return f"{f.numerator}/{f.denominator}"
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            return f"{Decimal(f.numerator)}/{Decimal(f.denominator)}"
     return f"{float(x):.17g}"
 
 
 def _parse_number(token: str, mode: str) -> Number:
+    """A ``num/den`` token, an integer, or in float mode any float literal."""
     try:
         if "/" in token:
             num, den = token.split("/")
-            value: Number = Fraction(int(num), int(den))
+            value: Number = Fraction(_int(num), _int(den))
+        elif mode == RATIONAL:
+            value = Fraction(_int(token))
         else:
             value = float(token)
     except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"bad probability token {token!r}") from exc
-    if mode == RATIONAL and not isinstance(value, Fraction):
-        value = Fraction(value)
+        raise FormatError(f"bad {mode} probability token {token!r}") from exc
     if mode == FLOAT and isinstance(value, Fraction):
         value = float(value)
     return value
@@ -136,6 +157,8 @@ def parse_kernel(text: str) -> TransitionKernel:
             mode = parts[1]
             saw_header = True
         elif parts[0] == "row":
+            if not saw_header:
+                raise FormatError("kernel row before the mode header")
             try:
                 u = int(parts[1])
                 row: dict[int, Number] = {}

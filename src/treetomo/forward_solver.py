@@ -9,15 +9,17 @@ float path has no cancellation.  The vector lives in the accumulation
 representation of :class:`~treetomo.chain_model.AccRows`: ``np.longdouble``
 in float mode, and in rational mode integer numerators over ``D**t`` at time
 ``t``, with ``D`` the lcm of the kernel's row denominators, so every value is
-exact and each harvested cell becomes a ``Fraction`` once, at the end.
+exact and each harvested cell becomes a ``Fraction`` once, at the end.  A law
+is a plain value: reading a cell records nothing, and the inversion keeps its
+own record of the times it reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .chain_model import AccRows, Number, TransitionKernel, validate_kernel
-from .errors import InvalidKernel, InvalidQuery
+from .chain_model import AccRows, Number, TransitionKernel, require_valid
+from .errors import InvalidQuery
 from .tree_model import AugmentedTree
 
 INNER = "inner"
@@ -30,23 +32,19 @@ class HittingDistribution:
 
     ``mass[(t, v)]`` is the probability that the walk first touches the layer
     at time ``t``, doing so at vertex ``v``.  Cells absent from ``mass`` are
-    zero.  ``max_time_read`` tracks the largest time index ever queried
-    through :meth:`prob`, which is how the recovery's data-usage bound is
-    audited.
+    zero.
     """
 
     layer: str
     t_max: int
     mass: dict[tuple[int, int], Number] = field(default_factory=dict)
-    max_time_read: int = -1
 
     def prob(self, t: int, v: int) -> Number:
+        """Cell ``(t, v)``; a time past ``t_max`` raises :class:`InvalidQuery`."""
         if t > self.t_max:
             raise InvalidQuery(
                 f"time {t} beyond computed horizon {self.t_max} for {self.layer} layer"
             )
-        if t > self.max_time_read:
-            self.max_time_read = t
         return self.mass.get((t, v), 0)
 
 
@@ -84,24 +82,18 @@ def first_hitting_joint(
     """
     if t_max < 0:
         raise InvalidQuery(f"t_max must be >= 0, got {t_max}")
-    bad = validate_kernel(aug, kernel)
-    if bad:
-        first = bad[0]
-        raise InvalidKernel(f"{first.kind} at vertex {first.vertex}: {first.detail}")
+    require_valid(aug, kernel)
     target = _layer_set(aug, layer)
     dist = HittingDistribution(layer, t_max)
     if aug.full.root in target:
         dist.mass[(0, aug.full.root)] = 1
         return dist
-    entries = kernel.entries
-    rows = AccRows(kernel, entries)
+    rows = AccRows(kernel, kernel.entries)
     mass = dist.mass
     cur: dict[int, Number] = {aug.full.root: 1}
     for t in range(1, t_max + 1):
         nxt: dict[int, Number] = {}
         for v, p in cur.items():
-            if v not in entries:
-                continue  # absorbed off-target (outer while targeting inner)
             for w, q in rows[v].items():
                 m = p * q
                 if w in target:

@@ -33,14 +33,16 @@ manner of fraction-free (Bareiss) elimination: each law is scaled once to one
 denominator per time, heads, tails and tail classes are integers over known
 powers of the row scale ``D`` (rescaled when ``D`` widens), each class sum of
 an edge is one integer, and each recovered entry is one ``Fraction``.  Float
-mode runs the same recurrences on ``np.longdouble`` values, with its
-operations in the order they always had.
+mode runs the same formulas on ``np.longdouble`` values with every scale 1,
+and each recovered entry is one division.  :func:`recover_all` reads each law
+through its own record of the largest time read, so the caller's laws stay
+plain values.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -154,16 +156,27 @@ def make_plan(aug: AugmentedTree, u: int, w: int) -> EdgeRecoveryPlan:
     return EdgeRecoveryPlan(k, u, w, r, 3 * r + 4 - 2 * k, r + 2 - k, outer, inner)
 
 
+class _Reads(dict):
+    """Law cells keyed ``(t, v)``; :meth:`read` keeps the largest time read in ``last``."""
+
+    last = -1
+
+    def read(self, t: int, v: int) -> Number:
+        if t > self.last:
+            self.last = t
+        return self.get((t, v), 0)
+
+
 def _inner_heads(
-    aug: AugmentedTree, rows: AccRows, p_out: HittingDistribution, den: int,
+    aug: AugmentedTree, rows: AccRows, read_out: Callable[[int, int], Number], den: int,
     inner: Iterable[int],
 ) -> tuple[dict[int, Number], int]:
     """Head sums on the inner vertices ``inner``, and their denominator ``Q``.
 
     The head at ``z`` is the ballistic outer arrival at time ``R + 2``
     through ``z``'s outer child, divided by that last known step.  Float
-    mode: the values, and ``Q = 1``.  Rational mode: ``p_out`` holds cells
-    ``N / den`` at that time (``N`` integer, or a value with ``den = 1``),
+    mode: the values, and ``Q = 1``.  Rational mode: ``read_out`` gives
+    cells ``N / den`` at that time (``N`` integer, or a value with ``den = 1``),
     and with ``L`` the lcm of the last steps' numerators ``n``, the head at
     ``z`` is ``N * D * (L / n)`` over ``Q = den * L``.
     """
@@ -172,7 +185,7 @@ def _inner_heads(
     lcm = math.lcm(*last.values()) if rows.exact else 1
     head: dict[int, Number] = {}
     for z, n in last.items():
-        a = p_out.prob(t, aug.outer_child(z))
+        a = read_out(t, aug.outer_child(z))
         if not a:
             head[z] = 0
         elif rows.exact:
@@ -280,7 +293,7 @@ def unknown_edge_coefficient(
     """
     below = _bottom_up(aug, plan.vertex)
     rows = AccRows(kernel, below)
-    head, q = _inner_heads(aug, rows, p_out, 1, [x for x in below if x in aug.inner_layer])
+    head, q = _inner_heads(aug, rows, p_out.prob, 1, [x for x in below if x in aug.inner_layer])
     for x in below:
         if x not in head:
             head[x] = _head(aug, rows, head, x)
@@ -294,38 +307,31 @@ def unknown_edge_coefficient(
 def _solve_edge(
     aug: AugmentedTree, u: int, w: int, inner: tuple[int, ...],
     head_u: Number, tail_w: Number, chis: list[dict[int, Number]],
-    q_in: HittingDistribution, q_out: HittingDistribution,
-    scales: tuple[list[int], int, int] | None,
+    law_in: _Reads, law_out: _Reads, scales: tuple[list[int], int, int],
     mode: str, clamp: bool, flags: list[tuple[str, int]],
 ) -> Number:
     """``t(u, w)`` for ``u`` at shell ``k``: the outer arrivals below ``w`` at time
     ``3R+4-2k``, less the ``R+2-k`` tail classes ``chis`` over ``inner``, over
     the out-and-back coefficient ``head(u) * tail(w)``.
 
-    Float mode subtracts the terms one at a time.  Rational mode reads law,
-    tail-class, head and tail numerators: ``scales = (mults, num, den)``
-    brings the arrival sum and each class sum, one integer each, to the
-    shell's common denominator ``den``, and the entry is the one
-    ``Fraction(net * num, den * head * tail)``.
+    The arrival sum and each class sum are read as numerators, and
+    ``scales = (mults, num, den)`` brings them to the shell's common
+    denominator ``den``: the entry is ``net * num / (den * head * tail)``,
+    one ``Fraction`` in rational mode and one division in float mode, where
+    every scale is 1.
     """
     denom = head_u * tail_w
     if denom == 0:
         raise ZeroDenominator(f"edge ({u}, {w}): out-and-back coefficient is zero")
     k, r = aug.full.norm[u], aug.hull_radius
     hit_time = 3 * r + 4 - 2 * k
-    mults, num, den = scales or ((), 1, 1)
-    total = sum(q_out.prob(hit_time, aug.outer_child(z)) for z in inner)
-    if mults:
-        total *= mults[0]
+    mults, num, den = scales
+    total = sum(law_out.read(hit_time, aug.outer_child(z)) for z in inner) * mults[0]
     for l, chi in enumerate(chis, 1):
         s = hit_time - (2 * l - 1)
-        terms = (q_in.prob(s, v) * c for v in inner if (c := chi.get(v)))
-        if mults:
-            total -= sum(terms) * mults[l]
-        else:
-            for term in terms:
-                total = total - term
-    value = Fraction(total * num, den * denom) if mults else total / denom
+        total -= sum(law_in.read(s, v) * c for v in inner if (c := chi.get(v))) * mults[l]
+    net, whole = total * num, den * denom
+    value = Fraction(net, whole) if mode == RATIONAL else net / whole
     got = _unit(value, u, w, mode, clamp)
     if got is not value:  # clamped
         flags.append(("OutOfRange", w))
@@ -375,8 +381,8 @@ def recover_all(
     tail sums of shell ``k + 1`` and the shell's tail-class table are built
     (see the module docstring); each child edge is then solved from its
     arrival decomposition, and the inward entry is the row complement.  The
-    report's ``shell_time_reads`` records the largest distribution time index
-    touched while working on each shell; the caller's laws are not marked.
+    report's ``shell_time_reads`` records the largest law time index read
+    while working on each shell, and ``times_accessed`` the largest per law.
     """
     _require_two_layers(aug)
     r = aug.hull_radius
@@ -388,7 +394,7 @@ def recover_all(
             work.provenance[u] = KNOWN
     residuals: dict[int, Number] = {}
     flags: list[tuple[str, int]] = []
-    shell_reads: dict[int, int] = {}
+    shell_reads: dict[int, tuple[int, int]] = {}
 
     full = aug.full
     shells = full.shells()
@@ -399,16 +405,15 @@ def recover_all(
     rows = AccRows(work)
     in_mass, den_in = rows.law(p_in.mass)
     out_mass, den_out = rows.law(p_out.mass)
+    law_in, law_out = _Reads(in_mass), _Reads(out_mass)
     head: dict[int, Number] = {}
     tail: dict[int, Number] = {}
     q = 1
 
-    run_in, run_out = -1, -1
+    mode = work.mode
     root = full.root
     for k in range(r, -1, -1):
-        # fresh views over the law numerators record the reads of this shell only
-        q_in = HittingDistribution(p_in.layer, p_in.t_max, in_mass)
-        q_out = HittingDistribution(p_out.layer, p_out.t_max, out_mass)
+        law_in.last = law_out.last = -1  # record the reads of shell k only
         # the band of shell k is shells k+1 .. R+1; the heads of shell k+1 and
         # the tails of shell k+2 hold R-k entries each
         grow = rows.cover(shells[k + 1]) ** (r - k)
@@ -416,30 +421,28 @@ def recover_all(
             head = {x: h * grow for x, h in head.items()}
             tail = {x: t * grow for x, t in tail.items()}
         if k == r:  # heads start on the inner layer
-            head, q = _inner_heads(aug, rows, q_out, den_out.get(r + 2, 1), shells[r + 1])
+            head, q = _inner_heads(aug, rows, law_out.read, den_out.get(r + 2, 1), shells[r + 1])
         tail = {x: _tail(aug, rows, tail, x) for x in shells[k + 1]}
         head = {x: _head(aug, rows, head, x) for x in shells[k]}
         targets = [u for u in shells[k] if aug.is_original(u)
                    and work.provenance.get(u, UNKNOWN) not in (KNOWN, RECOVERED)]
         chis = _tail_classes(aug, rows, shells[r + 1], k) if targets else []
-        scales = None
-        if targets and rows.exact:
-            hit = 3 * r + 4 - 2 * k
-            dens = [den_out.get(hit, 1)] + [
-                den_in.get(hit - (2 * l - 1), 1) * rows.scale ** (2 * l - 1)
-                for l in range(1, len(chis) + 1)
-            ]
-            den = math.lcm(*dens)
-            scales = ([den // d for d in dens], q * rows.scale ** (2 * (r + 1 - k)), den)
+        hit = 3 * r + 4 - 2 * k
+        dens = [den_out.get(hit, 1)] + [
+            den_in.get(hit - (2 * l - 1), 1) * rows.scale ** (2 * l - 1)
+            for l in range(1, len(chis) + 1)
+        ]
+        den = math.lcm(*dens)
+        scales = ([den // d for d in dens], q * rows.scale ** (2 * (r + 1 - k)), den)
         for u in targets:
             row: dict[int, Number] = {}
             for w in full.children[u]:
                 row[w] = _solve_edge(aug, u, w, inner_below[w], head[u], tail[w], chis,
-                                     q_in, q_out, scales, work.mode, clamp, flags)
+                                     law_in, law_out, scales, mode, clamp, flags)
             child_sum = sum(row.values())
             if u == root:
-                residuals[u] = child_sum - 1
-                if _root_sum_off(child_sum, known.mode):
+                residuals[u] = settle(child_sum - 1, mode)
+                if _root_sum_off(child_sum, mode):
                     if not clamp:
                         raise RowSumViolation(
                             f"root row sums to {_show(child_sum)}, expected 1"
@@ -454,32 +457,25 @@ def recover_all(
                     )
                 if not ok:
                     flags.append(("RowSumViolation", u))
-                    comp = _clamp(comp, work.mode)
-                residuals[u] = child_sum + comp - 1
+                    comp = _clamp(comp, mode)
+                residuals[u] = settle(child_sum + comp - 1, mode)
                 row[full.parent[u]] = comp  # type: ignore[index]
             if clamp:
                 s = sum(row.values())
                 row = {w: p / s for w, p in row.items()}
-            work.entries[u] = row
+            work.entries[u] = {w: settle(p, mode) for w, p in row.items()}
             rows.hold(u, row)
             work.provenance[u] = RECOVERED
         del chis
-        shell_reads[k] = max(q_in.max_time_read, q_out.max_time_read)
-        run_in = max(run_in, q_in.max_time_read)
-        run_out = max(run_out, q_out.max_time_read)
+        shell_reads[k] = (law_in.last, law_out.last)
 
-    mode = work.mode
-    for u, flag in work.provenance.items():
-        if flag == RECOVERED:
-            work.entries[u] = {v: settle(p, mode) for v, p in work.entries[u].items()}
-    residuals = {u: settle(x, mode) for u, x in residuals.items()}
-
+    ins, outs = zip(*shell_reads.values())
     report = RecoveryReport(
         kernel=work,
         residuals=residuals,
-        times_accessed={"inner": run_in, "outer": run_out},
+        times_accessed={"inner": max(ins), "outer": max(outs)},
         flags=flags,
-        shell_time_reads=shell_reads,
+        shell_time_reads={k: max(pair) for k, pair in shell_reads.items()},
     )
     if reference is not None:
         report.max_error = kernel_max_error(work, reference)

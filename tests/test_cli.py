@@ -1,11 +1,14 @@
 """End-to-end command-line runs: artifacts, determinism, exit codes."""
 
+from fractions import Fraction
+
 import pytest
 
 from treetomo import (
     INNER,
     KNOWN,
     OUTER,
+    build_tree,
     first_hitting_joint,
     random_kernel,
     recover_all,
@@ -15,6 +18,7 @@ from treetomo import (
 from treetomo.cli import main
 from treetomo.formats import (
     dump_distribution,
+    dump_tree,
     parse_kernel,
     parse_tree,
     read_text,
@@ -134,6 +138,25 @@ class TestPipeline:
         in_memory = recover_all(aug, kernel.restricted_to({KNOWN}), p_in, p_out)
         assert on_disk.mode == "rational"
         assert on_disk.entries == in_memory.kernel.entries
+
+    def test_gen_from_tree_files(self, tmp_path, capsys):
+        # a base-tree file and the augmented tree.txt gen writes both give the
+        # artifacts of the builtin tree
+        base = tmp_path / "base.txt"
+        base.write_text(dump_tree(segment(1, 2)))
+        sources = {
+            "builtin": ["--tree", "segment", "--k", "1", "--l", "2"],
+            "base": ["--tree", str(base)],
+            "augmented": ["--tree", str(tmp_path / "builtin" / "tree.txt")],
+        }
+        for name, source in sources.items():
+            code, _, err = run(capsys, "gen", *source, "--mode", "rational",
+                               "--seed", "4", "--out", str(tmp_path / name))
+            assert code == 0, err
+        for name in ("tree.txt", "kernel.txt", "known.txt"):
+            want = (tmp_path / "builtin" / name).read_bytes()
+            assert (tmp_path / "base" / name).read_bytes() == want
+            assert (tmp_path / "augmented" / name).read_bytes() == want
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -388,6 +411,71 @@ class TestExitCodes:
         assert code == 2, err
         assert err.startswith("error 2 MissingKnownRow"), err
 
+    @pytest.mark.parametrize("command", ["forward", "sample"])
+    def test_invalid_kernel_exit_2(self, tmp_path, capsys, command):
+        # star(1, 2) with a root row that sums to 0.7
+        work = tmp_path / "w"
+        run(capsys, "gen", "--tree", "star", "--l", "1", "--n", "2",
+            "--seed", "2", "--out", str(work))
+        kernel = work / "kernel.txt"
+        lines = kernel.read_text().splitlines()
+        kernel.write_text("\n".join(
+            "row 0 1:0.5 2:0.2" if ln.startswith("row 0 ") else ln for ln in lines
+        ) + "\n")
+        extra = ["--n", "100"] if command == "sample" else []
+        code, _, err = run(capsys, command, "--tree-file", str(work / "tree.txt"),
+                           "--kernel-file", str(kernel), *extra, "--out", str(work))
+        assert code == 2, err
+        assert err.startswith("error 2 InvalidKernel: RowSum at vertex 0"), err
+
+    def test_decimal_laws_under_rational_kernel_exit_2(self, tmp_path, capsys):
+        # float-text laws would make a "mode rational" report whose rows are
+        # not exact
+        work = tmp_path / "w"
+        run(capsys, "gen", "--tree", "segment", "--k", "0", "--l", "2", "--mode", "rational",
+            "--seed", "5", "--out", str(work))
+        run(capsys, "forward", "--tree-file", str(work / "tree.txt"),
+            "--kernel-file", str(work / "kernel.txt"), "--out", str(work))
+        for name in ("in.tsv", "out.tsv"):
+            path = work / name
+            cells = [ln.split("\t") for ln in path.read_text().splitlines()]
+            path.write_text("".join(
+                f"{layer}\t{t}\t{v}\t{float(Fraction(p))!r}\n" for layer, t, v, p in cells
+            ))
+        code, _, err = run(
+            capsys, "invert", "--tree-file", str(work / "tree.txt"),
+            "--known-file", str(work / "known.txt"),
+            "--in-dist", str(work / "in.tsv"), "--out-dist", str(work / "out.tsv"),
+            "--reference", str(work / "kernel.txt"), "--out", str(work),
+        )
+        assert code == 2, err
+        assert err.startswith("error 2 FormatError: bad rational probability token"), err
+
+    def test_inward_entry_out_of_range_exit_4(self, tmp_path, capsys):
+        # broom(1, 2): outer arrivals of shell 1 raised by 1/32 give vertex 1
+        # child entries summing past 1, each of them still in (0, 1]
+        work = tmp_path / "w"
+        base = tmp_path / "base.txt"
+        base.write_text(dump_tree(build_tree([(0, 1), (1, 2), (1, 3)], 0)))
+        run(capsys, "gen", "--tree", str(base), "--mode", "rational", "--scope", "all",
+            "--seed", "3", "--out", str(work))
+        run(capsys, "forward", "--tree-file", str(work / "tree.txt"),
+            "--kernel-file", str(work / "kernel.txt"), "--out", str(work))
+        path = work / "out.tsv"
+        cells = [ln.split("\t") for ln in path.read_text().splitlines()]
+        raise_shell_1 = {"8": Fraction(33, 32)}  # 3R+4-2k at R = 2, k = 1
+        path.write_text("".join(
+            f"{layer}\t{t}\t{v}\t{Fraction(p) * raise_shell_1.get(t, 1)}\n"
+            for layer, t, v, p in cells
+        ))
+        code, _, err = run(
+            capsys, "invert", "--tree-file", str(work / "tree.txt"),
+            "--known-file", str(work / "known.txt"),
+            "--in-dist", str(work / "in.tsv"), "--out-dist", str(path), "--out", str(work),
+        )
+        assert code == 4, err
+        assert err.startswith("error 4 RowSumViolation: inward entry of vertex 1 is -0."), err
+
     def test_swapped_laws_exit_2(self, tmp_path, capsys):
         # horizon 12 > 3R+4, so both files also cover the time range needed
         work = str(tmp_path / "w")
@@ -403,13 +491,12 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error 2 FormatError")
 
-class TestSeedEnvFallback:
-    def test_env_seed(self, tmp_path, capsys, monkeypatch):
+class TestSeedDefault:
+    def test_gen_without_seed_is_seed_0(self, tmp_path, capsys, monkeypatch):
+        # the seed comes from the flags alone, never from the environment
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         monkeypatch.setenv("TREETOMO_SEED", "77")
         run(capsys, "gen", "--random-tree", "--rout", "2", "--out", a)
-        monkeypatch.delenv("TREETOMO_SEED")
-        run(capsys, "gen", "--random-tree", "--rout", "2", "--seed", "77", "--out", b)
-        assert (tmp_path / "a" / "kernel.txt").read_bytes() == (
-            tmp_path / "b" / "kernel.txt"
-        ).read_bytes()
+        run(capsys, "gen", "--random-tree", "--rout", "2", "--seed", "0", "--out", b)
+        for name in ("tree.txt", "kernel.txt"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

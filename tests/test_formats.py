@@ -1,5 +1,6 @@
 """Text artifact round trips and malformed-input handling."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from treetomo import INNER, OUTER, TransitionKernel, first_hitting_joint
 from treetomo.errors import FormatError
 from treetomo.estimation import SampleBatch, collect_batch
+from treetomo.forward_solver import HittingDistribution
 from treetomo.formats import (
     dump_batch,
     dump_distribution,
@@ -84,6 +86,8 @@ class TestKernelFormat:
             parse_kernel("mode float\nrow 0 1:abc\n")
         with pytest.raises(FormatError):
             parse_kernel("mode nonsense\n")
+        with pytest.raises(FormatError):
+            parse_kernel("row 0 1:1/2 2:0.5\nmode rational\n")  # row before header
 
     @pytest.mark.parametrize(
         "text",
@@ -136,6 +140,31 @@ class TestDistributionFormat:
     def test_inconsistent_rejected(self, text, mode):
         with pytest.raises(FormatError):
             parse_distribution(text, mode)
+
+
+class TestExactTokens:
+    def test_rational_files_take_only_exact_tokens(self):
+        # a decimal is a rounded value, so an exact file must not hold one
+        for token in ("0.5", "5e-1", "1.0", "inf", "nan"):
+            with pytest.raises(FormatError, match="rational"):
+                parse_kernel(f"mode rational\nrow 0 1:{token} 2:1/2\n")
+            with pytest.raises(FormatError, match="rational"):
+                parse_distribution(f"inner\t2\t3\t{token}\n", "rational")
+        back = parse_distribution("inner\t2\t3\t1\ninner\t4\t3\t0\n", "rational")
+        assert back.mass == {(2, 3): 1, (4, 3): 0}
+        assert all(isinstance(p, Fraction) for p in back.mass.values())
+        assert parse_kernel("mode rational\nrow 0 1:1\n").entries == {0: {1: Fraction(1)}}
+
+    def test_values_past_the_int_digit_limit(self):
+        # 7**6000 has 5,071 digits, more than str(int) and int(str) take by default
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        p = Fraction(1, 7**6000)
+        dist = HittingDistribution(INNER, 2, {(2, 3): p, (2, 4): 1 - p})
+        text = dump_distribution(dist, "rational")
+        assert parse_distribution(text, "rational").mass == dist.mass
+        kernel = TransitionKernel({0: {1: p, 2: 1 - p}}, {0: "known"}, "rational")
+        assert parse_kernel(dump_kernel(kernel)).entries == kernel.entries
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 class TestBatchFormat:

@@ -79,14 +79,6 @@ class TestSegmentFixture:
         with pytest.raises(InvalidQuery):
             p_in.prob(6, 2)
 
-    def test_access_tracking(self):
-        aug, kernel = segment_fixture()
-        p_in = first_hitting_joint(aug, kernel, INNER, 8)
-        assert p_in.max_time_read == -1
-        p_in.prob(4, 2)
-        p_in.prob(2, 2)
-        assert p_in.max_time_read == 4
-
 
 class TestSymmetricStar:
     def test_exact_rational_values(self):

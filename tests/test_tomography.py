@@ -449,13 +449,12 @@ class TestRecoverAll:
                 assert t_read <= 3 * r + 4 - 2 * k
 
     def test_input_laws_left_unmarked(self):
-        # reads are recorded on the report, not on the caller's laws
+        # reads are recorded on the report; the caller's laws are not touched
         aug, kernel = rand_instance(3, rout=3)
         p_in, p_out = forward_pair(aug, kernel)
-        p_in.prob(1, next(iter(aug.inner_layer)))
-        before = (p_in.max_time_read, p_out.max_time_read)
+        before = (dict(p_in.mass), dict(p_out.mass))
         rep = recover_all(aug, known_part(kernel), p_in, p_out)
-        assert (p_in.max_time_read, p_out.max_time_read) == before == (1, -1)
+        assert (p_in.mass, p_out.mass) == before
         assert rep.times_accessed["outer"] == 3 * aug.hull_radius + 4
 
     def test_insufficient_horizon(self):
@@ -514,6 +513,24 @@ class TestRecoverAll:
         for u, flag in rep.kernel.provenance.items():
             if flag == "recovered":
                 assert abs(sum(rep.kernel.entries[u].values()) - 1) < 1e-9
+
+    def test_inward_entry_out_of_range_strict_vs_clamped(self):
+        # broom(1, 2): shell-1 outer arrivals raised by 1/32 push the child
+        # entries of vertex 1 past a sum of 1 while each stays in (0, 1]
+        aug = spherical_augmentation(broom(1, 2), 2)
+        kernel = random_kernel(aug, 3, scope="all", mode="rational")
+        p_in, p_out = forward_pair(aug, kernel)
+        for key in p_out.mass:
+            if key[0] == 3 * aug.hull_radius + 2:
+                p_out.mass[key] *= Fraction(33, 32)
+        with pytest.raises(RowSumViolation, match="inward entry of vertex 1"):
+            recover_all(aug, known_part(kernel), p_in, p_out)
+        rep = recover_all(aug, known_part(kernel), p_in, p_out, clamp=True)
+        assert ("RowSumViolation", 1) in rep.flags
+        row = rep.kernel.entries[1]
+        assert sum(row.values()) == 1
+        assert all(p > 0 for p in row.values())
+        assert row[0] < Fraction(1, 10**5)
 
     def test_residuals_root_only_nonzero(self):
         aug, kernel = segment_fixture()
