@@ -1,13 +1,14 @@
 """Probe-walk simulation, empirical hitting laws, and the plug-in estimator.
 
-Randomness is counter based: the uniform used by walk ``i`` at step ``t`` is
-a pure function of ``(seed, i, t)``, so a batch is bit-identical no matter
-how it is chunked across workers, and walk ``i`` is replayed by simulating
-the block ``[i]``.  Walks are simulated in vectorized blocks up to the read
-horizon ``t_cap = 3R + 4`` of the inversion, which reads nothing later.
-Every first inner-layer contact within it is counted; a walk with no
-outer-layer contact by then lands in the overflow bucket, which therefore
-estimates ``P(tau_out > 3R + 4)``.
+Randomness is counter based: walk ``i`` at step ``t`` draws the uniform
+``k * 2**-53`` for a 53-bit integer ``k`` that is a pure function of
+``(seed, i, t)``, so neither block size nor worker count changes a batch,
+and walk ``i`` is replayed by simulating the block ``[i]``.  Each step
+compares ``k`` with integer row thresholds, which is exact, and drops
+absorbed walks from the block, up to the inversion's read horizon
+``t_cap = 3R + 4``.  Every first inner-layer contact within it is counted;
+a walk with no outer-layer contact by then lands in the overflow bucket,
+which therefore estimates ``P(tau_out > 3R + 4)``.
 """
 
 from __future__ import annotations
@@ -29,26 +30,34 @@ _GOLD = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-CHUNK = 1 << 18
+CHUNK = 1 << 16
 
 
-def _mix_vec(z: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer, in place on the uint64 array ``z``."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _walk_base_vec(seed: int, walks: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        z = _mix_vec(np.uint64(seed & _MASK)) + (walks + np.uint64(1)) * np.uint64(_GOLD)
-    return _mix_vec(z)
+    key = _mix(np.array([seed & _MASK], dtype=np.uint64))
+    return _mix(key + (walks + np.uint64(1)) * np.uint64(_GOLD))
 
 
-def _u01_vec(bases: np.ndarray, step: int) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        v = _mix_vec(bases + np.uint64(((step + 1) * _GOLD) & _MASK))
-    return (v >> np.uint64(11)) * 2.0**-53
+def _draw_vec(bases: np.ndarray, step: int) -> np.ndarray:
+    """53-bit integers ``k``: the walks' uniforms at ``step`` are ``k * 2**-53``."""
+    k = _mix(bases + np.uint64(((step + 1) * _GOLD) & _MASK))
+    k >>= np.uint64(11)
+    return k
+
+
+def _thresholds(cum: np.ndarray) -> np.ndarray:
+    """``ceil(cum * 2**53)``, so ``threshold <= k`` exactly when ``cum <= k * 2**-53``."""
+    return np.ceil(cum * 2.0**53).astype(np.uint64)
 
 
 @dataclass
@@ -92,8 +101,7 @@ def _walk_tables(
         nbr_tab[u, :d] = nbrs
         nbr_tab[u, d:] = nbrs[-1]
         cum_tab[u, :d] = list(itertools.accumulate(float(row[v]) for v in nbrs))
-    is_inner = np.zeros(nv, dtype=bool)
-    is_outer = np.zeros(nv, dtype=bool)
+    is_inner, is_outer = np.zeros((2, nv), dtype=bool)
     is_inner[list(aug.inner_layer)] = True
     is_outer[list(aug.outer_layer)] = True
     return nbr_tab, cum_tab, is_inner, is_outer
@@ -109,30 +117,35 @@ def _simulate_block(
     is_outer: np.ndarray,
     root: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    nb = walk_ids.size
+    """First inner and outer contact ``(tau, place)`` of each walk, -1 for none.
+
+    Live walks stay compacted, with block positions ``pos`` and ``fresh``
+    (no inner contact yet).  Cumulative rows increase strictly, so counting
+    the thresholds at most ``k`` in all but the last column picks column
+    ``min(#{cum <= u}, last)``.
+    """
+    thr = _thresholds(cum_tab[:, :-1].T)
+    pos = np.arange(walk_ids.size)
+    tau_in, place_in, tau_out, place_out = np.full((4, pos.size), -1, dtype=np.int64)
     bases = _walk_base_vec(seed, walk_ids.astype(np.uint64))
-    state = np.full(nb, root, dtype=np.int64)
-    alive = np.ones(nb, dtype=bool)
-    tau_in = np.full(nb, -1, dtype=np.int64)
-    place_in = np.full(nb, -1, dtype=np.int64)
-    tau_out = np.full(nb, -1, dtype=np.int64)
-    place_out = np.full(nb, -1, dtype=np.int64)
-    for t in range(t_cap):
-        idx = np.nonzero(alive)[0]
-        if idx.size == 0:
-            break
-        u = _u01_vec(bases[idx], t)
-        cum = cum_tab[state[idx]]
-        j = np.minimum((cum <= u[:, None]).sum(axis=1), cum_tab.shape[1] - 1)
-        nxt = nbr_tab[state[idx], j]
-        fresh_in = is_inner[nxt] & (tau_in[idx] < 0)
-        tau_in[idx[fresh_in]] = t + 1
-        place_in[idx[fresh_in]] = nxt[fresh_in]
-        hit_out = is_outer[nxt]
-        tau_out[idx[hit_out]] = t + 1
-        place_out[idx[hit_out]] = nxt[hit_out]
-        alive[idx[hit_out]] = False
-        state[idx] = nxt
+    state = np.full_like(pos, root)
+    fresh = np.ones(pos.size, dtype=bool)
+    for t in range(1, t_cap + 1):
+        k = _draw_vec(bases, t - 1)
+        cell = state * nbr_tab.shape[1]
+        for col in thr:
+            cell += col.take(state) <= k
+        state = nbr_tab.take(cell)
+        hit = np.flatnonzero(fresh & is_inner.take(state))
+        tau_in[pos.take(hit)] = t
+        place_in[pos.take(hit)] = state.take(hit)
+        fresh[hit] = False
+        hit = is_outer.take(state)
+        if hit.any():
+            tau_out[pos[hit]] = t
+            place_out[pos[hit]] = state[hit]
+            keep = np.flatnonzero(~hit)
+            bases, state, pos, fresh = (a.take(keep) for a in (bases, state, pos, fresh))
     return tau_in, place_in, tau_out, place_out
 
 
@@ -164,20 +177,16 @@ def collect_batch(
     nv = aug.full.vertex_count
     cells = (t_cap + 1) * nv
 
-    def run(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def run(block: tuple[int, int]) -> tuple[np.ndarray, ...]:
         tau_in, place_in, tau_out, place_out = _simulate_block(
-            block, seed, t_cap, *tables, aug.full.root
+            np.arange(*block), seed, t_cap, *tables, aug.full.root
         )
-        hit = tau_in >= 0
-        done = tau_out >= 0
-        return (
-            np.bincount(tau_in[hit] * nv + place_in[hit], minlength=cells),
-            np.bincount(tau_out[done] * nv + place_out[done], minlength=cells),
+        return tuple(
+            np.bincount(tau[tau >= 0] * nv + place[tau >= 0], minlength=cells)
+            for tau, place in ((tau_in, place_in), (tau_out, place_out))
         )
 
-    blocks = [
-        np.arange(a, min(a + CHUNK, n), dtype=np.int64) for a in range(0, n, CHUNK)
-    ]
+    blocks = [(a, min(a + CHUNK, n)) for a in range(0, n, CHUNK)]
     tally_in = np.zeros(cells, dtype=np.int64)
     tally_out = np.zeros(cells, dtype=np.int64)
     with ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as pool:

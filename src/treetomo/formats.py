@@ -9,6 +9,7 @@ rounded.
 
 from __future__ import annotations
 
+import math
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -45,7 +46,7 @@ def _fmt(x: Number, mode: str) -> str:
 
 
 def _parse_number(token: str, mode: str) -> Number:
-    """A ``num/den`` token, an integer, or in float mode any float literal."""
+    """A ``num/den`` token, an integer, or in float mode any finite float literal."""
     try:
         if "/" in token:
             num, den = token.split("/")
@@ -54,10 +55,10 @@ def _parse_number(token: str, mode: str) -> Number:
             value = Fraction(_int(token))
         else:
             value = float(token)
-    except (ValueError, ZeroDivisionError) as exc:
+        if mode == FLOAT and not math.isfinite(value := float(value)):
+            raise ValueError(token)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise FormatError(f"bad {mode} probability token {token!r}") from exc
-    if mode == FLOAT and isinstance(value, Fraction):
-        value = float(value)
     return value
 
 

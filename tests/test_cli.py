@@ -1,6 +1,7 @@
 """End-to-end command-line runs: artifacts, determinism, exit codes."""
 
 from fractions import Fraction
+import re
 
 import pytest
 
@@ -300,6 +301,22 @@ class TestExitCodes:
             capsys, "forward", "--tree-file", str(p), "--kernel-file", str(p)
         )
         assert code == 2
+
+    @pytest.mark.parametrize("name, line, token", [
+        ("out.tsv", 0, "nan"), ("known.txt", 1, "inf"), ("in.tsv", -1, "nan"),
+    ])
+    def test_non_finite_token_exit_2(self, tmp_path, capsys, name, line, token):
+        # a non-finite float is malformed input, not an out-of-range recovery
+        work = tmp_path / "w"
+        run(capsys, "gen", "--tree", "star", "--l", "1", "--n", "2",
+            "--seed", "3", "--out", str(work))
+        argv = star_recovery_argv(capsys, work, "invert")
+        lines = (work / name).read_text().splitlines()
+        lines[line] = re.sub(r"[0-9.e-]+$", token, lines[line])
+        (work / name).write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, *argv)
+        assert code == 2, err
+        assert err.startswith("error 2 FormatError"), err
 
     def test_invalid_parameter_exit_5(self, capsys):
         code, _, err = run(capsys, "roundtrip", "--random-tree")

@@ -20,8 +20,14 @@ from treetomo import (
     recover_all,
 )
 from treetomo.errors import FormatError, InvalidParameter
-from treetomo.estimation import _simulate_block, _u01_vec, _walk_base_vec, _walk_tables
-from treetomo.tree_model import segment, spherical_augmentation, star
+from treetomo.estimation import (
+    _draw_vec,
+    _simulate_block,
+    _thresholds,
+    _walk_base_vec,
+    _walk_tables,
+)
+from treetomo.tree_model import random_tree, segment, spherical_augmentation, star
 
 from helpers import (
     default_augmented_kernel,
@@ -57,19 +63,50 @@ def simulate(aug, kernel, seed, walk_ids, t_cap):
     return _simulate_block(ids, seed, t_cap, *_walk_tables(aug, kernel), aug.full.root)
 
 
+def scalar_counts(aug, kernel, seed, n, t_cap):
+    """``counts_in``, ``counts_out`` and ``overflow`` of ``n`` reference walks."""
+    cin, cout = Counter(), Counter()
+    overflow = 0
+    for i in range(n):
+        s = reference_walk(aug, kernel, seed, i)
+        if s.tau_in <= t_cap:
+            cin[(s.tau_in, s.place_in)] += 1
+        if s.tau_out <= t_cap:
+            cout[(s.tau_out, s.place_out)] += 1
+        else:
+            overflow += 1
+    return dict(cin), dict(cout), overflow
+
+
+def batch_fields(batch):
+    return batch.counts_in, batch.counts_out, batch.overflow
+
+
 class TestCounterStream:
     def test_scalar_vector_agree(self):
         walks = np.arange(50, dtype=np.uint64)
         bases = _walk_base_vec(123, walks)
         for step in (0, 1, 7, 63):
-            vec = _u01_vec(bases, step)
+            vec = _draw_vec(bases, step)
             for i in range(50):
-                assert vec[i] == u01(walk_base(123, i), step)
+                assert int(vec[i]) * 2.0**-53 == u01(walk_base(123, i), step)
 
     def test_uniform_range(self):
         vals = [u01(walk_base(9, i), t) for i in range(200) for t in range(4)]
         assert all(0 <= v < 1 for v in vals)
         assert 0.45 < sum(vals) / len(vals) < 0.55
+
+
+class TestThresholds:
+    @pytest.mark.parametrize("cum", [0.3, 0.5, 1 - 2.0**-53, 1.0, 1 + 1e-13, 2.0])
+    def test_integer_compare_is_float_compare(self, cum):
+        # k is a draw, below 2**53; the largest draw checks every cum
+        thr = _thresholds(np.array([cum]))[0]
+        t = math.ceil(cum * 2**53)
+        assert int(thr) == t
+        for k in (t - 1, t, t + 1, 2**53 - 1):
+            if 0 <= k < 2**53:
+                assert bool(thr <= np.uint64(k)) == (cum <= k * 2.0**-53), k
 
 
 class TestSampleWalk:
@@ -112,19 +149,26 @@ class TestCollectBatch:
         # outer contacts and overflow come from absorption by the cap
         aug, kernel = star_fixture()
         batch = collect_batch(aug, kernel, 400, seed=42)
-        cin, cout = Counter(), Counter()
-        overflow = 0
-        for i in range(400):
-            s = reference_walk(aug, kernel, 42, i)
-            if s.tau_in <= batch.t_cap:
-                cin[(s.tau_in, s.place_in)] += 1
-            if s.tau_out <= batch.t_cap:
-                cout[(s.tau_out, s.place_out)] += 1
-            else:
-                overflow += 1
-        assert batch.counts_in == dict(cin)
-        assert batch.counts_out == dict(cout)
-        assert batch.overflow == overflow
+        assert batch_fields(batch) == scalar_counts(aug, kernel, 42, 400, batch.t_cap)
+
+    def test_wide_rows(self, monkeypatch):
+        # random_tree(2, 4) has rows of up to 10 neighbors, so a step counts
+        # many thresholds; the star's rows have at most 2
+        aug = spherical_augmentation(random_tree(2, 4), 2)
+        kernel = random_kernel(aug, 5, scope="all")
+        n = 300
+        batch = collect_batch(aug, kernel, n, seed=13)
+        assert batch_fields(batch) == scalar_counts(aug, kernel, 13, n, batch.t_cap)
+        cols = simulate(aug, kernel, 13, range(n), batch.t_cap)
+        for i in range(n):
+            s = reference_walk(aug, kernel, 13, i)
+            ins = (s.tau_in, s.place_in) if s.tau_in <= batch.t_cap else (-1, -1)
+            outs = (s.tau_out, s.place_out) if s.tau_out <= batch.t_cap else (-1, -1)
+            assert tuple(int(c[i]) for c in cols) == ins + outs, i
+        ref = batch_fields(collect_batch(aug, kernel, 3000, seed=13, workers=1))
+        assert batch_fields(collect_batch(aug, kernel, 3000, seed=13, workers=3)) == ref
+        monkeypatch.setattr(estimation, "CHUNK", 257)
+        assert batch_fields(collect_batch(aug, kernel, 3000, seed=13, workers=3)) == ref
 
     def test_worker_and_chunk_invariance(self, monkeypatch):
         aug, kernel = star_fixture()

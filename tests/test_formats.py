@@ -89,6 +89,11 @@ class TestKernelFormat:
         with pytest.raises(FormatError):
             parse_kernel("row 0 1:1/2 2:0.5\nmode rational\n")  # row before header
 
+    def test_fraction_past_float_range_rejected(self):
+        # in float mode num/den is rounded to a float, which overflows here
+        with pytest.raises(FormatError):
+            parse_kernel("mode float\nrow 0 1:1" + "0" * 400 + "/1\n")
+
     @pytest.mark.parametrize(
         "text",
         [
