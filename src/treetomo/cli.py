@@ -3,9 +3,9 @@
 Subcommands wire generation, forward solving, inversion, sampling,
 estimation, and round-trip verification into reproducible runs.  Every
 command is a pure function of its flags and input files.  Exit codes:
-0 ok, 2 format (including a kernel file without a row the tree needs, or
-one that fails validation), 3 insufficient data, 4 out-of-range recovery,
-5 internal.
+0 ok, 2 bad input (a malformed or inconsistent file, such as a tree that is
+not a valid augmentation, or a flag value the library rejects), 3
+insufficient data, 4 out-of-range recovery, 5 internal.
 """
 
 from __future__ import annotations
@@ -60,12 +60,15 @@ EXIT_INTERNAL = 5
 
 
 def _tree_source(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tree", help="builtin name (star, segment) or a tree file path")
-    p.add_argument("--random-tree", action="store_true", help="generate a random tree")
-    p.add_argument("--rout", type=int, help="outer radius for --random-tree")
+    p.add_argument("--tree", required=True, help="star, segment, random, or a tree file path")
+    p.add_argument("--rout", type=int, help="outer radius for --tree random")
     p.add_argument("--l", type=int, help="arm length for star/segment builtins")
     p.add_argument("--n", type=int, help="branch count for the star builtin")
     p.add_argument("--k", type=int, default=0, help="second arm length for segment")
+
+
+def _ints(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")]
 
 
 def _kernel_flags(p: argparse.ArgumentParser) -> None:
@@ -76,12 +79,10 @@ def _kernel_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_tree(args: argparse.Namespace) -> RootedTree:
-    if args.random_tree:
+    if args.tree == "random":
         if args.rout is None:
-            raise InvalidParameter("--random-tree requires --rout")
+            raise InvalidParameter("--tree random requires --rout")
         return random_tree(args.rout, args.seed)
-    if args.tree is None:
-        raise InvalidParameter("one of --tree or --random-tree is required")
     if args.tree == "star":
         if args.l is None or args.n is None:
             raise InvalidParameter("star builtin requires --l and --n")
@@ -200,9 +201,7 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
 
 def cmd_consistency(args: argparse.Namespace) -> int:
     aug, kernel = _gen_objects(args)
-    n_grid = [int(x) for x in args.n_grid.split(",")]
-    seeds = [int(x) for x in args.seeds.split(",")]
-    rows = consistency_curve(aug, kernel, n_grid, seeds, workers=args.workers)
+    rows = consistency_curve(aug, kernel, args.n_grid, args.seeds, workers=args.workers)
     lines = ["n\tseed\tmax_error"]
     lines.extend(f"{n}\t{s}\t{e:.17g}" for n, s, e in rows)
     text = "\n".join(lines) + "\n"
@@ -265,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("consistency", help="estimation error versus sample size")
     _tree_source(p)
     _kernel_flags(p)
-    p.add_argument("--n-grid", default="10000,100000")
-    p.add_argument("--seeds", default="1,2,3,4,5")
+    p.add_argument("--n-grid", type=_ints, default="10000,100000")
+    p.add_argument("--seeds", type=_ints, default="1,2,3,4,5")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out")
 
@@ -289,7 +288,7 @@ def _exit_code(exc: Exception) -> int:
         return EXIT_INSUFFICIENT
     if isinstance(exc, (OutOfRange, RowSumViolation)):
         return EXIT_OUT_OF_RANGE
-    if isinstance(exc, (FormatError, MissingRow, InvalidKernel, OSError)):
+    if isinstance(exc, (FormatError, InvalidParameter, MissingRow, InvalidKernel, OSError)):
         return EXIT_FORMAT
     return EXIT_INTERNAL
 

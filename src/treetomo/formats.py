@@ -15,13 +15,14 @@ from decimal import Decimal
 from fractions import Fraction
 
 from .chain_model import FLOAT, KNOWN, RATIONAL, Number, TransitionKernel
-from .errors import FormatError
+from .errors import FormatError, InvalidParameter, NotATree, UnknownVertex
 from .estimation import SampleBatch
 from .forward_solver import INNER, OUTER, HittingDistribution
 from .tomography import RecoveryReport
-from .tree_model import ADDED, ORIGINAL, AugmentedTree, RootedTree, build_tree
+from .tree_model import AugmentedTree, RootedTree, build_tree
 
-
+ORIGINAL = "original"
+ADDED = "added"
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
@@ -70,7 +71,8 @@ def dump_tree(tree: RootedTree | AugmentedTree) -> str:
     lines.extend(f"edge {u} {v}" for u, v in t.edges())
     if aug:
         lines.extend(
-            f"origin {v} {aug.origin[v]}" for v in range(t.vertex_count)
+            f"origin {v} {ORIGINAL if aug.is_original(v) else ADDED}"
+            for v in range(t.vertex_count)
         )
         lines.append("layer inner " + " ".join(str(v) for v in sorted(aug.inner_layer)))
         lines.append("layer outer " + " ".join(str(v) for v in sorted(aug.outer_layer)))
@@ -106,31 +108,25 @@ def parse_tree(text: str) -> RootedTree | AugmentedTree:
             raise FormatError(f"bad tree line {line!r}") from exc
     if n is None or root is None:
         raise FormatError("missing tree header")
-    full = build_tree(edges, root)
-    if full.vertex_count != n:
-        raise FormatError(f"header says {n} vertices, edges give {full.vertex_count}")
-    if not origin:
-        return full
-
-    if set(origin) != set(range(n)):
-        raise FormatError("origin flags do not cover all vertices")
-    base_ids = sorted(v for v, o in origin.items() if o == ORIGINAL)
-    if base_ids != list(range(len(base_ids))):
-        raise FormatError("base vertex ids must form a prefix 0..k-1")
-    base_edges = [(u, v) for u, v in edges if origin[u] == origin[v] == ORIGINAL]
-    base = build_tree(base_edges, root)
-    hull = max(base.norm.values())
-    radius = max(full.norm.values())
-    aug_len = radius - hull
-    inner = frozenset(v for v in range(n) if full.norm[v] == radius - 1)
-    outer = frozenset(v for v in range(n) if full.norm[v] == radius)
-    if any(not full.children[v] for v in range(n) if v not in outer):
-        raise FormatError("a branch stops short of the outer layer")
-    if "inner" in layers and layers["inner"] != set(inner):
-        raise FormatError("inner layer does not match shell structure")
-    if "outer" in layers and layers["outer"] != set(outer):
-        raise FormatError("outer layer does not match shell structure")
-    return AugmentedTree(base, full, origin, hull, aug_len, inner, outer)
+    try:
+        full = build_tree(edges, root)
+        if full.vertex_count != n:
+            raise FormatError(f"header says {n} vertices, edges give {full.vertex_count}")
+        if not origin:
+            return full
+        if set(origin) != set(range(n)):
+            raise FormatError("origin flags do not cover all vertices")
+        k = sum(o == ORIGINAL for o in origin.values())
+        if any(origin[v] != ORIGINAL for v in range(k)) or root >= k:
+            raise FormatError("base vertex ids must form a prefix 0..k-1 holding the root")
+        base = build_tree([(full.parent[v], v) for v in range(k) if v != root], root)
+        aug = AugmentedTree(base, full)
+    except (NotATree, UnknownVertex, InvalidParameter) as exc:
+        raise FormatError(f"not a valid tree: {exc}") from exc
+    for name, layer in (("inner", aug.inner_layer), ("outer", aug.outer_layer)):
+        if name in layers and layers[name] != layer:
+            raise FormatError(f"{name} layer does not match shell structure")
+    return aug
 
 
 def dump_kernel(kernel: TransitionKernel) -> str:

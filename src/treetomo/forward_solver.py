@@ -85,9 +85,6 @@ def first_hitting_joint(
     require_valid(aug, kernel)
     target = _layer_set(aug, layer)
     dist = HittingDistribution(layer, t_max)
-    if aug.full.root in target:
-        dist.mass[(0, aug.full.root)] = 1
-        return dist
     rows = AccRows(kernel, kernel.entries)
     mass = dist.mass
     cur: dict[int, Number] = {aug.full.root: 1}
@@ -102,8 +99,6 @@ def first_hitting_joint(
                 else:
                     nxt[w] = nxt.get(w, 0) + m
         cur = nxt
-        if not cur:
-            break
     for key, n in mass.items():
         mass[key] = rows.value(n, key[0])
     return dist

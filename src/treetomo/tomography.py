@@ -146,7 +146,7 @@ def make_plan(aug: AugmentedTree, u: int, w: int) -> EdgeRecoveryPlan:
     Requires ``aug.aug_len == 2`` and ``u`` in the base tree.
     """
     _require_two_layers(aug)
-    if u not in aug.origin or not aug.is_original(u):
+    if u not in range(aug.base.vertex_count):
         raise NotInLambda(f"vertex {u} is not a base-tree vertex")
     if w not in aug.full.children[u]:
         raise NotAChild(f"{w} is not a child of {u}")

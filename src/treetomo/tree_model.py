@@ -6,6 +6,14 @@ of a tree is the set of vertices at norm ``k``; shells partition the vertex
 set.  Augmentation glues chains onto terminal vertices so that every branch
 reaches a common outer radius, which creates the two detector layers used by
 the forward solver and the tomography recursion.
+
+:class:`AugmentedTree` is the one place that checks an augmentation, however
+it was built.  It raises :class:`InvalidParameter` unless the base vertices
+are the ids ``0..k-1`` of the full tree with the same root and parents, every
+added vertex and every base terminal below the outer radius has exactly one
+child (chains), the base has an edge and the chains reach past it.  So both
+layers lie off the root, and each inner vertex has exactly one child, on the
+outer layer.
 """
 
 from __future__ import annotations
@@ -15,9 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, NotATree, UnknownVertex
-
-ORIGINAL = "original"
-ADDED = "added"
 
 MAX_DEGREE = 10  # vertex degree bound of random_tree
 
@@ -79,23 +84,37 @@ class RootedTree:
 
 @dataclass(frozen=True)
 class AugmentedTree:
-    """A base tree embedded in its spherical augmentation.
+    """A base tree embedded in its augmentation, checked on construction
+    (see the module docstring).
 
-    ``full`` is spherical with radius ``hull_radius + aug_len``; the outer
-    layer is its terminal shell and the inner layer the shell just below it.
-    Base vertex ids, parents, and norms are unchanged inside ``full``.
+    Derived once: ``hull_radius`` (the base's outer radius), ``aug_len`` (how
+    far ``full`` reaches past it, >= 1), and ``inner_layer`` and
+    ``outer_layer`` (the shells of ``full`` at radius ``hull_radius + aug_len
+    - 1`` and ``hull_radius + aug_len``).
     """
 
     base: RootedTree
     full: RootedTree
-    origin: dict[int, str]
-    hull_radius: int
-    aug_len: int
-    inner_layer: frozenset[int]
-    outer_layer: frozenset[int]
+
+    def __post_init__(self) -> None:
+        base, full = self.base, self.full
+        k, norm = base.vertex_count, full.norm
+        if k > full.vertex_count or any(base.parent[v] != full.parent[v] for v in range(k)):
+            raise InvalidParameter("base is not the rooted subtree of full on ids 0..k-1")
+        hull, radius = max(base.norm.values()), max(norm.values())
+        if hull < 1 or radius <= hull:
+            raise InvalidParameter(f"hull radius {hull} and aug_len {radius - hull} must be >= 1")
+        for v, kids in full.children.items():
+            if norm[v] < radius and (v >= k or not base.children[v]) and len(kids) != 1:
+                raise InvalidParameter(f"vertex {v} of a chain has {len(kids)} children, not 1")
+        set_ = object.__setattr__
+        set_(self, "hull_radius", hull)
+        set_(self, "aug_len", radius - hull)
+        set_(self, "inner_layer", frozenset(v for v, n in norm.items() if n == radius - 1))
+        set_(self, "outer_layer", frozenset(v for v, n in norm.items() if n == radius))
 
     def is_original(self, v: int) -> bool:
-        return self.origin[v] == ORIGINAL
+        return v < self.base.vertex_count
 
     def layer_descendants(self, v: int, layer: frozenset[int]) -> tuple[int, ...]:
         """Descendants of ``v`` (in ``full``) that belong to ``layer``."""
@@ -103,10 +122,7 @@ class AugmentedTree:
 
     def outer_child(self, z: int) -> int:
         """The unique outer-layer child of an inner-layer vertex."""
-        kids = self.full.children[z]
-        if len(kids) != 1 or kids[0] not in self.outer_layer:
-            raise InvalidParameter(f"vertex {z} is not an inner chain vertex")
-        return kids[0]
+        return self.full.children[z][0]
 
 
 def build_tree(edges: list[tuple[int, int]], root: int) -> RootedTree:
@@ -201,12 +217,9 @@ def spherical_augmentation(tree: RootedTree, l: int) -> AugmentedTree:
     vertices, where ``R`` is the outer radius of ``tree``.  New ids are
     assigned level by level (all new vertices at a given norm come before any
     deeper ones, ordered by terminal id within a level), which matches the
-    shell enumeration used throughout the recovery machinery.
+    shell enumeration used throughout the recovery machinery.  ``l < 1``
+    raises :class:`InvalidParameter`.
     """
-    if l < 1:
-        raise InvalidParameter(f"augmentation length must be >= 1, got {l}")
-    if tree.vertex_count < 2:
-        raise InvalidParameter("tree must have at least one edge")
     r_out = max(tree.norm.values())
     terms = tree.terminals()
 
@@ -219,15 +232,7 @@ def spherical_augmentation(tree: RootedTree, l: int) -> AugmentedTree:
                 edges.append((tip[v], next_id))
                 tip[v] = next_id
                 next_id += 1
-    full = build_tree(edges, tree.root)
-
-    origin = {
-        v: (ORIGINAL if v < tree.vertex_count else ADDED)
-        for v in range(full.vertex_count)
-    }
-    inner = frozenset(v for v in range(full.vertex_count) if full.norm[v] == r_out + l - 1)
-    outer = frozenset(v for v in range(full.vertex_count) if full.norm[v] == r_out + l)
-    return AugmentedTree(tree, full, origin, r_out, l, inner, outer)
+    return AugmentedTree(tree, build_tree(edges, tree.root))
 
 
 def random_tree(rout: int, seed: int, size: int | None = None) -> RootedTree:

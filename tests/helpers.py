@@ -64,6 +64,33 @@ def known_part(kernel: TransitionKernel) -> TransitionKernel:
     return kernel.restricted_to({KNOWN})
 
 
+def tree_file(root: int, edges: str, original: int) -> str:
+    """Augmented-tree file text: ``edges`` as ``"u-v u-v ..."``, with the ids
+    below ``original`` flagged original and the rest added."""
+    pairs = [tuple(map(int, e.split("-"))) for e in edges.split()]
+    n = max(map(max, pairs)) + 1
+    lines = [f"tree {n} {root}", *(f"edge {u} {v}" for u, v in pairs)]
+    lines += [f"origin {v} {'original' if v < original else 'added'}" for v in range(n)]
+    return "\n".join(lines) + "\n"
+
+
+# Tree files that are not a valid augmentation of a base tree; parse_tree
+# raises FormatError on each and every command that reads one exits 2.
+INVALID_TREES = {
+    "duplicate-edge": tree_file(0, "0-1 1-2 2-1", 2),
+    "disconnected": tree_file(0, "0-1 2-3 3-4 4-2", 2),
+    "root-on-no-edge": tree_file(5, "0-1 1-2 2-3", 2),
+    "base-below-an-added-vertex": tree_file(0, "0-1 1-3 3-2", 3),
+    "root-not-original": tree_file(3, "0-1 1-2 2-3", 2),
+    "no-chain": tree_file(0, "0-1", 2),
+    "forked-inner-vertex": tree_file(0, "0-1 1-2 2-3 2-4", 2),
+    "added-vertex-with-two-children": tree_file(
+        0, "0-1 1-2 0-3 2-4 4-5 3-6 6-7 7-8 6-9 9-10", 4
+    ),
+    "plain-duplicate-edge": "tree 2 0\nedge 0 1\nedge 1 0\n",
+}
+
+
 class NotTerminal(TreetomoError):
     """Operation requires a terminal (degree-1, non-root) vertex."""
 

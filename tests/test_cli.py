@@ -1,7 +1,9 @@
 """End-to-end command-line runs: artifacts, determinism, exit codes."""
 
 from fractions import Fraction
+from pathlib import Path
 import re
+import shlex
 
 import pytest
 
@@ -15,16 +17,20 @@ from treetomo import (
     recover_all,
     segment,
     spherical_augmentation,
+    star,
 )
 from treetomo.cli import main
 from treetomo.formats import (
     dump_distribution,
+    dump_kernel,
     dump_tree,
     parse_kernel,
     parse_tree,
     read_text,
     write_text,
 )
+
+from helpers import INVALID_TREES
 
 
 def run(capsys, *argv):
@@ -71,7 +77,7 @@ class TestRoundtrip:
 
     def test_random_tree_float(self, capsys):
         code, out, _ = run(
-            capsys, "roundtrip", "--random-tree", "--rout", "4",
+            capsys, "roundtrip", "--tree", "random", "--rout", "4",
             "--seed", "11", "--mode", "float",
         )
         assert code == 0
@@ -163,7 +169,7 @@ class TestPipeline:
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         for out in (a, b):
             code, _, _ = run(
-                capsys, "gen", "--random-tree", "--rout", "3",
+                capsys, "gen", "--tree", "random", "--rout", "3",
                 "--seed", "21", "--out", out,
             )
             assert code == 0
@@ -318,10 +324,61 @@ class TestExitCodes:
         assert code == 2, err
         assert err.startswith("error 2 FormatError"), err
 
-    def test_invalid_parameter_exit_5(self, capsys):
-        code, _, err = run(capsys, "roundtrip", "--random-tree")
-        assert code == 5
-        assert "InvalidParameter" in err
+    def test_random_tree_without_rout_exit_2(self, capsys):
+        # a flag value the library rejects is a usage error, as argparse's own are
+        code, _, err = run(capsys, "roundtrip", "--tree", "random")
+        assert code == 2
+        assert err.startswith("error 2 InvalidParameter")
+
+    @pytest.mark.parametrize("argv, want", [
+        (["gen", "--tree", "star", "--n", "2"], "error 2 InvalidParameter"),  # no --l
+        (["gen", "--tree", "star", "--l", "1", "--n", "2", "--floor", "2"],
+         "error 2 InvalidParameter"),
+        (["gen", "--tree", "star", "--l", "1", "--n", "12", "--floor", "0.09"],
+         "error 2 InvalidParameter"),  # 12 floors of 0.09 exceed a row
+        (["gen", "--tree", "segment", "--l", "0"], "error 2 InvalidParameter"),
+        (["sample", "--n", "0"], "error 2 InvalidParameter"),
+        (["sample", "--n", "10", "--workers", "0"], "error 2 InvalidParameter"),
+        (["consistency", "--tree", "star", "--l", "1", "--n", "2", "--n-grid", "a,b"],
+         "usage:"),
+        (["invert"], "error 2 InvalidParameter"),  # recovery reads 2-long chains only
+    ], ids=["star-no-l", "floor-2", "floor-sum", "segment-l-0", "sample-n-0",
+            "sample-workers-0", "n-grid", "invert-3-long"])
+    def test_bad_flag_value_exit_2(self, tmp_path, capsys, monkeypatch, argv, want):
+        # sample and invert read a valid augmentation by chains of length 3
+        monkeypatch.chdir(tmp_path)
+        aug = spherical_augmentation(star(1, 2), 3)
+        kernel = random_kernel(aug, 0)
+        write_text("tree.txt", dump_tree(aug))
+        write_text("kernel.txt", dump_kernel(kernel))
+        write_text("known.txt", dump_kernel(kernel.restricted_to({KNOWN})))
+        write_laws(".", 3 * aug.hull_radius + 4)
+        files = {
+            "sample": ["--tree-file", "tree.txt", "--kernel-file", "kernel.txt"],
+            "invert": ["--tree-file", "tree.txt", "--known-file", "known.txt",
+                       "--in-dist", "in.tsv", "--out-dist", "out.tsv"],
+        }
+        try:
+            code, _, err = run(capsys, argv[0], *files.get(argv[0], []), *argv[1:])
+        except SystemExit as exc:  # argparse rejects the value itself
+            code, err = exc.code, capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith(want), err
+
+    @pytest.mark.parametrize("text", INVALID_TREES.values(), ids=INVALID_TREES)
+    def test_invalid_tree_file_exit_2(self, tmp_path, capsys, text):
+        bad = str(tmp_path / "tree.txt")
+        write_text(bad, text)
+        for argv in (
+            ["gen", "--tree", bad],
+            ["forward", "--tree-file", bad, "--kernel-file", bad],
+            ["sample", "--tree-file", bad, "--kernel-file", bad, "--n", "100"],
+            ["invert", "--tree-file", bad, "--known-file", bad,
+             "--in-dist", bad, "--out-dist", bad],
+        ):
+            code, _, err = run(capsys, *argv, "--out", str(tmp_path))
+            assert code == 2, (argv[0], err)
+            assert err.startswith("error 2 FormatError"), (argv[0], err)
 
     def test_sparse_batch_exit_3(self, tmp_path, capsys):
         # a batch whose minimal-time outer cells are all empty starves the
@@ -508,12 +565,28 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error 2 FormatError")
 
+
+class TestReadme:
+    def test_command_line_examples_run(self, tmp_path, capsys, monkeypatch):
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [ln for ln in block.replace("\\\n", " ").splitlines()
+                 if ln.startswith("treetomo ")]
+        assert any("--mode rational" in ln for ln in lines)
+        monkeypatch.chdir(tmp_path)
+        for line in lines:
+            code, out, err = run(capsys, *shlex.split(line)[1:])
+            assert code == 0, (line, err)
+            if "--mode rational" in line:
+                assert "max_error 0\n" in out, line
+
+
 class TestSeedDefault:
     def test_gen_without_seed_is_seed_0(self, tmp_path, capsys, monkeypatch):
         # the seed comes from the flags alone, never from the environment
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         monkeypatch.setenv("TREETOMO_SEED", "77")
-        run(capsys, "gen", "--random-tree", "--rout", "2", "--out", a)
-        run(capsys, "gen", "--random-tree", "--rout", "2", "--seed", "0", "--out", b)
+        run(capsys, "gen", "--tree", "random", "--rout", "2", "--out", a)
+        run(capsys, "gen", "--tree", "random", "--rout", "2", "--seed", "0", "--out", b)
         for name in ("tree.txt", "kernel.txt"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

@@ -23,7 +23,9 @@ from treetomo.formats import (
 from treetomo.tomography import recover_all
 from treetomo.tree_model import AugmentedTree, segment, spherical_augmentation, star
 
-from helpers import known_part, rand_instance
+from helpers import INVALID_TREES, known_part, rand_instance, tree_file
+
+SEGMENT = tree_file(0, "0-1 1-2 2-3", 2)  # segment(0, 1) augmented by 2, no layer lines
 
 
 class TestTreeFormat:
@@ -38,7 +40,7 @@ class TestTreeFormat:
         back = parse_tree(dump_tree(aug))
         assert isinstance(back, AugmentedTree)
         assert back.full.edges() == aug.full.edges()
-        assert back.origin == aug.origin
+        assert [back.is_original(v) for v in range(10)] == [aug.is_original(v) for v in range(10)]
         assert back.inner_layer == aug.inner_layer
         assert back.outer_layer == aug.outer_layer
         assert back.hull_radius == aug.hull_radius
@@ -52,6 +54,19 @@ class TestTreeFormat:
             parse_tree("tree 2 0\nedge 0 x\n")
         with pytest.raises(FormatError):
             parse_tree("tree 3 0\nedge 0 1\nedge 1 2\nwhatever 1\n")
+
+    @pytest.mark.parametrize("text", [
+        SEGMENT.replace("3 added", "3 grafted"),  # bad origin flag
+        "tree 3 0\nedge 0 1\n",  # header vertex count
+        SEGMENT.replace("origin 3 added\n", ""),  # origins miss a vertex
+        SEGMENT.replace("1 original", "1 added").replace("2 added", "2 original"),
+        SEGMENT + "layer outer 2\n",
+        *INVALID_TREES.values(),
+    ], ids=["bad-origin", "count", "origin-cover", "origin-prefix", "outer-layer",
+            *INVALID_TREES])
+    def test_invalid_rejected(self, text):
+        with pytest.raises(FormatError):
+            parse_tree(text)
 
     def test_layer_mismatch_rejected(self):
         aug = spherical_augmentation(segment(0, 1), 2)
@@ -100,6 +115,9 @@ class TestKernelFormat:
             "mode float\nrow 0 1:0.5 2:0.5\nrow 0 1:0.25 2:0.75\n",  # row twice
             "mode rational\nrow 0 1:1/2 2:1/2\nrow 0 1:1/2 2:1/2\n",  # same row twice
             "mode float\nrow 1 0:0.5 2:0.25 2:0.25\n",  # cell twice in a row
+            "mode float\nrow 0 1\n",  # cell without a colon
+            "mode float\nweight 0 1:1\n",  # unknown record
+            "\n",  # no mode header
         ],
     )
     def test_inconsistent_rejected(self, text):
@@ -140,6 +158,9 @@ class TestDistributionFormat:
             ("outer 3 5 -0.1\n", "float"),  # negative mass
             ("outer -2 5 -0.1\n", "float"),
             ("inner 2 3 -1/4\n", "rational"),
+            ("inner 2 3\n", "float"),  # three columns
+            ("middle 2 3 0.5\n", "float"),  # no such layer
+            ("inner x 3 0.5\n", "float"),  # non-integer time
         ],
     )
     def test_inconsistent_rejected(self, text, mode):
@@ -203,6 +224,11 @@ class TestBatchFormat:
             "batch 4 0 7\nin 2 3 1\nin 2 3 1\nout 5 5 4\noverflow 0\n",  # repeat
             "batch 4 0 0\noverflow 4\n",  # empty time range
             "batch 4 0 7\nout 3 5 4\noverflow 0\nbatch 2 0 7\noverflow 2\n",
+            "in 2 3 1\nbatch 4 0 7\n",  # counts before the header
+            "overflow 0\nbatch 4 0 7\n",  # overflow before the header
+            "batch 4 0 7\ntotal 4\n",  # unknown record
+            "batch 4 0 7\nout 5 5\n",  # count missing
+            "",  # no header
         ],
     )
     def test_inconsistent_rejected(self, text):
