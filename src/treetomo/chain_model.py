@@ -115,9 +115,9 @@ class AccRows(dict):
         if not self.exact:
             self[u] = row
 
-    def value(self, n, steps: int, den: int = 1):
-        """Value of accumulated mass ``n`` built from ``steps`` entries, over ``den``."""
-        return Fraction(n, den * self.scale**steps) if self.exact else n
+    def value(self, n, steps: int):
+        """Value of accumulated mass ``n`` built from ``steps`` entries."""
+        return Fraction(n, self.scale**steps) if self.exact else n
 
     def law(self, mass: dict) -> tuple[dict, dict[int, int]]:
         """Hitting-law cells as numerators, with one denominator per time.

@@ -4,8 +4,8 @@ Subcommands wire generation, forward solving, inversion, sampling,
 estimation, and round-trip verification into reproducible runs.  Every
 command is a pure function of its flags and input files.  Exit codes:
 0 ok, 2 bad input (a malformed or inconsistent file, such as a tree that is
-not a valid augmentation, or a flag value the library rejects), 3
-insufficient data, 4 out-of-range recovery, 5 internal.
+not a valid augmentation, or a flag or flag value that argparse or the
+library rejects), 3 insufficient data, 4 out-of-range recovery, 5 internal.
 """
 
 from __future__ import annotations
@@ -294,7 +294,10 @@ def _exit_code(exc: Exception) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a flag argparse rejects (2), or --help / --version (0)
+        return exc.code
     try:
         return _HANDLERS[args.command](args)
     except (TreetomoError, OSError) as exc:

@@ -14,10 +14,11 @@ runs straight out to the inner layer below ``u`` (through any child, not only
 ``w``), straight back up, and straight out through ``w``; its probability is
 ``t(u, w) * head(u) * tail(w)``, so the unknown drops out by division.  With
 ``z'`` the outer child of inner vertex ``z``, both factors are sums over rows
-already solved:
+already solved, and the head on the inner layer is one cell of the inner law,
+since a walk that first meets ``z`` at time ``R + 1`` went straight there:
 
-    head(z) = p_out(R+2, z') / t(z, z'),   head(x) = sum_c t(c, x) head(c),
-    tail(z') = 1,                          tail(x) = sum_c t(x, c) tail(c).
+    head(z) = p_in(R+1, z),   head(x) = sum_c t(c, x) head(c),
+    tail(z') = 1,             tail(x) = sum_c t(x, c) tail(c).
 
 :func:`recover_all` carries head, tail and one tail-class table per shell
 inward: each vertex gets its two sums once, and shell ``k`` one first-passage
@@ -42,7 +43,7 @@ plain values.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -167,39 +168,12 @@ class _Reads(dict):
         return self.get((t, v), 0)
 
 
-def _inner_heads(
-    aug: AugmentedTree, rows: AccRows, read_out: Callable[[int, int], Number], den: int,
-    inner: Iterable[int],
-) -> tuple[dict[int, Number], int]:
-    """Head sums on the inner vertices ``inner``, and their denominator ``Q``.
-
-    The head at ``z`` is the ballistic outer arrival at time ``R + 2``
-    through ``z``'s outer child, divided by that last known step.  Float
-    mode: the values, and ``Q = 1``.  Rational mode: ``read_out`` gives
-    cells ``N / den`` at that time (``N`` integer, or a value with ``den = 1``),
-    and with ``L`` the lcm of the last steps' numerators ``n``, the head at
-    ``z`` is ``N * D * (L / n)`` over ``Q = den * L``.
-    """
-    t = aug.hull_radius + 2
-    last = {z: rows[z][aug.outer_child(z)] for z in inner}
-    lcm = math.lcm(*last.values()) if rows.exact else 1
-    head: dict[int, Number] = {}
-    for z, n in last.items():
-        a = read_out(t, aug.outer_child(z))
-        if not a:
-            head[z] = 0
-        elif rows.exact:
-            head[z] = a * rows.scale * (lcm // n)
-        else:
-            head[z] = a / n
-    return head, den * lcm
-
-
 def _head(aug: AugmentedTree, rows: AccRows, head: dict[int, Number], x: int) -> Number:
     """Head sum at ``x`` from the head sums of its children: over inner
     vertices ``z`` below ``x``, the head at ``z`` times the inward path
-    product from ``z`` up to ``x``.  In rational mode an integer over
-    ``Q * D**(R+1-|x|)``."""
+    product from ``z`` up to ``x``.  In rational mode the sum times
+    ``D**(R+1-|x|)``; in :func:`recover_all` an integer over ``Q``, the inner
+    law's denominator at time ``R + 1``."""
     return sum(rows[c][x] * head[c] for c in aug.full.children[x])
 
 
@@ -290,18 +264,23 @@ def unknown_edge_coefficient(
     The two legs are independent, so the sum factorizes into the head sum at
     ``vertex`` times the tail sum at ``child``, each built bottom-up over its
     subtree from rows already known.
+
+    The inner heads are ``p_out(R+2, z') / t(z, z')``, for callers that hold
+    only the outer law.  On computed laws this equals the ``p_in(R+1, z)`` that
+    :func:`recover_all` reads, exactly in rational mode; on empirical laws it may not.
     """
     below = _bottom_up(aug, plan.vertex)
     rows = AccRows(kernel, below)
-    head, q = _inner_heads(aug, rows, p_out.prob, 1, [x for x in below if x in aug.inner_layer])
+    r, outer = aug.hull_radius, aug.outer_child
+    head = {z: p_out.prob(r + 2, outer(z)) * rows.scale / rows[z][outer(z)]
+            for z in below if z in aug.inner_layer}
     for x in below:
         if x not in head:
             head[x] = _head(aug, rows, head, x)
     tail: dict[int, Number] = {}
     for x in _bottom_up(aug, plan.child):
         tail[x] = _tail(aug, rows, tail, x)
-    steps = 2 * (plan.hull_radius + 1 - plan.shell)
-    return rows.value(head[plan.vertex] * tail[plan.child], steps, q)
+    return rows.value(head[plan.vertex] * tail[plan.child], 2 * (r + 1 - plan.shell))
 
 
 def _solve_edge(
@@ -406,22 +385,19 @@ def recover_all(
     in_mass, den_in = rows.law(p_in.mass)
     out_mass, den_out = rows.law(p_out.mass)
     law_in, law_out = _Reads(in_mass), _Reads(out_mass)
-    head: dict[int, Number] = {}
+    head: dict[int, Number] = {z: law_in.read(r + 1, z) for z in shells[r + 1]}
+    q = den_in.get(r + 1, 1)  # the inner heads are numerators over q
     tail: dict[int, Number] = {}
-    q = 1
 
     mode = work.mode
     root = full.root
     for k in range(r, -1, -1):
-        law_in.last = law_out.last = -1  # record the reads of shell k only
         # the band of shell k is shells k+1 .. R+1; the heads of shell k+1 and
         # the tails of shell k+2 hold R-k entries each
         grow = rows.cover(shells[k + 1]) ** (r - k)
         if grow != 1:
             head = {x: h * grow for x, h in head.items()}
             tail = {x: t * grow for x, t in tail.items()}
-        if k == r:  # heads start on the inner layer
-            head, q = _inner_heads(aug, rows, law_out.read, den_out.get(r + 2, 1), shells[r + 1])
         tail = {x: _tail(aug, rows, tail, x) for x in shells[k + 1]}
         head = {x: _head(aug, rows, head, x) for x in shells[k]}
         targets = [u for u in shells[k] if aug.is_original(u)
@@ -468,6 +444,7 @@ def recover_all(
             work.provenance[u] = RECOVERED
         del chis
         shell_reads[k] = (law_in.last, law_out.last)
+        law_in.last = law_out.last = -1  # record the reads of each shell apart
 
     ins, outs = zip(*shell_reads.values())
     report = RecoveryReport(

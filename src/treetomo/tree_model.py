@@ -244,8 +244,8 @@ def random_tree(rout: int, seed: int, size: int | None = None) -> RootedTree:
     stops early once every eligible parent is saturated) and defaults to a
     seed-dependent draw; trees never exceed 40 vertices.
     """
-    if rout < 1:
-        raise InvalidParameter(f"rout must be >= 1, got {rout}")
+    if not 1 <= rout <= 39:  # a spine of rout + 1 vertices within 40
+        raise InvalidParameter(f"rout must lie in [1, 39], got {rout}")
     rng = np.random.default_rng(seed)
     if size is None:
         size = int(rng.integers(rout + 1, min(40, rout + 16) + 1))

@@ -38,7 +38,6 @@ from treetomo.tomography import (
     _unit,
     make_plan,
     tail_passage_probs,
-    unknown_edge_coefficient,
 )
 from treetomo.tree_model import AugmentedTree, RootedTree, build_tree, random_tree
 
@@ -313,18 +312,17 @@ def down_product(aug: AugmentedTree, kernel: TransitionKernel, w: int, v: int):
     return acc
 
 
-def explicit_edge_coefficient(aug, kernel, plan, p_out):
+def explicit_edge_coefficient(aug, kernel, plan, p_in):
     """Out-and-back coefficient as an explicit sum over path pairs.
 
     Sums, over every inner vertex ``z`` below ``plan.vertex`` and every outer
-    target ``v`` below ``plan.child``, the ballistic outer arrival through
-    ``z`` divided by its last step, times the inward product from ``z`` up to
-    the vertex and the outward product from the child down to ``v``.
+    target ``v`` below ``plan.child``, the ballistic inner arrival at ``z``
+    (the inner law at time ``R + 1``), times the inward product from ``z`` up
+    to the vertex and the outward product from the child down to ``v``.
     """
     total = 0
     for z in aug.layer_descendants(plan.vertex, aug.inner_layer):
-        zo = aug.outer_child(z)
-        ballistic = p_out.prob(aug.hull_radius + 2, zo) / kernel.prob(z, zo)
+        ballistic = p_in.prob(aug.hull_radius + 1, z)
         head = ballistic * up_product(aug, kernel, z, plan.vertex)
         for v in plan.outer_targets:
             total = total + head * down_product(aug, kernel, plan.child, v)
@@ -343,11 +341,13 @@ def recover_edge(
     """Single-edge oracle of ``recover_all``: ``t(plan.vertex, plan.child)`` alone.
 
     Subtracts every tail-class contribution from the outer arrival mass at
-    ``plan.hit_time`` and divides by the out-and-back coefficient, both built
-    over the edge's own subtrees.  A value outside (0, 1] is clamped and
-    flagged when ``clamp`` is set and raised otherwise.
+    ``plan.hit_time`` and divides by the out-and-back coefficient of
+    :func:`explicit_edge_coefficient`, both built over the edge's own
+    subtrees, with the heads read from the inner law as ``recover_all``
+    does.  A value outside (0, 1] is clamped and flagged when ``clamp`` is
+    set and raised otherwise.
     """
-    denom = unknown_edge_coefficient(aug, kernel, plan, p_out)
+    denom = explicit_edge_coefficient(aug, kernel, plan, p_in)
     if denom == 0:
         raise ZeroDenominator(f"edge ({plan.vertex}, {plan.child}): coefficient is zero")
     chis = tail_passage_probs(aug, kernel, plan)

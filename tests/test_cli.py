@@ -342,8 +342,9 @@ class TestExitCodes:
         (["consistency", "--tree", "star", "--l", "1", "--n", "2", "--n-grid", "a,b"],
          "usage:"),
         (["invert"], "error 2 InvalidParameter"),  # recovery reads 2-long chains only
+        (["gen", "--tree", "random", "--rout", "40"], "error 2 InvalidParameter"),
     ], ids=["star-no-l", "floor-2", "floor-sum", "segment-l-0", "sample-n-0",
-            "sample-workers-0", "n-grid", "invert-3-long"])
+            "sample-workers-0", "n-grid", "invert-3-long", "random-rout-40"])
     def test_bad_flag_value_exit_2(self, tmp_path, capsys, monkeypatch, argv, want):
         # sample and invert read a valid augmentation by chains of length 3
         monkeypatch.chdir(tmp_path)
@@ -358,12 +359,16 @@ class TestExitCodes:
             "invert": ["--tree-file", "tree.txt", "--known-file", "known.txt",
                        "--in-dist", "in.tsv", "--out-dist", "out.tsv"],
         }
-        try:
-            code, _, err = run(capsys, argv[0], *files.get(argv[0], []), *argv[1:])
-        except SystemExit as exc:  # argparse rejects the value itself
-            code, err = exc.code, capsys.readouterr().err
+        code, _, err = run(capsys, argv[0], *files.get(argv[0], []), *argv[1:])
         assert code == 2, err
         assert err.startswith(want), err
+
+    @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["gen", "--help"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        # argparse answers these itself; main returns its code, it does not raise
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out
 
     @pytest.mark.parametrize("text", INVALID_TREES.values(), ids=INVALID_TREES)
     def test_invalid_tree_file_exit_2(self, tmp_path, capsys, text):
@@ -380,58 +385,55 @@ class TestExitCodes:
             assert code == 2, (argv[0], err)
             assert err.startswith("error 2 FormatError"), (argv[0], err)
 
-    def test_sparse_batch_exit_3(self, tmp_path, capsys):
-        # a batch whose minimal-time outer cells are all empty starves the
-        # recovery denominator
+    @staticmethod
+    def estimate_batch(capsys, tmp_path, lines):
+        """``estimate`` on the star(1, 2) of seed 2 with a batch file of ``lines``."""
         work = str(tmp_path / "w")
         run(capsys, "gen", "--tree", "star", "--l", "1", "--n", "2",
             "--seed", "2", "--out", work)
-        batch = "\n".join(
-            ["batch 4 0 64", "in 2 3 2", "in 2 4 2",
-             "out 5 5 2", "out 5 6 2", "overflow 0"]
-        )
-        (tmp_path / "w" / "batch.txt").write_text(batch + "\n")
-        code, _, err = run(
+        (tmp_path / "w" / "batch.txt").write_text("\n".join(lines) + "\n")
+        return run(
             capsys, "estimate", "--tree-file", f"{work}/tree.txt",
             "--known-file", f"{work}/known.txt",
-            "--batch-file", f"{work}/batch.txt",
+            "--batch-file", f"{work}/batch.txt", "--out", work,
         )
+
+    def test_sparse_batch_exit_3(self, tmp_path, capsys):
+        # a batch whose inner cells at R+1 = 2 are all empty holds no head,
+        # which starves the recovery denominator; every walk first meets the
+        # inner layer at time 4 (root, leaf, root, leaf, inner)
+        code, _, err = self.estimate_batch(capsys, tmp_path, [
+            "batch 4 0 64", "in 4 3 2", "in 4 4 2",
+            "out 5 5 2", "out 5 6 2", "overflow 0",
+        ])
         assert code == 3
         assert err.startswith("error 3 InsufficientData")
 
+    def test_batch_without_ballistic_outer_cells_answers(self, tmp_path, capsys):
+        # the heads come from the inner cells at R+1 = 2, so empty outer
+        # cells at R+2 = 3 leave the recovery its denominator
+        code, out, err = self.estimate_batch(capsys, tmp_path, [
+            "batch 4 0 64", "in 2 3 2", "in 2 4 2",
+            "out 5 5 2", "out 5 6 2", "overflow 0",
+        ])
+        assert code == 0, err
+        assert out.startswith("flags ")
+
     def test_inconsistent_batch_exit_2(self, tmp_path, capsys):
         # an inner cell past the batch's own time cap cannot come from a run
-        work = str(tmp_path / "w")
-        run(capsys, "gen", "--tree", "star", "--l", "1", "--n", "2",
-            "--seed", "2", "--out", work)
-        batch = "\n".join(
-            ["batch 4 0 7", "in 2 3 2", "in 9 4 2",
-             "out 3 5 2", "out 3 6 2", "overflow 0"]
-        )
-        (tmp_path / "w" / "batch.txt").write_text(batch + "\n")
-        code, _, err = run(
-            capsys, "estimate", "--tree-file", f"{work}/tree.txt",
-            "--known-file", f"{work}/known.txt",
-            "--batch-file", f"{work}/batch.txt",
-        )
+        code, _, err = self.estimate_batch(capsys, tmp_path, [
+            "batch 4 0 7", "in 2 3 2", "in 9 4 2",
+            "out 3 5 2", "out 3 6 2", "overflow 0",
+        ])
         assert code == 2
         assert err.startswith("error 2 FormatError")
 
     def test_short_batch_exit_2(self, tmp_path, capsys):
         # a batch cut at t_cap 6 misses the read horizon 3R+4 = 7 of star(1, 2)
-        work = str(tmp_path / "w")
-        run(capsys, "gen", "--tree", "star", "--l", "1", "--n", "2",
-            "--seed", "2", "--out", work)
-        batch = "\n".join(
-            ["batch 4 0 6", "in 2 3 2", "in 2 4 2",
-             "out 3 5 2", "out 3 6 2", "overflow 0"]
-        )
-        (tmp_path / "w" / "batch.txt").write_text(batch + "\n")
-        code, _, err = run(
-            capsys, "estimate", "--tree-file", f"{work}/tree.txt",
-            "--known-file", f"{work}/known.txt",
-            "--batch-file", f"{work}/batch.txt",
-        )
+        code, _, err = self.estimate_batch(capsys, tmp_path, [
+            "batch 4 0 6", "in 2 3 2", "in 2 4 2",
+            "out 3 5 2", "out 3 6 2", "overflow 0",
+        ])
         assert code == 2
         assert err.startswith("error 2 FormatError")
 

@@ -248,18 +248,20 @@ class TestUnknownEdgeCoefficient:
 
     def test_matches_explicit_path_products(self):
         # the bottom-up head and tail sums equal the sum over (inner z below
-        # u) x (outer v below w) of explicit path products, exactly
+        # u) x (outer v below w) of explicit path products, exactly; the
+        # outer-law heads here against the inner-law heads there pin
+        # p_out(R+2, z') = p_in(R+1, z) * t(z, z')
         cases = [rand_instance(s, rout=1 + s % 4, mode="rational") for s in range(6)]
         for base in (broom(4, 3), comb(6)):
             aug = spherical_augmentation(base, 2)
             cases.append((aug, random_kernel(aug, 5, scope="all", mode="rational")))
         for aug, kernel in cases:
-            _, p_out = forward_pair(aug, kernel)
+            p_in, p_out = forward_pair(aug, kernel)
             for u in range(aug.base.vertex_count):
                 for w in aug.full.children[u]:
                     plan = make_plan(aug, u, w)
                     got = unknown_edge_coefficient(aug, kernel, plan, p_out)
-                    assert got == explicit_edge_coefficient(aug, kernel, plan, p_out)
+                    assert got == explicit_edge_coefficient(aug, kernel, plan, p_in)
 
 
 class TestDecompositionIdentity:
@@ -331,11 +333,12 @@ class TestRecoverEdge:
                     assert float(full_val) == float(part_val)
 
     def test_zero_denominator(self):
+        # the heads are the inner arrivals at R+1; an empty inner law has none
         aug, kernel = segment_fixture()
-        p_in, _ = forward_pair(aug, kernel)
-        empty = HittingDistribution(OUTER, 8, {})
+        _, p_out = forward_pair(aug, kernel)
+        empty = HittingDistribution(INNER, 8, {})
         with pytest.raises(ZeroDenominator):
-            recover_edge(aug, kernel, make_plan(aug, 1, 2), p_in, empty)
+            recover_edge(aug, kernel, make_plan(aug, 1, 2), empty, p_out)
 
     def test_out_of_range_strict_and_clamped(self):
         aug, kernel = segment_fixture()

@@ -195,3 +195,14 @@ class TestRandomTree:
             t = random_tree(rout, seed)
             assert max(t.norm.values()) == rout
             assert t.vertex_count <= 40
+
+    @pytest.mark.parametrize("rout", [0, 40, 41])
+    def test_rout_out_of_range(self, rout):
+        # a spine of rout + 1 vertices must fit the 40-vertex cap
+        with pytest.raises(InvalidParameter):
+            random_tree(rout, 0)
+
+    def test_longest_spine(self):
+        t = random_tree(39, 0)
+        assert max(t.norm.values()) == 39
+        assert t.vertex_count == 40
