@@ -232,14 +232,6 @@ def require_valid(aug: AugmentedTree, kernel: TransitionKernel) -> None:
         raise InvalidKernel(f"{first.kind} at vertex {first.vertex}: {first.detail}")
 
 
-def _half(mode: str) -> Number:
-    return Fraction(1, 2) if mode == RATIONAL else 0.5
-
-
-def _one(mode: str) -> Number:
-    return Fraction(1) if mode == RATIONAL else 1.0
-
-
 LAMBDA_ONLY = "lambda"
 ALL_VERTICES = "all"
 RATIONAL_GRID = 64
@@ -260,14 +252,16 @@ def random_kernel(
     flagged unknown, added rows known.  Rows are drawn uniformly on the
     floor-truncated simplex; in rational mode entries are multiples of
     ``1/RATIONAL_GRID``, or of a finer dyadic grid where the floor needs it,
-    summing exactly to one.
+    summing exactly to one.  The unit gammas of all randomized rows come from
+    one ``standard_gamma`` call, each row normalized as numpy's Dirichlet
+    sampler does, so every row equals ``rng.dirichlet(np.ones(d))`` bit for bit.
     """
     if scope not in (LAMBDA_ONLY, ALL_VERTICES):
         raise InvalidParameter(f"unknown scope {scope!r}")
     if not 0 < floor < 1:
         raise InvalidParameter(f"floor must lie in (0, 1), got {floor}")
-    rng = np.random.default_rng(seed)
     full = aug.full
+    one, half = (Fraction(1), Fraction(1, 2)) if mode == RATIONAL else (1.0, 0.5)
     entries: dict[int, dict[int, Number]] = {}
     prov: dict[int, str] = {}
     for u in range(full.vertex_count):
@@ -278,20 +272,26 @@ def random_kernel(
         prov[u] = UNKNOWN if lam else KNOWN
         d = len(nbrs)
         if d == 1:
-            entries[u] = {nbrs[0]: _one(mode)}
+            entries[u] = {nbrs[0]: one}
             if u == full.root:
                 prov[u] = KNOWN
-            continue
-        randomize = lam or scope == ALL_VERTICES
-        if not randomize:
-            entries[u] = {v: _half(mode) for v in nbrs}
-            continue
-        if floor * d >= 1:
-            raise InvalidParameter(
-                f"floor {floor} infeasible for degree-{d} vertex {u}"
-            )
-        raw = rng.dirichlet(np.ones(d))
-        probs = floor + (1.0 - d * floor) * raw
+        elif lam or scope == ALL_VERTICES:
+            if floor * d >= 1:
+                raise InvalidParameter(f"floor {floor} infeasible for degree-{d} vertex {u}")
+            entries[u] = {}  # drawn below, keeping the row order
+        else:
+            entries[u] = {v: half for v in nbrs}
+    drawn = [(u, full.neighbors(u)) for u, row in entries.items() if not row]
+    rng = np.random.default_rng(seed)
+    gammas = iter(rng.standard_gamma(1.0, size=sum(len(n) for _, n in drawn)).tolist())
+    for u, nbrs in drawn:
+        d = len(nbrs)
+        raw = [next(gammas) for _ in nbrs]
+        acc = 0.0
+        for x in raw:
+            acc = acc + x  # not sum(): numpy's Dirichlet adds plainly, left to right
+        inv = 1.0 / acc
+        probs = [floor + (1.0 - d * floor) * (x * inv) for x in raw]
         if mode == RATIONAL:
             # grid must leave room above the floor for every neighbor
             den = RATIONAL_GRID

@@ -60,11 +60,8 @@ class RootedTree:
 
     def terminals(self) -> tuple[int, ...]:
         """Degree-1 vertices, root excluded."""
-        return tuple(
-            v
-            for v in range(self.vertex_count)
-            if v != self.root and self.degree(v) == 1
-        )
+        return tuple(v for v in range(self.vertex_count)
+                     if v != self.root and not self.children[v])
 
     def subtree(self, v: int) -> tuple[int, ...]:
         """All descendants of ``v`` including ``v`` (``v`` first), deterministic."""
@@ -126,7 +123,8 @@ class AugmentedTree:
 
 
 def build_tree(edges: list[tuple[int, int]], root: int) -> RootedTree:
-    """Build a rooted tree from an undirected edge list.
+    """Build a rooted tree from an undirected edge list, in one breadth-first
+    pass over adjacency lists that sets parents and norms and collects children.
 
     Args:
         edges: pairs of vertex ids; ids must be exactly ``0..n-1``.
@@ -143,7 +141,7 @@ def build_tree(edges: list[tuple[int, int]], root: int) -> RootedTree:
     for u, v in edges:
         if u == v:
             raise NotATree(f"self-loop at {u}")
-        key = (min(u, v), max(u, v))
+        key = (u, v) if u < v else (v, u)
         if key in seen:
             raise NotATree(f"duplicate edge {key}")
         seen.add(key)
@@ -157,27 +155,24 @@ def build_tree(edges: list[tuple[int, int]], root: int) -> RootedTree:
     if len(edges) != n - 1:
         raise NotATree(f"{len(edges)} edges for {n} vertices")
 
-    adj: dict[int, list[int]] = {v: [] for v in range(n)}
+    adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
 
     parent: dict[int, int | None] = {root: None}
     norm = {root: 0}
+    kids: list[tuple[int, ...]] = [()] * n
     order = [root]
     for v in order:
-        for w in adj[v]:
-            if w not in norm:
-                parent[w] = v
-                norm[w] = norm[v] + 1
-                order.append(w)
+        below = [w for w in adj[v] if w not in norm]
+        for w in below:
+            parent[w], norm[w] = v, norm[v] + 1
+        order += below
+        kids[v] = tuple(sorted(below))
     if len(order) != n:
         raise NotATree("graph is disconnected")
-
-    children = {
-        v: tuple(sorted(w for w in adj[v] if parent.get(w) == v)) for v in range(n)
-    }
-    return RootedTree(n, root, parent, children, norm)
+    return RootedTree(n, root, parent, dict(enumerate(kids)), norm)
 
 
 def segment(k: int, l: int) -> RootedTree:
@@ -217,22 +212,22 @@ def spherical_augmentation(tree: RootedTree, l: int) -> AugmentedTree:
     vertices, where ``R`` is the outer radius of ``tree``.  New ids are
     assigned level by level (all new vertices at a given norm come before any
     deeper ones, ordered by terminal id within a level), which matches the
-    shell enumeration used throughout the recovery machinery.  ``l < 1``
+    shell enumeration used throughout the recovery machinery.  Each chain
+    vertex is written straight into the parent, children and norm maps of the
+    full tree, and :class:`AugmentedTree` checks the result, so ``l < 1``
     raises :class:`InvalidParameter`.
     """
     r_out = max(tree.norm.values())
-    terms = tree.terminals()
-
-    edges = list(tree.edges())
-    next_id = tree.vertex_count
-    tip: dict[int, int] = {v: v for v in terms}
+    parent, children, norm = dict(tree.parent), dict(tree.children), dict(tree.norm)
+    tip = {v: v for v in tree.terminals()}  # terminal -> current end of its chain
     for level in range(1, r_out + l + 1):
-        for v in terms:
+        for v, end in tip.items():
             if tree.norm[v] < level:
-                edges.append((tip[v], next_id))
-                tip[v] = next_id
-                next_id += 1
-    return AugmentedTree(tree, build_tree(edges, tree.root))
+                new = len(parent)  # ids continue from the vertices so far
+                parent[new], norm[new] = end, level
+                children[end], children[new] = (new,), ()
+                tip[v] = new
+    return AugmentedTree(tree, RootedTree(len(parent), tree.root, parent, children, norm))
 
 
 def random_tree(rout: int, seed: int, size: int | None = None) -> RootedTree:

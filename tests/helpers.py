@@ -20,7 +20,7 @@ from treetomo import (
     random_kernel,
     spherical_augmentation,
 )
-from treetomo.chain_model import Number, settle
+from treetomo.chain_model import RATIONAL_GRID, Number, settle
 from treetomo.errors import (
     FormatError,
     InvalidParameter,
@@ -80,6 +80,7 @@ INVALID_TREES = {
     "disconnected": tree_file(0, "0-1 2-3 3-4 4-2", 2),
     "root-on-no-edge": tree_file(5, "0-1 1-2 2-3", 2),
     "base-below-an-added-vertex": tree_file(0, "0-1 1-3 3-2", 3),
+    "original-vertex-1-below-an-added-vertex": tree_file(0, "0-2 2-1 1-3 3-4", 2),
     "root-not-original": tree_file(3, "0-1 1-2 2-3", 2),
     "no-chain": tree_file(0, "0-1", 2),
     "forked-inner-vertex": tree_file(0, "0-1 1-2 2-3 2-4", 2),
@@ -135,6 +136,64 @@ def l_augment_at(tree: RootedTree, v: int, l: int) -> RootedTree:
         edges.append((prev, n + i))
         prev = n + i
     return build_tree(edges, tree.root)
+
+
+def edge_list_augmentation(tree: RootedTree, l: int) -> AugmentedTree:
+    """Reference for ``spherical_augmentation``: the same chains, numbered level
+    by level, appended to the edge list and the whole tree built again."""
+    edges = list(tree.edges())
+    next_id = tree.vertex_count
+    tip = {v: v for v in tree.terminals()}
+    for level in range(1, max(tree.norm.values()) + l + 1):
+        for v in tip:
+            if tree.norm[v] < level:
+                edges.append((tip[v], next_id))
+                tip[v] = next_id
+                next_id += 1
+    return AugmentedTree(tree, build_tree(edges, tree.root))
+
+
+def dirichlet_kernel(
+    aug: AugmentedTree, seed: int, floor: float, scope: str, mode: str
+) -> TransitionKernel:
+    """Reference for ``random_kernel``: one ``rng.dirichlet(np.ones(d))`` draw per
+    randomized row, in vertex order, each mapped onto the floor-truncated simplex."""
+    rng = np.random.default_rng(seed)
+    full = aug.full
+    one, half = (Fraction(1), Fraction(1, 2)) if mode == RATIONAL else (1.0, 0.5)
+    entries: dict[int, dict[int, Number]] = {}
+    prov: dict[int, str] = {}
+    for u in range(full.vertex_count):
+        if u in aug.outer_layer:
+            continue
+        nbrs = full.neighbors(u)
+        lam = aug.is_original(u)
+        prov[u] = UNKNOWN if lam else KNOWN
+        d = len(nbrs)
+        if d == 1:
+            entries[u] = {nbrs[0]: one}
+            if u == full.root:
+                prov[u] = KNOWN
+            continue
+        if not (lam or scope == "all"):
+            entries[u] = {v: half for v in nbrs}
+            continue
+        raw = rng.dirichlet(np.ones(d))
+        probs = floor + (1.0 - d * floor) * raw
+        if mode == RATIONAL:
+            den = RATIONAL_GRID
+            while int(np.ceil(floor * den)) * d >= den:
+                den *= 2
+            lo = max(int(np.ceil(floor * den)), 1)
+            counts = [max(lo, int(round(p * den))) for p in probs]
+            counts[int(np.argmax(probs))] += den - sum(counts)
+            if min(counts) < lo:
+                counts = [lo] * d
+                counts[int(np.argmax(probs))] += den - lo * d
+            entries[u] = {v: Fraction(c, den) for v, c in zip(nbrs, counts)}
+        else:
+            entries[u] = {v: float(p) for v, p in zip(nbrs, probs)}
+    return TransitionKernel(entries, prov, mode)
 
 
 def default_augmented_kernel(

@@ -13,9 +13,9 @@ from treetomo import (
     validate_kernel,
 )
 from treetomo.errors import InvalidParameter, MissingRow
-from treetomo.tree_model import segment, spherical_augmentation, star
+from treetomo.tree_model import random_tree, segment, spherical_augmentation, star
 
-from helpers import default_augmented_kernel, rand_instance
+from helpers import broom, default_augmented_kernel, dirichlet_kernel, rand_instance
 
 
 @pytest.fixture
@@ -130,3 +130,20 @@ class TestRandomKernel:
         for u in range(star_aug.base.vertex_count, star_aug.full.vertex_count):
             if u not in star_aug.outer_layer:
                 assert k.provenance[u] == KNOWN
+
+    @pytest.mark.parametrize("mode", ["float", RATIONAL])
+    @pytest.mark.parametrize("scope", ["lambda", "all"])
+    def test_equals_per_row_dirichlet(self, mode, scope):
+        # the one gamma draw must reproduce numpy's per-row Dirichlet(1, ..., 1)
+        # exactly; a numpy release that normalizes differently fails here
+        trees = [(star(2, 3), 0.05), (segment(2, 3), 0.05), (random_tree(4, 9), 0.05),
+                 (broom(2, 60), 0.005)]  # broom(2, 60) has two degree-61 vertices
+        for base, floor in trees:
+            aug = spherical_augmentation(base, 2)
+            for seed in range(5):
+                got = random_kernel(aug, seed, floor=floor, scope=scope, mode=mode)
+                want = dirichlet_kernel(aug, seed, floor, scope, mode)
+                assert list(got.entries) == list(want.entries)
+                assert got.provenance == want.provenance
+                for u, row in want.entries.items():
+                    assert list(got.entries[u].items()) == list(row.items()), (seed, u)

@@ -21,9 +21,16 @@ from treetomo.formats import (
     parse_tree,
 )
 from treetomo.tomography import recover_all
-from treetomo.tree_model import AugmentedTree, segment, spherical_augmentation, star
+from treetomo.tree_model import (
+    AugmentedTree,
+    build_tree,
+    random_tree,
+    segment,
+    spherical_augmentation,
+    star,
+)
 
-from helpers import INVALID_TREES, known_part, rand_instance, tree_file
+from helpers import INVALID_TREES, broom, known_part, rand_instance, tree_file
 
 SEGMENT = tree_file(0, "0-1 1-2 2-3", 2)  # segment(0, 1) augmented by 2, no layer lines
 
@@ -46,6 +53,13 @@ class TestTreeFormat:
         assert back.hull_radius == aug.hull_radius
         assert back.aug_len == aug.aug_len
         assert back.base.edges() == aug.base.edges()
+
+    def test_base_is_the_built_base(self):
+        # the parsed base is the restriction of the full tree to ids 0..k-1
+        for base in [random_tree(1 + seed % 5, seed) for seed in range(20)] + [broom(3, 4)]:
+            back = parse_tree(dump_tree(spherical_augmentation(base, 2)))
+            assert back.base == build_tree(list(base.edges()), base.root) == base
+            assert parse_tree(dump_tree(back)).base == back.base
 
     def test_malformed(self):
         with pytest.raises(FormatError):

@@ -385,6 +385,7 @@ class TestRecoverAll:
             for u, flag in kernel.provenance.items():
                 if flag == "unknown":
                     assert rep.kernel.entries[u] == kernel.entries[u]
+            assert all(type(r) is Fraction and r == 0 for r in rep.residuals.values())
 
     def test_matches_per_edge_route_rational(self):
         # the per-shell tables give exactly the rows of make_plan + recover_edge
@@ -530,6 +531,7 @@ class TestRecoverAll:
             recover_all(aug, known_part(kernel), p_in, p_out)
         rep = recover_all(aug, known_part(kernel), p_in, p_out, clamp=True)
         assert ("RowSumViolation", 1) in rep.flags
+        assert rep.residuals[1] > 0  # a clamped row keeps its computed residual
         row = rep.kernel.entries[1]
         assert sum(row.values()) == 1
         assert all(p > 0 for p in row.values())

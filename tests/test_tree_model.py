@@ -1,9 +1,12 @@
 """Tree construction, shells, radii, and augmentation."""
 
+import random
+
 import pytest
 
 from treetomo.errors import InvalidParameter, NotATree
 from treetomo.tree_model import (
+    AugmentedTree,
     build_tree,
     random_tree,
     segment,
@@ -11,7 +14,7 @@ from treetomo.tree_model import (
     star,
 )
 
-from helpers import NotTerminal, l_augment_at, radii
+from helpers import NotTerminal, broom, edge_list_augmentation, l_augment_at, radii
 
 
 class TestBuildTree:
@@ -50,6 +53,26 @@ class TestBuildTree:
     def test_children_sorted(self):
         t = build_tree([(0, 3), (0, 1), (1, 2)], 0)
         assert t.children[0] == (1, 3)
+
+    def test_self_loop_and_empty_rejected(self):
+        with pytest.raises(NotATree):
+            build_tree([(0, 1), (1, 1)], 0)
+        with pytest.raises(NotATree):
+            build_tree([], 0)
+
+    def test_cycle_beside_a_component_rejected(self):
+        # n - 1 edges, so only the breadth-first pass can see it is no tree
+        with pytest.raises(NotATree):
+            build_tree([(0, 1), (1, 2), (2, 0), (3, 4)], 0)
+
+    def test_edge_order_does_not_matter(self):
+        for seed in range(20):
+            t = random_tree(1 + seed % 6, seed)
+            edges = list(t.edges())
+            shuffled = edges[:]
+            random.Random(seed).shuffle(shuffled)
+            for variant in (shuffled, edges[::-1], [(v, u) for u, v in shuffled]):
+                assert build_tree(variant, t.root) == t
 
 
 class TestSegment:
@@ -177,6 +200,15 @@ class TestSphericalAugmentation:
                 assert aug.inner_layer == frozenset(
                     full.parent[v] for v in aug.outer_layer
                 )
+
+    def test_matches_edge_list_construction(self):
+        bases = [random_tree(1 + seed % 5, seed) for seed in range(25)]
+        for base in bases + [broom(3, 4), segment(2, 5)]:
+            for l in (1, 2, 3):
+                aug, ref = spherical_augmentation(base, l), edge_list_augmentation(base, l)
+                assert aug == ref
+                assert (aug.inner_layer, aug.outer_layer) == (ref.inner_layer, ref.outer_layer)
+                assert aug == AugmentedTree(base, build_tree(list(aug.full.edges()), base.root))
 
     def test_needs_an_edge(self):
         with pytest.raises(InvalidParameter):
