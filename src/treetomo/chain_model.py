@@ -264,6 +264,7 @@ def random_kernel(
     one, half = (Fraction(1), Fraction(1, 2)) if mode == RATIONAL else (1.0, 0.5)
     entries: dict[int, dict[int, Number]] = {}
     prov: dict[int, str] = {}
+    drawn = []  # (vertex, neighbors) of the rows to draw, in row order
     for u in range(full.vertex_count):
         if u in aug.outer_layer:
             continue
@@ -278,10 +279,10 @@ def random_kernel(
         elif lam or scope == ALL_VERTICES:
             if floor * d >= 1:
                 raise InvalidParameter(f"floor {floor} infeasible for degree-{d} vertex {u}")
-            entries[u] = {}  # drawn below, keeping the row order
+            entries[u] = {}  # filled below; this keeps the row order
+            drawn.append((u, nbrs))
         else:
             entries[u] = {v: half for v in nbrs}
-    drawn = [(u, full.neighbors(u)) for u, row in entries.items() if not row]
     rng = np.random.default_rng(seed)
     gammas = iter(rng.standard_gamma(1.0, size=sum(len(n) for _, n in drawn)).tolist())
     for u, nbrs in drawn:

@@ -120,8 +120,6 @@ def parse_tree(text: str) -> RootedTree | AugmentedTree:
         if any(origin[v] != ORIGINAL for v in range(k)) or root >= k:
             raise FormatError("base vertex ids must form a prefix 0..k-1 holding the root")
         parent = {v: full.parent[v] for v in range(k)}
-        if any(p is not None and p >= k for p in parent.values()):
-            raise FormatError("an original vertex hangs below an added vertex")
         kids = {v: tuple(c for c in full.children[v] if c < k) for v in range(k)}
         base = RootedTree(k, root, parent, kids, {v: full.norm[v] for v in range(k)})
         aug = AugmentedTree(base, full)

@@ -434,8 +434,7 @@ def recover_all(
                 if not ok:
                     flags.append(("RowSumViolation", u))
                     comp = _clamp(comp, mode)
-                residuals[u] = (Fraction(0) if ok and rows.exact  # as comp = 1 - child_sum
-                                else settle(child_sum + comp - 1, mode))
+                residuals[u] = settle(child_sum + comp - 1, mode)
                 row[full.parent[u]] = comp  # type: ignore[index]
             if clamp:
                 s = sum(row.values())

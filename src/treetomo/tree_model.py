@@ -9,11 +9,11 @@ the forward solver and the tomography recursion.
 
 :class:`AugmentedTree` is the one place that checks an augmentation, however
 it was built.  It raises :class:`InvalidParameter` unless the base vertices
-are the ids ``0..k-1`` of the full tree with the same root and parents, every
-added vertex and every base terminal below the outer radius has exactly one
-child (chains), the base has an edge and the chains reach past it.  So both
-layers lie off the root, and each inner vertex has exactly one child, on the
-outer layer.
+are the ids ``0..k-1`` of the full tree with the same root and parents, none
+below an added vertex, every added vertex and every base terminal below the
+outer radius has exactly one child (chains), the base has an edge and the
+chains reach past it.  So both layers lie off the root, and each inner vertex
+has exactly one child, on the outer layer.
 """
 
 from __future__ import annotations
@@ -96,7 +96,8 @@ class AugmentedTree:
     def __post_init__(self) -> None:
         base, full = self.base, self.full
         k, norm = base.vertex_count, full.norm
-        if k > full.vertex_count or any(base.parent[v] != full.parent[v] for v in range(k)):
+        if k > full.vertex_count or any(base.parent[v] != (p := full.parent[v])
+                                        or (p is not None and p >= k) for v in range(k)):
             raise InvalidParameter("base is not the rooted subtree of full on ids 0..k-1")
         hull, radius = max(base.norm.values()), max(norm.values())
         if hull < 1 or radius <= hull:

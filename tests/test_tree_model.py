@@ -7,6 +7,7 @@ import pytest
 from treetomo.errors import InvalidParameter, NotATree
 from treetomo.tree_model import (
     AugmentedTree,
+    RootedTree,
     build_tree,
     random_tree,
     segment,
@@ -213,6 +214,14 @@ class TestSphericalAugmentation:
     def test_needs_an_edge(self):
         with pytest.raises(InvalidParameter):
             spherical_augmentation(segment(0, 1), 0)
+
+    def test_base_below_an_added_vertex_rejected(self):
+        # path 0-2-1-3-4 with base ids {0, 1}: base and full agree on every
+        # parent, but original vertex 1 hangs below added vertex 2
+        full = build_tree([(0, 2), (2, 1), (1, 3), (3, 4)], 0)
+        base = RootedTree(2, 0, {0: None, 1: 2}, {0: (), 1: ()}, {0: 0, 1: 2})
+        with pytest.raises(InvalidParameter):
+            AugmentedTree(base, full)
 
 
 class TestRandomTree:
