@@ -51,10 +51,10 @@ class AccRows(dict):
     pushed through ``s`` entries from a start of 1 is then an integer ``N``
     for the exact value ``N / D**s``: the multiply-adds need no gcd, and
     :meth:`value` builds the one :class:`~fractions.Fraction` per result.
+    :meth:`table` lays all rows out as one edge table for the forward DP, and
     :meth:`law` puts hitting-law cells on the same footing, as integers over
     one denominator per time, so the forward DP and the whole inversion run
-    on integer numerators.  Every entry of a rational kernel must be
-    rational.
+    on integer numerators.  Every entry of a rational kernel must be rational.
 
     A reader covers every row it will touch before reading.  A change of
     scale rescales the converted rows; numerators a reader built before it
@@ -114,6 +114,26 @@ class AccRows(dict):
         """
         if not self.exact:
             self[u] = row
+
+    def table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Edge table ``(src, dst, q)`` of every kernel row, sorted by ``dst``.
+
+        Covers every row first.  ``q[i]``, the entry ``src[i] -> dst[i]``, is
+        an ``np.longdouble`` in float mode and an integer numerator (object
+        dtype) in rational mode, so one array sweep serves both modes.
+        """
+        entries = self.kernel.entries
+        self.cover(entries)
+        src = [u for u, row in entries.items() for _ in row]
+        dst = [v for row in entries.values() for v in row]
+        q = [p for row in entries.values() for p in row.values()]
+        if self.exact:
+            q = np.array([p.numerator * (self.scale // p.denominator) for p in q], dtype=object)
+        else:
+            q = np.array(q, dtype=float).astype(np.longdouble)  # exact: floats widen
+        src, dst = np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
+        order = np.argsort(dst, kind="stable")
+        return src[order], dst[order], q[order]
 
     def value(self, n, steps: int):
         """Value of accumulated mass ``n`` built from ``steps`` entries."""

@@ -41,7 +41,7 @@ from .formats import (
     read_text,
     write_text,
 )
-from .forward_solver import INNER, OUTER, first_hitting_joint
+from .forward_solver import hitting_laws
 from .tomography import recover_all
 from .tree_model import (
     AugmentedTree,
@@ -132,8 +132,7 @@ def cmd_forward(args: argparse.Namespace) -> int:
     kernel = parse_kernel(read_text(args.kernel_file))
     t_max = 3 * aug.hull_radius + 4
     out = _outdir(args)
-    for layer, name in ((INNER, "in.tsv"), (OUTER, "out.tsv")):
-        dist = first_hitting_joint(aug, kernel, layer, t_max)
+    for dist, name in zip(hitting_laws(aug, kernel, t_max), ("in.tsv", "out.tsv")):
         write_text(out / name, dump_distribution(dist, kernel.mode))
     print(f"forward horizon {t_max}")
     return EXIT_OK
@@ -185,8 +184,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 def cmd_roundtrip(args: argparse.Namespace) -> int:
     aug, kernel = _gen_objects(args)
     t_max = 3 * aug.hull_radius + 4
-    p_in = first_hitting_joint(aug, kernel, INNER, t_max)
-    p_out = first_hitting_joint(aug, kernel, OUTER, t_max)
+    p_in, p_out = hitting_laws(aug, kernel, t_max)
     known = kernel.restricted_to({KNOWN})
     report = recover_all(aug, known, p_in, p_out, reference=kernel)
     if args.out:

@@ -91,6 +91,8 @@ def parse_tree(text: str) -> RootedTree | AugmentedTree:
         if not line:
             continue
         parts = line.split()
+        if parts[0] != "layer" and len(parts) > 3:
+            raise FormatError(f"trailing tokens in tree line {line!r}")
         try:
             if parts[0] == "tree":
                 n, root = int(parts[1]), int(parts[2])
@@ -231,6 +233,8 @@ def parse_batch(text: str) -> SampleBatch:
         if not line:
             continue
         parts = line.split()
+        if len(parts) > (2 if parts[0] == "overflow" else 4):
+            raise FormatError(f"trailing tokens in batch line {line!r}")
         try:
             if parts[0] == "batch":
                 if batch is not None:

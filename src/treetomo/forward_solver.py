@@ -2,21 +2,25 @@
 
 The chain starts at the root and is killed on the outer layer.  For either
 boundary layer, the joint law of (first hitting time, hitting place) is
-computed by forward dynamic programming: a sub-probability vector is pushed
-over the non-target vertices and the mass stepping onto the target layer is
-harvested at each time.  All sums involve nonnegative terms only, so the
-float path has no cancellation.  The vector lives in the accumulation
-representation of :class:`~treetomo.chain_model.AccRows`: ``np.longdouble``
-in float mode, and in rational mode integer numerators over ``D**t`` at time
-``t``, with ``D`` the lcm of the kernel's row denominators, so every value is
-exact and each harvested cell becomes a ``Fraction`` once, at the end.  A law
-is a plain value: reading a cell records nothing, and the inversion keeps its
-own record of the times it reads.
+computed by forward dynamic programming over the kernel's edge table
+(:meth:`~treetomo.chain_model.AccRows.table`, sorted by head): each step
+gathers the vector at the tails, multiplies by the entries, sums per head
+with ``np.add.reduceat``, and harvests and zeroes the mass on the target
+layer.  All sums involve nonnegative terms only, so the float path has no
+cancellation.  The vector is an ``np.longdouble`` array in float mode, and
+in rational mode an object array of integer numerators over ``D**t`` at
+time ``t``, with ``D`` the lcm of the kernel's row denominators, so both
+modes run the same code, every value is exact, and each harvested cell
+becomes a ``Fraction`` once.  :func:`hitting_laws` gives both laws from one
+validation and one table.  A law is a plain value: reading a cell records
+nothing, and the inversion keeps its own record of the times it reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .chain_model import AccRows, Number, TransitionKernel, require_valid
 from .errors import InvalidQuery
@@ -48,14 +52,6 @@ class HittingDistribution:
         return self.mass.get((t, v), 0)
 
 
-def _layer_set(aug: AugmentedTree, layer: str) -> frozenset[int]:
-    if layer == INNER:
-        return aug.inner_layer
-    if layer == OUTER:
-        return aug.outer_layer
-    raise InvalidQuery(f"unknown layer {layer!r}")
-
-
 def first_hitting_joint(
     aug: AugmentedTree,
     kernel: TransitionKernel,
@@ -80,26 +76,33 @@ def first_hitting_joint(
     InvalidKernel
         If the kernel fails validation.
     """
+    return hitting_laws(aug, kernel, t_max, (layer,))[0]
+
+
+def hitting_laws(aug: AugmentedTree, kernel: TransitionKernel, t_max: int,
+                 layers: tuple[str, ...] = (INNER, OUTER)) -> tuple[HittingDistribution, ...]:
+    """The laws of :func:`first_hitting_joint` for ``layers``, in that order,
+    from one kernel validation and one edge table."""
     if t_max < 0:
         raise InvalidQuery(f"t_max must be >= 0, got {t_max}")
     require_valid(aug, kernel)
-    target = _layer_set(aug, layer)
-    dist = HittingDistribution(layer, t_max)
-    rows = AccRows(kernel, kernel.entries)
-    mass = dist.mass
-    cur: dict[int, Number] = {aug.full.root: 1}
-    for t in range(1, t_max + 1):
-        nxt: dict[int, Number] = {}
-        for v, p in cur.items():
-            for w, q in rows[v].items():
-                m = p * q
-                if w in target:
-                    key = (t, w)
-                    mass[key] = mass.get(key, 0) + m
-                else:
-                    nxt[w] = nxt.get(w, 0) + m
-        cur = nxt
-    for key, n in mass.items():
-        mass[key] = rows.value(n, key[0])
-    return dist
-
+    sets = {INNER: aug.inner_layer, OUTER: aug.outer_layer}
+    if bad := [layer for layer in layers if layer not in sets]:
+        raise InvalidQuery(f"unknown layer {bad[0]!r}")
+    rows = AccRows(kernel)
+    src, dst, q = rows.table()
+    heads, starts = np.unique(dst, return_index=True)
+    zero = np.zeros(aug.full.vertex_count, q.dtype)
+    laws = tuple(HittingDistribution(layer, t_max) for layer in layers)
+    for dist in laws:
+        target = np.array(sorted(sets[dist.layer]))
+        x = zero.copy()
+        x[aug.full.root] = 1
+        for t in range(1, t_max + 1):
+            y = zero.copy()
+            y[heads] = np.add.reduceat(x[src] * q, starts)
+            hit = target[np.flatnonzero(y[target])]
+            dist.mass.update(((t, v), rows.value(n, t)) for v, n in zip(hit.tolist(), y[hit]))
+            y[target] = 0
+            x = y
+    return laws

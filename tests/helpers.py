@@ -88,6 +88,7 @@ INVALID_TREES = {
         0, "0-1 1-2 0-3 2-4 4-5 3-6 6-7 7-8 6-9 9-10", 4
     ),
     "plain-duplicate-edge": "tree 2 0\nedge 0 1\nedge 1 0\n",
+    "trailing-tokens": "tree 2 0 junk\nedge 0 1 7\n",
 }
 
 

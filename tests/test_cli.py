@@ -19,6 +19,7 @@ from treetomo import (
     spherical_augmentation,
     star,
 )
+from treetomo import chain_model
 from treetomo.cli import main
 from treetomo.formats import (
     dump_distribution,
@@ -145,6 +146,18 @@ class TestPipeline:
         in_memory = recover_all(aug, kernel.restricted_to({KNOWN}), p_in, p_out)
         assert on_disk.mode == "rational"
         assert on_disk.entries == in_memory.kernel.entries
+
+    def test_forward_validates_the_kernel_once(self, tmp_path, capsys, monkeypatch):
+        work = str(tmp_path / "w")
+        assert run(capsys, "gen", "--tree", "star", "--l", "1", "--n", "2", "--out", work)[0] == 0
+        calls = []
+        validate = chain_model.validate_kernel
+        monkeypatch.setattr(chain_model, "validate_kernel",
+                            lambda *args: calls.append(args) or validate(*args))
+        code, _, err = run(capsys, "forward", "--tree-file", f"{work}/tree.txt",
+                           "--kernel-file", f"{work}/kernel.txt", "--out", work)
+        assert code == 0, err
+        assert len(calls) == 1
 
     def test_gen_from_tree_files(self, tmp_path, capsys):
         # a base-tree file and the augmented tree.txt gen writes both give the
@@ -433,6 +446,14 @@ class TestExitCodes:
         code, _, err = self.estimate_batch(capsys, tmp_path, [
             "batch 4 0 6", "in 2 3 2", "in 2 4 2",
             "out 3 5 2", "out 3 6 2", "overflow 0",
+        ])
+        assert code == 2
+        assert err.startswith("error 2 FormatError")
+
+    def test_batch_line_with_trailing_tokens_exit_2(self, tmp_path, capsys):
+        code, _, err = self.estimate_batch(capsys, tmp_path, [
+            "batch 4 0 7", "in 2 3 2", "in 2 4 2",
+            "out 3 5 2 99", "out 3 6 2", "overflow 0",
         ])
         assert code == 2
         assert err.startswith("error 2 FormatError")

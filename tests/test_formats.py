@@ -82,6 +82,15 @@ class TestTreeFormat:
         with pytest.raises(FormatError):
             parse_tree(text)
 
+    @pytest.mark.parametrize("text", [
+        "tree 2 0 junk\nedge 0 1\n",
+        "tree 2 0\nedge 0 1 7\n",
+        SEGMENT.replace("origin 3 added", "origin 3 added added"),
+    ], ids=["header", "edge", "origin"])
+    def test_trailing_tokens_rejected(self, text):
+        with pytest.raises(FormatError, match="trailing tokens"):
+            parse_tree(text)
+
     def test_layer_mismatch_rejected(self):
         aug = spherical_augmentation(segment(0, 1), 2)
         text = dump_tree(aug).replace("layer inner 2", "layer inner 1")
@@ -243,6 +252,11 @@ class TestBatchFormat:
             "batch 4 0 7\ntotal 4\n",  # unknown record
             "batch 4 0 7\nout 5 5\n",  # count missing
             "",  # no header
+            "batch 2 0 7 junk\nout 3 5 2 99\noverflow 0 x\n",  # trailing tokens
+            "batch 2 0 7 junk\nout 3 5 2\noverflow 0\n",
+            "batch 2 0 7\nin 2 3 1 1\nout 3 5 2\noverflow 0\n",
+            "batch 2 0 7\nout 3 5 2 99\noverflow 0\n",
+            "batch 2 0 7\nout 3 5 2\noverflow 0 x\n",
         ],
     )
     def test_inconsistent_rejected(self, text):
@@ -250,6 +264,7 @@ class TestBatchFormat:
             parse_batch(text)
 
     def test_consistent_accepted(self):
+        assert parse_batch("batch 2 0 7\nout 3 5 2\noverflow 0\n").counts_out == {(3, 5): 2}
         batch = parse_batch("batch 4 0 7\nin 2 3 4\nout 7 5 1\noverflow 3\n")
         assert batch.counts_in == {(2, 3): 4}
         assert batch.counts_out == {(7, 5): 1}

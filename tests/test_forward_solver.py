@@ -11,11 +11,15 @@ from treetomo import (
     first_hitting_joint,
 )
 from treetomo.errors import InvalidKernel, InvalidQuery
-from treetomo.tree_model import segment, spherical_augmentation, star
+from treetomo.forward_solver import hitting_laws
+from treetomo.chain_model import random_kernel
+from treetomo.tree_model import random_tree, segment, spherical_augmentation, star
 
 from helpers import (
+    BRUTE_T_CAP,
     PathClassQuery,
     TooLarge,
+    broom,
     brute_force_hitting,
     default_augmented_kernel,
     law_total,
@@ -23,6 +27,7 @@ from helpers import (
     path_class_prob,
     path_to_root,
     rand_instance,
+    small_bases,
 )
 
 
@@ -128,6 +133,60 @@ class TestOracleEquivalence:
             brute_force_hitting(aug, kernel, OUTER, 40)
         with pytest.raises(TooLarge):
             brute_force_hitting(aug, kernel, OUTER, 10, vertex_cap=5)
+
+
+class TestArraySweep:
+    """``hitting_laws``: both laws from one validation and one edge table."""
+
+    def test_rational_matches_oracle_on_small_bases(self):
+        for idx, base in enumerate(small_bases()):
+            aug = spherical_augmentation(base, 2)
+            kernel = random_kernel(aug, 60 + idx, scope="all", mode="rational")
+            t_max = min(3 * aug.hull_radius + 4, BRUTE_T_CAP)
+            laws = hitting_laws(aug, kernel, t_max)
+            for layer, dp in zip((INNER, OUTER), laws):
+                assert (dp.layer, dp.t_max) == (layer, t_max)
+                assert dp.mass == brute_force_hitting(aug, kernel, layer, t_max).mass
+
+    @pytest.mark.parametrize("base", [
+        *(random_tree(rout, 40 + rout) for rout in range(3, 7)), broom(5, 5),
+    ], ids=["random3", "random4", "random5", "random6", "broom5x5"])
+    def test_float_matches_exact_on_a_dyadic_kernel(self, base):
+        # a dyadic rational kernel is exact in float, so only the sweep rounds
+        aug = spherical_augmentation(base, 2)
+        exact = random_kernel(aug, 11, scope="all", mode="rational")
+        rows = {u: {v: float(p) for v, p in r.items()} for u, r in exact.entries.items()}
+        approx = TransitionKernel(rows, dict(exact.provenance), "float")
+        t_max = 3 * aug.hull_radius + 4
+        for e, f in zip(hitting_laws(aug, exact, t_max), hitting_laws(aug, approx, t_max)):
+            assert e.mass.keys() == f.mass.keys() and e.mass
+            for key, p in e.mass.items():
+                assert abs(float(f.mass[key]) - float(p)) <= 1e-15 * float(p)
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    def test_one_layer_equals_its_law_of_the_pair(self, mode):
+        for seed in range(4):
+            aug, kernel = rand_instance(seed, mode=mode)
+            t_max = 3 * aug.hull_radius + 4
+            for layer, law in zip((INNER, OUTER), hitting_laws(aug, kernel, t_max)):
+                one = first_hitting_joint(aug, kernel, layer, t_max)
+                assert (one.layer, one.t_max, one.mass) == (law.layer, law.t_max, law.mass)
+
+    def test_short_horizons(self):
+        aug, kernel = rand_instance(2, rout=3)
+        r = aug.hull_radius
+        assert [d.mass for d in hitting_laws(aug, kernel, 0)] == [{}, {}]
+        p_in, p_out = hitting_laws(aug, kernel, r)
+        assert p_in.mass == {} and p_out.mass == {} and p_in.t_max == r
+        p_in, p_out = hitting_laws(aug, kernel, r + 1)
+        assert p_in.mass and p_out.mass == {}
+
+    def test_bad_queries(self):
+        aug, kernel = segment_fixture()
+        with pytest.raises(InvalidQuery):
+            hitting_laws(aug, kernel, -1)
+        with pytest.raises(InvalidQuery):
+            first_hitting_joint(aug, kernel, "middle", 4)
 
 
 class TestDistributionInvariants:
