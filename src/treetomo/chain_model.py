@@ -210,13 +210,15 @@ class KernelViolation:
 
 
 def validate_kernel(aug: AugmentedTree, kernel: TransitionKernel) -> list[KernelViolation]:
-    """Check support, positivity, row sums, and outer-layer absorption.
+    """Check support, positivity, row sums, outer-layer absorption, and that
+    every row belongs to a vertex of the tree.
 
     Returns an empty list iff the kernel is a valid nondegenerate chain on
     ``aug.full`` killed at the outer layer.
     """
-    out: list[KernelViolation] = []
     full = aug.full
+    out = [KernelViolation(u, "OffTree", "row of a vertex off the tree")
+           for u in sorted(set(kernel.entries).difference(range(full.vertex_count)))]
     for v in sorted(aug.outer_layer):
         if v in kernel.entries and kernel.entries[v]:
             out.append(KernelViolation(v, "AbsorbingRow", "outer vertex has a row"))
@@ -244,9 +246,12 @@ def validate_kernel(aug: AugmentedTree, kernel: TransitionKernel) -> list[Kernel
     return out
 
 
-def require_valid(aug: AugmentedTree, kernel: TransitionKernel) -> None:
-    """Raise :class:`InvalidKernel` naming the first violation of :func:`validate_kernel`."""
-    bad = validate_kernel(aug, kernel)
+def require_valid(
+    aug: AugmentedTree, kernel: TransitionKernel, allow: tuple[str, ...] = ()
+) -> None:
+    """Raise :class:`InvalidKernel` naming the first violation of
+    :func:`validate_kernel` whose kind is not in ``allow``."""
+    bad = [b for b in validate_kernel(aug, kernel) if b.kind not in allow]
     if bad:
         first = bad[0]
         raise InvalidKernel(f"{first.kind} at vertex {first.vertex}: {first.detail}")

@@ -4,13 +4,16 @@ All formats are diffable plain text.  Floats are written with 17 significant
 digits so a write/read trip is lossless; rationals are written ``num/den``
 and round-trip bit-exactly, at any number of digits.  A rational kernel or
 law file holds only ``num/den`` and integer tokens, so no value in it is
-rounded.
+rounded.  Every parser reads its lines through one reader, which takes each
+format's header record (``tree``, ``mode`` or ``batch``; law files have
+none) first and once, and each record with its token count.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterator
 from decimal import Decimal
 from fractions import Fraction
 
@@ -63,6 +66,43 @@ def _parse_number(token: str, mode: str) -> Number:
     return value
 
 
+# The records of each format: name -> (fewest, most) tokens, the name included.
+_TREE = {"tree": (3, 3), "edge": (3, 3), "origin": (3, 3), "layer": (3, math.inf)}
+_KERNEL = {"mode": (2, 2), "row": (2, math.inf)}
+_LAW = {INNER: (4, 4), OUTER: (4, 4)}
+_BATCH = {"batch": (4, 4), "in": (4, 4), "out": (4, 4), "overflow": (2, 2)}
+
+
+def _records(
+    text: str, shapes: dict[str, tuple[int, float]], header: str | None = None
+) -> Iterator[list[str]]:
+    """The nonblank lines of ``text``, split, each a record of ``shapes`` with a
+    token count in its range; a ``header`` record comes first and only there.
+    Any other line raises :class:`FormatError`."""
+    records = filter(None, map(str.split, text.splitlines()))
+    body = {name: shape for name, shape in shapes.items() if name != header}
+    if header is not None:
+        first = next(records, [""])
+        if first[0] != header:
+            raise FormatError(f"file does not open with its {header} header")
+        if len(first) != shapes[header][0]:
+            raise _misfit(first, shapes[header][1], header)
+        yield first
+    for parts in records:
+        fewest, most = body.get(parts[0], (0, 0))
+        if not fewest <= len(parts) <= most:
+            raise _misfit(parts, most, header)
+        yield parts
+
+
+def _misfit(parts: list[str], most: float, header: str | None) -> FormatError:
+    if not most:
+        what = "repeated header" if parts[0] == header else "unknown record"
+    else:
+        what = "trailing tokens" if len(parts) > most else "missing tokens"
+    return FormatError(f"{what} in line {' '.join(parts)!r}")
+
+
 def dump_tree(tree: RootedTree | AugmentedTree) -> str:
     """Serialize a plain or augmented tree."""
     aug = tree if isinstance(tree, AugmentedTree) else None
@@ -82,34 +122,27 @@ def dump_tree(tree: RootedTree | AugmentedTree) -> str:
 def parse_tree(text: str) -> RootedTree | AugmentedTree:
     """Parse :func:`dump_tree` output; returns an AugmentedTree when origin
     lines are present."""
-    n = root = None
     edges: list[tuple[int, int]] = []
     origin: dict[int, str] = {}
     layers: dict[str, set[int]] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] != "layer" and len(parts) > 3:
-            raise FormatError(f"trailing tokens in tree line {line!r}")
-        try:
-            if parts[0] == "tree":
-                n, root = int(parts[1]), int(parts[2])
-            elif parts[0] == "edge":
+    records = _records(text, _TREE, "tree")
+    try:
+        n, root = map(int, next(records)[1:])
+        for parts in records:
+            if parts[0] == "edge":
                 edges.append((int(parts[1]), int(parts[2])))
             elif parts[0] == "origin":
-                if parts[2] not in (ORIGINAL, ADDED):
-                    raise FormatError(f"bad origin flag {parts[2]!r}")
-                origin[int(parts[1])] = parts[2]
-            elif parts[0] == "layer":
-                layers[parts[1]] = {int(x) for x in parts[2:]}
+                v = int(parts[1])
+                if parts[2] not in (ORIGINAL, ADDED) or v in origin:
+                    raise FormatError(f"bad or repeated origin flag in {' '.join(parts)!r}")
+                origin[v] = parts[2]
             else:
-                raise FormatError(f"unknown record {parts[0]!r}")
-        except (IndexError, ValueError) as exc:
-            raise FormatError(f"bad tree line {line!r}") from exc
-    if n is None or root is None:
-        raise FormatError("missing tree header")
+                name, layer = parts[1], {int(x) for x in parts[2:]}
+                if name not in (INNER, OUTER) or name in layers or len(layer) < len(parts) - 2:
+                    raise FormatError(f"unknown, repeated or doubled layer {' '.join(parts)!r}")
+                layers[name] = layer
+    except ValueError as exc:
+        raise FormatError(f"bad tree line: {exc}") from exc
     try:
         full = build_tree(edges, root)
         if full.vertex_count != n:
@@ -144,39 +177,24 @@ def dump_kernel(kernel: TransitionKernel) -> str:
 
 def parse_kernel(text: str) -> TransitionKernel:
     """Parse :func:`dump_kernel` output; every row is flagged known."""
-    mode = FLOAT
+    records = _records(text, _KERNEL, "mode")
+    mode = next(records)[1]
+    if mode not in (FLOAT, RATIONAL):
+        raise FormatError(f"bad mode {mode!r}")
     entries: dict[int, dict[int, Number]] = {}
-    saw_header = False
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "mode":
-            if len(parts) != 2 or parts[1] not in (FLOAT, RATIONAL):
-                raise FormatError(f"bad mode line {line!r}")
-            mode = parts[1]
-            saw_header = True
-        elif parts[0] == "row":
-            if not saw_header:
-                raise FormatError("kernel row before the mode header")
-            try:
-                u = int(parts[1])
-                row: dict[int, Number] = {}
-                for cell in parts[2:]:
-                    v, p = cell.split(":", 1)
-                    row[int(v)] = _parse_number(p, mode)
-            except (IndexError, ValueError) as exc:
-                raise FormatError(f"bad kernel line {line!r}") from exc
+    try:
+        for parts in records:
+            u = int(parts[1])
+            row: dict[int, Number] = {}
+            for cell in parts[2:]:
+                v, p = cell.split(":", 1)
+                row[int(v)] = _parse_number(p, mode)
             if u in entries or len(row) != len(parts) - 2:
-                raise FormatError(f"repeated row or cell in {line!r}")
+                raise FormatError(f"repeated row or cell in {' '.join(parts)!r}")
             entries[u] = row
-        else:
-            raise FormatError(f"unknown record {parts[0]!r}")
-    if not saw_header:
-        raise FormatError("missing mode header")
-    prov = {u: KNOWN for u in entries}
-    return TransitionKernel(entries, prov, mode)
+    except ValueError as exc:
+        raise FormatError(f"bad kernel line {' '.join(parts)!r}: {exc}") from exc
+    return TransitionKernel(entries, dict.fromkeys(entries, KNOWN), mode)
 
 
 def dump_distribution(dist: HittingDistribution, mode: str = FLOAT) -> str:
@@ -190,30 +208,19 @@ def dump_distribution(dist: HittingDistribution, mode: str = FLOAT) -> str:
 def parse_distribution(text: str, mode: str = FLOAT) -> HittingDistribution:
     layer = None
     mass: dict[tuple[int, int], Number] = {}
-    t_max = -1
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 4 or parts[0] not in (INNER, OUTER):
-            raise FormatError(f"bad distribution line {line!r}")
-        if layer is None:
-            layer = parts[0]
-        elif parts[0] != layer:
-            raise FormatError("distribution file mixes layers")
-        try:
-            t, v = int(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise FormatError(f"bad distribution line {line!r}") from exc
-        p = _parse_number(parts[3], mode)
-        if t < 0 or p < 0 or (t, v) in mass:
-            raise FormatError(f"negative or repeated cell {line!r}")
-        mass[(t, v)] = p
-        t_max = max(t_max, t)
+    try:
+        for parts in _records(text, _LAW):
+            if parts[0] != (layer := layer or parts[0]):
+                raise FormatError("distribution file mixes layers")
+            t, v, p = int(parts[1]), int(parts[2]), _parse_number(parts[3], mode)
+            if t < 0 or p < 0 or (t, v) in mass:
+                raise FormatError(f"negative or repeated cell {' '.join(parts)!r}")
+            mass[(t, v)] = p
+    except ValueError as exc:
+        raise FormatError(f"bad distribution line: {exc}") from exc
     if layer is None:
         raise FormatError("distribution file is empty")
-    return HittingDistribution(layer, t_max, mass)
+    return HittingDistribution(layer, max(t for t, _ in mass), mass)
 
 
 def dump_batch(batch: SampleBatch) -> str:
@@ -227,45 +234,27 @@ def dump_batch(batch: SampleBatch) -> str:
 
 
 def parse_batch(text: str) -> SampleBatch:
-    batch: SampleBatch | None = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) > (2 if parts[0] == "overflow" else 4):
-            raise FormatError(f"trailing tokens in batch line {line!r}")
-        try:
-            if parts[0] == "batch":
-                if batch is not None:
-                    raise FormatError("repeated batch header")
-                batch = SampleBatch(int(parts[1]), int(parts[2]), int(parts[3]))
-                if batch.n < 1 or batch.t_cap < 1:
-                    raise FormatError(f"bad batch header {line!r}")
-            elif parts[0] in ("in", "out"):
-                if batch is None:
-                    raise FormatError("counts before batch header")
-                counts = batch.counts_in if parts[0] == "in" else batch.counts_out
-                t, v, c = int(parts[1]), int(parts[2]), int(parts[3])
-                if not 1 <= t <= batch.t_cap:
-                    raise FormatError(
-                        f"time {t} outside 1..{batch.t_cap} in {line!r}"
-                    )
-                if c < 0 or (t, v) in counts:
-                    raise FormatError(f"negative or repeated count {line!r}")
-                counts[(t, v)] = c
-            elif parts[0] == "overflow":
-                if batch is None:
-                    raise FormatError("overflow before batch header")
-                batch.overflow = int(parts[1])
-                if batch.overflow < 0:
-                    raise FormatError(f"negative overflow {line!r}")
-            else:
-                raise FormatError(f"unknown record {parts[0]!r}")
-        except (IndexError, ValueError) as exc:
-            raise FormatError(f"bad batch line {line!r}") from exc
-    if batch is None:
-        raise FormatError("missing batch header")
+    records = _records(text, _BATCH, "batch")
+    overflows = 0
+    try:
+        batch = SampleBatch(*map(int, next(records)[1:]))
+        if batch.n < 1 or batch.t_cap < 1:
+            raise FormatError(f"batch header with n {batch.n} or t_cap {batch.t_cap} below 1")
+        for parts in records:
+            if parts[0] == "overflow":
+                batch.overflow, overflows = int(parts[1]), overflows + 1
+                if batch.overflow < 0 or overflows > 1:
+                    raise FormatError(f"negative or repeated overflow {' '.join(parts)!r}")
+                continue
+            counts = batch.counts_in if parts[0] == "in" else batch.counts_out
+            t, v, c = int(parts[1]), int(parts[2]), int(parts[3])
+            if not 1 <= t <= batch.t_cap:
+                raise FormatError(f"time {t} outside 1..{batch.t_cap} in {' '.join(parts)!r}")
+            if c < 0 or (t, v) in counts:
+                raise FormatError(f"negative or repeated count {' '.join(parts)!r}")
+            counts[(t, v)] = c
+    except ValueError as exc:
+        raise FormatError(f"bad batch line: {exc}") from exc
     total = sum(batch.counts_out.values()) + batch.overflow
     if total != batch.n:
         raise FormatError(f"outer counts plus overflow {total} != n {batch.n}")
@@ -277,8 +266,7 @@ def parse_batch(text: str) -> SampleBatch:
 
 def dump_report(report: RecoveryReport) -> str:
     out = [dump_kernel(report.kernel).rstrip("\n")]
-    for code, vertex in report.flags:
-        out.append(f"flag {code} {vertex}")
+    out.extend(f"flag {code} {vertex}" for code, vertex in report.flags)
     if report.times_accessed:
         out.append(f"max_time_read {max(report.times_accessed.values())}")
     if report.max_error is not None:

@@ -55,6 +55,7 @@ from .chain_model import (
     AccRows,
     Number,
     TransitionKernel,
+    require_valid,
     settle,
 )
 from .errors import (
@@ -283,40 +284,6 @@ def unknown_edge_coefficient(
     return rows.value(head[plan.vertex] * tail[plan.child], 2 * (r + 1 - plan.shell))
 
 
-def _solve_edge(
-    aug: AugmentedTree, u: int, w: int, inner: tuple[int, ...],
-    head_u: Number, tail_w: Number, chis: list[dict[int, Number]],
-    law_in: _Reads, law_out: _Reads, scales: tuple[list[int], int, int],
-    mode: str, clamp: bool, flags: list[tuple[str, int]],
-) -> Number:
-    """``t(u, w)`` for ``u`` at shell ``k``: the outer arrivals below ``w`` at time
-    ``3R+4-2k``, less the ``R+2-k`` tail classes ``chis`` over ``inner``, over
-    the out-and-back coefficient ``head(u) * tail(w)``.
-
-    The arrival sum and each class sum are read as numerators, and
-    ``scales = (mults, num, den)`` brings them to the shell's common
-    denominator ``den``: the entry is ``net * num / (den * head * tail)``,
-    one ``Fraction`` in rational mode and one division in float mode, where
-    every scale is 1.
-    """
-    denom = head_u * tail_w
-    if denom == 0:
-        raise ZeroDenominator(f"edge ({u}, {w}): out-and-back coefficient is zero")
-    k, r = aug.full.norm[u], aug.hull_radius
-    hit_time = 3 * r + 4 - 2 * k
-    mults, num, den = scales
-    total = sum(law_out.read(hit_time, aug.outer_child(z)) for z in inner) * mults[0]
-    for l, chi in enumerate(chis, 1):
-        s = hit_time - (2 * l - 1)
-        total -= sum(law_in.read(s, v) * c for v in inner if (c := chi.get(v))) * mults[l]
-    net, whole = total * num, den * denom
-    value = Fraction(net, whole) if mode == RATIONAL else net / whole
-    got = _unit(value, u, w, mode, clamp)
-    if got is not value:  # clamped
-        flags.append(("OutOfRange", w))
-    return got
-
-
 def _check_laws(
     aug: AugmentedTree, p_in: HittingDistribution, p_out: HittingDistribution, mode: str
 ) -> None:
@@ -352,10 +319,11 @@ def recover_all(
     """Recover every unknown base-tree row, outermost shell first.
 
     ``known`` must carry the given rows (added vertices, plus any base rows
-    already known); base vertices without a row, or flagged unknown, are the
-    targets.  Both laws must reach time ``3R+4`` (``3R+3`` inner) and hold
-    cells only on their own layer at times ``>= 1``, and under a rational
-    ``known`` only ``Fraction`` cells, else :class:`FormatError`.
+    already known), each valid, else :class:`InvalidKernel`; base vertices
+    without a row, or flagged unknown, are the targets.  Both laws must reach
+    time ``3R+4`` (``3R+3`` inner) and hold cells only on their own layer at
+    times ``>= 1``, and under a rational ``known`` only ``Fraction`` cells,
+    else :class:`FormatError`.
     Before shell ``k`` is solved, the head sums of shell ``k``, the
     tail sums of shell ``k + 1`` and the shell's tail-class table are built
     (see the module docstring); each child edge is then solved from its
@@ -365,12 +333,12 @@ def recover_all(
     """
     _require_two_layers(aug)
     r = aug.hull_radius
+    require_valid(aug, known, allow=("MissingRow",))  # the targets have no row yet
     _check_laws(aug, p_in, p_out, known.mode)
 
     work = known.copy()
-    for u in range(aug.full.vertex_count):
-        if u in work.entries and u not in work.provenance:
-            work.provenance[u] = KNOWN
+    for u in sorted(work.entries):
+        work.provenance.setdefault(u, KNOWN)
     residuals: dict[int, Number] = {}
     flags: list[tuple[str, int]] = []
     shell_reads: dict[int, tuple[int, int]] = {}
@@ -408,13 +376,26 @@ def recover_all(
             den_in.get(hit - (2 * l - 1), 1) * rows.scale ** (2 * l - 1)
             for l in range(1, len(chis) + 1)
         ]
+        # t(u, w): the outer arrivals below w at time hit, less the tail classes
+        # over the inner vertices below w, over head(u) * tail(w).  mults bring
+        # each sum's numerators to the shell's common denominator den
         den = math.lcm(*dens)
-        scales = ([den // d for d in dens], q * rows.scale ** (2 * (r + 1 - k)), den)
+        mults, num = [den // d for d in dens], q * rows.scale ** (2 * (r + 1 - k))
         for u in targets:
             row: dict[int, Number] = {}
             for w in full.children[u]:
-                row[w] = _solve_edge(aug, u, w, inner_below[w], head[u], tail[w], chis,
-                                     law_in, law_out, scales, mode, clamp, flags)
+                if (coef := head[u] * tail[w]) == 0:
+                    raise ZeroDenominator(f"edge ({u}, {w}): out-and-back coefficient is zero")
+                inner = inner_below[w]
+                total = sum(law_out.read(hit, aug.outer_child(z)) for z in inner) * mults[0]
+                for l, chi in enumerate(chis, 1):
+                    total -= sum(law_in.read(hit - (2 * l - 1), v) * c
+                                 for v in inner if (c := chi.get(v))) * mults[l]
+                net, whole = total * num, den * coef
+                value = Fraction(net, whole) if mode == RATIONAL else net / whole
+                row[w] = _unit(value, u, w, mode, clamp)
+                if row[w] is not value:  # clamped
+                    flags.append(("OutOfRange", w))
             child_sum = sum(row.values())
             if u == root:
                 residuals[u] = settle(child_sum - 1, mode)
@@ -426,12 +407,11 @@ def recover_all(
                     flags.append(("RowSumViolation", u))
             else:
                 comp = 1 - child_sum
-                ok = 0 < comp < 1
-                if not ok and not clamp:
-                    raise RowSumViolation(
-                        f"inward entry of vertex {u} is {_show(comp)}, outside (0, 1)"
-                    )
-                if not ok:
+                if not 0 < comp < 1:
+                    if not clamp:
+                        raise RowSumViolation(
+                            f"inward entry of vertex {u} is {_show(comp)}, outside (0, 1)"
+                        )
                     flags.append(("RowSumViolation", u))
                     comp = _clamp(comp, mode)
                 residuals[u] = settle(child_sum + comp - 1, mode)

@@ -73,6 +73,8 @@ def tree_file(root: int, edges: str, original: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+_SEGMENT = tree_file(0, "0-1 1-2 2-3", 2)  # segment(0, 1) augmented by 2
+
 # Tree files that are not a valid augmentation of a base tree; parse_tree
 # raises FormatError on each and every command that reads one exits 2.
 INVALID_TREES = {
@@ -89,6 +91,12 @@ INVALID_TREES = {
     ),
     "plain-duplicate-edge": "tree 2 0\nedge 0 1\nedge 1 0\n",
     "trailing-tokens": "tree 2 0 junk\nedge 0 1 7\n",
+    "repeated-tree-header": _SEGMENT + "tree 4 0\n",
+    "tree-header-after-an-edge": "edge 0 1\n" + _SEGMENT.replace("edge 0 1\n", ""),
+    "origin-given-twice": _SEGMENT.replace("origin 3 added", "origin 3 original\norigin 3 added"),
+    "unknown-layer": _SEGMENT + "layer middle 2\n",
+    "layer-given-twice": _SEGMENT + "layer inner 1\nlayer inner 2\n",
+    "vertex-twice-in-a-layer": _SEGMENT + "layer inner 2 2\n",
 }
 
 

@@ -83,6 +83,13 @@ class TestValidate:
         assert (1, "Support") in kinds
         assert (3, "AbsorbingRow") in kinds
 
+    def test_row_off_the_tree_flagged(self, seg_aug):
+        k = TransitionKernel(
+            {0: {1: 1.0}, 1: {0: 0.5, 2: 0.5}, 2: {1: 0.5, 3: 0.5}, 42: {3: 1.0}}
+        )
+        bad = validate_kernel(seg_aug, k)
+        assert [(v.vertex, v.kind) for v in bad] == [(42, "OffTree")]
+
     def test_default_always_valid_random(self):
         for seed in range(20):
             aug, kernel = rand_instance(seed, scope="lambda")

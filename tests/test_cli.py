@@ -49,8 +49,8 @@ def write_laws(work, t_max):
         write_text(f"{work}/{name}", dump_distribution(dist, kernel.mode))
 
 
-def star_recovery_argv(capsys, work, command):
-    """Arguments of ``invert`` or ``estimate`` on the star generated in ``work``,
+def recovery_argv(capsys, work, command):
+    """Arguments of ``invert`` or ``estimate`` on the chain generated in ``work``,
     after writing the laws or a batch it reads."""
     common = ["--tree-file", str(work / "tree.txt"), "--known-file", str(work / "known.txt"),
               "--out", str(work)]
@@ -329,7 +329,7 @@ class TestExitCodes:
         work = tmp_path / "w"
         run(capsys, "gen", "--tree", "star", "--l", "1", "--n", "2",
             "--seed", "3", "--out", str(work))
-        argv = star_recovery_argv(capsys, work, "invert")
+        argv = recovery_argv(capsys, work, "invert")
         lines = (work / name).read_text().splitlines()
         lines[line] = re.sub(r"[0-9.e-]+$", token, lines[line])
         (work / name).write_text("\n".join(lines) + "\n")
@@ -458,6 +458,65 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error 2 FormatError")
 
+    def test_repeated_overflow_exit_2(self, tmp_path, capsys):
+        code, _, err = self.estimate_batch(capsys, tmp_path, [
+            "batch 4 0 7", "in 2 3 2", "in 2 4 2",
+            "out 3 5 2", "out 3 6 2", "overflow 0", "overflow 0",
+        ])
+        assert code == 2, err
+        assert err.startswith("error 2 FormatError"), err
+
+    @pytest.mark.parametrize("command", ["forward", "sample", "invert", "estimate"])
+    def test_repeated_mode_header_exit_2(self, tmp_path, capsys, command):
+        # a second header could switch the mode of the rows that follow it
+        work = tmp_path / "w"
+        run(capsys, "gen", "--tree", "star", "--l", "1", "--n", "2",
+            "--seed", "2", "--out", str(work))
+        if command in ("forward", "sample"):
+            name = "kernel.txt"
+            extra = ["--n", "100"] if command == "sample" else []
+            argv = [command, "--tree-file", str(work / "tree.txt"),
+                    "--kernel-file", str(work / name), *extra, "--out", str(work)]
+        else:
+            name, argv = "known.txt", recovery_argv(capsys, work, command)
+        with open(work / name, "a", encoding="utf-8") as fh:
+            fh.write("mode float\n")
+        code, _, err = run(capsys, *argv)
+        assert code == 2, err
+        assert err.startswith("error 2 FormatError: repeated header"), err
+
+    @pytest.mark.parametrize("command", ["invert", "estimate"])
+    @pytest.mark.parametrize("row", [
+        "row 0", "row 5 2:0.5 9:0.5", "row 4 3:0.7 6:0.7", "row 7 5:1", "row 42 5:1",
+    ], ids=["empty-root-row", "off-tree-cell", "row-sum", "outer-vertex", "off-tree-row"])
+    def test_invalid_given_row_exit_2(self, tmp_path, capsys, command, row):
+        # segment(1, 2): base 0..3, vertex 4 added below 3, inner 5, 6 over outer 7, 8
+        work = tmp_path / "w"
+        run(capsys, "gen", "--tree", "segment", "--k", "1", "--l", "2",
+            "--seed", "5", "--out", str(work))
+        argv = recovery_argv(capsys, work, command)
+        known = work / "known.txt"
+        u = row.split()[1]
+        lines = [ln for ln in known.read_text().splitlines() if not ln.startswith(f"row {u} ")]
+        known.write_text("\n".join([*lines, row]) + "\n")
+        code, _, err = run(capsys, *argv)
+        assert code == 2, err
+        assert err.startswith("error 2 InvalidKernel"), err
+
+    @pytest.mark.parametrize("command", ["forward", "sample"])
+    def test_kernel_row_off_the_tree_exit_2(self, tmp_path, capsys, command):
+        work = tmp_path / "w"
+        run(capsys, "gen", "--tree", "segment", "--k", "1", "--l", "2",
+            "--seed", "5", "--out", str(work))
+        with open(work / "kernel.txt", "a", encoding="utf-8") as fh:
+            fh.write("row 42 5:1\n")
+        extra = ["--n", "100"] if command == "sample" else []
+        code, _, err = run(capsys, command, "--tree-file", str(work / "tree.txt"),
+                           "--kernel-file", str(work / "kernel.txt"), *extra,
+                           "--out", str(work))
+        assert code == 2, err
+        assert err.startswith("error 2 InvalidKernel: OffTree at vertex 42"), err
+
     def test_batch_cell_off_its_layer_exit_2(self, tmp_path, capsys):
         # a sampled batch edited so one inner contact sits on the root
         work = str(tmp_path / "w")
@@ -488,7 +547,7 @@ class TestExitCodes:
             "--seed", "2", "--out", str(work))
         run(capsys, "gen", "--tree", "segment", "--k", "0", "--l", "1",
             "--seed", "2", "--out", str(other))
-        code, _, err = run(capsys, *star_recovery_argv(capsys, work, command),
+        code, _, err = run(capsys, *recovery_argv(capsys, work, command),
                            "--reference", str(other / "kernel.txt"))
         assert code == 2, err
         assert err.startswith("error 2 FormatError"), err
@@ -500,7 +559,7 @@ class TestExitCodes:
         work = tmp_path / "w"
         run(capsys, "gen", "--tree", "star", "--l", "1", "--n", "2",
             "--seed", "2", "--out", str(work))
-        argv = star_recovery_argv(capsys, work, command)
+        argv = recovery_argv(capsys, work, command)
         known = work / "known.txt"
         lines = known.read_text().splitlines()
         known.write_text("\n".join(ln for ln in lines if not ln.startswith("row 3 ")) + "\n")
@@ -602,6 +661,15 @@ class TestReadme:
             assert code == 0, (line, err)
             if "--mode rational" in line:
                 assert "max_error 0\n" in out, line
+
+
+    def test_library_example_runs(self, capsys):
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        block = text.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        scope: dict = {}
+        exec(block, scope)
+        assert capsys.readouterr().out
+        assert scope["report"].max_error < 1e-9
 
 
 class TestSeedDefault:

@@ -141,6 +141,8 @@ class TestKernelFormat:
             "mode float\nrow 0 1\n",  # cell without a colon
             "mode float\nweight 0 1:1\n",  # unknown record
             "\n",  # no mode header
+            "mode float\nrow 0 1:0.5 2:0.5\nmode float\n",  # mode header twice
+            "mode float\nrow 0 1:0.5 2:0.5\nmode rational\nrow 1 0:1/2 2:1/2\n",
         ],
     )
     def test_inconsistent_rejected(self, text):
@@ -257,6 +259,7 @@ class TestBatchFormat:
             "batch 2 0 7\nin 2 3 1 1\nout 3 5 2\noverflow 0\n",
             "batch 2 0 7\nout 3 5 2 99\noverflow 0\n",
             "batch 2 0 7\nout 3 5 2\noverflow 0 x\n",
+            "batch 2 0 7\nout 3 5 2\noverflow 0\noverflow 0\n",  # overflow twice
         ],
     )
     def test_inconsistent_rejected(self, text):
