@@ -8,11 +8,12 @@ which rows are measurement targets (``unknown``), which are given
 
 Two arithmetic modes are supported end to end: ``float`` (doubles) and
 ``rational`` (exact :class:`fractions.Fraction` entries).  Recurrences that
-multiply row entries along walks read them through :class:`AccRows`, which
-owns the accumulation representation: in float mode, scale 1 and
-``np.longdouble`` entries; in rational mode, a common denominator ``D`` of
-the rows read and the integer numerators ``p * D``, so a mass built from
-``s`` entries is an integer ``N`` standing for ``N / D**s``.
+multiply row entries along walks run on :class:`AccRows`, one edge table
+with one sweep kernel for the forward DP and the inversion, which owns the
+accumulation representation: in float mode, scale 1 and ``np.longdouble``
+entries; in rational mode, a common denominator ``D`` of the rows and the
+integer numerators ``p * D``, so a mass built from ``s`` entries is an
+integer ``N`` standing for ``N / D**s``.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
 from .errors import InvalidKernel, InvalidParameter, MissingKnownRow, MissingRow
-from .tree_model import AugmentedTree
+from .tree_model import AugmentedTree, RootedTree
 
 KNOWN = "known"
 UNKNOWN = "unknown"
@@ -39,115 +41,122 @@ ROW_SUM_TOL = 1e-12
 Number = float | Fraction
 
 
-class AccRows(dict):
-    """Kernel rows in the accumulation representation, converted on first read.
+def runs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The value and the start of each run of equal entries of ``ids`` (all >= 0)."""
+    starts = np.flatnonzero(np.diff(ids, prepend=-1))
+    return ids[starts], starts
+
+
+class AccRows:
+    """Kernel rows as one edge table over the directed tree edges, and the
+    one sweep kernel of the forward DP and the inversion.
+
+    The table holds the row of every vertex of ``vertices`` (default: all)
+    that has children, one slot per neighbor in ``vertices``; vectors are
+    indexed by position in ``vertices`` (``local`` maps ids to positions).
+    A row in ``blank`` starts as zeros in neighbor order, parent first, for
+    :meth:`write`; any other row the kernel lacks raises
+    :class:`MissingKnownRow`.  :meth:`push` moves walk mass one step,
+    ``y[v] = sum_u x[u] t(u, v)``, and :meth:`pull` steps back,
+    ``y[u] = sum_v t(u, v) x[v]``: each is one ``np.add.reduceat`` over the
+    table sorted by ``dst`` or by ``src``.
 
     Float mode: scale 1 and ``np.longdouble`` entries.  The inversion
     subtracts nearly equal hitting masses, and the extra mantissa bits keep
     the round trip comfortably inside its double-precision tolerance.
-
-    Rational mode: scale ``D``, a common multiple of the denominators of the
-    rows handed to :meth:`cover`, and integer entries ``p * D``.  A mass
-    pushed through ``s`` entries from a start of 1 is then an integer ``N``
-    for the exact value ``N / D**s``: the multiply-adds need no gcd, and
-    :meth:`value` builds the one :class:`~fractions.Fraction` per result.
-    :meth:`table` lays all rows out as one edge table for the forward DP, and
-    :meth:`law` puts hitting-law cells on the same footing, as integers over
-    one denominator per time, so the forward DP and the whole inversion run
-    on integer numerators.  Every entry of a rational kernel must be rational.
-
-    A reader covers every row it will touch before reading.  A change of
-    scale rescales the converted rows; numerators a reader built before it
-    must be rescaled by the factor :meth:`cover` returns.  Reading a row the
-    kernel lacks raises :class:`MissingKnownRow`.
+    Rational mode: scale ``D``, a common multiple of the row denominators,
+    and integer entries ``p * D`` in an object array, so a mass swept
+    through ``s`` entries from a start of 1 is an integer ``N`` for
+    ``N / D**s``: the multiply-adds need no gcd, and :meth:`value` builds one
+    ``Fraction`` per result.  When :meth:`write` widens ``D`` it rescales the
+    table and returns the factor, by which numerators built before must be
+    rescaled.  Every entry of a rational kernel must be rational.
     """
 
-    def __init__(self, kernel: "TransitionKernel", vertices: Iterable[int] = ()):
-        super().__init__()
-        self.kernel = kernel
+    def __init__(self, full: RootedTree, kernel: TransitionKernel,
+                 vertices: Iterable[int] | None = None, blank: Iterable[int] = ()):
         self.exact = kernel.mode == RATIONAL
+        ids = list(range(full.vertex_count) if vertices is None else vertices)
+        self.local = np.full(full.vertex_count, -1, np.intp)  # -1: not in vertices
+        self.local[np.array(ids, dtype=np.intp)] = np.arange(len(ids))
+        entries, blank = kernel.entries, set(blank)
+        rows = [u for u in ids if full.children[u]]
+        dicts = []
+        for u in rows:
+            if u in blank:
+                dicts.append(dict.fromkeys(full.neighbors(u), 0))
+            elif u in entries:
+                dicts.append(entries[u])
+            else:
+                raise MissingKnownRow(f"row for vertex {u} required but absent")
+        dst = self.local[np.fromiter(chain.from_iterable(dicts), np.intp)]
+        src = np.repeat(self.local[rows], np.fromiter(map(len, dicts), np.intp, len(dicts)))
+        q = list(chain.from_iterable(row.values() for row in dicts))
         self.scale = 1
-        self.cover(vertices)
+        if self.exact:
+            self._cover(q)
+            q = np.array(q, dtype=object)
+        else:
+            q = np.array(q, dtype=float).astype(np.longdouble)  # exact: floats widen
+        keep = dst >= 0  # slots to neighbors outside vertices are dropped
+        self.src, self.dst, self.q = src[keep], dst[keep], q[keep]
+        self.norm = np.fromiter(map(full.norm.__getitem__, ids), np.intp, len(ids))
+        self.by_dst = np.argsort(self.dst, kind="stable")
+        self.heads, self.head_starts = runs(self.dst[self.by_dst])
+        self.tails, self.tail_starts = runs(self.src)
 
-    def cover(self, vertices: Iterable[int]) -> int:
-        """Make the scale a multiple of the denominators of these rows.
-
-        Returns the factor by which the scale grew.  Vertices without a row
-        are skipped.  A no-op in float mode.
-        """
-        if not self.exact:
-            return 1
-        entries = self.kernel.entries
-        dens = {getattr(p, "denominator", 0) for u in vertices
-                for p in entries.get(u, {}).values()}
+    def _cover(self, values: list) -> int:
+        """Widen the scale over the denominators of ``values`` and put them
+        over the new scale in place; returns the factor by which it grew."""
+        dens = {getattr(p, "denominator", 0) for p in values}
         if 0 in dens:
             raise InvalidKernel("a rational kernel holds a float entry")
         scale = math.lcm(self.scale, *dens)
-        grow = scale // self.scale
-        if grow != 1:
-            self.scale = scale
-            for row in self.values():
-                for v in row:
-                    row[v] *= grow
+        grow, self.scale = scale // self.scale, scale
+        values[:] = [p.numerator * (scale // p.denominator) for p in values]
         return grow
 
-    def __missing__(self, u: int) -> dict:
-        try:
-            row = self.kernel.entries[u]
-        except KeyError:
-            raise MissingKnownRow(f"row for vertex {u} required but absent") from None
+    def zeros(self) -> np.ndarray:
+        """A vector over ``vertices`` in the table's dtype."""
+        return np.zeros(len(self.norm), self.q.dtype)
+
+    def push(self, x: np.ndarray) -> np.ndarray:
+        y = np.zeros_like(x)
+        y[self.heads] = np.add.reduceat((x[self.src] * self.q)[self.by_dst], self.head_starts)
+        return y
+
+    def pull(self, x: np.ndarray) -> np.ndarray:
+        y = np.zeros_like(x)
+        y[self.tails] = np.add.reduceat(self.q * x[self.dst], self.tail_starts)
+        return y
+
+    def write(self, slots: np.ndarray, values: list) -> int:
+        """Fill table slots with row entries given as values, such as
+        recovered ones; returns the factor by which the scale grew."""
+        grow = self._cover(values := list(values)) if self.exact else 1
+        if grow != 1:
+            self.q *= grow
+        self.q[slots] = values
+        return grow
+
+    def ratio(self, num: np.ndarray, den: np.ndarray) -> np.ndarray:
+        """Elementwise ``num / den`` as values: one ``Fraction`` each in rational mode."""
         if self.exact:
-            d = self.scale
-            ratios = [(v, *p.as_integer_ratio()) for v, p in row.items()]
-            if any(d % q for _, _, q in ratios):
-                raise InvalidParameter(f"scale {d} does not cover the row of vertex {u}")
-            row = {v: n * (d // q) for v, n, q in ratios}
-        else:
-            row = {v: np.longdouble(p) for v, p in row.items()}
-        self[u] = row
-        return row
+            return np.array([Fraction(n, d) for n, d in zip(num, den)], dtype=object)
+        return num / den
 
-    def hold(self, u: int, row: dict) -> None:
-        """Take a row whose entries are values, such as a recovered one.
-
-        Held as it is in float mode; in rational mode converted on first read.
-        """
-        if not self.exact:
-            self[u] = row
-
-    def table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Edge table ``(src, dst, q)`` of every kernel row, sorted by ``dst``.
-
-        Covers every row first.  ``q[i]``, the entry ``src[i] -> dst[i]``, is
-        an ``np.longdouble`` in float mode and an integer numerator (object
-        dtype) in rational mode, so one array sweep serves both modes.
-        """
-        entries = self.kernel.entries
-        self.cover(entries)
-        src = [u for u, row in entries.items() for _ in row]
-        dst = [v for row in entries.values() for v in row]
-        q = [p for row in entries.values() for p in row.values()]
-        if self.exact:
-            q = np.array([p.numerator * (self.scale // p.denominator) for p in q], dtype=object)
-        else:
-            q = np.array(q, dtype=float).astype(np.longdouble)  # exact: floats widen
-        src, dst = np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
-        order = np.argsort(dst, kind="stable")
-        return src[order], dst[order], q[order]
+    def public(self, values: np.ndarray) -> list:
+        """Values in the mode's public type: ``Fraction`` or float."""
+        return values.tolist() if self.exact else values.astype(float).tolist()
 
     def value(self, n, steps: int):
         """Value of accumulated mass ``n`` built from ``steps`` entries."""
         return Fraction(n, self.scale**steps) if self.exact else n
 
     def law(self, mass: dict) -> tuple[dict, dict[int, int]]:
-        """Hitting-law cells as numerators, with one denominator per time.
-
-        Rational mode: cell ``(t, v)`` becomes the integer ``N`` for
-        ``N / dens[t]``, where ``dens[t]`` is the lcm of the denominators of
-        the cells at time ``t`` (law files may hold any rationals, not only
-        multiples of ``D**-t``).  Float mode: the cells as they are, and no
-        denominators.
-        """
+        """Hitting-law cells as numerators ``N`` for ``N / dens[t]``, with
+        ``dens[t]`` the lcm of the cell denominators at time ``t`` (law files
+        may hold any rationals).  Float mode: the cells, and no ``dens``."""
         if not self.exact:
             return mass, {}
         cells = [(key, *p.as_integer_ratio()) for key, p in mass.items()]
@@ -157,11 +166,6 @@ class AccRows(dict):
             if cur % d:
                 dens[t] = math.lcm(cur, d)
         return {key: n * (dens[key[0]] // d) for key, n, d in cells}, dens
-
-
-def settle(value, mode: str) -> Number:
-    """Cast an accumulation-type value back to the mode's public type."""
-    return value if mode == RATIONAL else float(value)
 
 
 @dataclass

@@ -2,10 +2,9 @@
 
 The chain starts at the root and is killed on the outer layer.  For either
 boundary layer, the joint law of (first hitting time, hitting place) is
-computed by forward dynamic programming over the kernel's edge table
-(:meth:`~treetomo.chain_model.AccRows.table`, sorted by head): each step
-gathers the vector at the tails, multiplies by the entries, sums per head
-with ``np.add.reduceat``, and harvests and zeroes the mass on the target
+computed by forward dynamic programming: each step is one
+:meth:`~treetomo.chain_model.AccRows.push` over the kernel's edge table, the
+sweep the inversion shares, and harvests and zeroes the mass on the target
 layer.  All sums involve nonnegative terms only, so the float path has no
 cancellation.  The vector is an ``np.longdouble`` array in float mode, and
 in rational mode an object array of integer numerators over ``D**t`` at
@@ -13,7 +12,7 @@ time ``t``, with ``D`` the lcm of the kernel's row denominators, so both
 modes run the same code, every value is exact, and each harvested cell
 becomes a ``Fraction`` once.  :func:`hitting_laws` gives both laws from one
 validation and one table.  A law is a plain value: reading a cell records
-nothing, and the inversion keeps its own record of the times it reads.
+nothing.
 """
 
 from __future__ import annotations
@@ -89,18 +88,14 @@ def hitting_laws(aug: AugmentedTree, kernel: TransitionKernel, t_max: int,
     sets = {INNER: aug.inner_layer, OUTER: aug.outer_layer}
     if bad := [layer for layer in layers if layer not in sets]:
         raise InvalidQuery(f"unknown layer {bad[0]!r}")
-    rows = AccRows(kernel)
-    src, dst, q = rows.table()
-    heads, starts = np.unique(dst, return_index=True)
-    zero = np.zeros(aug.full.vertex_count, q.dtype)
+    rows = AccRows(aug.full, kernel)
     laws = tuple(HittingDistribution(layer, t_max) for layer in layers)
     for dist in laws:
         target = np.array(sorted(sets[dist.layer]))
-        x = zero.copy()
+        x = rows.zeros()
         x[aug.full.root] = 1
         for t in range(1, t_max + 1):
-            y = zero.copy()
-            y[heads] = np.add.reduceat(x[src] * q, starts)
+            y = rows.push(x)
             hit = target[np.flatnonzero(y[target])]
             dist.mass.update(((t, v), rows.value(n, t)) for v, n in zip(hit.tolist(), y[hit]))
             y[target] = 0

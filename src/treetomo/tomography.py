@@ -20,32 +20,36 @@ since a walk that first meets ``z`` at time ``R + 1`` went straight there:
     head(z) = p_in(R+1, z),   head(x) = sum_c t(c, x) head(c),
     tail(z') = 1,             tail(x) = sum_c t(x, c) tail(c).
 
-:func:`recover_all` carries head, tail and one tail-class table per shell
-inward: each vertex gets its two sums once, and shell ``k`` one first-passage
-recursion over shells ``k+1 .. R+1``, which serves every edge of the shell
-because a walk confined there stays in the subtree it started in.
-:func:`make_plan`, :func:`tail_passage_probs` and
-:func:`unknown_edge_coefficient` give one edge's terms alone, running the same
-recurrences restricted to ``subtree(u)`` or ``subtree(w)``.
+:func:`recover_all` runs each recursion as an array sweep over the edge
+table of :class:`~treetomo.chain_model.AccRows`, the kernel of the forward
+DP.  Per shell, the heads take one masked push up inward edges and the tails
+one masked pull along outward edges; shell ``k`` takes one pull per step of
+a first-passage recursion over shells ``k+1 .. R+1``, which serves every
+edge of the shell because a walk confined there stays in the subtree it
+started in.  With the inner layer in depth-first order, the inner vertices
+below a vertex form one block, so each edge's outer-arrival and class sums
+are one ``np.add.reduceat`` per shell.  :func:`make_plan`,
+:func:`tail_passage_probs` and :func:`unknown_edge_coefficient` give one
+edge's terms alone, with the same sweeps over the rows of ``subtree(w)`` or
+``subtree(u)``.
 
-Rows and law cells are read through :class:`~treetomo.chain_model.AccRows`.
-In rational mode the whole inversion runs on its integer numerators, in the
+In rational mode the table and the laws hold integer numerators, in the
 manner of fraction-free (Bareiss) elimination: each law is scaled once to one
 denominator per time, heads, tails and tail classes are integers over known
-powers of the row scale ``D`` (rescaled when ``D`` widens), each class sum of
-an edge is one integer, and each recovered entry is one ``Fraction``.  Float
-mode runs the same formulas on ``np.longdouble`` values with every scale 1,
-and each recovered entry is one division.  :func:`recover_all` reads each law
-through its own record of the largest time read, so the caller's laws stay
-plain values.
+powers of the row scale ``D`` (rescaled when a recovered row widens ``D``),
+each class sum of an edge is one integer, and each recovered entry is one
+``Fraction``.  Float mode runs the same arrays in ``np.longdouble`` with
+every scale 1, and each recovered entry is one division.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
+
+import numpy as np
 
 from .chain_model import (
     KNOWN,
@@ -56,7 +60,7 @@ from .chain_model import (
     Number,
     TransitionKernel,
     require_valid,
-    settle,
+    runs,
 )
 from .errors import (
     FormatError,
@@ -128,16 +132,6 @@ def _show(value: Number) -> str:
     return repr(float(value)) if isinstance(value, Fraction) else f"{value}"
 
 
-def _unit(value: Number, u: int, v: int, mode: str, clamp: bool) -> Number:
-    """Recovered ``t(u, v)`` if in (0, 1] up to float slack, else clamped or raised."""
-    slack = 0 if mode == RATIONAL else FLOAT_EDGE_SLACK
-    if value <= 0 or value > 1 + slack:
-        if not clamp:
-            raise OutOfRange(f"recovered t({u},{v}) = {_show(value)} outside (0, 1]")
-        value = _clamp(value, mode)
-    return value
-
-
 def _root_sum_off(total: Number, mode: str) -> bool:
     return total != 1 if mode == RATIONAL else abs(total - 1) > ROOT_SUM_TOL
 
@@ -158,78 +152,48 @@ def make_plan(aug: AugmentedTree, u: int, w: int) -> EdgeRecoveryPlan:
     return EdgeRecoveryPlan(k, u, w, r, 3 * r + 4 - 2 * k, r + 2 - k, outer, inner)
 
 
-class _Reads(dict):
-    """Law cells keyed ``(t, v)``; :meth:`read` keeps the largest time read in ``last``."""
-
-    last = -1
-
-    def read(self, t: int, v: int) -> Number:
-        if t > self.last:
-            self.last = t
-        return self.get((t, v), 0)
+def _inner_tails(rows: AccRows, hi: int):
+    """``t(z, z')`` at each inner vertex ``z`` (shell ``hi``), zero elsewhere."""
+    outer = rows.zeros()
+    outer[rows.norm == hi + 1] = 1
+    return rows.pull(outer)
 
 
-def _head(aug: AugmentedTree, rows: AccRows, head: dict[int, Number], x: int) -> Number:
-    """Head sum at ``x`` from the head sums of its children: over inner
-    vertices ``z`` below ``x``, the head at ``z`` times the inward path
-    product from ``z`` up to ``x``.  In rational mode the sum times
-    ``D**(R+1-|x|)``; in :func:`recover_all` an integer over ``Q``, the inner
-    law's denominator at time ``R + 1``."""
-    return sum(rows[c][x] * head[c] for c in aug.full.children[x])
+def _tail_classes(rows: AccRows, shell: int, hi: int) -> list:
+    """Tail-class first-passage vectors over the vertices of ``rows``.
 
+    Class ``l = 1 .. hi + 1 - shell`` holds, at each vertex, the probability
+    that a walk from it first reaches the outer layer after exactly ``2l-1``
+    steps while every earlier position lies at shells ``shell+1 .. hi``, in
+    the scale of ``rows``: in rational mode an integer ``N`` for
+    ``N / D**(2l-1)``.  Every vertex of that band must carry a row.
 
-def _tail(aug: AugmentedTree, rows: AccRows, tail: dict[int, Number], x: int) -> Number:
-    """Tail sum at ``x``: outward path products from ``x`` to each outer vertex
-    below.  In rational mode an integer over ``D**(R+2-|x|)``."""
-    if x in aug.inner_layer:
-        return rows[x][aug.outer_child(x)]
-    return sum(rows[x][c] * tail[c] for c in aug.full.children[x])
-
-
-def _bottom_up(aug: AugmentedTree, v: int) -> list[int]:
-    """Vertices of the subtree of ``v`` off the outer layer, deepest first."""
-    below = [x for x in aug.full.subtree(v) if x not in aug.outer_layer]
-    return sorted(below, key=aug.full.norm.__getitem__, reverse=True)
-
-
-def _tail_classes(
-    aug: AugmentedTree, rows: AccRows, inner: Sequence[int], shell: int
-) -> list[dict[int, Number]]:
-    """Tail-class first-passage table over the inner vertices ``inner``.
-
-    Class ``l = 1 .. R + 2 - shell`` maps vertices, among them those of
-    ``inner``, to the probability that a walk from the vertex first reaches
-    the outer children of ``inner`` after exactly ``2l-1`` steps while
-    every earlier position lies at shells ``shell+1 .. R+1``; a vertex
-    missing from the map has probability zero.  The probability is held in
-    the scale of ``rows``, which must cover every row of that band: in
-    rational mode an integer ``N`` for ``N / D**(2l-1)``.
-
-    The recursion pushes first-passage mass inward from ``inner`` one step
-    at a time, keeping only the current step.  The last class is read at
-    step ``last = 2(R+2-shell) - 1``, so step ``s`` keeps only the shells
-    ``max(shell+1, R+1-(last-s)) .. R+1``: from lower shells the inner
-    layer is out of reach by step ``last``, so a vertex dropped there feeds
-    no entry, and every entry is computed by the same operations as over
-    the whole band.
+    Class 1 starts at the inner layer (shell ``hi``) as ``t(z, z')``; each
+    further step is one :meth:`~AccRows.pull` with the vertices below the
+    band zeroed.  The last class is read at step
+    ``last = 2(hi+1-shell) - 1``, so step ``s`` keeps only the shells
+    ``max(shell+1, hi-(last-s)) .. hi``: from lower shells the inner layer
+    is out of reach by step ``last``, so a vertex dropped there feeds no
+    entry, and every entry is computed by the same operations as over the
+    whole band.
     """
-    norm = aug.full.norm
-    hi = aug.hull_radius + 1
     last = 2 * (hi + 1 - shell) - 1
-    cur = {z: rows[z][aug.outer_child(z)] for z in inner}
-    out: list[dict[int, Number]] = []
-    for s in range(1, last + 1):
-        if s > 1:
-            lo = max(shell + 1, hi - (last - s))
-            nxt: dict[int, Number] = {}
-            for x, px in cur.items():
-                for z in rows[x]:
-                    if lo <= norm[z] <= hi:
-                        nxt[z] = nxt.get(z, 0) + rows[z][x] * px
-            cur = nxt
+    cur = _inner_tails(rows, hi)
+    out = [cur]
+    for s in range(2, last + 1):
+        cur = rows.pull(cur)
+        cur[rows.norm < max(shell + 1, hi - (last - s))] = 0
         if s % 2:
             out.append(cur)
     return out
+
+
+def _shell_step(rows: AccRows, x, shell: int, inward: bool):
+    """One masked sweep to ``shell``: head sums :meth:`~AccRows.push` up
+    inward edges, tail sums :meth:`~AccRows.pull` back along outward ones."""
+    y = rows.push(x) if inward else rows.pull(x)
+    y[rows.norm != shell] = 0
+    return y
 
 
 def tail_passage_probs(
@@ -241,13 +205,14 @@ def tail_passage_probs(
 
     Entry ``(v, l)`` is the probability that a walk started at inner vertex
     ``v`` first reaches ``plan.outer_targets`` after exactly ``2l-1`` steps
-    while every earlier position stays at shells ``>= plan.shell + 1``.  A
-    single backward recursion over the subtree of ``plan.child`` yields all
-    entries; only rows at shells above ``plan.shell`` are read.
+    while every earlier position stays at shells ``>= plan.shell + 1``.  The
+    sweep of :func:`recover_all` over the rows of the subtree of
+    ``plan.child`` yields all entries; only rows at shells above
+    ``plan.shell`` are read.
     """
-    rows = AccRows(kernel, _bottom_up(aug, plan.child))
-    table = _tail_classes(aug, rows, plan.inner_targets, plan.shell)
-    return {(v, l): rows.value(chi.get(v, 0), 2 * l - 1)
+    rows = AccRows(aug.full, kernel, aug.full.subtree(plan.child))
+    table = _tail_classes(rows, plan.shell, plan.hull_radius + 1)
+    return {(v, l): rows.value(chi[rows.local[v]], 2 * l - 1)
             for l, chi in enumerate(table, 1) for v in plan.inner_targets}
 
 
@@ -263,25 +228,26 @@ def unknown_edge_coefficient(
     out-and-back path family: straight to some inner vertex below ``vertex``,
     straight back up, and straight out to some outer target below ``child``.
     The two legs are independent, so the sum factorizes into the head sum at
-    ``vertex`` times the tail sum at ``child``, each built bottom-up over its
-    subtree from rows already known.
+    ``vertex`` times the tail sum at ``child``, each swept shell by shell as
+    in :func:`recover_all`, over the rows of the subtree of ``vertex``.
 
     The inner heads are ``p_out(R+2, z') / t(z, z')``, for callers that hold
     only the outer law.  On computed laws this equals the ``p_in(R+1, z)`` that
     :func:`recover_all` reads, exactly in rational mode; on empirical laws it may not.
     """
-    below = _bottom_up(aug, plan.vertex)
-    rows = AccRows(kernel, below)
-    r, outer = aug.hull_radius, aug.outer_child
-    head = {z: p_out.prob(r + 2, outer(z)) * rows.scale / rows[z][outer(z)]
-            for z in below if z in aug.inner_layer}
-    for x in below:
-        if x not in head:
-            head[x] = _head(aug, rows, head, x)
-    tail: dict[int, Number] = {}
-    for x in _bottom_up(aug, plan.child):
-        tail[x] = _tail(aug, rows, tail, x)
-    return rows.value(head[plan.vertex] * tail[plan.child], 2 * (r + 1 - plan.shell))
+    below = aug.full.subtree(plan.vertex)
+    rows = AccRows(aug.full, kernel, below)
+    r = plan.hull_radius
+    tail = _inner_tails(rows, r + 1)
+    head = rows.zeros()
+    for i in np.flatnonzero(rows.norm == r + 1):
+        head[i] = p_out.prob(r + 2, aug.outer_child(below[i])) * rows.scale / tail[i]
+    for k in range(r, plan.shell - 1, -1):
+        head = _shell_step(rows, head, k, inward=True)
+    for k in range(r, plan.shell, -1):
+        tail = _shell_step(rows, tail, k, inward=False)
+    coef = head[rows.local[plan.vertex]] * tail[rows.local[plan.child]]
+    return rows.value(coef, 2 * (r + 1 - plan.shell))
 
 
 def _check_laws(
@@ -308,6 +274,33 @@ def _check_laws(
                 raise FormatError(f"{name} law cell ({t}, {v}) = {p!r} under a rational kernel")
 
 
+def _depth_first(aug: AugmentedTree) -> np.ndarray:
+    """Ancestors of the inner vertices, depth-first with children ascending.
+
+    Row ``i`` holds the ancestor at shell ``R+1-i`` of each inner vertex (row
+    0 the vertex itself), columns sorted so the inner vertices below any
+    vertex form one contiguous block: each shell's blocks tile the columns.
+    """
+    anc = [sorted(aug.inner_layer)]
+    for _ in range(aug.hull_radius + 1):
+        anc.append([aug.full.parent[v] for v in anc[-1]])
+    anc = np.array(anc, dtype=np.intp)
+    return anc[:, np.lexsort(anc)]
+
+
+def _grid(rows: AccRows, dist: HittingDistribution, pos: np.ndarray, width: int,
+          need: int) -> tuple[np.ndarray, dict[int, int]]:
+    """Law numerators (see :meth:`AccRows.law`) at times ``0 .. need`` on a
+    grid over the inner layer: an outer cell sits at its inner parent."""
+    cells, dens = rows.law(dist.mass)
+    keys = np.fromiter(chain.from_iterable(cells), np.intp).reshape(-1, 2)
+    vals = np.array(list(cells.values()), object if rows.exact else None).astype(rows.q.dtype)
+    keep = keys[:, 0] <= need
+    grid = np.zeros((need + 1, width), rows.q.dtype)
+    grid[keys[keep, 0], pos[keys[keep, 1]]] = vals[keep]
+    return grid, dens
+
+
 def recover_all(
     aug: AugmentedTree,
     known: TransitionKernel,
@@ -319,17 +312,19 @@ def recover_all(
     """Recover every unknown base-tree row, outermost shell first.
 
     ``known`` must carry the given rows (added vertices, plus any base rows
-    already known), each valid, else :class:`InvalidKernel`; base vertices
+    already known), each valid, else :class:`InvalidKernel`, and every row
+    the recursions read, else :class:`MissingKnownRow`; base vertices
     without a row, or flagged unknown, are the targets.  Both laws must reach
     time ``3R+4`` (``3R+3`` inner) and hold cells only on their own layer at
     times ``>= 1``, and under a rational ``known`` only ``Fraction`` cells,
-    else :class:`FormatError`.
-    Before shell ``k`` is solved, the head sums of shell ``k``, the
-    tail sums of shell ``k + 1`` and the shell's tail-class table are built
-    (see the module docstring); each child edge is then solved from its
-    arrival decomposition, and the inward entry is the row complement.  The
-    report's ``shell_time_reads`` records the largest law time index read
-    while working on each shell, and ``times_accessed`` the largest per law.
+    else :class:`FormatError`.  A ``reference`` must hold every recovered
+    entry (:class:`FormatError`) and be valid (:class:`InvalidKernel`).
+    Shell ``k`` is solved from its swept heads, the tails of shell ``k+1``
+    and its tail classes (see the module docstring): each child edge from
+    its arrival decomposition, the inward entry as the row complement, and a
+    failure raises for the first edge or row in vertex order, a row's edges
+    before its complement.  ``shell_time_reads`` records the largest law
+    time read for each shell, and ``times_accessed`` the largest per law.
     """
     _require_two_layers(aug)
     r = aug.hull_radius
@@ -339,39 +334,34 @@ def recover_all(
     work = known.copy()
     for u in sorted(work.entries):
         work.provenance.setdefault(u, KNOWN)
+    mode, full = work.mode, aug.full
+    targets = {u for u in range(aug.base.vertex_count)
+               if work.provenance.get(u, UNKNOWN) not in (KNOWN, RECOVERED)}
+    rows = AccRows(full, work, blank=targets)
+    anc = _depth_first(aug)
+    inner = anc[0]
+    pos = np.zeros(full.vertex_count, np.intp)
+    pos[inner] = pos[[aug.outer_child(z) for z in inner]] = np.arange(len(inner))
+    lin, den_in = _grid(rows, p_in, pos, len(inner), 3 * r + 4)
+    lout, den_out = _grid(rows, p_out, pos, len(inner), 3 * r + 4)
+    head = rows.zeros()
+    head[inner] = lin[r + 1]  # the inner heads are numerators over q
+    q = den_in.get(r + 1, 1)
+    tail = _inner_tails(rows, r + 1)
     residuals: dict[int, Number] = {}
     flags: list[tuple[str, int]] = []
-    shell_reads: dict[int, tuple[int, int]] = {}
+    reads: dict[int, tuple[int, int]] = {}
 
-    full = aug.full
-    shells = full.shells()
-    inner_below = {z: (z,) for z in shells[r + 1]}
-    for k in range(r, 0, -1):
-        for x in shells[k]:
-            inner_below[x] = tuple(z for c in full.children[x] for z in inner_below[c])
-    rows = AccRows(work)
-    in_mass, den_in = rows.law(p_in.mass)
-    out_mass, den_out = rows.law(p_out.mass)
-    law_in, law_out = _Reads(in_mass), _Reads(out_mass)
-    head: dict[int, Number] = {z: law_in.read(r + 1, z) for z in shells[r + 1]}
-    q = den_in.get(r + 1, 1)  # the inner heads are numerators over q
-    tail: dict[int, Number] = {}
-
-    mode = work.mode
-    root = full.root
     for k in range(r, -1, -1):
-        # the band of shell k is shells k+1 .. R+1; the heads of shell k+1 and
-        # the tails of shell k+2 hold R-k entries each
-        grow = rows.cover(shells[k + 1]) ** (r - k)
-        if grow != 1:
-            head = {x: h * grow for x, h in head.items()}
-            tail = {x: t * grow for x, t in tail.items()}
-        tail = {x: _tail(aug, rows, tail, x) for x in shells[k + 1]}
-        head = {x: _head(aug, rows, head, x) for x in shells[k]}
-        targets = [u for u in shells[k] if aug.is_original(u)
-                   and work.provenance.get(u, UNKNOWN) not in (KNOWN, RECOVERED)]
-        chis = _tail_classes(aug, rows, shells[r + 1], k) if targets else []
+        if k < r:
+            tail = _shell_step(rows, tail, k + 1, inward=False)
+        head = _shell_step(rows, head, k, inward=True)
+        us = sorted(u for u in targets if full.norm[u] == k)
         hit = 3 * r + 4 - 2 * k
+        reads[k] = (hit - 1, hit) if us else (r + 1 if k == r else -1, -1)
+        if not us:
+            continue
+        chis = _tail_classes(rows, k, r + 1)
         dens = [den_out.get(hit, 1)] + [
             den_in.get(hit - (2 * l - 1), 1) * rows.scale ** (2 * l - 1)
             for l in range(1, len(chis) + 1)
@@ -381,61 +371,72 @@ def recover_all(
         # each sum's numerators to the shell's common denominator den
         den = math.lcm(*dens)
         mults, num = [den // d for d in dens], q * rows.scale ** (2 * (r + 1 - k))
-        for u in targets:
-            row: dict[int, Number] = {}
-            for w in full.children[u]:
-                if (coef := head[u] * tail[w]) == 0:
-                    raise ZeroDenominator(f"edge ({u}, {w}): out-and-back coefficient is zero")
-                inner = inner_below[w]
-                total = sum(law_out.read(hit, aug.outer_child(z)) for z in inner) * mults[0]
-                for l, chi in enumerate(chis, 1):
-                    total -= sum(law_in.read(hit - (2 * l - 1), v) * c
-                                 for v in inner if (c := chi.get(v))) * mults[l]
-                net, whole = total * num, den * coef
-                value = Fraction(net, whole) if mode == RATIONAL else net / whole
-                row[w] = _unit(value, u, w, mode, clamp)
-                if row[w] is not value:  # clamped
-                    flags.append(("OutOfRange", w))
-            child_sum = sum(row.values())
-            if u == root:
-                residuals[u] = settle(child_sum - 1, mode)
-                if _root_sum_off(child_sum, mode):
-                    if not clamp:
-                        raise RowSumViolation(
-                            f"root row sums to {_show(child_sum)}, expected 1"
-                        )
-                    flags.append(("RowSumViolation", u))
-            else:
-                comp = 1 - child_sum
-                if not 0 < comp < 1:
-                    if not clamp:
-                        raise RowSumViolation(
-                            f"inward entry of vertex {u} is {_show(comp)}, outside (0, 1)"
-                        )
-                    flags.append(("RowSumViolation", u))
-                    comp = _clamp(comp, mode)
-                residuals[u] = settle(child_sum + comp - 1, mode)
-                row[full.parent[u]] = comp  # type: ignore[index]
-            if clamp:
-                s = sum(row.values())
-                row = {w: p / s for w, p in row.items()}
-            work.entries[u] = {w: settle(p, mode) for w, p in row.items()}
-            rows.hold(u, row)
+        lens = np.array([len(full.children[u]) for u in us])
+        ws = [w for u in us for w in full.children[u]]
+        eu, ew = np.repeat(us, lens), np.array(ws)
+        # per class, sums over the block of inner vertices below each vertex
+        # of shell k+1, each block one segment of the depth-first inner layer
+        tops, blocks = runs(anc[r - k])
+        at = np.zeros(full.vertex_count, np.intp)
+        at[tops] = np.arange(len(tops))
+        cells = np.array([lout[hit]] + [lin[hit - (2 * l - 1)] * chi[inner]
+                                        for l, chi in enumerate(chis, 1)])
+        sums = np.add.reduceat(cells, blocks, axis=1)[:, at[ew]]
+        total = (np.array([mults[0]] + [-m for m in mults[1:]])[:, None] * sums).sum(axis=0)
+        coef = head[eu] * tail[ew]
+        zero = coef == 0  # refused below, and kept out of the division
+        vals = rows.ratio(total * num, den * np.where(zero, 1, coef))
+        off = zero | (vals <= 0) | (vals > 1 + (0 if mode == RATIONAL else FLOAT_EDGE_SLACK))
+        if clamp:
+            for i in np.flatnonzero(off & ~zero):
+                vals[i] = _clamp(vals[i], mode)
+        starts = np.cumsum(lens) - lens
+        child_sum = np.add.reduceat(vals, starts)
+        comp = 1 - child_sum if k else 0 * child_sum  # the root has no inward entry
+        bad = (np.array([_root_sum_off(child_sum[0], mode)]) if k == 0
+               else ~((comp > 0) & (comp < 1)))
+        owner = np.repeat(np.arange(len(us)), lens)
+        # failures in vertex order, each row's edges before its complement
+        for j, kind, i in sorted([(owner[i], 0, i) for i in np.flatnonzero(off)]
+                                 + [(j, 1, j) for j in np.flatnonzero(bad)]):
+            u = us[j]
+            if kind == 0 and (zero[i] or not clamp):
+                raise (ZeroDenominator(f"edge ({u}, {ws[i]}): out-and-back coefficient is zero")
+                       if zero[i] else
+                       OutOfRange(f"recovered t({u},{ws[i]}) = {_show(vals[i])} outside (0, 1]"))
+            if kind == 1 and not clamp:
+                raise RowSumViolation(
+                    f"root row sums to {_show(child_sum[j])}, expected 1" if k == 0 else
+                    f"inward entry of vertex {u} is {_show(comp[j])}, outside (0, 1)")
+            flags.append(("RowSumViolation", u) if kind else ("OutOfRange", ws[i]))
+            if kind and k:
+                comp[j] = _clamp(comp[j], mode)
+        residuals.update(zip(us, rows.public(child_sum + comp - 1)))
+        row = np.insert(vals, starts, comp) if k else vals  # in neighbor order
+        lens = lens + (k > 0)
+        if clamp:
+            row = row / np.repeat(child_sum + comp, lens)
+        ends = np.cumsum(lens)
+        values = rows.public(row)
+        for u, a, b in zip(us, ends - lens, ends):
+            work.entries[u] = dict(zip(full.neighbors(u), values[a:b]))
             work.provenance[u] = RECOVERED
-        del chis
-        shell_reads[k] = (law_in.last, law_out.last)
-        law_in.last = law_out.last = -1  # record the reads of each shell apart
+        slots = np.repeat(np.searchsorted(rows.src, us) - ends + lens, lens) + np.arange(ends[-1])
+        grow = rows.write(slots, row) ** (r + 1 - k)
+        if grow != 1:  # head (shell k) and tail (shell k+1) are over D**(R+1-k)
+            head, tail = head * grow, tail * grow
 
-    ins, outs = zip(*shell_reads.values())
+    ins, outs = zip(*reads.values())
     report = RecoveryReport(
         kernel=work,
         residuals=residuals,
         times_accessed={"inner": max(ins), "outer": max(outs)},
         flags=flags,
-        shell_time_reads={k: max(pair) for k, pair in shell_reads.items()},
+        shell_time_reads={k: max(pair) for k, pair in reads.items()},
     )
     if reference is not None:
         report.max_error = kernel_max_error(work, reference)
+        require_valid(aug, reference)  # its entries match; it must also be a chain
     return report
 
 

@@ -20,22 +20,24 @@ from treetomo import (
     random_kernel,
     spherical_augmentation,
 )
-from treetomo.chain_model import RATIONAL_GRID, Number, settle
+from treetomo.chain_model import RATIONAL_GRID, Number
 from treetomo.errors import (
     FormatError,
     InvalidParameter,
     InvalidQuery,
     MissingKnownRow,
     MissingRow,
+    OutOfRange,
     RowSumViolation,
     UnknownVertex,
     ZeroDenominator,
 )
 from treetomo.tomography import (
+    FLOAT_EDGE_SLACK,
     EdgeRecoveryPlan,
     _clamp,
     _root_sum_off,
-    _unit,
+    _show,
     make_plan,
     tail_passage_probs,
 )
@@ -358,6 +360,21 @@ def mixed_denominator_instance() -> tuple[AugmentedTree, TransitionKernel]:
     }
     prov = {u: UNKNOWN if aug.is_original(u) else KNOWN for u in rows}
     return aug, TransitionKernel(rows, prov, RATIONAL)
+
+
+def settle(value, mode: str) -> Number:
+    """Cast an accumulation-type value back to the mode's public type."""
+    return value if mode == RATIONAL else float(value)
+
+
+def _unit(value: Number, u: int, v: int, mode: str, clamp: bool) -> Number:
+    """Recovered ``t(u, v)`` if in (0, 1] up to float slack, else clamped or raised."""
+    slack = 0 if mode == RATIONAL else FLOAT_EDGE_SLACK
+    if value <= 0 or value > 1 + slack:
+        if not clamp:
+            raise OutOfRange(f"recovered t({u},{v}) = {_show(value)} outside (0, 1]")
+        value = _clamp(value, mode)
+    return value
 
 
 def up_product(aug: AugmentedTree, kernel: TransitionKernel, z: int, u: int):

@@ -554,6 +554,24 @@ class TestExitCodes:
         assert "no entry t(1,3) of vertex 1" in err
 
     @pytest.mark.parametrize("command", ["invert", "estimate"])
+    def test_invalid_reference_exit_2(self, tmp_path, capsys, command):
+        # segment(1, 2): the reference holds every recovered entry, but its
+        # root row sums to 1.4 and it has a row for a vertex off the tree
+        work = tmp_path / "w"
+        run(capsys, "gen", "--tree", "segment", "--k", "1", "--l", "2",
+            "--seed", "5", "--out", str(work))
+        argv = recovery_argv(capsys, work, command)
+        reference = work / "reference.txt"
+        lines = (work / "kernel.txt").read_text().splitlines()
+        reference.write_text("\n".join(
+            "row 0 1:0.9 3:0.5" if ln.startswith("row 0 ") else ln for ln in lines
+        ) + "\nrow 42 5:1\n")
+        code, out, err = run(capsys, *argv, "--reference", str(reference))
+        assert code == 2, (out, err)
+        assert err.startswith("error 2 InvalidKernel"), err
+        assert "max_error" not in out
+
+    @pytest.mark.parametrize("command", ["invert", "estimate"])
     def test_known_file_missing_row_exit_2(self, tmp_path, capsys, command):
         # inner vertex 3 of star(1, 2) carries a known row the recovery reads
         work = tmp_path / "w"

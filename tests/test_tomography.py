@@ -41,6 +41,7 @@ from helpers import (
     recover_by_edges,
     recover_edge,
     recover_star,
+    small_bases,
 )
 
 
@@ -543,6 +544,95 @@ class TestRecoverAll:
         rep = recover_all(aug, known_part(kernel), p_in, p_out)
         assert abs(rep.residuals[0]) < 1e-9
         assert rep.residuals[1] == 0
+
+
+def oracle_trees():
+    """Every small base tree, broom(5, 5) and comb(6), 2-spherically augmented."""
+    return [spherical_augmentation(b, 2) for b in small_bases() + [broom(5, 5), comb(6)]]
+
+
+def scaled_law(dist, factor, keep=lambda key: True):
+    """``dist`` with the cells that ``keep`` selects multiplied by ``factor``."""
+    mass = {key: p * factor if keep(key) else p for key, p in dist.mass.items()}
+    return HittingDistribution(dist.layer, dist.t_max, mass)
+
+
+class TestArrayInversion:
+    """The array sweeps give the rows, diagnostics and refusals of the
+    per-edge route, in its order."""
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_rows_match_per_edge_oracle(self, clamp):
+        for aug in oracle_trees():
+            kernel = random_kernel(aug, 11, scope="all", mode="rational")
+            p_in, p_out = forward_pair(aug, kernel)
+            known = known_part(kernel)
+            rep = recover_all(aug, known, p_in, p_out, clamp=clamp)
+            want = recover_by_edges(aug, known, p_in, p_out, clamp=clamp)
+            targets = [u for u, f in kernel.provenance.items() if f == "unknown"]
+            assert {u: rep.kernel.entries[u] for u in targets} == \
+                {u: want.entries[u] for u in targets}
+            assert rep.residuals == dict.fromkeys(sorted(targets, key=lambda u: -aug.full.norm[u]), 0)
+            assert rep.flags == []
+            # a shell with targets reads up to time 3R+4-2k; a degree-1 root is
+            # known, and the outermost shell reads the inner heads at R+1
+            r, solved = aug.hull_radius, {aug.full.norm[u] for u in targets}
+            assert rep.shell_time_reads == {k: 3 * r + 4 - 2 * k if k in solved else
+                                            r + 1 if k == r else -1 for k in range(r, -1, -1)}
+            hit = 3 * r + 4 - 2 * min(solved)
+            assert rep.times_accessed == {"inner": hit - 1, "outer": hit}
+
+    @pytest.mark.parametrize("base, t, flags, residuals", [
+        (comb(6), 12,
+         [("RowSumViolation", 5), ("OutOfRange", 27), ("OutOfRange", 5), ("OutOfRange", 11),
+          ("OutOfRange", 4), ("OutOfRange", 10), ("RowSumViolation", 3), ("OutOfRange", 3),
+          ("OutOfRange", 2), ("OutOfRange", 1), ("RowSumViolation", 0)],
+         {5: 0.5088318731650978, 3: 1e-06, 0: -0.31960220079908763}),
+        (broom(5, 5), 8,
+         [("RowSumViolation", 7), ("RowSumViolation", 13), ("RowSumViolation", 19),
+          ("RowSumViolation", 25), ("OutOfRange", 1), ("OutOfRange", 7), ("OutOfRange", 13),
+          ("OutOfRange", 19), ("RowSumViolation", 0)],
+         {7: 0.15033638319892692, 13: 0.035917480616619805, 19: 0.03488128159888782,
+          25: 0.5373695788203757, 0: -0.9900432637328568}),
+    ], ids=["comb6", "broom5x5"])
+    def test_clamped_diagnostics_pinned(self, base, t, flags, residuals):
+        # outer arrivals at time t raised by 1/32: flags keep vertex order,
+        # each row's clamped edges before its complement
+        aug = spherical_augmentation(base, 2)
+        kernel = random_kernel(aug, 11, scope="all", mode="rational")
+        p_in, p_out = forward_pair(aug, kernel)
+        p_out = scaled_law(p_out, Fraction(33, 32), lambda key: key[0] == t)
+        rep = recover_all(aug, known_part(kernel), p_in, p_out, clamp=True)
+        assert rep.flags == flags
+        assert {u: float(x) for u, x in rep.residuals.items() if x} == residuals
+        r = aug.hull_radius
+        assert rep.times_accessed == {"inner": 3 * r + 3, "outer": 3 * r + 4}
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_first_zero_coefficient_named(self, mode):
+        # broom(5, 5): no ballistic arrival at the inner children 34 and 38 of
+        # leaves 5 and 10, so both shell-2 edges have a zero coefficient; in
+        # float mode no division by zero may run first (a RuntimeWarning
+        # fails the suite)
+        aug = spherical_augmentation(broom(5, 5), 2)
+        assert aug.full.children[5] == (34,) and aug.full.children[10] == (38,)
+        kernel = random_kernel(aug, 11, scope="all", mode=mode)
+        p_in, p_out = forward_pair(aug, kernel)
+        p_in = scaled_law(p_in, 0, lambda key: key in ((3, 34), (3, 38)))
+        for clamp in (False, True):
+            with pytest.raises(ZeroDenominator, match=r"^edge \(5, 34\):"):
+                recover_all(aug, known_part(kernel), p_in, p_out, clamp=clamp)
+
+    def test_first_out_of_range_edge_named(self):
+        # outer arrivals at time 6 below leaves 4 and 9 tripled: both shell-2
+        # edges exceed 1, and the first in vertex order is refused
+        aug = spherical_augmentation(broom(5, 5), 2)
+        kernel = random_kernel(aug, 11, scope="all", mode="rational")
+        p_in, p_out = forward_pair(aug, kernel)
+        outer = {aug.outer_child(aug.full.children[u][0]) for u in (4, 9)}
+        p_out = scaled_law(p_out, 3, lambda key: key[0] == 6 and key[1] in outer)
+        with pytest.raises(OutOfRange, match=r"^recovered t\(4,33\) = "):
+            recover_all(aug, known_part(kernel), p_in, p_out)
 
 
 class TestRecoverStar:
