@@ -289,6 +289,8 @@ def random_kernel(
         raise InvalidParameter(f"unknown scope {scope!r}")
     if not 0 < floor < 1:
         raise InvalidParameter(f"floor must lie in (0, 1), got {floor}")
+    if seed < 0:
+        raise InvalidParameter(f"seed must be >= 0, got {seed}")
     full = aug.full
     one, half = (Fraction(1), Fraction(1, 2)) if mode == RATIONAL else (1.0, 0.5)
     entries: dict[int, dict[int, Number]] = {}

@@ -58,6 +58,8 @@ EXIT_INSUFFICIENT = 3
 EXIT_OUT_OF_RANGE = 4
 EXIT_INTERNAL = 5
 
+WORKERS_HELP = "must be >= 1; has no effect, the sampler draws counts, not walks"
+
 
 def _tree_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tree", required=True, help="star, segment, random, or a tree file path")
@@ -238,13 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser(
-        "sample", help="simulate probe walks up to the read horizon 3R+4 into a batch file"
+        "sample", help="draw probe-walk counts up to the read horizon 3R+4 into a batch file"
     )
     p.add_argument("--tree-file", required=True)
     p.add_argument("--kernel-file", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.add_argument("--out")
 
     p = sub.add_parser("estimate", help="plug-in estimation from a batch file")
@@ -264,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     _kernel_flags(p)
     p.add_argument("--n-grid", type=_ints, default="10000,100000")
     p.add_argument("--seeds", type=_ints, default="1,2,3,4,5")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.add_argument("--out")
 
     return parser

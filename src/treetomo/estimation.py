@@ -1,63 +1,29 @@
-"""Probe-walk simulation, empirical hitting laws, and the plug-in estimator.
+"""Probe-walk sampling, empirical hitting laws, and the plug-in estimator.
 
-Randomness is counter based: walk ``i`` at step ``t`` draws the uniform
-``k * 2**-53`` for a 53-bit integer ``k`` that is a pure function of
-``(seed, i, t)``, so neither block size nor worker count changes a batch,
-and walk ``i`` is replayed by simulating the block ``[i]``.  Each step
-compares ``k`` with integer row thresholds, which is exact, and drops
-absorbed walks from the block, up to the inversion's read horizon
-``t_cap = 3R + 4``.  Every first inner-layer contact within it is counted;
-a walk with no outer-layer contact by then lands in the overflow bucket,
-which therefore estimates ``P(tau_out > 3R + 4)``.
+The estimator reads a batch only through its counts, and the walks are
+exchangeable, so :func:`collect_batch` draws the counts in law instead of
+simulating walks one by one.  It keeps the number of walks in every
+(vertex, fresh) state, where "fresh" means no inner-layer contact yet, and
+at each step splits every count over its vertex's row by conditional
+binomials, over the forward DP's edge table (:class:`AccRows`).  That is
+exactly the law of ``n`` independent walks, at a cost that does not grow
+with ``n``.
+Counting runs up to the inversion's read horizon ``t_cap = 3R + 4``: every
+first inner contact within it is counted, and the walks still alive at the
+end form the overflow bucket, which estimates ``P(tau_out > 3R + 4)``.
 """
 
 from __future__ import annotations
 
-import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain_model import FLOAT, KNOWN, TransitionKernel, require_valid
+from .chain_model import FLOAT, KNOWN, AccRows, TransitionKernel, require_valid, runs
 from .errors import InsufficientData, InvalidParameter, ZeroDenominator
 from .forward_solver import INNER, OUTER, HittingDistribution
 from .tomography import RecoveryReport, recover_all
 from .tree_model import AugmentedTree
-
-_MASK = (1 << 64) - 1
-_GOLD = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
-
-CHUNK = 1 << 16
-
-
-def _mix(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer, in place on the uint64 array ``z``."""
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
-    return z
-
-
-def _walk_base_vec(seed: int, walks: np.ndarray) -> np.ndarray:
-    key = _mix(np.array([seed & _MASK], dtype=np.uint64))
-    return _mix(key + (walks + np.uint64(1)) * np.uint64(_GOLD))
-
-
-def _draw_vec(bases: np.ndarray, step: int) -> np.ndarray:
-    """53-bit integers ``k``: the walks' uniforms at ``step`` are ``k * 2**-53``."""
-    k = _mix(bases + np.uint64(((step + 1) * _GOLD) & _MASK))
-    k >>= np.uint64(11)
-    return k
-
-
-def _thresholds(cum: np.ndarray) -> np.ndarray:
-    """``ceil(cum * 2**53)``, so ``threshold <= k`` exactly when ``cum <= k * 2**-53``."""
-    return np.ceil(cum * 2.0**53).astype(np.uint64)
 
 
 @dataclass
@@ -78,77 +44,6 @@ class SampleBatch:
     overflow: int = 0
 
 
-def _walk_tables(
-    aug: AugmentedTree, kernel: TransitionKernel
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Neighbor and float cumulative-row tables plus inner/outer layer masks.
-
-    Row ``u`` lists the sorted neighbors of ``u``, padded with the last one;
-    cumulative probabilities are padded with 2.0.  Absorbing outer vertices
-    get no row.
-    """
-    nv = aug.full.vertex_count
-    rows = {
-        u: row for u, row in kernel.entries.items()
-        if row and u not in aug.outer_layer
-    }
-    maxdeg = max(map(len, rows.values()), default=1)
-    nbr_tab = np.zeros((nv, maxdeg), dtype=np.int64)
-    cum_tab = np.full((nv, maxdeg), 2.0)
-    for u, row in rows.items():
-        nbrs = sorted(row)
-        d = len(nbrs)
-        nbr_tab[u, :d] = nbrs
-        nbr_tab[u, d:] = nbrs[-1]
-        cum_tab[u, :d] = list(itertools.accumulate(float(row[v]) for v in nbrs))
-    is_inner, is_outer = np.zeros((2, nv), dtype=bool)
-    is_inner[list(aug.inner_layer)] = True
-    is_outer[list(aug.outer_layer)] = True
-    return nbr_tab, cum_tab, is_inner, is_outer
-
-
-def _simulate_block(
-    walk_ids: np.ndarray,
-    seed: int,
-    t_cap: int,
-    nbr_tab: np.ndarray,
-    cum_tab: np.ndarray,
-    is_inner: np.ndarray,
-    is_outer: np.ndarray,
-    root: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """First inner and outer contact ``(tau, place)`` of each walk, -1 for none.
-
-    Live walks stay compacted, with block positions ``pos`` and ``fresh``
-    (no inner contact yet).  Cumulative rows increase strictly, so counting
-    the thresholds at most ``k`` in all but the last column picks column
-    ``min(#{cum <= u}, last)``.
-    """
-    thr = _thresholds(cum_tab[:, :-1].T)
-    pos = np.arange(walk_ids.size)
-    tau_in, place_in, tau_out, place_out = np.full((4, pos.size), -1, dtype=np.int64)
-    bases = _walk_base_vec(seed, walk_ids.astype(np.uint64))
-    state = np.full_like(pos, root)
-    fresh = np.ones(pos.size, dtype=bool)
-    for t in range(1, t_cap + 1):
-        k = _draw_vec(bases, t - 1)
-        cell = state * nbr_tab.shape[1]
-        for col in thr:
-            cell += col.take(state) <= k
-        state = nbr_tab.take(cell)
-        hit = np.flatnonzero(fresh & is_inner.take(state))
-        tau_in[pos.take(hit)] = t
-        place_in[pos.take(hit)] = state.take(hit)
-        fresh[hit] = False
-        hit = is_outer.take(state)
-        if hit.any():
-            tau_out[pos[hit]] = t
-            place_out[pos[hit]] = state[hit]
-            keep = np.flatnonzero(~hit)
-            bases, state, pos, fresh = (a.take(keep) for a in (bases, state, pos, fresh))
-    return tau_in, place_in, tau_out, place_out
-
-
 def collect_batch(
     aug: AugmentedTree,
     kernel: TransitionKernel,
@@ -156,49 +51,64 @@ def collect_batch(
     seed: int,
     workers: int = 1,
 ) -> SampleBatch:
-    """Simulate ``n`` probe walks up to the read horizon and tally contacts.
+    """Draw the boundary counts of ``n`` probe walks up to ``t_cap = 3R + 4``.
 
-    Each walk runs for at most ``t_cap = 3R + 4`` steps, the last time the
-    inversion reads.  Every first inner contact at or before ``t_cap`` is
-    counted, absorbed or not; outer contacts come from the absorbed walks,
-    and the rest (no outer contact by ``t_cap``) form the overflow bucket.
-    The result is bit-identical for a fixed ``(seed, n)`` regardless of
-    ``workers`` or internal chunking.  A kernel that fails validation raises
-    :class:`InvalidKernel`, as in the forward solver.
+    Row 0 of the ``(2, vertices)`` count array holds the fresh walks, row 1
+    the rest.  Each step splits every row's counts over its slots in
+    ascending neighbor order: slot ``j`` takes ``Binomial(left, p_j /
+    rest_j)`` of the ``left`` walks not yet placed, with ``rest_j`` the
+    row's mass from slot ``j`` on, so the last slot takes the rest.  The
+    stream is pinned: ``rng = np.random.default_rng(seed)`` makes one
+    ``rng.binomial`` call per step and rank ``j``, over the rows with a
+    slot ``j`` in ascending vertex order, fresh row first.  Moved counts
+    are summed by destination as :meth:`AccRows.push` sums mass.  Entries
+    are drawn as float64, so a rational kernel gives the batch of its float
+    image.  ``workers`` is checked and has no effect.  A kernel that fails
+    validation raises :class:`InvalidKernel`, as in the forward solver.
     """
-    if n < 1:
-        raise InvalidParameter(f"sample count must be >= 1, got {n}")
+    if not 1 <= n < 2**63:
+        raise InvalidParameter(f"sample count must lie in [1, 2**63), got {n}")
+    if seed < 0:
+        raise InvalidParameter(f"seed must be >= 0, got {seed}")
     if workers < 1:
         raise InvalidParameter(f"workers must be >= 1, got {workers}")
     require_valid(aug, kernel)
     t_cap = 3 * aug.hull_radius + 4
+    rows = AccRows(aug.full, kernel)
+    p = (rows.q / rows.scale).astype(float)
+    order = np.lexsort((rows.dst, rows.src))  # rows ascending, then neighbors
+    vertex, starts = runs(rows.src[order])
+    degree = np.diff(starts, append=len(order))
+    ranks = []  # per rank j: the rows that have a slot j, and those slots
+    rest = np.zeros(len(starts))
+    for j in reversed(range(degree.max())):
+        has = np.flatnonzero(degree > j)
+        slots = order[starts[has] + j]
+        rest[has] += p[slots]
+        ranks.append((has, slots, p[slots] / rest[has]))
+    ranks.reverse()
 
-    tables = _walk_tables(aug, kernel)
-    nv = aug.full.vertex_count
-    cells = (t_cap + 1) * nv
-
-    def run(block: tuple[int, int]) -> tuple[np.ndarray, ...]:
-        tau_in, place_in, tau_out, place_out = _simulate_block(
-            np.arange(*block), seed, t_cap, *tables, aug.full.root
-        )
-        return tuple(
-            np.bincount(tau[tau >= 0] * nv + place[tau >= 0], minlength=cells)
-            for tau, place in ((tau_in, place_in), (tau_out, place_out))
-        )
-
-    blocks = [(a, min(a + CHUNK, n)) for a in range(0, n, CHUNK)]
-    tally_in = np.zeros(cells, dtype=np.int64)
-    tally_out = np.zeros(cells, dtype=np.int64)
-    with ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-        for part_in, part_out in pool.map(run, blocks):
-            tally_in += part_in
-            tally_out += part_out
-
+    rng = np.random.default_rng(seed)
+    inner, outer = (np.array(sorted(layer)) for layer in (aug.inner_layer, aug.outer_layer))
     batch = SampleBatch(n=n, seed=seed, t_cap=t_cap)
-    for tally, counts in ((tally_in, batch.counts_in), (tally_out, batch.counts_out)):
-        for k in np.flatnonzero(tally):
-            counts[divmod(int(k), nv)] = int(tally[k])
-    batch.overflow = n - int(tally_out.sum())
+    counts = np.zeros((2, aug.full.vertex_count), np.int64)
+    counts[0, aug.full.root] = n
+    moved = np.zeros((2, len(order)), np.int64)
+    for t in range(1, t_cap + 1):
+        left = counts[:, vertex]
+        for has, slots, cond in ranks:
+            moved[:, slots] = rng.binomial(left[:, has], cond)
+            left[:, has] -= moved[:, slots]
+        counts[:] = 0
+        counts[:, rows.heads] = np.add.reduceat(moved[:, rows.by_dst], rows.head_starts, axis=1)
+        for layer, cells, hits in ((inner, batch.counts_in, counts[0, inner]),
+                                   (outer, batch.counts_out, counts[:, outer].sum(0))):
+            got = np.flatnonzero(hits)
+            cells.update(((t, v), c) for v, c in zip(layer[got].tolist(), hits[got].tolist()))
+        counts[1, inner] += counts[0, inner]  # fresh arrivals stop being fresh
+        counts[0, inner] = 0
+        counts[:, outer] = 0  # absorbed
+    batch.overflow = int(counts.sum())
     return batch
 
 
@@ -247,7 +157,7 @@ def consistency_curve(
 
     The truth kernel supplies both the known rows fed to the estimator and
     the reference for the error; the error is the largest absolute entry
-    deviation over estimated rows.
+    deviation over estimated rows.  ``workers`` is checked and has no effect.
     """
     known = kernel.restricted_to({KNOWN})
     rows: list[tuple[int, int, float]] = []

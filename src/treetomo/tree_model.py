@@ -242,6 +242,8 @@ def random_tree(rout: int, seed: int, size: int | None = None) -> RootedTree:
     """
     if not 1 <= rout <= 39:  # a spine of rout + 1 vertices within 40
         raise InvalidParameter(f"rout must lie in [1, 39], got {rout}")
+    if seed < 0:
+        raise InvalidParameter(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     if size is None:
         size = int(rng.integers(rout + 1, min(40, rout + 16) + 1))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import product
 
 import numpy as np
 
@@ -633,64 +633,3 @@ def path_class_prob(
         if not cur:
             return 0
     return 0
-
-
-# Scalar SplitMix64 counter stream and one-walk simulator: the reference that
-# the vectorized sampler in ``treetomo.estimation`` must reproduce bit for bit.
-_MASK = (1 << 64) - 1
-_GOLD = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
-WALK_STEP_CAP = 10**7
-
-
-def mix(z: int) -> int:
-    z = (z ^ (z >> 30)) * _MIX1 & _MASK
-    z = (z ^ (z >> 27)) * _MIX2 & _MASK
-    return z ^ (z >> 31)
-
-
-def walk_base(seed: int, walk: int) -> int:
-    return mix((mix(seed & _MASK) + (walk + 1) * _GOLD) & _MASK)
-
-
-def u01(base: int, step: int) -> float:
-    """Uniform in [0, 1) used by the walk with ``base`` at ``step``."""
-    v = mix((base + (step + 1) * _GOLD) & _MASK)
-    return (v >> 11) * 2.0**-53
-
-
-@dataclass(frozen=True)
-class WalkSample:
-    """First boundary contacts of a single probe walk."""
-
-    tau_in: int
-    place_in: int
-    tau_out: int
-    place_out: int
-
-
-def reference_walk(
-    aug: AugmentedTree, kernel: TransitionKernel, seed: int, walk: int
-) -> WalkSample:
-    """Walk ``walk`` of stream ``seed``, simulated from the root to absorption.
-
-    Each step picks the first sorted neighbor whose float cumulative
-    probability exceeds the uniform.  Raises after ``WALK_STEP_CAP`` steps,
-    which indicates an invalid kernel rather than bad luck.
-    """
-    base = walk_base(seed, walk)
-    v = aug.full.root
-    tau_in = place_in = -1
-    for t in range(WALK_STEP_CAP):
-        row = kernel.entries[v]
-        nbrs = sorted(row)
-        u = u01(base, t)
-        cum = accumulate(float(row[w]) for w in nbrs)
-        nxt = next((w for w, c in zip(nbrs, cum) if u < c), nbrs[-1])
-        if tau_in < 0 and nxt in aug.inner_layer:
-            tau_in, place_in = t + 1, nxt
-        if nxt in aug.outer_layer:
-            return WalkSample(tau_in, place_in, t + 1, nxt)
-        v = nxt
-    raise RuntimeError(f"walk exceeded {WALK_STEP_CAP} steps")

@@ -113,6 +113,10 @@ class TestRandomKernel:
         with pytest.raises(InvalidParameter):
             random_kernel(aug, 0, floor=0.6)
 
+    def test_negative_seed(self, star_aug):
+        with pytest.raises(InvalidParameter):
+            random_kernel(star_aug, -1)
+
     def test_scope_lambda_keeps_symmetric_added_rows(self, star_aug):
         k = random_kernel(star_aug, 2, scope="lambda")
         assert k.entries[3] == {1: 0.5, 5: 0.5}

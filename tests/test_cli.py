@@ -356,8 +356,20 @@ class TestExitCodes:
          "usage:"),
         (["invert"], "error 2 InvalidParameter"),  # recovery reads 2-long chains only
         (["gen", "--tree", "random", "--rout", "40"], "error 2 InvalidParameter"),
+        # seeds and counts numpy would reject, or that overflow the count array
+        (["gen", "--tree", "star", "--l", "1", "--n", "2", "--seed", "-1"],
+         "error 2 InvalidParameter"),
+        (["gen", "--tree", "random", "--rout", "3", "--seed", "-4"], "error 2 InvalidParameter"),
+        (["roundtrip", "--tree", "star", "--l", "1", "--n", "2", "--seed", "-1"],
+         "error 2 InvalidParameter"),
+        (["sample", "--n", "10", "--seed", "-1"], "error 2 InvalidParameter"),
+        (["sample", "--n", str(2**63)], "error 2 InvalidParameter"),
+        (["consistency", "--tree", "star", "--l", "1", "--n", "2", "--seeds", "-2"],
+         "error 2 InvalidParameter"),
     ], ids=["star-no-l", "floor-2", "floor-sum", "segment-l-0", "sample-n-0",
-            "sample-workers-0", "n-grid", "invert-3-long", "random-rout-40"])
+            "sample-workers-0", "n-grid", "invert-3-long", "random-rout-40",
+            "gen-seed-neg", "random-seed-neg", "roundtrip-seed-neg", "sample-seed-neg",
+            "sample-n-2-63", "consistency-seeds-neg"])
     def test_bad_flag_value_exit_2(self, tmp_path, capsys, monkeypatch, argv, want):
         # sample and invert read a valid augmentation by chains of length 3
         monkeypatch.chdir(tmp_path)

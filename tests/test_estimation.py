@@ -1,11 +1,9 @@
 """Probe sampling, empirical laws, and the plug-in estimator."""
 
-from collections import Counter
 import math
 
 import pytest
 
-import treetomo.estimation as estimation
 from treetomo import (
     INNER,
     OUTER,
@@ -20,13 +18,7 @@ from treetomo import (
     recover_all,
 )
 from treetomo.errors import FormatError, InvalidParameter
-from treetomo.estimation import (
-    _draw_vec,
-    _simulate_block,
-    _thresholds,
-    _walk_base_vec,
-    _walk_tables,
-)
+from treetomo.forward_solver import hitting_laws
 from treetomo.tree_model import random_tree, segment, spherical_augmentation, star
 
 from helpers import (
@@ -34,12 +26,7 @@ from helpers import (
     known_part,
     law_total,
     rand_instance,
-    reference_walk,
-    u01,
-    walk_base,
 )
-
-import numpy as np
 
 
 def star_fixture(p01=0.3):
@@ -57,56 +44,18 @@ def segment_fixture():
     return aug, kernel
 
 
-def simulate(aug, kernel, seed, walk_ids, t_cap):
-    """Rows of ``_simulate_block`` for the given walk indices."""
-    ids = np.asarray(walk_ids, dtype=np.int64)
-    return _simulate_block(ids, seed, t_cap, *_walk_tables(aug, kernel), aug.full.root)
-
-
-def scalar_counts(aug, kernel, seed, n, t_cap):
-    """``counts_in``, ``counts_out`` and ``overflow`` of ``n`` reference walks."""
-    cin, cout = Counter(), Counter()
-    overflow = 0
-    for i in range(n):
-        s = reference_walk(aug, kernel, seed, i)
-        if s.tau_in <= t_cap:
-            cin[(s.tau_in, s.place_in)] += 1
-        if s.tau_out <= t_cap:
-            cout[(s.tau_out, s.place_out)] += 1
-        else:
-            overflow += 1
-    return dict(cin), dict(cout), overflow
+def wide_fixture(mode="float"):
+    # random_tree(2, 4) has rows of up to 10 neighbors; the star's have 2
+    aug = spherical_augmentation(random_tree(2, 4), 2)
+    return aug, random_kernel(aug, 5, scope="all", mode=mode)
 
 
 def batch_fields(batch):
     return batch.counts_in, batch.counts_out, batch.overflow
 
 
-class TestCounterStream:
-    def test_scalar_vector_agree(self):
-        walks = np.arange(50, dtype=np.uint64)
-        bases = _walk_base_vec(123, walks)
-        for step in (0, 1, 7, 63):
-            vec = _draw_vec(bases, step)
-            for i in range(50):
-                assert int(vec[i]) * 2.0**-53 == u01(walk_base(123, i), step)
-
-    def test_uniform_range(self):
-        vals = [u01(walk_base(9, i), t) for i in range(200) for t in range(4)]
-        assert all(0 <= v < 1 for v in vals)
-        assert 0.45 < sum(vals) / len(vals) < 0.55
-
-
-class TestThresholds:
-    @pytest.mark.parametrize("cum", [0.3, 0.5, 1 - 2.0**-53, 1.0, 1 + 1e-13, 2.0])
-    def test_integer_compare_is_float_compare(self, cum):
-        # k is a draw, below 2**53; the largest draw checks every cum
-        thr = _thresholds(np.array([cum]))[0]
-        t = math.ceil(cum * 2**53)
-        assert int(thr) == t
-        for k in (t - 1, t, t + 1, 2**53 - 1):
-            if 0 <= k < 2**53:
-                assert bool(thr <= np.uint64(k)) == (cum <= k * 2.0**-53), k
+def z_score(count, n, p):
+    return (count - n * p) / math.sqrt(n * p * (1 - p))
 
 
 class TestSampleWalk:
@@ -114,78 +63,84 @@ class TestSampleWalk:
         # the walk may bounce below the inner layer after tau_in, so the gap
         # to tau_out is any positive odd number, not always one
         aug, kernel = segment_fixture()
-        for i in range(50):
-            s = reference_walk(aug, kernel, 5, i)
-            assert (s.place_in, s.place_out) == (2, 3)
-            assert s.tau_out > s.tau_in
-            assert (s.tau_out - s.tau_in) % 2 == 1
-            assert s.tau_in >= 2
+        batch = collect_batch(aug, kernel, 5000, seed=5)
+        assert {v for _, v in batch.counts_in} == {2}
+        assert {v for _, v in batch.counts_out} == {3}
+        assert all(t >= 2 and t % 2 == 0 for t, _ in batch.counts_in)
+        assert all(t % 2 == 1 for t, _ in batch.counts_out)
+        assert min(batch.counts_out)[0] > min(batch.counts_in)[0]
 
     def test_parity(self):
-        aug, kernel = star_fixture()
+        # on a tree whose rows mix up to 10 neighbors; the star is checked
+        # cell by cell in TestEmpiricalJoint
+        aug, kernel = wide_fixture()
         r = aug.hull_radius
-        for i in range(80):
-            s = reference_walk(aug, kernel, 1, i)
-            assert s.tau_in < s.tau_out
-            assert (s.tau_in - (r + 1)) % 2 == 0
-            assert (s.tau_out - (r + 2)) % 2 == 0
-
-    def test_replay(self):
-        # walk i alone replays row i of a wider block, which is the scalar walk
-        aug, kernel = star_fixture()
-        wide = simulate(aug, kernel, 7, range(12), t_cap=200)
-        for i in range(12):
-            alone = simulate(aug, kernel, 7, [i], t_cap=200)
-            assert [int(col[0]) for col in alone] == [int(col[i]) for col in wide]
-            s = reference_walk(aug, kernel, 7, i)
-            assert (s.tau_in, s.place_in, s.tau_out, s.place_out) == tuple(
-                int(col[i]) for col in wide
-            )
+        batch = collect_batch(aug, kernel, 20_000, seed=1)
+        assert all((t - (r + 1)) % 2 == 0 for t, _ in batch.counts_in)
+        assert all((t - (r + 2)) % 2 == 0 for t, _ in batch.counts_out)
 
 
 class TestCollectBatch:
-    def test_matches_scalar_walks(self):
-        # every first inner contact within the cap counts, absorbed or not;
-        # outer contacts and overflow come from absorption by the cap
-        aug, kernel = star_fixture()
-        batch = collect_batch(aug, kernel, 400, seed=42)
-        assert batch_fields(batch) == scalar_counts(aug, kernel, 42, 400, batch.t_cap)
+    def test_pinned_stream(self):
+        # the bench's star: gen --tree star --l 1 --n 2 --seed 3, then 1e6 walks
+        aug = spherical_augmentation(star(1, 2), 2)
+        batch = collect_batch(aug, random_kernel(aug, 3), 10**6, seed=9)
+        assert batch.overflow == 440_186
+        assert (batch.counts_in[(2, 3)], batch.counts_in[(2, 4)]) == (148_667, 327_759)
 
-    def test_wide_rows(self, monkeypatch):
-        # random_tree(2, 4) has rows of up to 10 neighbors, so a step counts
-        # many thresholds; the star's rows have at most 2
-        aug = spherical_augmentation(random_tree(2, 4), 2)
-        kernel = random_kernel(aug, 5, scope="all")
-        n = 300
-        batch = collect_batch(aug, kernel, n, seed=13)
-        assert batch_fields(batch) == scalar_counts(aug, kernel, 13, n, batch.t_cap)
-        cols = simulate(aug, kernel, 13, range(n), batch.t_cap)
-        for i in range(n):
-            s = reference_walk(aug, kernel, 13, i)
-            ins = (s.tau_in, s.place_in) if s.tau_in <= batch.t_cap else (-1, -1)
-            outs = (s.tau_out, s.place_out) if s.tau_out <= batch.t_cap else (-1, -1)
-            assert tuple(int(c[i]) for c in cols) == ins + outs, i
-        ref = batch_fields(collect_batch(aug, kernel, 3000, seed=13, workers=1))
-        assert batch_fields(collect_batch(aug, kernel, 3000, seed=13, workers=3)) == ref
-        monkeypatch.setattr(estimation, "CHUNK", 257)
-        assert batch_fields(collect_batch(aug, kernel, 3000, seed=13, workers=3)) == ref
+    def test_wide_rows(self):
+        # every cell of both laws against n times the exact law, in both modes
+        n = 200_000
+        for mode in ("float", "rational"):
+            aug, kernel = wide_fixture(mode)
+            for seed in range(1, 6):
+                batch = collect_batch(aug, kernel, n, seed)
+                laws = hitting_laws(aug, kernel, batch.t_cap)
+                for law, counts in zip(laws, (batch.counts_in, batch.counts_out)):
+                    assert set(counts) <= set(law.mass)
+                    for cell, p in law.mass.items():
+                        z = z_score(counts.get(cell, 0), n, float(p))
+                        assert abs(z) < 5, (mode, seed, law.layer, cell, z)
 
-    def test_worker_and_chunk_invariance(self, monkeypatch):
+    def test_overflow_matches_exact(self):
+        # overflow estimates P(tau_out > 3R + 4)
+        n = 200_000
+        aug, kernel = wide_fixture()
+        for seed in range(1, 6):
+            batch = collect_batch(aug, kernel, n, seed)
+            p_out = first_hitting_joint(aug, kernel, OUTER, batch.t_cap)
+            z = z_score(batch.overflow, n, 1 - float(law_total(p_out)))
+            assert abs(z) < 5, (seed, z)
+
+    def test_row_order_irrelevant(self):
+        aug, kernel = wide_fixture()
+        flipped = kernel.copy()
+        flipped.entries = {u: dict(reversed(row.items())) for u, row in kernel.entries.items()}
+        ref = batch_fields(collect_batch(aug, kernel, 3000, seed=13))
+        assert batch_fields(collect_batch(aug, flipped, 3000, seed=13)) == ref
+
+    def test_rational_is_float_image(self):
+        aug, kernel = wide_fixture("rational")
+        image = TransitionKernel(
+            {u: {v: float(p) for v, p in row.items()} for u, row in kernel.entries.items()},
+            dict(kernel.provenance),
+        )
+        ref = batch_fields(collect_batch(aug, image, 3000, seed=13))
+        assert batch_fields(collect_batch(aug, kernel, 3000, seed=13)) == ref
+
+    def test_worker_invariance(self):
+        # workers is accepted and has no effect
         aug, kernel = star_fixture()
-        ref = collect_batch(aug, kernel, 2000, seed=7, workers=1)
-        par = collect_batch(aug, kernel, 2000, seed=7, workers=8)
-        monkeypatch.setattr(estimation, "CHUNK", 257)
-        chunked = collect_batch(aug, kernel, 2000, seed=7, workers=3)
-        for other in (par, chunked):
-            assert other.counts_in == ref.counts_in
-            assert other.counts_out == ref.counts_out
-            assert other.overflow == ref.overflow
+        ref = batch_fields(collect_batch(aug, kernel, 2000, seed=7, workers=1))
+        assert batch_fields(collect_batch(aug, kernel, 2000, seed=7, workers=3)) == ref
 
     def test_counts_balance(self):
-        aug, kernel = star_fixture()
-        batch = collect_batch(aug, kernel, 1500, seed=3)
-        assert sum(batch.counts_out.values()) + batch.overflow == 1500
-        assert sum(batch.counts_in.values()) >= sum(batch.counts_out.values())
+        # the walks alive at the horizon are the overflow; every absorbed
+        # walk met the inner layer first
+        for (aug, kernel), n in ((star_fixture(), 1500), (wide_fixture(), 20_000)):
+            batch = collect_batch(aug, kernel, n, seed=3)
+            assert sum(batch.counts_out.values()) + batch.overflow == n
+            assert sum(batch.counts_in.values()) >= sum(batch.counts_out.values())
 
     def test_bad_parameters(self):
         aug, kernel = star_fixture()
@@ -193,6 +148,10 @@ class TestCollectBatch:
             collect_batch(aug, kernel, 0, seed=1)
         with pytest.raises(InvalidParameter):
             collect_batch(aug, kernel, 10, seed=1, workers=0)
+        with pytest.raises(InvalidParameter):
+            collect_batch(aug, kernel, 10, seed=-1)
+        with pytest.raises(InvalidParameter):
+            collect_batch(aug, kernel, 2**63, seed=1)
 
     @pytest.mark.parametrize("radius", [6, 8])
     def test_inner_law_unbiased_at_horizon(self, radius):
@@ -294,8 +253,9 @@ class TestConsistencyCurve:
     def test_error_shrinks(self):
         import statistics
 
+        # two decades of n apart and ten seeds a side, so the medians separate
         aug, kernel = star_fixture()
-        rows = consistency_curve(aug, kernel, [1000, 30000], [1, 2, 3])
+        rows = consistency_curve(aug, kernel, [1000, 100_000], list(range(1, 11)))
         med_small = statistics.median(e for n, _, e in rows if n == 1000)
-        med_big = statistics.median(e for n, _, e in rows if n == 30000)
+        med_big = statistics.median(e for n, _, e in rows if n == 100_000)
         assert med_big < med_small

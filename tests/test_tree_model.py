@@ -243,6 +243,10 @@ class TestRandomTree:
         with pytest.raises(InvalidParameter):
             random_tree(rout, 0)
 
+    def test_negative_seed(self):
+        with pytest.raises(InvalidParameter):
+            random_tree(3, -4)
+
     def test_longest_spine(self):
         t = random_tree(39, 0)
         assert max(t.norm.values()) == 39
