@@ -13,7 +13,8 @@ with one sweep kernel for the forward DP and the inversion, which owns the
 accumulation representation: in float mode, scale 1 and ``np.longdouble``
 entries; in rational mode, a common denominator ``D`` of the rows and the
 integer numerators ``p * D``, so a mass built from ``s`` entries is an
-integer ``N`` standing for ``N / D**s``.
+integer ``N`` standing for ``N / D**s``.  The table is also where a kernel
+is checked, by array operations on its slots (:func:`checked_rows`).
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ class AccRows:
     indexed by position in ``vertices`` (``local`` maps ids to positions).
     A row in ``blank`` starts as zeros in neighbor order, parent first, for
     :meth:`write`; any other row the kernel lacks raises
-    :class:`MissingKnownRow`.  :meth:`push` moves walk mass one step,
+    :class:`MissingKnownRow`; no row is checked (see :func:`checked_rows`).
+    ``sizes`` counts the entries of each row.  :meth:`push` moves walk mass one step,
     ``y[v] = sum_u x[u] t(u, v)``, and :meth:`pull` steps back,
     ``y[u] = sum_v t(u, v) x[v]``: each is one ``np.add.reduceat`` over the
     table sorted by ``dst`` or by ``src``.
@@ -76,21 +78,20 @@ class AccRows:
     def __init__(self, full: RootedTree, kernel: TransitionKernel,
                  vertices: Iterable[int] | None = None, blank: Iterable[int] = ()):
         self.exact = kernel.mode == RATIONAL
-        ids = list(range(full.vertex_count) if vertices is None else vertices)
-        self.local = np.full(full.vertex_count, -1, np.intp)  # -1: not in vertices
+        n = full.vertex_count
+        ids = list(range(n) if vertices is None else vertices)
+        self.local = np.full(n + 1, -1, np.intp)  # -1: not in vertices; [n]: off the tree
         self.local[np.array(ids, dtype=np.intp)] = np.arange(len(ids))
         entries, blank = kernel.entries, set(blank)
         rows = [u for u in ids if full.children[u]]
-        dicts = []
-        for u in rows:
-            if u in blank:
-                dicts.append(dict.fromkeys(full.neighbors(u), 0))
-            elif u in entries:
-                dicts.append(entries[u])
-            else:
-                raise MissingKnownRow(f"row for vertex {u} required but absent")
-        dst = self.local[np.fromiter(chain.from_iterable(dicts), np.intp)]
-        src = np.repeat(self.local[rows], np.fromiter(map(len, dicts), np.intp, len(dicts)))
+        dicts = [dict.fromkeys(full.neighbors(u), 0) if u in blank else entries.get(u)
+                 for u in rows]
+        if None in dicts:
+            raise MissingKnownRow(f"row for vertex {rows[dicts.index(None)]} required but absent")
+        keys = np.array(list(chain.from_iterable(dicts)))  # int64, or object past its range
+        dst = self.local[keys.clip(-1, n).astype(np.intp)]
+        self.sizes = np.fromiter(map(len, dicts), np.intp, len(dicts))
+        src = np.repeat(self.local[rows], self.sizes)
         q = list(chain.from_iterable(row.values() for row in dicts))
         self.scale = 1
         if self.exact:
@@ -213,52 +214,68 @@ class KernelViolation:
     detail: str = ""
 
 
+def _check_rows(aug: AugmentedTree, kernel: TransitionKernel,
+                blank: set[int]) -> tuple[list[KernelViolation], AccRows]:
+    """The violations of :func:`validate_kernel`, rows of ``blank`` allowed
+    absent, and the table over ``aug.full`` (absent rows blank) they are read
+    from.  A row has the tree's support if it has one entry per neighbor and
+    each slot leads to one; float sums run left to right, as ``sum`` does."""
+    full, entries, n = aug.full, kernel.entries, aug.full.vertex_count
+    out = [KernelViolation(u, "OffTree", "row of a vertex off the tree")
+           for u in sorted(set(entries).difference(range(n)))]
+    out += [KernelViolation(v, "AbsorbingRow", "outer vertex has a row")
+            for v in sorted(aug.outer_layer.intersection(entries)) if entries[v]]
+    absent = set(range(n)).difference(entries, aug.outer_layer)
+    rows = AccRows(full, kernel, blank=absent)  # over every vertex: positions are ids
+    src, dst, starts = rows.src, rows.dst, rows.tail_starts
+    parent = np.fromiter(map({**full.parent, full.root: -1}.__getitem__, range(n)), np.intp, n)
+    kids = np.bincount(parent[parent >= 0], minlength=n)
+    size = np.zeros(n, np.intp)
+    size[kids > 0] = rows.sizes
+    near = np.bincount(src[(parent[dst] == src) | (parent[src] == dst)], minlength=n)
+    fits = (size == kids + (parent >= 0)) & (near == size)  # one entry per neighbor
+    low, off = np.zeros(n, bool), np.ones(n, bool)
+    low[rows.tails] = np.logical_or.reduceat(rows.q <= 0, starts)
+    if rows.exact:  # integer numerators over the scale
+        off[rows.tails] = np.add.reduceat(rows.q, starts) != rows.scale
+    else:
+        off = ~(np.abs(np.bincount(src, rows.q.astype(float), n) - 1) <= ROW_SUM_TOL)
+    bad = (kids > 0) & (~fits | low | off)
+    bad[list(absent)] = False  # a blank in the table: missing unless in blank
+    for u in sorted(chain(np.flatnonzero(bad).tolist(), absent - blank)):
+        row = entries.get(u)
+        kind, detail = (
+            ("MissingRow", "") if row is None else
+            ("Support", f"{sorted(row)} != {sorted(full.neighbors(u))}") if not fits[u] else
+            ("Nondegenerate", "nonpositive entry") if low[u] else
+            ("RowSum", f"sum = {sum(row.values())}"))
+        out.append(KernelViolation(u, kind, detail))
+    return out, rows
+
+
 def validate_kernel(aug: AugmentedTree, kernel: TransitionKernel) -> list[KernelViolation]:
     """Check support, positivity, row sums, outer-layer absorption, and that
     every row belongs to a vertex of the tree.
 
     Returns an empty list iff the kernel is a valid nondegenerate chain on
-    ``aug.full`` killed at the outer layer.
+    ``aug.full`` killed at the outer layer; else rows off the tree, outer
+    rows, then each vertex's first violation in vertex order.  A rational
+    kernel that holds a float entry raises :class:`InvalidKernel`.
     """
-    full = aug.full
-    out = [KernelViolation(u, "OffTree", "row of a vertex off the tree")
-           for u in sorted(set(kernel.entries).difference(range(full.vertex_count)))]
-    for v in sorted(aug.outer_layer):
-        if v in kernel.entries and kernel.entries[v]:
-            out.append(KernelViolation(v, "AbsorbingRow", "outer vertex has a row"))
-    for u in range(full.vertex_count):
-        if u in aug.outer_layer:
-            continue
-        if u not in kernel.entries:
-            out.append(KernelViolation(u, "MissingRow"))
-            continue
-        row = kernel.entries[u]
-        nbrs = set(full.neighbors(u))
-        if set(row) != nbrs:
-            out.append(KernelViolation(u, "Support", f"{sorted(row)} != {sorted(nbrs)}"))
-            continue
-        if any(p <= 0 for p in row.values()):
-            out.append(KernelViolation(u, "Nondegenerate", "nonpositive entry"))
-            continue
-        s = sum(row.values())
-        if kernel.mode == RATIONAL:
-            ok = s == 1
-        else:
-            ok = abs(s - 1) <= ROW_SUM_TOL
-        if not ok:
-            out.append(KernelViolation(u, "RowSum", f"sum = {s}"))
-    return out
+    return _check_rows(aug, kernel, set())[0]
 
 
-def require_valid(
-    aug: AugmentedTree, kernel: TransitionKernel, allow: tuple[str, ...] = ()
-) -> None:
-    """Raise :class:`InvalidKernel` naming the first violation of
-    :func:`validate_kernel` whose kind is not in ``allow``."""
-    bad = [b for b in validate_kernel(aug, kernel) if b.kind not in allow]
+def checked_rows(aug: AugmentedTree, kernel: TransitionKernel,
+                 blank: Iterable[int] = ()) -> AccRows:
+    """The edge table of ``kernel`` over ``aug.full``; the first violation of
+    :func:`validate_kernel` raises :class:`InvalidKernel`.  A row in ``blank``
+    may be absent, lies in the table as zeros, and is checked if given."""
+    bad, rows = _check_rows(aug, kernel, blank := set(blank))
     if bad:
-        first = bad[0]
-        raise InvalidKernel(f"{first.kind} at vertex {first.vertex}: {first.detail}")
+        raise InvalidKernel(f"{bad[0].kind} at vertex {bad[0].vertex}: {bad[0].detail}")
+    if not blank.isdisjoint(kernel.entries):  # given rows to solve again: laid out blank
+        rows = AccRows(aug.full, kernel, blank=blank)
+    return rows
 
 
 LAMBDA_ONLY = "lambda"

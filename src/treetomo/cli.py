@@ -132,11 +132,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_forward(args: argparse.Namespace) -> int:
     aug = _load_aug(args.tree_file)
     kernel = parse_kernel(read_text(args.kernel_file))
-    t_max = 3 * aug.hull_radius + 4
     out = _outdir(args)
-    for dist, name in zip(hitting_laws(aug, kernel, t_max), ("in.tsv", "out.tsv")):
+    for dist, name in zip(hitting_laws(aug, kernel, aug.horizon), ("in.tsv", "out.tsv")):
         write_text(out / name, dump_distribution(dist, kernel.mode))
-    print(f"forward horizon {t_max}")
+    print(f"forward horizon {aug.horizon}")
     return EXIT_OK
 
 
@@ -185,8 +184,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def cmd_roundtrip(args: argparse.Namespace) -> int:
     aug, kernel = _gen_objects(args)
-    t_max = 3 * aug.hull_radius + 4
-    p_in, p_out = hitting_laws(aug, kernel, t_max)
+    p_in, p_out = hitting_laws(aug, kernel, aug.horizon)
     known = kernel.restricted_to({KNOWN})
     report = recover_all(aug, known, p_in, p_out, reference=kernel)
     if args.out:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain_model import FLOAT, KNOWN, AccRows, TransitionKernel, require_valid, runs
+from .chain_model import FLOAT, KNOWN, TransitionKernel, checked_rows, runs
 from .errors import InsufficientData, InvalidParameter, ZeroDenominator
 from .forward_solver import INNER, OUTER, HittingDistribution
 from .tomography import RecoveryReport, recover_all
@@ -64,7 +64,7 @@ def collect_batch(
     are summed by destination as :meth:`AccRows.push` sums mass.  Entries
     are drawn as float64, so a rational kernel gives the batch of its float
     image.  ``workers`` is checked and has no effect.  A kernel that fails
-    validation raises :class:`InvalidKernel`, as in the forward solver.
+    the table's check raises :class:`InvalidKernel`, as in the forward solver.
     """
     if not 1 <= n < 2**63:
         raise InvalidParameter(f"sample count must lie in [1, 2**63), got {n}")
@@ -72,9 +72,7 @@ def collect_batch(
         raise InvalidParameter(f"seed must be >= 0, got {seed}")
     if workers < 1:
         raise InvalidParameter(f"workers must be >= 1, got {workers}")
-    require_valid(aug, kernel)
-    t_cap = 3 * aug.hull_radius + 4
-    rows = AccRows(aug.full, kernel)
+    rows = checked_rows(aug, kernel)
     p = (rows.q / rows.scale).astype(float)
     order = np.lexsort((rows.dst, rows.src))  # rows ascending, then neighbors
     vertex, starts = runs(rows.src[order])
@@ -90,11 +88,11 @@ def collect_batch(
 
     rng = np.random.default_rng(seed)
     inner, outer = (np.array(sorted(layer)) for layer in (aug.inner_layer, aug.outer_layer))
-    batch = SampleBatch(n=n, seed=seed, t_cap=t_cap)
+    batch = SampleBatch(n=n, seed=seed, t_cap=aug.horizon)
     counts = np.zeros((2, aug.full.vertex_count), np.int64)
     counts[0, aug.full.root] = n
     moved = np.zeros((2, len(order)), np.int64)
-    for t in range(1, t_cap + 1):
+    for t in range(1, aug.horizon + 1):
         left = counts[:, vertex]
         for has, slots, cond in ranks:
             moved[:, slots] = rng.binomial(left[:, has], cond)

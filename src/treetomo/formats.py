@@ -121,7 +121,7 @@ def dump_tree(tree: RootedTree | AugmentedTree) -> str:
 
 def parse_tree(text: str) -> RootedTree | AugmentedTree:
     """Parse :func:`dump_tree` output; returns an AugmentedTree when origin
-    lines are present."""
+    lines are present, which layer lines need."""
     edges: list[tuple[int, int]] = []
     origin: dict[int, str] = {}
     layers: dict[str, set[int]] = {}
@@ -147,7 +147,7 @@ def parse_tree(text: str) -> RootedTree | AugmentedTree:
         full = build_tree(edges, root)
         if full.vertex_count != n:
             raise FormatError(f"header says {n} vertices, edges give {full.vertex_count}")
-        if not origin:
+        if not origin and not layers:
             return full
         if set(origin) != set(range(n)):
             raise FormatError("origin flags do not cover all vertices")

@@ -11,7 +11,7 @@ in rational mode an object array of integer numerators over ``D**t`` at
 time ``t``, with ``D`` the lcm of the kernel's row denominators, so both
 modes run the same code, every value is exact, and each harvested cell
 becomes a ``Fraction`` once.  :func:`hitting_laws` gives both laws from one
-validation and one table.  A law is a plain value: reading a cell records
+table, checked as it is built.  A law is a plain value: reading a cell records
 nothing.
 """
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain_model import AccRows, Number, TransitionKernel, require_valid
+from .chain_model import Number, TransitionKernel, checked_rows
 from .errors import InvalidQuery
 from .tree_model import AugmentedTree
 
@@ -57,38 +57,22 @@ def first_hitting_joint(
     layer: str,
     t_max: int,
 ) -> HittingDistribution:
-    """Joint hitting law for ``layer``, all times ``t <= t_max``.
-
-    Parameters
-    ----------
-    aug : AugmentedTree
-        Tree with marked boundary layers.
-    kernel : TransitionKernel
-        Full chain on ``aug.full``; validated before use.
-    layer : str
-        ``"inner"`` or ``"outer"``.
-    t_max : int
-        Largest time index to compute.
-
-    Raises
-    ------
-    InvalidKernel
-        If the kernel fails validation.
-    """
+    """Joint hitting law for ``layer`` (``"inner"`` or ``"outer"``) at all
+    times ``t <= t_max``, of the full chain ``kernel`` on ``aug.full``; a
+    kernel that fails validation raises :class:`InvalidKernel`."""
     return hitting_laws(aug, kernel, t_max, (layer,))[0]
 
 
 def hitting_laws(aug: AugmentedTree, kernel: TransitionKernel, t_max: int,
                  layers: tuple[str, ...] = (INNER, OUTER)) -> tuple[HittingDistribution, ...]:
     """The laws of :func:`first_hitting_joint` for ``layers``, in that order,
-    from one kernel validation and one edge table."""
+    from one checked edge table (:func:`~treetomo.chain_model.checked_rows`)."""
     if t_max < 0:
         raise InvalidQuery(f"t_max must be >= 0, got {t_max}")
-    require_valid(aug, kernel)
+    rows = checked_rows(aug, kernel)
     sets = {INNER: aug.inner_layer, OUTER: aug.outer_layer}
     if bad := [layer for layer in layers if layer not in sets]:
         raise InvalidQuery(f"unknown layer {bad[0]!r}")
-    rows = AccRows(aug.full, kernel)
     laws = tuple(HittingDistribution(layer, t_max) for layer in layers)
     for dist in laws:
         target = np.array(sorted(sets[dist.layer]))

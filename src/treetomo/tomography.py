@@ -59,12 +59,13 @@ from .chain_model import (
     AccRows,
     Number,
     TransitionKernel,
-    require_valid,
+    checked_rows,
     runs,
 )
 from .errors import (
     FormatError,
     InvalidParameter,
+    MissingKnownRow,
     NotAChild,
     NotInLambda,
     OutOfRange,
@@ -149,7 +150,7 @@ def make_plan(aug: AugmentedTree, u: int, w: int) -> EdgeRecoveryPlan:
     k, r = aug.full.norm[u], aug.hull_radius
     inner = aug.layer_descendants(w, aug.inner_layer)
     outer = tuple(aug.outer_child(z) for z in inner)
-    return EdgeRecoveryPlan(k, u, w, r, 3 * r + 4 - 2 * k, r + 2 - k, outer, inner)
+    return EdgeRecoveryPlan(k, u, w, r, aug.horizon - 2 * k, r + 2 - k, outer, inner)
 
 
 def _inner_tails(rows: AccRows, hi: int):
@@ -255,14 +256,13 @@ def _check_laws(
 ) -> None:
     """Both laws reach the read horizon, each cell lies on its own layer at t >= 1,
     and under a rational kernel every cell is a ``Fraction``."""
-    need = 3 * aug.hull_radius + 4
-    if p_out.t_max < need:
+    if p_out.t_max < aug.horizon:
         raise FormatError(
-            f"outer law covers t <= {p_out.t_max}, recovery needs t <= {need}"
+            f"outer law covers t <= {p_out.t_max}, recovery needs t <= {aug.horizon}"
         )
-    if p_in.t_max < need - 1:
+    if p_in.t_max < aug.horizon - 1:
         raise FormatError(
-            f"inner law covers t <= {p_in.t_max}, recovery needs t <= {need - 1}"
+            f"inner law covers t <= {p_in.t_max}, recovery needs t <= {aug.horizon - 1}"
         )
     laws = (("inner", p_in, aug.inner_layer), ("outer", p_out, aug.outer_layer))
     for name, dist, layer in laws:
@@ -328,22 +328,23 @@ def recover_all(
     """
     _require_two_layers(aug)
     r = aug.hull_radius
-    require_valid(aug, known, allow=("MissingRow",))  # the targets have no row yet
-    _check_laws(aug, p_in, p_out, known.mode)
-
     work = known.copy()
     for u in sorted(work.entries):
         work.provenance.setdefault(u, KNOWN)
     mode, full = work.mode, aug.full
     targets = {u for u in range(aug.base.vertex_count)
                if work.provenance.get(u, UNKNOWN) not in (KNOWN, RECOVERED)}
-    rows = AccRows(full, work, blank=targets)
+    absent = set(range(full.vertex_count)).difference(work.entries, aug.outer_layer, targets)
+    rows = checked_rows(aug, work, blank=targets | absent)  # absent known rows: refused below
+    _check_laws(aug, p_in, p_out, mode)
+    if absent:
+        raise MissingKnownRow(f"row for vertex {min(absent)} required but absent")
     anc = _depth_first(aug)
     inner = anc[0]
     pos = np.zeros(full.vertex_count, np.intp)
     pos[inner] = pos[[aug.outer_child(z) for z in inner]] = np.arange(len(inner))
-    lin, den_in = _grid(rows, p_in, pos, len(inner), 3 * r + 4)
-    lout, den_out = _grid(rows, p_out, pos, len(inner), 3 * r + 4)
+    lin, den_in = _grid(rows, p_in, pos, len(inner), aug.horizon)
+    lout, den_out = _grid(rows, p_out, pos, len(inner), aug.horizon)
     head = rows.zeros()
     head[inner] = lin[r + 1]  # the inner heads are numerators over q
     q = den_in.get(r + 1, 1)
@@ -357,7 +358,7 @@ def recover_all(
             tail = _shell_step(rows, tail, k + 1, inward=False)
         head = _shell_step(rows, head, k, inward=True)
         us = sorted(u for u in targets if full.norm[u] == k)
-        hit = 3 * r + 4 - 2 * k
+        hit = aug.horizon - 2 * k
         reads[k] = (hit - 1, hit) if us else (r + 1 if k == r else -1, -1)
         if not us:
             continue
@@ -436,7 +437,7 @@ def recover_all(
     )
     if reference is not None:
         report.max_error = kernel_max_error(work, reference)
-        require_valid(aug, reference)  # its entries match; it must also be a chain
+        checked_rows(aug, reference)  # its entries match; it must also be a chain
     return report
 
 

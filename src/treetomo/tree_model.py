@@ -85,9 +85,9 @@ class AugmentedTree:
     (see the module docstring).
 
     Derived once: ``hull_radius`` (the base's outer radius), ``aug_len`` (how
-    far ``full`` reaches past it, >= 1), and ``inner_layer`` and
-    ``outer_layer`` (the shells of ``full`` at radius ``hull_radius + aug_len
-    - 1`` and ``hull_radius + aug_len``).
+    far ``full`` reaches past it, >= 1), ``inner_layer`` and ``outer_layer``
+    (the shells of ``full`` at radius ``hull_radius + aug_len - 1`` and
+    ``hull_radius + aug_len``), and the read horizon ``3 * hull_radius + 4``.
     """
 
     base: RootedTree
@@ -107,6 +107,7 @@ class AugmentedTree:
                 raise InvalidParameter(f"vertex {v} of a chain has {len(kids)} children, not 1")
         set_ = object.__setattr__
         set_(self, "hull_radius", hull)
+        set_(self, "horizon", 3 * hull + 4)
         set_(self, "aug_len", radius - hull)
         set_(self, "inner_layer", frozenset(v for v, n in norm.items() if n == radius - 1))
         set_(self, "outer_layer", frozenset(v for v, n in norm.items() if n == radius))

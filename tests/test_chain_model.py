@@ -10,9 +10,11 @@ from treetomo import (
     UNKNOWN,
     TransitionKernel,
     random_kernel,
+    recover_all,
     validate_kernel,
 )
-from treetomo.errors import InvalidParameter, MissingRow
+from treetomo.errors import InvalidKernel, InvalidParameter, MissingRow
+from treetomo.forward_solver import hitting_laws
 from treetomo.tree_model import random_tree, segment, spherical_augmentation, star
 
 from helpers import broom, default_augmented_kernel, dirichlet_kernel, rand_instance
@@ -89,6 +91,61 @@ class TestValidate:
         )
         bad = validate_kernel(seg_aug, k)
         assert [(v.vertex, v.kind) for v in bad] == [(42, "OffTree")]
+
+    @staticmethod
+    def pinned_kernel(case):
+        """A kernel on segment(0, 1) (``seg``) or segment(1, 2) (``mixed``),
+        outer layer {3} and {7, 8}, with one kind of fault."""
+        half, tiny = Fraction(1, 2), Fraction(1, 2**200)
+        rows = {
+            "negative-key": {1: {-1: 0.5, 2: 0.5}},
+            "key-past-int64": {1: {0: 0.5, 10**30: 0.5}},
+            "empty-root-row": {0: {}},
+            "missing-row": {2: None},
+            "float-sum-2e-12": {1: {0: 0.5, 2: 0.5 + 2e-12}},
+            "float-sum-5e-13": {1: {0: 0.5, 2: 0.5 + 5e-13}},
+        }
+        if case == "rational-sum-short":
+            return TransitionKernel({0: {1: Fraction(1)}, 1: {0: half, 2: half - tiny},
+                                     2: {1: half, 3: half}}, mode=RATIONAL)
+        if case == "mixed":
+            aug = spherical_augmentation(segment(1, 2), 2)
+            kernel = random_kernel(aug, 5)
+            kernel.entries.update({42: {5: 1.0}, 7: {5: 1.0}, 0: {1: 0.5, 3: 0.2},
+                                   1: {0: 0.0, 2: 1.0}})
+            return kernel
+        entries = {0: {1: 1.0}, 1: {0: 0.5, 2: 0.5}, 2: {1: 0.5, 3: 0.5}}
+        entries.update(rows[case])
+        return TransitionKernel({u: r for u, r in entries.items() if r is not None})
+
+    @pytest.mark.parametrize("case, want", [
+        ("negative-key", [(1, "Support")]),
+        ("key-past-int64", [(1, "Support")]),
+        ("empty-root-row", [(0, "Support")]),
+        ("missing-row", [(2, "MissingRow")]),
+        ("float-sum-2e-12", [(1, "RowSum")]),
+        ("float-sum-5e-13", []),
+        ("rational-sum-short", [(1, "RowSum")]),
+        ("mixed", [(42, "OffTree"), (7, "AbsorbingRow"), (0, "RowSum"), (1, "Nondegenerate")]),
+    ])
+    def test_violations_pinned(self, seg_aug, case, want):
+        aug = spherical_augmentation(segment(1, 2), 2) if case == "mixed" else seg_aug
+        got = validate_kernel(aug, self.pinned_kernel(case))
+        assert [(v.vertex, v.kind) for v in got] == want
+
+    def test_given_target_row_is_checked(self):
+        # a row flagged unknown is solved again, but a malformed one is
+        # refused, although the inversion never reads it
+        aug = spherical_augmentation(segment(1, 2), 2)
+        kernel = random_kernel(aug, 5)
+        p_in, p_out = hitting_laws(aug, kernel, aug.horizon)
+        known = kernel.restricted_to({KNOWN})
+        known.entries[1], known.provenance[1] = {0: 0.5, 2: 0.4}, UNKNOWN
+        with pytest.raises(InvalidKernel, match="^RowSum at vertex 1: "):
+            recover_all(aug, known, p_in, p_out)
+        known.entries[1] = dict(kernel.entries[1])
+        assert recover_all(aug, known, p_in, p_out).kernel.entries[1] == pytest.approx(
+            kernel.entries[1], abs=1e-12)
 
     def test_default_always_valid_random(self):
         for seed in range(20):

@@ -147,17 +147,29 @@ class TestPipeline:
         assert on_disk.mode == "rational"
         assert on_disk.entries == in_memory.kernel.entries
 
-    def test_forward_validates_the_kernel_once(self, tmp_path, capsys, monkeypatch):
-        work = str(tmp_path / "w")
-        assert run(capsys, "gen", "--tree", "star", "--l", "1", "--n", "2", "--out", work)[0] == 0
+    def test_each_kernel_is_checked_once(self, tmp_path, capsys, monkeypatch):
+        # one checked edge table per kernel a command reads; the reference is
+        # the second kernel of invert and estimate
+        work = tmp_path / "w"
+        assert run(capsys, "gen", "--tree", "star", "--l", "1", "--n", "2",
+                   "--seed", "2", "--out", str(work))[0] == 0
+        argv = {command: recovery_argv(capsys, work, command)
+                for command in ("invert", "estimate")}
         calls = []
-        validate = chain_model.validate_kernel
-        monkeypatch.setattr(chain_model, "validate_kernel",
-                            lambda *args: calls.append(args) or validate(*args))
-        code, _, err = run(capsys, "forward", "--tree-file", f"{work}/tree.txt",
-                           "--kernel-file", f"{work}/kernel.txt", "--out", work)
-        assert code == 0, err
-        assert len(calls) == 1
+        check = chain_model._check_rows
+        monkeypatch.setattr(chain_model, "_check_rows",
+                            lambda *args: calls.append(args) or check(*args))
+        source = ["--tree-file", str(work / "tree.txt"), "--kernel-file", str(work / "kernel.txt")]
+        reference = ["--reference", str(work / "kernel.txt")]
+        runs = [(["forward", *source, "--out", str(work)], 1),
+                (["sample", *source, "--n", "20000", "--seed", "8", "--out", str(work)], 1)]
+        runs += [(argv[command] + extra, want) for command in argv
+                 for extra, want in (([], 1), (reference, 2))]
+        for args, want in runs:
+            calls.clear()
+            code, _, err = run(capsys, *args)
+            assert code == 0, err
+            assert len(calls) == want, args[0]
 
     def test_gen_from_tree_files(self, tmp_path, capsys):
         # a base-tree file and the augmented tree.txt gen writes both give the

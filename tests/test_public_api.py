@@ -1,5 +1,8 @@
 """The package exports what the pipelines use; test oracles live in ``tests/``."""
 
+import ast
+from pathlib import Path
+
 import treetomo
 
 PUBLIC = [
@@ -41,3 +44,20 @@ def test_all_is_pinned():
 def test_every_name_resolves():
     for name in treetomo.__all__:
         assert getattr(treetomo, name) is not None, name
+
+
+def test_no_unused_imports():
+    # every name a module imports is used in it; __init__ imports to export
+    for path in sorted(Path(treetomo.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, (path.name, sorted(imported - used))
