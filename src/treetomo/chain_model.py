@@ -154,20 +154,6 @@ class AccRows:
         """Value of accumulated mass ``n`` built from ``steps`` entries."""
         return Fraction(n, self.scale**steps) if self.exact else n
 
-    def law(self, mass: dict) -> tuple[dict, dict[int, int]]:
-        """Hitting-law cells as numerators ``N`` for ``N / dens[t]``, with
-        ``dens[t]`` the lcm of the cell denominators at time ``t`` (law files
-        may hold any rationals).  Float mode: the cells, and no ``dens``."""
-        if not self.exact:
-            return mass, {}
-        cells = [(key, *p.as_integer_ratio()) for key, p in mass.items()]
-        dens: dict[int, int] = {}
-        for (t, _), _, d in cells:
-            cur = dens.setdefault(t, 1)
-            if cur % d:
-                dens[t] = math.lcm(cur, d)
-        return {key: n * (dens[key[0]] // d) for key, n, d in cells}, dens
-
 
 @dataclass
 class TransitionKernel:

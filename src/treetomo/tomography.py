@@ -47,7 +47,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
@@ -251,29 +250,6 @@ def unknown_edge_coefficient(
     return rows.value(coef, 2 * (r + 1 - plan.shell))
 
 
-def _check_laws(
-    aug: AugmentedTree, p_in: HittingDistribution, p_out: HittingDistribution, mode: str
-) -> None:
-    """Both laws reach the read horizon, each cell lies on its own layer at t >= 1,
-    and under a rational kernel every cell is a ``Fraction``."""
-    if p_out.t_max < aug.horizon:
-        raise FormatError(
-            f"outer law covers t <= {p_out.t_max}, recovery needs t <= {aug.horizon}"
-        )
-    if p_in.t_max < aug.horizon - 1:
-        raise FormatError(
-            f"inner law covers t <= {p_in.t_max}, recovery needs t <= {aug.horizon - 1}"
-        )
-    laws = (("inner", p_in, aug.inner_layer), ("outer", p_out, aug.outer_layer))
-    for name, dist, layer in laws:
-        for (t, v), p in dist.mass.items():
-            if t < 1 or v not in layer:
-                where = f"time {t} < 1" if t < 1 else f"vertex {v} off the {name} layer"
-                raise FormatError(f"{name} law has mass at {where}")
-            if mode == RATIONAL and not isinstance(p, Fraction):
-                raise FormatError(f"{name} law cell ({t}, {v}) = {p!r} under a rational kernel")
-
-
 def _depth_first(aug: AugmentedTree) -> np.ndarray:
     """Ancestors of the inner vertices, depth-first with children ascending.
 
@@ -288,16 +264,37 @@ def _depth_first(aug: AugmentedTree) -> np.ndarray:
     return anc[:, np.lexsort(anc)]
 
 
-def _grid(rows: AccRows, dist: HittingDistribution, pos: np.ndarray, width: int,
-          need: int) -> tuple[np.ndarray, dict[int, int]]:
-    """Law numerators (see :meth:`AccRows.law`) at times ``0 .. need`` on a
-    grid over the inner layer: an outer cell sits at its inner parent."""
-    cells, dens = rows.law(dist.mass)
-    keys = np.fromiter(chain.from_iterable(cells), np.intp).reshape(-1, 2)
-    vals = np.array(list(cells.values()), object if rows.exact else None).astype(rows.q.dtype)
-    keep = keys[:, 0] <= need
-    grid = np.zeros((need + 1, width), rows.q.dtype)
-    grid[keys[keep, 0], pos[keys[keep, 1]]] = vals[keep]
+def _grid(rows: AccRows, name: str, dist: HittingDistribution, col: dict[int, int],
+          need: int) -> tuple[np.ndarray, list[int]]:
+    """The ``name`` law as a grid over times ``0 .. need`` and the columns
+    ``col`` gives its layer, with ``dens[t]`` the denominator of time ``t``.
+
+    Every cell, at any time, must lie on the layer (a key of ``col``) at
+    ``t >= 1``, and under a rational kernel be a ``Fraction``, else
+    :class:`FormatError`; only then are the cells past ``need`` dropped,
+    before any integer conversion.  Rational mode: the grid holds numerators
+    ``N`` for ``N / dens[t]``, with ``dens[t]`` the lcm of the cell
+    denominators at time ``t`` (law files may hold any rationals).  Float
+    mode: the cells, and every ``dens[t]`` 1.
+    """
+    mass = dist.mass
+    for (t, v), p in mass.items():
+        if t < 1 or v not in col:
+            where = f"time {t} < 1" if t < 1 else f"vertex {v} off the {name} layer"
+            raise FormatError(f"{name} law has mass at {where}")
+        if rows.exact and not isinstance(p, Fraction):
+            raise FormatError(f"{name} law cell ({t}, {v}) = {p!r} under a rational kernel")
+    keys = [key for key in mass if key[0] <= need]
+    vals = [mass[key] for key in keys]
+    dens = [1] * (need + 1)
+    if rows.exact:
+        for (t, _), p in zip(keys, vals):
+            dens[t] = math.lcm(dens[t], p.denominator)
+        vals = [p.numerator * (dens[t] // p.denominator) for (t, _), p in zip(keys, vals)]
+    times = np.fromiter((t for t, _ in keys), np.intp, len(keys))
+    cols = np.fromiter((col[v] for _, v in keys), np.intp, len(keys))
+    grid = np.zeros((need + 1, len(col)), rows.q.dtype)
+    grid[times, cols] = np.array(vals, object if rows.exact else None).astype(rows.q.dtype)
     return grid, dens
 
 
@@ -317,11 +314,12 @@ def recover_all(
     without a row, or flagged unknown, are the targets.  Both laws must reach
     time ``3R+4`` (``3R+3`` inner) and hold cells only on their own layer at
     times ``>= 1``, and under a rational ``known`` only ``Fraction`` cells,
-    else :class:`FormatError`.  A ``reference`` must hold every recovered
-    entry (:class:`FormatError`) and be valid (:class:`InvalidKernel`).
-    Shell ``k`` is solved from its swept heads, the tails of shell ``k+1``
-    and its tail classes (see the module docstring): each child edge from
-    its arrival decomposition, the inward entry as the row complement, and a
+    else :class:`FormatError`; cells past those times are checked, then
+    ignored.  A ``reference`` must hold every recovered entry
+    (:class:`FormatError`) and be valid (:class:`InvalidKernel`).  Shell
+    ``k`` is solved from its swept heads, the tails of shell ``k+1`` and its
+    tail classes (see the module docstring): each child edge from its
+    arrival decomposition, the inward entry as the row complement, and a
     failure raises for the first edge or row in vertex order, a row's edges
     before its complement.  ``shell_time_reads`` records the largest law
     time read for each shell, and ``times_accessed`` the largest per law.
@@ -336,18 +334,20 @@ def recover_all(
                if work.provenance.get(u, UNKNOWN) not in (KNOWN, RECOVERED)}
     absent = set(range(full.vertex_count)).difference(work.entries, aug.outer_layer, targets)
     rows = checked_rows(aug, work, blank=targets | absent)  # absent known rows: refused below
-    _check_laws(aug, p_in, p_out, mode)
-    if absent:
-        raise MissingKnownRow(f"row for vertex {min(absent)} required but absent")
+    for name, dist, need in (("outer", p_out, aug.horizon), ("inner", p_in, aug.horizon - 1)):
+        if dist.t_max < need:
+            raise FormatError(f"{name} law covers t <= {dist.t_max}, recovery needs t <= {need}")
     anc = _depth_first(aug)
     inner = anc[0]
-    pos = np.zeros(full.vertex_count, np.intp)
-    pos[inner] = pos[[aug.outer_child(z) for z in inner]] = np.arange(len(inner))
-    lin, den_in = _grid(rows, p_in, pos, len(inner), aug.horizon)
-    lout, den_out = _grid(rows, p_out, pos, len(inner), aug.horizon)
+    col = dict(zip(inner.tolist(), range(len(inner))))
+    lin, den_in = _grid(rows, "inner", p_in, col, aug.horizon - 1)
+    lout, den_out = _grid(rows, "outer", p_out,
+                          {aug.outer_child(z): i for z, i in col.items()}, aug.horizon)
+    if absent:
+        raise MissingKnownRow(f"row for vertex {min(absent)} required but absent")
     head = rows.zeros()
     head[inner] = lin[r + 1]  # the inner heads are numerators over q
-    q = den_in.get(r + 1, 1)
+    q = den_in[r + 1]
     tail = _inner_tails(rows, r + 1)
     residuals: dict[int, Number] = {}
     flags: list[tuple[str, int]] = []
@@ -363,8 +363,8 @@ def recover_all(
         if not us:
             continue
         chis = _tail_classes(rows, k, r + 1)
-        dens = [den_out.get(hit, 1)] + [
-            den_in.get(hit - (2 * l - 1), 1) * rows.scale ** (2 * l - 1)
+        dens = [den_out[hit]] + [
+            den_in[hit - (2 * l - 1)] * rows.scale ** (2 * l - 1)
             for l in range(1, len(chis) + 1)
         ]
         # t(u, w): the outer arrivals below w at time hit, less the tail classes

@@ -152,7 +152,7 @@ def build_tree(edges: list[tuple[int, int]], root: int) -> RootedTree:
     if root not in ids:
         raise UnknownVertex(f"root {root} not on any edge")
     n = max(ids) + 1
-    if ids != set(range(n)):
+    if min(ids) != 0 or len(ids) != n:  # distinct ids: exactly 0..n-1
         raise NotATree("vertex ids must be contiguous 0..n-1")
     if len(edges) != n - 1:
         raise NotATree(f"{len(edges)} edges for {n} vertices")

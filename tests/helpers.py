@@ -100,6 +100,7 @@ INVALID_TREES = {
     "layer-given-twice": _SEGMENT + "layer inner 1\nlayer inner 2\n",
     "vertex-twice-in-a-layer": _SEGMENT + "layer inner 2 2\n",
     "layer-without-origin": "tree 3 0\nedge 0 1\nedge 1 2\nlayer inner 99 98\n",
+    "vertex-id-far-past-n": "tree 2 0\nedge 0 10000000000\n",
 }
 
 

@@ -1,9 +1,14 @@
 """End-to-end command-line runs: artifacts, determinism, exit codes."""
 
 from fractions import Fraction
+import json
+import os
 from pathlib import Path
+import random
 import re
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -19,6 +24,7 @@ from treetomo import (
     spherical_augmentation,
     star,
 )
+import treetomo
 from treetomo import chain_model
 from treetomo.cli import main
 from treetomo.formats import (
@@ -688,6 +694,137 @@ class TestExitCodes:
         )
         assert code == 2
         assert err.startswith("error 2 FormatError")
+
+
+class TestCellsPastTheHorizon:
+    """A law or batch cell past the read horizon is checked and then ignored,
+    at any time, also one past the range of a 64-bit integer."""
+
+    @staticmethod
+    def same_report(tmp_path, capsys, command, edit):
+        # segment(1, 2), R = 2: inner layer {5, 6}, outer layer {7, 8}
+        work = tmp_path / "w"
+        run(capsys, "gen", "--tree", "segment", "--k", "1", "--l", "2",
+            "--seed", "5", "--out", str(work))
+        argv = recovery_argv(capsys, work, command)
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        clean = (work / "report.txt").read_bytes()
+        edit(work)
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        assert (work / "report.txt").read_bytes() == clean
+
+    @pytest.mark.parametrize("name, line", [
+        ("out.tsv", f"outer\t{2**63}\t7\t0.1\n"),
+        ("in.tsv", f"inner\t{2**63}\t5\t0.1\n"),
+    ], ids=["outer", "inner"])
+    def test_law_cell_past_int64_is_ignored(self, tmp_path, capsys, name, line):
+        def edit(work):
+            with open(work / name, "a", encoding="utf-8") as fh:
+                fh.write(line)
+        self.same_report(tmp_path, capsys, "invert", edit)
+
+    def test_batch_cell_past_int64_is_ignored(self, tmp_path, capsys):
+        # one overflowing walk moved to an outer arrival at 1e20 <= t_cap 1e23:
+        # the totals hold and every cell up to 3R+4 is unchanged
+        def edit(work):
+            path = work / "batch.txt"
+            header, *cells, overflow = path.read_text().splitlines()
+            n, seed, _ = header.split()[1:]
+            left = int(overflow.split()[1]) - 1
+            assert left >= 0
+            path.write_text("\n".join([f"batch {n} {seed} {10**23}", *cells,
+                                       f"out {10**20} 7 1", f"overflow {left}"]) + "\n")
+        self.same_report(tmp_path, capsys, "estimate", edit)
+
+
+# Runs cli.main on each argv of a JSON list read from stdin under a 3 GiB
+# address-space cap, so an allocation that grows with a token's value fails
+# as a MemoryError (exit 5) instead of exhausting the host, and prints each
+# exit code with its stderr.
+_CAPPED_MAIN = """
+import contextlib, io, json, resource, sys
+from treetomo.cli import main
+soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+cap = 3 << 30 if hard == resource.RLIM_INFINITY else min(3 << 30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+out = []
+for argv in json.load(sys.stdin):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        out.append([main(argv), err.getvalue()])
+print(json.dumps(out))
+"""
+
+
+class TestCorruptTokens:
+    TOKENS = ("9223372036854775808", str(10**23), "-1", "nan", "1/0", "x")
+    # each artifact, and the commands that read it
+    READERS = {
+        "tree.txt": ("gen", "forward", "sample", "invert", "estimate"),
+        "kernel.txt": ("forward", "sample", "invert", "estimate"),
+        "known.txt": ("invert", "estimate"),
+        "in.tsv": ("invert",),
+        "out.tsv": ("invert",),
+        "batch.txt": ("estimate",),
+    }
+
+    @staticmethod
+    def argv(command, files, out):
+        tree, kernel = files["tree.txt"], files["kernel.txt"]
+        return {
+            "gen": ["gen", "--tree", tree],
+            "forward": ["forward", "--tree-file", tree, "--kernel-file", kernel],
+            "sample": ["sample", "--tree-file", tree, "--kernel-file", kernel, "--n", "1000"],
+            "invert": ["invert", "--tree-file", tree, "--known-file", files["known.txt"],
+                       "--in-dist", files["in.tsv"], "--out-dist", files["out.tsv"],
+                       "--reference", kernel],
+            "estimate": ["estimate", "--tree-file", tree, "--known-file", files["known.txt"],
+                         "--batch-file", files["batch.txt"], "--reference", kernel],
+        }[command] + ["--out", out]
+
+    def test_no_single_token_exits_5(self, tmp_path, capsys):
+        # every value token of the first record of each kind in each artifact
+        # of segment(1, 2), replaced by each of TOKENS and read by one of its
+        # readers, drawn with a fixed seed; a kernel cell's vertex and
+        # probability are tokens of their own
+        work = tmp_path / "w"
+        run(capsys, "gen", "--tree", "segment", "--k", "1", "--l", "2",
+            "--seed", "5", "--out", str(work))
+        recovery_argv(capsys, work, "invert")  # writes in.tsv and out.tsv
+        recovery_argv(capsys, work, "estimate")  # writes batch.txt
+        clean = {name: str(work / name) for name in self.READERS}
+        rng = random.Random(18)
+        cases = []
+        for name, readers in self.READERS.items():
+            lines = (work / name).read_text().splitlines()
+            firsts = {}
+            for i, line in enumerate(lines):
+                firsts.setdefault(line.split()[0], i)
+            for i in firsts.values():
+                pieces = re.split(r"([\s:]+)", lines[i])
+                for j in range(2, len(pieces), 2):  # piece 0 names the record
+                    for token in self.TOKENS:
+                        case = tmp_path / f"c{len(cases)}"
+                        case.mkdir()
+                        edited = pieces[:j] + [token] + pieces[j + 1:]
+                        (case / name).write_text("\n".join(
+                            lines[:i] + ["".join(edited)] + lines[i + 1:]) + "\n")
+                        files = {**clean, name: str(case / name)}
+                        cases.append((lines[i], token, self.argv(
+                            rng.choice(readers), files, str(case / "out"))))
+        assert len(cases) == 222
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+            str(Path(treetomo.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", _CAPPED_MAIN], capture_output=True,
+                              text=True, env=env, timeout=120,
+                              input=json.dumps([argv for *_, argv in cases]))
+        assert done.returncode == 0, done.stderr
+        results = json.loads(done.stdout)
+        bad = [(line, token, argv[0], code, err) for (line, token, argv), (code, err)
+               in zip(cases, results) if code not in (0, 2, 3, 4)]
+        assert not bad, bad
 
 
 class TestReadme:
