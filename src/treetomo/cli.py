@@ -199,7 +199,7 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
 
 def cmd_consistency(args: argparse.Namespace) -> int:
     aug, kernel = _gen_objects(args)
-    rows = consistency_curve(aug, kernel, args.n_grid, args.seeds, workers=args.workers)
+    rows = consistency_curve(aug, kernel, args.n_grid, args.seeds)
     lines = ["n\tseed\tmax_error"]
     lines.extend(f"{n}\t{s}\t{e:.17g}" for n, s, e in rows)
     text = "\n".join(lines) + "\n"
@@ -264,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     _kernel_flags(p)
     p.add_argument("--n-grid", type=_ints, default="10000,100000")
     p.add_argument("--seeds", type=_ints, default="1,2,3,4,5")
-    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.add_argument("--out")
 
     return parser

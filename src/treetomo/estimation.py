@@ -149,19 +149,18 @@ def consistency_curve(
     kernel: TransitionKernel,
     n_grid: list[int],
     seeds: list[int],
-    workers: int = 1,
 ) -> list[tuple[int, int, float]]:
     """Estimation error versus sample size, one row per (n, seed).
 
     The truth kernel supplies both the known rows fed to the estimator and
     the reference for the error; the error is the largest absolute entry
-    deviation over estimated rows.  ``workers`` is checked and has no effect.
+    deviation over estimated rows.
     """
     known = kernel.restricted_to({KNOWN})
     rows: list[tuple[int, int, float]] = []
     for n in n_grid:
         for seed in seeds:
-            batch = collect_batch(aug, kernel, n, seed, workers=workers)
+            batch = collect_batch(aug, kernel, n, seed)
             report = estimate_kernel(aug, known, batch, reference=kernel)
             rows.append((n, seed, float(report.max_error)))
     return rows

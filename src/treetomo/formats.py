@@ -6,7 +6,9 @@ and round-trip bit-exactly, at any number of digits.  A rational kernel or
 law file holds only ``num/den`` and integer tokens, so no value in it is
 rounded.  Every parser reads its lines through one reader, which takes each
 format's header record (``tree``, ``mode`` or ``batch``; law files have
-none) first and once, and each record with its token count.
+none) first and once, and each record with its token count.  A tree file
+states its edges and, when augmented, each vertex's origin; the boundary
+layers follow from these and are not written.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def _parse_number(token: str, mode: str) -> Number:
 
 
 # The records of each format: name -> (fewest, most) tokens, the name included.
-_TREE = {"tree": (3, 3), "edge": (3, 3), "origin": (3, 3), "layer": (3, math.inf)}
+_TREE = {"tree": (3, 3), "edge": (3, 3), "origin": (3, 3)}
 _KERNEL = {"mode": (2, 2), "row": (2, math.inf)}
 _LAW = {INNER: (4, 4), OUTER: (4, 4)}
 _BATCH = {"batch": (4, 4), "in": (4, 4), "out": (4, 4), "overflow": (2, 2)}
@@ -114,40 +116,32 @@ def dump_tree(tree: RootedTree | AugmentedTree) -> str:
             f"origin {v} {ORIGINAL if aug.is_original(v) else ADDED}"
             for v in range(t.vertex_count)
         )
-        lines.append("layer inner " + " ".join(str(v) for v in sorted(aug.inner_layer)))
-        lines.append("layer outer " + " ".join(str(v) for v in sorted(aug.outer_layer)))
     return "\n".join(lines) + "\n"
 
 
 def parse_tree(text: str) -> RootedTree | AugmentedTree:
     """Parse :func:`dump_tree` output; returns an AugmentedTree when origin
-    lines are present, which layer lines need."""
+    lines are present."""
     edges: list[tuple[int, int]] = []
     origin: dict[int, str] = {}
-    layers: dict[str, set[int]] = {}
     records = _records(text, _TREE, "tree")
     try:
         n, root = map(int, next(records)[1:])
         for parts in records:
             if parts[0] == "edge":
                 edges.append((int(parts[1]), int(parts[2])))
-            elif parts[0] == "origin":
+            else:
                 v = int(parts[1])
                 if parts[2] not in (ORIGINAL, ADDED) or v in origin:
                     raise FormatError(f"bad or repeated origin flag in {' '.join(parts)!r}")
                 origin[v] = parts[2]
-            else:
-                name, layer = parts[1], {int(x) for x in parts[2:]}
-                if name not in (INNER, OUTER) or name in layers or len(layer) < len(parts) - 2:
-                    raise FormatError(f"unknown, repeated or doubled layer {' '.join(parts)!r}")
-                layers[name] = layer
     except ValueError as exc:
         raise FormatError(f"bad tree line: {exc}") from exc
     try:
         full = build_tree(edges, root)
         if full.vertex_count != n:
             raise FormatError(f"header says {n} vertices, edges give {full.vertex_count}")
-        if not origin and not layers:
+        if not origin:
             return full
         if set(origin) != set(range(n)):
             raise FormatError("origin flags do not cover all vertices")
@@ -157,13 +151,9 @@ def parse_tree(text: str) -> RootedTree | AugmentedTree:
         parent = {v: full.parent[v] for v in range(k)}
         kids = {v: tuple(c for c in full.children[v] if c < k) for v in range(k)}
         base = RootedTree(k, root, parent, kids, {v: full.norm[v] for v in range(k)})
-        aug = AugmentedTree(base, full)
+        return AugmentedTree(base, full)
     except (NotATree, UnknownVertex, InvalidParameter) as exc:
         raise FormatError(f"not a valid tree: {exc}") from exc
-    for name, layer in (("inner", aug.inner_layer), ("outer", aug.outer_layer)):
-        if name in layers and layers[name] != layer:
-            raise FormatError(f"{name} layer does not match shell structure")
-    return aug
 
 
 def dump_kernel(kernel: TransitionKernel) -> str:

@@ -372,6 +372,8 @@ class TestExitCodes:
         (["sample", "--n", "10", "--workers", "0"], "error 2 InvalidParameter"),
         (["consistency", "--tree", "star", "--l", "1", "--n", "2", "--n-grid", "a,b"],
          "usage:"),
+        (["consistency", "--tree", "star", "--l", "1", "--n", "2", "--workers", "2"],
+         "usage:"),
         (["invert"], "error 2 InvalidParameter"),  # recovery reads 2-long chains only
         (["gen", "--tree", "random", "--rout", "40"], "error 2 InvalidParameter"),
         # seeds and counts numpy would reject, or that overflow the count array
@@ -385,7 +387,7 @@ class TestExitCodes:
         (["consistency", "--tree", "star", "--l", "1", "--n", "2", "--seeds", "-2"],
          "error 2 InvalidParameter"),
     ], ids=["star-no-l", "floor-2", "floor-sum", "segment-l-0", "sample-n-0",
-            "sample-workers-0", "n-grid", "invert-3-long", "random-rout-40",
+            "sample-workers-0", "n-grid", "consistency-workers", "invert-3-long", "random-rout-40",
             "gen-seed-neg", "random-seed-neg", "roundtrip-seed-neg", "sample-seed-neg",
             "sample-n-2-63", "consistency-seeds-neg"])
     def test_bad_flag_value_exit_2(self, tmp_path, capsys, monkeypatch, argv, want):
@@ -814,7 +816,7 @@ class TestCorruptTokens:
                         files = {**clean, name: str(case / name)}
                         cases.append((lines[i], token, self.argv(
                             rng.choice(readers), files, str(case / "out"))))
-        assert len(cases) == 222
+        assert len(cases) == 204
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
             str(Path(treetomo.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
         done = subprocess.run([sys.executable, "-c", _CAPPED_MAIN], capture_output=True,

@@ -26,7 +26,7 @@ from treetomo.errors import (
 )
 from treetomo.forward_solver import HittingDistribution
 from treetomo.tomography import make_plan, tail_passage_probs, unknown_edge_coefficient
-from treetomo.tree_model import build_tree, segment, spherical_augmentation, star
+from treetomo.tree_model import build_tree, random_tree, segment, spherical_augmentation, star
 
 from helpers import (
     PathClassQuery,
@@ -452,6 +452,35 @@ class TestRecoverAll:
             assert max(rep.times_accessed.values()) <= 3 * r + 4
             for k, t_read in rep.shell_time_reads.items():
                 assert t_read <= 3 * r + 4 - 2 * k
+
+    def test_shell_reads_nothing_past_its_bound(self):
+        # criterion 5 observed, not restated: law cells past 3R+4-2k (outer)
+        # and 3R+3-2k (inner) scaled by 3/2 leave every row at shells >= k as
+        # it was, and scaling from those times on moves a row at shell k.
+        # Clamping lets the inner shells, solved after shell k, flag their rows.
+        bases = [random_tree(1 + s % 4, s) for s in range(6)] + [comb(5), broom(3, 3)]
+        pairs = 0
+        for aug in (spherical_augmentation(base, 2) for base in bases):
+            kernel = random_kernel(aug, 11, scope="all", mode="rational")
+            p_in, p_out = forward_pair(aug, kernel)
+            known = known_part(kernel)
+
+            def rows(last):  # outer cells after time last, inner after last - 1, scaled
+                s_in = scaled_law(p_in, Fraction(3, 2), lambda key: key[0] >= last)
+                s_out = scaled_law(p_out, Fraction(3, 2), lambda key: key[0] > last)
+                return recover_all(aug, known, s_in, s_out, clamp=True).kernel.entries
+
+            clean = recover_all(aug, known, p_in, p_out, clamp=True).kernel.entries
+            norm, r = aug.full.norm, aug.hull_radius
+            targets = [u for u, f in kernel.provenance.items() if f == "unknown"]
+            for k in sorted({norm[u] for u in targets}):
+                upper = [u for u in targets if norm[u] >= k]
+                got = rows(3 * r + 4 - 2 * k)
+                assert {u: got[u] for u in upper} == {u: clean[u] for u in upper}, (r, k)
+                got = rows(3 * r + 3 - 2 * k)
+                assert any(got[u] != clean[u] for u in upper if norm[u] == k), (r, k)
+                pairs += 1
+        assert pairs == 28
 
     def test_input_laws_left_unmarked(self):
         # reads are recorded on the report; the caller's laws are not touched
