@@ -6,11 +6,16 @@ command is a pure function of its flags and input files.  Exit codes:
 0 ok, 2 bad input (a malformed or inconsistent file, such as a tree that is
 not a valid augmentation, or a flag or flag value that argparse or the
 library rejects), 3 insufficient data, 4 out-of-range recovery, 5 internal.
+
+``main(argv)`` may be called any number of times in one process: it returns
+the exit code, never raises ``SystemExit``, and builds its parser on the
+first call only.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -211,6 +216,7 @@ def cmd_consistency(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treetomo",
@@ -220,16 +226,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate an augmented tree and a kernel")
+    p.set_defaults(run=cmd_gen)
     _tree_source(p)
     _kernel_flags(p)
     p.add_argument("--out")
 
     p = sub.add_parser("forward", help="compute both boundary hitting laws")
+    p.set_defaults(run=cmd_forward)
     p.add_argument("--tree-file", required=True)
     p.add_argument("--kernel-file", required=True)
     p.add_argument("--out")
 
     p = sub.add_parser("invert", help="recover unknown rows from hitting laws")
+    p.set_defaults(run=cmd_invert)
     p.add_argument("--tree-file", required=True)
     p.add_argument("--known-file", required=True)
     p.add_argument("--in-dist", required=True, help="inner-layer law file")
@@ -240,6 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "sample", help="draw probe-walk counts up to the read horizon 3R+4 into a batch file"
     )
+    p.set_defaults(run=cmd_sample)
     p.add_argument("--tree-file", required=True)
     p.add_argument("--kernel-file", required=True)
     p.add_argument("--n", type=int, required=True)
@@ -248,6 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("estimate", help="plug-in estimation from a batch file")
+    p.set_defaults(run=cmd_estimate)
     p.add_argument("--tree-file", required=True)
     p.add_argument("--known-file", required=True)
     p.add_argument("--batch-file", required=True)
@@ -255,11 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("roundtrip", help="generate, forward-solve, invert, compare")
+    p.set_defaults(run=cmd_roundtrip)
     _tree_source(p)
     _kernel_flags(p)
     p.add_argument("--out")
 
     p = sub.add_parser("consistency", help="estimation error versus sample size")
+    p.set_defaults(run=cmd_consistency)
     _tree_source(p)
     _kernel_flags(p)
     p.add_argument("--n-grid", type=_ints, default="10000,100000")
@@ -267,17 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     return parser
-
-
-_HANDLERS = {
-    "gen": cmd_gen,
-    "forward": cmd_forward,
-    "invert": cmd_invert,
-    "sample": cmd_sample,
-    "estimate": cmd_estimate,
-    "roundtrip": cmd_roundtrip,
-    "consistency": cmd_consistency,
-}
 
 
 def _exit_code(exc: Exception) -> int:
@@ -296,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # a flag argparse rejects (2), or --help / --version (0)
         return exc.code
     try:
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except (TreetomoError, OSError) as exc:
         code = _exit_code(exc)
         print(f"error {code} {type(exc).__name__}: {exc}", file=sys.stderr)

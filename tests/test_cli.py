@@ -26,7 +26,7 @@ from treetomo import (
 )
 import treetomo
 from treetomo import chain_model
-from treetomo.cli import main
+from treetomo.cli import build_parser, main
 from treetomo.formats import (
     dump_distribution,
     dump_kernel,
@@ -38,6 +38,8 @@ from treetomo.formats import (
 )
 
 from helpers import INVALID_TREES
+
+COMMANDS = ("gen", "forward", "invert", "sample", "estimate", "roundtrip", "consistency")
 
 
 def run(capsys, *argv):
@@ -408,12 +410,19 @@ class TestExitCodes:
         assert code == 2, err
         assert err.startswith(want), err
 
-    @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["gen", "--help"]])
+    @pytest.mark.parametrize("argv", [["--version"], ["--help"],
+                                      *([cmd, "--help"] for cmd in COMMANDS)])
     def test_help_and_version_exit_0(self, capsys, argv):
-        # argparse answers these itself; main returns its code, it does not raise
-        code, out, _ = run(capsys, *argv)
+        # argparse answers these itself; main returns its code, it does not
+        # raise.  The second run formats from the parser the first one built
+        first = run(capsys, *argv)
+        assert run(capsys, *argv) == first
+        code, out, _ = first
         assert code == 0
-        assert out
+        if argv == ["--version"]:
+            assert out == f"{treetomo.__version__}\n"
+        else:
+            assert out.startswith(" ".join(["usage: treetomo", *argv[:-1], "[-h]"])), out
 
     @pytest.mark.parametrize("text", INVALID_TREES.values(), ids=INVALID_TREES)
     def test_invalid_tree_file_exit_2(self, tmp_path, capsys, text):
@@ -696,6 +705,52 @@ class TestExitCodes:
         )
         assert code == 2
         assert err.startswith("error 2 FormatError")
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call of a process, and no call leaves
+    state in it that a later call can see."""
+
+    SEQUENCE = [
+        ["consistency", "--tree", "star", "--l", "1", "--n", "2", "--workers", "2"],
+        ["--version"],
+        ["--help"],
+        ["gen", "--help"],
+        ["gen", "--tree", "star", "--l", "1", "--n", "2", "--seed", "3",
+         "--mode", "rational", "--scope", "all", "--out", "a"],
+        ["gen", "--tree", "random", "--rout", "2", "--seed", "5", "--out", "b"],
+        ["forward", "--tree-file", "b/tree.txt", "--kernel-file", "b/kernel.txt", "--out", "b"],
+        ["invert", "--tree-file", "b/tree.txt", "--known-file", "b/known.txt",
+         "--in-dist", "b/in.tsv", "--out-dist", "b/out.tsv", "--reference", "b/kernel.txt",
+         "--out", "b/ref"],
+        ["invert", "--tree-file", "b/tree.txt", "--known-file", "b/known.txt",
+         "--in-dist", "b/in.tsv", "--out-dist", "b/out.tsv", "--out", "b/plain"],
+    ]
+
+    @staticmethod
+    def files(root):
+        return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*"))
+                if p.is_file()}
+
+    def test_same_results_as_a_fresh_parser(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "shared").mkdir()
+        monkeypatch.chdir(tmp_path / "shared")
+        build_parser.cache_clear()
+        shared = [run(capsys, *argv) for argv in self.SEQUENCE]
+        assert build_parser.cache_info().misses == 1
+        (tmp_path / "fresh").mkdir()
+        monkeypatch.chdir(tmp_path / "fresh")
+        fresh = []
+        for argv in self.SEQUENCE:
+            build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert shared == fresh
+        assert self.files(tmp_path / "shared") == self.files(tmp_path / "fresh")
+        codes = [code for code, _, _ in shared]
+        assert codes == [2, 0, 0, 0, 0, 0, 0, 0, 0]
+        assert "usage:" in shared[0][2]
+        assert "max_error " in shared[-2][1]
+        assert "max_error" not in shared[-1][1]
 
 
 class TestCellsPastTheHorizon:
