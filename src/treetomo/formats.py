@@ -7,8 +7,8 @@ law file holds only ``num/den`` and integer tokens, so no value in it is
 rounded.  Every parser reads its lines through one reader, which takes each
 format's header record (``tree``, ``mode`` or ``batch``; law files have
 none) first and once, and each record with its token count.  A tree file
-states its edges and, when augmented, each vertex's origin; the boundary
-layers follow from these and are not written.
+states its edges and, when augmented, ``origin v original`` for each base id
+``v < k``; every higher id is added and the layers follow, so neither is written.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .tomography import RecoveryReport
 from .tree_model import AugmentedTree, RootedTree, build_tree
 
 ORIGINAL = "original"
-ADDED = "added"
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
@@ -112,18 +111,15 @@ def dump_tree(tree: RootedTree | AugmentedTree) -> str:
     lines = [f"tree {t.vertex_count} {t.root}"]
     lines.extend(f"edge {u} {v}" for u, v in t.edges())
     if aug:
-        lines.extend(
-            f"origin {v} {ORIGINAL if aug.is_original(v) else ADDED}"
-            for v in range(t.vertex_count)
-        )
+        lines.extend(f"origin {v} {ORIGINAL}" for v in range(aug.base.vertex_count))
     return "\n".join(lines) + "\n"
 
 
 def parse_tree(text: str) -> RootedTree | AugmentedTree:
-    """Parse :func:`dump_tree` output; returns an AugmentedTree when origin
-    lines are present."""
+    """Parse :func:`dump_tree` output; returns an AugmentedTree, whose base is
+    the ids ``0..k-1`` flagged original, when origin lines are present."""
     edges: list[tuple[int, int]] = []
-    origin: dict[int, str] = {}
+    origin: set[int] = set()
     records = _records(text, _TREE, "tree")
     try:
         n, root = map(int, next(records)[1:])
@@ -132,9 +128,9 @@ def parse_tree(text: str) -> RootedTree | AugmentedTree:
                 edges.append((int(parts[1]), int(parts[2])))
             else:
                 v = int(parts[1])
-                if parts[2] not in (ORIGINAL, ADDED) or v in origin:
+                if parts[2] != ORIGINAL or v in origin:
                     raise FormatError(f"bad or repeated origin flag in {' '.join(parts)!r}")
-                origin[v] = parts[2]
+                origin.add(v)
     except ValueError as exc:
         raise FormatError(f"bad tree line: {exc}") from exc
     try:
@@ -143,10 +139,8 @@ def parse_tree(text: str) -> RootedTree | AugmentedTree:
             raise FormatError(f"header says {n} vertices, edges give {full.vertex_count}")
         if not origin:
             return full
-        if set(origin) != set(range(n)):
-            raise FormatError("origin flags do not cover all vertices")
-        k = sum(o == ORIGINAL for o in origin.values())
-        if any(origin[v] != ORIGINAL for v in range(k)) or root >= k:
+        k = len(origin)
+        if origin != set(range(k)) or not root < k <= n:
             raise FormatError("base vertex ids must form a prefix 0..k-1 holding the root")
         parent = {v: full.parent[v] for v in range(k)}
         kids = {v: tuple(c for c in full.children[v] if c < k) for v in range(k)}

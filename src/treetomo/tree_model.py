@@ -49,15 +49,6 @@ class RootedTree:
             return self.children[v]
         return (p,) + self.children[v]
 
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
-
-    def shells(self) -> dict[int, tuple[int, ...]]:
-        out: dict[int, list[int]] = {}
-        for v in range(self.vertex_count):
-            out.setdefault(self.norm[v], []).append(v)
-        return {k: tuple(sorted(vs)) for k, vs in out.items()}
-
     def terminals(self) -> tuple[int, ...]:
         """Degree-1 vertices, root excluded."""
         return tuple(v for v in range(self.vertex_count)

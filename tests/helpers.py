@@ -41,7 +41,8 @@ from treetomo.tomography import (
     make_plan,
     tail_passage_probs,
 )
-from treetomo.tree_model import AugmentedTree, RootedTree, build_tree, random_tree
+from treetomo.formats import dump_tree
+from treetomo.tree_model import AugmentedTree, RootedTree, build_tree, random_tree, segment
 
 
 def rand_instance(
@@ -67,40 +68,65 @@ def known_part(kernel: TransitionKernel) -> TransitionKernel:
 
 def tree_file(root: int, edges: str, original: int) -> str:
     """Augmented-tree file text: ``edges`` as ``"u-v u-v ..."``, with the ids
-    below ``original`` flagged original and the rest added."""
+    below ``original`` flagged original; every higher id is added."""
     pairs = [tuple(map(int, e.split("-"))) for e in edges.split()]
     n = max(map(max, pairs)) + 1
     lines = [f"tree {n} {root}", *(f"edge {u} {v}" for u, v in pairs)]
-    lines += [f"origin {v} {'original' if v < original else 'added'}" for v in range(n)]
+    lines += [f"origin {v} original" for v in range(original)]
     return "\n".join(lines) + "\n"
 
 
 _SEGMENT = tree_file(0, "0-1 1-2 2-3", 2)  # segment(0, 1) augmented by 2
 
-# Tree files that are not a valid augmentation of a base tree; parse_tree
-# raises FormatError on each and every command that reads one exits 2.
+# Tree files that are not a valid augmentation of a base tree, each with a
+# fragment of its own message: parse_tree raises FormatError with it, and
+# every command that reads the file exits 2 with it.
 INVALID_TREES = {
-    "duplicate-edge": tree_file(0, "0-1 1-2 2-1", 2),
-    "disconnected": tree_file(0, "0-1 2-3 3-4 4-2", 2),
-    "root-on-no-edge": tree_file(5, "0-1 1-2 2-3", 2),
-    "base-below-an-added-vertex": tree_file(0, "0-1 1-3 3-2", 3),
-    "original-vertex-1-below-an-added-vertex": tree_file(0, "0-2 2-1 1-3 3-4", 2),
-    "root-not-original": tree_file(3, "0-1 1-2 2-3", 2),
-    "no-chain": tree_file(0, "0-1", 2),
-    "forked-inner-vertex": tree_file(0, "0-1 1-2 2-3 2-4", 2),
-    "added-vertex-with-two-children": tree_file(
-        0, "0-1 1-2 0-3 2-4 4-5 3-6 6-7 7-8 6-9 9-10", 4
+    "duplicate-edge": (tree_file(0, "0-1 1-2 2-1", 2), "duplicate edge (1, 2)"),
+    "disconnected": (tree_file(0, "0-1 2-3 3-4 4-2", 2), "graph is disconnected"),
+    "root-on-no-edge": (tree_file(5, "0-1 1-2 2-3", 2), "root 5 not on any edge"),
+    "base-below-an-added-vertex": (
+        tree_file(0, "0-1 1-3 3-2", 3), "base is not the rooted subtree"
     ),
-    "plain-duplicate-edge": "tree 2 0\nedge 0 1\nedge 1 0\n",
-    "trailing-tokens": "tree 2 0 junk\nedge 0 1 7\n",
-    "repeated-tree-header": _SEGMENT + "tree 4 0\n",
-    "tree-header-after-an-edge": "edge 0 1\n" + _SEGMENT.replace("edge 0 1\n", ""),
-    "origin-given-twice": _SEGMENT.replace("origin 3 added", "origin 3 original\norigin 3 added"),
-    "unknown-layer": _SEGMENT + "layer middle 2\n",
-    "layer-given-twice": _SEGMENT + "layer inner 1\nlayer inner 2\n",
-    "vertex-twice-in-a-layer": _SEGMENT + "layer inner 2 2\n",
-    "layer-without-origin": "tree 3 0\nedge 0 1\nedge 1 2\nlayer inner 99 98\n",
-    "vertex-id-far-past-n": "tree 2 0\nedge 0 10000000000\n",
+    "original-vertex-1-below-an-added-vertex": (
+        tree_file(0, "0-2 2-1 1-3 3-4", 2), "base is not the rooted subtree"
+    ),
+    "root-not-original": (tree_file(3, "0-1 1-2 2-3", 2), "prefix 0..k-1 holding the root"),
+    "no-chain": (tree_file(0, "0-1", 2), "aug_len 0 must be >= 1"),
+    "forked-inner-vertex": (
+        tree_file(0, "0-1 1-2 2-3 2-4", 2), "vertex 2 of a chain has 2 children"
+    ),
+    "added-vertex-with-two-children": (
+        tree_file(0, "0-1 1-2 0-3 2-4 4-5 3-6 6-7 7-8 6-9 9-10", 4),
+        "vertex 6 of a chain has 2 children",
+    ),
+    "plain-duplicate-edge": ("tree 2 0\nedge 0 1\nedge 1 0\n", "duplicate edge (0, 1)"),
+    "trailing-tokens": ("tree 2 0 junk\nedge 0 1 7\n", "trailing tokens in line 'tree 2 0 junk'"),
+    "repeated-tree-header": (_SEGMENT + "tree 4 0\n", "repeated header"),
+    "tree-header-after-an-edge": (
+        "edge 0 1\n" + _SEGMENT.replace("edge 0 1\n", ""), "does not open with its tree header"
+    ),
+    "origin-given-twice": (
+        _SEGMENT.replace("origin 1 original", "origin 1 original\norigin 1 original"),
+        "bad or repeated origin flag",
+    ),
+    # more origin records than vertices: refused as a format error, not a crash
+    "origin-cover": (
+        "tree 3 0\nedge 0 1\nedge 1 2\n" + "".join(f"origin {v} original\n" for v in range(4)),
+        "prefix 0..k-1",
+    ),
+    # added vertices are the ids past the base; a record that flags one is refused
+    "origin-added": (
+        dump_tree(spherical_augmentation(segment(0, 1), 2)) + "origin 3 added\n",
+        "bad or repeated origin flag in 'origin 3 added'",
+    ),
+    "unknown-layer": (_SEGMENT + "layer middle 2\n", "unknown record"),
+    "layer-given-twice": (_SEGMENT + "layer inner 1\nlayer inner 2\n", "unknown record"),
+    "vertex-twice-in-a-layer": (_SEGMENT + "layer inner 2 2\n", "unknown record"),
+    "layer-without-origin": (
+        "tree 3 0\nedge 0 1\nedge 1 2\nlayer inner 99 98\n", "unknown record"
+    ),
+    "vertex-id-far-past-n": ("tree 2 0\nedge 0 10000000000\n", "contiguous 0..n-1"),
 }
 
 
@@ -114,6 +140,17 @@ class DegreeMismatch(TreetomoError):
 
 class TooLarge(TreetomoError):
     """Instance exceeds the caps of the brute-force oracle."""
+
+
+def degree(tree: RootedTree, v: int) -> int:
+    return len(tree.neighbors(v))
+
+
+def shells(tree: RootedTree) -> dict[int, tuple[int, ...]]:
+    out: dict[int, list[int]] = {}
+    for v in range(tree.vertex_count):
+        out.setdefault(tree.norm[v], []).append(v)
+    return {k: tuple(sorted(vs)) for k, vs in out.items()}
 
 
 def radii(tree: RootedTree) -> tuple[int, int, bool]:
@@ -140,7 +177,7 @@ def l_augment_at(tree: RootedTree, v: int, l: int) -> RootedTree:
         raise InvalidParameter(f"chain length must be >= 1, got {l}")
     if v not in tree.norm:
         raise UnknownVertex(f"vertex {v} not in tree")
-    if v == tree.root or tree.degree(v) != 1:
+    if v == tree.root or degree(tree, v) != 1:
         raise NotTerminal(f"vertex {v} is not a terminal vertex")
     edges = list(tree.edges())
     n = tree.vertex_count
@@ -470,7 +507,7 @@ def recover_by_edges(
     mode = known.mode
     work = known.copy()
     for k in range(aug.hull_radius, -1, -1):
-        for u in full.shells()[k]:
+        for u in shells(full)[k]:
             if not aug.is_original(u) or u in work.entries:
                 continue
             row = {

@@ -287,8 +287,7 @@ class TestExitCodes:
             "--seed", "2", "--out", str(work))
         run(capsys, "forward", "--tree-file", str(work / "tree.txt"),
             "--kernel-file", str(work / "kernel.txt"), "--out", str(work))
-        cut = {"tree 7 0": "tree 6 0", "layer outer 5 6": "layer outer 5",
-               "edge 4 6": None, "origin 6 added": None}
+        cut = {"tree 7 0": "tree 6 0", "edge 4 6": None}
         tree = [cut.get(ln, ln) for ln in (work / "tree.txt").read_text().splitlines()]
         (work / "tree.txt").write_text("\n".join(ln for ln in tree if ln) + "\n")
         for name in ("kernel.txt", "known.txt"):
@@ -313,6 +312,7 @@ class TestExitCodes:
             code, _, err = run(capsys, *argv)
             assert code == 2, (argv[0], err)
             assert err.startswith("error 2 FormatError"), (argv[0], err)
+            assert "vertex 4 of a chain has 0 children" in err, (argv[0], err)
 
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run(
@@ -424,8 +424,8 @@ class TestExitCodes:
         else:
             assert out.startswith(" ".join(["usage: treetomo", *argv[:-1], "[-h]"])), out
 
-    @pytest.mark.parametrize("text", INVALID_TREES.values(), ids=INVALID_TREES)
-    def test_invalid_tree_file_exit_2(self, tmp_path, capsys, text):
+    @pytest.mark.parametrize("text, message", INVALID_TREES.values(), ids=INVALID_TREES)
+    def test_invalid_tree_file_exit_2(self, tmp_path, capsys, text, message):
         bad = str(tmp_path / "tree.txt")
         write_text(bad, text)
         for argv in (
@@ -434,10 +434,12 @@ class TestExitCodes:
             ["sample", "--tree-file", bad, "--kernel-file", bad, "--n", "100"],
             ["invert", "--tree-file", bad, "--known-file", bad,
              "--in-dist", bad, "--out-dist", bad],
+            ["estimate", "--tree-file", bad, "--known-file", bad, "--batch-file", bad],
         ):
             code, _, err = run(capsys, *argv, "--out", str(tmp_path))
             assert code == 2, (argv[0], err)
             assert err.startswith("error 2 FormatError"), (argv[0], err)
+            assert message in err, (argv[0], err)
 
     @staticmethod
     def estimate_batch(capsys, tmp_path, lines):

@@ -1,5 +1,6 @@
 """Text artifact round trips and malformed-input handling."""
 
+import re
 import sys
 from fractions import Fraction
 
@@ -69,23 +70,21 @@ class TestTreeFormat:
         with pytest.raises(FormatError):
             parse_tree("tree 3 0\nedge 0 1\nedge 1 2\nwhatever 1\n")
 
-    @pytest.mark.parametrize("text", [
-        SEGMENT.replace("3 added", "3 grafted"),  # bad origin flag
-        "tree 3 0\nedge 0 1\n",  # header vertex count
-        SEGMENT.replace("origin 3 added\n", ""),  # origins miss a vertex
-        SEGMENT.replace("1 original", "1 added").replace("2 added", "2 original"),
-        SEGMENT + "layer outer 2\n",
+    @pytest.mark.parametrize("text, message", [
+        (SEGMENT.replace("1 original", "1 grafted"), "bad or repeated origin flag"),
+        ("tree 3 0\nedge 0 1\n", "header says 3 vertices, edges give 2"),
+        (SEGMENT.replace("origin 1 original", "origin 2 original"), "prefix 0..k-1"),
+        (SEGMENT + "layer outer 2\n", "unknown record"),
         *INVALID_TREES.values(),
-    ], ids=["bad-origin", "count", "origin-cover", "origin-prefix", "outer-layer",
-            *INVALID_TREES])
-    def test_invalid_rejected(self, text):
-        with pytest.raises(FormatError):
+    ], ids=["bad-origin", "count", "origin-prefix", "outer-layer", *INVALID_TREES])
+    def test_invalid_rejected(self, text, message):
+        with pytest.raises(FormatError, match=re.escape(message)):
             parse_tree(text)
 
     @pytest.mark.parametrize("text", [
         "tree 2 0 junk\nedge 0 1\n",
         "tree 2 0\nedge 0 1 7\n",
-        SEGMENT.replace("origin 3 added", "origin 3 added added"),
+        SEGMENT.replace("origin 1 original", "origin 1 original original"),
     ], ids=["header", "edge", "origin"])
     def test_trailing_tokens_rejected(self, text):
         with pytest.raises(FormatError, match="trailing tokens"):

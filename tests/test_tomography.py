@@ -14,6 +14,7 @@ from treetomo import (
     kernel_max_error,
     random_kernel,
     recover_all,
+    validate_kernel,
 )
 from treetomo.errors import (
     FormatError,
@@ -24,7 +25,8 @@ from treetomo.errors import (
     RowSumViolation,
     ZeroDenominator,
 )
-from treetomo.forward_solver import HittingDistribution
+from treetomo.formats import dump_distribution, parse_distribution
+from treetomo.forward_solver import HittingDistribution, hitting_laws
 from treetomo.tomography import make_plan, tail_passage_probs, unknown_edge_coefficient
 from treetomo.tree_model import build_tree, random_tree, segment, spherical_augmentation, star
 
@@ -573,6 +575,19 @@ class TestRecoverAll:
         rep = recover_all(aug, known_part(kernel), p_in, p_out)
         assert abs(rep.residuals[0]) < 1e-9
         assert rep.residuals[1] == 0
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: the root row has no complement, recover_all accepts its "
+        "sum within ROOT_SUM_TOL, and validate_kernel wants ROW_SUM_TOL"))
+    def test_float_answer_passes_validation(self):
+        # comb(8) float with the laws as forward writes them: the root row
+        # misses 1 by 8.2e-9, so treetomo refuses its own answer
+        aug = spherical_augmentation(comb(8), 2)
+        kernel = random_kernel(aug, 7, floor=0.05, scope="all")
+        p_in, p_out = (parse_distribution(dump_distribution(d))
+                       for d in hitting_laws(aug, kernel, aug.horizon))
+        rep = recover_all(aug, known_part(kernel), p_in, p_out)
+        assert validate_kernel(aug, rep.kernel) == []
 
 
 def oracle_trees():

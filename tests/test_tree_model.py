@@ -15,7 +15,15 @@ from treetomo.tree_model import (
     star,
 )
 
-from helpers import NotTerminal, broom, edge_list_augmentation, l_augment_at, radii
+from helpers import (
+    NotTerminal,
+    broom,
+    degree,
+    edge_list_augmentation,
+    l_augment_at,
+    radii,
+    shells,
+)
 
 
 class TestBuildTree:
@@ -109,8 +117,8 @@ class TestStar:
     def test_shellwise_enumeration(self):
         # root 0, then branch j occupies (s-1)*n + j at shell s
         t = star(2, 3)
-        assert t.shells()[1] == (1, 2, 3)
-        assert t.shells()[2] == (4, 5, 6)
+        assert shells(t)[1] == (1, 2, 3)
+        assert shells(t)[2] == (4, 5, 6)
         assert t.parent[4] == 1 and t.parent[6] == 3
 
     def test_single_branch_is_segment(self):
@@ -182,7 +190,7 @@ class TestSphericalAugmentation:
                 assert spherical
                 assert r_out == aug.hull_radius + l
                 # shells partition
-                assert sum(len(s) for s in full.shells().values()) == full.vertex_count
+                assert sum(len(s) for s in shells(full).values()) == full.vertex_count
                 # embedding preserves ids, parents, norms
                 for v in range(base.vertex_count):
                     assert aug.is_original(v)
@@ -196,7 +204,7 @@ class TestSphericalAugmentation:
                 # added non-outer vertices have exactly two neighbors
                 for v in range(base.vertex_count, full.vertex_count):
                     if v not in aug.outer_layer:
-                        assert full.degree(v) == 2
+                        assert degree(full, v) == 2
                 assert aug.outer_layer == frozenset(full.terminals())
                 assert aug.inner_layer == frozenset(
                     full.parent[v] for v in aug.outer_layer
