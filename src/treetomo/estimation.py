@@ -112,11 +112,12 @@ def collect_batch(
 
 def empirical_joint(batch: SampleBatch) -> tuple[HittingDistribution, HittingDistribution]:
     """Empirical inner and outer hitting laws up to ``t_cap``, ``count / n`` per cell."""
-    dists = []
-    for layer, counts in ((INNER, batch.counts_in), (OUTER, batch.counts_out)):
-        mass = {(t, v): c / batch.n for (t, v), c in counts.items()}
-        dists.append(HittingDistribution(layer, batch.t_cap, mass))
-    return dists[0], dists[1]
+    p_in, p_out = (
+        HittingDistribution.from_mass(layer, batch.t_cap,
+                                      {key: c / batch.n for key, c in counts.items()})
+        for layer, counts in ((INNER, batch.counts_in), (OUTER, batch.counts_out))
+    )
+    return p_in, p_out
 
 
 def estimate_kernel(

@@ -4,11 +4,13 @@ All formats are diffable plain text.  Floats are written with 17 significant
 digits so a write/read trip is lossless; rationals are written ``num/den``
 and round-trip bit-exactly, at any number of digits.  A rational kernel or
 law file holds only ``num/den`` and integer tokens, so no value in it is
-rounded.  Every parser reads its lines through one reader, which takes each
-format's header record (``tree``, ``mode`` or ``batch``; law files have
-none) first and once, and each record with its token count.  A tree file
-states its edges and, when augmented, ``origin v original`` for each base id
-``v < k``; every higher id is added and the layers follow, so neither is written.
+rounded.  Every parser but the law parser reads its lines through one
+reader, which takes each format's header record (``tree``, ``mode`` or
+``batch``) first and once, and each record with its token count.  A tree
+file states its edges and, when augmented, ``origin v original`` for each
+base id ``v < k``; every higher id is added and the layers follow, so
+neither is written.  A law file is the law's grid: a header naming the layer
+and its vertices, one column each, then one line per time that holds mass.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import re
 from collections.abc import Iterator
 from decimal import Decimal
 from fractions import Fraction
+
+import numpy as np
 
 from .chain_model import FLOAT, KNOWN, RATIONAL, Number, TransitionKernel
 from .errors import FormatError, InvalidParameter, NotATree, UnknownVertex
@@ -40,13 +44,25 @@ def _int(token: str) -> int:
         return int(Decimal(token))
 
 
+def _exact(token: str) -> int:
+    try:
+        return _int(token)
+    except ValueError:
+        raise FormatError(f"bad rational probability token {token!r}") from None
+
+
+def _digits(n: int) -> str:
+    """``str(n)``, also past the interpreter's int-to-str digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 def _fmt(x: Number, mode: str) -> str:
     if mode == RATIONAL:
         f = Fraction(x)
-        try:
-            return f"{f.numerator}/{f.denominator}"
-        except ValueError:  # past the interpreter's int-to-str digit limit
-            return f"{Decimal(f.numerator)}/{Decimal(f.denominator)}"
+        return f"{_digits(f.numerator)}/{_digits(f.denominator)}"
     return f"{float(x):.17g}"
 
 
@@ -70,7 +86,6 @@ def _parse_number(token: str, mode: str) -> Number:
 # The records of each format: name -> (fewest, most) tokens, the name included.
 _TREE = {"tree": (3, 3), "edge": (3, 3), "origin": (3, 3)}
 _KERNEL = {"mode": (2, 2), "row": (2, math.inf)}
-_LAW = {INNER: (4, 4), OUTER: (4, 4)}
 _BATCH = {"batch": (4, 4), "in": (4, 4), "out": (4, 4), "overflow": (2, 2)}
 
 
@@ -182,29 +197,68 @@ def parse_kernel(text: str) -> TransitionKernel:
 
 
 def dump_distribution(dist: HittingDistribution, mode: str = FLOAT) -> str:
-    lines = [
-        f"{dist.layer}\t{t}\t{v}\t{_fmt(p, mode)}"
-        for (t, v), p in sorted(dist.mass.items())
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    """The law as text: the header ``layer v_1 .. v_m``, then for each time
+    ``t`` with mass the line ``t p_1 .. p_m`` (float) or ``t D N_1 .. N_m``
+    (rational, cell ``j`` being ``N_j / D``), tab-separated."""
+    if mode == RATIONAL and dist.dens is None:
+        raise InvalidParameter(f"a float {dist.layer} law has no rational file form")
+    live = np.flatnonzero((dist.cells != 0).any(axis=1))
+    times = [dist.times[i] for i in live]
+    lines = ["\t".join([dist.layer, *map(str, dist.vertices)])]
+    if mode == RATIONAL:
+        lines.extend("\t".join(map(_digits, (t, dist.dens[i], *dist.cells[i].tolist())))
+                     for t, i in zip(times, live.tolist()))
+    else:
+        cells = dist.cells[live]
+        if dist.dens is not None:  # the float image of an exact law
+            cells = cells / np.array(dist.dens, object)[live, None]
+        line = "%d" + "\t%.17g" * len(dist.vertices)
+        lines.extend(line % (t, *row) for t, row in zip(times, cells.astype(float).tolist()))
+    return "\n".join(lines) + "\n"
 
 
 def parse_distribution(text: str, mode: str = FLOAT) -> HittingDistribution:
-    layer = None
-    mass: dict[tuple[int, int], Number] = {}
+    """Parse :func:`dump_distribution` output, the time lines in any order.
+    A file without a header or without a time line raises
+    :class:`FormatError`, as does a cell that is negative, or not finite, or
+    in a rational file not an integer, a repeated vertex or time, a time
+    below 1, a denominator below 1 or a line whose token count differs from
+    the header's."""
+    lines = [parts for parts in map(str.split, text.splitlines()) if parts]
+    if not lines or lines[0][0] not in (INNER, OUTER):
+        raise FormatError("law file does not open with its inner or outer header")
+    (layer, *heads), body = lines[0], lines[1:]
+    if not body:
+        raise FormatError(f"{layer} law file holds no time line")
+    exact = mode == RATIONAL
+    width = len(heads) + 1 + exact
     try:
-        for parts in _records(text, _LAW):
-            if parts[0] != (layer := layer or parts[0]):
-                raise FormatError("distribution file mixes layers")
-            t, v, p = int(parts[1]), int(parts[2]), _parse_number(parts[3], mode)
-            if t < 0 or p < 0 or (t, v) in mass:
-                raise FormatError(f"negative or repeated cell {' '.join(parts)!r}")
-            mass[(t, v)] = p
+        vertices = tuple(map(int, heads))
+        if len(set(vertices)) != len(vertices):
+            raise FormatError(f"{layer} law header repeats a vertex")
+        for parts in body:
+            if len(parts) != width:
+                raise FormatError(f"law line with {len(parts)} tokens, header gives {width}")
+        at = dict(zip(map(int, (parts[0] for parts in body)), body))
     except ValueError as exc:
-        raise FormatError(f"bad distribution line: {exc}") from exc
-    if layer is None:
-        raise FormatError("distribution file is empty")
-    return HittingDistribution(layer, max(t for t, _ in mass), mass)
+        raise FormatError(f"bad law line: {exc}") from exc
+    if len(at) != len(body) or min(at) < 1:
+        raise FormatError("repeated law time or law time below 1")
+    times = tuple(sorted(at))
+    body = [at[t][1:] for t in times]
+    dens = None
+    if exact:
+        body = [[_exact(token) for token in parts] for parts in body]
+        dens = tuple(parts.pop(0) for parts in body)
+        if min(dens) < 1:
+            raise FormatError("law denominator below 1")
+    try:
+        cells = np.array(body, object if exact else float).reshape(len(times), len(vertices))
+    except ValueError as exc:
+        raise FormatError(f"bad {mode} law cell: {exc}") from exc
+    if not (exact or np.isfinite(cells).all()) or (cells < 0).any():
+        raise FormatError(f"negative or non-finite cell in the {layer} law")
+    return HittingDistribution(layer, times[-1], vertices, times, cells, dens)
 
 
 def dump_batch(batch: SampleBatch) -> str:

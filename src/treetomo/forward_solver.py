@@ -9,15 +9,19 @@ layer.  All sums involve nonnegative terms only, so the float path has no
 cancellation.  The vector is an ``np.longdouble`` array in float mode, and
 in rational mode an object array of integer numerators over ``D**t`` at
 time ``t``, with ``D`` the lcm of the kernel's row denominators, so both
-modes run the same code, every value is exact, and each harvested cell
-becomes a ``Fraction`` once.  :func:`hitting_laws` gives both laws from one
-table, checked as it is built.  A law is a plain value: reading a cell records
-nothing.
+modes run the same code and every value is exact.  Each step's harvest is
+stored as it is, as one row of the law's grid, so no cell becomes a
+``Fraction`` until it is read.  :func:`hitting_laws` gives both laws from
+one table, checked as it is built.  A law is a plain value: reading a cell
+records nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
@@ -29,18 +33,64 @@ INNER = "inner"
 OUTER = "outer"
 
 
-@dataclass
+@dataclass(eq=False)
 class HittingDistribution:
-    """Sparse joint law of (first hitting time, hitting place) for one layer.
+    """Joint law of (first hitting time, hitting place) for one layer, known
+    at every time ``t <= t_max``, as a dense grid.
 
-    ``mass[(t, v)]`` is the probability that the walk first touches the layer
-    at time ``t``, doing so at vertex ``v``.  Cells absent from ``mass`` are
-    zero.
+    Row ``i`` of ``cells`` holds time ``times[i]`` (ascending) and column
+    ``j`` vertex ``vertices[j]``: the probability that the walk first touches
+    the layer at that time, doing so at that vertex.  In rational mode the
+    cells are integer numerators and row ``i`` stands over ``dens[i]``; in
+    float mode ``dens`` is ``None``.  A time or vertex without a row or
+    column carries no mass.
     """
 
     layer: str
     t_max: int
-    mass: dict[tuple[int, int], Number] = field(default_factory=dict)
+    vertices: tuple[int, ...]
+    times: tuple[int, ...]
+    cells: np.ndarray
+    dens: tuple[int, ...] | None = None
+
+    def __post_init__(self) -> None:
+        self._row = dict(zip(self.times, range(len(self.times))))
+        self._col = dict(zip(self.vertices, range(len(self.vertices))))
+
+    @classmethod
+    def from_mass(cls, layer: str, t_max: int,
+                  mass: dict[tuple[int, int], Number]) -> HittingDistribution:
+        """The law with cell ``(t, v)`` equal to ``mass[(t, v)]``, over the
+        times and vertices of ``mass`` ascending; rational when a value is a
+        ``Fraction``, with each time over the lcm of its denominators."""
+        times = sorted({t for t, _ in mass})
+        vertices = sorted({v for _, v in mass})
+        row = dict(zip(times, range(len(times))))
+        col = dict(zip(vertices, range(len(vertices))))
+        at = [row[t] for t, _ in mass], [col[v] for _, v in mass]
+        vals, dens = np.array(list(mass.values())), None
+        if any(isinstance(p, Fraction) for p in mass.values()):
+            fracs = list(map(Fraction, mass.values()))
+            dens = [1] * len(times)
+            for i, p in zip(at[0], fracs):
+                dens[i] = math.lcm(dens[i], p.denominator)
+            vals = np.array([p.numerator * (dens[i] // p.denominator)
+                             for i, p in zip(at[0], fracs)], object)
+            dens = tuple(dens)
+        cells = np.zeros((len(times), len(vertices)), vals.dtype)
+        cells[at] = vals
+        return cls(layer, t_max, tuple(vertices), tuple(times), cells, dens)
+
+    @property
+    def mass(self) -> MappingProxyType:
+        """The nonzero cells, ``(t, v) -> p``, by time and then column."""
+        i, j = np.nonzero(self.cells)
+        vals = self.cells[i, j].tolist()
+        i, j = i.tolist(), j.tolist()
+        if self.dens is not None:
+            vals = [Fraction(n, self.dens[a]) for a, n in zip(i, vals)]
+        return MappingProxyType({(self.times[a], self.vertices[b]): p
+                                 for a, b, p in zip(i, j, vals)})
 
     def prob(self, t: int, v: int) -> Number:
         """Cell ``(t, v)``; a time past ``t_max`` raises :class:`InvalidQuery`."""
@@ -48,7 +98,11 @@ class HittingDistribution:
             raise InvalidQuery(
                 f"time {t} beyond computed horizon {self.t_max} for {self.layer} layer"
             )
-        return self.mass.get((t, v), 0)
+        i, j = self._row.get(t), self._col.get(v)
+        if i is None or j is None:
+            return 0
+        p = self.cells[i, j]
+        return p if self.dens is None else Fraction(p, self.dens[i])
 
 
 def first_hitting_joint(
@@ -73,15 +127,18 @@ def hitting_laws(aug: AugmentedTree, kernel: TransitionKernel, t_max: int,
     sets = {INNER: aug.inner_layer, OUTER: aug.outer_layer}
     if bad := [layer for layer in layers if layer not in sets]:
         raise InvalidQuery(f"unknown layer {bad[0]!r}")
-    laws = tuple(HittingDistribution(layer, t_max) for layer in layers)
-    for dist in laws:
-        target = np.array(sorted(sets[dist.layer]))
+    times = tuple(range(1, t_max + 1))
+    dens = tuple(rows.scale**t for t in times) if rows.exact else None
+    laws = []
+    for layer in layers:
+        target = np.array(sorted(sets[layer]), np.intp)
+        cells = np.zeros((t_max, len(target)), rows.q.dtype)
         x = rows.zeros()
         x[aug.full.root] = 1
-        for t in range(1, t_max + 1):
+        for row in cells:
             y = rows.push(x)
-            hit = target[np.flatnonzero(y[target])]
-            dist.mass.update(((t, v), rows.value(n, t)) for v, n in zip(hit.tolist(), y[hit]))
+            row[:] = y[target]
             y[target] = 0
             x = y
-    return laws
+        laws.append(HittingDistribution(layer, t_max, tuple(target.tolist()), times, cells, dens))
+    return tuple(laws)

@@ -34,8 +34,8 @@ edge's terms alone, with the same sweeps over the rows of ``subtree(w)`` or
 ``subtree(u)``.
 
 In rational mode the table and the laws hold integer numerators, in the
-manner of fraction-free (Bareiss) elimination: each law is scaled once to one
-denominator per time, heads, tails and tail classes are integers over known
+manner of fraction-free (Bareiss) elimination: each law brings its cells as
+numerators over one denominator per time, heads, tails and tail classes are integers over known
 powers of the row scale ``D`` (rescaled when a recovered row widens ``D``),
 each class sum of an edge is one integer, and each recovered entry is one
 ``Fraction``.  Float mode runs the same arrays in ``np.longdouble`` with
@@ -44,6 +44,7 @@ every scale 1, and each recovered entry is one division.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -269,32 +270,30 @@ def _grid(rows: AccRows, name: str, dist: HittingDistribution, col: dict[int, in
     """The ``name`` law as a grid over times ``0 .. need`` and the columns
     ``col`` gives its layer, with ``dens[t]`` the denominator of time ``t``.
 
-    Every cell, at any time, must lie on the layer (a key of ``col``) at
-    ``t >= 1``, and under a rational kernel be a ``Fraction``, else
-    :class:`FormatError`; only then are the cells past ``need`` dropped,
-    before any integer conversion.  Rational mode: the grid holds numerators
-    ``N`` for ``N / dens[t]``, with ``dens[t]`` the lcm of the cell
-    denominators at time ``t`` (law files may hold any rationals).  Float
-    mode: the cells, and every ``dens[t]`` 1.
+    Every vertex of the law must lie on the layer (a key of ``col``) and
+    every time be ``>= 1``, and under a rational kernel a law with cells must
+    be rational, else :class:`FormatError`; only then are the times past
+    ``need`` dropped, before any integer conversion, and the columns put in
+    the order of ``col``.  Rational mode: the grid holds the law's numerators
+    ``N`` for ``N / dens[t]``, each ``dens[t]`` the law's own.  Float mode:
+    the cells, and every ``dens[t]`` 1.
     """
-    mass = dist.mass
-    for (t, v), p in mass.items():
-        if t < 1 or v not in col:
-            where = f"time {t} < 1" if t < 1 else f"vertex {v} off the {name} layer"
-            raise FormatError(f"{name} law has mass at {where}")
-        if rows.exact and not isinstance(p, Fraction):
-            raise FormatError(f"{name} law cell ({t}, {v}) = {p!r} under a rational kernel")
-    keys = [key for key in mass if key[0] <= need]
-    vals = [mass[key] for key in keys]
+    off = [v for v in dist.vertices if v not in col]
+    if off or dist.times and dist.times[0] < 1:
+        where = f"vertex {off[0]} off the {name} layer" if off else f"time {dist.times[0]} < 1"
+        raise FormatError(f"{name} law has mass at {where}")
+    if rows.exact and dist.dens is None and dist.cells.size:
+        raise FormatError(f"{name} law holds float cells under a rational kernel")
+    n = bisect.bisect_right(dist.times, need)
+    times, cells = dist.times[:n], dist.cells[:n]
     dens = [1] * (need + 1)
-    if rows.exact:
-        for (t, _), p in zip(keys, vals):
-            dens[t] = math.lcm(dens[t], p.denominator)
-        vals = [p.numerator * (dens[t] // p.denominator) for (t, _), p in zip(keys, vals)]
-    times = np.fromiter((t for t, _ in keys), np.intp, len(keys))
-    cols = np.fromiter((col[v] for _, v in keys), np.intp, len(keys))
+    if dist.dens is not None and rows.exact:
+        for t, d in zip(times, dist.dens):
+            dens[t] = d
+    elif dist.dens is not None:  # an exact law read as floats
+        cells = cells / np.array(dist.dens[:n], object)[:, None]
     grid = np.zeros((need + 1, len(col)), rows.q.dtype)
-    grid[times, cols] = np.array(vals, object if rows.exact else None).astype(rows.q.dtype)
+    grid[np.ix_(times, [col[v] for v in dist.vertices])] = cells.astype(rows.q.dtype)
     return grid, dens
 
 
@@ -313,10 +312,10 @@ def recover_all(
     the recursions read, else :class:`MissingKnownRow`; base vertices
     without a row, or flagged unknown, are the targets.  Both laws must reach
     time ``3R+4`` (``3R+3`` inner) and hold cells only on their own layer at
-    times ``>= 1``, and under a rational ``known`` only ``Fraction`` cells,
-    else :class:`FormatError`; cells past those times are checked, then
-    ignored.  A ``reference`` must hold every recovered entry
-    (:class:`FormatError`) and be valid (:class:`InvalidKernel`).  Shell
+    times ``>= 1``, and under a rational ``known`` be rational, else
+    :class:`FormatError`; cells past those times are checked, then ignored.
+    A ``reference`` must hold every recovered entry (:class:`FormatError`)
+    and be valid (:class:`InvalidKernel`).  Shell
     ``k`` is solved from its swept heads, the tails of shell ``k+1`` and its
     tail classes (see the module docstring): each child edge from its
     arrival decomposition, the inward entry as the row complement, and a

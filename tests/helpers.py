@@ -311,12 +311,12 @@ def brute_force_hitting(
             f"{aug.full.vertex_count} vertices exceed oracle cap {vertex_cap}"
         )
     target = aug.inner_layer if layer == INNER else aug.outer_layer
-    dist = HittingDistribution(layer, t_max)
+    mass: dict[tuple[int, int], Number] = {}
 
     def walk(v: int, t: int, p) -> None:
         if v in target:
             key = (t, v)
-            dist.mass[key] = dist.mass.get(key, 0) + p
+            mass[key] = mass.get(key, 0) + p
             return
         if t == t_max or v not in kernel.entries:
             return
@@ -324,7 +324,7 @@ def brute_force_hitting(
             walk(w, t + 1, p * q)
 
     walk(aug.full.root, 0, 1)
-    return dist
+    return HittingDistribution.from_mass(layer, t_max, mass)
 
 
 def shape_signature(tree: RootedTree, v: int | None = None):

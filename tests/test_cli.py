@@ -1,6 +1,5 @@
 """End-to-end command-line runs: artifacts, determinism, exit codes."""
 
-from fractions import Fraction
 import json
 import os
 from pathlib import Path
@@ -294,9 +293,10 @@ class TestExitCodes:
             text = (work / name).read_text().splitlines()
             rows = [ln for ln in text if not ln.startswith("row 4 ")] + ["row 4 2:1"]
             (work / name).write_text("\n".join(rows) + "\n")
-        laws = (work / "out.tsv").read_text().splitlines()
+        laws = [ln.split("\t") for ln in (work / "out.tsv").read_text().splitlines()]
+        keep = [i for i, v in enumerate(laws[0]) if v != "6"]  # vertex 6's column goes
         (work / "out.tsv").write_text(
-            "\n".join(ln for ln in laws if ln.split("\t")[2] != "6") + "\n"
+            "".join("\t".join(ln[i] for i in keep) + "\n" for ln in laws)
         )
         files = {f: str(work / f) for f in ("tree.txt", "kernel.txt", "known.txt",
                                             "in.tsv", "out.tsv")}
@@ -342,7 +342,8 @@ class TestExitCodes:
         assert code == 2
 
     @pytest.mark.parametrize("name, line, token", [
-        ("out.tsv", 0, "nan"), ("known.txt", 1, "inf"), ("in.tsv", -1, "nan"),
+        ("out.tsv", 0, "nan"), ("out.tsv", 1, "nan"), ("known.txt", 1, "inf"),
+        ("in.tsv", -1, "nan"),
     ])
     def test_non_finite_token_exit_2(self, tmp_path, capsys, name, line, token):
         # a non-finite float is malformed input, not an out-of-range recovery
@@ -655,10 +656,11 @@ class TestExitCodes:
             "--kernel-file", str(work / "kernel.txt"), "--out", str(work))
         for name in ("in.tsv", "out.tsv"):
             path = work / name
-            cells = [ln.split("\t") for ln in path.read_text().splitlines()]
-            path.write_text("".join(
-                f"{layer}\t{t}\t{v}\t{float(Fraction(p))!r}\n" for layer, t, v, p in cells
-            ))
+            head, *lines = path.read_text().splitlines()
+            path.write_text("".join([head + "\n"] + [
+                "\t".join([t, d, *(repr(int(n) / int(d)) for n in cells)]) + "\n"
+                for t, d, *cells in map(str.split, lines)
+            ]))
         code, _, err = run(
             capsys, "invert", "--tree-file", str(work / "tree.txt"),
             "--known-file", str(work / "known.txt"),
@@ -679,12 +681,13 @@ class TestExitCodes:
         run(capsys, "forward", "--tree-file", str(work / "tree.txt"),
             "--kernel-file", str(work / "kernel.txt"), "--out", str(work))
         path = work / "out.tsv"
-        cells = [ln.split("\t") for ln in path.read_text().splitlines()]
-        raise_shell_1 = {"8": Fraction(33, 32)}  # 3R+4-2k at R = 2, k = 1
-        path.write_text("".join(
-            f"{layer}\t{t}\t{v}\t{Fraction(p) * raise_shell_1.get(t, 1)}\n"
-            for layer, t, v, p in cells
-        ))
+        head, *lines = path.read_text().splitlines()
+        edited = [head]
+        for t, d, *cells in map(str.split, lines):
+            if t == "8":  # 3R+4-2k at R = 2, k = 1: raised by 33/32
+                d, cells = str(int(d) * 32), [str(int(n) * 33) for n in cells]
+            edited.append("\t".join([t, d, *cells]))
+        path.write_text("\n".join(edited) + "\n")
         code, _, err = run(
             capsys, "invert", "--tree-file", str(work / "tree.txt"),
             "--known-file", str(work / "known.txt"),
@@ -774,14 +777,12 @@ class TestCellsPastTheHorizon:
         assert code == 0, err
         assert (work / "report.txt").read_bytes() == clean
 
-    @pytest.mark.parametrize("name, line", [
-        ("out.tsv", f"outer\t{2**63}\t7\t0.1\n"),
-        ("in.tsv", f"inner\t{2**63}\t5\t0.1\n"),
-    ], ids=["outer", "inner"])
-    def test_law_cell_past_int64_is_ignored(self, tmp_path, capsys, name, line):
-        def edit(work):
-            with open(work / name, "a", encoding="utf-8") as fh:
-                fh.write(line)
+    @pytest.mark.parametrize("name", ["out.tsv", "in.tsv"], ids=["outer", "inner"])
+    def test_law_cell_past_int64_is_ignored(self, tmp_path, capsys, name):
+        def edit(work):  # a time line at 2**63, 0.1 in every column
+            text = (work / name).read_text()
+            columns = len(text.split("\n", 1)[0].split()) - 1
+            (work / name).write_text(text + f"{2**63}" + "\t0.1" * columns + "\n")
         self.same_report(tmp_path, capsys, "invert", edit)
 
     def test_batch_cell_past_int64_is_ignored(self, tmp_path, capsys):
@@ -847,33 +848,41 @@ class TestCorruptTokens:
         # every value token of the first record of each kind in each artifact
         # of segment(1, 2), replaced by each of TOKENS and read by one of its
         # readers, drawn with a fixed seed; a kernel cell's vertex and
-        # probability are tokens of their own
-        work = tmp_path / "w"
-        run(capsys, "gen", "--tree", "segment", "--k", "1", "--l", "2",
-            "--seed", "5", "--out", str(work))
-        recovery_argv(capsys, work, "invert")  # writes in.tsv and out.tsv
+        # probability are tokens of their own.  In the law files, float and
+        # rational, the tokens are the header's layer name and first vertex,
+        # and the first time line's time, then D (rational) and cells
+        work, exact = tmp_path / "w", tmp_path / "r"
+        for out, mode in ((work, "float"), (exact, "rational")):
+            run(capsys, "gen", "--tree", "segment", "--k", "1", "--l", "2",
+                "--seed", "5", "--mode", mode, "--out", str(out))
+            recovery_argv(capsys, out, "invert")  # writes in.tsv and out.tsv
         recovery_argv(capsys, work, "estimate")  # writes batch.txt
-        clean = {name: str(work / name) for name in self.READERS}
         rng = random.Random(18)
         cases = []
-        for name, readers in self.READERS.items():
-            lines = (work / name).read_text().splitlines()
-            firsts = {}
-            for i, line in enumerate(lines):
-                firsts.setdefault(line.split()[0], i)
-            for i in firsts.values():
+        sources = [(work, name) for name in self.READERS] + [(exact, "in.tsv"), (exact, "out.tsv")]
+        for root, name in sources:
+            clean = {other: str(root / other) for other in self.READERS}
+            lines = (root / name).read_text().splitlines()
+            if name.endswith(".tsv"):
+                picks = [(0, 0), (0, 2), (1, 0), (1, 2), (1, 4)]
+            else:  # piece 0 names the record
+                firsts = {}
+                for i, line in enumerate(lines):
+                    firsts.setdefault(line.split()[0], i)
+                picks = [(i, j) for i in firsts.values()
+                         for j in range(2, len(re.split(r"([\s:]+)", lines[i])), 2)]
+            for i, j in picks:
                 pieces = re.split(r"([\s:]+)", lines[i])
-                for j in range(2, len(pieces), 2):  # piece 0 names the record
-                    for token in self.TOKENS:
-                        case = tmp_path / f"c{len(cases)}"
-                        case.mkdir()
-                        edited = pieces[:j] + [token] + pieces[j + 1:]
-                        (case / name).write_text("\n".join(
-                            lines[:i] + ["".join(edited)] + lines[i + 1:]) + "\n")
-                        files = {**clean, name: str(case / name)}
-                        cases.append((lines[i], token, self.argv(
-                            rng.choice(readers), files, str(case / "out"))))
-        assert len(cases) == 204
+                for token in self.TOKENS:
+                    case = tmp_path / f"c{len(cases)}"
+                    case.mkdir()
+                    edited = pieces[:j] + [token] + pieces[j + 1:]
+                    (case / name).write_text("\n".join(
+                        lines[:i] + ["".join(edited)] + lines[i + 1:]) + "\n")
+                    files = {**clean, name: str(case / name)}
+                    cases.append((lines[i], token, self.argv(
+                        rng.choice(self.READERS[name]), files, str(case / "out"))))
+        assert len(cases) == 288
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
             str(Path(treetomo.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
         done = subprocess.run([sys.executable, "-c", _CAPPED_MAIN], capture_output=True,

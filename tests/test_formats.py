@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from treetomo import INNER, OUTER, TransitionKernel, first_hitting_joint
+from treetomo import INNER, OUTER, TransitionKernel, first_hitting_joint, random_kernel
 from treetomo.errors import FormatError
 from treetomo.estimation import SampleBatch, collect_batch
-from treetomo.forward_solver import HittingDistribution
+from treetomo.forward_solver import HittingDistribution, hitting_laws
 from treetomo.formats import (
     dump_batch,
     dump_distribution,
@@ -31,7 +31,7 @@ from treetomo.tree_model import (
     star,
 )
 
-from helpers import INVALID_TREES, broom, known_part, rand_instance, tree_file
+from helpers import INVALID_TREES, broom, comb, known_part, rand_instance, tree_file
 
 SEGMENT = tree_file(0, "0-1 1-2 2-3", 2)  # segment(0, 1) augmented by 2, no layer lines
 
@@ -150,24 +150,54 @@ class TestKernelFormat:
 
 
 class TestDistributionFormat:
+    def test_layout(self):
+        # a header naming the columns, then one line per time with mass
+        law = HittingDistribution.from_mass(OUTER, 6, {(3, 7): 0.25, (5, 8): 0.5})
+        assert dump_distribution(law) == "outer\t7\t8\n3\t0.25\t0\n5\t0\t0.5\n"
+        law = HittingDistribution.from_mass(
+            INNER, 4, {(2, 3): Fraction(1, 4), (2, 4): Fraction(1, 6), (4, 4): Fraction(1, 2)})
+        assert dump_distribution(law, "rational") == "inner\t3\t4\n2\t12\t3\t2\n4\t2\t0\t1\n"
+
     def test_round_trip(self):
-        aug, kernel = rand_instance(1)
-        dist = first_hitting_joint(aug, kernel, OUTER, 3 * aug.hull_radius + 4)
-        back = parse_distribution(dump_distribution(dist, kernel.mode))
-        assert back.layer == OUTER
-        assert back.t_max == max(t for t, _ in dist.mass)
-        for key, val in dist.mass.items():
-            assert back.mass[key] == float(val)
+        # both ways: every cell comes back as the float64 image of the law's
+        # cell, and no cell comes back that the law does not hold
+        for base in (broom(5, 5), random_tree(3, 4)):
+            aug = spherical_augmentation(base, 2)
+            kernel = random_kernel(aug, 7, scope="all")
+            for dist in hitting_laws(aug, kernel, aug.horizon):
+                back = parse_distribution(dump_distribution(dist, kernel.mode))
+                want = {key: float(val) for key, val in dist.mass.items()}
+                assert (back.layer, back.vertices) == (dist.layer, dist.vertices)
+                assert back.t_max == max(t for t, _ in want)
+                assert dict(back.mass) == want
+                assert all(type(p) is float and p for p in back.mass.values())
 
     def test_rational_round_trip(self):
-        aug, kernel = rand_instance(2, mode="rational")
-        dist = first_hitting_joint(aug, kernel, INNER, 6)
-        back = parse_distribution(dump_distribution(dist, "rational"), "rational")
-        assert back.mass == dist.mass
+        aug = spherical_augmentation(comb(6), 2)
+        kernel = random_kernel(aug, 7, scope="all", mode="rational")
+        for dist in hitting_laws(aug, kernel, aug.horizon):
+            back = parse_distribution(dump_distribution(dist, "rational"), "rational")
+            assert back.mass == dist.mass and back.t_max == max(t for t, _ in dist.mass)
+            # in float mode the file holds each cell's float image
+            back = parse_distribution(dump_distribution(dist, "float"), "float")
+            assert back.mass == {key: float(p) for key, p in dist.mass.items()}
+
+    def test_header_alone_rejected(self):
+        # a law with no mass, as forward gives one up to a time before any
+        # contact, is written as its header alone, and a file that holds no
+        # time line is refused, as an empty file is
+        aug = spherical_augmentation(star(1, 2), 2)
+        for mode in ("float", "rational"):
+            kernel = random_kernel(aug, 3, mode=mode)
+            for dist in hitting_laws(aug, kernel, 1):
+                text = dump_distribution(dist, mode)
+                assert text == "\t".join([dist.layer, *map(str, dist.vertices)]) + "\n"
+                with pytest.raises(FormatError, match="no time line"):
+                    parse_distribution(text, mode)
 
     def test_mixed_layers_rejected(self):
         with pytest.raises(FormatError):
-            parse_distribution("inner\t2\t2\t0.5\nouter\t3\t3\t0.2\n")
+            parse_distribution("inner\t3\t4\n2\t0.5\t0.25\nouter\t5\t6\n3\t0.1\t0.2\n")
 
     def test_empty_rejected(self):
         with pytest.raises(FormatError):
@@ -176,15 +206,39 @@ class TestDistributionFormat:
     @pytest.mark.parametrize(
         "text, mode",
         [
-            ("outer 3 5 0.25\nouter 3 5 0.5\n", "float"),  # cell twice
-            ("inner 2 3 1/4\ninner 2 3 1/4\n", "rational"),  # same cell twice
-            ("outer -2 5 0.1\n", "float"),  # negative time
-            ("outer 3 5 -0.1\n", "float"),  # negative mass
+            # the old one-cell-per-line layout, whatever its cells
+            ("outer 3 5 0.25\nouter 3 5 0.5\n", "float"),
+            ("inner 2 3 1/4\ninner 2 3 1/4\n", "rational"),
+            ("outer -2 5 0.1\n", "float"),
+            ("outer 3 5 -0.1\n", "float"),
             ("outer -2 5 -0.1\n", "float"),
             ("inner 2 3 -1/4\n", "rational"),
-            ("inner 2 3\n", "float"),  # three columns
-            ("middle 2 3 0.5\n", "float"),  # no such layer
-            ("inner x 3 0.5\n", "float"),  # non-integer time
+            ("inner 2 3\n", "float"),
+            ("middle 2 3 0.5\n", "float"),
+            ("inner x 3 0.5\n", "float"),
+            ("inner\t2\t3\t0.5\n", "float"),
+            ("inner\t2\t3\t0.5\ninner\t4\t3\t0.25\n", "float"),
+            ("inner\t2\t3\t1/4\ninner\t4\t3\t1/8\n", "rational"),
+            # the grid layout
+            ("outer 5\n3 0.25\n3 0.5\n", "float"),  # time twice
+            ("inner 3\n2 4 1\n2 4 1\n", "rational"),  # same line twice
+            ("outer 5\n-2 0.1\n", "float"),  # negative time
+            ("outer 5\n0 0.1\n", "float"),  # time 0
+            ("outer 5\n3 -0.1\n", "float"),  # negative mass
+            ("outer 5\n-2 -0.1\n", "float"),
+            ("inner 3\n2 4 -1\n", "rational"),
+            ("inner 3\n2 0 1\n", "rational"),  # denominator 0
+            ("inner 3\n2 -4 1\n", "rational"),  # negative denominator
+            ("outer 5\n3 nan\n", "float"),
+            ("outer 5\n3 inf\n", "float"),
+            ("inner 3 4\n2 0.5\n", "float"),  # ragged: a cell missing
+            ("inner 3 4\n2 0.5 0.25 0.25\n", "float"),  # ragged: a cell too many
+            ("inner 3 4\n2 4 1\n", "rational"),  # ragged: no denominator
+            ("inner 3 3\n2 0.25 0.25\n", "float"),  # header vertex twice
+            ("inner 3 x\n2 0.25 0.25\n", "float"),  # non-integer vertex
+            ("3 4\n2 0.5 0.5\n", "float"),  # no header
+            ("middle 3\n2 0.5\n", "float"),  # no such layer
+            ("inner 3\nx 0.5\n", "float"),  # non-integer time
         ],
     )
     def test_inconsistent_rejected(self, text, mode):
@@ -198,10 +252,14 @@ class TestExactTokens:
         for token in ("0.5", "5e-1", "1.0", "inf", "nan"):
             with pytest.raises(FormatError, match="rational"):
                 parse_kernel(f"mode rational\nrow 0 1:{token} 2:1/2\n")
+        # a law line holds integers only: its denominator is written once
+        for token in ("0.5", "5e-1", "1.0", "inf", "nan", "1/2"):
             with pytest.raises(FormatError, match="rational"):
-                parse_distribution(f"inner\t2\t3\t{token}\n", "rational")
-        back = parse_distribution("inner\t2\t3\t1\ninner\t4\t3\t0\n", "rational")
-        assert back.mass == {(2, 3): 1, (4, 3): 0}
+                parse_distribution(f"inner\t3\n2\t1\t{token}\n", "rational")
+            with pytest.raises(FormatError, match="rational"):
+                parse_distribution(f"inner\t3\n2\t{token}\t1\n", "rational")
+        back = parse_distribution("inner\t3\n2\t1\t1\n4\t1\t0\n", "rational")
+        assert back.mass == {(2, 3): 1} and back.t_max == 4
         assert all(isinstance(p, Fraction) for p in back.mass.values())
         assert parse_kernel("mode rational\nrow 0 1:1\n").entries == {0: {1: Fraction(1)}}
 
@@ -209,7 +267,7 @@ class TestExactTokens:
         # 7**6000 has 5,071 digits, more than str(int) and int(str) take by default
         limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
         p = Fraction(1, 7**6000)
-        dist = HittingDistribution(INNER, 2, {(2, 3): p, (2, 4): 1 - p})
+        dist = HittingDistribution.from_mass(INNER, 2, {(2, 3): p, (2, 4): 1 - p})
         text = dump_distribution(dist, "rational")
         assert parse_distribution(text, "rational").mass == dist.mass
         kernel = TransitionKernel({0: {1: p, 2: 1 - p}}, {0: "known"}, "rational")

@@ -79,12 +79,13 @@ def forward_pair(aug, kernel, t_max=None):
 def off_scale_laws(aug, kernel):
     """Exact laws with one inner cell per time moved by 1/(3*10**12)."""
     p_in, p_out = forward_pair(aug, kernel)
+    mass = dict(p_in.mass)
     first = {}
-    for t, v in sorted(p_in.mass):
+    for t, v in sorted(mass):
         first.setdefault(t, v)
     for t, v in first.items():
-        p_in.mass[(t, v)] += Fraction(1, 3 * 10**12)
-    return p_in, p_out
+        mass[(t, v)] += Fraction(1, 3 * 10**12)
+    return HittingDistribution.from_mass(INNER, p_in.t_max, mass), p_out
 
 
 class TestMakePlan:
@@ -339,7 +340,7 @@ class TestRecoverEdge:
         # the heads are the inner arrivals at R+1; an empty inner law has none
         aug, kernel = segment_fixture()
         _, p_out = forward_pair(aug, kernel)
-        empty = HittingDistribution(INNER, 8, {})
+        empty = HittingDistribution.from_mass(INNER, 8, {})
         with pytest.raises(ZeroDenominator):
             recover_edge(aug, kernel, make_plan(aug, 1, 2), empty, p_out)
 
@@ -347,8 +348,9 @@ class TestRecoverEdge:
         aug, kernel = segment_fixture()
         p_in, p_out = forward_pair(aug, kernel)
         plan = make_plan(aug, 1, 2)
-        bumped = HittingDistribution(OUTER, p_out.t_max, dict(p_out.mass))
-        bumped.mass[(5, 3)] = float(bumped.mass[(5, 3)]) + 0.4
+        mass = dict(p_out.mass)
+        mass[(5, 3)] = float(mass[(5, 3)]) + 0.4
+        bumped = HittingDistribution.from_mass(OUTER, p_out.t_max, mass)
         with pytest.raises(OutOfRange):
             recover_edge(aug, kernel, plan, p_in, bumped)
         flags = []
@@ -506,24 +508,41 @@ class TestRecoverAll:
     def test_cell_off_its_layer(self, layer, cell):
         # star(1, 2): root 0, inner layer {3, 4}, outer layer {5, 6}
         aug, kernel = symmetric_star_fixture()
-        p_in, p_out = forward_pair(aug, kernel)
-        (p_in if layer == INNER else p_out).mass[cell] = Fraction(1, 64)
+        laws = dict(zip((INNER, OUTER), forward_pair(aug, kernel)))
+        law = laws[layer]
+        laws[layer] = HittingDistribution.from_mass(
+            layer, law.t_max, {**law.mass, cell: Fraction(1, 64)})
         with pytest.raises(FormatError):
-            recover_all(aug, known_part(kernel), p_in, p_out)
+            recover_all(aug, known_part(kernel), laws[INNER], laws[OUTER])
 
     def test_float_laws_under_rational_kernel(self):
         # empirical laws are floats; exact known rows cannot absorb them
         aug, kernel = symmetric_star_fixture()
         p_in, p_out = forward_pair(aug, kernel)
-        p_out.mass = {key: float(p) for key, p in p_out.mass.items()}
+        p_out = HittingDistribution.from_mass(
+            OUTER, p_out.t_max, {key: float(p) for key, p in p_out.mass.items()})
         with pytest.raises(FormatError):
             recover_all(aug, known_part(kernel), p_in, p_out)
+
+    def test_rational_laws_under_float_kernel(self):
+        # float known rows read exact laws as the float image of each cell
+        aug, kernel = rand_instance(3, mode="rational")
+        flt = TransitionKernel(
+            {u: {v: float(p) for v, p in r.items()} for u, r in kernel.entries.items()},
+            dict(kernel.provenance),
+            "float",
+        )
+        exact = forward_pair(aug, kernel)
+        image = [HittingDistribution.from_mass(d.layer, d.t_max,
+                                               {key: float(p) for key, p in d.mass.items()})
+                 for d in exact]
+        got = recover_all(aug, known_part(flt), *exact).kernel.entries
+        assert got == recover_all(aug, known_part(flt), *image).kernel.entries
 
     def test_clamped_rational_rows_stay_exact(self):
         aug, kernel = symmetric_star_fixture()
         p_in, p_out = forward_pair(aug, kernel)
-        for key in p_out.mass:
-            p_out.mass[key] *= Fraction(3, 2)
+        p_out = scaled_law(p_out, Fraction(3, 2))
         rep = recover_all(aug, known_part(kernel), p_in, p_out, clamp=True)
         assert rep.flags
         for u, flag in rep.kernel.provenance.items():
@@ -540,8 +559,8 @@ class TestRecoverAll:
             "float",
         )
         p_in, p_out = forward_pair(aug, flt)
-        for (t, v) in list(p_out.mass):
-            p_out.mass[(t, v)] = float(p_out.mass[(t, v)]) * 1.5
+        p_out = HittingDistribution.from_mass(
+            OUTER, p_out.t_max, {key: float(p) * 1.5 for key, p in p_out.mass.items()})
         with pytest.raises((OutOfRange, RowSumViolation)):
             recover_all(aug, known_part(flt), p_in, p_out)
         rep = recover_all(aug, known_part(flt), p_in, p_out, clamp=True)
@@ -556,9 +575,8 @@ class TestRecoverAll:
         aug = spherical_augmentation(broom(1, 2), 2)
         kernel = random_kernel(aug, 3, scope="all", mode="rational")
         p_in, p_out = forward_pair(aug, kernel)
-        for key in p_out.mass:
-            if key[0] == 3 * aug.hull_radius + 2:
-                p_out.mass[key] *= Fraction(33, 32)
+        shell_1 = 3 * aug.hull_radius + 2
+        p_out = scaled_law(p_out, Fraction(33, 32), lambda key: key[0] == shell_1)
         with pytest.raises(RowSumViolation, match="inward entry of vertex 1"):
             recover_all(aug, known_part(kernel), p_in, p_out)
         rep = recover_all(aug, known_part(kernel), p_in, p_out, clamp=True)
@@ -598,7 +616,7 @@ def oracle_trees():
 def scaled_law(dist, factor, keep=lambda key: True):
     """``dist`` with the cells that ``keep`` selects multiplied by ``factor``."""
     mass = {key: p * factor if keep(key) else p for key, p in dist.mass.items()}
-    return HittingDistribution(dist.layer, dist.t_max, mass)
+    return HittingDistribution.from_mass(dist.layer, dist.t_max, mass)
 
 
 class TestArrayInversion:
