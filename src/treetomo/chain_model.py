@@ -6,24 +6,31 @@ there.  Rows are tagged with a provenance flag so the tomography step knows
 which rows are measurement targets (``unknown``), which are given
 (``known``), and which it has already solved (``recovered``).
 
+A :class:`TransitionKernel` is one edge table: the row vertices, and for
+each row its slots, one neighbor and one entry each, rows contiguous.  It is
+drawn (:func:`random_kernel`), parsed, checked, inverted and written as that
+table; the ``entries`` mapping is a read-only view of it.
+
 Two arithmetic modes are supported end to end: ``float`` (doubles) and
 ``rational`` (exact :class:`fractions.Fraction` entries).  Recurrences that
 multiply row entries along walks run on :class:`AccRows`, one edge table
-with one sweep kernel for the forward DP and the inversion, which owns the
-accumulation representation: in float mode, scale 1 and ``np.longdouble``
-entries; in rational mode, a common denominator ``D`` of the rows and the
-integer numerators ``p * D``, so a mass built from ``s`` entries is an
-integer ``N`` standing for ``N / D**s``.  The table is also where a kernel
+laid out from a kernel's table, with one sweep kernel for the forward DP
+and the inversion, which owns the accumulation representation: in float
+mode, scale 1 and ``np.longdouble`` entries; in rational mode, a common
+denominator ``D`` of the rows and the integer numerators ``p * D``, so a
+mass built from ``s`` entries is an integer ``N`` standing for
+``N / D**s``.  The table is also where a kernel
 is checked, by array operations on its slots (:func:`checked_rows`).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress, repeat
+from types import MappingProxyType
 
 import numpy as np
 
@@ -43,9 +50,117 @@ Number = float | Fraction
 
 
 def runs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The value and the start of each run of equal entries of ``ids`` (all >= 0)."""
-    starts = np.flatnonzero(np.diff(ids, prepend=-1))
+    """The value and the start of each run of equal entries of ``ids``."""
+    new = np.empty(len(ids), bool)
+    new[:1] = True
+    np.not_equal(ids[1:], ids[:-1], out=new[1:])
+    starts = new.nonzero()[0]
     return ids[starts], starts
+
+
+def ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The indices ``starts[i] .. starts[i] + lens[i] - 1`` for each ``i``, in turn."""
+    ends = lens.cumsum()
+    return (starts - ends + lens).repeat(lens) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def vertex_ids(ids: list[int]) -> np.ndarray:
+    """``ids`` as an integer array, or as Python ints in an object array past int64."""
+    try:
+        return np.array(ids, np.intp)
+    except OverflowError:
+        return np.array(ids, object)
+
+
+@dataclass(eq=False)
+class TransitionKernel:
+    """Per-vertex probability rows, as one edge table, plus provenance flags.
+
+    Row ``i`` of the table is the row of vertex ``vertices[i]`` and holds the
+    next ``sizes[i]`` slots of ``neighbors`` and ``values``, rows contiguous
+    and each row's slots in the order it was given: slot ``j`` carries the
+    one-step probability ``values[j]`` of moving to ``neighbors[j]``.  Values
+    are float64 in float mode and objects (``Fraction``) in rational mode;
+    vertex ids are integers, or Python ints in object arrays past int64.
+    Absorbing vertices have no row, or an empty one.  The arrays are made
+    read-only: a kernel is never edited, so ``entries``, the
+    ``u -> {v: p}`` view of the table, is built at most once.
+    :meth:`from_entries` builds a kernel from such a mapping.
+    """
+
+    vertices: np.ndarray
+    sizes: np.ndarray
+    neighbors: np.ndarray
+    values: np.ndarray
+    provenance: dict[int, str] = field(default_factory=dict)
+    mode: str = FLOAT
+    _entries: Mapping | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        for array in (self.vertices, self.sizes, self.neighbors, self.values):
+            array.flags.writeable = False
+
+    @classmethod
+    def from_entries(cls, entries: Mapping[int, Mapping[int, Number]],
+                     provenance: dict[int, str] | None = None,
+                     mode: str = FLOAT) -> TransitionKernel:
+        """The kernel with row ``entries[u]`` for each ``u``, rows and slots in
+        the mappings' order; float entries become float64."""
+        rows = list(entries.values())
+        values = list(chain.from_iterable(row.values() for row in rows))
+        return cls(vertex_ids(list(entries)), np.fromiter(map(len, rows), np.intp, len(rows)),
+                   vertex_ids(list(chain.from_iterable(rows))),
+                   np.fromiter(values, float if mode == FLOAT else object, len(values)),
+                   {} if provenance is None else provenance, mode)
+
+    @property
+    def starts(self) -> np.ndarray:
+        """The first slot of each row."""
+        return self.sizes.cumsum() - self.sizes
+
+    @property
+    def entries(self) -> Mapping[int, Mapping[int, Number]]:
+        """Read-only view ``u -> {v: t(u, v)}`` of the table, in its order."""
+        if self._entries is None:
+            ends = self.sizes.cumsum().tolist()
+            nbrs, vals = self.neighbors.tolist(), self.values.tolist()
+            self._entries = MappingProxyType({
+                u: MappingProxyType(dict(zip(nbrs[a:b], vals[a:b])))
+                for u, a, b in zip(self.vertices.tolist(), [0, *ends], ends)})
+        return self._entries
+
+    def index(self, n: int) -> np.ndarray:
+        """The row of each vertex ``0 .. n`` in the table, -1 where it has none."""
+        at = np.empty(n + 1, np.intp)
+        at.fill(-1)
+        on = (self.vertices >= 0) & (self.vertices < n)
+        at[np.asarray(self.vertices[on], np.intp)] = on.nonzero()[0]
+        return at
+
+    def row(self, u: int) -> Mapping[int, Number]:
+        try:
+            return self.entries[u]
+        except KeyError:
+            raise MissingRow(f"no transition row for vertex {u}") from None
+
+    def prob(self, u: int, v: int) -> Number:
+        return self.row(u)[v]
+
+    def copy(self) -> TransitionKernel:
+        """The same table, with a provenance of its own."""
+        return TransitionKernel(self.vertices, self.sizes, self.neighbors, self.values,
+                                dict(self.provenance), self.mode)
+
+    def restricted_to(self, flags: set[str]) -> TransitionKernel:
+        """Kernel containing only rows whose provenance is in ``flags``."""
+        keep = np.fromiter((self.provenance.get(u) in flags for u in self.vertices.tolist()),
+                           bool, len(self.vertices))
+        slots = keep.repeat(self.sizes)
+        return TransitionKernel(
+            self.vertices[keep], self.sizes[keep], self.neighbors[slots], self.values[slots],
+            {u: f for u, f in self.provenance.items() if f in flags},
+            self.mode,
+        )
 
 
 class AccRows:
@@ -53,9 +168,10 @@ class AccRows:
     one sweep kernel of the forward DP and the inversion.
 
     The table holds the row of every vertex of ``vertices`` (default: all)
-    that has children, one slot per neighbor in ``vertices``; vectors are
-    indexed by position in ``vertices`` (``local`` maps ids to positions).
-    A row in ``blank`` starts as zeros in neighbor order, parent first, for
+    that has children, laid out from the kernel's table, one slot per
+    neighbor in ``vertices`` in the row's slot order; vectors are indexed by
+    position in ``vertices`` (``local`` maps ids to positions).  A row in
+    ``blank`` starts as zeros in neighbor order, parent first, for
     :meth:`write`; any other row the kernel lacks raises
     :class:`MissingKnownRow`; no row is checked (see :func:`checked_rows`).
     ``sizes`` counts the entries of each row.  :meth:`push` moves walk mass one step,
@@ -79,26 +195,35 @@ class AccRows:
                  vertices: Iterable[int] | None = None, blank: Iterable[int] = ()):
         self.exact = kernel.mode == RATIONAL
         n = full.vertex_count
-        ids = list(range(n) if vertices is None else vertices)
+        ids = range(n) if vertices is None else list(vertices)
         self.local = np.full(n + 1, -1, np.intp)  # -1: not in vertices; [n]: off the tree
         self.local[np.array(ids, dtype=np.intp)] = np.arange(len(ids))
-        entries, blank = kernel.entries, set(blank)
-        rows = [u for u in ids if full.children[u]]
-        dicts = [dict.fromkeys(full.neighbors(u), 0) if u in blank else entries.get(u)
-                 for u in rows]
-        if None in dicts:
-            raise MissingKnownRow(f"row for vertex {rows[dicts.index(None)]} required but absent")
-        keys = np.array(list(chain.from_iterable(dicts)))  # int64, or object past its range
-        dst = self.local[keys.clip(-1, n).astype(np.intp)]
-        self.sizes = np.fromiter(map(len, dicts), np.intp, len(dicts))
-        src = np.repeat(self.local[rows], self.sizes)
-        q = list(chain.from_iterable(row.values() for row in dicts))
+        rows = np.array([u for u in ids if full.children[u]], np.intp)
+        at = kernel.index(n)[rows]
+        sizes, nbrs, values = kernel.sizes, kernel.neighbors, kernel.values
+        if blank := set(blank):  # rows laid out blank, in neighbor order, after the kernel's
+            laid = np.zeros(n + 1, bool)
+            laid[list(blank)] = True
+            laid = laid[rows]
+            lay = [full.neighbors(u) for u in rows[laid].tolist()]
+            at[laid] = np.arange(len(sizes), len(sizes) + len(lay))
+            sizes = np.concatenate((sizes, np.fromiter(map(len, lay), np.intp, len(lay))))
+            extra = np.fromiter(chain.from_iterable(lay), np.intp)
+            nbrs = np.concatenate((nbrs, extra))
+            values = np.concatenate((values, np.zeros(len(extra), values.dtype)))
+        if (at < 0).any():
+            raise MissingKnownRow(f"row for vertex {rows[at.argmin()]} required but absent")
+        self.sizes = sizes[at]
+        pick = ranges((sizes.cumsum() - sizes)[at], self.sizes)
+        keys, q = nbrs[pick], values[pick]
+        dst = self.local[np.minimum(np.maximum(keys, -1), n).astype(np.intp)]
+        src = self.local[rows].repeat(self.sizes)
         self.scale = 1
         if self.exact:
-            self._cover(q)
-            q = np.array(q, dtype=object)
+            self._cover(q := q.tolist())
+            q = np.fromiter(q, object, len(q))
         else:
-            q = np.array(q, dtype=float).astype(np.longdouble)  # exact: floats widen
+            q = np.asarray(q, float).astype(np.longdouble)  # exact: floats widen
         keep = dst >= 0  # slots to neighbors outside vertices are dropped
         self.src, self.dst, self.q = src[keep], dst[keep], q[keep]
         self.norm = np.fromiter(map(full.norm.__getitem__, ids), np.intp, len(ids))
@@ -122,12 +247,12 @@ class AccRows:
         return np.zeros(len(self.norm), self.q.dtype)
 
     def push(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros_like(x)
+        y = np.zeros(len(x), x.dtype)
         y[self.heads] = np.add.reduceat((x[self.src] * self.q)[self.by_dst], self.head_starts)
         return y
 
     def pull(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros_like(x)
+        y = np.zeros(len(x), x.dtype)
         y[self.tails] = np.add.reduceat(self.q * x[self.dst], self.tail_starts)
         return y
 
@@ -143,54 +268,23 @@ class AccRows:
     def ratio(self, num: np.ndarray, den: np.ndarray) -> np.ndarray:
         """Elementwise ``num / den`` as values: one ``Fraction`` each in rational mode."""
         if self.exact:
-            return np.array([Fraction(n, d) for n, d in zip(num, den)], dtype=object)
+            return np.fromiter(map(Fraction, num, den), object, len(num))
         return num / den
 
     def public(self, values: np.ndarray) -> list:
         """Values in the mode's public type: ``Fraction`` or float."""
         return values.tolist() if self.exact else values.astype(float).tolist()
 
+    def probs(self) -> np.ndarray:
+        """The table's entries in the mode's public type: ``Fraction`` objects or float64."""
+        if self.exact:
+            fracs = map(Fraction, self.q.tolist(), repeat(self.scale))
+            return np.fromiter(fracs, object, len(self.q))
+        return self.q.astype(float)
+
     def value(self, n, steps: int):
         """Value of accumulated mass ``n`` built from ``steps`` entries."""
         return Fraction(n, self.scale**steps) if self.exact else n
-
-
-@dataclass
-class TransitionKernel:
-    """Per-vertex probability rows plus provenance flags.
-
-    ``entries[u][v]`` is the one-step probability of moving from ``u`` to its
-    neighbor ``v``.  Absorbing vertices are simply absent from ``entries``.
-    """
-
-    entries: dict[int, dict[int, Number]]
-    provenance: dict[int, str] = field(default_factory=dict)
-    mode: str = FLOAT
-
-    def row(self, u: int) -> dict[int, Number]:
-        try:
-            return self.entries[u]
-        except KeyError:
-            raise MissingRow(f"no transition row for vertex {u}") from None
-
-    def prob(self, u: int, v: int) -> Number:
-        return self.row(u)[v]
-
-    def copy(self) -> "TransitionKernel":
-        return TransitionKernel(
-            {u: dict(r) for u, r in self.entries.items()},
-            dict(self.provenance),
-            self.mode,
-        )
-
-    def restricted_to(self, flags: set[str]) -> "TransitionKernel":
-        """Kernel containing only rows whose provenance is in ``flags``."""
-        keep = {u for u, f in self.provenance.items() if f in flags}
-        return TransitionKernel(
-            {u: dict(r) for u, r in self.entries.items() if u in keep},
-            {u: f for u, f in self.provenance.items() if u in keep},
-            self.mode,
-        )
 
 
 @dataclass(frozen=True)
@@ -206,12 +300,15 @@ def _check_rows(aug: AugmentedTree, kernel: TransitionKernel,
     absent, and the table over ``aug.full`` (absent rows blank) they are read
     from.  A row has the tree's support if it has one entry per neighbor and
     each slot leads to one; float sums run left to right, as ``sum`` does."""
-    full, entries, n = aug.full, kernel.entries, aug.full.vertex_count
+    full, n = aug.full, aug.full.vertex_count
+    ids, at = kernel.vertices, kernel.index(n)[:n]
     out = [KernelViolation(u, "OffTree", "row of a vertex off the tree")
-           for u in sorted(set(entries).difference(range(n)))]
+           for u in sorted(ids[(ids < 0) | (ids >= n)].tolist())]
+    outer = np.array(sorted(aug.outer_layer), np.intp)
+    filled = np.concatenate((kernel.sizes, [0]))[at[outer]] > 0
     out += [KernelViolation(v, "AbsorbingRow", "outer vertex has a row")
-            for v in sorted(aug.outer_layer.intersection(entries)) if entries[v]]
-    absent = set(range(n)).difference(entries, aug.outer_layer)
+            for v in outer[filled].tolist()]
+    absent = set(np.flatnonzero(at < 0).tolist()).difference(aug.outer_layer)
     rows = AccRows(full, kernel, blank=absent)  # over every vertex: positions are ids
     src, dst, starts = rows.src, rows.dst, rows.tail_starts
     parent = np.fromiter(map({**full.parent, full.root: -1}.__getitem__, range(n)), np.intp, n)
@@ -228,13 +325,16 @@ def _check_rows(aug: AugmentedTree, kernel: TransitionKernel,
         off = ~(np.abs(np.bincount(src, rows.q.astype(float), n) - 1) <= ROW_SUM_TOL)
     bad = (kids > 0) & (~fits | low | off)
     bad[list(absent)] = False  # a blank in the table: missing unless in blank
+    first = kernel.starts
     for u in sorted(chain(np.flatnonzero(bad).tolist(), absent - blank)):
-        row = entries.get(u)
+        if (i := at[u]) >= 0:
+            cells = slice(first[i], first[i] + kernel.sizes[i])
         kind, detail = (
-            ("MissingRow", "") if row is None else
-            ("Support", f"{sorted(row)} != {sorted(full.neighbors(u))}") if not fits[u] else
+            ("MissingRow", "") if i < 0 else
+            ("Support", f"{sorted(kernel.neighbors[cells].tolist())} != "
+                        f"{sorted(full.neighbors(u))}") if not fits[u] else
             ("Nondegenerate", "nonpositive entry") if low[u] else
-            ("RowSum", f"sum = {sum(row.values())}"))
+            ("RowSum", f"sum = {sum(kernel.values[cells].tolist())}"))
         out.append(KernelViolation(u, kind, detail))
     return out, rows
 
@@ -259,7 +359,7 @@ def checked_rows(aug: AugmentedTree, kernel: TransitionKernel,
     bad, rows = _check_rows(aug, kernel, blank := set(blank))
     if bad:
         raise InvalidKernel(f"{bad[0].kind} at vertex {bad[0].vertex}: {bad[0].detail}")
-    if not blank.isdisjoint(kernel.entries):  # given rows to solve again: laid out blank
+    if not blank.isdisjoint(kernel.vertices.tolist()):  # given rows to solve again: laid out blank
         rows = AccRows(aug.full, kernel, blank=blank)
     return rows
 
@@ -284,9 +384,12 @@ def random_kernel(
     flagged unknown, added rows known.  Rows are drawn uniformly on the
     floor-truncated simplex; in rational mode entries are multiples of
     ``1/RATIONAL_GRID``, or of a finer dyadic grid where the floor needs it,
-    summing exactly to one.  The unit gammas of all randomized rows come from
-    one ``standard_gamma`` call, each row normalized as numpy's Dirichlet
-    sampler does, so every row equals ``rng.dirichlet(np.ones(d))`` bit for bit.
+    summing exactly to one.  The table has a row for every vertex off the
+    outer layer, in vertex order, its slots in neighbor order.  The unit
+    gammas of all randomized rows come from one ``standard_gamma`` call; the
+    rows of each degree are normalized as one matrix, as numpy's Dirichlet
+    sampler normalizes a row, by a running sum from the left, so every row
+    equals ``rng.dirichlet(np.ones(d))`` bit for bit.
     """
     if scope not in (LAMBDA_ONLY, ALL_VERTICES):
         raise InvalidParameter(f"unknown scope {scope!r}")
@@ -294,52 +397,54 @@ def random_kernel(
         raise InvalidParameter(f"floor must lie in (0, 1), got {floor}")
     if seed < 0:
         raise InvalidParameter(f"seed must be >= 0, got {seed}")
-    full = aug.full
+    full, k = aug.full, aug.base.vertex_count
+    rows = [u for u in range(full.vertex_count) if u not in aug.outer_layer]  # base ids first
+    nbrs = [full.neighbors(u) for u in rows]
+    sizes = list(map(len, nbrs))
+    prov = dict(zip(rows, [UNKNOWN] * k + [KNOWN] * (len(rows) - k)))
+    if len(full.children[full.root]) == 1:
+        prov[full.root] = KNOWN  # a degree-1 root has no freedom
+    drawn = [d > 1 for d in (sizes if scope == ALL_VERTICES else sizes[:k])]
+    for u, d, draw in zip(rows, sizes, drawn):
+        if draw and floor * d >= 1:
+            raise InvalidParameter(f"floor {floor} infeasible for degree-{d} vertex {u}")
+    d = list(compress(sizes, drawn))
+    gammas = np.random.default_rng(seed).standard_gamma(1.0, size=sum(d))
+    probs = np.empty(len(gammas))
+    d = np.array(d, np.intp)
+    first = d.cumsum() - d
+    for width in set(d.tolist()):  # the rows of one degree as one matrix
+        cells = first[d == width, None] + np.arange(width)
+        g = gammas[cells]
+        # numpy's Dirichlet adds plainly, left to right, as cumsum does
+        probs[cells] = floor + (1.0 - width * floor) * (g * (1.0 / g.cumsum(axis=1)[:, -1:]))
     one, half = (Fraction(1), Fraction(1, 2)) if mode == RATIONAL else (1.0, 0.5)
-    entries: dict[int, dict[int, Number]] = {}
-    prov: dict[int, str] = {}
-    drawn = []  # (vertex, neighbors) of the rows to draw, in row order
-    for u in range(full.vertex_count):
-        if u in aug.outer_layer:
-            continue
-        nbrs = full.neighbors(u)
-        lam = aug.is_original(u)
-        prov[u] = UNKNOWN if lam else KNOWN
-        d = len(nbrs)
-        if d == 1:
-            entries[u] = {nbrs[0]: one}
-            if u == full.root:
-                prov[u] = KNOWN
-        elif lam or scope == ALL_VERTICES:
-            if floor * d >= 1:
-                raise InvalidParameter(f"floor {floor} infeasible for degree-{d} vertex {u}")
-            entries[u] = {}  # filled below; this keeps the row order
-            drawn.append((u, nbrs))
-        else:
-            entries[u] = {v: half for v in nbrs}
-    rng = np.random.default_rng(seed)
-    gammas = iter(rng.standard_gamma(1.0, size=sum(len(n) for _, n in drawn)).tolist())
-    for u, nbrs in drawn:
-        d = len(nbrs)
-        raw = [next(gammas) for _ in nbrs]
-        acc = 0.0
-        for x in raw:
-            acc = acc + x  # not sum(): numpy's Dirichlet adds plainly, left to right
-        inv = 1.0 / acc
-        probs = [floor + (1.0 - d * floor) * (x * inv) for x in raw]
-        if mode == RATIONAL:
-            # grid must leave room above the floor for every neighbor
-            den = RATIONAL_GRID
-            while int(np.ceil(floor * den)) * d >= den:
-                den *= 2
-            lo = max(int(np.ceil(floor * den)), 1)
-            counts = [max(lo, int(round(p * den))) for p in probs]
-            counts[int(np.argmax(probs))] += den - sum(counts)
-            if min(counts) < lo:
-                # rounding pushed the largest cell below the floor: rebalance
-                counts = [lo] * d
-                counts[int(np.argmax(probs))] += den - lo * d
-            entries[u] = {v: Fraction(c, den) for v, c in zip(nbrs, counts)}
-        else:
-            entries[u] = {v: float(p) for v, p in zip(nbrs, probs)}
-    return TransitionKernel(entries, prov, mode)
+    values = np.array([one if s == 1 else half for s in sizes],
+                      object if mode == RATIONAL else float).repeat(sizes)
+    drawn = np.array(drawn + [False] * (len(rows) - len(drawn))).repeat(sizes)
+    if mode == RATIONAL:
+        grid = (_grid_row(probs[a:a + w].tolist(), floor)
+                for a, w in zip(first.tolist(), d.tolist()))
+        values[drawn] = np.fromiter(chain.from_iterable(grid), object, len(probs))
+    else:
+        values[drawn] = probs
+    return TransitionKernel(np.array(rows, np.intp), np.array(sizes, np.intp),
+                            np.fromiter(chain.from_iterable(nbrs), np.intp, len(values)),
+                            values, prov, mode)
+
+
+def _grid_row(probs: list[float], floor: float) -> list[Fraction]:
+    """A drawn row rounded to a dyadic grid that leaves room above the floor
+    for every neighbor, summing exactly to one."""
+    d = len(probs)
+    den = RATIONAL_GRID
+    while int(np.ceil(floor * den)) * d >= den:
+        den *= 2
+    lo = max(int(np.ceil(floor * den)), 1)
+    counts = [max(lo, int(round(p * den))) for p in probs]
+    counts[int(np.argmax(probs))] += den - sum(counts)
+    if min(counts) < lo:
+        # rounding pushed the largest cell below the floor: rebalance
+        counts = [lo] * d
+        counts[int(np.argmax(probs))] += den - lo * d
+    return [Fraction(c, den) for c in counts]

@@ -134,11 +134,8 @@ def estimate_kernel(
     a batch shorter than the read horizon as :class:`FormatError`.
     """
     p_in, p_out = empirical_joint(batch)
-    known = TransitionKernel(
-        {u: {v: float(p) for v, p in row.items()} for u, row in known.entries.items()},
-        dict(known.provenance),
-        FLOAT,
-    )
+    known = TransitionKernel(known.vertices, known.sizes, known.neighbors,
+                             known.values.astype(float), dict(known.provenance), FLOAT)
     try:
         return recover_all(aug, known, p_in, p_out, reference=reference, clamp=True)
     except ZeroDenominator as exc:

@@ -11,19 +11,23 @@ file states its edges and, when augmented, ``origin v original`` for each
 base id ``v < k``; every higher id is added and the layers follow, so
 neither is written.  A law file is the law's grid: a header naming the layer
 and its vertices, one column each, then one line per time that holds mass.
+A kernel file is the kernel's table, one ``row u v:p ...`` line per row, and
+is read into and written from that table in bulk, with no dict per row.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from collections.abc import Iterator
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain, repeat
 
 import numpy as np
 
-from .chain_model import FLOAT, KNOWN, RATIONAL, Number, TransitionKernel
+from .chain_model import FLOAT, KNOWN, RATIONAL, Number, TransitionKernel, vertex_ids
 from .errors import FormatError, InvalidParameter, NotATree, UnknownVertex
 from .estimation import SampleBatch
 from .forward_solver import INNER, OUTER, HittingDistribution
@@ -166,34 +170,89 @@ def parse_tree(text: str) -> RootedTree | AugmentedTree:
 
 
 def dump_kernel(kernel: TransitionKernel) -> str:
-    lines = [f"mode {kernel.mode}"]
-    for u in sorted(kernel.entries):
-        row = kernel.entries[u]
-        cells = " ".join(f"{v}:{_fmt(p, kernel.mode)}" for v, p in sorted(row.items()))
-        lines.append(f"row {u} {cells}")
-    return "\n".join(lines) + "\n"
+    """The kernel as text: its ``mode``, then ``row u v:p ...`` for each row,
+    rows by vertex and cells by neighbor, written with one ``%`` format built
+    from the row lengths."""
+    rows = kernel.vertices.argsort(kind="stable")
+    cells = np.lexsort((kernel.neighbors, kernel.vertices.repeat(kernel.sizes)))
+    values = kernel.values[cells].tolist()
+    if kernel.mode == RATIONAL:
+        values, cell = [_fmt(p, RATIONAL) for p in values], "%d:%s"
+    else:
+        cell = "%d:%.17g"
+    shape: dict[int, str] = {}
+    lines = [f"row {u} {shape.get(s) or shape.setdefault(s, ' '.join([cell] * s))}\n"
+             for u, s in zip(kernel.vertices[rows].tolist(), kernel.sizes[rows].tolist())]
+    return f"mode {kernel.mode}\n" + "".join(lines) % tuple(
+        chain.from_iterable(zip(kernel.neighbors[cells].tolist(), values)))
 
 
 def parse_kernel(text: str) -> TransitionKernel:
-    """Parse :func:`dump_kernel` output; every row is flagged known."""
+    """Parse :func:`dump_kernel` output; every row is flagged known.
+
+    The ``v:p`` cells of the whole file are split at once and converted in
+    bulk.  Anything the bulk pass does not take, such as a ``num/den`` token
+    in a float file or a fault, is read again token by token
+    (:func:`_kernel_fault`), which raises for the first fault in file order.
+    """
     records = _records(text, _KERNEL, "mode")
     mode = next(records)[1]
     if mode not in (FLOAT, RATIONAL):
         raise FormatError(f"bad mode {mode!r}")
-    entries: dict[int, dict[int, Number]] = {}
+    lines = list(records)
+    cells = list(chain.from_iterable(parts[2:] for parts in lines))
+    flat = " ".join(cells)
     try:
-        for parts in records:
+        if flat.count(":") != len(cells) or not all(map(operator.contains, cells, repeat(":"))):
+            raise ValueError("a cell without one colon")
+        tokens = flat.replace(":", " ").split(" ") if cells else []
+        us = list(map(int, (parts[1] for parts in lines)))
+        sizes = np.fromiter(map(len, lines), np.intp, len(lines)) - 2
+        nbrs = vertex_ids(list(map(int, tokens[0::2])))
+        values = _kernel_values(tokens[1::2], mode)
+        # a row twice, or a neighbor twice in a row
+        owner = np.arange(len(lines)).repeat(sizes)
+        nb = nbrs[np.lexsort((nbrs, owner))]  # each row's neighbors ascending
+        if len(set(us)) < len(us) or ((nb[1:] == nb[:-1]) & (owner[1:] == owner[:-1])).any():
+            raise ValueError("a repeated row or cell")
+    except (ValueError, FormatError):
+        _kernel_fault(lines, mode)
+        raise  # not reached: the bulk pass refuses only what the scan names
+    return TransitionKernel(vertex_ids(us), sizes, nbrs, values, dict.fromkeys(us, KNOWN), mode)
+
+
+def _kernel_values(tokens: list[str], mode: str) -> np.ndarray:
+    """The values of a kernel file's cells: float64 by ``float`` when every
+    token takes it and is finite, else one ``_parse_number`` per token, as
+    for ``num/den`` tokens in a float file and every rational file."""
+    if mode == FLOAT:
+        try:
+            values = np.fromiter(map(float, tokens), float, len(tokens))
+            if np.isfinite(values).all():
+                return values
+        except ValueError:
+            pass
+    return np.fromiter((_parse_number(p, mode) for p in tokens),
+                       float if mode == FLOAT else object, len(tokens))
+
+
+def _kernel_fault(lines: list[list[str]], mode: str) -> None:
+    """Raise :class:`FormatError` for the first fault of the kernel records
+    ``lines``, read row by row and cell by cell; return if there is none."""
+    seen: set[int] = set()
+    for parts in lines:
+        try:
             u = int(parts[1])
-            row: dict[int, Number] = {}
+            nbrs = set()
             for cell in parts[2:]:
                 v, p = cell.split(":", 1)
-                row[int(v)] = _parse_number(p, mode)
-            if u in entries or len(row) != len(parts) - 2:
-                raise FormatError(f"repeated row or cell in {' '.join(parts)!r}")
-            entries[u] = row
-    except ValueError as exc:
-        raise FormatError(f"bad kernel line {' '.join(parts)!r}: {exc}") from exc
-    return TransitionKernel(entries, dict.fromkeys(entries, KNOWN), mode)
+                _parse_number(p, mode)  # a cell's value is named before its neighbor
+                nbrs.add(int(v))
+        except ValueError as exc:
+            raise FormatError(f"bad kernel line {' '.join(parts)!r}: {exc}") from exc
+        if u in seen or len(nbrs) != len(parts) - 2:
+            raise FormatError(f"repeated row or cell in {' '.join(parts)!r}")
+        seen.add(u)
 
 
 def dump_distribution(dist: HittingDistribution, mode: str = FLOAT) -> str:

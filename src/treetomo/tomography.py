@@ -60,6 +60,7 @@ from .chain_model import (
     Number,
     TransitionKernel,
     checked_rows,
+    ranges,
     runs,
 )
 from .errors import (
@@ -325,14 +326,14 @@ def recover_all(
     """
     _require_two_layers(aug)
     r = aug.hull_radius
-    work = known.copy()
-    for u in sorted(work.entries):
-        work.provenance.setdefault(u, KNOWN)
-    mode, full = work.mode, aug.full
+    mode, full, given = known.mode, aug.full, known.vertices.tolist()
+    provenance = dict(known.provenance)
+    for u in sorted(given):
+        provenance.setdefault(u, KNOWN)
     targets = {u for u in range(aug.base.vertex_count)
-               if work.provenance.get(u, UNKNOWN) not in (KNOWN, RECOVERED)}
-    absent = set(range(full.vertex_count)).difference(work.entries, aug.outer_layer, targets)
-    rows = checked_rows(aug, work, blank=targets | absent)  # absent known rows: refused below
+               if provenance.get(u, UNKNOWN) not in (KNOWN, RECOVERED)}
+    absent = set(range(full.vertex_count)).difference(given, aug.outer_layer, targets)
+    rows = checked_rows(aug, known, blank=targets | absent)  # absent known rows: refused below
     for name, dist, need in (("outer", p_out, aug.horizon), ("inner", p_in, aug.horizon - 1)):
         if dist.t_max < need:
             raise FormatError(f"{name} law covers t <= {dist.t_max}, recovery needs t <= {need}")
@@ -416,16 +417,18 @@ def recover_all(
         lens = lens + (k > 0)
         if clamp:
             row = row / np.repeat(child_sum + comp, lens)
-        ends = np.cumsum(lens)
-        values = rows.public(row)
-        for u, a, b in zip(us, ends - lens, ends):
-            work.entries[u] = dict(zip(full.neighbors(u), values[a:b]))
-            work.provenance[u] = RECOVERED
-        slots = np.repeat(np.searchsorted(rows.src, us) - ends + lens, lens) + np.arange(ends[-1])
+        provenance.update(dict.fromkeys(us, RECOVERED))
+        slots = ranges(np.searchsorted(rows.src, us), lens)
         grow = rows.write(slots, row) ** (r + 1 - k)
         if grow != 1:  # head (shell k) and tail (shell k+1) are over D**(R+1-k)
             head, tail = head * grow, tail * grow
 
+    # the answer is the table, a row for every vertex off the outer layer, then
+    # the empty rows given on the outer layer
+    empty = sorted(aug.outer_layer.intersection(given))
+    work = TransitionKernel(np.concatenate((rows.tails, np.array(empty, np.intp))),
+                            np.concatenate((rows.sizes, np.zeros(len(empty), np.intp))),
+                            rows.dst, rows.probs(), provenance, mode)
     ins, outs = zip(*reads.values())
     report = RecoveryReport(
         kernel=work,
@@ -443,20 +446,30 @@ def recover_all(
 def kernel_max_error(
     recovered: TransitionKernel, reference: TransitionKernel
 ) -> Number:
-    """Largest absolute entry difference over recovered rows.
+    """Largest absolute entry difference over recovered rows, read from both
+    tables as arrays.
 
     A reference without a row or an entry that was recovered, as from
-    another tree, raises :class:`FormatError` naming the vertex.
+    another tree, raises :class:`FormatError` naming the first such entry,
+    rows in provenance order and entries in slot order.
     """
-    worst: Number = 0
-    for u, flag in recovered.provenance.items():
-        if flag != RECOVERED:
-            continue
-        ref = reference.entries.get(u, {})
-        for v, p in recovered.entries[u].items():
-            if v not in ref:
-                raise FormatError(f"reference kernel has no entry t({u},{v}) of vertex {u}")
-            d = abs(p - ref[v])
-            if d > worst:
-                worst = d
-    return worst
+    order = [u for u, flag in recovered.provenance.items() if flag == RECOVERED]
+    if not order:
+        return 0
+    # each entry (u, v) of either table as the key u * m + v, ids past m left out
+    m = int(max(recovered.vertices.max(initial=0), recovered.neighbors.max(initial=0))) + 1
+    at = recovered.index(m)[order]
+    lens = recovered.sizes[at]
+    slots = ranges(recovered.starts[at], lens)
+    want = np.array(order).repeat(lens) * m + recovered.neighbors[slots]
+    ref_u, ref_v = reference.vertices.repeat(reference.sizes), reference.neighbors
+    on = (ref_u >= 0) & (ref_u < m) & (ref_v >= 0) & (ref_v < m)
+    keys = (ref_u[on] * m + ref_v[on]).astype(np.int64)
+    by_key = keys.argsort()
+    i = keys[by_key].searchsorted(want)
+    found = np.concatenate((keys[by_key], [-1]))[i] == want  # -1: past the last key
+    if not found.all():
+        u, v = divmod(int(want[found.argmin()]), m)
+        raise FormatError(f"reference kernel has no entry t({u},{v}) of vertex {u}")
+    ref = reference.values[on][by_key[i]]
+    return max([0, *np.abs(recovered.values[slots] - ref).tolist()])

@@ -9,6 +9,7 @@ from itertools import product
 import numpy as np
 
 from treetomo import (
+    FLOAT,
     INNER,
     KNOWN,
     RATIONAL,
@@ -41,7 +42,7 @@ from treetomo.tomography import (
     make_plan,
     tail_passage_probs,
 )
-from treetomo.formats import dump_tree
+from treetomo.formats import _KERNEL, _fmt, _parse_number, _records, dump_tree
 from treetomo.tree_model import AugmentedTree, RootedTree, build_tree, random_tree, segment
 
 
@@ -243,7 +244,7 @@ def dirichlet_kernel(
             entries[u] = {v: Fraction(c, den) for v, c in zip(nbrs, counts)}
         else:
             entries[u] = {v: float(p) for v, p in zip(nbrs, probs)}
-    return TransitionKernel(entries, prov, mode)
+    return TransitionKernel.from_entries(entries, prov, mode)
 
 
 def default_augmented_kernel(
@@ -283,7 +284,41 @@ def default_augmented_kernel(
                 )
             entries[u] = {nbrs[0]: half, nbrs[1]: half}
             prov[u] = KNOWN
-    return TransitionKernel(entries, prov, mode)
+    return TransitionKernel.from_entries(entries, prov, mode)
+
+
+def dump_kernel_by_cells(kernel: TransitionKernel) -> str:
+    """Reference for ``dump_kernel``: one f-string per cell, rows by vertex and
+    cells by neighbor, read from the ``entries`` view."""
+    lines = [f"mode {kernel.mode}"]
+    for u in sorted(kernel.entries):
+        row = kernel.entries[u]
+        cells = " ".join(f"{v}:{_fmt(p, kernel.mode)}" for v, p in sorted(row.items()))
+        lines.append(f"row {u} {cells}")
+    return "\n".join(lines) + "\n"
+
+
+def parse_kernel_by_cells(text: str) -> TransitionKernel:
+    """Reference for ``parse_kernel``: row by row and cell by cell into a
+    dict of rows, every row flagged known."""
+    records = _records(text, _KERNEL, "mode")
+    mode = next(records)[1]
+    if mode not in (FLOAT, RATIONAL):
+        raise FormatError(f"bad mode {mode!r}")
+    entries: dict[int, dict[int, Number]] = {}
+    try:
+        for parts in records:
+            u = int(parts[1])
+            row: dict[int, Number] = {}
+            for cell in parts[2:]:
+                v, p = cell.split(":", 1)
+                row[int(v)] = _parse_number(p, mode)
+            if u in entries or len(row) != len(parts) - 2:
+                raise FormatError(f"repeated row or cell in {' '.join(parts)!r}")
+            entries[u] = row
+    except ValueError as exc:
+        raise FormatError(f"bad kernel line {' '.join(parts)!r}: {exc}") from exc
+    return TransitionKernel.from_entries(entries, dict.fromkeys(entries, KNOWN), mode)
 
 
 BRUTE_T_CAP = 16
@@ -398,7 +433,7 @@ def mixed_denominator_instance() -> tuple[AugmentedTree, TransitionKernel]:
         8: {4: F(3, 7), 11: F(4, 7)},
     }
     prov = {u: UNKNOWN if aug.is_original(u) else KNOWN for u in rows}
-    return aug, TransitionKernel(rows, prov, RATIONAL)
+    return aug, TransitionKernel.from_entries(rows, prov, RATIONAL)
 
 
 def settle(value, mode: str) -> Number:
@@ -505,7 +540,7 @@ def recover_by_edges(
     """
     full = aug.full
     mode = known.mode
-    work = known.copy()
+    work = known
     for k in range(aug.hull_radius, -1, -1):
         for u in shells(full)[k]:
             if not aug.is_original(u) or u in work.entries:
@@ -528,8 +563,8 @@ def recover_by_edges(
             if clamp:
                 s = sum(row.values())
                 row = {w: p / s for w, p in row.items()}
-            work.entries[u] = row
-            work.provenance[u] = RECOVERED
+            work = TransitionKernel.from_entries({**work.entries, u: row},
+                                                 {**work.provenance, u: RECOVERED}, mode)
     return work
 
 
@@ -556,7 +591,7 @@ def recover_star(
     if p_in.t_max < 4:
         raise FormatError(f"inner law covers t <= {p_in.t_max}, star recovery needs 4")
     mode = known.mode
-    result = known.copy()
+    rows: dict[int, dict[int, Number]] = {}
     root_row: dict[int, Number] = {}
     for j in range(1, m + 1):
         inner_v, outer_v = m + j, 2 * m + j
@@ -568,17 +603,17 @@ def recover_star(
         t_out = _unit((po5 / po3 - pi4 / pi2) / t_back, j, inner_v, mode, clamp)
         t_root = _unit(pi2 / t_out, 0, j, mode, clamp)
         t_out = settle(t_out, mode)
-        result.entries[j] = {0: settle(1 - t_out, mode), inner_v: t_out}
-        result.provenance[j] = RECOVERED
+        rows[j] = {0: settle(1 - t_out, mode), inner_v: t_out}
         root_row[j] = settle(t_root, mode)
     root_sum = sum(root_row.values())
     if _root_sum_off(root_sum, mode) and not clamp:
         raise RowSumViolation(f"root row sums to {root_sum}, expected 1")
     if clamp:
         root_row = {j: p / root_sum for j, p in root_row.items()}
-    result.entries[0] = root_row
-    result.provenance[0] = RECOVERED
-    return result
+    rows[0] = root_row
+    return TransitionKernel.from_entries({**known.entries, **rows},
+                                         {**known.provenance, **dict.fromkeys(rows, RECOVERED)},
+                                         mode)
 
 
 def law_total(dist: HittingDistribution, up_to: int | None = None) -> Number:

@@ -13,6 +13,7 @@ from treetomo import (
     recover_all,
     validate_kernel,
 )
+from treetomo import chain_model
 from treetomo.errors import InvalidKernel, InvalidParameter, MissingRow
 from treetomo.forward_solver import hitting_laws
 from treetomo.tree_model import random_tree, segment, spherical_augmentation, star
@@ -32,7 +33,7 @@ def star_aug():
 
 class TestDefaultKernel:
     def test_segment_rows(self, seg_aug):
-        base = TransitionKernel({0: {1: 1.0}}, {0: UNKNOWN}, "float")
+        base = TransitionKernel.from_entries({0: {1: 1.0}}, {0: UNKNOWN}, "float")
         k = default_augmented_kernel(seg_aug, base)
         assert k.entries[0] == {1: 1.0}
         assert k.provenance[0] == KNOWN  # degree-1 root is forced
@@ -42,7 +43,7 @@ class TestDefaultKernel:
         assert validate_kernel(seg_aug, k) == []
 
     def test_star_added_rows(self, star_aug):
-        base = TransitionKernel({0: {1: 0.4, 2: 0.6}}, {0: UNKNOWN}, "float")
+        base = TransitionKernel.from_entries({0: {1: 0.4, 2: 0.6}}, {0: UNKNOWN}, "float")
         k = default_augmented_kernel(star_aug, base)
         assert k.entries[3] == {1: 0.5, 5: 0.5}
         assert k.entries[4] == {2: 0.5, 6: 0.5}
@@ -51,34 +52,34 @@ class TestDefaultKernel:
         assert validate_kernel(star_aug, k) == []
 
     def test_missing_base_row(self, star_aug):
-        base = TransitionKernel({}, {}, "float")
+        base = TransitionKernel.from_entries({}, {}, "float")
         with pytest.raises(MissingRow):
             default_augmented_kernel(star_aug, base)
 
 
 class TestValidate:
     def test_symmetric_path_valid(self, seg_aug):
-        k = TransitionKernel(
+        k = TransitionKernel.from_entries(
             {0: {1: 1.0}, 1: {0: 0.5, 2: 0.5}, 2: {1: 0.5, 3: 0.5}}
         )
         assert validate_kernel(seg_aug, k) == []
 
     def test_zero_entry_flagged(self, seg_aug):
-        k = TransitionKernel(
+        k = TransitionKernel.from_entries(
             {0: {1: 1.0}, 1: {0: 0.0, 2: 1.0}, 2: {1: 0.5, 3: 0.5}}
         )
         bad = validate_kernel(seg_aug, k)
         assert [(v.vertex, v.kind) for v in bad] == [(1, "Nondegenerate")]
 
     def test_row_sum_flagged(self, seg_aug):
-        k = TransitionKernel(
+        k = TransitionKernel.from_entries(
             {0: {1: 1.0}, 1: {0: 0.4, 2: 0.5}, 2: {1: 0.5, 3: 0.5}}
         )
         bad = validate_kernel(seg_aug, k)
         assert [(v.vertex, v.kind) for v in bad] == [(1, "RowSum")]
 
     def test_support_and_absorbing(self, seg_aug):
-        k = TransitionKernel(
+        k = TransitionKernel.from_entries(
             {0: {1: 1.0}, 1: {0: 0.5, 3: 0.5}, 2: {1: 0.5, 3: 0.5}, 3: {2: 1.0}}
         )
         kinds = {(v.vertex, v.kind) for v in validate_kernel(seg_aug, k)}
@@ -86,7 +87,7 @@ class TestValidate:
         assert (3, "AbsorbingRow") in kinds
 
     def test_row_off_the_tree_flagged(self, seg_aug):
-        k = TransitionKernel(
+        k = TransitionKernel.from_entries(
             {0: {1: 1.0}, 1: {0: 0.5, 2: 0.5}, 2: {1: 0.5, 3: 0.5}, 42: {3: 1.0}}
         )
         bad = validate_kernel(seg_aug, k)
@@ -106,17 +107,17 @@ class TestValidate:
             "float-sum-5e-13": {1: {0: 0.5, 2: 0.5 + 5e-13}},
         }
         if case == "rational-sum-short":
-            return TransitionKernel({0: {1: Fraction(1)}, 1: {0: half, 2: half - tiny},
+            return TransitionKernel.from_entries({0: {1: Fraction(1)}, 1: {0: half, 2: half - tiny},
                                      2: {1: half, 3: half}}, mode=RATIONAL)
         if case == "mixed":
             aug = spherical_augmentation(segment(1, 2), 2)
             kernel = random_kernel(aug, 5)
-            kernel.entries.update({42: {5: 1.0}, 7: {5: 1.0}, 0: {1: 0.5, 3: 0.2},
-                                   1: {0: 0.0, 2: 1.0}})
-            return kernel
+            return TransitionKernel.from_entries(
+                {**kernel.entries, 42: {5: 1.0}, 7: {5: 1.0}, 0: {1: 0.5, 3: 0.2},
+                 1: {0: 0.0, 2: 1.0}}, kernel.provenance, kernel.mode)
         entries = {0: {1: 1.0}, 1: {0: 0.5, 2: 0.5}, 2: {1: 0.5, 3: 0.5}}
         entries.update(rows[case])
-        return TransitionKernel({u: r for u, r in entries.items() if r is not None})
+        return TransitionKernel.from_entries({u: r for u, r in entries.items() if r is not None})
 
     @pytest.mark.parametrize("case, want", [
         ("negative-key", [(1, "Support")]),
@@ -140,12 +141,14 @@ class TestValidate:
         kernel = random_kernel(aug, 5)
         p_in, p_out = hitting_laws(aug, kernel, aug.horizon)
         known = kernel.restricted_to({KNOWN})
-        known.entries[1], known.provenance[1] = {0: 0.5, 2: 0.4}, UNKNOWN
+
+        def given(row):
+            return TransitionKernel.from_entries({**known.entries, 1: row},
+                                                 {**known.provenance, 1: UNKNOWN})
         with pytest.raises(InvalidKernel, match="^RowSum at vertex 1: "):
-            recover_all(aug, known, p_in, p_out)
-        known.entries[1] = dict(kernel.entries[1])
-        assert recover_all(aug, known, p_in, p_out).kernel.entries[1] == pytest.approx(
-            kernel.entries[1], abs=1e-12)
+            recover_all(aug, given({0: 0.5, 2: 0.4}), p_in, p_out)
+        assert recover_all(aug, given(dict(kernel.entries[1])), p_in, p_out).kernel.entries[1] \
+            == pytest.approx(kernel.entries[1], abs=1e-12)
 
     def test_default_always_valid_random(self):
         for seed in range(20):
@@ -215,3 +218,68 @@ class TestRandomKernel:
                 assert got.provenance == want.provenance
                 for u, row in want.entries.items():
                     assert list(got.entries[u].items()) == list(row.items()), (seed, u)
+
+
+class TestKernelTable:
+    """The kernel is one table; ``entries`` is a read-only view built once."""
+
+    @pytest.mark.parametrize("mode", ["float", RATIONAL])
+    def test_from_entries_round_trip(self, mode):
+        for seed in range(6):
+            _, kernel = rand_instance(seed, mode=mode)
+            back = TransitionKernel.from_entries(kernel.entries, dict(kernel.provenance), mode)
+            assert [list(row.items()) for row in back.entries.values()] == \
+                [list(row.items()) for row in kernel.entries.values()]
+            assert list(back.entries) == list(kernel.entries)
+            for name in ("vertices", "sizes", "neighbors", "values"):
+                a, b = getattr(back, name), getattr(kernel, name)
+                assert a.dtype == b.dtype and a.tolist() == b.tolist()
+                assert list(map(type, a.tolist())) == list(map(type, b.tolist()))
+
+    def test_entries_are_read_only(self, star_aug):
+        kernel = random_kernel(star_aug, 3)
+        with pytest.raises(TypeError):
+            kernel.entries[0] = {1: 1.0}
+        with pytest.raises(TypeError):
+            kernel.entries[0][1] = 0.5
+        with pytest.raises(TypeError):
+            del kernel.entries[0]
+        with pytest.raises(AttributeError):
+            kernel.entries = {}
+        with pytest.raises(ValueError):
+            kernel.values[0] = 0.5
+        assert 0 in kernel.entries and 5 not in kernel.entries  # 5 is an outer vertex
+        assert kernel.entries[3] == {1: 0.5, 5: 0.5}
+
+    def test_entries_built_once(self, monkeypatch):
+        # broom(60, 60) has 3,661 base vertices; each lookup reads the same view
+        aug = spherical_augmentation(broom(60, 60), 2)
+        kernel = random_kernel(aug, 7, floor=0.005, scope="all")
+        built = []
+        proxy = chain_model.MappingProxyType
+        monkeypatch.setattr(chain_model, "MappingProxyType", lambda m: built.append(1) or proxy(m))
+        view = kernel.entries
+        assert len(built) == len(kernel.vertices) + 1
+        assert sum(u not in kernel.entries for u in range(aug.base.vertex_count)) == 0
+        assert kernel.entries is view and len(built) == len(kernel.vertices) + 1
+
+    @pytest.mark.parametrize("mode", ["float", RATIONAL])
+    def test_row_prob_copy_restricted(self, mode):
+        for seed in range(4):
+            _, kernel = rand_instance(seed, mode=mode, scope="lambda")
+            rows = {u: dict(row) for u, row in kernel.entries.items()}
+            for u, row in rows.items():
+                assert kernel.row(u) == row
+                assert all(kernel.prob(u, v) == p for v, p in row.items())
+            with pytest.raises(MissingRow):
+                kernel.row(-1)
+            twin = kernel.copy()
+            twin.provenance[0] = "recovered"
+            assert kernel.provenance[0] != "recovered"
+            assert twin.entries == rows and twin.mode == mode
+            known = kernel.restricted_to({KNOWN})
+            assert list(known.entries.items()) == [
+                (u, row) for u, row in rows.items() if kernel.provenance[u] == KNOWN]
+            assert known.provenance == {
+                u: f for u, f in kernel.provenance.items() if f == KNOWN}
+            assert known.mode == mode

@@ -547,6 +547,23 @@ class TestExitCodes:
         assert code == 2, err
         assert err.startswith("error 2 InvalidKernel"), err
 
+    @pytest.mark.parametrize("command", ["invert", "estimate"])
+    def test_empty_outer_row_is_kept(self, tmp_path, capsys, command):
+        # star(1, 2): a row without cells is valid on outer vertex 5, and the
+        # report keeps it in its place
+        work = tmp_path / "w"
+        run(capsys, "gen", "--tree", "star", "--l", "1", "--n", "2",
+            "--seed", "3", "--out", str(work))
+        argv = recovery_argv(capsys, work, command)
+        assert run(capsys, *argv)[0] == 0
+        lines = (work / "report.txt").read_text().splitlines()
+        with open(work / "known.txt", "a", encoding="utf-8") as fh:
+            fh.write("row 5\n")
+        assert run(capsys, *argv)[0] == 0
+        at = next(i for i, ln in enumerate(lines) if ln.startswith("row 4 ")) + 1
+        assert (work / "report.txt").read_text().splitlines() == \
+            [*lines[:at], "row 5 ", *lines[at:]]
+
     @pytest.mark.parametrize("command", ["forward", "sample"])
     def test_kernel_row_off_the_tree_exit_2(self, tmp_path, capsys, command):
         work = tmp_path / "w"
@@ -596,6 +613,48 @@ class TestExitCodes:
         assert code == 2, err
         assert err.startswith("error 2 FormatError"), err
         assert "no entry t(1,3) of vertex 1" in err
+
+    @staticmethod
+    def reference_without(work, cut):
+        """``kernel.txt`` of ``work`` with the cells ``cut`` (``(u, v)`` pairs) left out."""
+        lines = []
+        for line in (work / "kernel.txt").read_text().splitlines():
+            parts = line.split()
+            if parts[0] == "row":
+                parts[2:] = [c for c in parts[2:]
+                             if (int(parts[1]), int(c.split(":")[0])) not in cut]
+            lines.append(" ".join(parts))
+        reference = work / "reference.txt"
+        reference.write_text("\n".join(lines) + "\n")
+        return reference
+
+    @pytest.mark.parametrize("command", ["invert", "estimate"])
+    def test_reference_without_a_middle_entry_exit_2(self, tmp_path, capsys, command):
+        # star(1, 2): rows 1 and 2 lie between the root and the inner layer {3, 4}
+        work = tmp_path / "w"
+        run(capsys, "gen", "--tree", "star", "--l", "1", "--n", "2",
+            "--seed", "2", "--out", str(work))
+        argv = recovery_argv(capsys, work, command)
+        code, out, err = run(capsys, *argv, "--reference",
+                             str(self.reference_without(work, {(2, 4)})))
+        assert code == 2, (out, err)
+        assert err.startswith("error 2 FormatError"), err
+        assert "no entry t(2,4) of vertex 2" in err
+        assert "max_error" not in out
+
+    @pytest.mark.parametrize("command", ["invert", "estimate"])
+    def test_reference_without_two_entries_names_the_first_solved(
+            self, tmp_path, capsys, command):
+        # the root's row and row 2 each lose one entry; row 2 is solved first
+        # (outermost shell first), so its entry is the one named
+        work = tmp_path / "w"
+        run(capsys, "gen", "--tree", "star", "--l", "1", "--n", "2",
+            "--seed", "2", "--out", str(work))
+        argv = recovery_argv(capsys, work, command)
+        code, _, err = run(capsys, *argv, "--reference",
+                           str(self.reference_without(work, {(0, 1), (2, 0)})))
+        assert code == 2, err
+        assert "no entry t(2,0) of vertex 2" in err
 
     @pytest.mark.parametrize("command", ["invert", "estimate"])
     def test_invalid_reference_exit_2(self, tmp_path, capsys, command):

@@ -31,17 +31,16 @@ from helpers import (
 
 def star_fixture(p01=0.3):
     aug = spherical_augmentation(star(1, 2), 2)
-    base = TransitionKernel({0: {1: p01, 2: 1 - p01}}, {0: "unknown"}, "float")
+    base = TransitionKernel.from_entries({0: {1: p01, 2: 1 - p01}}, {0: "unknown"}, "float")
     return aug, default_augmented_kernel(aug, base)
 
 
 def segment_fixture():
     aug = spherical_augmentation(segment(0, 1), 2)
-    base = TransitionKernel({0: {1: 1.0}}, {0: "unknown"}, "float")
+    base = TransitionKernel.from_entries({0: {1: 1.0}}, {0: "unknown"}, "float")
     kernel = default_augmented_kernel(aug, base)
-    kernel.entries[1] = {0: 0.3, 2: 0.7}
-    kernel.provenance[1] = "unknown"
-    return aug, kernel
+    return aug, TransitionKernel.from_entries({**kernel.entries, 1: {0: 0.3, 2: 0.7}},
+                                              {**kernel.provenance, 1: "unknown"}, "float")
 
 
 def wide_fixture(mode="float"):
@@ -114,14 +113,15 @@ class TestCollectBatch:
 
     def test_row_order_irrelevant(self):
         aug, kernel = wide_fixture()
-        flipped = kernel.copy()
-        flipped.entries = {u: dict(reversed(row.items())) for u, row in kernel.entries.items()}
+        flipped = TransitionKernel.from_entries(
+            {u: dict(reversed(row.items())) for u, row in kernel.entries.items()},
+            dict(kernel.provenance), kernel.mode)
         ref = batch_fields(collect_batch(aug, kernel, 3000, seed=13))
         assert batch_fields(collect_batch(aug, flipped, 3000, seed=13)) == ref
 
     def test_rational_is_float_image(self):
         aug, kernel = wide_fixture("rational")
-        image = TransitionKernel(
+        image = TransitionKernel.from_entries(
             {u: {v: float(p) for v, p in row.items()} for u, row in kernel.entries.items()},
             dict(kernel.provenance),
         )

@@ -31,9 +31,55 @@ from treetomo.tree_model import (
     star,
 )
 
-from helpers import INVALID_TREES, broom, comb, known_part, rand_instance, tree_file
+from helpers import (
+    INVALID_TREES,
+    broom,
+    comb,
+    dump_kernel_by_cells,
+    known_part,
+    parse_kernel_by_cells,
+    rand_instance,
+    tree_file,
+)
 
 SEGMENT = tree_file(0, "0-1 1-2 2-3", 2)  # segment(0, 1) augmented by 2, no layer lines
+
+MALFORMED_KERNELS = [
+    "row 0 1:0.5\n",  # missing mode header
+    "mode float\nrow 0 1:abc\n",
+    "mode nonsense\n",
+    "row 0 1:1/2 2:0.5\nmode rational\n",  # row before header
+]
+INCONSISTENT_KERNELS = [
+    "mode float\nrow 0 1:0.5 2:0.5\nrow 0 1:0.25 2:0.75\n",  # row twice
+    "mode rational\nrow 0 1:1/2 2:1/2\nrow 0 1:1/2 2:1/2\n",  # same row twice
+    "mode float\nrow 1 0:0.5 2:0.25 2:0.25\n",  # cell twice in a row
+    "mode float\nrow 0 1\n",  # cell without a colon
+    "mode float\nweight 0 1:1\n",  # unknown record
+    "\n",  # no mode header
+    "mode float\nrow 0 1:0.5 2:0.5\nmode float\n",  # mode header twice
+    "mode float\nrow 0 1:0.5 2:0.5\nmode rational\nrow 1 0:1/2 2:1/2\n",
+]
+# more faults, each named by the first bad row, cell or token in file order
+KERNEL_FAULTS = [
+    *(f"mode float\nrow 0 1:{t} 2:0.5\n" for t in ("nan", "inf", "-inf", "1e400", "", "1/0",
+                                                    "1" + "0" * 400 + "/1", "1/2/3", "0x1")),
+    *(f"mode rational\nrow 0 1:{t} 2:1/2\n" for t in ("0.5", "5e-1", "1.0", "inf", "nan", "",
+                                                       "1/0", "1/2/3", "1/x")),
+    "mode float\nrow 0 1:0.5 2:0.5 3\n",  # cell without a colon, last
+    "mode float\nrow 0 1:2:3 2:0.5\n",  # cell with two colons
+    "mode float\nrow 0 :0.5 2:0.5\n",  # no neighbor
+    "mode float\nrow 0 1:0.5 x:0.5\n",  # neighbor not an integer
+    "mode float\nrow x 1:0.5\n",  # row vertex not an integer
+    "mode float\nrow 0 x:nan\n",  # a bad value is named before its bad neighbor
+    "mode float\nrow 0 12 1:2:3\n",  # no colon in one cell, two in the next
+    "mode float\nrow 0 1:0.5\nrow x 1:0.5\nrow 2 1:nan\n",  # bad vertex before bad value
+    "mode float\nrow 0 1:nan\nrow x 1:0.5\n",  # bad value before bad vertex
+    "mode float\nrow 1 0:0.5 2:0.5\nrow 1 0:0.5 2:nan\n",  # row twice, bad value in the second
+    "mode float\nrow 1 0:0.5 0:0.5\nrow 2 1:x\n",  # cell twice before a later fault
+    "mode float\nrow 1 01:0.5 1:0.5\n",  # the same neighbor written two ways
+    "mode rational\nrow 0 1:1/2 2:0.5\nrow 0 1:1/2\n",
+]
 
 
 class TestTreeFormat:
@@ -117,36 +163,79 @@ class TestKernelFormat:
             )
 
     def test_malformed(self):
-        with pytest.raises(FormatError):
-            parse_kernel("row 0 1:0.5\n")  # missing mode header
-        with pytest.raises(FormatError):
-            parse_kernel("mode float\nrow 0 1:abc\n")
-        with pytest.raises(FormatError):
-            parse_kernel("mode nonsense\n")
-        with pytest.raises(FormatError):
-            parse_kernel("row 0 1:1/2 2:0.5\nmode rational\n")  # row before header
+        for text in MALFORMED_KERNELS:
+            with pytest.raises(FormatError):
+                parse_kernel(text)
 
     def test_fraction_past_float_range_rejected(self):
         # in float mode num/den is rounded to a float, which overflows here
         with pytest.raises(FormatError):
             parse_kernel("mode float\nrow 0 1:1" + "0" * 400 + "/1\n")
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "mode float\nrow 0 1:0.5 2:0.5\nrow 0 1:0.25 2:0.75\n",  # row twice
-            "mode rational\nrow 0 1:1/2 2:1/2\nrow 0 1:1/2 2:1/2\n",  # same row twice
-            "mode float\nrow 1 0:0.5 2:0.25 2:0.25\n",  # cell twice in a row
-            "mode float\nrow 0 1\n",  # cell without a colon
-            "mode float\nweight 0 1:1\n",  # unknown record
-            "\n",  # no mode header
-            "mode float\nrow 0 1:0.5 2:0.5\nmode float\n",  # mode header twice
-            "mode float\nrow 0 1:0.5 2:0.5\nmode rational\nrow 1 0:1/2 2:1/2\n",
-        ],
-    )
+    @pytest.mark.parametrize("text", INCONSISTENT_KERNELS)
     def test_inconsistent_rejected(self, text):
         with pytest.raises(FormatError):
             parse_kernel(text)
+
+
+def oracle_kernels() -> list[TransitionKernel]:
+    """Kernels the writer is checked on: random instances in both modes,
+    broom(5, 5) and comb(6), extreme floats with rows and cells out of order
+    and an empty row, ids past int64, and a 5,071-digit rational."""
+    out = []
+    for mode in ("float", "rational"):
+        out += [rand_instance(seed, mode=mode)[1] for seed in range(6)]
+        for base in (broom(5, 5), comb(6)):
+            aug = spherical_augmentation(base, 2)
+            out += [random_kernel(aug, 7, scope=scope, mode=mode) for scope in ("lambda", "all")]
+    p = Fraction(1, 7**6000)
+    out.append(TransitionKernel.from_entries({0: {1: p, 2: 1 - p}}, {0: "known"}, "rational"))
+    out.append(TransitionKernel.from_entries(
+        {3: {1: 5e-324, 0: 1 - 2**-53}, 0: {2: 0.5, 1: 0.5}, 5: {}}, mode="float"))
+    out.append(TransitionKernel.from_entries({10**30: {-1: 0.5, 10**25: 0.25, 7: 0.25}}))
+    return out
+
+
+# accepted files beyond what dump_kernel writes: num/den and integer tokens in a
+# float file, empty rows, signs, underscores, tabs and ids past int64
+ACCEPTED_KERNELS = [
+    "mode float\nrow 0 1:1/3 2:2/3\nrow 1 0:1 2:0\n",
+    "mode float\nrow 5\nrow 0 2:+0.5 1:5e-1\n",
+    "mode float\nrow 1_0 0_1:1_0.5 3:-0\n",
+    "mode float\r\nrow\t0\t1:0.25  2:3/4\r\n",
+    "mode rational\nrow 0 1:1 2:0/1 3:-1/2 4:6/4\nrow 5\n",
+    "mode float\nrow 100000000000000000000000 -1:0.5 99999999999999999999999:0.5\n",
+    "mode float\n",
+]
+
+
+class TestKernelOracles:
+    """The table reader and writer against the per-cell ones they replaced
+    (``tests/helpers.py``)."""
+
+    def test_writer_matches_oracle(self):
+        for kernel in oracle_kernels():
+            assert dump_kernel(kernel) == dump_kernel_by_cells(kernel)
+
+    def test_reader_matches_oracle(self):
+        texts = [dump_kernel_by_cells(kernel) for kernel in oracle_kernels()]
+        for text in texts + ACCEPTED_KERNELS:
+            got, want = parse_kernel(text), parse_kernel_by_cells(text)
+            assert (got.mode, got.provenance) == (want.mode, want.provenance), text
+            for name in ("vertices", "sizes", "neighbors", "values"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tolist() == b.tolist(), (name, text)
+                assert list(map(type, a.tolist())) == list(map(type, b.tolist())), (name, text)
+            assert [list(row.items()) for row in got.entries.values()] == \
+                [list(row.items()) for row in want.entries.values()], text
+
+    def test_faults_match_oracle(self):
+        for text in MALFORMED_KERNELS + INCONSISTENT_KERNELS + KERNEL_FAULTS:
+            with pytest.raises(FormatError) as want:
+                parse_kernel_by_cells(text)
+            with pytest.raises(FormatError) as got:
+                parse_kernel(text)
+            assert str(got.value) == str(want.value), text
 
 
 class TestDistributionFormat:
@@ -270,7 +359,7 @@ class TestExactTokens:
         dist = HittingDistribution.from_mass(INNER, 2, {(2, 3): p, (2, 4): 1 - p})
         text = dump_distribution(dist, "rational")
         assert parse_distribution(text, "rational").mass == dist.mass
-        kernel = TransitionKernel({0: {1: p, 2: 1 - p}}, {0: "known"}, "rational")
+        kernel = TransitionKernel.from_entries({0: {1: p, 2: 1 - p}}, {0: "known"}, "rational")
         assert parse_kernel(dump_kernel(kernel)).entries == kernel.entries
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 

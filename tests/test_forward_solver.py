@@ -34,7 +34,7 @@ from helpers import (
 def segment_fixture(p=0.7):
     """Path 0-1-2-3 with inner {2}, outer {3}, t(1,2) = p, symmetric above."""
     aug = spherical_augmentation(segment(0, 1), 2)
-    kernel = TransitionKernel(
+    kernel = TransitionKernel.from_entries(
         {0: {1: 1.0}, 1: {0: 1 - p, 2: p}, 2: {1: 0.5, 3: 0.5}},
         {0: "known", 1: "unknown", 2: "known"},
         "float",
@@ -46,7 +46,7 @@ def symmetric_star_fixture():
     """Augmented two-branch star, every transition 1/2, exact rationals."""
     aug = spherical_augmentation(star(1, 2), 2)
     h = Fraction(1, 2)
-    base = TransitionKernel({0: {1: h, 2: h}}, {0: "unknown"}, "rational")
+    base = TransitionKernel.from_entries({0: {1: h, 2: h}}, {0: "unknown"}, "rational")
     kernel = default_augmented_kernel(aug, base)
     return aug, kernel
 
@@ -156,7 +156,7 @@ class TestArraySweep:
         aug = spherical_augmentation(base, 2)
         exact = random_kernel(aug, 11, scope="all", mode="rational")
         rows = {u: {v: float(p) for v, p in r.items()} for u, r in exact.entries.items()}
-        approx = TransitionKernel(rows, dict(exact.provenance), "float")
+        approx = TransitionKernel.from_entries(rows, dict(exact.provenance), "float")
         t_max = 3 * aug.hull_radius + 4
         for e, f in zip(hitting_laws(aug, exact, t_max), hitting_laws(aug, approx, t_max)):
             assert e.mass.keys() == f.mass.keys() and e.mass
@@ -277,7 +277,7 @@ class TestPathClassProb:
 class TestKernelValidationHook:
     def test_invalid_kernel_rejected(self):
         aug, _ = segment_fixture()
-        bad = TransitionKernel(
+        bad = TransitionKernel.from_entries(
             {0: {1: 1.0}, 1: {0: 0.6, 2: 0.5}, 2: {1: 0.5, 3: 0.5}}
         )
         with pytest.raises(InvalidKernel):

@@ -49,7 +49,7 @@ from helpers import (
 
 def segment_fixture(p=0.7):
     aug = spherical_augmentation(segment(0, 1), 2)
-    kernel = TransitionKernel(
+    kernel = TransitionKernel.from_entries(
         {0: {1: 1.0}, 1: {0: 1 - p, 2: p}, 2: {1: 0.5, 3: 0.5}},
         {0: "unknown", 1: "unknown", 2: "known"},
         "float",
@@ -60,7 +60,7 @@ def segment_fixture(p=0.7):
 def symmetric_star_fixture():
     aug = spherical_augmentation(star(1, 2), 2)
     h = Fraction(1, 2)
-    base = TransitionKernel({0: {1: h, 2: h}}, {0: "unknown"}, "rational")
+    base = TransitionKernel.from_entries({0: {1: h, 2: h}}, {0: "unknown"}, "rational")
     kernel = default_augmented_kernel(aug, base)
     for u in (1, 2):
         kernel.provenance[u] = "unknown"
@@ -230,7 +230,7 @@ class TestUnknownEdgeCoefficient:
         base = build_tree([(0, 1), (1, 2), (1, 3)], 0)
         aug = spherical_augmentation(base, 2)
         h, t3 = Fraction(1, 2), Fraction(1, 3)
-        kernel = TransitionKernel(
+        kernel = TransitionKernel.from_entries(
             {
                 0: {1: Fraction(1)},
                 1: {0: t3, 2: t3, 3: t3},
@@ -329,10 +329,9 @@ class TestRecoverEdge:
                 for w in aug.full.children[u]:
                     plan = make_plan(aug, u, w)
                     full_val = recover_edge(aug, kernel, plan, p_in, p_out)
-                    blanked = kernel.copy()
-                    for z in range(aug.full.vertex_count):
-                        if aug.full.norm[z] <= k and z in blanked.entries:
-                            del blanked.entries[z]
+                    blanked = TransitionKernel.from_entries(
+                        {z: row for z, row in kernel.entries.items() if aug.full.norm[z] > k},
+                        dict(kernel.provenance), kernel.mode)
                     part_val = recover_edge(aug, blanked, plan, p_in, p_out)
                     assert float(full_val) == float(part_val)
 
@@ -527,7 +526,7 @@ class TestRecoverAll:
     def test_rational_laws_under_float_kernel(self):
         # float known rows read exact laws as the float image of each cell
         aug, kernel = rand_instance(3, mode="rational")
-        flt = TransitionKernel(
+        flt = TransitionKernel.from_entries(
             {u: {v: float(p) for v, p in r.items()} for u, r in kernel.entries.items()},
             dict(kernel.provenance),
             "float",
@@ -553,7 +552,7 @@ class TestRecoverAll:
 
     def test_distorted_input_strict_vs_clamped(self):
         aug, kernel = symmetric_star_fixture()
-        flt = TransitionKernel(
+        flt = TransitionKernel.from_entries(
             {u: {v: float(p) for v, p in r.items()} for u, r in kernel.entries.items()},
             dict(kernel.provenance),
             "float",
@@ -722,7 +721,7 @@ class TestRecoverStar:
 
     def test_asymmetric_hand_kernel(self):
         aug = spherical_augmentation(star(1, 2), 2)
-        kernel = TransitionKernel(
+        kernel = TransitionKernel.from_entries(
             {
                 0: {1: 0.3, 2: 0.7},
                 1: {0: 0.4, 3: 0.6},
