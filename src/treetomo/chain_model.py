@@ -26,16 +26,16 @@ is checked, by array operations on its slots (:func:`checked_rows`).
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from types import MappingProxyType
 
 import numpy as np
 
 from .errors import InvalidKernel, InvalidParameter, MissingKnownRow, MissingRow
-from .tree_model import AugmentedTree, RootedTree
+from .tree_model import AugmentedTree, RootedTree, ranges
 
 KNOWN = "known"
 UNKNOWN = "unknown"
@@ -56,12 +56,6 @@ def runs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.not_equal(ids[1:], ids[:-1], out=new[1:])
     starts = new.nonzero()[0]
     return ids[starts], starts
-
-
-def ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """The indices ``starts[i] .. starts[i] + lens[i] - 1`` for each ``i``, in turn."""
-    ends = lens.cumsum()
-    return (starts - ends + lens).repeat(lens) + np.arange(ends[-1] if len(ends) else 0)
 
 
 def vertex_ids(ids: list[int]) -> np.ndarray:
@@ -170,9 +164,9 @@ class AccRows:
     The table holds the row of every vertex of ``vertices`` (default: all)
     that has children, laid out from the kernel's table, one slot per
     neighbor in ``vertices`` in the row's slot order; vectors are indexed by
-    position in ``vertices`` (``local`` maps ids to positions).  A row in
-    ``blank`` starts as zeros in neighbor order, parent first, for
-    :meth:`write`; any other row the kernel lacks raises
+    position in ``vertices`` (``local`` maps ids to positions).  A row that
+    the vertex mask ``blank`` marks starts as zeros in neighbor order, parent
+    first, for :meth:`write`; any other row the kernel lacks raises
     :class:`MissingKnownRow`; no row is checked (see :func:`checked_rows`).
     ``sizes`` counts the entries of each row.  :meth:`push` moves walk mass one step,
     ``y[v] = sum_u x[u] t(u, v)``, and :meth:`pull` steps back,
@@ -192,23 +186,20 @@ class AccRows:
     """
 
     def __init__(self, full: RootedTree, kernel: TransitionKernel,
-                 vertices: Iterable[int] | None = None, blank: Iterable[int] = ()):
+                 vertices: tuple[int, ...] | None = None, blank: np.ndarray | None = None):
         self.exact = kernel.mode == RATIONAL
         n = full.vertex_count
-        ids = range(n) if vertices is None else list(vertices)
+        ids = np.arange(n) if vertices is None else np.array(vertices, np.intp)
         self.local = np.full(n + 1, -1, np.intp)  # -1: not in vertices; [n]: off the tree
-        self.local[np.array(ids, dtype=np.intp)] = np.arange(len(ids))
-        rows = np.array([u for u in ids if full.children[u]], np.intp)
+        self.local[ids] = np.arange(len(ids))
+        rows = ids[full.child_starts[ids + 1] > full.child_starts[ids]]
         at = kernel.index(n)[rows]
         sizes, nbrs, values = kernel.sizes, kernel.neighbors, kernel.values
-        if blank := set(blank):  # rows laid out blank, in neighbor order, after the kernel's
-            laid = np.zeros(n + 1, bool)
-            laid[list(blank)] = True
-            laid = laid[rows]
-            lay = [full.neighbors(u) for u in rows[laid].tolist()]
+        if blank is not None and (laid := blank[rows]).any():
+            # rows laid out blank, in neighbor order, after the kernel's
+            lay, extra = full.adjacency(rows[laid])
             at[laid] = np.arange(len(sizes), len(sizes) + len(lay))
-            sizes = np.concatenate((sizes, np.fromiter(map(len, lay), np.intp, len(lay))))
-            extra = np.fromiter(chain.from_iterable(lay), np.intp)
+            sizes = np.concatenate((sizes, lay))
             nbrs = np.concatenate((nbrs, extra))
             values = np.concatenate((values, np.zeros(len(extra), values.dtype)))
         if (at < 0).any():
@@ -226,7 +217,7 @@ class AccRows:
             q = np.asarray(q, float).astype(np.longdouble)  # exact: floats widen
         keep = dst >= 0  # slots to neighbors outside vertices are dropped
         self.src, self.dst, self.q = src[keep], dst[keep], q[keep]
-        self.norm = np.fromiter(map(full.norm.__getitem__, ids), np.intp, len(ids))
+        self.norm = full.norm[ids]
         self.by_dst = np.argsort(self.dst, kind="stable")
         self.heads, self.head_starts = runs(self.dst[self.by_dst])
         self.tails, self.tail_starts = runs(self.src)
@@ -295,24 +286,24 @@ class KernelViolation:
 
 
 def _check_rows(aug: AugmentedTree, kernel: TransitionKernel,
-                blank: set[int]) -> tuple[list[KernelViolation], AccRows]:
-    """The violations of :func:`validate_kernel`, rows of ``blank`` allowed
-    absent, and the table over ``aug.full`` (absent rows blank) they are read
-    from.  A row has the tree's support if it has one entry per neighbor and
-    each slot leads to one; float sums run left to right, as ``sum`` does."""
+                blank: np.ndarray | None) -> tuple[list[KernelViolation], AccRows]:
+    """The violations of :func:`validate_kernel`, rows the vertex mask ``blank``
+    marks allowed absent, and the table over ``aug.full`` (absent rows blank)
+    they are read from.  A row has the tree's support if it has one entry per
+    neighbor and each slot leads to one; float sums run left to right, as ``sum`` does."""
     full, n = aug.full, aug.full.vertex_count
     ids, at = kernel.vertices, kernel.index(n)[:n]
     out = [KernelViolation(u, "OffTree", "row of a vertex off the tree")
            for u in sorted(ids[(ids < 0) | (ids >= n)].tolist())]
-    outer = np.array(sorted(aug.outer_layer), np.intp)
+    outer = aug.outer_layer
     filled = np.concatenate((kernel.sizes, [0]))[at[outer]] > 0
     out += [KernelViolation(v, "AbsorbingRow", "outer vertex has a row")
             for v in outer[filled].tolist()]
-    absent = set(np.flatnonzero(at < 0).tolist()).difference(aug.outer_layer)
+    absent = at < 0
+    absent[outer] = False
     rows = AccRows(full, kernel, blank=absent)  # over every vertex: positions are ids
     src, dst, starts = rows.src, rows.dst, rows.tail_starts
-    parent = np.fromiter(map({**full.parent, full.root: -1}.__getitem__, range(n)), np.intp, n)
-    kids = np.bincount(parent[parent >= 0], minlength=n)
+    parent, kids = full.parent, full.child_starts[1:] - full.child_starts[:-1]
     size = np.zeros(n, np.intp)
     size[kids > 0] = rows.sizes
     near = np.bincount(src[(parent[dst] == src) | (parent[src] == dst)], minlength=n)
@@ -323,16 +314,16 @@ def _check_rows(aug: AugmentedTree, kernel: TransitionKernel,
         off[rows.tails] = np.add.reduceat(rows.q, starts) != rows.scale
     else:
         off = ~(np.abs(np.bincount(src, rows.q.astype(float), n) - 1) <= ROW_SUM_TOL)
-    bad = (kids > 0) & (~fits | low | off)
-    bad[list(absent)] = False  # a blank in the table: missing unless in blank
+    bad = (kids > 0) & (~fits | low | off) & ~absent  # an absent row lies blank in the table,
+    missing = absent if blank is None else absent & ~blank  # and is missing unless blank
     first = kernel.starts
-    for u in sorted(chain(np.flatnonzero(bad).tolist(), absent - blank)):
+    for u in np.flatnonzero(bad | missing).tolist():
         if (i := at[u]) >= 0:
             cells = slice(first[i], first[i] + kernel.sizes[i])
         kind, detail = (
             ("MissingRow", "") if i < 0 else
             ("Support", f"{sorted(kernel.neighbors[cells].tolist())} != "
-                        f"{sorted(full.neighbors(u))}") if not fits[u] else
+                        f"{sorted(full.adjacency(np.array([u]))[1].tolist())}") if not fits[u] else
             ("Nondegenerate", "nonpositive entry") if low[u] else
             ("RowSum", f"sum = {sum(kernel.values[cells].tolist())}"))
         out.append(KernelViolation(u, kind, detail))
@@ -348,19 +339,19 @@ def validate_kernel(aug: AugmentedTree, kernel: TransitionKernel) -> list[Kernel
     rows, then each vertex's first violation in vertex order.  A rational
     kernel that holds a float entry raises :class:`InvalidKernel`.
     """
-    return _check_rows(aug, kernel, set())[0]
+    return _check_rows(aug, kernel, None)[0]
 
 
 def checked_rows(aug: AugmentedTree, kernel: TransitionKernel,
-                 blank: Iterable[int] = ()) -> AccRows:
+                 blank: np.ndarray | None = None) -> AccRows:
     """The edge table of ``kernel`` over ``aug.full``; the first violation of
-    :func:`validate_kernel` raises :class:`InvalidKernel`.  A row in ``blank``
-    may be absent, lies in the table as zeros, and is checked if given."""
-    bad, rows = _check_rows(aug, kernel, blank := set(blank))
+    :func:`validate_kernel` raises :class:`InvalidKernel`.  A row the vertex
+    mask ``blank`` marks may be absent, lies in the table as zeros, and is checked if given."""
+    bad, rows = _check_rows(aug, kernel, blank)
     if bad:
         raise InvalidKernel(f"{bad[0].kind} at vertex {bad[0].vertex}: {bad[0].detail}")
-    if not blank.isdisjoint(kernel.vertices.tolist()):  # given rows to solve again: laid out blank
-        rows = AccRows(aug.full, kernel, blank=blank)
+    if blank is not None and blank[kernel.index(aug.full.vertex_count)[:-1] >= 0].any():
+        rows = AccRows(aug.full, kernel, blank=blank)  # given rows to solve again: laid out blank
     return rows
 
 
@@ -398,20 +389,19 @@ def random_kernel(
     if seed < 0:
         raise InvalidParameter(f"seed must be >= 0, got {seed}")
     full, k = aug.full, aug.base.vertex_count
-    rows = [u for u in range(full.vertex_count) if u not in aug.outer_layer]  # base ids first
-    nbrs = [full.neighbors(u) for u in rows]
-    sizes = list(map(len, nbrs))
-    prov = dict(zip(rows, [UNKNOWN] * k + [KNOWN] * (len(rows) - k)))
-    if len(full.children[full.root]) == 1:
+    rows = (full.norm < full.norm.max()).nonzero()[0]  # off the outer layer, base ids first
+    sizes, nbrs = full.adjacency(rows)
+    prov = dict(zip(rows.tolist(), [UNKNOWN] * k + [KNOWN] * (len(rows) - k)))
+    if full.child_starts[full.root + 1] - full.child_starts[full.root] == 1:
         prov[full.root] = KNOWN  # a degree-1 root has no freedom
-    drawn = [d > 1 for d in (sizes if scope == ALL_VERTICES else sizes[:k])]
-    for u, d, draw in zip(rows, sizes, drawn):
-        if draw and floor * d >= 1:
-            raise InvalidParameter(f"floor {floor} infeasible for degree-{d} vertex {u}")
-    d = list(compress(sizes, drawn))
-    gammas = np.random.default_rng(seed).standard_gamma(1.0, size=sum(d))
+    drawn = sizes > 1
+    drawn[k:] &= scope == ALL_VERTICES
+    if (infeasible := np.flatnonzero(drawn & (floor * sizes >= 1))).size:
+        i = infeasible[0]
+        raise InvalidParameter(f"floor {floor} infeasible for degree-{sizes[i]} vertex {rows[i]}")
+    d = sizes[drawn]
+    gammas = np.random.default_rng(seed).standard_gamma(1.0, size=d.sum())
     probs = np.empty(len(gammas))
-    d = np.array(d, np.intp)
     first = d.cumsum() - d
     for width in set(d.tolist()):  # the rows of one degree as one matrix
         cells = first[d == width, None] + np.arange(width)
@@ -419,18 +409,15 @@ def random_kernel(
         # numpy's Dirichlet adds plainly, left to right, as cumsum does
         probs[cells] = floor + (1.0 - width * floor) * (g * (1.0 / g.cumsum(axis=1)[:, -1:]))
     one, half = (Fraction(1), Fraction(1, 2)) if mode == RATIONAL else (1.0, 0.5)
-    values = np.array([one if s == 1 else half for s in sizes],
-                      object if mode == RATIONAL else float).repeat(sizes)
-    drawn = np.array(drawn + [False] * (len(rows) - len(drawn))).repeat(sizes)
+    values = np.where(sizes == 1, one, half).repeat(sizes)
+    drawn = drawn.repeat(sizes)
     if mode == RATIONAL:
         grid = (_grid_row(probs[a:a + w].tolist(), floor)
                 for a, w in zip(first.tolist(), d.tolist()))
         values[drawn] = np.fromiter(chain.from_iterable(grid), object, len(probs))
     else:
         values[drawn] = probs
-    return TransitionKernel(np.array(rows, np.intp), np.array(sizes, np.intp),
-                            np.fromiter(chain.from_iterable(nbrs), np.intp, len(values)),
-                            values, prov, mode)
+    return TransitionKernel(rows, sizes, nbrs, values, prov, mode)
 
 
 def _grid_row(probs: list[float], floor: float) -> list[Fraction]:

@@ -87,7 +87,7 @@ def collect_batch(
     ranks.reverse()
 
     rng = np.random.default_rng(seed)
-    inner, outer = (np.array(sorted(layer)) for layer in (aug.inner_layer, aug.outer_layer))
+    inner, outer = aug.inner_layer, aug.outer_layer
     batch = SampleBatch(n=n, seed=seed, t_cap=aug.horizon)
     counts = np.zeros((2, aug.full.vertex_count), np.int64)
     counts[0, aug.full.root] = n

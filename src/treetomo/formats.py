@@ -124,32 +124,47 @@ def _misfit(parts: list[str], most: float, header: str | None) -> FormatError:
 
 
 def dump_tree(tree: RootedTree | AugmentedTree) -> str:
-    """Serialize a plain or augmented tree."""
-    aug = tree if isinstance(tree, AugmentedTree) else None
-    t = aug.full if aug else tree
-    lines = [f"tree {t.vertex_count} {t.root}"]
-    lines.extend(f"edge {u} {v}" for u, v in t.edges())
-    if aug:
-        lines.extend(f"origin {v} {ORIGINAL}" for v in range(aug.base.vertex_count))
-    return "\n".join(lines) + "\n"
+    """Serialize a plain or augmented tree with one ``%`` format, edges by parent, then child."""
+    t, k = (tree.full, tree.base.vertex_count) if isinstance(tree, AugmentedTree) else (tree, 0)
+    edges = np.stack((np.arange(t.vertex_count).repeat(np.diff(t.child_starts)), t.child_ids), 1)
+    text = "tree %d %d\n" + "edge %d %d\n" * len(edges) + f"origin %d {ORIGINAL}\n" * k
+    return text % (t.vertex_count, t.root, *edges.ravel().tolist(), *range(k))
+
+
+_ID = "[0-9]{1,18}"  # an id within int64
+_TREE_DUMP = re.compile(f"tree {_ID} {_ID}\n(?:edge {_ID} {_ID}\n)*(?:origin {_ID} {ORIGINAL}\n)*")
+
+
+def _tree_tokens(text: str) -> tuple[int, int, list[tuple[int, int]], list[int] | set[int]]:
+    """The vertex count, root, edges and origin ids of a tree file: converted
+    at once for a file laid out as :func:`dump_tree` writes it with origins
+    ``0..k-1``, else record by record, naming the first bad record."""
+    if _TREE_DUMP.fullmatch(text):
+        tokens = text.split()
+        cut = len(tokens) - 3 * text.count(f" {ORIGINAL}\n")
+        origin = list(map(int, tokens[cut + 1::3]))
+        if origin == list(range(len(origin))):
+            edges = list(zip(map(int, tokens[4:cut:3]), map(int, tokens[5:cut:3])))
+            return int(tokens[1]), int(tokens[2]), edges, origin
+    edges, origin = [], set()
+    records = _records(text, _TREE, "tree")
+    n, root = map(int, next(records)[1:])
+    for parts in records:
+        if parts[0] == "edge":
+            edges.append((int(parts[1]), int(parts[2])))
+        else:
+            v = int(parts[1])
+            if parts[2] != ORIGINAL or v in origin:
+                raise FormatError(f"bad or repeated origin flag in {' '.join(parts)!r}")
+            origin.add(v)
+    return n, root, edges, origin
 
 
 def parse_tree(text: str) -> RootedTree | AugmentedTree:
     """Parse :func:`dump_tree` output; returns an AugmentedTree, whose base is
     the ids ``0..k-1`` flagged original, when origin lines are present."""
-    edges: list[tuple[int, int]] = []
-    origin: set[int] = set()
-    records = _records(text, _TREE, "tree")
     try:
-        n, root = map(int, next(records)[1:])
-        for parts in records:
-            if parts[0] == "edge":
-                edges.append((int(parts[1]), int(parts[2])))
-            else:
-                v = int(parts[1])
-                if parts[2] != ORIGINAL or v in origin:
-                    raise FormatError(f"bad or repeated origin flag in {' '.join(parts)!r}")
-                origin.add(v)
+        n, root, edges, origin = _tree_tokens(text)
     except ValueError as exc:
         raise FormatError(f"bad tree line: {exc}") from exc
     try:
@@ -159,12 +174,9 @@ def parse_tree(text: str) -> RootedTree | AugmentedTree:
         if not origin:
             return full
         k = len(origin)
-        if origin != set(range(k)) or not root < k <= n:
+        if set(origin) != set(range(k)) or not root < k <= n:
             raise FormatError("base vertex ids must form a prefix 0..k-1 holding the root")
-        parent = {v: full.parent[v] for v in range(k)}
-        kids = {v: tuple(c for c in full.children[v] if c < k) for v in range(k)}
-        base = RootedTree(k, root, parent, kids, {v: full.norm[v] for v in range(k)})
-        return AugmentedTree(base, full)
+        return AugmentedTree(RootedTree(root, full.parent[:k], full.norm[:k]), full)
     except (NotATree, UnknownVertex, InvalidParameter) as exc:
         raise FormatError(f"not a valid tree: {exc}") from exc
 

@@ -131,7 +131,7 @@ def hitting_laws(aug: AugmentedTree, kernel: TransitionKernel, t_max: int,
     dens = tuple(rows.scale**t for t in times) if rows.exact else None
     laws = []
     for layer in layers:
-        target = np.array(sorted(sets[layer]), np.intp)
+        target = sets[layer]
         cells = np.zeros((t_max, len(target)), rows.q.dtype)
         x = rows.zeros()
         x[aug.full.root] = 1

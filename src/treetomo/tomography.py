@@ -60,7 +60,6 @@ from .chain_model import (
     Number,
     TransitionKernel,
     checked_rows,
-    ranges,
     runs,
 )
 from .errors import (
@@ -74,7 +73,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .forward_solver import HittingDistribution
-from .tree_model import AugmentedTree
+from .tree_model import AugmentedTree, ranges
 
 CLAMP_EPS = 1e-6
 ROOT_SUM_TOL = 1e-6
@@ -148,9 +147,9 @@ def make_plan(aug: AugmentedTree, u: int, w: int) -> EdgeRecoveryPlan:
         raise NotInLambda(f"vertex {u} is not a base-tree vertex")
     if w not in aug.full.children[u]:
         raise NotAChild(f"{w} is not a child of {u}")
-    k, r = aug.full.norm[u], aug.hull_radius
-    inner = aug.layer_descendants(w, aug.inner_layer)
-    outer = tuple(aug.outer_child(z) for z in inner)
+    full, k, r = aug.full, int(aug.full.norm[u]), aug.hull_radius
+    inner = tuple(z for z in full.subtree(w) if full.norm[z] == r + 1)  # the inner layer
+    outer = tuple(full.children[z][0] for z in inner)
     return EdgeRecoveryPlan(k, u, w, r, aug.horizon - 2 * k, r + 2 - k, outer, inner)
 
 
@@ -243,7 +242,7 @@ def unknown_edge_coefficient(
     tail = _inner_tails(rows, r + 1)
     head = rows.zeros()
     for i in np.flatnonzero(rows.norm == r + 1):
-        head[i] = p_out.prob(r + 2, aug.outer_child(below[i])) * rows.scale / tail[i]
+        head[i] = p_out.prob(r + 2, aug.full.children[below[i]][0]) * rows.scale / tail[i]
     for k in range(r, plan.shell - 1, -1):
         head = _shell_step(rows, head, k, inward=True)
     for k in range(r, plan.shell, -1):
@@ -259,10 +258,10 @@ def _depth_first(aug: AugmentedTree) -> np.ndarray:
     0 the vertex itself), columns sorted so the inner vertices below any
     vertex form one contiguous block: each shell's blocks tile the columns.
     """
-    anc = [sorted(aug.inner_layer)]
+    anc = [aug.inner_layer]
     for _ in range(aug.hull_radius + 1):
-        anc.append([aug.full.parent[v] for v in anc[-1]])
-    anc = np.array(anc, dtype=np.intp)
+        anc.append(aug.full.parent[anc[-1]])
+    anc = np.array(anc)
     return anc[:, np.lexsort(anc)]
 
 
@@ -326,25 +325,28 @@ def recover_all(
     """
     _require_two_layers(aug)
     r = aug.hull_radius
-    mode, full, given = known.mode, aug.full, known.vertices.tolist()
+    mode, full = known.mode, aug.full
     provenance = dict(known.provenance)
-    for u in sorted(given):
+    for u in sorted(known.vertices.tolist()):
         provenance.setdefault(u, KNOWN)
-    targets = {u for u in range(aug.base.vertex_count)
-               if provenance.get(u, UNKNOWN) not in (KNOWN, RECOVERED)}
-    absent = set(range(full.vertex_count)).difference(given, aug.outer_layer, targets)
-    rows = checked_rows(aug, known, blank=targets | absent)  # absent known rows: refused below
+    target = np.zeros(full.vertex_count, bool)
+    target[:aug.base.vertex_count] = [provenance.get(u, UNKNOWN) not in (KNOWN, RECOVERED)
+                                      for u in range(aug.base.vertex_count)]
+    given = known.index(full.vertex_count)[:-1] >= 0  # the vertices with a row
+    absent = ~given & ~target
+    absent[aug.outer_layer] = False
+    rows = checked_rows(aug, known, blank=absent | target)  # absent known rows: refused below
     for name, dist, need in (("outer", p_out, aug.horizon), ("inner", p_in, aug.horizon - 1)):
         if dist.t_max < need:
             raise FormatError(f"{name} law covers t <= {dist.t_max}, recovery needs t <= {need}")
     anc = _depth_first(aug)
     inner = anc[0]
-    col = dict(zip(inner.tolist(), range(len(inner))))
-    lin, den_in = _grid(rows, "inner", p_in, col, aug.horizon - 1)
-    lout, den_out = _grid(rows, "outer", p_out,
-                          {aug.outer_child(z): i for z, i in col.items()}, aug.horizon)
-    if absent:
-        raise MissingKnownRow(f"row for vertex {min(absent)} required but absent")
+    col = range(len(inner))
+    lin, den_in = _grid(rows, "inner", p_in, dict(zip(inner.tolist(), col)), aug.horizon - 1)
+    outer = full.child_ids[full.child_starts[inner]]
+    lout, den_out = _grid(rows, "outer", p_out, dict(zip(outer.tolist(), col)), aug.horizon)
+    if absent.any():
+        raise MissingKnownRow(f"row for vertex {absent.argmax()} required but absent")
     head = rows.zeros()
     head[inner] = lin[r + 1]  # the inner heads are numerators over q
     q = den_in[r + 1]
@@ -357,7 +359,7 @@ def recover_all(
         if k < r:
             tail = _shell_step(rows, tail, k + 1, inward=False)
         head = _shell_step(rows, head, k, inward=True)
-        us = sorted(u for u in targets if full.norm[u] == k)
+        us = (target & (full.norm == k)).nonzero()[0].tolist()
         hit = aug.horizon - 2 * k
         reads[k] = (hit - 1, hit) if us else (r + 1 if k == r else -1, -1)
         if not us:
@@ -372,9 +374,9 @@ def recover_all(
         # each sum's numerators to the shell's common denominator den
         den = math.lcm(*dens)
         mults, num = [den // d for d in dens], q * rows.scale ** (2 * (r + 1 - k))
-        lens = np.array([len(full.children[u]) for u in us])
-        ws = [w for u in us for w in full.children[u]]
-        eu, ew = np.repeat(us, lens), np.array(ws)
+        lens = full.child_starts[np.add(us, 1)] - full.child_starts[us]
+        ew = full.child_ids[ranges(full.child_starts[us], lens)]
+        eu, ws = np.repeat(us, lens), ew.tolist()
         # per class, sums over the block of inner vertices below each vertex
         # of shell k+1, each block one segment of the depth-first inner layer
         tops, blocks = runs(anc[r - k])
@@ -425,8 +427,8 @@ def recover_all(
 
     # the answer is the table, a row for every vertex off the outer layer, then
     # the empty rows given on the outer layer
-    empty = sorted(aug.outer_layer.intersection(given))
-    work = TransitionKernel(np.concatenate((rows.tails, np.array(empty, np.intp))),
+    empty = aug.outer_layer[given[aug.outer_layer]]
+    work = TransitionKernel(np.concatenate((rows.tails, empty)),
                             np.concatenate((rows.sizes, np.zeros(len(empty), np.intp))),
                             rows.dst, rows.probs(), provenance, mode)
     ins, outs = zip(*reads.values())

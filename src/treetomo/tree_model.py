@@ -1,11 +1,11 @@
-"""Finite rooted trees, shells, and boundary-layer augmentations.
+"""Finite rooted trees and their boundary-layer augmentations, as arrays.
 
-A rooted tree is stored with parents oriented away from the root and with
-every vertex carrying its distance to the root (its norm).  The shell ``k``
-of a tree is the set of vertices at norm ``k``; shells partition the vertex
-set.  Augmentation glues chains onto terminal vertices so that every branch
-reaches a common outer radius, which creates the two detector layers used by
-the forward solver and the tomography recursion.
+A rooted tree is stored as read-only ``intp`` arrays over its vertex ids:
+the parent of each vertex (-1 at the root), its distance to the root (its
+norm), and its children in compressed sparse row form.  Augmentation glues
+chains onto terminal vertices so that every branch reaches a common outer
+radius, which creates the two detector layers used by the forward solver
+and the tomography recursion.
 
 :class:`AugmentedTree` is the one place that checks an augmentation, however
 it was built.  It raises :class:`InvalidParameter` unless the base vertices
@@ -19,6 +19,7 @@ has exactly one child, on the outer layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,58 +28,71 @@ from .errors import InvalidParameter, NotATree, UnknownVertex
 MAX_DEGREE = 10  # vertex degree bound of random_tree
 
 
-@dataclass(frozen=True)
-class RootedTree:
-    """Immutable rooted tree over vertex ids ``0..vertex_count-1``.
+def ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The indices ``starts[i] .. starts[i] + lens[i] - 1`` for each ``i``, in turn."""
+    ends = lens.cumsum()
+    return (starts - ends + lens).repeat(lens) + np.arange(ends[-1] if len(ends) else 0)
 
-    ``parent[root]`` is None; ``children`` sequences are sorted ascending so
-    iteration order is deterministic.  ``norm[v]`` is the edge distance from
-    ``v`` to the root.
+
+@dataclass(frozen=True, eq=False)
+class RootedTree:
+    """Immutable rooted tree over vertex ids ``0..vertex_count-1``, as
+    read-only ``intp`` arrays: ``parent[v]`` is the parent of ``v``, -1 at
+    the root, and ``norm[v]`` the edge distance from ``v`` to the root.
+
+    Derived once from ``parent``: ``vertex_count``, and the children in
+    compressed sparse row form, each vertex's ascending: those of ``v`` are
+    ``child_ids[child_starts[v]:child_starts[v + 1]]``, and ``children[v]``
+    as a tuple, from a view built on first use.
     """
 
-    vertex_count: int
     root: int
-    parent: dict[int, int | None]
-    children: dict[int, tuple[int, ...]]
-    norm: dict[int, int]
+    parent: np.ndarray
+    norm: np.ndarray
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        """Parent (if any) followed by children, as one tuple."""
-        p = self.parent[v]
-        if p is None:
-            return self.children[v]
-        return (p,) + self.children[v]
+    def __post_init__(self) -> None:
+        parent = self.parent
+        kids = parent.argsort(kind="stable")[1:]  # the root first, then by parent and id
+        starts = parent[kids].searchsorted(np.arange(len(parent) + 1))
+        for array in (parent, self.norm, starts, kids):
+            array.flags.writeable = False
+        self.__dict__.update(vertex_count=len(parent), child_starts=starts, child_ids=kids)
 
-    def terminals(self) -> tuple[int, ...]:
-        """Degree-1 vertices, root excluded."""
-        return tuple(v for v in range(self.vertex_count)
-                     if v != self.root and not self.children[v])
+    @cached_property
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        """``children[v]``: the children of ``v``, ascending."""
+        ids, ends = self.child_ids.tolist(), self.child_starts.tolist()
+        return tuple(tuple(ids[a:b]) for a, b in zip(ends, ends[1:]))
+
+    def adjacency(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """How many neighbors each vertex of ``rows`` has, and those neighbors
+        as one array: for each vertex in turn, its parent (if any), then its
+        children ascending."""
+        up = self.parent[rows] >= 0
+        kids = self.child_starts[rows + 1] - self.child_starts[rows]
+        below = self.child_ids[ranges(self.child_starts[rows], kids)]
+        return kids + up, np.insert(below, (kids.cumsum() - kids)[up], self.parent[rows[up]])
 
     def subtree(self, v: int) -> tuple[int, ...]:
         """All descendants of ``v`` including ``v`` (``v`` first), deterministic."""
-        out = [v]
-        stack = [v]
+        out, stack = [v], [v]
         while stack:
-            for c in self.children[stack.pop()]:
-                out.append(c)
-                stack.append(c)
+            kids = self.children[stack.pop()]
+            out += kids
+            stack += kids
         return tuple(out)
 
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (u, c) for u in range(self.vertex_count) for c in self.children[u]
-        )
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AugmentedTree:
     """A base tree embedded in its augmentation, checked on construction
-    (see the module docstring).
+    (see the module docstring) by array operations.
 
     Derived once: ``hull_radius`` (the base's outer radius), ``aug_len`` (how
     far ``full`` reaches past it, >= 1), ``inner_layer`` and ``outer_layer``
     (the shells of ``full`` at radius ``hull_radius + aug_len - 1`` and
-    ``hull_radius + aug_len``), and the read horizon ``3 * hull_radius + 4``.
+    ``hull_radius + aug_len``, as read-only ascending id arrays), and the
+    read horizon ``3 * hull_radius + 4``.
     """
 
     base: RootedTree
@@ -87,37 +101,25 @@ class AugmentedTree:
     def __post_init__(self) -> None:
         base, full = self.base, self.full
         k, norm = base.vertex_count, full.norm
-        if k > full.vertex_count or any(base.parent[v] != (p := full.parent[v])
-                                        or (p is not None and p >= k) for v in range(k)):
+        if k > full.vertex_count or ((base.parent != full.parent[:k]) | (base.parent >= k)).any():
             raise InvalidParameter("base is not the rooted subtree of full on ids 0..k-1")
-        hull, radius = max(base.norm.values()), max(norm.values())
+        hull, radius = int(base.norm.max()), int(norm.max())
         if hull < 1 or radius <= hull:
             raise InvalidParameter(f"hull radius {hull} and aug_len {radius - hull} must be >= 1")
-        for v, kids in full.children.items():
-            if norm[v] < radius and (v >= k or not base.children[v]) and len(kids) != 1:
-                raise InvalidParameter(f"vertex {v} of a chain has {len(kids)} children, not 1")
-        set_ = object.__setattr__
-        set_(self, "hull_radius", hull)
-        set_(self, "horizon", 3 * hull + 4)
-        set_(self, "aug_len", radius - hull)
-        set_(self, "inner_layer", frozenset(v for v, n in norm.items() if n == radius - 1))
-        set_(self, "outer_layer", frozenset(v for v, n in norm.items() if n == radius))
-
-    def is_original(self, v: int) -> bool:
-        return v < self.base.vertex_count
-
-    def layer_descendants(self, v: int, layer: frozenset[int]) -> tuple[int, ...]:
-        """Descendants of ``v`` (in ``full``) that belong to ``layer``."""
-        return tuple(x for x in self.full.subtree(v) if x in layer)
-
-    def outer_child(self, z: int) -> int:
-        """The unique outer-layer child of an inner-layer vertex."""
-        return self.full.children[z][0]
+        deg = full.child_starts[1:] - full.child_starts[:-1]
+        chain = norm < radius  # chain vertices: added ones, and base terminals
+        chain[:k] &= base.child_starts[1:] == base.child_starts[:-1]
+        if (bad := (chain & (deg != 1)).nonzero()[0]).size:
+            raise InvalidParameter(f"vertex {bad[0]} of a chain has {deg[bad[0]]} children, not 1")
+        inner, outer = (norm == radius - 1).nonzero()[0], (norm == radius).nonzero()[0]
+        inner.flags.writeable = outer.flags.writeable = False
+        self.__dict__.update(hull_radius=hull, horizon=3 * hull + 4, aug_len=radius - hull,
+                             inner_layer=inner, outer_layer=outer)
 
 
 def build_tree(edges: list[tuple[int, int]], root: int) -> RootedTree:
     """Build a rooted tree from an undirected edge list, in one breadth-first
-    pass over adjacency lists that sets parents and norms and collects children.
+    pass over plain int lists that sets parents and norms.
 
     Args:
         edges: pairs of vertex ids; ids must be exactly ``0..n-1``.
@@ -127,45 +129,43 @@ def build_tree(edges: list[tuple[int, int]], root: int) -> RootedTree:
         NotATree: on cycles, disconnection, duplicate edges, or id gaps.
         UnknownVertex: if ``root`` does not appear among the ids.
     """
+    n = len(edges) + 1
+    ids = [x for edge in edges for x in edge]
+    if edges and 0 <= min(ids) and max(ids) < n and 0 <= root < n:
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        parent, norm = [-2] * n, [0] * n  # -2: not reached yet
+        parent[root] = -1
+        order = [root]
+        for v in order:
+            below = norm[v] + 1
+            for w in adj[v]:
+                if parent[w] == -2:
+                    parent[w], norm[w] = v, below
+                    order.append(w)
+        if len(order) == n:  # n - 1 edges reach all n ids 0..n-1: a tree
+            return RootedTree(root, np.array(parent, np.intp), np.array(norm, np.intp))
+    # not a tree: the first self-loop or repeated edge in list order, then the
+    # root, the ids and the edge count name the fault, else it is disconnected
     if not edges:
         raise NotATree("edge list is empty")
-    ids: set[int] = set()
-    seen = set()
+    seen: set[tuple[int, int]] = set()
     for u, v in edges:
-        if u == v:
-            raise NotATree(f"self-loop at {u}")
         key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise NotATree(f"duplicate edge {key}")
+        if u == v or key in seen:
+            raise NotATree(f"self-loop at {u}" if u == v else f"duplicate edge {key}")
         seen.add(key)
-        ids.add(u)
-        ids.add(v)
-    if root not in ids:
+    vertices = {x for edge in seen for x in edge}
+    if root not in vertices:
         raise UnknownVertex(f"root {root} not on any edge")
-    n = max(ids) + 1
-    if min(ids) != 0 or len(ids) != n:  # distinct ids: exactly 0..n-1
+    n = max(vertices) + 1
+    if min(vertices) != 0 or len(vertices) != n:  # distinct ids: exactly 0..n-1
         raise NotATree("vertex ids must be contiguous 0..n-1")
     if len(edges) != n - 1:
         raise NotATree(f"{len(edges)} edges for {n} vertices")
-
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-
-    parent: dict[int, int | None] = {root: None}
-    norm = {root: 0}
-    kids: list[tuple[int, ...]] = [()] * n
-    order = [root]
-    for v in order:
-        below = [w for w in adj[v] if w not in norm]
-        for w in below:
-            parent[w], norm[w] = v, norm[v] + 1
-        order += below
-        kids[v] = tuple(sorted(below))
-    if len(order) != n:
-        raise NotATree("graph is disconnected")
-    return RootedTree(n, root, parent, dict(enumerate(kids)), norm)
+    raise NotATree("graph is disconnected")
 
 
 def segment(k: int, l: int) -> RootedTree:
@@ -205,22 +205,20 @@ def spherical_augmentation(tree: RootedTree, l: int) -> AugmentedTree:
     vertices, where ``R`` is the outer radius of ``tree``.  New ids are
     assigned level by level (all new vertices at a given norm come before any
     deeper ones, ordered by terminal id within a level), which matches the
-    shell enumeration used throughout the recovery machinery.  Each chain
-    vertex is written straight into the parent, children and norm maps of the
+    shell enumeration used throughout the recovery machinery.  The chains
+    are laid out as arrays, appended to the parent and norm arrays of the
     full tree, and :class:`AugmentedTree` checks the result, so ``l < 1``
     raises :class:`InvalidParameter`.
     """
-    r_out = max(tree.norm.values())
-    parent, children, norm = dict(tree.parent), dict(tree.children), dict(tree.norm)
-    tip = {v: v for v in tree.terminals()}  # terminal -> current end of its chain
-    for level in range(1, r_out + l + 1):
-        for v, end in tip.items():
-            if tree.norm[v] < level:
-                new = len(parent)  # ids continue from the vertices so far
-                parent[new], norm[new] = end, level
-                children[end], children[new] = (new,), ()
-                tip[v] = new
-    return AugmentedTree(tree, RootedTree(len(parent), tree.root, parent, children, norm))
+    n, norm = tree.vertex_count, tree.norm
+    ends = ((tree.child_starts[1:] == tree.child_starts[:-1]) & (tree.parent >= 0)).nonzero()[0]
+    lens = np.maximum(int(norm.max()) + l - norm[ends], 0)
+    level = ranges(norm[ends] + 1, lens)  # each chain, root to tip, in turn
+    order = level.argsort(kind="stable")  # ids n, n+1, ...: by level, then terminal
+    above = np.concatenate(([-1], order.argsort()[:-1] + n))  # each chain vertex's parent:
+    above[(lens.cumsum() - lens)[lens > 0]] = ends[lens > 0]  # the one before it, or its terminal
+    return AugmentedTree(tree, RootedTree(tree.root, np.concatenate((tree.parent, above[order])),
+                                          np.concatenate((norm, level[order]))))
 
 
 def random_tree(rout: int, seed: int, size: int | None = None) -> RootedTree:
@@ -243,8 +241,8 @@ def random_tree(rout: int, seed: int, size: int | None = None) -> RootedTree:
         raise InvalidParameter(f"size must lie in [rout+1, 40], got {size}")
 
     edges = [(i, i + 1) for i in range(rout)]
-    norm = {i: i for i in range(rout + 1)}
-    kids = {i: (1 if i < rout else 0) for i in range(rout + 1)}
+    norm = list(range(rout + 1))
+    kids = [1] * rout + [0]
     for v in range(rout + 1, size):
         shallow = [
             u for u in range(v) if norm[u] < rout and kids[u] < MAX_DEGREE - 1
@@ -253,7 +251,7 @@ def random_tree(rout: int, seed: int, size: int | None = None) -> RootedTree:
             break
         p = int(shallow[rng.integers(len(shallow))])
         edges.append((p, v))
-        norm[v] = norm[p] + 1
+        norm.append(norm[p] + 1)
         kids[p] += 1
-        kids[v] = 0
+        kids.append(0)
     return build_tree(edges, 0)

@@ -28,6 +28,7 @@ from treetomo.errors import (
     InvalidQuery,
     MissingKnownRow,
     MissingRow,
+    NotATree,
     OutOfRange,
     RowSumViolation,
     UnknownVertex,
@@ -42,7 +43,7 @@ from treetomo.tomography import (
     make_plan,
     tail_passage_probs,
 )
-from treetomo.formats import _KERNEL, _fmt, _parse_number, _records, dump_tree
+from treetomo.formats import _KERNEL, _TREE, ORIGINAL, _fmt, _parse_number, _records, dump_tree
 from treetomo.tree_model import AugmentedTree, RootedTree, build_tree, random_tree, segment
 
 
@@ -101,6 +102,13 @@ INVALID_TREES = {
         tree_file(0, "0-1 1-2 0-3 2-4 4-5 3-6 6-7 7-8 6-9 9-10", 4),
         "vertex 6 of a chain has 2 children",
     ),
+    # a branch that ends below the outer radius, at a base terminal or an added vertex
+    "base-terminal-without-a-chain": (
+        tree_file(0, "0-1 0-2 1-3 3-4", 3), "vertex 2 of a chain has 0 children, not 1"
+    ),
+    "chain-ending-short": (
+        tree_file(0, "0-1 0-2 1-3 3-4 2-5", 3), "vertex 5 of a chain has 0 children, not 1"
+    ),
     "plain-duplicate-edge": ("tree 2 0\nedge 0 1\nedge 1 0\n", "duplicate edge (0, 1)"),
     "trailing-tokens": ("tree 2 0 junk\nedge 0 1 7\n", "trailing tokens in line 'tree 2 0 junk'"),
     "repeated-tree-header": (_SEGMENT + "tree 4 0\n", "repeated header"),
@@ -143,14 +151,189 @@ class TooLarge(TreetomoError):
     """Instance exceeds the caps of the brute-force oracle."""
 
 
+@dataclass(frozen=True)
+class DictTree:
+    """A rooted tree as ``int -> int`` maps, the form of the tree references:
+    ``parent[root]`` is None and ``children`` tuples are ascending."""
+
+    vertex_count: int
+    root: int
+    parent: dict[int, int | None]
+    children: dict[int, tuple[int, ...]]
+    norm: dict[int, int]
+
+
+def dicts_of(tree: RootedTree) -> DictTree:
+    """The maps of ``tree``'s arrays, to compare with a reference."""
+    parent = {v: None if p < 0 else p for v, p in enumerate(tree.parent.tolist())}
+    return DictTree(tree.vertex_count, tree.root, parent, dict(enumerate(tree.children)),
+                    dict(enumerate(tree.norm.tolist())))
+
+
+def same_tree(a: RootedTree | AugmentedTree, b: RootedTree | AugmentedTree) -> bool:
+    """Whether two trees, or two augmentations, hold the same arrays."""
+    if isinstance(a, AugmentedTree):
+        return same_tree(a.base, b.base) and same_tree(a.full, b.full)
+    return dicts_of(a) == dicts_of(b)
+
+
+def build_tree_by_dicts(edges: list[tuple[int, int]], root: int) -> DictTree:
+    """Reference for ``build_tree``: one breadth-first pass over adjacency
+    lists that fills the parent, children and norm maps, each vertex's
+    children sorted, after a scan that names the first fault."""
+    if not edges:
+        raise NotATree("edge list is empty")
+    ids: set[int] = set()
+    seen = set()
+    for u, v in edges:
+        if u == v:
+            raise NotATree(f"self-loop at {u}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise NotATree(f"duplicate edge {key}")
+        seen.add(key)
+        ids.add(u)
+        ids.add(v)
+    if root not in ids:
+        raise UnknownVertex(f"root {root} not on any edge")
+    n = max(ids) + 1
+    if min(ids) != 0 or len(ids) != n:
+        raise NotATree("vertex ids must be contiguous 0..n-1")
+    if len(edges) != n - 1:
+        raise NotATree(f"{len(edges)} edges for {n} vertices")
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    parent: dict[int, int | None] = {root: None}
+    norm = {root: 0}
+    kids: list[tuple[int, ...]] = [()] * n
+    order = [root]
+    for v in order:
+        below = [w for w in adj[v] if w not in norm]
+        for w in below:
+            parent[w], norm[w] = v, norm[v] + 1
+        order += below
+        kids[v] = tuple(sorted(below))
+    if len(order) != n:
+        raise NotATree("graph is disconnected")
+    return DictTree(n, root, parent, dict(enumerate(kids)), norm)
+
+
+def check_augmentation_by_dicts(base: DictTree, full: DictTree) -> tuple:
+    """Reference for the checks of ``AugmentedTree``, vertex by vertex over the
+    maps: raises as it does, else returns ``(hull_radius, horizon, aug_len,
+    inner_layer, outer_layer)``, the layers as frozensets."""
+    k, norm = base.vertex_count, full.norm
+    if k > full.vertex_count or any(base.parent[v] != (p := full.parent[v])
+                                    or (p is not None and p >= k) for v in range(k)):
+        raise InvalidParameter("base is not the rooted subtree of full on ids 0..k-1")
+    hull, radius = max(base.norm.values()), max(norm.values())
+    if hull < 1 or radius <= hull:
+        raise InvalidParameter(f"hull radius {hull} and aug_len {radius - hull} must be >= 1")
+    for v, kids in full.children.items():
+        if norm[v] < radius and (v >= k or not base.children[v]) and len(kids) != 1:
+            raise InvalidParameter(f"vertex {v} of a chain has {len(kids)} children, not 1")
+    return (hull, 3 * hull + 4, radius - hull,
+            frozenset(v for v, n in norm.items() if n == radius - 1),
+            frozenset(v for v, n in norm.items() if n == radius))
+
+
+def augment_by_dicts(tree: DictTree, l: int) -> tuple[DictTree, tuple]:
+    """Reference for ``spherical_augmentation``: each chain vertex written
+    straight into the maps of the full tree, level by level and terminal by
+    terminal, then checked; returns the full tree and what the check returns."""
+    r_out = max(tree.norm.values())
+    parent, children, norm = dict(tree.parent), dict(tree.children), dict(tree.norm)
+    tip = {v: v for v in range(tree.vertex_count) if v != tree.root and not tree.children[v]}
+    for level in range(1, r_out + l + 1):
+        for v, end in tip.items():
+            if tree.norm[v] < level:
+                new = len(parent)
+                parent[new], norm[new] = end, level
+                children[end], children[new] = (new,), ()
+                tip[v] = new
+    full = DictTree(len(parent), tree.root, parent, children, norm)
+    return full, check_augmentation_by_dicts(tree, full)
+
+
+def parse_tree_by_records(text: str) -> DictTree | tuple[DictTree, tuple]:
+    """Reference for ``parse_tree``, record by record into the maps of
+    :func:`build_tree_by_dicts` and checked by
+    :func:`check_augmentation_by_dicts`: a plain tree, or the full tree of an
+    augmented one and what the check returns."""
+    edges: list[tuple[int, int]] = []
+    origin: set[int] = set()
+    records = _records(text, _TREE, "tree")
+    try:
+        n, root = map(int, next(records)[1:])
+        for parts in records:
+            if parts[0] == "edge":
+                edges.append((int(parts[1]), int(parts[2])))
+            else:
+                v = int(parts[1])
+                if parts[2] != ORIGINAL or v in origin:
+                    raise FormatError(f"bad or repeated origin flag in {' '.join(parts)!r}")
+                origin.add(v)
+    except ValueError as exc:
+        raise FormatError(f"bad tree line: {exc}") from exc
+    try:
+        full = build_tree_by_dicts(edges, root)
+        if full.vertex_count != n:
+            raise FormatError(f"header says {n} vertices, edges give {full.vertex_count}")
+        if not origin:
+            return full
+        k = len(origin)
+        if origin != set(range(k)) or not root < k <= n:
+            raise FormatError("base vertex ids must form a prefix 0..k-1 holding the root")
+        base = DictTree(k, root, {v: full.parent[v] for v in range(k)},
+                        {v: tuple(c for c in full.children[v] if c < k) for v in range(k)},
+                        {v: full.norm[v] for v in range(k)})
+        return full, check_augmentation_by_dicts(base, full)
+    except (NotATree, UnknownVertex, InvalidParameter) as exc:
+        raise FormatError(f"not a valid tree: {exc}") from exc
+
+
+def tree_edges(tree: RootedTree) -> tuple[tuple[int, int], ...]:
+    """Every edge ``(parent, child)``, by parent and then child."""
+    return tuple((u, c) for u in range(tree.vertex_count) for c in tree.children[u])
+
+
+def terminals(tree: RootedTree) -> tuple[int, ...]:
+    """Degree-1 vertices, root excluded."""
+    return tuple(v for v in range(tree.vertex_count)
+                 if v != tree.root and not tree.children[v])
+
+
+def neighbors(tree: RootedTree, v: int) -> tuple[int, ...]:
+    """Parent (if any) followed by children, as one tuple."""
+    p = int(tree.parent[v])
+    return tree.children[v] if p < 0 else (p,) + tree.children[v]
+
+
+def is_original(aug: AugmentedTree, v: int) -> bool:
+    return v < aug.base.vertex_count
+
+
+def layer_descendants(aug: AugmentedTree, v: int, layer: np.ndarray) -> tuple[int, ...]:
+    """Descendants of ``v`` (in ``full``) that belong to ``layer``."""
+    members = set(layer.tolist())
+    return tuple(x for x in aug.full.subtree(v) if x in members)
+
+
+def outer_child(aug: AugmentedTree, z: int) -> int:
+    """The unique outer-layer child of an inner-layer vertex."""
+    return aug.full.children[z][0]
+
+
 def degree(tree: RootedTree, v: int) -> int:
-    return len(tree.neighbors(v))
+    return len(neighbors(tree, v))
 
 
 def shells(tree: RootedTree) -> dict[int, tuple[int, ...]]:
     out: dict[int, list[int]] = {}
-    for v in range(tree.vertex_count):
-        out.setdefault(tree.norm[v], []).append(v)
+    for v, k in enumerate(tree.norm.tolist()):
+        out.setdefault(k, []).append(v)
     return {k: tuple(sorted(vs)) for k, vs in out.items()}
 
 
@@ -160,11 +343,11 @@ def radii(tree: RootedTree) -> tuple[int, int, bool]:
     The outer radius is the maximum norm; the inner radius is the minimum
     norm over terminal vertices (root excluded from the terminal set).
     """
-    r_out = max(tree.norm.values())
-    terms = tree.terminals()
+    r_out = int(tree.norm.max())
+    terms = terminals(tree)
     if not terms:
         raise InvalidParameter("tree has no terminal vertex")
-    r_in = min(tree.norm[v] for v in terms)
+    r_in = int(tree.norm[list(terms)].min())
     return r_in, r_out, r_in == r_out
 
 
@@ -176,11 +359,11 @@ def l_augment_at(tree: RootedTree, v: int, l: int) -> RootedTree:
     """
     if l < 1:
         raise InvalidParameter(f"chain length must be >= 1, got {l}")
-    if v not in tree.norm:
+    if v not in range(tree.vertex_count):
         raise UnknownVertex(f"vertex {v} not in tree")
     if v == tree.root or degree(tree, v) != 1:
         raise NotTerminal(f"vertex {v} is not a terminal vertex")
-    edges = list(tree.edges())
+    edges = list(tree_edges(tree))
     n = tree.vertex_count
     prev = v
     for i in range(l):
@@ -192,10 +375,10 @@ def l_augment_at(tree: RootedTree, v: int, l: int) -> RootedTree:
 def edge_list_augmentation(tree: RootedTree, l: int) -> AugmentedTree:
     """Reference for ``spherical_augmentation``: the same chains, numbered level
     by level, appended to the edge list and the whole tree built again."""
-    edges = list(tree.edges())
+    edges = list(tree_edges(tree))
     next_id = tree.vertex_count
-    tip = {v: v for v in tree.terminals()}
-    for level in range(1, max(tree.norm.values()) + l + 1):
+    tip = {v: v for v in terminals(tree)}
+    for level in range(1, int(tree.norm.max()) + l + 1):
         for v in tip:
             if tree.norm[v] < level:
                 edges.append((tip[v], next_id))
@@ -214,11 +397,12 @@ def dirichlet_kernel(
     one, half = (Fraction(1), Fraction(1, 2)) if mode == RATIONAL else (1.0, 0.5)
     entries: dict[int, dict[int, Number]] = {}
     prov: dict[int, str] = {}
+    outer = set(aug.outer_layer.tolist())
     for u in range(full.vertex_count):
-        if u in aug.outer_layer:
+        if u in outer:
             continue
-        nbrs = full.neighbors(u)
-        lam = aug.is_original(u)
+        nbrs = neighbors(full, u)
+        lam = is_original(aug, u)
         prov[u] = UNKNOWN if lam else KNOWN
         d = len(nbrs)
         if d == 1:
@@ -261,13 +445,14 @@ def default_augmented_kernel(
     mode = base.mode
     half, one = (Fraction(1, 2), Fraction(1)) if mode == RATIONAL else (0.5, 1.0)
     full = aug.full
-    internal = set(range(aug.base.vertex_count)) - set(aug.base.terminals())
+    internal = set(range(aug.base.vertex_count)) - set(terminals(aug.base))
+    outer = set(aug.outer_layer.tolist())
     entries = {}
     prov = {}
     for u in range(full.vertex_count):
-        if u in aug.outer_layer:
+        if u in outer:
             continue
-        nbrs = full.neighbors(u)
+        nbrs = neighbors(full, u)
         if u in internal:
             if u == full.root and len(nbrs) == 1:
                 entries[u] = {nbrs[0]: one}
@@ -345,7 +530,7 @@ def brute_force_hitting(
         raise TooLarge(
             f"{aug.full.vertex_count} vertices exceed oracle cap {vertex_cap}"
         )
-    target = aug.inner_layer if layer == INNER else aug.outer_layer
+    target = set((aug.inner_layer if layer == INNER else aug.outer_layer).tolist())
     mass: dict[tuple[int, int], Number] = {}
 
     def walk(v: int, t: int, p) -> None:
@@ -380,9 +565,9 @@ def small_bases(max_aug_vertices: int = 9) -> list[RootedTree]:
     for b in range(2, max_aug_vertices + 1):
         for parents in product(*(range(i) for i in range(1, b))):
             tree = build_tree([(p, i) for i, p in enumerate(parents, start=1)], 0)
-            r = max(tree.norm.values())
+            r = int(tree.norm.max())
             aug_size = tree.vertex_count + sum(
-                r - tree.norm[v] + 2 for v in tree.terminals()
+                r - int(tree.norm[v]) + 2 for v in terminals(tree)
             )
             if aug_size > max_aug_vertices:
                 continue
@@ -432,7 +617,7 @@ def mixed_denominator_instance() -> tuple[AugmentedTree, TransitionKernel]:
         7: {3: F(2, 3), 10: F(1, 3)},
         8: {4: F(3, 7), 11: F(4, 7)},
     }
-    prov = {u: UNKNOWN if aug.is_original(u) else KNOWN for u in rows}
+    prov = {u: UNKNOWN if is_original(aug, u) else KNOWN for u in rows}
     return aug, TransitionKernel.from_entries(rows, prov, RATIONAL)
 
 
@@ -455,7 +640,7 @@ def up_product(aug: AugmentedTree, kernel: TransitionKernel, z: int, u: int):
     """Product of inward transitions along the path from ``z`` up to ``u``."""
     acc = 1
     while z != u:
-        p = aug.full.parent[z]
+        p = int(aug.full.parent[z])
         acc = acc * kernel.prob(z, p)
         z = p
     return acc
@@ -465,7 +650,7 @@ def down_product(aug: AugmentedTree, kernel: TransitionKernel, w: int, v: int):
     """Product of outward transitions along the path from ``w`` down to ``v``."""
     acc = 1
     while v != w:
-        p = aug.full.parent[v]
+        p = int(aug.full.parent[v])
         acc = acc * kernel.prob(p, v)
         v = p
     return acc
@@ -480,7 +665,7 @@ def explicit_edge_coefficient(aug, kernel, plan, p_in):
     to the vertex and the outward product from the child down to ``v``.
     """
     total = 0
-    for z in aug.layer_descendants(plan.vertex, aug.inner_layer):
+    for z in layer_descendants(aug, plan.vertex, aug.inner_layer):
         ballistic = p_in.prob(aug.hull_radius + 1, z)
         head = ballistic * up_product(aug, kernel, z, plan.vertex)
         for v in plan.outer_targets:
@@ -543,7 +728,7 @@ def recover_by_edges(
     work = known
     for k in range(aug.hull_radius, -1, -1):
         for u in shells(full)[k]:
-            if not aug.is_original(u) or u in work.entries:
+            if not is_original(aug, u) or u in work.entries:
                 continue
             row = {
                 w: recover_edge(aug, work, make_plan(aug, u, w), p_in, p_out, clamp)
@@ -559,7 +744,7 @@ def recover_by_edges(
                     if not clamp:
                         raise RowSumViolation(f"inward entry of vertex {u} is {float(comp)}")
                     comp = _clamp(comp, mode)
-                row[full.parent[u]] = comp
+                row[int(full.parent[u])] = comp
             if clamp:
                 s = sum(row.values())
                 row = {w: p / s for w, p in row.items()}
@@ -625,8 +810,8 @@ def law_total(dist: HittingDistribution, up_to: int | None = None) -> Number:
 def path_to_root(tree: RootedTree, v: int) -> tuple[int, ...]:
     """Vertices from ``v`` up to and including the root."""
     out = [v]
-    while tree.parent[out[-1]] is not None:
-        out.append(tree.parent[out[-1]])
+    while tree.parent[out[-1]] >= 0:
+        out.append(int(tree.parent[out[-1]]))
     return tuple(out)
 
 

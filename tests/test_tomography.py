@@ -38,6 +38,7 @@ from helpers import (
     explicit_edge_coefficient,
     known_part,
     mixed_denominator_instance,
+    outer_child,
     path_class_prob,
     rand_instance,
     recover_by_edges,
@@ -690,7 +691,7 @@ class TestArrayInversion:
         aug = spherical_augmentation(broom(5, 5), 2)
         kernel = random_kernel(aug, 11, scope="all", mode="rational")
         p_in, p_out = forward_pair(aug, kernel)
-        outer = {aug.outer_child(aug.full.children[u][0]) for u in (4, 9)}
+        outer = {outer_child(aug, aug.full.children[u][0]) for u in (4, 9)}
         p_out = scaled_law(p_out, 3, lambda key: key[0] == 6 and key[1] in outer)
         with pytest.raises(OutOfRange, match=r"^recovered t\(4,33\) = "):
             recover_all(aug, known_part(kernel), p_in, p_out)

@@ -1,10 +1,13 @@
 """Tree construction, shells, radii, and augmentation."""
 
 import random
+import re
 
+import numpy as np
 import pytest
 
-from treetomo.errors import InvalidParameter, NotATree
+from treetomo.errors import FormatError, InvalidParameter, NotATree, TreetomoError
+from treetomo.formats import dump_tree, parse_tree
 from treetomo.tree_model import (
     AugmentedTree,
     RootedTree,
@@ -16,13 +19,23 @@ from treetomo.tree_model import (
 )
 
 from helpers import (
+    INVALID_TREES,
     NotTerminal,
+    augment_by_dicts,
     broom,
+    build_tree_by_dicts,
+    comb,
     degree,
+    dicts_of,
     edge_list_augmentation,
+    is_original,
     l_augment_at,
+    parse_tree_by_records,
     radii,
+    same_tree,
     shells,
+    terminals,
+    tree_edges,
 )
 
 
@@ -31,7 +44,7 @@ class TestBuildTree:
         t = build_tree([(0, 1)], 0)
         assert t.vertex_count == 2
         assert t.norm[1] == 1
-        assert t.parent[1] == 0 and t.parent[0] is None
+        assert t.parent[1] == 0 and t.parent[0] == -1
 
     def test_norms_forced_by_distance(self):
         t = build_tree([(0, 1), (1, 2), (0, 3)], 0)
@@ -77,11 +90,11 @@ class TestBuildTree:
     def test_edge_order_does_not_matter(self):
         for seed in range(20):
             t = random_tree(1 + seed % 6, seed)
-            edges = list(t.edges())
+            edges = list(tree_edges(t))
             shuffled = edges[:]
             random.Random(seed).shuffle(shuffled)
             for variant in (shuffled, edges[::-1], [(v, u) for u, v in shuffled]):
-                assert build_tree(variant, t.root) == t
+                assert same_tree(build_tree(variant, t.root), t)
 
 
 class TestSegment:
@@ -94,7 +107,7 @@ class TestSegment:
         t = segment(1, 1)
         assert t.vertex_count == 3
         assert t.children[0] == (1, 2)
-        assert set(t.terminals()) == {1, 2}
+        assert set(terminals(t)) == {1, 2}
 
     def test_asymmetric(self):
         t = segment(2, 3)
@@ -122,7 +135,7 @@ class TestStar:
         assert t.parent[4] == 1 and t.parent[6] == 3
 
     def test_single_branch_is_segment(self):
-        assert star(3, 1).edges() == segment(0, 3).edges()
+        assert tree_edges(star(3, 1)) == tree_edges(segment(0, 3))
 
     def test_bad_parameters(self):
         with pytest.raises(InvalidParameter):
@@ -136,7 +149,7 @@ class TestRadii:
     def test_root_excluded_from_terminals(self):
         # degree-1 root must not drag the inner radius to zero
         t = segment(0, 3)
-        assert t.terminals() == (3,)
+        assert terminals(t) == (3,)
         assert radii(t) == (3, 3, True)
 
 
@@ -159,9 +172,9 @@ class TestAugmentAt:
 class TestSphericalAugmentation:
     def test_segment_becomes_path(self):
         aug = spherical_augmentation(segment(0, 1), 2)
-        assert aug.full.edges() == ((0, 1), (1, 2), (2, 3))
-        assert aug.inner_layer == frozenset({2})
-        assert aug.outer_layer == frozenset({3})
+        assert tree_edges(aug.full) == ((0, 1), (1, 2), (2, 3))
+        assert aug.inner_layer.tolist() == [2]
+        assert aug.outer_layer.tolist() == [3]
         assert aug.hull_radius == 1
 
     def test_star_layers(self):
@@ -193,7 +206,7 @@ class TestSphericalAugmentation:
                 assert sum(len(s) for s in shells(full).values()) == full.vertex_count
                 # embedding preserves ids, parents, norms
                 for v in range(base.vertex_count):
-                    assert aug.is_original(v)
+                    assert is_original(aug, v)
                     assert full.norm[v] == base.norm[v]
                     assert full.parent[v] == base.parent[v]
                 # unique parent within the previous shell
@@ -205,8 +218,8 @@ class TestSphericalAugmentation:
                 for v in range(base.vertex_count, full.vertex_count):
                     if v not in aug.outer_layer:
                         assert degree(full, v) == 2
-                assert aug.outer_layer == frozenset(full.terminals())
-                assert aug.inner_layer == frozenset(
+                assert aug.outer_layer.tolist() == list(terminals(full))
+                assert aug.inner_layer.tolist() == sorted(
                     full.parent[v] for v in aug.outer_layer
                 )
 
@@ -215,9 +228,11 @@ class TestSphericalAugmentation:
         for base in bases + [broom(3, 4), segment(2, 5)]:
             for l in (1, 2, 3):
                 aug, ref = spherical_augmentation(base, l), edge_list_augmentation(base, l)
-                assert aug == ref
-                assert (aug.inner_layer, aug.outer_layer) == (ref.inner_layer, ref.outer_layer)
-                assert aug == AugmentedTree(base, build_tree(list(aug.full.edges()), base.root))
+                assert same_tree(aug, ref)
+                assert aug.inner_layer.tolist() == ref.inner_layer.tolist()
+                assert aug.outer_layer.tolist() == ref.outer_layer.tolist()
+                assert same_tree(aug, AugmentedTree(
+                    base, build_tree(list(tree_edges(aug.full)), base.root)))
 
     def test_needs_an_edge(self):
         with pytest.raises(InvalidParameter):
@@ -227,7 +242,7 @@ class TestSphericalAugmentation:
         # path 0-2-1-3-4 with base ids {0, 1}: base and full agree on every
         # parent, but original vertex 1 hangs below added vertex 2
         full = build_tree([(0, 2), (2, 1), (1, 3), (3, 4)], 0)
-        base = RootedTree(2, 0, {0: None, 1: 2}, {0: (), 1: ()}, {0: 0, 1: 2})
+        base = RootedTree(0, np.array([-1, 2]), np.array([0, 2]))
         with pytest.raises(InvalidParameter):
             AugmentedTree(base, full)
 
@@ -236,13 +251,13 @@ class TestRandomTree:
     def test_deterministic(self):
         a = random_tree(3, 11)
         b = random_tree(3, 11)
-        assert a.edges() == b.edges()
+        assert tree_edges(a) == tree_edges(b)
 
     def test_radius_exact(self):
         for seed in range(20):
             rout = 1 + seed % 6
             t = random_tree(rout, seed)
-            assert max(t.norm.values()) == rout
+            assert t.norm.max() == rout
             assert t.vertex_count <= 40
 
     @pytest.mark.parametrize("rout", [0, 40, 41])
@@ -257,5 +272,95 @@ class TestRandomTree:
 
     def test_longest_spine(self):
         t = random_tree(39, 0)
-        assert max(t.norm.values()) == 39
+        assert t.norm.max() == 39
         assert t.vertex_count == 40
+
+
+def oracle_trees():
+    """random_tree seeds 0-39, stars, segments, comb(2..16), broom(5,5) and broom(60,60)."""
+    return ([random_tree(1 + seed % 39, seed) for seed in range(40)]
+            + [star(1, 2), star(3, 4), segment(0, 3), segment(2, 5)]
+            + [comb(r) for r in range(2, 17)] + [broom(5, 5), broom(60, 60)])
+
+
+def edge_variants(tree, seed):
+    """The tree's edges as built, shuffled, flipped, and both."""
+    edges = list(tree_edges(tree))
+    shuffled = edges[:]
+    random.Random(seed).shuffle(shuffled)
+    return [edges, shuffled, [(v, u) for u, v in edges], [(v, u) for u, v in shuffled]]
+
+
+# edge lists that are no tree, each with a root
+BAD_EDGE_LISTS = [
+    ([], 0), ([(0, 1), (1, 1)], 0), ([(0, 1), (1, 0)], 0), ([(0, 1), (1, 2), (2, 0)], 0),
+    ([(0, 1), (2, 3), (1, 2), (3, 0)], 0), ([(0, 2)], 0), ([(0, 1)], 5), ([(0, 1)], -1),
+    ([(0, 1), (1, 2), (2, 0), (3, 4)], 0), ([(0, 1), (1, -1)], 0), ([(0, 2), (1, -1)], 0),
+    ([(0, 1), (1, 2), (2, 3), (1, 3)], 0), ([(0, 1), (2, 3), (2, 3)], 0), ([(1, 2)], 1),
+]
+
+
+class TestTreeOracles:
+    """The array trees against the dict-based references in ``helpers``."""
+
+    def test_build_matches_dict_oracle(self):
+        for i, tree in enumerate(oracle_trees()):
+            roots = (tree.root, random.Random(i).randrange(tree.vertex_count))
+            for edges in edge_variants(tree, i):
+                for root in roots:
+                    assert dicts_of(build_tree(edges, root)) == build_tree_by_dicts(edges, root)
+
+    def test_build_refuses_as_dict_oracle(self):
+        for edges, root in BAD_EDGE_LISTS:
+            with pytest.raises(TreetomoError) as want:
+                build_tree_by_dicts(edges, root)
+            with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+                build_tree(edges, root)
+
+    def test_augmentation_matches_dict_oracle(self):
+        for tree in oracle_trees():
+            for l in (1, 2, 3):
+                aug = spherical_augmentation(tree, l)
+                full, (hull, horizon, aug_len, inner, outer) = augment_by_dicts(dicts_of(tree), l)
+                assert dicts_of(aug.full) == full
+                assert (aug.hull_radius, aug.horizon, aug.aug_len) == (hull, horizon, aug_len)
+                assert aug.inner_layer.tolist() == sorted(inner)
+                assert aug.outer_layer.tolist() == sorted(outer)
+
+    def test_parse_matches_dict_oracle(self):
+        # dump_tree's layout, its edges reversed and child first, and a spaced
+        # layout that is read record by record
+        for i, tree in enumerate(oracle_trees()):
+            aug = spherical_augmentation(tree, 2)
+            text = dump_tree(aug)
+            head, *lines = text.splitlines()
+            edges = [ln for ln in lines if ln.startswith("edge")]
+            flipped = [f"edge {v} {u}" for _, u, v in map(str.split, reversed(edges))]
+            for variant in (text, "\n".join([head, *flipped, *lines[len(edges):]]) + "\n",
+                            text.replace("\n", "\n\n").replace(" ", "  ")):
+                parsed = parse_tree(variant)
+                full, (hull, horizon, aug_len, inner, outer) = parse_tree_by_records(variant)
+                assert dicts_of(parsed.full) == full
+                assert dicts_of(parsed.base) == dicts_of(tree)
+                assert (parsed.hull_radius, parsed.horizon, parsed.aug_len) == (hull, horizon, aug_len)
+                assert parsed.inner_layer.tolist() == sorted(inner)
+                assert parsed.outer_layer.tolist() == sorted(outer)
+            if i % 10 == 0:
+                assert dicts_of(parse_tree(dump_tree(tree))) == parse_tree_by_records(dump_tree(tree))
+
+    @pytest.mark.parametrize("text", [text for text, _ in INVALID_TREES.values()],
+                             ids=list(INVALID_TREES))
+    def test_invalid_tree_gives_the_oracle_message(self, text):
+        with pytest.raises(FormatError) as want:
+            parse_tree_by_records(text)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(want.value))}$"):
+            parse_tree(text)
+
+    def test_arrays_are_read_only(self):
+        aug = spherical_augmentation(broom(3, 4), 2)
+        for array in (aug.full.parent, aug.full.norm, aug.full.child_starts, aug.full.child_ids,
+                      aug.base.parent, aug.inner_layer, aug.outer_layer):
+            assert array.dtype == np.intp
+            with pytest.raises(ValueError):
+                array[0] = 1
+        assert aug.full.children is aug.full.children  # the tuple view is built once
