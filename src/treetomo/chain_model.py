@@ -164,7 +164,8 @@ class AccRows:
     The table holds the row of every vertex of ``vertices`` (default: all)
     that has children, laid out from the kernel's table, one slot per
     neighbor in ``vertices`` in the row's slot order; vectors are indexed by
-    position in ``vertices`` (``local`` maps ids to positions).  A row that
+    position in ``vertices`` (``local`` maps ids to positions; it is None for
+    all vertices, whose positions are their ids).  A row that
     the vertex mask ``blank`` marks starts as zeros in neighbor order, parent
     first, for :meth:`write`; any other row the kernel lacks raises
     :class:`MissingKnownRow`; no row is checked (see :func:`checked_rows`).
@@ -188,11 +189,16 @@ class AccRows:
     def __init__(self, full: RootedTree, kernel: TransitionKernel,
                  vertices: tuple[int, ...] | None = None, blank: np.ndarray | None = None):
         self.exact = kernel.mode == RATIONAL
-        n = full.vertex_count
-        ids = np.arange(n) if vertices is None else np.array(vertices, np.intp)
-        self.local = np.full(n + 1, -1, np.intp)  # -1: not in vertices; [n]: off the tree
-        self.local[ids] = np.arange(len(ids))
-        rows = ids[full.child_starts[ids + 1] > full.child_starts[ids]]
+        n, starts = full.vertex_count, full.child_starts
+        if vertices is None:  # every vertex: positions are ids
+            self.local, self.norm = None, full.norm
+            rows = (starts[1:] > starts[:-1]).nonzero()[0]
+        else:
+            ids = np.array(vertices, np.intp)
+            self.local = np.full(n + 1, -1, np.intp)  # -1: not in vertices; [n]: off the tree
+            self.local[ids] = np.arange(len(ids))
+            self.norm = full.norm[ids]
+            rows = ids[starts[ids + 1] > starts[ids]]
         at = kernel.index(n)[rows]
         sizes, nbrs, values = kernel.sizes, kernel.neighbors, kernel.values
         if blank is not None and (laid := blank[rows]).any():
@@ -207,8 +213,11 @@ class AccRows:
         self.sizes = sizes[at]
         pick = ranges((sizes.cumsum() - sizes)[at], self.sizes)
         keys, q = nbrs[pick], values[pick]
-        dst = self.local[np.minimum(np.maximum(keys, -1), n).astype(np.intp)]
-        src = self.local[rows].repeat(self.sizes)
+        dst = np.minimum(np.maximum(keys, -1), n).astype(np.intp)  # -1 or n: off the tree
+        if self.local is None:
+            dst[dst == n], src = -1, rows.repeat(self.sizes)
+        else:
+            dst, src = self.local[dst], self.local[rows].repeat(self.sizes)
         self.scale = 1
         if self.exact:
             self._cover(q := q.tolist())
@@ -217,7 +226,6 @@ class AccRows:
             q = np.asarray(q, float).astype(np.longdouble)  # exact: floats widen
         keep = dst >= 0  # slots to neighbors outside vertices are dropped
         self.src, self.dst, self.q = src[keep], dst[keep], q[keep]
-        self.norm = full.norm[ids]
         self.by_dst = np.argsort(self.dst, kind="stable")
         self.heads, self.head_starts = runs(self.dst[self.by_dst])
         self.tails, self.tail_starts = runs(self.src)

@@ -9,8 +9,13 @@ reader, which takes each format's header record (``tree``, ``mode`` or
 ``batch``) first and once, and each record with its token count.  A tree
 file states its edges and, when augmented, ``origin v original`` for each
 base id ``v < k``; every higher id is added and the layers follow, so
-neither is written.  A law file is the law's grid: a header naming the layer
-and its vertices, one column each, then one line per time that holds mass.
+neither is written.  A tree file in the layout :func:`dump_tree` writes has
+its ids converted in C by one ``np.fromstring``, and :func:`build_tree`
+orients its parent-first edges by pointer doubling; other layouts are read
+record by record, and other edge orders, like faults, take the
+breadth-first pass that names each fault.  A law file is the law's grid: a
+header naming the layer and its vertices, one column each, then one line
+per time that holds mass.
 A kernel file is the kernel's table, one ``row u v:p ...`` line per row, and
 is read into and written from that table in bulk, with no dict per row.
 """
@@ -20,6 +25,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import string
 from collections.abc import Iterator
 from decimal import Decimal
 from fractions import Fraction
@@ -132,20 +138,22 @@ def dump_tree(tree: RootedTree | AugmentedTree) -> str:
 
 
 _ID = "[0-9]{1,18}"  # an id within int64
+_LETTERS = string.ascii_lowercase.encode()  # the words of a tree file
 _TREE_DUMP = re.compile(f"tree {_ID} {_ID}\n(?:edge {_ID} {_ID}\n)*(?:origin {_ID} {ORIGINAL}\n)*")
 
 
-def _tree_tokens(text: str) -> tuple[int, int, list[tuple[int, int]], list[int] | set[int]]:
-    """The vertex count, root, edges and origin ids of a tree file: converted
-    at once for a file laid out as :func:`dump_tree` writes it with origins
-    ``0..k-1``, else record by record, naming the first bad record."""
+def _tree_tokens(text: str) -> tuple[int, int, np.ndarray | list[tuple[int, int]], range | set[int]]:
+    """The vertex count, root, edges and origin ids of a tree file: for a file
+    laid out as :func:`dump_tree` writes it with origins ``0..k-1``, every id
+    converted in C by one ``np.fromstring``, the edges as an ``(m, 2)``
+    array; else record by record, naming the first bad record."""
     if _TREE_DUMP.fullmatch(text):
-        tokens = text.split()
-        cut = len(tokens) - 3 * text.count(f" {ORIGINAL}\n")
-        origin = list(map(int, tokens[cut + 1::3]))
-        if origin == list(range(len(origin))):
-            edges = list(zip(map(int, tokens[4:cut:3]), map(int, tokens[5:cut:3])))
-            return int(tokens[1]), int(tokens[2]), edges, origin
+        # only ids of at most 18 digits are left once the words go: all within int64
+        ids = np.fromstring(text.encode().translate(None, _LETTERS), np.intp, sep=" ")
+        cut = 2 + 2 * text.count("\ne")  # past the header and the edge ids
+        origin = ids[cut:]
+        if (origin == np.arange(len(origin))).all():
+            return int(ids[0]), int(ids[1]), ids[2:cut].reshape(-1, 2), range(len(origin))
     edges, origin = [], set()
     records = _records(text, _TREE, "tree")
     n, root = map(int, next(records)[1:])

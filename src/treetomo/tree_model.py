@@ -26,6 +26,7 @@ import numpy as np
 from .errors import InvalidParameter, NotATree, UnknownVertex
 
 MAX_DEGREE = 10  # vertex degree bound of random_tree
+FEW_EDGES = 64  # below this many edges one breadth-first pass beats pointer doubling
 
 
 def ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -117,12 +118,22 @@ class AugmentedTree:
                              inner_layer=inner, outer_layer=outer)
 
 
-def build_tree(edges: list[tuple[int, int]], root: int) -> RootedTree:
-    """Build a rooted tree from an undirected edge list, in one breadth-first
-    pass over plain int lists that sets parents and norms.
+def build_tree(edges: list[tuple[int, int]] | np.ndarray, root: int) -> RootedTree:
+    """Build a rooted tree from an undirected edge list.
+
+    A list of ``FEW_EDGES`` edges or more is first read parent first, as
+    :func:`dump_tree` writes it.  That reading holds when every id but the
+    root is a child exactly once and the root never: then one scatter sets
+    the parents, and pointer doubling sets the norms, in about
+    ``log2(height)`` rounds of ``norm += norm[jump]; jump = jump[jump]``
+    that end once every jump reaches the root, which also shows the edges
+    acyclic and connected.  Any other list, and a shorter one, on which
+    numpy calls cost more than they save, takes one breadth-first pass over
+    plain int lists, which names the first fault.
 
     Args:
-        edges: pairs of vertex ids; ids must be exactly ``0..n-1``.
+        edges: pairs of vertex ids, as a list or an ``(m, 2)`` integer array;
+            ids must be exactly ``0..n-1``.
         root: id of the root vertex.
 
     Raises:
@@ -130,6 +141,10 @@ def build_tree(edges: list[tuple[int, int]], root: int) -> RootedTree:
         UnknownVertex: if ``root`` does not appear among the ids.
     """
     n = len(edges) + 1
+    if n > FEW_EDGES and (tree := _parent_first(edges, root)) is not None:
+        return tree
+    if isinstance(edges, np.ndarray):
+        edges = edges.tolist()
     ids = [x for edge in edges for x in edge]
     if edges and 0 <= min(ids) and max(ids) < n and 0 <= root < n:
         adj: list[list[int]] = [[] for _ in range(n)]
@@ -166,6 +181,30 @@ def build_tree(edges: list[tuple[int, int]], root: int) -> RootedTree:
     if len(edges) != n - 1:
         raise NotATree(f"{len(edges)} edges for {n} vertices")
     raise NotATree("graph is disconnected")
+
+
+def _parent_first(edges: list[tuple[int, int]] | np.ndarray, root: int) -> RootedTree | None:
+    """The tree of ``edges`` read parent first, or None when they do not read
+    so or close a cycle; every array is sized by the edge count."""
+    n = len(edges) + 1
+    try:
+        pairs = np.asarray(edges, np.intp).reshape(n - 1, 2)
+    except OverflowError:  # an id past int64
+        return None
+    if n < 2 or not 0 <= root < n or pairs.min() < 0 or pairs.max() >= n:
+        return None
+    parent = np.full(n, -1, np.intp)
+    parent[pairs[:, 1]] = pairs[:, 0]
+    if parent[root] >= 0 or np.count_nonzero(parent >= 0) < n - 1:  # root a child, or a child twice
+        return None
+    jump, norm = parent.copy(), np.ones(n, np.intp)
+    jump[root], norm[root] = root, 0  # the root jumps to itself, at distance 0
+    for _ in range(n.bit_length() + 1):  # 2**rounds > n - 1 >= the height
+        if (jump == root).all():
+            return RootedTree(root, parent, norm)
+        norm += norm[jump]
+        jump = jump[jump]
+    return None  # a cycle off the root
 
 
 def segment(k: int, l: int) -> RootedTree:

@@ -136,6 +136,11 @@ INVALID_TREES = {
         "tree 3 0\nedge 0 1\nedge 1 2\nlayer inner 99 98\n", "unknown record"
     ),
     "vertex-id-far-past-n": ("tree 2 0\nedge 0 10000000000\n", "contiguous 0..n-1"),
+    # arrays are sized by the edge count, never by the header
+    "header-claims-far-more-vertices": (
+        "tree 100000000000000000 0\nedge 0 1\n",
+        "header says 100000000000000000 vertices, edges give 2",
+    ),
 }
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from treetomo.errors import FormatError, InvalidParameter, NotATree, TreetomoError
+from treetomo import tree_model
 from treetomo.formats import dump_tree, parse_tree
 from treetomo.tree_model import (
     AugmentedTree,
@@ -284,38 +285,74 @@ def oracle_trees():
 
 
 def edge_variants(tree, seed):
-    """The tree's edges as built, shuffled, flipped, and both."""
+    """The tree's edges as built, shuffled, flipped, both, and every other one flipped."""
     edges = list(tree_edges(tree))
     shuffled = edges[:]
     random.Random(seed).shuffle(shuffled)
-    return [edges, shuffled, [(v, u) for u, v in edges], [(v, u) for u, v in shuffled]]
+    mixed = [(u, v) if j % 2 else (v, u) for j, (u, v) in enumerate(edges)]
+    return [edges, shuffled, [(v, u) for u, v in edges], [(v, u) for u, v in shuffled], mixed]
 
 
-# edge lists that are no tree, each with a root
+# edge lists that are no tree, each with a root; the last two read parent
+# first, with a cycle off the root where each id but the root is a child
+# once, and with a vertex that has two parents
 BAD_EDGE_LISTS = [
     ([], 0), ([(0, 1), (1, 1)], 0), ([(0, 1), (1, 0)], 0), ([(0, 1), (1, 2), (2, 0)], 0),
     ([(0, 1), (2, 3), (1, 2), (3, 0)], 0), ([(0, 2)], 0), ([(0, 1)], 5), ([(0, 1)], -1),
     ([(0, 1), (1, 2), (2, 0), (3, 4)], 0), ([(0, 1), (1, -1)], 0), ([(0, 2), (1, -1)], 0),
     ([(0, 1), (1, 2), (2, 3), (1, 3)], 0), ([(0, 1), (2, 3), (2, 3)], 0), ([(1, 2)], 1),
+    ([(0, 1), (2, 3), (3, 4), (4, 2)], 0), ([(0, 1), (1, 2), (0, 2), (4, 3)], 0),
 ]
 
 
 class TestTreeOracles:
     """The array trees against the dict-based references in ``helpers``."""
 
-    def test_build_matches_dict_oracle(self):
-        for i, tree in enumerate(oracle_trees()):
-            roots = (tree.root, random.Random(i).randrange(tree.vertex_count))
-            for edges in edge_variants(tree, i):
-                for root in roots:
-                    assert dicts_of(build_tree(edges, root)) == build_tree_by_dicts(edges, root)
+    def test_build_matches_dict_oracle(self, monkeypatch):
+        # as built, and with pointer doubling tried on every list; each list
+        # also as the array parse_tree passes
+        for few in (tree_model.FEW_EDGES, 0):
+            monkeypatch.setattr(tree_model, "FEW_EDGES", few)
+            for i, tree in enumerate(oracle_trees()):
+                roots = (tree.root, random.Random(i).randrange(tree.vertex_count))
+                for edges in edge_variants(tree, i):
+                    for root in roots:
+                        want = build_tree_by_dicts(edges, root)
+                        assert dicts_of(build_tree(edges, root)) == want
+                        assert dicts_of(build_tree(np.array(edges, np.intp), root)) == want
+            # a tree with its last edge child first: read parent first, 3 has
+            # two parents and 2 none, and 2's missing parent must not read as a root
+            edges = [(0, 1), (1, 4), (0, 3), (2, 3)]
+            assert dicts_of(build_tree(edges, 0)) == build_tree_by_dicts(edges, 0)
 
-    def test_build_refuses_as_dict_oracle(self):
-        for edges, root in BAD_EDGE_LISTS:
-            with pytest.raises(TreetomoError) as want:
-                build_tree_by_dicts(edges, root)
-            with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
-                build_tree(edges, root)
+    def test_build_refuses_as_dict_oracle(self, monkeypatch):
+        for few in (tree_model.FEW_EDGES, 0):
+            monkeypatch.setattr(tree_model, "FEW_EDGES", few)
+            for edges, root in BAD_EDGE_LISTS:
+                with pytest.raises(TreetomoError) as want:
+                    build_tree_by_dicts(edges, root)
+                for given in (edges, np.array(edges, np.intp).reshape(-1, 2)):
+                    with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+                        build_tree(given, root)
+
+    def test_doubling_rounds_and_fallback(self):
+        # a path of 5,002 edges needs 13 rounds of doubling; written child
+        # first, the same file takes the breadth-first pass
+        text = dump_tree(spherical_augmentation(segment(0, 5000), 2))
+        head, *lines = text.splitlines()
+        m = text.count("\nedge ")
+        flipped = [f"edge {v} {u}" for _, u, v in map(str.split, reversed(lines[:m]))]
+        for variant in (text, "\n".join([head, *flipped, *lines[m:]]) + "\n"):
+            parsed = parse_tree(variant)
+            full, (hull, horizon, aug_len, inner, outer) = parse_tree_by_records(variant)
+            assert dicts_of(parsed.full) == full
+            assert (parsed.hull_radius, parsed.horizon, parsed.aug_len) == (hull, horizon, aug_len)
+            assert parsed.inner_layer.tolist() == sorted(inner)
+            assert parsed.outer_layer.tolist() == sorted(outer)
+        edges = np.array(tree_edges(parsed.full), np.intp)
+        doubled = tree_model._parent_first(edges, 0)
+        assert doubled is not None and dicts_of(doubled) == full
+        assert tree_model._parent_first(edges[::-1, ::-1], 0) is None
 
     def test_augmentation_matches_dict_oracle(self):
         for tree in oracle_trees():
