@@ -39,6 +39,7 @@ from .formats import (
     dump_kernel,
     dump_report,
     dump_tree,
+    known_lines,
     parse_batch,
     parse_distribution,
     parse_kernel,
@@ -128,8 +129,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     aug, kernel = _gen_objects(args)
     out = _outdir(args)
     write_text(out / "tree.txt", dump_tree(aug))
-    write_text(out / "kernel.txt", dump_kernel(kernel))
-    write_text(out / "known.txt", dump_kernel(kernel.restricted_to({KNOWN})))
+    write_text(out / "kernel.txt", text := dump_kernel(kernel))
+    write_text(out / "known.txt", known_lines(kernel, text))
     print(f"tree {aug.full.vertex_count} vertices, hull radius {aug.hull_radius}")
     return EXIT_OK
 

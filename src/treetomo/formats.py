@@ -4,20 +4,21 @@ All formats are diffable plain text.  Floats are written with 17 significant
 digits so a write/read trip is lossless; rationals are written ``num/den``
 and round-trip bit-exactly, at any number of digits.  A rational kernel or
 law file holds only ``num/den`` and integer tokens, so no value in it is
-rounded.  Every parser but the law parser reads its lines through one
-reader, which takes each format's header record (``tree``, ``mode`` or
-``batch``) first and once, and each record with its token count.  A tree
-file states its edges and, when augmented, ``origin v original`` for each
-base id ``v < k``; every higher id is added and the layers follow, so
-neither is written.  A tree file in the layout :func:`dump_tree` writes has
+rounded.  The tree and batch parsers, and the kernel parser to name a fault,
+read their lines through one reader, which takes each format's header record
+(``tree``, ``mode`` or ``batch``) first and once, and each record with its
+token count.  A tree file states its edges and, when augmented, ``origin v
+original`` for each base id ``v < k``; every higher id is added and the
+layers follow, so neither is written.  A tree file in the layout :func:`dump_tree` writes has
 its ids converted in C by one ``np.fromstring``, and :func:`build_tree`
 orients its parent-first edges by pointer doubling; other layouts are read
 record by record, and other edge orders, like faults, take the
 breadth-first pass that names each fault.  A law file is the law's grid: a
 header naming the layer and its vertices, one column each, then one line
 per time that holds mass.
-A kernel file is the kernel's table, one ``row u v:p ...`` line per row, and
-is read into and written from that table in bulk, with no dict per row.
+A kernel file is the kernel's table, one ``row u v:p ...`` line per row, read
+with one tokenization and written with one ``%`` format; ``gen`` writes the
+known rows' lines of the kernel file it formatted (:func:`known_lines`).
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ import operator
 import re
 import string
 from collections.abc import Iterator
+from contextlib import suppress
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 
 import numpy as np
 
@@ -42,6 +44,8 @@ from .tree_model import AugmentedTree, RootedTree, build_tree
 
 ORIGINAL = "original"
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+_WORD_BYTES = bytes(range(256)).translate(None, b" :\n")  # all but a kernel file's separators
+_ID_MAX = np.iinfo(np.intp).max  # where np.fromstring clamps
 
 
 def _int(token: str) -> int:
@@ -192,75 +196,109 @@ def parse_tree(text: str) -> RootedTree | AugmentedTree:
 def dump_kernel(kernel: TransitionKernel) -> str:
     """The kernel as text: its ``mode``, then ``row u v:p ...`` for each row,
     rows by vertex and cells by neighbor, written with one ``%`` format built
-    from the row lengths."""
+    from the row lengths, a rational cell from its numerator and denominator."""
     rows = kernel.vertices.argsort(kind="stable")
     cells = np.lexsort((kernel.neighbors, kernel.vertices.repeat(kernel.sizes)))
-    values = kernel.values[cells].tolist()
+    values, nbrs = kernel.values[cells].tolist(), kernel.neighbors[cells].tolist()
     if kernel.mode == RATIONAL:
-        values, cell = [_fmt(p, RATIONAL) for p in values], "%d:%s"
+        ratio = operator.attrgetter("numerator", "denominator")
+        ratios = map(_digits, chain.from_iterable(map(ratio, values)))
+        cell, args = "%d:%s/%s", zip(nbrs, ratios, ratios)
     else:
-        cell = "%d:%.17g"
+        cell, args = "%d:%.17g", zip(nbrs, values)
     shape: dict[int, str] = {}
     lines = [f"row {u} {shape.get(s) or shape.setdefault(s, ' '.join([cell] * s))}\n"
              for u, s in zip(kernel.vertices[rows].tolist(), kernel.sizes[rows].tolist())]
-    return f"mode {kernel.mode}\n" + "".join(lines) % tuple(
-        chain.from_iterable(zip(kernel.neighbors[cells].tolist(), values)))
+    return f"mode {kernel.mode}\n" + "".join(lines) % tuple(chain.from_iterable(args))
+
+
+def known_lines(kernel: TransitionKernel, text: str) -> str:
+    """The lines of ``text``, :func:`dump_kernel` of ``kernel``, of its known
+    rows: ``dump_kernel(kernel.restricted_to({KNOWN}))``, no cell formatted again."""
+    lines = text.splitlines(keepends=True)
+    known = [kernel.provenance.get(u) == KNOWN for u in sorted(kernel.vertices.tolist())]
+    return lines[0] + "".join(compress(lines[1:], known))
 
 
 def parse_kernel(text: str) -> TransitionKernel:
     """Parse :func:`dump_kernel` output; every row is flagged known.
 
-    The ``v:p`` cells of the whole file are split at once and converted in
-    bulk.  Anything the bulk pass does not take, such as a ``num/den`` token
-    in a float file or a fault, is read again token by token
-    (:func:`_kernel_fault`), which raises for the first fault in file order.
-    """
-    records = _records(text, _KERNEL, "mode")
-    mode = next(records)[1]
-    if mode not in (FLOAT, RATIONAL):
-        raise FormatError(f"bad mode {mode!r}")
-    lines = list(records)
-    cells = list(chain.from_iterable(parts[2:] for parts in lines))
-    flat = " ".join(cells)
+    The file is converted in bulk (:func:`_kernel_table`), again with one space
+    between tokens if it has other whitespace, blank lines or runs of spaces;
+    :func:`_kernel_fault` names the first fault in file order."""
+    if text.isascii() and not any(map(text.__contains__, "\t\r\v\f\x1c\x1d\x1e\x1f")):
+        with suppress(ValueError, FormatError):
+            return _kernel_table(text)
+    spaced = "\n".join(map(" ".join, filter(None, map(str.split, text.splitlines()))))
     try:
-        if flat.count(":") != len(cells) or not all(map(operator.contains, cells, repeat(":"))):
-            raise ValueError("a cell without one colon")
-        tokens = flat.replace(":", " ").split(" ") if cells else []
-        us = list(map(int, (parts[1] for parts in lines)))
-        sizes = np.fromiter(map(len, lines), np.intp, len(lines)) - 2
-        nbrs = vertex_ids(list(map(int, tokens[0::2])))
-        values = _kernel_values(tokens[1::2], mode)
-        # a row twice, or a neighbor twice in a row
-        owner = np.arange(len(lines)).repeat(sizes)
-        nb = nbrs[np.lexsort((nbrs, owner))]  # each row's neighbors ascending
-        if len(set(us)) < len(us) or ((nb[1:] == nb[:-1]) & (owner[1:] == owner[:-1])).any():
-            raise ValueError("a repeated row or cell")
+        return _kernel_table(spaced)
     except (ValueError, FormatError):
-        _kernel_fault(lines, mode)
+        _kernel_fault(text)
         raise  # not reached: the bulk pass refuses only what the scan names
-    return TransitionKernel(vertex_ids(us), sizes, nbrs, values, dict.fromkeys(us, KNOWN), mode)
+
+
+def _kernel_table(text: str) -> TransitionKernel:
+    """The kernel of a file with one token between any two separators, which
+    read ``" "`` for the ``mode m`` line and ``" " + " :" * c`` for a ``row u
+    v:p ...`` line of ``c`` cells; else raise ValueError or FormatError."""
+    tokens = text.replace(":", " ").split()
+    separators = text.encode().translate(None, _WORD_BYTES) + b"\n" * (not text.endswith("\n"))
+    # drop the first space of each line: the header keeps nothing, a row " :" per cell
+    lines = (b"\n" + separators).replace(b"\n ", b"\n")
+    n = separators.count(b"\n") - 1  # rows
+    if (len(tokens) != len(separators) or tokens[:2] not in (["mode", FLOAT], ["mode", RATIONAL])
+            or not lines.startswith(b"\n\n") or len(lines) != len(separators) - n
+            or lines.replace(b" :", b"") != b"\n" * (n + 2)):
+        raise ValueError("not the layout of a mode line and row u v:p ... lines")
+    # "row" and v at even places, u and p at odd: a mark per even place, "\n" a head, ":" a cell
+    marks = lines[1:-1].translate(None, b" ")
+    sizes = np.fromiter(map(len, marks.split(b"\n")[1:]), np.intp, n)
+    heads, cells = marks.replace(b":", b"\0"), marks.replace(b"\n", b"\0")
+    even, odd = tokens[2::2], tokens[3::2]
+    if list(compress(even, heads)).count("row") != n:
+        raise ValueError("a line that does not open with row")
+    us, nbrs = list(compress(odd, heads)), list(compress(even, cells))
+    flat = " ".join(us + nbrs)  # the ids in C when all are digits and below the intp maximum
+    if flat.isascii() and flat.replace(" ", "").isdigit() and (
+            ids := np.fromstring(flat, np.intp, sep=" ")).max() < _ID_MAX:
+        us, nbrs = ids[:n], ids[n:]
+    else:
+        us, nbrs = (vertex_ids(list(map(int, part))) for part in (us, nbrs))
+    values = _kernel_values(list(compress(odd, cells)), tokens[1])
+    owner = np.arange(n).repeat(sizes)
+    nb = nbrs[np.lexsort((nbrs, owner))]  # each row's neighbors ascending
+    if len(set(us.tolist())) < n or ((nb[1:] == nb[:-1]) & (owner[1:] == owner[:-1])).any():
+        raise ValueError("a repeated row or cell")
+    return TransitionKernel(us, sizes, nbrs, values, dict.fromkeys(us.tolist(), KNOWN), tokens[1])
 
 
 def _kernel_values(tokens: list[str], mode: str) -> np.ndarray:
     """The values of a kernel file's cells: float64 by ``float`` when every
-    token takes it and is finite, else one ``_parse_number`` per token, as
-    for ``num/den`` tokens in a float file and every rational file."""
-    if mode == FLOAT:
-        try:
+    token takes it and is finite, or in a rational file ``Fraction(int, int)``
+    of each ``num/den`` token; else one ``_parse_number`` per token."""
+    try:
+        if mode == FLOAT:
             values = np.fromiter(map(float, tokens), float, len(tokens))
             if np.isfinite(values).all():
                 return values
-        except ValueError:
-            pass
+        else:
+            num, _, den = zip(*map(str.partition, tokens, repeat("/")))
+            return np.fromiter(map(Fraction, map(int, num), map(int, den)), object, len(tokens))
+    except (ValueError, ZeroDivisionError):
+        pass
     return np.fromiter((_parse_number(p, mode) for p in tokens),
                        float if mode == FLOAT else object, len(tokens))
 
 
-def _kernel_fault(lines: list[list[str]], mode: str) -> None:
-    """Raise :class:`FormatError` for the first fault of the kernel records
-    ``lines``, read row by row and cell by cell; return if there is none."""
+def _kernel_fault(text: str) -> None:
+    """Raise :class:`FormatError` for the first fault of the kernel file
+    ``text``, read record by record and cell by cell; return if there is none."""
+    records = _records(text, _KERNEL, "mode")
+    mode = next(records)[1]
+    if mode not in (FLOAT, RATIONAL):
+        raise FormatError(f"bad mode {mode!r}")
     seen: set[int] = set()
-    for parts in lines:
+    for parts in records:
         try:
             u = int(parts[1])
             nbrs = set()

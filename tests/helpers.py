@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -563,8 +564,15 @@ def small_bases(max_aug_vertices: int = 9) -> list[RootedTree]:
     """Every rooted tree shape whose 2-spherical augmentation stays small.
 
     Enumerates parent arrays (parent of vertex i is some j < i), filters by
-    augmented size, and deduplicates up to rooted isomorphism.
+    augmented size, and deduplicates up to rooted isomorphism; the 46,000
+    trees of the default size take over a second, so each size is
+    enumerated once and every call gets a list of its own.
     """
+    return list(_small_bases(max_aug_vertices))
+
+
+@functools.cache
+def _small_bases(max_aug_vertices: int) -> tuple[RootedTree, ...]:
     seen = set()
     out: list[RootedTree] = []
     for b in range(2, max_aug_vertices + 1):
@@ -581,7 +589,7 @@ def small_bases(max_aug_vertices: int = 9) -> list[RootedTree]:
                 continue
             seen.add(sig)
             out.append(tree)
-    return out
+    return tuple(out)
 
 
 def broom(a: int, b: int) -> RootedTree:

@@ -36,7 +36,7 @@ from treetomo.formats import (
     write_text,
 )
 
-from helpers import INVALID_TREES
+from helpers import INVALID_TREES, broom, small_bases
 
 COMMANDS = ("gen", "forward", "invert", "sample", "estimate", "roundtrip", "consistency")
 
@@ -209,6 +209,29 @@ class TestPipeline:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+    def test_known_file_is_the_restricted_kernel_file(self, tmp_path, capsys):
+        # gen formats each cell once and writes the known rows' lines of
+        # kernel.txt as known.txt: byte for byte the known rows' kernel file,
+        # also where the known rows do not come first in vertex order
+        not_first = 0
+        for i, base in enumerate(small_bases() + [broom(5, 5)]):
+            (tmp_path / "base.txt").write_text(dump_tree(base))
+            aug = spherical_augmentation(base, 2)
+            for mode in ("float", "rational"):
+                for scope in ("lambda", "all"):
+                    out = tmp_path / f"{i}-{mode}-{scope}"
+                    code, _, err = run(capsys, "gen", "--tree", str(tmp_path / "base.txt"),
+                                       "--mode", mode, "--scope", scope, "--seed", str(i),
+                                       "--out", str(out))
+                    assert code == 0, err
+                    kernel = random_kernel(aug, i, floor=0.05, scope=scope, mode=mode)
+                    known = dump_kernel(kernel.restricted_to({KNOWN}))
+                    assert (out / "known.txt").read_bytes() == known.encode()
+                    assert (out / "kernel.txt").read_bytes() == dump_kernel(kernel).encode()
+                    flags = [kernel.provenance[u] for u in sorted(kernel.vertices.tolist())]
+                    not_first += flags[:flags.count(KNOWN)] != [KNOWN] * flags.count(KNOWN)
+        assert not_first
 
     def test_sample_estimate(self, tmp_path, capsys):
         work = str(tmp_path / "w")

@@ -1,5 +1,6 @@
 """Text artifact round trips and malformed-input handling."""
 
+import random
 import re
 import sys
 from fractions import Fraction
@@ -16,6 +17,7 @@ from treetomo.formats import (
     dump_kernel,
     dump_report,
     dump_tree,
+    known_lines,
     parse_batch,
     parse_distribution,
     parse_kernel,
@@ -82,6 +84,7 @@ KERNEL_FAULTS = [
     "mode float\nrow 1 0:0.5 0:0.5\nrow 2 1:x\n",  # cell twice before a later fault
     "mode float\nrow 1 01:0.5 1:0.5\n",  # the same neighbor written two ways
     "mode rational\nrow 0 1:1/2 2:0.5\nrow 0 1:1/2\n",
+    "mode float\nrow 0 1:nan\nweight 0 1:1\n",  # a bad value before an unknown record
 ]
 
 
@@ -202,7 +205,8 @@ def oracle_kernels() -> list[TransitionKernel]:
 
 
 # accepted files beyond what dump_kernel writes: num/den and integer tokens in a
-# float file, empty rows, signs, underscores, tabs and ids past int64
+# float file, empty rows, signs, underscores, tabs, ids at and past the int64
+# maximum, and Unicode digits and white space
 ACCEPTED_KERNELS = [
     "mode float\nrow 0 1:1/3 2:2/3\nrow 1 0:1 2:0\n",
     "mode float\nrow 5\nrow 0 2:+0.5 1:5e-1\n",
@@ -210,6 +214,8 @@ ACCEPTED_KERNELS = [
     "mode float\r\nrow\t0\t1:0.25  2:3/4\r\n",
     "mode rational\nrow 0 1:1 2:0/1 3:-1/2 4:6/4\nrow 5\n",
     "mode float\nrow 100000000000000000000000 -1:0.5 99999999999999999999999:0.5\n",
+    "mode float\nrow 9223372036854775807 99999999999999999999:1 9223372036854775806:0\n",
+    "mode float\nrow\xa0\u0661 0:1\u2028row 2 \u0661:1\n",
     "mode float\n",
 ]
 
@@ -241,6 +247,68 @@ class TestKernelOracles:
             with pytest.raises(FormatError) as got:
                 parse_kernel(text)
             assert str(got.value) == str(want.value), text
+
+    def test_edited_texts_match_oracle(self):
+        # 2,000 texts, each a written or accepted kernel file with one edit:
+        # both readers give the same table, with the same dtypes and element
+        # types, or refuse with the same message
+        rng = random.Random(26)
+        texts = [dump_kernel(kernel) for kernel in oracle_kernels()] + ACCEPTED_KERNELS
+        # the 5,071-digit rational takes about 8 ms a read: a tenth of the others' share
+        weights = [0.1 if len(text) > 10_000 else 1 for text in texts]
+        seen = set()
+        for text in rng.choices(texts, weights, k=2000):
+            text = edited(text, rng)
+            want = kernel_outcome(parse_kernel_by_cells, text)
+            assert kernel_outcome(parse_kernel, text) == want, text
+            seen.add(want[0])
+        assert seen == {"kernel", "refused"}
+
+    def test_known_lines_are_the_restricted_dump(self):
+        # the known rows need not come first in vertex order or in the table
+        mixed = TransitionKernel.from_entries(
+            {5: {6: 0.5, 4: 0.5}, 0: {1: 1.0}, 3: {4: 0.75, 2: 0.25}, 1: {2: 0.5, 0: 0.5}},
+            {5: "known", 0: "unknown", 3: "known", 1: "recovered"})
+        for kernel in oracle_kernels() + [mixed]:
+            text = dump_kernel(kernel)
+            assert known_lines(kernel, text) == dump_kernel(kernel.restricted_to({"known"}))
+        assert known_lines(mixed, dump_kernel(mixed)) == \
+            "mode float\nrow 3 2:0.25 4:0.75\nrow 5 4:0.5 6:0.5\n"
+
+
+def kernel_outcome(parse, text: str) -> tuple:
+    """What ``parse`` makes of ``text``: its refusal message, or the kernel's
+    mode, provenance and arrays, each with its dtype and element types."""
+    try:
+        kernel = parse(text)
+    except FormatError as exc:
+        return "refused", str(exc)
+    arrays = [(a.dtype, a.tolist(), list(map(type, a.tolist())))
+              for a in (kernel.vertices, kernel.sizes, kernel.neighbors, kernel.values)]
+    return "kernel", kernel.mode, kernel.provenance, arrays
+
+
+def edited(text: str, rng: random.Random) -> str:
+    """``text`` with one edit drawn by ``rng``: a character or a token
+    deleted, doubled or swapped with the next, a colon dropped or doubled,
+    or ``nan``, ``1/0``, a tab or a CR inserted."""
+    kind = rng.randrange(5)
+    if kind == 0:  # a character
+        i = rng.randrange(len(text) - 1)
+        a, b = text[i], text[i + 1]
+        return text[:i] + rng.choice([b, a + a + b, b + a]) + text[i + 2:]
+    if kind == 1:  # a token, between whitespace or colons
+        parts = re.split(r"([\s:]+)", text)
+        j = rng.randrange(0, len(parts) - 2, 2)
+        a, b = parts[j], parts[j + 2]
+        parts[j], parts[j + 2] = rng.choice([("", b), (a + " " + a, b), (b, a)])
+        return "".join(parts)
+    if kind == 2 and ":" in text:  # the first colon from a random place on
+        i = text.find(":", rng.randrange(len(text)))
+        i = text.find(":") if i < 0 else i
+        return text[:i] + rng.choice(["", "::"]) + text[i + 1:]
+    i = rng.randrange(len(text) + 1)
+    return text[:i] + rng.choice(["nan", "1/0", "\t", "\r"]) + text[i:]
 
 
 class TestDistributionFormat:
