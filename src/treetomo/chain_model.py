@@ -163,16 +163,15 @@ class AccRows:
 
     The table holds the row of every vertex of ``vertices`` (default: all)
     that has children, laid out from the kernel's table, one slot per
-    neighbor in ``vertices`` in the row's slot order; vectors are indexed by
-    position in ``vertices`` (``local`` maps ids to positions; it is None for
-    all vertices, whose positions are their ids).  A row that
-    the vertex mask ``blank`` marks starts as zeros in neighbor order, parent
-    first, for :meth:`write`; any other row the kernel lacks raises
-    :class:`MissingKnownRow`; no row is checked (see :func:`checked_rows`).
-    ``sizes`` counts the entries of each row.  :meth:`push` moves walk mass one step,
-    ``y[v] = sum_u x[u] t(u, v)``, and :meth:`pull` steps back,
-    ``y[u] = sum_v t(u, v) x[v]``: each is one ``np.add.reduceat`` over the
-    table sorted by ``dst`` or by ``src``.
+    neighbor on the tree in the row's slot order, so vectors, indexed by
+    vertex id, are read and written at neighbors off ``vertices`` too.  A
+    row that the vertex mask ``blank`` marks starts as zeros in neighbor
+    order, parent first, for :meth:`write`; any other row the kernel lacks
+    raises :class:`MissingKnownRow`; no row is checked (see
+    :func:`checked_rows`).  ``sizes`` counts the entries of each row.
+    :meth:`push` moves walk mass one step, ``y[v] = sum_u x[u] t(u, v)``,
+    and :meth:`pull` steps back, ``y[u] = sum_v t(u, v) x[v]``: each is one
+    ``np.add.reduceat`` over the table sorted by ``dst`` or by ``src``.
 
     Float mode: scale 1 and ``np.longdouble`` entries.  The inversion
     subtracts nearly equal hitting masses, and the extra mantissa bits keep
@@ -189,16 +188,9 @@ class AccRows:
     def __init__(self, full: RootedTree, kernel: TransitionKernel,
                  vertices: tuple[int, ...] | None = None, blank: np.ndarray | None = None):
         self.exact = kernel.mode == RATIONAL
-        n, starts = full.vertex_count, full.child_starts
-        if vertices is None:  # every vertex: positions are ids
-            self.local, self.norm = None, full.norm
-            rows = (starts[1:] > starts[:-1]).nonzero()[0]
-        else:
-            ids = np.array(vertices, np.intp)
-            self.local = np.full(n + 1, -1, np.intp)  # -1: not in vertices; [n]: off the tree
-            self.local[ids] = np.arange(len(ids))
-            self.norm = full.norm[ids]
-            rows = ids[starts[ids + 1] > starts[ids]]
+        n, starts, self.norm = full.vertex_count, full.child_starts, full.norm
+        rows = np.arange(n) if vertices is None else np.array(vertices, np.intp)
+        rows = rows[starts[rows + 1] > starts[rows]]
         at = kernel.index(n)[rows]
         sizes, nbrs, values = kernel.sizes, kernel.neighbors, kernel.values
         if blank is not None and (laid := blank[rows]).any():
@@ -214,18 +206,14 @@ class AccRows:
         pick = ranges((sizes.cumsum() - sizes)[at], self.sizes)
         keys, q = nbrs[pick], values[pick]
         dst = np.minimum(np.maximum(keys, -1), n).astype(np.intp)  # -1 or n: off the tree
-        if self.local is None:
-            dst[dst == n], src = -1, rows.repeat(self.sizes)
-        else:
-            dst, src = self.local[dst], self.local[rows].repeat(self.sizes)
         self.scale = 1
         if self.exact:
             self._cover(q := q.tolist())
             q = np.fromiter(q, object, len(q))
         else:
             q = np.asarray(q, float).astype(np.longdouble)  # exact: floats widen
-        keep = dst >= 0  # slots to neighbors outside vertices are dropped
-        self.src, self.dst, self.q = src[keep], dst[keep], q[keep]
+        keep = (dst >= 0) & (dst < n)  # slots off the tree are dropped
+        self.src, self.dst, self.q = rows.repeat(self.sizes)[keep], dst[keep], q[keep]
         self.by_dst = np.argsort(self.dst, kind="stable")
         self.heads, self.head_starts = runs(self.dst[self.by_dst])
         self.tails, self.tail_starts = runs(self.src)
@@ -242,7 +230,7 @@ class AccRows:
         return grow
 
     def zeros(self) -> np.ndarray:
-        """A vector over ``vertices`` in the table's dtype."""
+        """A vector over the tree's vertices in the table's dtype."""
         return np.zeros(len(self.norm), self.q.dtype)
 
     def push(self, x: np.ndarray) -> np.ndarray:
@@ -282,8 +270,8 @@ class AccRows:
         return self.q.astype(float)
 
     def value(self, n, steps: int):
-        """Value of accumulated mass ``n`` built from ``steps`` entries."""
-        return Fraction(n, self.scale**steps) if self.exact else n
+        """Value of mass ``n`` built from ``steps`` entries: a ``Fraction`` or float."""
+        return Fraction(n, self.scale**steps) if self.exact else float(n)
 
 
 @dataclass(frozen=True)
@@ -309,7 +297,7 @@ def _check_rows(aug: AugmentedTree, kernel: TransitionKernel,
             for v in outer[filled].tolist()]
     absent = at < 0
     absent[outer] = False
-    rows = AccRows(full, kernel, blank=absent)  # over every vertex: positions are ids
+    rows = AccRows(full, kernel, blank=absent)
     src, dst, starts = rows.src, rows.dst, rows.tail_starts
     parent, kids = full.parent, full.child_starts[1:] - full.child_starts[:-1]
     size = np.zeros(n, np.intp)

@@ -11,7 +11,7 @@ token count.  A tree file states its edges and, when augmented, ``origin v
 original`` for each base id ``v < k``; every higher id is added and the
 layers follow, so neither is written.  A tree file in the layout :func:`dump_tree` writes has
 its ids converted in C by one ``np.fromstring``, and :func:`build_tree`
-orients its parent-first edges by pointer doubling; other layouts are read
+orients its parent-first edges by pointer doubling; other layouts, read
 record by record, and other edge orders, like faults, take the
 breadth-first pass that names each fault.  A law file is the law's grid: a
 header naming the layer and its vertices, one column each, then one line
@@ -207,7 +207,7 @@ def dump_kernel(kernel: TransitionKernel) -> str:
     else:
         cell, args = "%d:%.17g", zip(nbrs, values)
     shape: dict[int, str] = {}
-    lines = [f"row {u} {shape.get(s) or shape.setdefault(s, ' '.join([cell] * s))}\n"
+    lines = [f"row {u}{shape.get(s) or shape.setdefault(s, (' ' + cell) * s)}\n"
              for u, s in zip(kernel.vertices[rows].tolist(), kernel.sizes[rows].tolist())]
     return f"mode {kernel.mode}\n" + "".join(lines) % tuple(chain.from_iterable(args))
 

@@ -161,13 +161,13 @@ def _inner_tails(rows: AccRows, hi: int):
 
 
 def _tail_classes(rows: AccRows, shell: int, hi: int) -> list:
-    """Tail-class first-passage vectors over the vertices of ``rows``.
+    """Tail-class first-passage vectors, by vertex id.
 
-    Class ``l = 1 .. hi + 1 - shell`` holds, at each vertex, the probability
-    that a walk from it first reaches the outer layer after exactly ``2l-1``
-    steps while every earlier position lies at shells ``shell+1 .. hi``, in
-    the scale of ``rows``: in rational mode an integer ``N`` for
-    ``N / D**(2l-1)``.  Every vertex of that band must carry a row.
+    Class ``l = 1 .. hi + 1 - shell`` holds, at each vertex with a row, the
+    probability that a walk from it first reaches the outer layer after
+    exactly ``2l-1`` steps while every earlier position lies at shells
+    ``shell+1 .. hi``, in the scale of ``rows``: in rational mode an integer
+    ``N`` for ``N / D**(2l-1)``.  Every vertex of that band must carry a row.
 
     Class 1 starts at the inner layer (shell ``hi``) as ``t(z, z')``; each
     further step is one :meth:`~AccRows.pull` with the vertices below the
@@ -213,7 +213,7 @@ def tail_passage_probs(
     """
     rows = AccRows(aug.full, kernel, aug.full.subtree(plan.child))
     table = _tail_classes(rows, plan.shell, plan.hull_radius + 1)
-    return {(v, l): rows.value(chi[rows.local[v]], 2 * l - 1)
+    return {(v, l): rows.value(chi[v], 2 * l - 1)
             for l, chi in enumerate(table, 1) for v in plan.inner_targets}
 
 
@@ -241,13 +241,13 @@ def unknown_edge_coefficient(
     r = plan.hull_radius
     tail = _inner_tails(rows, r + 1)
     head = rows.zeros()
-    for i in np.flatnonzero(rows.norm == r + 1):
-        head[i] = p_out.prob(r + 2, aug.full.children[below[i]][0]) * rows.scale / tail[i]
+    for z in np.intersect1d(below, aug.inner_layer).tolist():
+        head[z] = p_out.prob(r + 2, aug.full.children[z][0]) * rows.scale / tail[z]
     for k in range(r, plan.shell - 1, -1):
         head = _shell_step(rows, head, k, inward=True)
     for k in range(r, plan.shell, -1):
         tail = _shell_step(rows, tail, k, inward=False)
-    coef = head[rows.local[plan.vertex]] * tail[rows.local[plan.child]]
+    coef = head[plan.vertex] * tail[plan.child]
     return rows.value(coef, 2 * (r + 1 - plan.shell))
 
 

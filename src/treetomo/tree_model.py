@@ -121,15 +121,11 @@ class AugmentedTree:
 def build_tree(edges: list[tuple[int, int]] | np.ndarray, root: int) -> RootedTree:
     """Build a rooted tree from an undirected edge list.
 
-    A list of ``FEW_EDGES`` edges or more is first read parent first, as
-    :func:`dump_tree` writes it.  That reading holds when every id but the
-    root is a child exactly once and the root never: then one scatter sets
-    the parents, and pointer doubling sets the norms, in about
-    ``log2(height)`` rounds of ``norm += norm[jump]; jump = jump[jump]``
-    that end once every jump reaches the root, which also shows the edges
-    acyclic and connected.  Any other list, and a shorter one, on which
-    numpy calls cost more than they save, takes one breadth-first pass over
-    plain int lists, which names the first fault.
+    An ``(m, 2)`` id array of ``FEW_EDGES`` edges or more, as a tree file
+    gives it, is first read parent first (:func:`_parent_first`).  Every
+    list, and any other array or a shorter one, on which numpy calls cost
+    more than they save, takes one breadth-first pass over plain int lists,
+    which names the first fault.
 
     Args:
         edges: pairs of vertex ids, as a list or an ``(m, 2)`` integer array;
@@ -141,9 +137,9 @@ def build_tree(edges: list[tuple[int, int]] | np.ndarray, root: int) -> RootedTr
         UnknownVertex: if ``root`` does not appear among the ids.
     """
     n = len(edges) + 1
-    if n > FEW_EDGES and (tree := _parent_first(edges, root)) is not None:
-        return tree
     if isinstance(edges, np.ndarray):
+        if n > FEW_EDGES and (tree := _parent_first(edges, root)) is not None:
+            return tree
         edges = edges.tolist()
     ids = [x for edge in edges for x in edge]
     if edges and 0 <= min(ids) and max(ids) < n and 0 <= root < n:
@@ -183,14 +179,17 @@ def build_tree(edges: list[tuple[int, int]] | np.ndarray, root: int) -> RootedTr
     raise NotATree("graph is disconnected")
 
 
-def _parent_first(edges: list[tuple[int, int]] | np.ndarray, root: int) -> RootedTree | None:
-    """The tree of ``edges`` read parent first, or None when they do not read
-    so or close a cycle; every array is sized by the edge count."""
-    n = len(edges) + 1
-    try:
-        pairs = np.asarray(edges, np.intp).reshape(n - 1, 2)
-    except OverflowError:  # an id past int64
-        return None
+def _parent_first(pairs: np.ndarray, root: int) -> RootedTree | None:
+    """The tree of the ``(m, 2)`` id array ``pairs`` read parent first, as
+    :func:`dump_tree` writes it, or None when it does not read so or closes
+    a cycle; every array is sized by the edge count.
+
+    That reading holds when every id but the root is a child exactly once
+    and the root never: then one scatter sets the parents, and pointer
+    doubling sets the norms, in about ``log2(height)`` rounds of ``norm +=
+    norm[jump]; jump = jump[jump]`` that end once every jump reaches the
+    root, which also shows the edges acyclic and connected."""
+    n = len(pairs) + 1
     if n < 2 or not 0 <= root < n or pairs.min() < 0 or pairs.max() >= n:
         return None
     parent = np.full(n, -1, np.intp)

@@ -484,8 +484,8 @@ def dump_kernel_by_cells(kernel: TransitionKernel) -> str:
     lines = [f"mode {kernel.mode}"]
     for u in sorted(kernel.entries):
         row = kernel.entries[u]
-        cells = " ".join(f"{v}:{_fmt(p, kernel.mode)}" for v, p in sorted(row.items()))
-        lines.append(f"row {u} {cells}")
+        cells = "".join(f" {v}:{_fmt(p, kernel.mode)}" for v, p in sorted(row.items()))
+        lines.append(f"row {u}{cells}")
     return "\n".join(lines) + "\n"
 
 

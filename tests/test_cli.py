@@ -93,6 +93,22 @@ class TestRoundtrip:
         assert float(lines["max_error"]) <= 1e-9
         assert int(lines["max_time_read"]) <= 16
 
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_out_writes_what_the_file_pipeline_writes(self, tmp_path, capsys, mode):
+        # roundtrip --out against gen -> forward -> invert --reference through
+        # the files; a float report may differ, as roundtrip keeps the laws in
+        # memory and the files round them, so only an exact report is compared
+        chain = ["--tree", "random", "--rout", "3", "--seed", "7", "--scope", "all",
+                 "--mode", mode]
+        one, files = tmp_path / "one", tmp_path / "files"
+        assert run(capsys, "roundtrip", *chain, "--out", str(one))[0] == 0
+        assert run(capsys, "gen", *chain, "--out", str(files))[0] == 0
+        argv = recovery_argv(capsys, files, "invert")
+        assert run(capsys, *argv, "--reference", str(files / "kernel.txt"))[0] == 0
+        assert sorted(p.name for p in one.iterdir()) == ["kernel.txt", "report.txt", "tree.txt"]
+        for name in ["tree.txt", "kernel.txt"] + ["report.txt"] * (mode == "rational"):
+            assert (one / name).read_bytes() == (files / name).read_bytes(), name
+
 
 class TestPipeline:
     def test_gen_forward_invert(self, tmp_path, capsys):
@@ -585,7 +601,7 @@ class TestExitCodes:
         assert run(capsys, *argv)[0] == 0
         at = next(i for i, ln in enumerate(lines) if ln.startswith("row 4 ")) + 1
         assert (work / "report.txt").read_text().splitlines() == \
-            [*lines[:at], "row 5 ", *lines[at:]]
+            [*lines[:at], "row 5", *lines[at:]]
 
     @pytest.mark.parametrize("command", ["forward", "sample"])
     def test_kernel_row_off_the_tree_exit_2(self, tmp_path, capsys, command):

@@ -12,6 +12,7 @@ from treetomo.errors import FormatError
 from treetomo.estimation import SampleBatch, collect_batch
 from treetomo.forward_solver import HittingDistribution, hitting_laws
 from treetomo.formats import (
+    _kernel_table,
     dump_batch,
     dump_distribution,
     dump_kernel,
@@ -169,6 +170,17 @@ class TestKernelFormat:
                 for row in back.entries.values()
                 for p in row.values()
             )
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    def test_empty_row_read_in_one_pass(self, mode):
+        # a row without cells is written "row u", in the layout the bulk reader takes
+        one = 1.0 if mode == "float" else Fraction(1)
+        kernel = TransitionKernel.from_entries({0: {1: one}, 5: {}}, mode=mode)
+        text = dump_kernel(kernel)
+        assert text.endswith("\nrow 5\n")
+        back = _kernel_table(text)
+        assert back.entries == kernel.entries
+        assert dump_kernel(back) == text
 
     def test_malformed(self):
         for text in MALFORMED_KERNELS:

@@ -19,6 +19,7 @@ from treetomo import (
 from treetomo.errors import (
     FormatError,
     InvalidParameter,
+    MissingKnownRow,
     NotAChild,
     NotInLambda,
     OutOfRange,
@@ -267,6 +268,36 @@ class TestUnknownEdgeCoefficient:
                     plan = make_plan(aug, u, w)
                     got = unknown_edge_coefficient(aug, kernel, plan, p_out)
                     assert got == explicit_edge_coefficient(aug, kernel, plan, p_in)
+
+
+class TestPerEdgeApi:
+    """What the per-edge functions return and what they refuse."""
+
+    @pytest.mark.parametrize("mode, kind", [("float", float), ("rational", Fraction)])
+    def test_values_in_the_public_type(self, mode, kind):
+        # the sweeps run in np.longdouble in float mode; no such value is returned
+        aug = spherical_augmentation(comb(4), 2)
+        kernel = random_kernel(aug, 7, scope="all", mode=mode)
+        _, p_out = forward_pair(aug, kernel)
+        for u in range(aug.base.vertex_count):
+            for w in aug.full.children[u]:
+                plan = make_plan(aug, u, w)
+                assert {type(p) for p in tail_passage_probs(aug, kernel, plan).values()} == {kind}
+                assert type(unknown_edge_coefficient(aug, kernel, plan, p_out)) is kind
+
+    def test_missing_row_refused(self):
+        # segment(1, 2): both sweeps for the edge (0, 1) read the row of vertex 2
+        aug = spherical_augmentation(segment(1, 2), 2)
+        kernel = random_kernel(aug, 5, scope="all")
+        _, p_out = forward_pair(aug, kernel)
+        lacking = TransitionKernel.from_entries(
+            {u: row for u, row in kernel.entries.items() if u != 2})
+        plan = make_plan(aug, 0, 1)
+        message = "^row for vertex 2 required but absent$"
+        with pytest.raises(MissingKnownRow, match=message):
+            tail_passage_probs(aug, lacking, plan)
+        with pytest.raises(MissingKnownRow, match=message):
+            unknown_edge_coefficient(aug, lacking, plan, p_out)
 
 
 class TestDecompositionIdentity:

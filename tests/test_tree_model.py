@@ -309,8 +309,8 @@ class TestTreeOracles:
     """The array trees against the dict-based references in ``helpers``."""
 
     def test_build_matches_dict_oracle(self, monkeypatch):
-        # as built, and with pointer doubling tried on every list; each list
-        # also as the array parse_tree passes
+        # each list, and the same edges as the array parse_tree passes, as
+        # built and with pointer doubling tried on every array
         for few in (tree_model.FEW_EDGES, 0):
             monkeypatch.setattr(tree_model, "FEW_EDGES", few)
             for i, tree in enumerate(oracle_trees()):
