@@ -103,21 +103,18 @@ _KERNEL = {"mode": (2, 2), "row": (2, math.inf)}
 _BATCH = {"batch": (4, 4), "in": (4, 4), "out": (4, 4), "overflow": (2, 2)}
 
 
-def _records(
-    text: str, shapes: dict[str, tuple[int, float]], header: str | None = None
-) -> Iterator[list[str]]:
+def _records(text: str, shapes: dict[str, tuple[int, float]], header: str) -> Iterator[list[str]]:
     """The nonblank lines of ``text``, split, each a record of ``shapes`` with a
-    token count in its range; a ``header`` record comes first and only there.
+    token count in its range; the ``header`` record comes first and only there.
     Any other line raises :class:`FormatError`."""
     records = filter(None, map(str.split, text.splitlines()))
     body = {name: shape for name, shape in shapes.items() if name != header}
-    if header is not None:
-        first = next(records, [""])
-        if first[0] != header:
-            raise FormatError(f"file does not open with its {header} header")
-        if len(first) != shapes[header][0]:
-            raise _misfit(first, shapes[header][1], header)
-        yield first
+    first = next(records, [""])
+    if first[0] != header:
+        raise FormatError(f"file does not open with its {header} header")
+    if len(first) != shapes[header][0]:
+        raise _misfit(first, shapes[header][1], header)
+    yield first
     for parts in records:
         fewest, most = body.get(parts[0], (0, 0))
         if not fewest <= len(parts) <= most:
@@ -125,7 +122,7 @@ def _records(
         yield parts
 
 
-def _misfit(parts: list[str], most: float, header: str | None) -> FormatError:
+def _misfit(parts: list[str], most: float, header: str) -> FormatError:
     if not most:
         what = "repeated header" if parts[0] == header else "unknown record"
     else:
@@ -314,11 +311,13 @@ def _kernel_fault(text: str) -> None:
 
 
 def dump_distribution(dist: HittingDistribution, mode: str = FLOAT) -> str:
-    """The law as text: the header ``layer v_1 .. v_m``, then for each time
-    ``t`` with mass the line ``t p_1 .. p_m`` (float) or ``t D N_1 .. N_m``
-    (rational, cell ``j`` being ``N_j / D``), tab-separated."""
-    if mode == RATIONAL and dist.dens is None:
-        raise InvalidParameter(f"a float {dist.layer} law has no rational file form")
+    """The law as text, in its own mode, which ``mode`` must name, else
+    :class:`InvalidParameter`: the header ``layer v_1 .. v_m``, then for each
+    time ``t`` with mass the line ``t p_1 .. p_m`` (float) or ``t D N_1 ..
+    N_m`` (rational, cell ``j`` being ``N_j / D``), tab-separated."""
+    if (mode == RATIONAL) != (dist.dens is not None):
+        raise InvalidParameter(f"{'a float' if dist.dens is None else 'an exact'} "
+                               f"{dist.layer} law has no {mode} file form")
     live = np.flatnonzero((dist.cells != 0).any(axis=1))
     times = [dist.times[i] for i in live]
     lines = ["\t".join([dist.layer, *map(str, dist.vertices)])]
@@ -327,8 +326,6 @@ def dump_distribution(dist: HittingDistribution, mode: str = FLOAT) -> str:
                      for t, i in zip(times, live.tolist()))
     else:
         cells = dist.cells[live]
-        if dist.dens is not None:  # the float image of an exact law
-            cells = cells / np.array(dist.dens, object)[live, None]
         line = "%d" + "\t%.17g" * len(dist.vertices)
         lines.extend(line % (t, *row) for t, row in zip(times, cells.astype(float).tolist()))
     return "\n".join(lines) + "\n"

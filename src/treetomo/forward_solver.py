@@ -83,9 +83,9 @@ class HittingDistribution:
 
     @property
     def mass(self) -> MappingProxyType:
-        """The nonzero cells, ``(t, v) -> p``, by time and then column."""
+        """The nonzero cells, ``(t, v) -> p`` as ``float`` or ``Fraction``, by time and column."""
         i, j = np.nonzero(self.cells)
-        vals = self.cells[i, j].tolist()
+        vals = self.cells[i, j].astype(float if self.dens is None else object).tolist()
         i, j = i.tolist(), j.tolist()
         if self.dens is not None:
             vals = [Fraction(n, self.dens[a]) for a, n in zip(i, vals)]
@@ -93,16 +93,17 @@ class HittingDistribution:
                                  for a, b, p in zip(i, j, vals)})
 
     def prob(self, t: int, v: int) -> Number:
-        """Cell ``(t, v)``; a time past ``t_max`` raises :class:`InvalidQuery`."""
+        """Cell ``(t, v)``, a ``float`` in float mode and a ``Fraction`` in
+        rational mode; a time past ``t_max`` raises :class:`InvalidQuery`."""
         if t > self.t_max:
             raise InvalidQuery(
                 f"time {t} beyond computed horizon {self.t_max} for {self.layer} layer"
             )
         i, j = self._row.get(t), self._col.get(v)
         if i is None or j is None:
-            return 0
+            return 0.0 if self.dens is None else Fraction(0)
         p = self.cells[i, j]
-        return p if self.dens is None else Fraction(p, self.dens[i])
+        return float(p) if self.dens is None else Fraction(p, self.dens[i])
 
 
 def first_hitting_joint(

@@ -265,35 +265,34 @@ def _depth_first(aug: AugmentedTree) -> np.ndarray:
     return anc[:, np.lexsort(anc)]
 
 
-def _grid(rows: AccRows, name: str, dist: HittingDistribution, col: dict[int, int],
+def _grid(rows: AccRows, name: str, dist: HittingDistribution, layer: np.ndarray,
           need: int) -> tuple[np.ndarray, list[int]]:
-    """The ``name`` law as a grid over times ``0 .. need`` and the columns
-    ``col`` gives its layer, with ``dens[t]`` the denominator of time ``t``.
+    """The ``name`` law as a grid over times ``0 .. need`` and one column per
+    vertex of ``layer``, in its order, with ``dens[t]`` the denominator of time ``t``.
 
-    Every vertex of the law must lie on the layer (a key of ``col``) and
-    every time be ``>= 1``, and under a rational kernel a law with cells must
-    be rational, else :class:`FormatError`; only then are the times past
-    ``need`` dropped, before any integer conversion, and the columns put in
-    the order of ``col``.  Rational mode: the grid holds the law's numerators
-    ``N`` for ``N / dens[t]``, each ``dens[t]`` the law's own.  Float mode:
-    the cells, and every ``dens[t]`` 1.
+    The law must reach time ``need``, hold cells only at vertices of
+    ``layer`` and times ``>= 1``, and, if it has cells, be in the kernel's
+    mode, else :class:`FormatError`; only then are the times past ``need``
+    dropped, before any integer conversion.  Rational mode: the grid holds
+    the law's numerators ``N`` for ``N / dens[t]``, each ``dens[t]`` the
+    law's own.  Float mode: the cells, and every ``dens[t]`` 1.
     """
+    if dist.t_max < need:
+        raise FormatError(f"{name} law covers t <= {dist.t_max}, recovery needs t <= {need}")
+    col = dict(zip(layer.tolist(), range(len(layer))))
     off = [v for v in dist.vertices if v not in col]
     if off or dist.times and dist.times[0] < 1:
         where = f"vertex {off[0]} off the {name} layer" if off else f"time {dist.times[0]} < 1"
         raise FormatError(f"{name} law has mass at {where}")
-    if rows.exact and dist.dens is None and dist.cells.size:
-        raise FormatError(f"{name} law holds float cells under a rational kernel")
+    if dist.cells.size and (dist.dens is None) == rows.exact:
+        held, kind = ("float", "rational") if rows.exact else ("exact", "float")
+        raise FormatError(f"{name} law holds {held} cells under a {kind} kernel")
     n = bisect.bisect_right(dist.times, need)
-    times, cells = dist.times[:n], dist.cells[:n]
     dens = [1] * (need + 1)
-    if dist.dens is not None and rows.exact:
-        for t, d in zip(times, dist.dens):
-            dens[t] = d
-    elif dist.dens is not None:  # an exact law read as floats
-        cells = cells / np.array(dist.dens[:n], object)[:, None]
+    for t, d in zip(dist.times[:n], dist.dens if rows.exact and dist.dens else ()):
+        dens[t] = d
     grid = np.zeros((need + 1, len(col)), rows.q.dtype)
-    grid[np.ix_(times, [col[v] for v in dist.vertices])] = cells.astype(rows.q.dtype)
+    grid[np.ix_(dist.times[:n], [col[v] for v in dist.vertices])] = dist.cells[:n]
     return grid, dens
 
 
@@ -311,17 +310,17 @@ def recover_all(
     already known), each valid, else :class:`InvalidKernel`, and every row
     the recursions read, else :class:`MissingKnownRow`; base vertices
     without a row, or flagged unknown, are the targets.  Both laws must reach
-    time ``3R+4`` (``3R+3`` inner) and hold cells only on their own layer at
-    times ``>= 1``, and under a rational ``known`` be rational, else
-    :class:`FormatError`; cells past those times are checked, then ignored.
+    time ``3R+4`` (``3R+3`` inner), hold cells only on their own layer at
+    times ``>= 1`` and be in ``known``'s mode, else :class:`FormatError`
+    (see :func:`_grid`); cells past those times are checked, then ignored.
     A ``reference`` must hold every recovered entry (:class:`FormatError`)
-    and be valid (:class:`InvalidKernel`).  Shell
-    ``k`` is solved from its swept heads, the tails of shell ``k+1`` and its
-    tail classes (see the module docstring): each child edge from its
-    arrival decomposition, the inward entry as the row complement, and a
-    failure raises for the first edge or row in vertex order, a row's edges
-    before its complement.  ``shell_time_reads`` records the largest law
-    time read for each shell, and ``times_accessed`` the largest per law.
+    and be valid (:class:`InvalidKernel`).  Shell ``k`` is solved from its
+    swept heads, the tails of shell ``k+1`` and its tail classes (see the
+    module docstring): each child edge from its arrival decomposition, the
+    inward entry as the row complement, and a failure raises for the first
+    edge or row in vertex order, a row's edges before its complement.
+    ``shell_time_reads`` records the largest law time read for each shell,
+    and ``times_accessed`` the largest per law.
     """
     _require_two_layers(aug)
     r = aug.hull_radius
@@ -336,15 +335,11 @@ def recover_all(
     absent = ~given & ~target
     absent[aug.outer_layer] = False
     rows = checked_rows(aug, known, blank=absent | target)  # absent known rows: refused below
-    for name, dist, need in (("outer", p_out, aug.horizon), ("inner", p_in, aug.horizon - 1)):
-        if dist.t_max < need:
-            raise FormatError(f"{name} law covers t <= {dist.t_max}, recovery needs t <= {need}")
     anc = _depth_first(aug)
     inner = anc[0]
-    col = range(len(inner))
-    lin, den_in = _grid(rows, "inner", p_in, dict(zip(inner.tolist(), col)), aug.horizon - 1)
-    outer = full.child_ids[full.child_starts[inner]]
-    lout, den_out = _grid(rows, "outer", p_out, dict(zip(outer.tolist(), col)), aug.horizon)
+    lin, den_in = _grid(rows, "inner", p_in, inner, aug.horizon - 1)
+    lout, den_out = _grid(rows, "outer", p_out, full.child_ids[full.child_starts[inner]],
+                          aug.horizon)
     if absent.any():
         raise MissingKnownRow(f"row for vertex {absent.argmax()} required but absent")
     head = rows.zeros()
@@ -456,8 +451,6 @@ def kernel_max_error(
     rows in provenance order and entries in slot order.
     """
     order = [u for u, flag in recovered.provenance.items() if flag == RECOVERED]
-    if not order:
-        return 0
     # each entry (u, v) of either table as the key u * m + v, ids past m left out
     m = int(max(recovered.vertices.max(initial=0), recovered.neighbors.max(initial=0))) + 1
     at = recovered.index(m)[order]
@@ -474,4 +467,5 @@ def kernel_max_error(
         u, v = divmod(int(want[found.argmin()]), m)
         raise FormatError(f"reference kernel has no entry t({u},{v}) of vertex {u}")
     ref = reference.values[on][by_key[i]]
-    return max([0, *np.abs(recovered.values[slots] - ref).tolist()])
+    zero = Fraction(0) if recovered.mode == RATIONAL else 0.0
+    return max(np.abs(recovered.values[slots] - ref).tolist(), default=zero)

@@ -177,6 +177,18 @@ class TestRandomKernel:
         with pytest.raises(InvalidParameter):
             random_kernel(star_aug, -1)
 
+    def test_unknown_scope(self, star_aug):
+        with pytest.raises(InvalidParameter, match="unknown scope 'nope'"):
+            random_kernel(star_aug, 0, scope="nope")
+
+    def test_rational_grid_widens_for_the_floor(self):
+        # 19 entries of at least 1/20 do not fit on the 1/64 grid (4/64 each
+        # would sum past 1), nor on 1/128: the root row is drawn on 1/256
+        aug = spherical_augmentation(star(1, 19), 2)
+        row = random_kernel(aug, 5, floor=0.05, mode=RATIONAL).entries[aug.full.root]
+        assert len(row) == 19 and sum(row.values()) == 1
+        assert all(256 % p.denominator == 0 and p >= Fraction(1, 20) for p in row.values())
+
     def test_scope_lambda_keeps_symmetric_added_rows(self, star_aug):
         k = random_kernel(star_aug, 2, scope="lambda")
         assert k.entries[3] == {1: 0.5, 5: 0.5}

@@ -410,6 +410,8 @@ class TestExitCodes:
         (["gen", "--tree", "star", "--l", "1", "--n", "12", "--floor", "0.09"],
          "error 2 InvalidParameter"),  # 12 floors of 0.09 exceed a row
         (["gen", "--tree", "segment", "--l", "0"], "error 2 InvalidParameter"),
+        (["gen", "--tree", "segment"],
+         "error 2 InvalidParameter: segment builtin requires --l"),
         (["sample", "--n", "0"], "error 2 InvalidParameter"),
         (["sample", "--n", "10", "--workers", "0"], "error 2 InvalidParameter"),
         (["consistency", "--tree", "star", "--l", "1", "--n", "2", "--n-grid", "a,b"],
@@ -428,7 +430,7 @@ class TestExitCodes:
         (["sample", "--n", str(2**63)], "error 2 InvalidParameter"),
         (["consistency", "--tree", "star", "--l", "1", "--n", "2", "--seeds", "-2"],
          "error 2 InvalidParameter"),
-    ], ids=["star-no-l", "floor-2", "floor-sum", "segment-l-0", "sample-n-0",
+    ], ids=["star-no-l", "floor-2", "floor-sum", "segment-l-0", "segment-no-l", "sample-n-0",
             "sample-workers-0", "n-grid", "consistency-workers", "invert-3-long", "random-rout-40",
             "gen-seed-neg", "random-seed-neg", "roundtrip-seed-neg", "sample-seed-neg",
             "sample-n-2-63", "consistency-seeds-neg"])

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from treetomo import INNER, OUTER, TransitionKernel, first_hitting_joint, random_kernel
-from treetomo.errors import FormatError
+from treetomo.errors import FormatError, InvalidParameter
 from treetomo.estimation import SampleBatch, collect_batch
 from treetomo.forward_solver import HittingDistribution, hitting_laws
 from treetomo.formats import (
@@ -352,9 +352,17 @@ class TestDistributionFormat:
         for dist in hitting_laws(aug, kernel, aug.horizon):
             back = parse_distribution(dump_distribution(dist, "rational"), "rational")
             assert back.mass == dist.mass and back.t_max == max(t for t, _ in dist.mass)
-            # in float mode the file holds each cell's float image
-            back = parse_distribution(dump_distribution(dist, "float"), "float")
-            assert back.mass == {key: float(p) for key, p in dist.mass.items()}
+            # a law is written only in its own mode: an exact law has no float image
+            with pytest.raises(InvalidParameter,
+                               match=f"an exact {dist.layer} law has no float file form"):
+                dump_distribution(dist, "float")
+
+    def test_float_law_has_no_rational_form(self):
+        aug = spherical_augmentation(comb(2), 2)
+        for dist in hitting_laws(aug, random_kernel(aug, 7), aug.horizon):
+            with pytest.raises(InvalidParameter,
+                               match=f"a float {dist.layer} law has no rational file form"):
+                dump_distribution(dist, "rational")
 
     def test_header_alone_rejected(self):
         # a law with no mass, as forward gives one up to a time before any

@@ -11,6 +11,7 @@ from treetomo import (
     first_hitting_joint,
 )
 from treetomo.errors import InvalidKernel, InvalidQuery
+from treetomo.formats import dump_distribution, parse_distribution
 from treetomo.forward_solver import hitting_laws
 from treetomo.chain_model import random_kernel
 from treetomo.tree_model import random_tree, segment, spherical_augmentation, star
@@ -187,6 +188,17 @@ class TestArraySweep:
             hitting_laws(aug, kernel, -1)
         with pytest.raises(InvalidQuery):
             first_hitting_joint(aug, kernel, "middle", 4)
+
+    @pytest.mark.parametrize("mode, kind", [("float", float), ("rational", Fraction)])
+    def test_cells_handed_out_as_public_numbers(self, mode, kind):
+        # computed float laws keep np.longdouble cells and parsed ones
+        # float64; both hand out plain floats, empty cells included
+        aug = spherical_augmentation(star(1, 2), 2)
+        for dist in hitting_laws(aug, random_kernel(aug, 3, mode=mode), 6):
+            for law in (dist, parse_distribution(dump_distribution(dist, mode), mode)):
+                assert {type(p) for p in law.mass.values()} == {kind}
+                assert {type(law.prob(t, v)) for t in range(1, law.t_max + 1)
+                        for v in (*law.vertices, -1)} == {kind}
 
 
 class TestDistributionInvariants:

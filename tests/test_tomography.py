@@ -552,11 +552,12 @@ class TestRecoverAll:
         p_in, p_out = forward_pair(aug, kernel)
         p_out = HittingDistribution.from_mass(
             OUTER, p_out.t_max, {key: float(p) for key, p in p_out.mass.items()})
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="outer law holds float cells under a rational"):
             recover_all(aug, known_part(kernel), p_in, p_out)
 
     def test_rational_laws_under_float_kernel(self):
-        # float known rows read exact laws as the float image of each cell
+        # a law is read only in its kernel's mode: float known rows refuse
+        # exact laws, each one, rather than read them as their float images
         aug, kernel = rand_instance(3, mode="rational")
         flt = TransitionKernel.from_entries(
             {u: {v: float(p) for v, p in r.items()} for u, r in kernel.entries.items()},
@@ -564,11 +565,38 @@ class TestRecoverAll:
             "float",
         )
         exact = forward_pair(aug, kernel)
-        image = [HittingDistribution.from_mass(d.layer, d.t_max,
-                                               {key: float(p) for key, p in d.mass.items()})
-                 for d in exact]
-        got = recover_all(aug, known_part(flt), *exact).kernel.entries
-        assert got == recover_all(aug, known_part(flt), *image).kernel.entries
+        floats = forward_pair(aug, flt)
+        for name, laws in (("inner", (exact[0], floats[1])), ("outer", (floats[0], exact[1]))):
+            with pytest.raises(FormatError, match=f"{name} law holds exact cells under a float "):
+                recover_all(aug, known_part(flt), *laws)
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    def test_empty_law_of_either_mode_accepted(self, mode):
+        # a law with no cells is in no mode: it is read as all zero, so an
+        # empty outer law leaves nothing to arrive and the first edge is out
+        # of range, not a format fault
+        aug, kernel = symmetric_star_fixture()
+        if mode == "float":
+            kernel = TransitionKernel.from_entries(
+                {u: {v: float(p) for v, p in r.items()} for u, r in kernel.entries.items()},
+                dict(kernel.provenance), "float")
+        p_in, p_out = forward_pair(aug, kernel)
+        for dens in (None, ()):
+            empty = HittingDistribution(OUTER, p_out.t_max, (), (), p_out.cells[:0, :0], dens)
+            with pytest.raises(OutOfRange):
+                recover_all(aug, known_part(kernel), p_in, empty)
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    def test_nothing_to_recover(self, mode):
+        # every base row given: no row is recovered, and the error against a
+        # reference is the mode's zero
+        aug, kernel = rand_instance(3, mode=mode)
+        given = TransitionKernel(kernel.vertices, kernel.sizes, kernel.neighbors, kernel.values,
+                                 dict.fromkeys(kernel.vertices.tolist(), KNOWN), mode)
+        rep = recover_all(aug, given, *forward_pair(aug, kernel), reference=kernel)
+        assert "recovered" not in rep.kernel.provenance.values()
+        assert type(rep.max_error) is (Fraction if mode == "rational" else float)
+        assert rep.max_error == 0
 
     def test_clamped_rational_rows_stay_exact(self):
         aug, kernel = symmetric_star_fixture()
