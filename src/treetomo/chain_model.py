@@ -2,14 +2,14 @@
 
 A kernel assigns every non-absorbing vertex a strictly positive probability
 row over its neighbors.  Outer-layer vertices carry no row: the walk stops
-there.  Rows are tagged with a provenance flag so the tomography step knows
-which rows are measurement targets (``unknown``), which are given
-(``known``), and which it has already solved (``recovered``).
+there.
 
-A :class:`TransitionKernel` is one edge table: the row vertices, and for
-each row its slots, one neighbor and one entry each, rows contiguous.  It is
-drawn (:func:`random_kernel`), parsed, checked, inverted and written as that
-table; the ``entries`` mapping is a read-only view of it.
+A :class:`TransitionKernel` is one edge table: the row vertices, each with a
+label (``unknown``: drawn as a measurement target, ``known``: given,
+``recovered``: solved by the tomography step), and for each row its slots,
+one neighbor and one entry each, rows contiguous.  It is drawn
+(:func:`random_kernel`), parsed, checked, inverted and written as that
+table; the ``entries`` and ``provenance`` mappings are read-only views of it.
 
 Two arithmetic modes are supported end to end: ``float`` (doubles) and
 ``rational`` (exact :class:`fractions.Fraction` entries).  Recurrences that
@@ -68,44 +68,46 @@ def vertex_ids(ids: list[int]) -> np.ndarray:
 
 @dataclass(eq=False)
 class TransitionKernel:
-    """Per-vertex probability rows, as one edge table, plus provenance flags.
+    """Per-vertex probability rows, as one edge table with a label per row.
 
-    Row ``i`` of the table is the row of vertex ``vertices[i]`` and holds the
-    next ``sizes[i]`` slots of ``neighbors`` and ``values``, rows contiguous
-    and each row's slots in the order it was given: slot ``j`` carries the
-    one-step probability ``values[j]`` of moving to ``neighbors[j]``.  Values
-    are float64 in float mode and objects (``Fraction``) in rational mode;
-    vertex ids are integers, or Python ints in object arrays past int64.
-    Absorbing vertices have no row, or an empty one.  The arrays are made
-    read-only: a kernel is never edited, so ``entries``, the
-    ``u -> {v: p}`` view of the table, is built at most once.
-    :meth:`from_entries` builds a kernel from such a mapping.
+    Row ``i`` of the table is the row of vertex ``vertices[i]``, labelled
+    ``labels[i]`` (an object array: ``known``, ``unknown``, ``recovered`` or
+    ``None``), and holds the next ``sizes[i]`` slots of ``neighbors`` and
+    ``values``, rows contiguous and each row's slots in the order it was
+    given: slot ``j`` carries the one-step probability ``values[j]`` of
+    moving to ``neighbors[j]``.  Values are float64 in float mode and objects
+    (``Fraction``) in rational mode; vertex ids are integers, or Python ints
+    in object arrays past int64.  Absorbing vertices have no row, or an empty
+    one.  The arrays are made read-only: a kernel is never edited, so its
+    views ``entries`` and ``provenance`` are each built at most once.
     """
 
     vertices: np.ndarray
     sizes: np.ndarray
     neighbors: np.ndarray
     values: np.ndarray
-    provenance: dict[int, str] = field(default_factory=dict)
+    labels: np.ndarray
     mode: str = FLOAT
     _entries: Mapping | None = field(default=None, init=False, repr=False)
+    _provenance: Mapping | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for array in (self.vertices, self.sizes, self.neighbors, self.values):
+        for array in (self.vertices, self.sizes, self.neighbors, self.values, self.labels):
             array.flags.writeable = False
 
     @classmethod
     def from_entries(cls, entries: Mapping[int, Mapping[int, Number]],
-                     provenance: dict[int, str] | None = None,
+                     provenance: Mapping[int, str] | None = None,
                      mode: str = FLOAT) -> TransitionKernel:
-        """The kernel with row ``entries[u]`` for each ``u``, rows and slots in
-        the mappings' order; float entries become float64."""
+        """The kernel with row ``entries[u]`` labelled ``provenance.get(u)`` for
+        each ``u``, rows and slots in the mappings' order, so a label without a
+        row is dropped; float entries become float64."""
         rows = list(entries.values())
         values = list(chain.from_iterable(row.values() for row in rows))
         return cls(vertex_ids(list(entries)), np.fromiter(map(len, rows), np.intp, len(rows)),
                    vertex_ids(list(chain.from_iterable(rows))),
                    np.fromiter(values, float if mode == FLOAT else object, len(values)),
-                   {} if provenance is None else provenance, mode)
+                   np.array(list(map((provenance or {}).get, entries)), object), mode)
 
     @property
     def starts(self) -> np.ndarray:
@@ -122,6 +124,14 @@ class TransitionKernel:
                 u: MappingProxyType(dict(zip(nbrs[a:b], vals[a:b])))
                 for u, a, b in zip(self.vertices.tolist(), [0, *ends], ends)})
         return self._entries
+
+    @property
+    def provenance(self) -> Mapping[int, str]:
+        """Read-only view ``u -> label`` of the labelled rows, in table order."""
+        if self._provenance is None:
+            labels = zip(self.vertices.tolist(), self.labels.tolist())
+            self._provenance = MappingProxyType({u: f for u, f in labels if f is not None})
+        return self._provenance
 
     def index(self, n: int) -> np.ndarray:
         """The row of each vertex ``0 .. n`` in the table, -1 where it has none."""
@@ -140,21 +150,13 @@ class TransitionKernel:
     def prob(self, u: int, v: int) -> Number:
         return self.row(u)[v]
 
-    def copy(self) -> TransitionKernel:
-        """The same table, with a provenance of its own."""
-        return TransitionKernel(self.vertices, self.sizes, self.neighbors, self.values,
-                                dict(self.provenance), self.mode)
-
     def restricted_to(self, flags: set[str]) -> TransitionKernel:
-        """Kernel containing only rows whose provenance is in ``flags``."""
-        keep = np.fromiter((self.provenance.get(u) in flags for u in self.vertices.tolist()),
-                           bool, len(self.vertices))
+        """Kernel containing only the rows whose label is in ``flags``."""
+        keep = np.fromiter((label in flags for label in self.labels.tolist()),
+                           bool, len(self.labels))
         slots = keep.repeat(self.sizes)
-        return TransitionKernel(
-            self.vertices[keep], self.sizes[keep], self.neighbors[slots], self.values[slots],
-            {u: f for u, f in self.provenance.items() if f in flags},
-            self.mode,
-        )
+        return TransitionKernel(self.vertices[keep], self.sizes[keep], self.neighbors[slots],
+                                self.values[slots], self.labels[keep], self.mode)
 
 
 class AccRows:
@@ -164,10 +166,10 @@ class AccRows:
     The table holds the row of every vertex of ``vertices`` (default: all)
     that has children, laid out from the kernel's table, one slot per
     neighbor on the tree in the row's slot order, so vectors, indexed by
-    vertex id, are read and written at neighbors off ``vertices`` too.  A
-    row that the vertex mask ``blank`` marks starts as zeros in neighbor
-    order, parent first, for :meth:`write`; any other row the kernel lacks
-    raises :class:`MissingKnownRow`; no row is checked (see
+    vertex id, are read and written at neighbors off ``vertices`` too.  With
+    ``blank``, a row the kernel lacks starts as zeros in neighbor order,
+    parent first, for :meth:`write`; without, it raises
+    :class:`MissingKnownRow`; no row is checked (see
     :func:`checked_rows`).  ``sizes`` counts the entries of each row.
     :meth:`push` moves walk mass one step, ``y[v] = sum_u x[u] t(u, v)``,
     and :meth:`pull` steps back, ``y[u] = sum_v t(u, v) x[v]``: each is one
@@ -186,14 +188,14 @@ class AccRows:
     """
 
     def __init__(self, full: RootedTree, kernel: TransitionKernel,
-                 vertices: tuple[int, ...] | None = None, blank: np.ndarray | None = None):
+                 vertices: tuple[int, ...] | None = None, blank: bool = False):
         self.exact = kernel.mode == RATIONAL
         n, starts, self.norm = full.vertex_count, full.child_starts, full.norm
         rows = np.arange(n) if vertices is None else np.array(vertices, np.intp)
         rows = rows[starts[rows + 1] > starts[rows]]
         at = kernel.index(n)[rows]
         sizes, nbrs, values = kernel.sizes, kernel.neighbors, kernel.values
-        if blank is not None and (laid := blank[rows]).any():
+        if blank and (laid := at < 0).any():
             # rows laid out blank, in neighbor order, after the kernel's
             lay, extra = full.adjacency(rows[laid])
             at[laid] = np.arange(len(sizes), len(sizes) + len(lay))
@@ -282,10 +284,10 @@ class KernelViolation:
 
 
 def _check_rows(aug: AugmentedTree, kernel: TransitionKernel,
-                blank: np.ndarray | None) -> tuple[list[KernelViolation], AccRows]:
-    """The violations of :func:`validate_kernel`, rows the vertex mask ``blank``
-    marks allowed absent, and the table over ``aug.full`` (absent rows blank)
-    they are read from.  A row has the tree's support if it has one entry per
+                partial: bool) -> tuple[list[KernelViolation], AccRows]:
+    """The violations of :func:`validate_kernel`, absent rows allowed if
+    ``partial``, and the table over ``aug.full`` (absent rows blank) they
+    are read from.  A row has the tree's support if it has one entry per
     neighbor and each slot leads to one; float sums run left to right, as ``sum`` does."""
     full, n = aug.full, aug.full.vertex_count
     ids, at = kernel.vertices, kernel.index(n)[:n]
@@ -297,7 +299,7 @@ def _check_rows(aug: AugmentedTree, kernel: TransitionKernel,
             for v in outer[filled].tolist()]
     absent = at < 0
     absent[outer] = False
-    rows = AccRows(full, kernel, blank=absent)
+    rows = AccRows(full, kernel, blank=True)
     src, dst, starts = rows.src, rows.dst, rows.tail_starts
     parent, kids = full.parent, full.child_starts[1:] - full.child_starts[:-1]
     size = np.zeros(n, np.intp)
@@ -310,10 +312,9 @@ def _check_rows(aug: AugmentedTree, kernel: TransitionKernel,
         off[rows.tails] = np.add.reduceat(rows.q, starts) != rows.scale
     else:
         off = ~(np.abs(np.bincount(src, rows.q.astype(float), n) - 1) <= ROW_SUM_TOL)
-    bad = (kids > 0) & (~fits | low | off) & ~absent  # an absent row lies blank in the table,
-    missing = absent if blank is None else absent & ~blank  # and is missing unless blank
+    bad = (kids > 0) & (~fits | low | off) & ~absent  # an absent row lies blank in the table
     first = kernel.starts
-    for u in np.flatnonzero(bad | missing).tolist():
+    for u in np.flatnonzero(bad if partial else bad | absent).tolist():
         if (i := at[u]) >= 0:
             cells = slice(first[i], first[i] + kernel.sizes[i])
         kind, detail = (
@@ -335,19 +336,17 @@ def validate_kernel(aug: AugmentedTree, kernel: TransitionKernel) -> list[Kernel
     rows, then each vertex's first violation in vertex order.  A rational
     kernel that holds a float entry raises :class:`InvalidKernel`.
     """
-    return _check_rows(aug, kernel, None)[0]
+    return _check_rows(aug, kernel, False)[0]
 
 
 def checked_rows(aug: AugmentedTree, kernel: TransitionKernel,
-                 blank: np.ndarray | None = None) -> AccRows:
+                 partial: bool = False) -> AccRows:
     """The edge table of ``kernel`` over ``aug.full``; the first violation of
-    :func:`validate_kernel` raises :class:`InvalidKernel`.  A row the vertex
-    mask ``blank`` marks may be absent, lies in the table as zeros, and is checked if given."""
-    bad, rows = _check_rows(aug, kernel, blank)
+    :func:`validate_kernel` raises :class:`InvalidKernel`.  If ``partial``, a
+    row off the outer layer may be absent and lies in the table as zeros."""
+    bad, rows = _check_rows(aug, kernel, partial)
     if bad:
         raise InvalidKernel(f"{bad[0].kind} at vertex {bad[0].vertex}: {bad[0].detail}")
-    if blank is not None and blank[kernel.index(aug.full.vertex_count)[:-1] >= 0].any():
-        rows = AccRows(aug.full, kernel, blank=blank)  # given rows to solve again: laid out blank
     return rows
 
 
@@ -368,7 +367,7 @@ def random_kernel(
     ``scope`` selects which rows are randomized: ``"lambda"`` draws rows on
     base-tree vertices only (added vertices get the symmetric walk),
     ``"all"`` also randomizes the added non-outer rows.  Base-tree rows are
-    flagged unknown, added rows known.  Rows are drawn uniformly on the
+    labelled unknown, added rows known.  Rows are drawn uniformly on the
     floor-truncated simplex; in rational mode entries are multiples of
     ``1/RATIONAL_GRID``, or of a finer dyadic grid where the floor needs it,
     summing exactly to one.  The table has a row for every vertex off the
@@ -387,9 +386,9 @@ def random_kernel(
     full, k = aug.full, aug.base.vertex_count
     rows = (full.norm < full.norm.max()).nonzero()[0]  # off the outer layer, base ids first
     sizes, nbrs = full.adjacency(rows)
-    prov = dict(zip(rows.tolist(), [UNKNOWN] * k + [KNOWN] * (len(rows) - k)))
+    labels = np.array([UNKNOWN] * k + [KNOWN] * (len(rows) - k), object)
     if full.child_starts[full.root + 1] - full.child_starts[full.root] == 1:
-        prov[full.root] = KNOWN  # a degree-1 root has no freedom
+        labels[full.root] = KNOWN  # a degree-1 root has no freedom
     drawn = sizes > 1
     drawn[k:] &= scope == ALL_VERTICES
     if (infeasible := np.flatnonzero(drawn & (floor * sizes >= 1))).size:
@@ -413,7 +412,7 @@ def random_kernel(
         values[drawn] = np.fromiter(chain.from_iterable(grid), object, len(probs))
     else:
         values[drawn] = probs
-    return TransitionKernel(rows, sizes, nbrs, values, prov, mode)
+    return TransitionKernel(rows, sizes, nbrs, values, labels, mode)
 
 
 def _grid_row(probs: list[float], floor: float) -> list[Fraction]:

@@ -135,7 +135,7 @@ def estimate_kernel(
     """
     p_in, p_out = empirical_joint(batch)
     known = TransitionKernel(known.vertices, known.sizes, known.neighbors,
-                             known.values.astype(float), dict(known.provenance), FLOAT)
+                             known.values.astype(float), known.labels, FLOAT)
     try:
         return recover_all(aug, known, p_in, p_out, reference=reference, clamp=True)
     except ZeroDenominator as exc:

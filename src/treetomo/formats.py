@@ -213,12 +213,12 @@ def known_lines(kernel: TransitionKernel, text: str) -> str:
     """The lines of ``text``, :func:`dump_kernel` of ``kernel``, of its known
     rows: ``dump_kernel(kernel.restricted_to({KNOWN}))``, no cell formatted again."""
     lines = text.splitlines(keepends=True)
-    known = [kernel.provenance.get(u) == KNOWN for u in sorted(kernel.vertices.tolist())]
+    known = [label == KNOWN for label in kernel.labels[kernel.vertices.argsort()].tolist()]
     return lines[0] + "".join(compress(lines[1:], known))
 
 
 def parse_kernel(text: str) -> TransitionKernel:
-    """Parse :func:`dump_kernel` output; every row is flagged known.
+    """Parse :func:`dump_kernel` output; every row is labelled known.
 
     The file is converted in bulk (:func:`_kernel_table`), again with one space
     between tokens if it has other whitespace, blank lines or runs of spaces;
@@ -266,7 +266,7 @@ def _kernel_table(text: str) -> TransitionKernel:
     nb = nbrs[np.lexsort((nbrs, owner))]  # each row's neighbors ascending
     if len(set(us.tolist())) < n or ((nb[1:] == nb[:-1]) & (owner[1:] == owner[:-1])).any():
         raise ValueError("a repeated row or cell")
-    return TransitionKernel(us, sizes, nbrs, values, dict.fromkeys(us.tolist(), KNOWN), tokens[1])
+    return TransitionKernel(us, sizes, nbrs, values, np.array([KNOWN] * n, object), tokens[1])
 
 
 def _kernel_values(tokens: list[str], mode: str) -> np.ndarray:

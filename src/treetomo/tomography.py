@@ -304,12 +304,12 @@ def recover_all(
     reference: TransitionKernel | None = None,
     clamp: bool = False,
 ) -> RecoveryReport:
-    """Recover every unknown base-tree row, outermost shell first.
+    """Recover every base-tree row ``known`` lacks, outermost shell first.
 
-    ``known`` must carry the given rows (added vertices, plus any base rows
-    already known), each valid, else :class:`InvalidKernel`, and every row
-    the recursions read, else :class:`MissingKnownRow`; base vertices
-    without a row, or flagged unknown, are the targets.  Both laws must reach
+    ``known`` must carry the given rows, each valid, else :class:`InvalidKernel`,
+    every added row off the outer layer, else :class:`MissingKnownRow`, and
+    no row labelled unknown (:class:`InvalidParameter`); the answer labels the
+    base rows it lacks recovered, the given rows known.  Both laws must reach
     time ``3R+4`` (``3R+3`` inner), hold cells only on their own layer at
     times ``>= 1`` and be in ``known``'s mode, else :class:`FormatError`
     (see :func:`_grid`); cells past those times are checked, then ignored.
@@ -324,17 +324,14 @@ def recover_all(
     """
     _require_two_layers(aug)
     r = aug.hull_radius
-    mode, full = known.mode, aug.full
-    provenance = dict(known.provenance)
-    for u in sorted(known.vertices.tolist()):
-        provenance.setdefault(u, KNOWN)
-    target = np.zeros(full.vertex_count, bool)
-    target[:aug.base.vertex_count] = [provenance.get(u, UNKNOWN) not in (KNOWN, RECOVERED)
-                                      for u in range(aug.base.vertex_count)]
+    mode, full, base = known.mode, aug.full, aug.base.vertex_count
+    if UNKNOWN in (labels := known.labels.tolist()):
+        u = known.vertices[labels.index(UNKNOWN)]
+        raise InvalidParameter(f"given row of vertex {u} is labelled unknown")
     given = known.index(full.vertex_count)[:-1] >= 0  # the vertices with a row
-    absent = ~given & ~target
-    absent[aug.outer_layer] = False
-    rows = checked_rows(aug, known, blank=absent | target)  # absent known rows: refused below
+    target, absent = ~given, ~given  # no row: solved at a base vertex, else refused below
+    target[base:] = absent[:base] = absent[aug.outer_layer] = False
+    rows = checked_rows(aug, known, partial=True)
     anc = _depth_first(aug)
     inner = anc[0]
     lin, den_in = _grid(rows, "inner", p_in, inner, aug.horizon - 1)
@@ -414,7 +411,6 @@ def recover_all(
         lens = lens + (k > 0)
         if clamp:
             row = row / np.repeat(child_sum + comp, lens)
-        provenance.update(dict.fromkeys(us, RECOVERED))
         slots = ranges(np.searchsorted(rows.src, us), lens)
         grow = rows.write(slots, row) ** (r + 1 - k)
         if grow != 1:  # head (shell k) and tail (shell k+1) are over D**(R+1-k)
@@ -423,9 +419,10 @@ def recover_all(
     # the answer is the table, a row for every vertex off the outer layer, then
     # the empty rows given on the outer layer
     empty = aug.outer_layer[given[aug.outer_layer]]
-    work = TransitionKernel(np.concatenate((rows.tails, empty)),
-                            np.concatenate((rows.sizes, np.zeros(len(empty), np.intp))),
-                            rows.dst, rows.probs(), provenance, mode)
+    ids = np.concatenate((rows.tails, empty))
+    labels = [RECOVERED if t else KNOWN for t in target[ids].tolist()]
+    work = TransitionKernel(ids, np.concatenate((rows.sizes, np.zeros(len(empty), np.intp))),
+                            rows.dst, rows.probs(), np.array(labels, object), mode)
     ins, outs = zip(*reads.values())
     report = RecoveryReport(
         kernel=work,
@@ -443,20 +440,21 @@ def recover_all(
 def kernel_max_error(
     recovered: TransitionKernel, reference: TransitionKernel
 ) -> Number:
-    """Largest absolute entry difference over recovered rows, read from both
-    tables as arrays.
+    """Largest absolute entry difference over the rows labelled recovered,
+    read from both tables as arrays.
 
     A reference without a row or an entry that was recovered, as from
     another tree, raises :class:`FormatError` naming the first such entry,
-    rows in provenance order and entries in slot order.
+    rows and entries in table order, as does a float one of a rational answer.
     """
-    order = [u for u, flag in recovered.provenance.items() if flag == RECOVERED]
+    if recovered.mode == RATIONAL and reference.mode != RATIONAL:
+        raise FormatError("a rational answer needs a rational reference kernel")
+    at = np.flatnonzero([label == RECOVERED for label in recovered.labels.tolist()])
     # each entry (u, v) of either table as the key u * m + v, ids past m left out
     m = int(max(recovered.vertices.max(initial=0), recovered.neighbors.max(initial=0))) + 1
-    at = recovered.index(m)[order]
     lens = recovered.sizes[at]
     slots = ranges(recovered.starts[at], lens)
-    want = np.array(order).repeat(lens) * m + recovered.neighbors[slots]
+    want = recovered.vertices[at].repeat(lens) * m + recovered.neighbors[slots]
     ref_u, ref_v = reference.vertices.repeat(reference.sizes), reference.neighbors
     on = (ref_u >= 0) & (ref_u < m) & (ref_v >= 0) & (ref_v < m)
     keys = (ref_u[on] * m + ref_v[on]).astype(np.int64)

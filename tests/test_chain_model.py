@@ -14,7 +14,7 @@ from treetomo import (
     validate_kernel,
 )
 from treetomo import chain_model
-from treetomo.errors import InvalidKernel, InvalidParameter, MissingRow
+from treetomo.errors import InvalidParameter, MissingRow
 from treetomo.forward_solver import hitting_laws
 from treetomo.tree_model import random_tree, segment, spherical_augmentation, star
 
@@ -135,8 +135,8 @@ class TestValidate:
         assert [(v.vertex, v.kind) for v in got] == want
 
     def test_given_target_row_is_checked(self):
-        # a row flagged unknown is solved again, but a malformed one is
-        # refused, although the inversion never reads it
+        # a given row labelled unknown is refused, malformed or valid: the
+        # inversion solves only the base rows it lacks
         aug = spherical_augmentation(segment(1, 2), 2)
         kernel = random_kernel(aug, 5)
         p_in, p_out = hitting_laws(aug, kernel, aug.horizon)
@@ -145,10 +145,9 @@ class TestValidate:
         def given(row):
             return TransitionKernel.from_entries({**known.entries, 1: row},
                                                  {**known.provenance, 1: UNKNOWN})
-        with pytest.raises(InvalidKernel, match="^RowSum at vertex 1: "):
-            recover_all(aug, given({0: 0.5, 2: 0.4}), p_in, p_out)
-        assert recover_all(aug, given(dict(kernel.entries[1])), p_in, p_out).kernel.entries[1] \
-            == pytest.approx(kernel.entries[1], abs=1e-12)
+        for row in ({0: 0.5, 2: 0.4}, dict(kernel.entries[1])):
+            with pytest.raises(InvalidParameter, match="^given row of vertex 1 is labelled unknown$"):
+                recover_all(aug, given(row), p_in, p_out)
 
     def test_default_always_valid_random(self):
         for seed in range(20):
@@ -248,6 +247,14 @@ class TestKernelTable:
                 assert a.dtype == b.dtype and a.tolist() == b.tolist()
                 assert list(map(type, a.tolist())) == list(map(type, b.tolist()))
 
+    def test_label_without_a_row_is_dropped(self):
+        kernel = TransitionKernel.from_entries({0: {1: 1.0}, 1: {0: 1.0}}, {1: KNOWN, 7: UNKNOWN})
+        assert kernel.labels.tolist() == [None, KNOWN]
+        assert dict(kernel.provenance) == {1: KNOWN}
+        assert kernel.restricted_to({UNKNOWN}).vertices.tolist() == []
+        with pytest.raises(ValueError):
+            kernel.labels[0] = KNOWN
+
     def test_entries_are_read_only(self, star_aug):
         kernel = random_kernel(star_aug, 3)
         with pytest.raises(TypeError):
@@ -276,7 +283,7 @@ class TestKernelTable:
         assert kernel.entries is view and len(built) == len(kernel.vertices) + 1
 
     @pytest.mark.parametrize("mode", ["float", RATIONAL])
-    def test_row_prob_copy_restricted(self, mode):
+    def test_row_prob_restricted(self, mode):
         for seed in range(4):
             _, kernel = rand_instance(seed, mode=mode, scope="lambda")
             rows = {u: dict(row) for u, row in kernel.entries.items()}
@@ -285,10 +292,6 @@ class TestKernelTable:
                 assert all(kernel.prob(u, v) == p for v, p in row.items())
             with pytest.raises(MissingRow):
                 kernel.row(-1)
-            twin = kernel.copy()
-            twin.provenance[0] = "recovered"
-            assert kernel.provenance[0] != "recovered"
-            assert twin.entries == rows and twin.mode == mode
             known = kernel.restricted_to({KNOWN})
             assert list(known.entries.items()) == [
                 (u, row) for u, row in rows.items() if kernel.provenance[u] == KNOWN]

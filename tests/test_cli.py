@@ -134,6 +134,23 @@ class TestPipeline:
         assert float(lines["max_error"]) <= 1e-9
         assert (tmp_path / "w" / "report.txt").exists()
 
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    def test_known_file_with_every_row_solves_nothing(self, tmp_path, capsys, mode):
+        # the whole kernel as the given rows: every row is used as given, so
+        # the report's kernel is kernel.txt and nothing is flagged
+        work = tmp_path / "w"
+        run(capsys, "gen", "--tree", "star", "--l", "1", "--n", "2", "--seed", "3",
+            "--mode", mode, "--out", str(work))
+        argv = recovery_argv(capsys, work, "invert")
+        argv[argv.index("--known-file") + 1] = str(work / "kernel.txt")
+        code, out, err = run(capsys, *argv, "--reference", str(work / "kernel.txt"))
+        assert code == 0, err
+        assert "max_error 0\n" in out
+        report = (work / "report.txt").read_text().splitlines()
+        assert [ln for ln in report if ln.startswith(("mode ", "row "))] == \
+            (work / "kernel.txt").read_text().splitlines()
+        assert not any(ln.startswith("flag ") for ln in report)
+
     def test_gen_forward_invert_rational(self, tmp_path, capsys):
         # path of depth 8: exact through the files, rows as in memory
         work = str(tmp_path / "w")
@@ -290,16 +307,16 @@ class TestPipeline:
 
     def test_consistency_tsv(self, tmp_path, capsys):
         work = str(tmp_path / "w")
-        code, _, _ = run(
-            capsys, "consistency", "--tree", "star", "--l", "1", "--n", "2",
-            "--seed", "1", "--n-grid", "1000,5000", "--seeds", "1,2",
-            "--out", work,
-        )
-        assert code == 0
+        argv = ["consistency", "--tree", "star", "--l", "1", "--n", "2",
+                "--seed", "1", "--n-grid", "1000,5000", "--seeds", "1,2"]
+        code, out, _ = run(capsys, *argv, "--out", work)
+        assert (code, out) == (0, "")
         text = (tmp_path / "w" / "consistency.tsv").read_text()
         lines = text.strip().splitlines()
         assert lines[0] == "n\tseed\tmax_error"
         assert len(lines) == 5
+        # without --out the same TSV goes to stdout
+        assert run(capsys, *argv)[:2] == (0, text)
 
 
 class TestExitCodes:
@@ -642,8 +659,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["invert", "estimate"])
     def test_reference_from_another_tree_exit_2(self, tmp_path, capsys, command):
-        # star(1, 2) recovers row 1 over {0, 3}; in segment(0, 1) vertex 3 is
-        # no neighbor of vertex 1
+        # star(1, 2) recovers the root's row over {1, 2} first in table order;
+        # in segment(0, 1) vertex 2 is no neighbor of vertex 0
         work, other = tmp_path / "w", tmp_path / "other"
         run(capsys, "gen", "--tree", "star", "--l", "1", "--n", "2",
             "--seed", "2", "--out", str(work))
@@ -653,7 +670,7 @@ class TestExitCodes:
                            "--reference", str(other / "kernel.txt"))
         assert code == 2, err
         assert err.startswith("error 2 FormatError"), err
-        assert "no entry t(1,3) of vertex 1" in err
+        assert "no entry t(0,2) of vertex 0" in err
 
     @staticmethod
     def reference_without(work, cut):
@@ -684,10 +701,10 @@ class TestExitCodes:
         assert "max_error" not in out
 
     @pytest.mark.parametrize("command", ["invert", "estimate"])
-    def test_reference_without_two_entries_names_the_first_solved(
+    def test_reference_without_two_entries_names_the_first_in_table_order(
             self, tmp_path, capsys, command):
-        # the root's row and row 2 each lose one entry; row 2 is solved first
-        # (outermost shell first), so its entry is the one named
+        # the root's row and row 2 each lose one entry; the root's row comes
+        # first in the answer's table (vertex order), so its entry is the one named
         work = tmp_path / "w"
         run(capsys, "gen", "--tree", "star", "--l", "1", "--n", "2",
             "--seed", "2", "--out", str(work))
@@ -695,7 +712,7 @@ class TestExitCodes:
         code, _, err = run(capsys, *argv, "--reference",
                            str(self.reference_without(work, {(0, 1), (2, 0)})))
         assert code == 2, err
-        assert "no entry t(2,0) of vertex 2" in err
+        assert "no entry t(0,1) of vertex 0" in err
 
     @pytest.mark.parametrize("command", ["invert", "estimate"])
     def test_invalid_reference_exit_2(self, tmp_path, capsys, command):
@@ -713,6 +730,19 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv, "--reference", str(reference))
         assert code == 2, (out, err)
         assert err.startswith("error 2 InvalidKernel"), err
+        assert "max_error" not in out
+
+    def test_float_reference_of_a_rational_answer_exit_2(self, tmp_path, capsys):
+        # an exact entry less a float one is a float, not an exact error: the
+        # float kernel of the same command line is refused as the reference
+        work, image = tmp_path / "w", tmp_path / "f"
+        for mode, out in (("rational", work), ("float", image)):
+            run(capsys, "gen", "--tree", "star", "--l", "1", "--n", "2", "--seed", "3",
+                "--mode", mode, "--out", str(out))
+        code, out, err = run(capsys, *recovery_argv(capsys, work, "invert"),
+                             "--reference", str(image / "kernel.txt"))
+        assert code == 2, (out, err)
+        assert err == "error 2 FormatError: a rational answer needs a rational reference kernel\n"
         assert "max_error" not in out
 
     @pytest.mark.parametrize("command", ["invert", "estimate"])

@@ -413,6 +413,8 @@ class TestDistributionFormat:
             ("inner 3\n2 -4 1\n", "rational"),  # negative denominator
             ("outer 5\n3 nan\n", "float"),
             ("outer 5\n3 inf\n", "float"),
+            ("outer 5\n3 abc\n", "float"),  # a float cell that is not a number
+            ("outer 5\n3 1/2\n", "float"),
             ("inner 3 4\n2 0.5\n", "float"),  # ragged: a cell missing
             ("inner 3 4\n2 0.5 0.25 0.25\n", "float"),  # ragged: a cell too many
             ("inner 3 4\n2 4 1\n", "rational"),  # ragged: no denominator
@@ -492,6 +494,7 @@ class TestBatchFormat:
             "overflow 0\nbatch 4 0 7\n",  # overflow before the header
             "batch 4 0 7\ntotal 4\n",  # unknown record
             "batch 4 0 7\nout 5 5\n",  # count missing
+            "batch 2 0 7\nout 3 5 x\noverflow 0\n",  # count not an integer
             "",  # no header
             "batch 2 0 7 junk\nout 3 5 2 99\noverflow 0 x\n",  # trailing tokens
             "batch 2 0 7 junk\nout 3 5 2\noverflow 0\n",

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from treetomo import (
@@ -64,9 +65,8 @@ def symmetric_star_fixture():
     h = Fraction(1, 2)
     base = TransitionKernel.from_entries({0: {1: h, 2: h}}, {0: "unknown"}, "rational")
     kernel = default_augmented_kernel(aug, base)
-    for u in (1, 2):
-        kernel.provenance[u] = "unknown"
-    return aug, kernel
+    return aug, TransitionKernel.from_entries(
+        kernel.entries, {**kernel.provenance, 1: "unknown", 2: "unknown"}, "rational")
 
 
 def forward_pair(aug, kernel, t_max=None):
@@ -592,11 +592,50 @@ class TestRecoverAll:
         # reference is the mode's zero
         aug, kernel = rand_instance(3, mode=mode)
         given = TransitionKernel(kernel.vertices, kernel.sizes, kernel.neighbors, kernel.values,
-                                 dict.fromkeys(kernel.vertices.tolist(), KNOWN), mode)
+                                 np.array([KNOWN] * len(kernel.vertices), object), mode)
         rep = recover_all(aug, given, *forward_pair(aug, kernel), reference=kernel)
         assert "recovered" not in rep.kernel.provenance.values()
         assert type(rep.max_error) is (Fraction if mode == "rational" else float)
         assert rep.max_error == 0
+
+    def test_extra_base_row_used_as_given(self):
+        # a base row in known is no target: the answer keeps it as given,
+        # labelled known, though it is not the row the laws were made with
+        aug, kernel = rand_instance(3, mode="rational")
+        root = dict.fromkeys(kernel.entries[0], Fraction(1, 4))
+        assert root != kernel.entries[0]
+        known = known_part(kernel)
+        given = TransitionKernel.from_entries({**known.entries, 0: root},
+                                              {**known.provenance, 0: KNOWN}, "rational")
+        rep = recover_all(aug, given, *forward_pair(aug, kernel))
+        assert rep.kernel.entries == {**kernel.entries, 0: root}
+        base = range(aug.base.vertex_count)
+        assert [rep.kernel.provenance[u] for u in base] == ["known"] + ["recovered"] * (len(base) - 1)
+        assert set(rep.kernel.provenance.values()) == {"known", "recovered"}
+
+    def test_row_labelled_unknown_refused(self):
+        # the drawn kernel labels its base rows unknown: passed whole as the
+        # given rows, it is refused, naming the first such row in the table
+        aug, kernel = rand_instance(5, mode="rational")
+        first = next(u for u, f in kernel.provenance.items() if f == "unknown")
+        with pytest.raises(InvalidParameter,
+                           match=f"^given row of vertex {first} is labelled unknown$"):
+            recover_all(aug, kernel, *forward_pair(aug, kernel))
+
+    def test_rational_answer_needs_rational_reference(self):
+        # an exact entry less a float one is a float: a rational answer is
+        # measured only against exact entries; a float answer takes either
+        aug, kernel = rand_instance(3, mode="rational")
+        image = TransitionKernel.from_entries(
+            {u: {v: float(p) for v, p in r.items()} for u, r in kernel.entries.items()},
+            kernel.provenance, "float")
+        laws = forward_pair(aug, kernel)
+        with pytest.raises(FormatError, match="^a rational answer needs a rational reference"):
+            recover_all(aug, known_part(kernel), *laws, reference=image)
+        with pytest.raises(FormatError, match="^a rational answer needs a rational reference"):
+            kernel_max_error(recover_all(aug, known_part(kernel), *laws).kernel, image)
+        rep = recover_all(aug, known_part(image), *forward_pair(aug, image), reference=kernel)
+        assert type(rep.max_error) is float and rep.max_error < 1e-9
 
     def test_clamped_rational_rows_stay_exact(self):
         aug, kernel = symmetric_star_fixture()

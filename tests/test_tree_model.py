@@ -267,6 +267,12 @@ class TestRandomTree:
         with pytest.raises(InvalidParameter):
             random_tree(rout, 0)
 
+    @pytest.mark.parametrize("size", [3, 41])
+    def test_size_out_of_range(self, size):
+        # rout 3 needs a spine of 4 vertices, and no tree passes 40
+        with pytest.raises(InvalidParameter, match=r"^size must lie in \[rout\+1, 40\], got "):
+            random_tree(3, 0, size=size)
+
     def test_negative_seed(self):
         with pytest.raises(InvalidParameter):
             random_tree(3, -4)
