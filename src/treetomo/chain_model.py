@@ -7,9 +7,9 @@ there.
 A :class:`TransitionKernel` is one edge table: the row vertices, each with a
 label (``unknown``: drawn as a measurement target, ``known``: given,
 ``recovered``: solved by the tomography step), and for each row its slots,
-one neighbor and one entry each, rows contiguous.  It is drawn
-(:func:`random_kernel`), parsed, checked, inverted and written as that
-table; the ``entries`` and ``provenance`` mappings are read-only views of it.
+one neighbor and one entry each, rows contiguous, every vertex id an
+``intp``.  It is drawn (:func:`random_kernel`), parsed, checked, inverted
+and written as that table; the ``entries`` mapping is a read-only view of it.
 
 Two arithmetic modes are supported end to end: ``float`` (doubles) and
 ``rational`` (exact :class:`fractions.Fraction` entries).  Recurrences that
@@ -58,14 +58,6 @@ def runs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ids[starts], starts
 
 
-def vertex_ids(ids: list[int]) -> np.ndarray:
-    """``ids`` as an integer array, or as Python ints in an object array past int64."""
-    try:
-        return np.array(ids, np.intp)
-    except OverflowError:
-        return np.array(ids, object)
-
-
 @dataclass(eq=False)
 class TransitionKernel:
     """Per-vertex probability rows, as one edge table with a label per row.
@@ -76,10 +68,9 @@ class TransitionKernel:
     ``values``, rows contiguous and each row's slots in the order it was
     given: slot ``j`` carries the one-step probability ``values[j]`` of
     moving to ``neighbors[j]``.  Values are float64 in float mode and objects
-    (``Fraction``) in rational mode; vertex ids are integers, or Python ints
-    in object arrays past int64.  Absorbing vertices have no row, or an empty
-    one.  The arrays are made read-only: a kernel is never edited, so its
-    views ``entries`` and ``provenance`` are each built at most once.
+    (``Fraction``) in rational mode; vertex ids are ``intp``.  Absorbing
+    vertices have no row, or an empty one.  The arrays are made read-only: a
+    kernel is never edited, so its view ``entries`` is built at most once.
     """
 
     vertices: np.ndarray
@@ -89,25 +80,10 @@ class TransitionKernel:
     labels: np.ndarray
     mode: str = FLOAT
     _entries: Mapping | None = field(default=None, init=False, repr=False)
-    _provenance: Mapping | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         for array in (self.vertices, self.sizes, self.neighbors, self.values, self.labels):
             array.flags.writeable = False
-
-    @classmethod
-    def from_entries(cls, entries: Mapping[int, Mapping[int, Number]],
-                     provenance: Mapping[int, str] | None = None,
-                     mode: str = FLOAT) -> TransitionKernel:
-        """The kernel with row ``entries[u]`` labelled ``provenance.get(u)`` for
-        each ``u``, rows and slots in the mappings' order, so a label without a
-        row is dropped; float entries become float64."""
-        rows = list(entries.values())
-        values = list(chain.from_iterable(row.values() for row in rows))
-        return cls(vertex_ids(list(entries)), np.fromiter(map(len, rows), np.intp, len(rows)),
-                   vertex_ids(list(chain.from_iterable(rows))),
-                   np.fromiter(values, float if mode == FLOAT else object, len(values)),
-                   np.array(list(map((provenance or {}).get, entries)), object), mode)
 
     @property
     def starts(self) -> np.ndarray:
@@ -125,20 +101,12 @@ class TransitionKernel:
                 for u, a, b in zip(self.vertices.tolist(), [0, *ends], ends)})
         return self._entries
 
-    @property
-    def provenance(self) -> Mapping[int, str]:
-        """Read-only view ``u -> label`` of the labelled rows, in table order."""
-        if self._provenance is None:
-            labels = zip(self.vertices.tolist(), self.labels.tolist())
-            self._provenance = MappingProxyType({u: f for u, f in labels if f is not None})
-        return self._provenance
-
     def index(self, n: int) -> np.ndarray:
         """The row of each vertex ``0 .. n`` in the table, -1 where it has none."""
         at = np.empty(n + 1, np.intp)
         at.fill(-1)
         on = (self.vertices >= 0) & (self.vertices < n)
-        at[np.asarray(self.vertices[on], np.intp)] = on.nonzero()[0]
+        at[self.vertices[on]] = on.nonzero()[0]
         return at
 
     def row(self, u: int) -> Mapping[int, Number]:
@@ -206,8 +174,7 @@ class AccRows:
             raise MissingKnownRow(f"row for vertex {rows[at.argmin()]} required but absent")
         self.sizes = sizes[at]
         pick = ranges((sizes.cumsum() - sizes)[at], self.sizes)
-        keys, q = nbrs[pick], values[pick]
-        dst = np.minimum(np.maximum(keys, -1), n).astype(np.intp)  # -1 or n: off the tree
+        dst, q = nbrs[pick], values[pick]
         self.scale = 1
         if self.exact:
             self._cover(q := q.tolist())

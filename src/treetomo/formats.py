@@ -35,7 +35,7 @@ from itertools import chain, compress, repeat
 
 import numpy as np
 
-from .chain_model import FLOAT, KNOWN, RATIONAL, Number, TransitionKernel, vertex_ids
+from .chain_model import FLOAT, KNOWN, RATIONAL, Number, TransitionKernel
 from .errors import FormatError, InvalidParameter, NotATree, UnknownVertex
 from .estimation import SampleBatch
 from .forward_solver import INNER, OUTER, HittingDistribution
@@ -56,6 +56,13 @@ def _int(token: str) -> int:
         if not _INTEGER.fullmatch(token):
             raise
         return int(Decimal(token))
+
+
+def _vertex(token: str) -> int:
+    """``int(token)`` as a vertex id, which must fit in ``intp``, else ValueError."""
+    if not -_ID_MAX - 1 <= (v := int(token)) <= _ID_MAX:
+        raise ValueError(f"vertex id {token} outside intp")
+    return v
 
 
 def _exact(token: str) -> int:
@@ -218,7 +225,8 @@ def known_lines(kernel: TransitionKernel, text: str) -> str:
 
 
 def parse_kernel(text: str) -> TransitionKernel:
-    """Parse :func:`dump_kernel` output; every row is labelled known.
+    """Parse :func:`dump_kernel` output; every row is labelled known, and a
+    vertex id outside ``intp`` is refused.
 
     The file is converted in bulk (:func:`_kernel_table`), again with one space
     between tokens if it has other whitespace, blank lines or runs of spaces;
@@ -260,7 +268,7 @@ def _kernel_table(text: str) -> TransitionKernel:
             ids := np.fromstring(flat, np.intp, sep=" ")).max() < _ID_MAX:
         us, nbrs = ids[:n], ids[n:]
     else:
-        us, nbrs = (vertex_ids(list(map(int, part))) for part in (us, nbrs))
+        us, nbrs = (np.fromiter(map(_vertex, part), np.intp, len(part)) for part in (us, nbrs))
     values = _kernel_values(list(compress(odd, cells)), tokens[1])
     owner = np.arange(n).repeat(sizes)
     nb = nbrs[np.lexsort((nbrs, owner))]  # each row's neighbors ascending
@@ -297,12 +305,12 @@ def _kernel_fault(text: str) -> None:
     seen: set[int] = set()
     for parts in records:
         try:
-            u = int(parts[1])
+            u = _vertex(parts[1])
             nbrs = set()
             for cell in parts[2:]:
                 v, p = cell.split(":", 1)
                 _parse_number(p, mode)  # a cell's value is named before its neighbor
-                nbrs.add(int(v))
+                nbrs.add(_vertex(v))
         except ValueError as exc:
             raise FormatError(f"bad kernel line {' '.join(parts)!r}: {exc}") from exc
         if u in seen or len(nbrs) != len(parts) - 2:

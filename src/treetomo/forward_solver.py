@@ -18,7 +18,6 @@ records nothing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -59,27 +58,16 @@ class HittingDistribution:
 
     @classmethod
     def from_mass(cls, layer: str, t_max: int,
-                  mass: dict[tuple[int, int], Number]) -> HittingDistribution:
-        """The law with cell ``(t, v)`` equal to ``mass[(t, v)]``, over the
-        times and vertices of ``mass`` ascending; rational when a value is a
-        ``Fraction``, with each time over the lcm of its denominators."""
+                  mass: dict[tuple[int, int], float]) -> HittingDistribution:
+        """The float law with cell ``(t, v)`` equal to ``mass[(t, v)]``, over
+        the times and vertices of ``mass`` ascending."""
         times = sorted({t for t, _ in mass})
         vertices = sorted({v for _, v in mass})
         row = dict(zip(times, range(len(times))))
         col = dict(zip(vertices, range(len(vertices))))
-        at = [row[t] for t, _ in mass], [col[v] for _, v in mass]
-        vals, dens = np.array(list(mass.values())), None
-        if any(isinstance(p, Fraction) for p in mass.values()):
-            fracs = list(map(Fraction, mass.values()))
-            dens = [1] * len(times)
-            for i, p in zip(at[0], fracs):
-                dens[i] = math.lcm(dens[i], p.denominator)
-            vals = np.array([p.numerator * (dens[i] // p.denominator)
-                             for i, p in zip(at[0], fracs)], object)
-            dens = tuple(dens)
-        cells = np.zeros((len(times), len(vertices)), vals.dtype)
-        cells[at] = vals
-        return cls(layer, t_max, tuple(vertices), tuple(times), cells, dens)
+        cells = np.zeros((len(times), len(vertices)))
+        cells[[row[t] for t, _ in mass], [col[v] for _, v in mass]] = list(mass.values())
+        return cls(layer, t_max, tuple(vertices), tuple(times), cells)
 
     @property
     def mass(self) -> MappingProxyType:

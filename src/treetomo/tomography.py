@@ -318,7 +318,10 @@ def recover_all(
     swept heads, the tails of shell ``k+1`` and its tail classes (see the
     module docstring): each child edge from its arrival decomposition, the
     inward entry as the row complement, and a failure raises for the first
-    edge or row in vertex order, a row's edges before its complement.
+    edge or row in vertex order, a row's edges before its complement.  The
+    root row, once its sum is within ``ROOT_SUM_TOL`` of one, closes on its
+    last entry, written as one minus the others (``clamp`` renormalizes
+    instead); ``residuals`` keeps each row's deviation from one.
     ``shell_time_reads`` records the largest law time read for each shell,
     and ``times_accessed`` the largest per law.
     """
@@ -407,6 +410,8 @@ def recover_all(
             if kind and k:
                 comp[j] = _clamp(comp[j], mode)
         residuals.update(zip(us, rows.public(child_sum + comp - 1)))
+        if not (k or clamp):  # the root row closes on its complement
+            vals[-1] = 1 - vals[:-1].sum()
         row = np.insert(vals, starts, comp) if k else vals  # in neighbor order
         lens = lens + (k > 0)
         if clamp:
@@ -457,7 +462,7 @@ def kernel_max_error(
     want = recovered.vertices[at].repeat(lens) * m + recovered.neighbors[slots]
     ref_u, ref_v = reference.vertices.repeat(reference.sizes), reference.neighbors
     on = (ref_u >= 0) & (ref_u < m) & (ref_v >= 0) & (ref_v < m)
-    keys = (ref_u[on] * m + ref_v[on]).astype(np.int64)
+    keys = ref_u[on] * m + ref_v[on]
     by_key = keys.argsort()
     i = keys[by_key].searchsorted(want)
     found = np.concatenate((keys[by_key], [-1]))[i] == want  # -1: past the last key

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import functools
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
@@ -44,7 +46,16 @@ from treetomo.tomography import (
     make_plan,
     tail_passage_probs,
 )
-from treetomo.formats import _KERNEL, _TREE, ORIGINAL, _fmt, _parse_number, _records, dump_tree
+from treetomo.formats import (
+    _KERNEL,
+    _TREE,
+    ORIGINAL,
+    _fmt,
+    _parse_number,
+    _records,
+    _vertex,
+    dump_tree,
+)
 from treetomo.tree_model import AugmentedTree, RootedTree, build_tree, random_tree, segment
 
 
@@ -67,6 +78,47 @@ def rand_instance(
 
 def known_part(kernel: TransitionKernel) -> TransitionKernel:
     return kernel.restricted_to({KNOWN})
+
+
+def kernel_from_entries(entries: Mapping[int, Mapping[int, Number]],
+                        provenance: Mapping[int, str] | None = None,
+                        mode: str = FLOAT) -> TransitionKernel:
+    """The kernel with row ``entries[u]`` labelled ``provenance.get(u)`` for
+    each ``u``, rows and slots in the mappings' order, so a label without a
+    row is dropped; ids become ``intp`` and float entries float64."""
+    rows = list(entries.values())
+    values = list(chain.from_iterable(row.values() for row in rows))
+    return TransitionKernel(
+        np.array(list(entries), np.intp), np.array(list(map(len, rows)), np.intp),
+        np.array(list(chain.from_iterable(rows)), np.intp),
+        np.array(values, float if mode == FLOAT else object),
+        np.array(list(map((provenance or {}).get, entries)), object), mode)
+
+
+def labels_of(kernel: TransitionKernel) -> dict[int, str]:
+    """``u -> label`` of the labelled rows of ``kernel``, in table order."""
+    labels = zip(kernel.vertices.tolist(), kernel.labels.tolist())
+    return {u: label for u, label in labels if label is not None}
+
+
+def law_from_mass(layer: str, t_max: int,
+                  mass: dict[tuple[int, int], Number]) -> HittingDistribution:
+    """``HittingDistribution.from_mass``, or when a value is a ``Fraction`` the
+    exact law over the same grid, each time over the lcm of its denominators."""
+    if not any(isinstance(p, Fraction) for p in mass.values()):
+        return HittingDistribution.from_mass(layer, t_max, mass)
+    times = sorted({t for t, _ in mass})
+    vertices = sorted({v for _, v in mass})
+    row = dict(zip(times, range(len(times))))
+    col = dict(zip(vertices, range(len(vertices))))
+    fracs = {(row[t], col[v]): Fraction(p) for (t, v), p in mass.items()}
+    dens = [1] * len(times)
+    for (i, _), p in fracs.items():
+        dens[i] = math.lcm(dens[i], p.denominator)
+    cells = np.zeros((len(times), len(vertices)), object)
+    for (i, j), p in fracs.items():
+        cells[i, j] = p.numerator * (dens[i] // p.denominator)
+    return HittingDistribution(layer, t_max, tuple(vertices), tuple(times), cells, tuple(dens))
 
 
 def tree_file(root: int, edges: str, original: int) -> str:
@@ -434,7 +486,7 @@ def dirichlet_kernel(
             entries[u] = {v: Fraction(c, den) for v, c in zip(nbrs, counts)}
         else:
             entries[u] = {v: float(p) for v, p in zip(nbrs, probs)}
-    return TransitionKernel.from_entries(entries, prov, mode)
+    return kernel_from_entries(entries, prov, mode)
 
 
 def default_augmented_kernel(
@@ -475,7 +527,7 @@ def default_augmented_kernel(
                 )
             entries[u] = {nbrs[0]: half, nbrs[1]: half}
             prov[u] = KNOWN
-    return TransitionKernel.from_entries(entries, prov, mode)
+    return kernel_from_entries(entries, prov, mode)
 
 
 def dump_kernel_by_cells(kernel: TransitionKernel) -> str:
@@ -499,17 +551,17 @@ def parse_kernel_by_cells(text: str) -> TransitionKernel:
     entries: dict[int, dict[int, Number]] = {}
     try:
         for parts in records:
-            u = int(parts[1])
+            u = _vertex(parts[1])
             row: dict[int, Number] = {}
             for cell in parts[2:]:
                 v, p = cell.split(":", 1)
-                row[int(v)] = _parse_number(p, mode)
+                row[_vertex(v)] = _parse_number(p, mode)
             if u in entries or len(row) != len(parts) - 2:
                 raise FormatError(f"repeated row or cell in {' '.join(parts)!r}")
             entries[u] = row
     except ValueError as exc:
         raise FormatError(f"bad kernel line {' '.join(parts)!r}: {exc}") from exc
-    return TransitionKernel.from_entries(entries, dict.fromkeys(entries, KNOWN), mode)
+    return kernel_from_entries(entries, dict.fromkeys(entries, KNOWN), mode)
 
 
 BRUTE_T_CAP = 16
@@ -550,7 +602,7 @@ def brute_force_hitting(
             walk(w, t + 1, p * q)
 
     walk(aug.full.root, 0, 1)
-    return HittingDistribution.from_mass(layer, t_max, mass)
+    return law_from_mass(layer, t_max, mass)
 
 
 def shape_signature(tree: RootedTree, v: int | None = None):
@@ -631,7 +683,7 @@ def mixed_denominator_instance() -> tuple[AugmentedTree, TransitionKernel]:
         8: {4: F(3, 7), 11: F(4, 7)},
     }
     prov = {u: UNKNOWN if is_original(aug, u) else KNOWN for u in rows}
-    return aug, TransitionKernel.from_entries(rows, prov, RATIONAL)
+    return aug, kernel_from_entries(rows, prov, RATIONAL)
 
 
 def settle(value, mode: str) -> Number:
@@ -734,7 +786,8 @@ def recover_by_edges(
     rational kernel.  Rows are assembled and checked as ``recover_all`` does:
     the inward entry is the complement, a complement outside (0, 1) or a root
     row that does not sum to one raises :class:`RowSumViolation` unless
-    ``clamp`` is set, and ``clamp`` renormalizes every row.
+    ``clamp`` is set, ``clamp`` renormalizes every row, and otherwise the
+    root's last entry is one minus the others.
     """
     full = aug.full
     mode = known.mode
@@ -751,6 +804,9 @@ def recover_by_edges(
             if u == full.root:
                 if _root_sum_off(child_sum, mode) and not clamp:
                     raise RowSumViolation(f"root row sums to {float(child_sum)}, expected 1")
+                if not clamp:  # the last entry closes the row
+                    *others, last = row
+                    row[last] = 1 - sum((row[w] for w in others), 0 * row[last])
             else:
                 comp = 1 - child_sum
                 if not 0 < comp < 1:
@@ -761,8 +817,8 @@ def recover_by_edges(
             if clamp:
                 s = sum(row.values())
                 row = {w: p / s for w, p in row.items()}
-            work = TransitionKernel.from_entries({**work.entries, u: row},
-                                                 {**work.provenance, u: RECOVERED}, mode)
+            work = kernel_from_entries({**work.entries, u: row},
+                                       {**labels_of(work), u: RECOVERED}, mode)
     return work
 
 
@@ -808,10 +864,11 @@ def recover_star(
         raise RowSumViolation(f"root row sums to {root_sum}, expected 1")
     if clamp:
         root_row = {j: p / root_sum for j, p in root_row.items()}
+    else:  # the last entry closes the row
+        root_row[m] = settle(1 - sum((root_row[j] for j in range(1, m)), 0 * root_row[m]), mode)
     rows[0] = root_row
-    return TransitionKernel.from_entries({**known.entries, **rows},
-                                         {**known.provenance, **dict.fromkeys(rows, RECOVERED)},
-                                         mode)
+    return kernel_from_entries({**known.entries, **rows},
+                               {**labels_of(known), **dict.fromkeys(rows, RECOVERED)}, mode)
 
 
 def law_total(dist: HittingDistribution, up_to: int | None = None) -> Number:

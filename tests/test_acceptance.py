@@ -14,7 +14,6 @@ import pytest
 from treetomo import (
     INNER,
     OUTER,
-    TransitionKernel,
     consistency_curve,
     first_hitting_joint,
     random_kernel,
@@ -32,6 +31,7 @@ from treetomo.tree_model import (
 from helpers import (
     brute_force_hitting,
     default_augmented_kernel,
+    kernel_from_entries,
     known_part,
     law_total,
     path_to_root,
@@ -128,7 +128,7 @@ def test_criterion_3_star_closed_form():
         aug = spherical_augmentation(star(1, 2), 2)
         h = Fraction(1, 2)
         kernel = default_augmented_kernel(
-            aug, TransitionKernel.from_entries({0: {1: h, 2: h}}, {0: "unknown"}, "rational")
+            aug, kernel_from_entries({0: {1: h, 2: h}}, {0: "unknown"}, "rational")
         )
         p_in, p_out = forward_pair(aug, kernel, t_max=5)
         for v in (3, 4):
@@ -196,7 +196,7 @@ def test_criterion_6_ballistic_identity():
 def test_criterion_7_hand_derived_fixture():
     with criterion(7, "hand-derived segment fixture"):
         aug = spherical_augmentation(segment(0, 1), 2)
-        kernel = TransitionKernel.from_entries(
+        kernel = kernel_from_entries(
             {0: {1: 1.0}, 1: {0: 0.3, 2: 0.7}, 2: {1: 0.5, 3: 0.5}},
             {0: "unknown", 1: "unknown", 2: "known"},
             "float",
@@ -219,7 +219,7 @@ def test_criterion_8_estimation_consistency():
     with criterion(8, "plug-in estimator is consistent on the star fixture"):
         aug = spherical_augmentation(star(1, 2), 2)
         kernel = default_augmented_kernel(
-            aug, TransitionKernel.from_entries({0: {1: 0.3, 2: 0.7}}, {0: "unknown"}, "float")
+            aug, kernel_from_entries({0: {1: 0.3, 2: 0.7}}, {0: "unknown"}, "float")
         )
         rows = consistency_curve(aug, kernel, [10**4, 10**5, 10**6], [1, 2, 3, 4, 5])
         medians = [

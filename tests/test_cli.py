@@ -26,6 +26,7 @@ from treetomo import (
 import treetomo
 from treetomo import chain_model
 from treetomo.cli import build_parser, main
+from treetomo.errors import InvalidQuery
 from treetomo.formats import (
     dump_distribution,
     dump_kernel,
@@ -36,7 +37,7 @@ from treetomo.formats import (
     write_text,
 )
 
-from helpers import INVALID_TREES, broom, small_bases
+from helpers import INVALID_TREES, broom, labels_of, small_bases
 
 COMMANDS = ("gen", "forward", "invert", "sample", "estimate", "roundtrip", "consistency")
 
@@ -45,6 +46,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def package_env():
+    """The environment with this checkout's ``treetomo`` first on the path,
+    for a child interpreter."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(treetomo.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
 
 
 def write_laws(work, t_max):
@@ -150,6 +158,24 @@ class TestPipeline:
         assert [ln for ln in report if ln.startswith(("mode ", "row "))] == \
             (work / "kernel.txt").read_text().splitlines()
         assert not any(ln.startswith("flag ") for ln in report)
+
+    def test_float_answer_replays_through_forward(self, tmp_path, capsys):
+        # the answer's mode and row lines are a kernel file that forward
+        # takes: the solved root row closes on its last entry, so its sum
+        # (0.9999999999986287 as solved here) passes validation
+        work = tmp_path / "w"
+        run(capsys, "gen", "--tree", "random", "--rout", "4", "--scope", "all",
+            "--seed", "16", "--out", str(work))
+        argv = recovery_argv(capsys, work, "invert")
+        code, out, err = run(capsys, *argv, "--reference", str(work / "kernel.txt"))
+        assert code == 0, err
+        assert float(out.split("max_error ")[1]) <= 1e-9
+        report = (work / "report.txt").read_text().splitlines()
+        answer = work / "answer.txt"
+        answer.write_text("".join(ln + "\n" for ln in report if ln.startswith(("mode ", "row "))))
+        code, _, err = run(capsys, "forward", "--tree-file", str(work / "tree.txt"),
+                           "--kernel-file", str(answer), "--out", str(tmp_path / "replay"))
+        assert code == 0, err
 
     def test_gen_forward_invert_rational(self, tmp_path, capsys):
         # path of depth 8: exact through the files, rows as in memory
@@ -262,7 +288,7 @@ class TestPipeline:
                     known = dump_kernel(kernel.restricted_to({KNOWN}))
                     assert (out / "known.txt").read_bytes() == known.encode()
                     assert (out / "kernel.txt").read_bytes() == dump_kernel(kernel).encode()
-                    flags = [kernel.provenance[u] for u in sorted(kernel.vertices.tolist())]
+                    flags = [labels_of(kernel)[u] for u in sorted(kernel.vertices.tolist())]
                     not_first += flags[:flags.count(KNOWN)] != [KNOWN] * flags.count(KNOWN)
         assert not_first
 
@@ -621,6 +647,43 @@ class TestExitCodes:
         at = next(i for i, ln in enumerate(lines) if ln.startswith("row 4 ")) + 1
         assert (work / "report.txt").read_text().splitlines() == \
             [*lines[:at], "row 5", *lines[at:]]
+
+    def test_kernel_id_outside_intp_exit_2(self, tmp_path, capsys):
+        # refused where the file is read, before any check against the tree
+        work = tmp_path / "w"
+        run(capsys, "gen", "--tree", "segment", "--k", "1", "--l", "2",
+            "--seed", "5", "--out", str(work))
+        with open(work / "kernel.txt", "a", encoding="utf-8") as fh:
+            fh.write("row 100000000000000000000000 -1:0.5\n")
+        code, _, err = run(capsys, "forward", "--tree-file", str(work / "tree.txt"),
+                           "--kernel-file", str(work / "kernel.txt"), "--out", str(work))
+        assert code == 2, err
+        assert err == ("error 2 FormatError: bad kernel line 'row 100000000000000000000000 "
+                       "-1:0.5': vertex id 100000000000000000000000 outside intp\n")
+
+    @pytest.mark.parametrize("exc", [InvalidQuery("probe"), RuntimeError("probe")],
+                             ids=["library-error", "other-error"])
+    def test_unmapped_error_exits_5(self, tmp_path, capsys, monkeypatch, exc):
+        # a library error with no exit code of its own, and any other
+        # exception, are internal errors
+        work = tmp_path / "w"
+        run(capsys, "gen", "--tree", "segment", "--k", "1", "--l", "2",
+            "--seed", "5", "--out", str(work))
+
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr("treetomo.cli.hitting_laws", fail)
+        code, _, err = run(capsys, "forward", "--tree-file", str(work / "tree.txt"),
+                           "--kernel-file", str(work / "kernel.txt"), "--out", str(work))
+        assert (code, err) == (5, f"error 5 {type(exc).__name__}: probe\n")
+
+    def test_module_entry_exits_with_main(self):
+        # python -m treetomo.cli runs main and exits with its code
+        done = subprocess.run([sys.executable, "-m", "treetomo.cli", "--version"],
+                              capture_output=True, text=True, env=package_env(), timeout=60)
+        assert (done.returncode, done.stdout) == (0, f"{treetomo.__version__}\n"), done.stderr
+        assert treetomo.__version__ == "0.1.0"
 
     @pytest.mark.parametrize("command", ["forward", "sample"])
     def test_kernel_row_off_the_tree_exit_2(self, tmp_path, capsys, command):
@@ -1013,10 +1076,8 @@ class TestCorruptTokens:
                     cases.append((lines[i], token, self.argv(
                         rng.choice(self.READERS[name]), files, str(case / "out"))))
         assert len(cases) == 288
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
-            str(Path(treetomo.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
         done = subprocess.run([sys.executable, "-c", _CAPPED_MAIN], capture_output=True,
-                              text=True, env=env, timeout=120,
+                              text=True, env=package_env(), timeout=120,
                               input=json.dumps([argv for *_, argv in cases]))
         assert done.returncode == 0, done.stderr
         results = json.loads(done.stdout)

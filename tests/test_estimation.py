@@ -8,7 +8,6 @@ from treetomo import (
     INNER,
     OUTER,
     SampleBatch,
-    TransitionKernel,
     collect_batch,
     consistency_curve,
     empirical_joint,
@@ -23,7 +22,9 @@ from treetomo.tree_model import random_tree, segment, spherical_augmentation, st
 
 from helpers import (
     default_augmented_kernel,
+    kernel_from_entries,
     known_part,
+    labels_of,
     law_total,
     rand_instance,
 )
@@ -31,16 +32,16 @@ from helpers import (
 
 def star_fixture(p01=0.3):
     aug = spherical_augmentation(star(1, 2), 2)
-    base = TransitionKernel.from_entries({0: {1: p01, 2: 1 - p01}}, {0: "unknown"}, "float")
+    base = kernel_from_entries({0: {1: p01, 2: 1 - p01}}, {0: "unknown"}, "float")
     return aug, default_augmented_kernel(aug, base)
 
 
 def segment_fixture():
     aug = spherical_augmentation(segment(0, 1), 2)
-    base = TransitionKernel.from_entries({0: {1: 1.0}}, {0: "unknown"}, "float")
+    base = kernel_from_entries({0: {1: 1.0}}, {0: "unknown"}, "float")
     kernel = default_augmented_kernel(aug, base)
-    return aug, TransitionKernel.from_entries({**kernel.entries, 1: {0: 0.3, 2: 0.7}},
-                                              {**kernel.provenance, 1: "unknown"}, "float")
+    return aug, kernel_from_entries({**kernel.entries, 1: {0: 0.3, 2: 0.7}},
+                                    {**labels_of(kernel), 1: "unknown"}, "float")
 
 
 def wide_fixture(mode="float"):
@@ -113,17 +114,17 @@ class TestCollectBatch:
 
     def test_row_order_irrelevant(self):
         aug, kernel = wide_fixture()
-        flipped = TransitionKernel.from_entries(
+        flipped = kernel_from_entries(
             {u: dict(reversed(row.items())) for u, row in kernel.entries.items()},
-            dict(kernel.provenance), kernel.mode)
+            labels_of(kernel), kernel.mode)
         ref = batch_fields(collect_batch(aug, kernel, 3000, seed=13))
         assert batch_fields(collect_batch(aug, flipped, 3000, seed=13)) == ref
 
     def test_rational_is_float_image(self):
         aug, kernel = wide_fixture("rational")
-        image = TransitionKernel.from_entries(
+        image = kernel_from_entries(
             {u: {v: float(p) for v, p in row.items()} for u, row in kernel.entries.items()},
-            dict(kernel.provenance),
+            labels_of(kernel),
         )
         ref = batch_fields(collect_batch(aug, image, 3000, seed=13))
         assert batch_fields(collect_batch(aug, kernel, 3000, seed=13)) == ref
@@ -209,7 +210,7 @@ class TestEstimateKernel:
             strict = recover_all(aug, known_part(kernel), p_in, p_out)
             clamped = recover_all(aug, known_part(kernel), p_in, p_out, clamp=True)
             assert not clamped.flags
-            for u, flag in strict.kernel.provenance.items():
+            for u, flag in labels_of(strict.kernel).items():
                 if flag != "recovered":
                     continue
                 for v, p in strict.kernel.entries[u].items():

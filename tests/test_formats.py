@@ -10,7 +10,7 @@ import pytest
 from treetomo import INNER, OUTER, TransitionKernel, first_hitting_joint, random_kernel
 from treetomo.errors import FormatError, InvalidParameter
 from treetomo.estimation import SampleBatch, collect_batch
-from treetomo.forward_solver import HittingDistribution, hitting_laws
+from treetomo.forward_solver import hitting_laws
 from treetomo.formats import (
     _kernel_table,
     dump_batch,
@@ -40,7 +40,10 @@ from helpers import (
     comb,
     dump_kernel_by_cells,
     is_original,
+    kernel_from_entries,
     known_part,
+    labels_of,
+    law_from_mass,
     parse_kernel_by_cells,
     rand_instance,
     same_tree,
@@ -66,6 +69,13 @@ INCONSISTENT_KERNELS = [
     "mode float\nrow 0 1:0.5 2:0.5\nmode float\n",  # mode header twice
     "mode float\nrow 0 1:0.5 2:0.5\nmode rational\nrow 1 0:1/2 2:1/2\n",
 ]
+# ids outside intp: a row vertex past the maximum, a cell's neighbor past it,
+# and a neighbor below the minimum
+OUTSIDE_INTP = [
+    "mode float\nrow 100000000000000000000000 -1:0.5\n",
+    "mode float\nrow 9223372036854775807 99999999999999999999:1\n",
+    "mode float\nrow 0 -9223372036854775809:1\n",
+]
 # more faults, each named by the first bad row, cell or token in file order
 KERNEL_FAULTS = [
     *(f"mode float\nrow 0 1:{t} 2:0.5\n" for t in ("nan", "inf", "-inf", "1e400", "", "1/0",
@@ -86,6 +96,7 @@ KERNEL_FAULTS = [
     "mode float\nrow 1 01:0.5 1:0.5\n",  # the same neighbor written two ways
     "mode rational\nrow 0 1:1/2 2:0.5\nrow 0 1:1/2\n",
     "mode float\nrow 0 1:nan\nweight 0 1:1\n",  # a bad value before an unknown record
+    *OUTSIDE_INTP,
 ]
 
 
@@ -175,7 +186,7 @@ class TestKernelFormat:
     def test_empty_row_read_in_one_pass(self, mode):
         # a row without cells is written "row u", in the layout the bulk reader takes
         one = 1.0 if mode == "float" else Fraction(1)
-        kernel = TransitionKernel.from_entries({0: {1: one}, 5: {}}, mode=mode)
+        kernel = kernel_from_entries({0: {1: one}, 5: {}}, mode=mode)
         text = dump_kernel(kernel)
         assert text.endswith("\nrow 5\n")
         back = _kernel_table(text)
@@ -192,6 +203,14 @@ class TestKernelFormat:
         with pytest.raises(FormatError):
             parse_kernel("mode float\nrow 0 1:1" + "0" * 400 + "/1\n")
 
+    @pytest.mark.parametrize("text, token", zip(OUTSIDE_INTP, [
+        "100000000000000000000000", "99999999999999999999", "-9223372036854775809"]))
+    def test_id_outside_intp_rejected(self, text, token):
+        line = text.splitlines()[1]
+        with pytest.raises(FormatError) as got:
+            parse_kernel(text)
+        assert str(got.value) == f"bad kernel line {line!r}: vertex id {token} outside intp"
+
     @pytest.mark.parametrize("text", INCONSISTENT_KERNELS)
     def test_inconsistent_rejected(self, text):
         with pytest.raises(FormatError):
@@ -201,7 +220,7 @@ class TestKernelFormat:
 def oracle_kernels() -> list[TransitionKernel]:
     """Kernels the writer is checked on: random instances in both modes,
     broom(5, 5) and comb(6), extreme floats with rows and cells out of order
-    and an empty row, ids past int64, and a 5,071-digit rational."""
+    and an empty row, ids at the intp maximum, and a 5,071-digit rational."""
     out = []
     for mode in ("float", "rational"):
         out += [rand_instance(seed, mode=mode)[1] for seed in range(6)]
@@ -209,24 +228,23 @@ def oracle_kernels() -> list[TransitionKernel]:
             aug = spherical_augmentation(base, 2)
             out += [random_kernel(aug, 7, scope=scope, mode=mode) for scope in ("lambda", "all")]
     p = Fraction(1, 7**6000)
-    out.append(TransitionKernel.from_entries({0: {1: p, 2: 1 - p}}, {0: "known"}, "rational"))
-    out.append(TransitionKernel.from_entries(
+    out.append(kernel_from_entries({0: {1: p, 2: 1 - p}}, {0: "known"}, "rational"))
+    out.append(kernel_from_entries(
         {3: {1: 5e-324, 0: 1 - 2**-53}, 0: {2: 0.5, 1: 0.5}, 5: {}}, mode="float"))
-    out.append(TransitionKernel.from_entries({10**30: {-1: 0.5, 10**25: 0.25, 7: 0.25}}))
+    out.append(kernel_from_entries({2**63 - 1: {-1: 0.5, 2**63 - 2: 0.25, 7: 0.25}}))
     return out
 
 
 # accepted files beyond what dump_kernel writes: num/den and integer tokens in a
-# float file, empty rows, signs, underscores, tabs, ids at and past the int64
-# maximum, and Unicode digits and white space
+# float file, empty rows, signs, underscores, tabs, ids at the intp maximum and
+# minimum, and Unicode digits and white space
 ACCEPTED_KERNELS = [
     "mode float\nrow 0 1:1/3 2:2/3\nrow 1 0:1 2:0\n",
     "mode float\nrow 5\nrow 0 2:+0.5 1:5e-1\n",
     "mode float\nrow 1_0 0_1:1_0.5 3:-0\n",
     "mode float\r\nrow\t0\t1:0.25  2:3/4\r\n",
     "mode rational\nrow 0 1:1 2:0/1 3:-1/2 4:6/4\nrow 5\n",
-    "mode float\nrow 100000000000000000000000 -1:0.5 99999999999999999999999:0.5\n",
-    "mode float\nrow 9223372036854775807 99999999999999999999:1 9223372036854775806:0\n",
+    "mode float\nrow 9223372036854775807 -9223372036854775808:1 9223372036854775806:0\n",
     "mode float\nrow\xa0\u0661 0:1\u2028row 2 \u0661:1\n",
     "mode float\n",
 ]
@@ -244,7 +262,7 @@ class TestKernelOracles:
         texts = [dump_kernel_by_cells(kernel) for kernel in oracle_kernels()]
         for text in texts + ACCEPTED_KERNELS:
             got, want = parse_kernel(text), parse_kernel_by_cells(text)
-            assert (got.mode, got.provenance) == (want.mode, want.provenance), text
+            assert (got.mode, labels_of(got)) == (want.mode, labels_of(want)), text
             for name in ("vertices", "sizes", "neighbors", "values"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and a.tolist() == b.tolist(), (name, text)
@@ -278,7 +296,7 @@ class TestKernelOracles:
 
     def test_known_lines_are_the_restricted_dump(self):
         # the known rows need not come first in vertex order or in the table
-        mixed = TransitionKernel.from_entries(
+        mixed = kernel_from_entries(
             {5: {6: 0.5, 4: 0.5}, 0: {1: 1.0}, 3: {4: 0.75, 2: 0.25}, 1: {2: 0.5, 0: 0.5}},
             {5: "known", 0: "unknown", 3: "known", 1: "recovered"})
         for kernel in oracle_kernels() + [mixed]:
@@ -290,14 +308,14 @@ class TestKernelOracles:
 
 def kernel_outcome(parse, text: str) -> tuple:
     """What ``parse`` makes of ``text``: its refusal message, or the kernel's
-    mode, provenance and arrays, each with its dtype and element types."""
+    mode, labels and arrays, each with its dtype and element types."""
     try:
         kernel = parse(text)
     except FormatError as exc:
         return "refused", str(exc)
     arrays = [(a.dtype, a.tolist(), list(map(type, a.tolist())))
               for a in (kernel.vertices, kernel.sizes, kernel.neighbors, kernel.values)]
-    return "kernel", kernel.mode, kernel.provenance, arrays
+    return "kernel", kernel.mode, labels_of(kernel), arrays
 
 
 def edited(text: str, rng: random.Random) -> str:
@@ -326,9 +344,9 @@ def edited(text: str, rng: random.Random) -> str:
 class TestDistributionFormat:
     def test_layout(self):
         # a header naming the columns, then one line per time with mass
-        law = HittingDistribution.from_mass(OUTER, 6, {(3, 7): 0.25, (5, 8): 0.5})
+        law = law_from_mass(OUTER, 6, {(3, 7): 0.25, (5, 8): 0.5})
         assert dump_distribution(law) == "outer\t7\t8\n3\t0.25\t0\n5\t0\t0.5\n"
-        law = HittingDistribution.from_mass(
+        law = law_from_mass(
             INNER, 4, {(2, 3): Fraction(1, 4), (2, 4): Fraction(1, 6), (4, 4): Fraction(1, 2)})
         assert dump_distribution(law, "rational") == "inner\t3\t4\n2\t12\t3\t2\n4\t2\t0\t1\n"
 
@@ -451,10 +469,10 @@ class TestExactTokens:
         # 7**6000 has 5,071 digits, more than str(int) and int(str) take by default
         limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
         p = Fraction(1, 7**6000)
-        dist = HittingDistribution.from_mass(INNER, 2, {(2, 3): p, (2, 4): 1 - p})
+        dist = law_from_mass(INNER, 2, {(2, 3): p, (2, 4): 1 - p})
         text = dump_distribution(dist, "rational")
         assert parse_distribution(text, "rational").mass == dist.mass
-        kernel = TransitionKernel.from_entries({0: {1: p, 2: 1 - p}}, {0: "known"}, "rational")
+        kernel = kernel_from_entries({0: {1: p, 2: 1 - p}}, {0: "known"}, "rational")
         assert parse_kernel(dump_kernel(kernel)).entries == kernel.entries
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 

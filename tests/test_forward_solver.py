@@ -7,7 +7,6 @@ import pytest
 from treetomo import (
     INNER,
     OUTER,
-    TransitionKernel,
     first_hitting_joint,
 )
 from treetomo.errors import InvalidKernel, InvalidQuery
@@ -23,6 +22,8 @@ from helpers import (
     broom,
     brute_force_hitting,
     default_augmented_kernel,
+    kernel_from_entries,
+    labels_of,
     law_total,
     mixed_denominator_instance,
     path_class_prob,
@@ -35,7 +36,7 @@ from helpers import (
 def segment_fixture(p=0.7):
     """Path 0-1-2-3 with inner {2}, outer {3}, t(1,2) = p, symmetric above."""
     aug = spherical_augmentation(segment(0, 1), 2)
-    kernel = TransitionKernel.from_entries(
+    kernel = kernel_from_entries(
         {0: {1: 1.0}, 1: {0: 1 - p, 2: p}, 2: {1: 0.5, 3: 0.5}},
         {0: "known", 1: "unknown", 2: "known"},
         "float",
@@ -47,7 +48,7 @@ def symmetric_star_fixture():
     """Augmented two-branch star, every transition 1/2, exact rationals."""
     aug = spherical_augmentation(star(1, 2), 2)
     h = Fraction(1, 2)
-    base = TransitionKernel.from_entries({0: {1: h, 2: h}}, {0: "unknown"}, "rational")
+    base = kernel_from_entries({0: {1: h, 2: h}}, {0: "unknown"}, "rational")
     kernel = default_augmented_kernel(aug, base)
     return aug, kernel
 
@@ -157,7 +158,7 @@ class TestArraySweep:
         aug = spherical_augmentation(base, 2)
         exact = random_kernel(aug, 11, scope="all", mode="rational")
         rows = {u: {v: float(p) for v, p in r.items()} for u, r in exact.entries.items()}
-        approx = TransitionKernel.from_entries(rows, dict(exact.provenance), "float")
+        approx = kernel_from_entries(rows, labels_of(exact), "float")
         t_max = 3 * aug.hull_radius + 4
         for e, f in zip(hitting_laws(aug, exact, t_max), hitting_laws(aug, approx, t_max)):
             assert e.mass.keys() == f.mass.keys() and e.mass
@@ -289,7 +290,7 @@ class TestPathClassProb:
 class TestKernelValidationHook:
     def test_invalid_kernel_rejected(self):
         aug, _ = segment_fixture()
-        bad = TransitionKernel.from_entries(
+        bad = kernel_from_entries(
             {0: {1: 1.0}, 1: {0: 0.6, 2: 0.5}, 2: {1: 0.5, 3: 0.5}}
         )
         with pytest.raises(InvalidKernel):

@@ -29,7 +29,12 @@ from treetomo.errors import (
 )
 from treetomo.formats import dump_distribution, parse_distribution
 from treetomo.forward_solver import HittingDistribution, hitting_laws
-from treetomo.tomography import make_plan, tail_passage_probs, unknown_edge_coefficient
+from treetomo.tomography import (
+    ROOT_SUM_TOL,
+    make_plan,
+    tail_passage_probs,
+    unknown_edge_coefficient,
+)
 from treetomo.tree_model import build_tree, random_tree, segment, spherical_augmentation, star
 
 from helpers import (
@@ -38,7 +43,10 @@ from helpers import (
     comb,
     default_augmented_kernel,
     explicit_edge_coefficient,
+    kernel_from_entries,
     known_part,
+    labels_of,
+    law_from_mass,
     mixed_denominator_instance,
     outer_child,
     path_class_prob,
@@ -52,7 +60,7 @@ from helpers import (
 
 def segment_fixture(p=0.7):
     aug = spherical_augmentation(segment(0, 1), 2)
-    kernel = TransitionKernel.from_entries(
+    kernel = kernel_from_entries(
         {0: {1: 1.0}, 1: {0: 1 - p, 2: p}, 2: {1: 0.5, 3: 0.5}},
         {0: "unknown", 1: "unknown", 2: "known"},
         "float",
@@ -63,10 +71,10 @@ def segment_fixture(p=0.7):
 def symmetric_star_fixture():
     aug = spherical_augmentation(star(1, 2), 2)
     h = Fraction(1, 2)
-    base = TransitionKernel.from_entries({0: {1: h, 2: h}}, {0: "unknown"}, "rational")
+    base = kernel_from_entries({0: {1: h, 2: h}}, {0: "unknown"}, "rational")
     kernel = default_augmented_kernel(aug, base)
-    return aug, TransitionKernel.from_entries(
-        kernel.entries, {**kernel.provenance, 1: "unknown", 2: "unknown"}, "rational")
+    return aug, kernel_from_entries(
+        kernel.entries, {**labels_of(kernel), 1: "unknown", 2: "unknown"}, "rational")
 
 
 def forward_pair(aug, kernel, t_max=None):
@@ -87,7 +95,7 @@ def off_scale_laws(aug, kernel):
         first.setdefault(t, v)
     for t, v in first.items():
         mass[(t, v)] += Fraction(1, 3 * 10**12)
-    return HittingDistribution.from_mass(INNER, p_in.t_max, mass), p_out
+    return law_from_mass(INNER, p_in.t_max, mass), p_out
 
 
 class TestMakePlan:
@@ -232,7 +240,7 @@ class TestUnknownEdgeCoefficient:
         base = build_tree([(0, 1), (1, 2), (1, 3)], 0)
         aug = spherical_augmentation(base, 2)
         h, t3 = Fraction(1, 2), Fraction(1, 3)
-        kernel = TransitionKernel.from_entries(
+        kernel = kernel_from_entries(
             {
                 0: {1: Fraction(1)},
                 1: {0: t3, 2: t3, 3: t3},
@@ -290,7 +298,7 @@ class TestPerEdgeApi:
         aug = spherical_augmentation(segment(1, 2), 2)
         kernel = random_kernel(aug, 5, scope="all")
         _, p_out = forward_pair(aug, kernel)
-        lacking = TransitionKernel.from_entries(
+        lacking = kernel_from_entries(
             {u: row for u, row in kernel.entries.items() if u != 2})
         plan = make_plan(aug, 0, 1)
         message = "^row for vertex 2 required but absent$"
@@ -361,9 +369,9 @@ class TestRecoverEdge:
                 for w in aug.full.children[u]:
                     plan = make_plan(aug, u, w)
                     full_val = recover_edge(aug, kernel, plan, p_in, p_out)
-                    blanked = TransitionKernel.from_entries(
+                    blanked = kernel_from_entries(
                         {z: row for z, row in kernel.entries.items() if aug.full.norm[z] > k},
-                        dict(kernel.provenance), kernel.mode)
+                        labels_of(kernel), kernel.mode)
                     part_val = recover_edge(aug, blanked, plan, p_in, p_out)
                     assert float(full_val) == float(part_val)
 
@@ -371,7 +379,7 @@ class TestRecoverEdge:
         # the heads are the inner arrivals at R+1; an empty inner law has none
         aug, kernel = segment_fixture()
         _, p_out = forward_pair(aug, kernel)
-        empty = HittingDistribution.from_mass(INNER, 8, {})
+        empty = law_from_mass(INNER, 8, {})
         with pytest.raises(ZeroDenominator):
             recover_edge(aug, kernel, make_plan(aug, 1, 2), empty, p_out)
 
@@ -381,7 +389,7 @@ class TestRecoverEdge:
         plan = make_plan(aug, 1, 2)
         mass = dict(p_out.mass)
         mass[(5, 3)] = float(mass[(5, 3)]) + 0.4
-        bumped = HittingDistribution.from_mass(OUTER, p_out.t_max, mass)
+        bumped = law_from_mass(OUTER, p_out.t_max, mass)
         with pytest.raises(OutOfRange):
             recover_edge(aug, kernel, plan, p_in, bumped)
         flags = []
@@ -398,7 +406,7 @@ class TestRecoverAll:
         assert abs(rep.kernel.entries[1][2] - 0.7) < 1e-12
         assert abs(rep.kernel.entries[1][0] - 0.3) < 1e-12
         assert abs(rep.kernel.entries[0][1] - 1.0) < 1e-9
-        assert rep.kernel.provenance[1] == "recovered"
+        assert labels_of(rep.kernel)[1] == "recovered"
         assert float(rep.max_error) < 1e-12
 
     def test_round_trip_float(self):
@@ -418,7 +426,7 @@ class TestRecoverAll:
             p_in, p_out = forward_pair(aug, kernel)
             rep = recover_all(aug, known_part(kernel), p_in, p_out, reference=kernel)
             assert rep.max_error == 0
-            for u, flag in kernel.provenance.items():
+            for u, flag in labels_of(kernel).items():
                 if flag == "unknown":
                     assert rep.kernel.entries[u] == kernel.entries[u]
             assert all(type(r) is Fraction and r == 0 for r in rep.residuals.values())
@@ -437,7 +445,7 @@ class TestRecoverAll:
             rep = recover_all(aug, known_part(kernel), p_in, p_out, reference=kernel)
             assert rep.max_error == 0
             work = recover_by_edges(aug, known_part(kernel), p_in, p_out)
-            for u, flag in rep.kernel.provenance.items():
+            for u, flag in labels_of(rep.kernel).items():
                 if flag == "recovered":
                     assert rep.kernel.entries[u] == work.entries[u]
 
@@ -465,7 +473,7 @@ class TestRecoverAll:
                 assert got is want
                 continue
             assert not isinstance(got, type), got
-            for u, flag in got.provenance.items():
+            for u, flag in labels_of(got).items():
                 if flag == "recovered":
                     assert got.entries[u] == want.entries[u]
 
@@ -507,7 +515,7 @@ class TestRecoverAll:
 
             clean = recover_all(aug, known, p_in, p_out, clamp=True).kernel.entries
             norm, r = aug.full.norm, aug.hull_radius
-            targets = [u for u, f in kernel.provenance.items() if f == "unknown"]
+            targets = [u for u, f in labels_of(kernel).items() if f == "unknown"]
             for k in sorted({norm[u] for u in targets}):
                 upper = [u for u in targets if norm[u] >= k]
                 got = rows(3 * r + 4 - 2 * k)
@@ -541,7 +549,7 @@ class TestRecoverAll:
         aug, kernel = symmetric_star_fixture()
         laws = dict(zip((INNER, OUTER), forward_pair(aug, kernel)))
         law = laws[layer]
-        laws[layer] = HittingDistribution.from_mass(
+        laws[layer] = law_from_mass(
             layer, law.t_max, {**law.mass, cell: Fraction(1, 64)})
         with pytest.raises(FormatError):
             recover_all(aug, known_part(kernel), laws[INNER], laws[OUTER])
@@ -550,7 +558,7 @@ class TestRecoverAll:
         # empirical laws are floats; exact known rows cannot absorb them
         aug, kernel = symmetric_star_fixture()
         p_in, p_out = forward_pair(aug, kernel)
-        p_out = HittingDistribution.from_mass(
+        p_out = law_from_mass(
             OUTER, p_out.t_max, {key: float(p) for key, p in p_out.mass.items()})
         with pytest.raises(FormatError, match="outer law holds float cells under a rational"):
             recover_all(aug, known_part(kernel), p_in, p_out)
@@ -559,9 +567,9 @@ class TestRecoverAll:
         # a law is read only in its kernel's mode: float known rows refuse
         # exact laws, each one, rather than read them as their float images
         aug, kernel = rand_instance(3, mode="rational")
-        flt = TransitionKernel.from_entries(
+        flt = kernel_from_entries(
             {u: {v: float(p) for v, p in r.items()} for u, r in kernel.entries.items()},
-            dict(kernel.provenance),
+            labels_of(kernel),
             "float",
         )
         exact = forward_pair(aug, kernel)
@@ -577,9 +585,9 @@ class TestRecoverAll:
         # of range, not a format fault
         aug, kernel = symmetric_star_fixture()
         if mode == "float":
-            kernel = TransitionKernel.from_entries(
+            kernel = kernel_from_entries(
                 {u: {v: float(p) for v, p in r.items()} for u, r in kernel.entries.items()},
-                dict(kernel.provenance), "float")
+                labels_of(kernel), "float")
         p_in, p_out = forward_pair(aug, kernel)
         for dens in (None, ()):
             empty = HittingDistribution(OUTER, p_out.t_max, (), (), p_out.cells[:0, :0], dens)
@@ -594,7 +602,7 @@ class TestRecoverAll:
         given = TransitionKernel(kernel.vertices, kernel.sizes, kernel.neighbors, kernel.values,
                                  np.array([KNOWN] * len(kernel.vertices), object), mode)
         rep = recover_all(aug, given, *forward_pair(aug, kernel), reference=kernel)
-        assert "recovered" not in rep.kernel.provenance.values()
+        assert "recovered" not in labels_of(rep.kernel).values()
         assert type(rep.max_error) is (Fraction if mode == "rational" else float)
         assert rep.max_error == 0
 
@@ -605,19 +613,19 @@ class TestRecoverAll:
         root = dict.fromkeys(kernel.entries[0], Fraction(1, 4))
         assert root != kernel.entries[0]
         known = known_part(kernel)
-        given = TransitionKernel.from_entries({**known.entries, 0: root},
-                                              {**known.provenance, 0: KNOWN}, "rational")
+        given = kernel_from_entries({**known.entries, 0: root},
+                                    {**labels_of(known), 0: KNOWN}, "rational")
         rep = recover_all(aug, given, *forward_pair(aug, kernel))
         assert rep.kernel.entries == {**kernel.entries, 0: root}
         base = range(aug.base.vertex_count)
-        assert [rep.kernel.provenance[u] for u in base] == ["known"] + ["recovered"] * (len(base) - 1)
-        assert set(rep.kernel.provenance.values()) == {"known", "recovered"}
+        assert [labels_of(rep.kernel)[u] for u in base] == ["known"] + ["recovered"] * (len(base) - 1)
+        assert set(labels_of(rep.kernel).values()) == {"known", "recovered"}
 
     def test_row_labelled_unknown_refused(self):
         # the drawn kernel labels its base rows unknown: passed whole as the
         # given rows, it is refused, naming the first such row in the table
         aug, kernel = rand_instance(5, mode="rational")
-        first = next(u for u, f in kernel.provenance.items() if f == "unknown")
+        first = next(u for u, f in labels_of(kernel).items() if f == "unknown")
         with pytest.raises(InvalidParameter,
                            match=f"^given row of vertex {first} is labelled unknown$"):
             recover_all(aug, kernel, *forward_pair(aug, kernel))
@@ -626,9 +634,9 @@ class TestRecoverAll:
         # an exact entry less a float one is a float: a rational answer is
         # measured only against exact entries; a float answer takes either
         aug, kernel = rand_instance(3, mode="rational")
-        image = TransitionKernel.from_entries(
+        image = kernel_from_entries(
             {u: {v: float(p) for v, p in r.items()} for u, r in kernel.entries.items()},
-            kernel.provenance, "float")
+            labels_of(kernel), "float")
         laws = forward_pair(aug, kernel)
         with pytest.raises(FormatError, match="^a rational answer needs a rational reference"):
             recover_all(aug, known_part(kernel), *laws, reference=image)
@@ -643,7 +651,7 @@ class TestRecoverAll:
         p_out = scaled_law(p_out, Fraction(3, 2))
         rep = recover_all(aug, known_part(kernel), p_in, p_out, clamp=True)
         assert rep.flags
-        for u, flag in rep.kernel.provenance.items():
+        for u, flag in labels_of(rep.kernel).items():
             if flag == "recovered":
                 row = rep.kernel.entries[u].values()
                 assert all(isinstance(p, Fraction) for p in row)
@@ -651,19 +659,19 @@ class TestRecoverAll:
 
     def test_distorted_input_strict_vs_clamped(self):
         aug, kernel = symmetric_star_fixture()
-        flt = TransitionKernel.from_entries(
+        flt = kernel_from_entries(
             {u: {v: float(p) for v, p in r.items()} for u, r in kernel.entries.items()},
-            dict(kernel.provenance),
+            labels_of(kernel),
             "float",
         )
         p_in, p_out = forward_pair(aug, flt)
-        p_out = HittingDistribution.from_mass(
+        p_out = law_from_mass(
             OUTER, p_out.t_max, {key: float(p) * 1.5 for key, p in p_out.mass.items()})
         with pytest.raises((OutOfRange, RowSumViolation)):
             recover_all(aug, known_part(flt), p_in, p_out)
         rep = recover_all(aug, known_part(flt), p_in, p_out, clamp=True)
         assert rep.flags
-        for u, flag in rep.kernel.provenance.items():
+        for u, flag in labels_of(rep.kernel).items():
             if flag == "recovered":
                 assert abs(sum(rep.kernel.entries[u].values()) - 1) < 1e-9
 
@@ -692,18 +700,18 @@ class TestRecoverAll:
         assert abs(rep.residuals[0]) < 1e-9
         assert rep.residuals[1] == 0
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 1: the root row has no complement, recover_all accepts its "
-        "sum within ROOT_SUM_TOL, and validate_kernel wants ROW_SUM_TOL"))
     def test_float_answer_passes_validation(self):
-        # comb(8) float with the laws as forward writes them: the root row
-        # misses 1 by 8.2e-9, so treetomo refuses its own answer
+        # comb(8) float with the laws as forward writes them: the solved root
+        # row misses 1 by 8.2e-9, within ROOT_SUM_TOL but far past
+        # ROW_SUM_TOL; its last entry closes it, and its residual keeps the
+        # deviation
         aug = spherical_augmentation(comb(8), 2)
         kernel = random_kernel(aug, 7, floor=0.05, scope="all")
         p_in, p_out = (parse_distribution(dump_distribution(d))
                        for d in hitting_laws(aug, kernel, aug.horizon))
         rep = recover_all(aug, known_part(kernel), p_in, p_out)
         assert validate_kernel(aug, rep.kernel) == []
+        assert 1e-9 < abs(rep.residuals[0]) < ROOT_SUM_TOL
 
 
 def oracle_trees():
@@ -714,7 +722,7 @@ def oracle_trees():
 def scaled_law(dist, factor, keep=lambda key: True):
     """``dist`` with the cells that ``keep`` selects multiplied by ``factor``."""
     mass = {key: p * factor if keep(key) else p for key, p in dist.mass.items()}
-    return HittingDistribution.from_mass(dist.layer, dist.t_max, mass)
+    return law_from_mass(dist.layer, dist.t_max, mass)
 
 
 class TestArrayInversion:
@@ -729,7 +737,7 @@ class TestArrayInversion:
             known = known_part(kernel)
             rep = recover_all(aug, known, p_in, p_out, clamp=clamp)
             want = recover_by_edges(aug, known, p_in, p_out, clamp=clamp)
-            targets = [u for u, f in kernel.provenance.items() if f == "unknown"]
+            targets = [u for u, f in labels_of(kernel).items() if f == "unknown"]
             assert {u: rep.kernel.entries[u] for u in targets} == \
                 {u: want.entries[u] for u in targets}
             assert rep.residuals == dict.fromkeys(sorted(targets, key=lambda u: -aug.full.norm[u]), 0)
@@ -820,7 +828,7 @@ class TestRecoverStar:
 
     def test_asymmetric_hand_kernel(self):
         aug = spherical_augmentation(star(1, 2), 2)
-        kernel = TransitionKernel.from_entries(
+        kernel = kernel_from_entries(
             {
                 0: {1: 0.3, 2: 0.7},
                 1: {0: 0.4, 3: 0.6},
