@@ -51,7 +51,6 @@ from .forward_solver import hitting_laws
 from .tomography import recover_all
 from .tree_model import (
     AugmentedTree,
-    RootedTree,
     random_tree,
     segment,
     spherical_augmentation,
@@ -86,21 +85,22 @@ def _kernel_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scope", choices=["lambda", "all"], default="lambda")
 
 
-def _resolve_tree(args: argparse.Namespace) -> RootedTree:
+def _resolve_tree(args: argparse.Namespace) -> AugmentedTree:
     if args.tree == "random":
         if args.rout is None:
             raise InvalidParameter("--tree random requires --rout")
-        return random_tree(args.rout, args.seed)
-    if args.tree == "star":
+        tree = random_tree(args.rout, args.seed)
+    elif args.tree == "star":
         if args.l is None or args.n is None:
             raise InvalidParameter("star builtin requires --l and --n")
-        return star(args.l, args.n)
-    if args.tree == "segment":
+        tree = star(args.l, args.n)
+    elif args.tree == "segment":
         if args.l is None:
             raise InvalidParameter("segment builtin requires --l (and optionally --k)")
-        return segment(args.k, args.l)
-    tree = parse_tree(read_text(args.tree))
-    return tree.base if isinstance(tree, AugmentedTree) else tree
+        tree = segment(args.k, args.l)
+    else:
+        tree = parse_tree(read_text(args.tree))
+    return tree if isinstance(tree, AugmentedTree) else spherical_augmentation(tree, 2)
 
 
 def _load_aug(path: str) -> AugmentedTree:
@@ -117,12 +117,8 @@ def _outdir(args: argparse.Namespace) -> Path:
 
 
 def _gen_objects(args: argparse.Namespace):
-    base = _resolve_tree(args)
-    aug = spherical_augmentation(base, 2)  # recovery reads the two detector layers
-    kernel = random_kernel(
-        aug, args.seed, floor=args.floor, scope=args.scope, mode=args.mode
-    )
-    return aug, kernel
+    aug = _resolve_tree(args)
+    return aug, random_kernel(aug, args.seed, floor=args.floor, scope=args.scope, mode=args.mode)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -248,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser(
-        "sample", help="draw probe-walk counts up to the read horizon 3R+4 into a batch file"
+        "sample", help="draw probe-walk counts up to the read horizon 3(R+L-2)+4 into a batch file"
     )
     p.set_defaults(run=cmd_sample)
     p.add_argument("--tree-file", required=True)

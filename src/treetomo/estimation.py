@@ -8,9 +8,9 @@ at each step splits every count over its vertex's row by conditional
 binomials, over the forward DP's edge table (:class:`AccRows`).  That is
 exactly the law of ``n`` independent walks, at a cost that does not grow
 with ``n``.
-Counting runs up to the inversion's read horizon ``t_cap = 3R + 4``: every
-first inner contact within it is counted, and the walks still alive at the
-end form the overflow bucket, which estimates ``P(tau_out > 3R + 4)``.
+Counting runs up to the inversion's read horizon ``t_cap = aug.horizon``:
+every first inner contact within it is counted, and the walks still alive
+at the end form the overflow bucket, which estimates ``P(tau_out > t_cap)``.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def collect_batch(
     seed: int,
     workers: int = 1,
 ) -> SampleBatch:
-    """Draw the boundary counts of ``n`` probe walks up to ``t_cap = 3R + 4``.
+    """Draw the boundary counts of ``n`` probe walks up to ``t_cap = aug.horizon``.
 
     Row 0 of the ``(2, vertices)`` count array holds the fresh walks, row 1
     the rest.  Each step splits every row's counts over its slots in

@@ -1,12 +1,13 @@
 """Recovery of unknown transition rows from two boundary hitting laws.
 
-The chain on a 2-spherically augmented tree is observed only through the
-joint laws of first hitting time and place at the inner and outer boundary
-layers.  Rows at added vertices are given; rows at base-tree vertices are
-solved shell by shell, outermost first.
+The chain on a base tree of outer radius ``R``, augmented by chains of
+length ``L >= 2``, is observed only through the joint laws of first hitting
+time and place at the inner and outer boundary layers, the shells ``r + 1``
+and ``r + 2`` for ``r = R + L - 2``.  Rows at added vertices are given;
+rows at base-tree vertices are solved shell by shell, outermost first.
 
 For a base vertex ``u`` at shell ``k`` with child ``w``, the observable
-"first arrival in the outer targets below ``w`` at time ``3R+4-2k``" splits
+"first arrival in the outer targets below ``w`` at time ``3r+4-2k``" splits
 over the time of the first visit to the inner layer.  Each piece with a late
 first visit is a measured inner-hit probability times a tail-class
 first-passage probability over already-solved rows.  The remaining family
@@ -15,16 +16,16 @@ runs straight out to the inner layer below ``u`` (through any child, not only
 ``t(u, w) * head(u) * tail(w)``, so the unknown drops out by division.  With
 ``z'`` the outer child of inner vertex ``z``, both factors are sums over rows
 already solved, and the head on the inner layer is one cell of the inner law,
-since a walk that first meets ``z`` at time ``R + 1`` went straight there:
+since a walk that first meets ``z`` at time ``r + 1`` went straight there:
 
-    head(z) = p_in(R+1, z),   head(x) = sum_c t(c, x) head(c),
+    head(z) = p_in(r+1, z),   head(x) = sum_c t(c, x) head(c),
     tail(z') = 1,             tail(x) = sum_c t(x, c) tail(c).
 
 :func:`recover_all` runs each recursion as an array sweep over the edge
 table of :class:`~treetomo.chain_model.AccRows`, the kernel of the forward
 DP.  Per shell, the heads take one masked push up inward edges and the tails
 one masked pull along outward edges; shell ``k`` takes one pull per step of
-a first-passage recursion over shells ``k+1 .. R+1``, which serves every
+a first-passage recursion over shells ``k+1 .. r+1``, which serves every
 edge of the shell because a walk confined there stays in the subtree it
 started in.  With the inner layer in depth-first order, the inner vertices
 below a vertex form one block, so each edge's outer-arrival and class sums
@@ -87,18 +88,18 @@ class EdgeRecoveryPlan:
     For the edge from ``vertex`` (shell ``shell`` of the base tree) to its
     child ``child``: ``hit_time`` is the outer-arrival time the step reads,
     ``num_classes`` how many inner-first-visit classes partition it,
-    ``outer_targets`` the outer-layer vertices below ``child`` and
-    ``inner_targets`` their parents on the inner layer.
+    ``outer_targets`` the outer-layer vertices below ``child``, ``inner_targets``
+    their parents on the inner layer, and ``hull_radius`` the shell ``r`` below it.
     """
 
     shell: int
     vertex: int
     child: int
-    hull_radius: int
     hit_time: int
     num_classes: int
     outer_targets: tuple[int, ...]
     inner_targets: tuple[int, ...]
+    hull_radius = property(lambda self: self.shell + self.num_classes - 2)
 
 
 @dataclass
@@ -113,11 +114,9 @@ class RecoveryReport:
     shell_time_reads: dict[int, int] = field(default_factory=dict)
 
 
-def _require_two_layers(aug: AugmentedTree) -> None:
-    if aug.aug_len != 2:
-        raise InvalidParameter(
-            f"recovery needs a 2-spherical augmentation, got aug_len={aug.aug_len}"
-        )
+def _radius(aug: AugmentedTree) -> int:
+    """``r = R + L - 2``, the shell just inside the inner layer: ``R`` when ``L = 2``."""
+    return aug.hull_radius + aug.aug_len - 2
 
 
 def _clamp(value: Number, mode: str) -> Number:
@@ -138,19 +137,15 @@ def _root_sum_off(total: Number, mode: str) -> bool:
 
 
 def make_plan(aug: AugmentedTree, u: int, w: int) -> EdgeRecoveryPlan:
-    """Build the recovery plan for the edge ``u -> w``.
-
-    Requires ``aug.aug_len == 2`` and ``u`` in the base tree.
-    """
-    _require_two_layers(aug)
+    """Build the recovery plan for the edge ``u -> w``, ``u`` in the base tree."""
     if u not in range(aug.base.vertex_count):
         raise NotInLambda(f"vertex {u} is not a base-tree vertex")
     if w not in aug.full.children[u]:
         raise NotAChild(f"{w} is not a child of {u}")
-    full, k, r = aug.full, int(aug.full.norm[u]), aug.hull_radius
+    full, k, r = aug.full, int(aug.full.norm[u]), _radius(aug)
     inner = tuple(z for z in full.subtree(w) if full.norm[z] == r + 1)  # the inner layer
     outer = tuple(full.children[z][0] for z in inner)
-    return EdgeRecoveryPlan(k, u, w, r, aug.horizon - 2 * k, r + 2 - k, outer, inner)
+    return EdgeRecoveryPlan(k, u, w, aug.horizon - 2 * k, r + 2 - k, outer, inner)
 
 
 def _inner_tails(rows: AccRows, hi: int):
@@ -232,8 +227,8 @@ def unknown_edge_coefficient(
     ``vertex`` times the tail sum at ``child``, each swept shell by shell as
     in :func:`recover_all`, over the rows of the subtree of ``vertex``.
 
-    The inner heads are ``p_out(R+2, z') / t(z, z')``, for callers that hold
-    only the outer law.  On computed laws this equals the ``p_in(R+1, z)`` that
+    The inner heads are ``p_out(r+2, z') / t(z, z')``, for callers that hold
+    only the outer law.  On computed laws this equals the ``p_in(r+1, z)`` that
     :func:`recover_all` reads, exactly in rational mode; on empirical laws it may not.
     """
     below = aug.full.subtree(plan.vertex)
@@ -254,12 +249,12 @@ def unknown_edge_coefficient(
 def _depth_first(aug: AugmentedTree) -> np.ndarray:
     """Ancestors of the inner vertices, depth-first with children ascending.
 
-    Row ``i`` holds the ancestor at shell ``R+1-i`` of each inner vertex (row
+    Row ``i`` holds the ancestor at shell ``r+1-i`` of each inner vertex (row
     0 the vertex itself), columns sorted so the inner vertices below any
     vertex form one contiguous block: each shell's blocks tile the columns.
     """
     anc = [aug.inner_layer]
-    for _ in range(aug.hull_radius + 1):
+    for _ in range(_radius(aug) + 1):
         anc.append(aug.full.parent[anc[-1]])
     anc = np.array(anc)
     return anc[:, np.lexsort(anc)]
@@ -310,7 +305,7 @@ def recover_all(
     every added row off the outer layer, else :class:`MissingKnownRow`, and
     no row labelled unknown (:class:`InvalidParameter`); the answer labels the
     base rows it lacks recovered, the given rows known.  Both laws must reach
-    time ``3R+4`` (``3R+3`` inner), hold cells only on their own layer at
+    time ``3r+4`` (``3r+3`` inner), hold cells only on their own layer at
     times ``>= 1`` and be in ``known``'s mode, else :class:`FormatError`
     (see :func:`_grid`); cells past those times are checked, then ignored.
     A ``reference`` must hold every recovered entry (:class:`FormatError`)
@@ -325,8 +320,7 @@ def recover_all(
     ``shell_time_reads`` records the largest law time read for each shell,
     and ``times_accessed`` the largest per law.
     """
-    _require_two_layers(aug)
-    r = aug.hull_radius
+    r = _radius(aug)
     mode, full, base = known.mode, aug.full, aug.base.vertex_count
     if UNKNOWN in (labels := known.labels.tolist()):
         u = known.vertices[labels.index(UNKNOWN)]
@@ -365,10 +359,12 @@ def recover_all(
             for l in range(1, len(chis) + 1)
         ]
         # t(u, w): the outer arrivals below w at time hit, less the tail classes
-        # over the inner vertices below w, over head(u) * tail(w).  mults bring
-        # each sum's numerators to the shell's common denominator den
+        # over the inner vertices below w, over head(u) * tail(w).  mults, signed,
+        # bring each sum's numerators to the shell's common denominator den, in
+        # the sums' dtype: numpy reads ints past 2**63 beside negatives as float64
         den = math.lcm(*dens)
-        mults, num = [den // d for d in dens], q * rows.scale ** (2 * (r + 1 - k))
+        mults = [den // dens[0]] + [-den // d for d in dens[1:]]
+        num = q * rows.scale ** (2 * (r + 1 - k))
         lens = full.child_starts[np.add(us, 1)] - full.child_starts[us]
         ew = full.child_ids[ranges(full.child_starts[us], lens)]
         eu, ws = np.repeat(us, lens), ew.tolist()
@@ -380,7 +376,7 @@ def recover_all(
         cells = np.array([lout[hit]] + [lin[hit - (2 * l - 1)] * chi[inner]
                                         for l, chi in enumerate(chis, 1)])
         sums = np.add.reduceat(cells, blocks, axis=1)[:, at[ew]]
-        total = (np.array([mults[0]] + [-m for m in mults[1:]])[:, None] * sums).sum(axis=0)
+        total = (np.array(mults, sums.dtype)[:, None] * sums).sum(axis=0)
         coef = head[eu] * tail[ew]
         zero = coef == 0  # refused below, and kept out of the division
         vals = rows.ratio(total * num, den * np.where(zero, 1, coef))
@@ -418,7 +414,7 @@ def recover_all(
             row = row / np.repeat(child_sum + comp, lens)
         slots = ranges(np.searchsorted(rows.src, us), lens)
         grow = rows.write(slots, row) ** (r + 1 - k)
-        if grow != 1:  # head (shell k) and tail (shell k+1) are over D**(R+1-k)
+        if grow != 1:  # head (shell k) and tail (shell k+1) are over D**(r+1-k)
             head, tail = head * grow, tail * grow
 
     # the answer is the table, a row for every vertex off the outer layer, then

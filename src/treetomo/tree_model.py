@@ -3,17 +3,17 @@
 A rooted tree is stored as read-only ``intp`` arrays over its vertex ids:
 the parent of each vertex (-1 at the root), its distance to the root (its
 norm), and its children in compressed sparse row form.  Augmentation glues
-chains onto terminal vertices so that every branch reaches a common outer
-radius, which creates the two detector layers used by the forward solver
-and the tomography recursion.
+chains of length ``L >= 2`` onto terminal vertices so that every branch
+reaches the base's outer radius plus ``L``, whose last two shells are the
+detector layers used by the forward solver and the tomography recursion.
 
 :class:`AugmentedTree` is the one place that checks an augmentation, however
 it was built.  It raises :class:`InvalidParameter` unless the base vertices
 are the ids ``0..k-1`` of the full tree with the same root and parents, none
 below an added vertex, every added vertex and every base terminal below the
 outer radius has exactly one child (chains), the base has an edge and the
-chains reach past it.  So both layers lie off the root, and each inner vertex
-has exactly one child, on the outer layer.
+chains reach ``L >= 2`` past it.  So both layers hold only added vertices,
+and each inner vertex has exactly one child, on the outer layer.
 """
 
 from __future__ import annotations
@@ -89,11 +89,11 @@ class AugmentedTree:
     """A base tree embedded in its augmentation, checked on construction
     (see the module docstring) by array operations.
 
-    Derived once: ``hull_radius`` (the base's outer radius), ``aug_len`` (how
-    far ``full`` reaches past it, >= 1), ``inner_layer`` and ``outer_layer``
-    (the shells of ``full`` at radius ``hull_radius + aug_len - 1`` and
-    ``hull_radius + aug_len``, as read-only ascending id arrays), and the
-    read horizon ``3 * hull_radius + 4``.
+    Derived once: ``hull_radius`` ``R`` (the base's outer radius), ``aug_len``
+    ``L`` (how far ``full`` reaches past it, >= 2), ``inner_layer`` and
+    ``outer_layer`` (the shells of ``full`` at radius ``R + L - 1`` and
+    ``R + L``, as read-only ascending id arrays), and the read horizon
+    ``3 * (R + L - 2) + 4``, which is ``3R + 4`` when ``L = 2``.
     """
 
     base: RootedTree
@@ -105,8 +105,8 @@ class AugmentedTree:
         if k > full.vertex_count or ((base.parent != full.parent[:k]) | (base.parent >= k)).any():
             raise InvalidParameter("base is not the rooted subtree of full on ids 0..k-1")
         hull, radius = int(base.norm.max()), int(norm.max())
-        if hull < 1 or radius <= hull:
-            raise InvalidParameter(f"hull radius {hull} and aug_len {radius - hull} must be >= 1")
+        if hull < 1 or radius < hull + 2:
+            raise InvalidParameter(f"hull radius {hull} must be >= 1, aug_len {radius - hull} >= 2")
         deg = full.child_starts[1:] - full.child_starts[:-1]
         chain = norm < radius  # chain vertices: added ones, and base terminals
         chain[:k] &= base.child_starts[1:] == base.child_starts[:-1]
@@ -114,7 +114,7 @@ class AugmentedTree:
             raise InvalidParameter(f"vertex {bad[0]} of a chain has {deg[bad[0]]} children, not 1")
         inner, outer = (norm == radius - 1).nonzero()[0], (norm == radius).nonzero()[0]
         inner.flags.writeable = outer.flags.writeable = False
-        self.__dict__.update(hull_radius=hull, horizon=3 * hull + 4, aug_len=radius - hull,
+        self.__dict__.update(hull_radius=hull, horizon=3 * (radius - 2) + 4, aug_len=radius - hull,
                              inner_layer=inner, outer_layer=outer)
 
 
@@ -245,7 +245,7 @@ def spherical_augmentation(tree: RootedTree, l: int) -> AugmentedTree:
     deeper ones, ordered by terminal id within a level), which matches the
     shell enumeration used throughout the recovery machinery.  The chains
     are laid out as arrays, appended to the parent and norm arrays of the
-    full tree, and :class:`AugmentedTree` checks the result, so ``l < 1``
+    full tree, and :class:`AugmentedTree` checks the result, so ``l < 2``
     raises :class:`InvalidParameter`.
     """
     n, norm = tree.vertex_count, tree.norm

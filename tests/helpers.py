@@ -131,6 +131,22 @@ def tree_file(root: int, edges: str, original: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def numerator_edits(text: str, rng, count: int) -> list[str]:
+    """``count`` copies of the rational law file ``text``, each with one
+    numerator ``n`` of a time line, drawn by ``rng`` (a ``random.Random``),
+    moved by one of ``1``, ``-1``, ``n // 1000 + 1`` and ``n // 7``."""
+    lines = text.splitlines()
+    out = []
+    for _ in range(count):
+        i = rng.randrange(1, len(lines))
+        cells = lines[i].split("\t")
+        j = rng.randrange(2, len(cells))  # past the time and its denominator
+        n = int(cells[j])
+        cells[j] = str(n + rng.choice((1, -1, n // 1000 + 1, n // 7)))
+        out.append("\n".join(lines[:i] + ["\t".join(cells)] + lines[i + 1:]) + "\n")
+    return out
+
+
 _SEGMENT = tree_file(0, "0-1 1-2 2-3", 2)  # segment(0, 1) augmented by 2
 
 # Tree files that are not a valid augmentation of a base tree, each with a
@@ -147,7 +163,8 @@ INVALID_TREES = {
         tree_file(0, "0-2 2-1 1-3 3-4", 2), "base is not the rooted subtree"
     ),
     "root-not-original": (tree_file(3, "0-1 1-2 2-3", 2), "prefix 0..k-1 holding the root"),
-    "no-chain": (tree_file(0, "0-1", 2), "aug_len 0 must be >= 1"),
+    "no-chain": (tree_file(0, "0-1", 2), "must be >= 1, aug_len 0 >= 2"),
+    "chain-of-length-1": (tree_file(0, "0-1 1-2", 2), "must be >= 1, aug_len 1 >= 2"),
     "forked-inner-vertex": (
         tree_file(0, "0-1 1-2 2-3 2-4", 2), "vertex 2 of a chain has 2 children"
     ),
@@ -287,12 +304,13 @@ def check_augmentation_by_dicts(base: DictTree, full: DictTree) -> tuple:
                                     or (p is not None and p >= k) for v in range(k)):
         raise InvalidParameter("base is not the rooted subtree of full on ids 0..k-1")
     hull, radius = max(base.norm.values()), max(norm.values())
-    if hull < 1 or radius <= hull:
-        raise InvalidParameter(f"hull radius {hull} and aug_len {radius - hull} must be >= 1")
+    if hull < 1 or radius - hull < 2:
+        raise InvalidParameter(f"hull radius {hull} must be >= 1, aug_len {radius - hull} >= 2")
     for v, kids in full.children.items():
         if norm[v] < radius and (v >= k or not base.children[v]) and len(kids) != 1:
             raise InvalidParameter(f"vertex {v} of a chain has {len(kids)} children, not 1")
-    return (hull, 3 * hull + 4, radius - hull,
+    rho = radius - 2  # the shell just inside the inner layer
+    return (hull, 3 * rho + 4, radius - hull,
             frozenset(v for v, n in norm.items() if n == radius - 1),
             frozenset(v for v, n in norm.items() if n == radius))
 
@@ -726,12 +744,12 @@ def explicit_edge_coefficient(aug, kernel, plan, p_in):
 
     Sums, over every inner vertex ``z`` below ``plan.vertex`` and every outer
     target ``v`` below ``plan.child``, the ballistic inner arrival at ``z``
-    (the inner law at time ``R + 1``), times the inward product from ``z`` up
+    (the inner law at time ``norm(z)``), times the inward product from ``z`` up
     to the vertex and the outward product from the child down to ``v``.
     """
     total = 0
     for z in layer_descendants(aug, plan.vertex, aug.inner_layer):
-        ballistic = p_in.prob(aug.hull_radius + 1, z)
+        ballistic = p_in.prob(int(aug.full.norm[z]), z)
         head = ballistic * up_product(aug, kernel, z, plan.vertex)
         for v in plan.outer_targets:
             total = total + head * down_product(aug, kernel, plan.child, v)

@@ -18,6 +18,7 @@ from treetomo import (
     build_tree,
     first_hitting_joint,
     random_kernel,
+    random_tree,
     recover_all,
     segment,
     spherical_augmentation,
@@ -37,7 +38,7 @@ from treetomo.formats import (
     write_text,
 )
 
-from helpers import INVALID_TREES, broom, labels_of, small_bases
+from helpers import INVALID_TREES, broom, labels_of, numerator_edits, small_bases
 
 COMMANDS = ("gen", "forward", "invert", "sample", "estimate", "roundtrip", "consistency")
 
@@ -119,6 +120,26 @@ class TestRoundtrip:
 
 
 class TestPipeline:
+    def test_tree_file_with_chains_of_length_3(self, tmp_path, capsys):
+        # gen keeps the file's own chains, ids and all, and forward, invert and
+        # sample follow its read horizon 3(R+1)+4 = 16 instead of 3R+4 = 13
+        tree, work = tmp_path / "tree.txt", tmp_path / "w"
+        write_text(tree, dump_tree(spherical_augmentation(random_tree(3, 5), 3)))
+        assert run(capsys, "gen", "--tree", str(tree), "--mode", "rational",
+                   "--out", str(work)) == (0, "tree 45 vertices, hull radius 3\n", "")
+        assert (work / "tree.txt").read_bytes() == tree.read_bytes()
+        files = ["--tree-file", str(tree), "--kernel-file", str(work / "kernel.txt"),
+                 "--out", str(work)]
+        assert run(capsys, "forward", *files) == (0, "forward horizon 16\n", "")
+        code, out, err = run(capsys, "invert", "--tree-file", str(tree),
+                             "--known-file", str(work / "known.txt"),
+                             "--in-dist", str(work / "in.tsv"), "--out-dist", str(work / "out.tsv"),
+                             "--reference", str(work / "kernel.txt"), "--out", str(work))
+        assert code == 0, err
+        assert "max_error 0\n" in out
+        assert run(capsys, "sample", *files, "--n", "1000")[0] == 0
+        assert (work / "batch.txt").read_text().startswith("batch 1000 0 16\n")
+
     def test_gen_forward_invert(self, tmp_path, capsys):
         work = str(tmp_path / "w")
         code, _, _ = run(
@@ -461,7 +482,6 @@ class TestExitCodes:
          "usage:"),
         (["consistency", "--tree", "star", "--l", "1", "--n", "2", "--workers", "2"],
          "usage:"),
-        (["invert"], "error 2 InvalidParameter"),  # recovery reads 2-long chains only
         (["gen", "--tree", "random", "--rout", "40"], "error 2 InvalidParameter"),
         # seeds and counts numpy would reject, or that overflow the count array
         (["gen", "--tree", "star", "--l", "1", "--n", "2", "--seed", "-1"],
@@ -474,23 +494,16 @@ class TestExitCodes:
         (["consistency", "--tree", "star", "--l", "1", "--n", "2", "--seeds", "-2"],
          "error 2 InvalidParameter"),
     ], ids=["star-no-l", "floor-2", "floor-sum", "segment-l-0", "segment-no-l", "sample-n-0",
-            "sample-workers-0", "n-grid", "consistency-workers", "invert-3-long", "random-rout-40",
+            "sample-workers-0", "n-grid", "consistency-workers", "random-rout-40",
             "gen-seed-neg", "random-seed-neg", "roundtrip-seed-neg", "sample-seed-neg",
             "sample-n-2-63", "consistency-seeds-neg"])
     def test_bad_flag_value_exit_2(self, tmp_path, capsys, monkeypatch, argv, want):
-        # sample and invert read a valid augmentation by chains of length 3
+        # sample reads a valid augmentation by chains of length 3
         monkeypatch.chdir(tmp_path)
         aug = spherical_augmentation(star(1, 2), 3)
-        kernel = random_kernel(aug, 0)
         write_text("tree.txt", dump_tree(aug))
-        write_text("kernel.txt", dump_kernel(kernel))
-        write_text("known.txt", dump_kernel(kernel.restricted_to({KNOWN})))
-        write_laws(".", 3 * aug.hull_radius + 4)
-        files = {
-            "sample": ["--tree-file", "tree.txt", "--kernel-file", "kernel.txt"],
-            "invert": ["--tree-file", "tree.txt", "--known-file", "known.txt",
-                       "--in-dist", "in.tsv", "--out-dist", "out.tsv"],
-        }
+        write_text("kernel.txt", dump_kernel(random_kernel(aug, 0)))
+        files = {"sample": ["--tree-file", "tree.txt", "--kernel-file", "kernel.txt"]}
         code, _, err = run(capsys, argv[0], *files.get(argv[0], []), *argv[1:])
         assert code == 2, err
         assert err.startswith(want), err
@@ -1084,6 +1097,47 @@ class TestCorruptTokens:
         bad = [(line, token, argv[0], code, err) for (line, token, argv), (code, err)
                in zip(cases, results) if code not in (0, 2, 3, 4)]
         assert not bad, bad
+
+
+class TestNumeratorEdits:
+    """Rational law files of ``random_tree(3, 5)`` with one numerator moved,
+    read by ``invert`` in this process."""
+
+    @staticmethod
+    def invert_argv(capsys, work):
+        run(capsys, "gen", "--tree", "random", "--rout", "3", "--seed", "5",
+            "--mode", "rational", "--out", str(work))
+        return recovery_argv(capsys, work, "invert")
+
+    def test_multipliers_past_2_63_exit_4(self, tmp_path, capsys):
+        # vertex 26's cell at t = 4 moved from 104550 to 104655: the root
+        # shell's first multiplier then lies in [2**63, 2**64), where a list
+        # of it and negative ints makes a float64 array, which exited 5
+        argv = self.invert_argv(capsys, tmp_path)
+        lines = (tmp_path / "in.tsv").read_text().splitlines()
+        i = next(i for i, ln in enumerate(lines) if ln.startswith("4\t"))
+        assert lines[0].endswith("\t26") and lines[i].endswith("\t104550")
+        lines[i] = lines[i][:-len("104550")] + "104655"
+        (tmp_path / "in.tsv").write_text("\n".join(lines) + "\n")
+        assert run(capsys, *argv) == (
+            4, "", "error 4 RowSumViolation: root row sums to 1.0009930640648455, expected 1\n")
+
+    def test_no_numerator_edit_exits_5(self, tmp_path, capsys):
+        # 150 edits per law file (helpers.numerator_edits); two of them exited
+        # 5 before the fix above.  The runs that exit 0 answer edited laws, as
+        # nothing replays an answer through forward yet
+        argv = self.invert_argv(capsys, tmp_path)
+        rng, codes = random.Random(32), []
+        for name in ("in.tsv", "out.tsv"):
+            clean = (tmp_path / name).read_text()
+            for text in numerator_edits(clean, rng, 150):
+                (tmp_path / name).write_text(text)
+                code, _, err = run(capsys, *argv)
+                assert code in (0, 2, 3, 4), err
+                assert re.fullmatch(f"error {code} [A-Za-z]+: [^\n]+\n" if code else "", err), err
+                codes.append(code)
+            (tmp_path / name).write_text(clean)
+        assert len(codes) == 300 and codes.count(4) > 250
 
 
 class TestReadme:

@@ -169,6 +169,18 @@ class TestCollectBatch:
         z = (empirical - exact) / math.sqrt(exact * (1 - exact) / n)
         assert abs(z) < 5, (empirical, exact, z)
 
+    def test_cap_follows_the_chains(self):
+        # chains of length 3 move both layers one shell out, and the cap with
+        # them: t_cap = 3(R+1)+4, and the overflow still estimates P(tau_out > t_cap)
+        aug = spherical_augmentation(random_tree(2, 4), 3)
+        kernel = random_kernel(aug, 5, scope="all")
+        n, r = 20_000, aug.hull_radius + 1
+        batch = collect_batch(aug, kernel, n, seed=1)
+        assert batch.t_cap == aug.horizon == 3 * r + 4
+        assert all(t >= r + 1 and (t - (r + 1)) % 2 == 0 for t, _ in batch.counts_in)
+        p_out = first_hitting_joint(aug, kernel, OUTER, batch.t_cap)
+        assert abs(z_score(batch.overflow, n, 1 - float(law_total(p_out)))) < 5
+
     def test_empirical_close_to_exact(self):
         # binomial error at n = 1e5 is about 0.0014; 0.01 is a 7 sigma bound
         aug, kernel = star_fixture(p01=0.5)

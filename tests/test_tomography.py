@@ -130,9 +130,8 @@ class TestMakePlan:
             make_plan(aug, 3, 5)
         with pytest.raises(NotAChild):
             make_plan(aug, 0, 5)
-        bad = spherical_augmentation(star(1, 2), 1)
-        with pytest.raises(InvalidParameter):
-            make_plan(bad, 0, 1)
+        with pytest.raises(InvalidParameter):  # chains of length 1 are refused where built
+            spherical_augmentation(star(1, 2), 1)
 
     def test_class_times_stay_above_inner_arrival(self):
         for seed in range(8):
@@ -801,6 +800,53 @@ class TestArrayInversion:
         p_out = scaled_law(p_out, 3, lambda key: key[0] == 6 and key[1] in outer)
         with pytest.raises(OutOfRange, match=r"^recovered t\(4,33\) = "):
             recover_all(aug, known_part(kernel), p_in, p_out)
+
+
+class TestLongChains:
+    """Chains of length L >= 3: the recursion runs to r = R + L - 2, just
+    inside the inner layer, and reads the laws to the tree's horizon 3r + 4."""
+
+    @pytest.mark.parametrize("l", [3, 4])
+    def test_rational_round_trips_exact(self, l):
+        for idx, base in enumerate(small_bases()):
+            aug = spherical_augmentation(base, l)
+            assert aug.horizon == 3 * (aug.hull_radius + l - 2) + 4
+            kernel = random_kernel(aug, 50 + idx, scope="all", mode="rational")
+            known = known_part(kernel)
+            rep = recover_all(aug, known, *hitting_laws(aug, kernel, aug.horizon),
+                              reference=kernel)
+            assert rep.max_error == 0, (idx, l)
+            assert max(rep.times_accessed.values()) <= aug.horizon
+            if idx % 5 == 0:  # laws one step short of the horizon are refused
+                with pytest.raises(FormatError, match="recovery needs t <= "):
+                    recover_all(aug, known, *hitting_laws(aug, kernel, aug.horizon - 1))
+
+    def test_float_round_trips(self):
+        for idx, base in enumerate(small_bases()):
+            aug = spherical_augmentation(base, 3)
+            kernel = random_kernel(aug, 50 + idx, scope="all", mode="float")
+            p_in, p_out = hitting_laws(aug, kernel, aug.horizon)
+            rep = recover_all(aug, known_part(kernel), p_in, p_out, reference=kernel)
+            assert float(rep.max_error) <= 1e-9, (idx, rep.max_error)
+
+    def test_matches_per_edge_route(self):
+        # recover_by_edges and the explicit path-pair coefficient, which reads
+        # each head at the inner vertex's own shell, agree with the sweeps
+        for idx, base in enumerate(small_bases()[::2] + [comb(3)]):
+            aug = spherical_augmentation(base, 3)
+            kernel = random_kernel(aug, 11 + idx, scope="all", mode="rational")
+            p_in, p_out = hitting_laws(aug, kernel, aug.horizon)
+            known = known_part(kernel)
+            got = recover_all(aug, known, p_in, p_out).kernel
+            want = recover_by_edges(aug, known, p_in, p_out)
+            for u, flag in labels_of(got).items():
+                if flag == "recovered":
+                    assert got.entries[u] == want.entries[u]
+                    for w in aug.full.children[u]:
+                        plan = make_plan(aug, u, w)
+                        assert plan.hull_radius == aug.hull_radius + 1
+                        assert unknown_edge_coefficient(aug, kernel, plan, p_out) == \
+                            explicit_edge_coefficient(aug, kernel, plan, p_in)
 
 
 class TestRecoverStar:

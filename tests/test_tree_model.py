@@ -197,7 +197,9 @@ class TestSphericalAugmentation:
     def test_invariants_random(self):
         for seed in range(25):
             base = random_tree(1 + seed % 5, seed)
-            for l in (1, 2, 3):
+            with pytest.raises(InvalidParameter):
+                spherical_augmentation(base, 1)
+            for l in (2, 3, 4):
                 aug = spherical_augmentation(base, l)
                 full = aug.full
                 r_in, r_out, spherical = radii(full)
@@ -227,7 +229,10 @@ class TestSphericalAugmentation:
     def test_matches_edge_list_construction(self):
         bases = [random_tree(1 + seed % 5, seed) for seed in range(25)]
         for base in bases + [broom(3, 4), segment(2, 5)]:
-            for l in (1, 2, 3):
+            for bad in (spherical_augmentation, edge_list_augmentation):
+                with pytest.raises(InvalidParameter):
+                    bad(base, 1)
+            for l in (2, 3, 4):
                 aug, ref = spherical_augmentation(base, l), edge_list_augmentation(base, l)
                 assert same_tree(aug, ref)
                 assert aug.inner_layer.tolist() == ref.inner_layer.tolist()
@@ -362,7 +367,11 @@ class TestTreeOracles:
 
     def test_augmentation_matches_dict_oracle(self):
         for tree in oracle_trees():
-            for l in (1, 2, 3):
+            with pytest.raises(InvalidParameter) as want:
+                augment_by_dicts(dicts_of(tree), 1)
+            with pytest.raises(InvalidParameter, match=f"^{re.escape(str(want.value))}$"):
+                spherical_augmentation(tree, 1)
+            for l in (2, 3, 4):
                 aug = spherical_augmentation(tree, l)
                 full, (hull, horizon, aug_len, inner, outer) = augment_by_dicts(dicts_of(tree), l)
                 assert dicts_of(aug.full) == full
