@@ -34,7 +34,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import InvalidKernel, InvalidParameter, MissingKnownRow, MissingRow
+from .errors import InvalidKernel, InvalidParameter, MissingRow
 from .tree_model import AugmentedTree, RootedTree, ranges
 
 KNOWN = "known"
@@ -137,7 +137,7 @@ class AccRows:
     vertex id, are read and written at neighbors off ``vertices`` too.  With
     ``blank``, a row the kernel lacks starts as zeros in neighbor order,
     parent first, for :meth:`write`; without, it raises
-    :class:`MissingKnownRow`; no row is checked (see
+    :class:`MissingRow`; no row is checked (see
     :func:`checked_rows`).  ``sizes`` counts the entries of each row.
     :meth:`push` moves walk mass one step, ``y[v] = sum_u x[u] t(u, v)``,
     and :meth:`pull` steps back, ``y[u] = sum_v t(u, v) x[v]``: each is one
@@ -171,7 +171,7 @@ class AccRows:
             nbrs = np.concatenate((nbrs, extra))
             values = np.concatenate((values, np.zeros(len(extra), values.dtype)))
         if (at < 0).any():
-            raise MissingKnownRow(f"row for vertex {rows[at.argmin()]} required but absent")
+            raise MissingRow(f"row for vertex {rows[at.argmin()]} required but absent")
         self.sizes = sizes[at]
         pick = ranges((sizes.cumsum() - sizes)[at], self.sizes)
         dst, q = nbrs[pick], values[pick]
@@ -346,6 +346,8 @@ def random_kernel(
     """
     if scope not in (LAMBDA_ONLY, ALL_VERTICES):
         raise InvalidParameter(f"unknown scope {scope!r}")
+    if mode not in (FLOAT, RATIONAL):
+        raise InvalidParameter(f"unknown mode {mode!r}")
     if not 0 < floor < 1:
         raise InvalidParameter(f"floor must lie in (0, 1), got {floor}")
     if seed < 0:

@@ -64,6 +64,7 @@ EXIT_OUT_OF_RANGE = 4
 EXIT_INTERNAL = 5
 
 WORKERS_HELP = "must be >= 1; has no effect, the sampler draws counts, not walks"
+KNOWN_HELP = "the mode and any given rows; every row it lacks off the outer layer is recovered"
 
 
 def _tree_source(p: argparse.ArgumentParser) -> None:
@@ -237,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invert", help="recover unknown rows from hitting laws")
     p.set_defaults(run=cmd_invert)
     p.add_argument("--tree-file", required=True)
-    p.add_argument("--known-file", required=True)
+    p.add_argument("--known-file", required=True, help=KNOWN_HELP)
     p.add_argument("--in-dist", required=True, help="inner-layer law file")
     p.add_argument("--out-dist", required=True, help="outer-layer law file")
     p.add_argument("--reference")
@@ -257,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="plug-in estimation from a batch file")
     p.set_defaults(run=cmd_estimate)
     p.add_argument("--tree-file", required=True)
-    p.add_argument("--known-file", required=True)
+    p.add_argument("--known-file", required=True, help=KNOWN_HELP)
     p.add_argument("--batch-file", required=True)
     p.add_argument("--reference")
     p.add_argument("--out")

@@ -25,10 +25,6 @@ class MissingRow(TreetomoError):
     """A required transition row is absent from the kernel."""
 
 
-class MissingKnownRow(MissingRow):
-    """A row that the recovery step assumes known is absent."""
-
-
 class InvalidKernel(TreetomoError):
     """Kernel fails validation (support, positivity, or row sums)."""
 

@@ -3,12 +3,13 @@
 The chain on a base tree of outer radius ``R``, augmented by chains of
 length ``L >= 2``, is observed only through the joint laws of first hitting
 time and place at the inner and outer boundary layers, the shells ``r + 1``
-and ``r + 2`` for ``r = R + L - 2``.  Rows at added vertices are given;
-rows at base-tree vertices are solved shell by shell, outermost first.
+and ``r + 2`` for ``r = R + L - 2``.  Every row off the outer layer that
+the given rows lack, at a base or an added vertex, is solved by one formula,
+shell by shell from the inner layer inward.
 
-For a base vertex ``u`` at shell ``k`` with child ``w``, the observable
-"first arrival in the outer targets below ``w`` at time ``3r+4-2k``" splits
-over the time of the first visit to the inner layer.  Each piece with a late
+For a vertex ``u`` at shell ``k`` with child ``w``, the observable "first
+arrival in the outer targets below ``w`` at time ``3r+4-2k``" splits over
+the time of the first visit to the inner layer.  Each piece with a late
 first visit is a measured inner-hit probability times a tail-class
 first-passage probability over already-solved rows.  The remaining family
 runs straight out to the inner layer below ``u`` (through any child, not only
@@ -21,13 +22,16 @@ since a walk that first meets ``z`` at time ``r + 1`` went straight there:
     head(z) = p_in(r+1, z),   head(x) = sum_c t(c, x) head(c),
     tail(z') = 1,             tail(x) = sum_c t(x, c) tail(c).
 
+On the inner layer itself (``k = r + 1``) there is no tail class, and the
+formula reads ``t(z, z') = p_out(r+2, z') / p_in(r+1, z)``.
+
 :func:`recover_all` runs each recursion as an array sweep over the edge
 table of :class:`~treetomo.chain_model.AccRows`, the kernel of the forward
 DP.  Per shell, the heads take one masked push up inward edges and the tails
 one masked pull along outward edges; shell ``k`` takes one pull per step of
 a first-passage recursion over shells ``k+1 .. r+1``, which serves every
 edge of the shell because a walk confined there stays in the subtree it
-started in.  With the inner layer in depth-first order, the inner vertices
+started in.  With the outer layer in depth-first order, the outer vertices
 below a vertex form one block, so each edge's outer-arrival and class sums
 are one ``np.add.reduceat`` per shell.  :func:`make_plan`,
 :func:`tail_passage_probs` and :func:`unknown_edge_coefficient` give one
@@ -66,7 +70,6 @@ from .chain_model import (
 from .errors import (
     FormatError,
     InvalidParameter,
-    MissingKnownRow,
     NotAChild,
     NotInLambda,
     OutOfRange,
@@ -148,11 +151,11 @@ def make_plan(aug: AugmentedTree, u: int, w: int) -> EdgeRecoveryPlan:
     return EdgeRecoveryPlan(k, u, w, aug.horizon - 2 * k, r + 2 - k, outer, inner)
 
 
-def _inner_tails(rows: AccRows, hi: int):
-    """``t(z, z')`` at each inner vertex ``z`` (shell ``hi``), zero elsewhere."""
+def _outer_layer(rows: AccRows, hi: int):
+    """The indicator of the outer layer (shell ``hi + 1``): the tail there."""
     outer = rows.zeros()
     outer[rows.norm == hi + 1] = 1
-    return rows.pull(outer)
+    return outer
 
 
 def _tail_classes(rows: AccRows, shell: int, hi: int) -> list:
@@ -164,19 +167,17 @@ def _tail_classes(rows: AccRows, shell: int, hi: int) -> list:
     ``shell+1 .. hi``, in the scale of ``rows``: in rational mode an integer
     ``N`` for ``N / D**(2l-1)``.  Every vertex of that band must carry a row.
 
-    Class 1 starts at the inner layer (shell ``hi``) as ``t(z, z')``; each
-    further step is one :meth:`~AccRows.pull` with the vertices below the
-    band zeroed.  The last class is read at step
-    ``last = 2(hi+1-shell) - 1``, so step ``s`` keeps only the shells
-    ``max(shell+1, hi-(last-s)) .. hi``: from lower shells the inner layer
-    is out of reach by step ``last``, so a vertex dropped there feeds no
-    entry, and every entry is computed by the same operations as over the
-    whole band.
+    Each step from the outer-layer indicator is one :meth:`~AccRows.pull`
+    with the vertices below the band zeroed.  The last class is read at step
+    ``last = 2(hi+1-shell) - 1`` (none at ``shell = hi + 1``), so step ``s``
+    keeps only the shells ``max(shell+1, hi-(last-s)) .. hi``: from lower
+    shells the inner layer is out of reach by step ``last``, so a vertex
+    dropped there feeds no entry, and every entry is computed by the same
+    operations as over the whole band.
     """
     last = 2 * (hi + 1 - shell) - 1
-    cur = _inner_tails(rows, hi)
-    out = [cur]
-    for s in range(2, last + 1):
+    cur, out = _outer_layer(rows, hi), []
+    for s in range(1, last + 1):
         cur = rows.pull(cur)
         cur[rows.norm < max(shell + 1, hi - (last - s))] = 0
         if s % 2:
@@ -234,7 +235,7 @@ def unknown_edge_coefficient(
     below = aug.full.subtree(plan.vertex)
     rows = AccRows(aug.full, kernel, below)
     r = plan.hull_radius
-    tail = _inner_tails(rows, r + 1)
+    tail = rows.pull(_outer_layer(rows, r + 1))
     head = rows.zeros()
     for z in np.intersect1d(below, aug.inner_layer).tolist():
         head[z] = p_out.prob(r + 2, aug.full.children[z][0]) * rows.scale / tail[z]
@@ -247,14 +248,14 @@ def unknown_edge_coefficient(
 
 
 def _depth_first(aug: AugmentedTree) -> np.ndarray:
-    """Ancestors of the inner vertices, depth-first with children ascending.
+    """Ancestors of the outer vertices, depth-first with children ascending.
 
-    Row ``i`` holds the ancestor at shell ``r+1-i`` of each inner vertex (row
-    0 the vertex itself), columns sorted so the inner vertices below any
+    Row ``i`` holds the ancestor at shell ``r+2-i`` of each outer vertex (row
+    0 the vertex itself), columns sorted so the outer vertices below any
     vertex form one contiguous block: each shell's blocks tile the columns.
     """
-    anc = [aug.inner_layer]
-    for _ in range(_radius(aug) + 1):
+    anc = [aug.outer_layer]
+    for _ in range(_radius(aug) + 2):
         anc.append(aug.full.parent[anc[-1]])
     anc = np.array(anc)
     return anc[:, np.lexsort(anc)]
@@ -299,12 +300,11 @@ def recover_all(
     reference: TransitionKernel | None = None,
     clamp: bool = False,
 ) -> RecoveryReport:
-    """Recover every base-tree row ``known`` lacks, outermost shell first.
+    """Recover every row off the outer layer that ``known`` lacks, inner layer first.
 
-    ``known`` must carry the given rows, each valid, else :class:`InvalidKernel`,
-    every added row off the outer layer, else :class:`MissingKnownRow`, and
-    no row labelled unknown (:class:`InvalidParameter`); the answer labels the
-    base rows it lacks recovered, the given rows known.  Both laws must reach
+    Each row ``known`` gives, if any, must be valid (:class:`InvalidKernel`)
+    and not labelled unknown (:class:`InvalidParameter`); the answer labels
+    the rows it lacks recovered, the given rows known.  Both laws must reach
     time ``3r+4`` (``3r+3`` inner), hold cells only on their own layer at
     times ``>= 1`` and be in ``known``'s mode, else :class:`FormatError`
     (see :func:`_grid`); cells past those times are checked, then ignored.
@@ -317,42 +317,39 @@ def recover_all(
     root row, once its sum is within ``ROOT_SUM_TOL`` of one, closes on its
     last entry, written as one minus the others (``clamp`` renormalizes
     instead); ``residuals`` keeps each row's deviation from one.
-    ``shell_time_reads`` records the largest law time read for each shell,
-    and ``times_accessed`` the largest per law.
+    ``shell_time_reads`` records the largest law time read for each shell
+    swept or solved, and ``times_accessed`` the largest per law.
     """
     r = _radius(aug)
-    mode, full, base = known.mode, aug.full, aug.base.vertex_count
+    mode, full = known.mode, aug.full
     if UNKNOWN in (labels := known.labels.tolist()):
         u = known.vertices[labels.index(UNKNOWN)]
         raise InvalidParameter(f"given row of vertex {u} is labelled unknown")
     given = known.index(full.vertex_count)[:-1] >= 0  # the vertices with a row
-    target, absent = ~given, ~given  # no row: solved at a base vertex, else refused below
-    target[base:] = absent[:base] = absent[aug.outer_layer] = False
+    target = ~given & (full.norm <= r + 1)  # no row, off the outer layer: solved
     rows = checked_rows(aug, known, partial=True)
     anc = _depth_first(aug)
-    inner = anc[0]
+    inner = anc[1]
     lin, den_in = _grid(rows, "inner", p_in, inner, aug.horizon - 1)
-    lout, den_out = _grid(rows, "outer", p_out, full.child_ids[full.child_starts[inner]],
-                          aug.horizon)
-    if absent.any():
-        raise MissingKnownRow(f"row for vertex {absent.argmax()} required but absent")
+    lout, den_out = _grid(rows, "outer", p_out, anc[0], aug.horizon)
     head = rows.zeros()
     head[inner] = lin[r + 1]  # the inner heads are numerators over q
     q = den_in[r + 1]
-    tail = _inner_tails(rows, r + 1)
+    tail = _outer_layer(rows, r + 1)
     residuals: dict[int, Number] = {}
     flags: list[tuple[str, int]] = []
     reads: dict[int, tuple[int, int]] = {}
 
-    for k in range(r, -1, -1):
-        if k < r:
+    for k in range(r + 1, -1, -1):
+        if k <= r:  # on the inner layer, the heads and tails are as they start
             tail = _shell_step(rows, tail, k + 1, inward=False)
-        head = _shell_step(rows, head, k, inward=True)
+            head = _shell_step(rows, head, k, inward=True)
+            reads[k] = (r + 1 if k == r else -1, -1)
         us = (target & (full.norm == k)).nonzero()[0].tolist()
-        hit = aug.horizon - 2 * k
-        reads[k] = (hit - 1, hit) if us else (r + 1 if k == r else -1, -1)
         if not us:
             continue
+        hit = aug.horizon - 2 * k
+        reads[k] = (hit - 1, hit)
         chis = _tail_classes(rows, k, r + 1)
         dens = [den_out[hit]] + [
             den_in[hit - (2 * l - 1)] * rows.scale ** (2 * l - 1)
@@ -368,9 +365,9 @@ def recover_all(
         lens = full.child_starts[np.add(us, 1)] - full.child_starts[us]
         ew = full.child_ids[ranges(full.child_starts[us], lens)]
         eu, ws = np.repeat(us, lens), ew.tolist()
-        # per class, sums over the block of inner vertices below each vertex
-        # of shell k+1, each block one segment of the depth-first inner layer
-        tops, blocks = runs(anc[r - k])
+        # per class, sums over the block of columns below each vertex of
+        # shell k+1, each block one segment of the depth-first columns
+        tops, blocks = runs(anc[r + 1 - k])
         at = np.zeros(full.vertex_count, np.intp)
         at[tops] = np.arange(len(tops))
         cells = np.array([lout[hit]] + [lin[hit - (2 * l - 1)] * chi[inner]

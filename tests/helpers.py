@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +30,6 @@ from treetomo.errors import (
     FormatError,
     InvalidParameter,
     InvalidQuery,
-    MissingKnownRow,
     MissingRow,
     NotATree,
     OutOfRange,
@@ -144,6 +144,28 @@ def numerator_edits(text: str, rng, count: int) -> list[str]:
         n = int(cells[j])
         cells[j] = str(n + rng.choice((1, -1, n // 1000 + 1, n // 7)))
         out.append("\n".join(lines[:i] + ["\t".join(cells)] + lines[i + 1:]) + "\n")
+    return out
+
+
+def token_edits(text: str, rng, count: int, tokens) -> list[str]:
+    """``count`` copies of the artifact ``text``, each with one edit at a
+    line drawn by ``rng``: a token of it (a kernel cell's vertex and
+    probability are tokens of their own) replaced by one of ``tokens`` or
+    removed with its separator, or the line deleted or repeated."""
+    lines = text.splitlines()
+    out = []
+    for _ in range(count):
+        i = rng.randrange(len(lines))
+        pieces = re.split(r"([\s:]+)", lines[i])  # tokens at even places
+        j = 2 * rng.randrange((len(pieces) + 1) // 2)
+        kind = rng.randrange(4)
+        if kind == 0:  # a token replaced
+            edited = ["".join(pieces[:j] + [rng.choice(tokens)] + pieces[j + 1:])]
+        elif kind == 1:  # a token removed, with the separator before it or the first after
+            edited = ["".join(pieces[:j - 1] + pieces[j + 1:] if j else pieces[2:])]
+        else:  # the line deleted or repeated
+            edited = [lines[i]] * (2 * kind - 4)
+        out.append("\n".join(lines[:i] + edited + lines[i + 1:]) + "\n")
     return out
 
 
@@ -966,7 +988,7 @@ def path_class_prob(
         hit = 0
         for v, p in cur.items():
             if v not in kernel.entries:
-                raise MissingKnownRow(f"row for vertex {v} required but absent")
+                raise MissingRow(f"row for vertex {v} required but absent")
             for w, q in kernel.entries[v].items():
                 m = p * (q if rational else np.longdouble(q))
                 if w in query.target:

@@ -186,6 +186,13 @@ class TestRandomKernel:
         with pytest.raises(InvalidParameter, match="unknown scope 'nope'"):
             random_kernel(star_aug, 0, scope="nope")
 
+    @pytest.mark.parametrize("mode", ["Rational", "exact", ""])
+    def test_unknown_mode(self, star_aug, mode):
+        # a float kernel labelled with an unknown mode would dump a header
+        # that parse_kernel refuses
+        with pytest.raises(InvalidParameter, match=f"^unknown mode '{mode}'$"):
+            random_kernel(star_aug, 0, mode=mode)
+
     def test_rational_grid_widens_for_the_floor(self):
         # 19 entries of at least 1/20 do not fit on the 1/64 grid (4/64 each
         # would sum past 1), nor on 1/128: the root row is drawn on 1/256

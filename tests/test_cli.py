@@ -38,7 +38,7 @@ from treetomo.formats import (
     write_text,
 )
 
-from helpers import INVALID_TREES, broom, labels_of, numerator_edits, small_bases
+from helpers import INVALID_TREES, broom, labels_of, numerator_edits, small_bases, token_edits
 
 COMMANDS = ("gen", "forward", "invert", "sample", "estimate", "roundtrip", "consistency")
 
@@ -822,18 +822,27 @@ class TestExitCodes:
         assert "max_error" not in out
 
     @pytest.mark.parametrize("command", ["invert", "estimate"])
-    def test_known_file_missing_row_exit_2(self, tmp_path, capsys, command):
-        # inner vertex 3 of star(1, 2) carries a known row the recovery reads
+    def test_known_file_missing_row_exit_0(self, tmp_path, capsys, command):
+        # inner vertex 3 of star(1, 2) has no known row: it is recovered from
+        # the laws, as every row the known file lacks, and max_error counts it
         work = tmp_path / "w"
+        mode = "rational" if command == "invert" else "float"
         run(capsys, "gen", "--tree", "star", "--l", "1", "--n", "2",
-            "--seed", "2", "--out", str(work))
+            "--seed", "2", "--mode", mode, "--out", str(work))
         argv = recovery_argv(capsys, work, command)
         known = work / "known.txt"
         lines = known.read_text().splitlines()
         known.write_text("\n".join(ln for ln in lines if not ln.startswith("row 3 ")) + "\n")
-        code, _, err = run(capsys, *argv)
-        assert code == 2, err
-        assert err.startswith("error 2 MissingKnownRow"), err
+        code, out, err = run(capsys, *argv, "--reference", str(work / "kernel.txt"))
+        assert code == 0, err
+        report = (work / "report.txt").read_text().splitlines()
+        assert [ln for ln in report if ln.startswith("row 3 ")], report
+        if command == "invert":
+            truth = (work / "kernel.txt").read_text().splitlines()
+            assert [ln for ln in truth if ln.startswith("row 3 ")][0] in report
+            assert "max_error 0\n" in out
+        else:
+            assert float(out.split()[1]) < 0.1, out
 
     @pytest.mark.parametrize("command", ["forward", "sample"])
     def test_invalid_kernel_exit_2(self, tmp_path, capsys, command):
@@ -916,6 +925,76 @@ class TestExitCodes:
         )
         assert code == 2
         assert err.startswith("error 2 FormatError")
+
+
+class TestKnownFileWithNoRow:
+    """A known file that holds only its mode line: every row off the outer
+    layer is recovered from the laws alone."""
+
+    @staticmethod
+    def rows(path):
+        return [ln for ln in path.read_text().splitlines() if ln.startswith("row ")]
+
+    @staticmethod
+    def keep_mode_line(work):
+        known = work / "known.txt"
+        known.write_text(known.read_text().splitlines()[0] + "\n")
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    def test_invert_recovers_every_row(self, tmp_path, capsys, mode):
+        work = tmp_path / "w"
+        run(capsys, "gen", "--tree", "random", "--rout", "3", "--seed", "5", "--scope", "all",
+            "--mode", mode, "--out", str(work))
+        argv = recovery_argv(capsys, work, "invert")
+        self.keep_mode_line(work)
+        code, out, err = run(capsys, *argv, "--reference", str(work / "kernel.txt"))
+        assert code == 0, err
+        truth, answer = self.rows(work / "kernel.txt"), self.rows(work / "report.txt")
+        assert [ln.split()[1] for ln in answer] == [ln.split()[1] for ln in truth]
+        if mode == "rational":
+            assert answer == truth
+            assert "max_error 0\n" in out
+        else:
+            assert float(out.split("max_error ")[1]) < 1e-9, out
+
+    def test_estimate_recovers_every_row(self, tmp_path, capsys):
+        # the criterion-8 star, read with a "mode float" known file
+        work = tmp_path / "w"
+        run(capsys, "gen", "--tree", "star", "--l", "1", "--n", "2", "--seed", "3",
+            "--out", str(work))
+        argv = recovery_argv(capsys, work, "estimate")
+        self.keep_mode_line(work)
+        code, out, err = run(capsys, *argv, "--reference", str(work / "kernel.txt"))
+        assert code == 0, err
+        assert len(self.rows(work / "report.txt")) == len(self.rows(work / "kernel.txt"))
+        assert float(out.split()[1]) < 0.1, out
+
+    @pytest.mark.parametrize("mode, value", [("rational", "4.428108108108108"),
+                                             ("float", "4.496750369492742")])
+    def test_tampered_first_outer_cell_exit_4(self, tmp_path, capsys, mode, value):
+        # star(1, 2): the t = 3 cell of outer vertex 5 set to 1 (its line's
+        # denominator, rational) or to 0.99 (float) is read only to solve the
+        # inner row of vertex 3.  With row 3 given, the same edited file exits
+        # 0 with max_error 0; catching that waits for the replay of every
+        # answer through the forward DP (ROADMAP item 1)
+        work = tmp_path / "w"
+        run(capsys, "gen", "--tree", "star", "--l", "1", "--n", "2", "--seed", "2",
+            "--mode", mode, "--out", str(work))
+        argv = recovery_argv(capsys, work, "invert")
+        path = work / "out.tsv"
+        head, first, *rest = path.read_text().splitlines()
+        assert head.split("\t")[1] == "5" and first.startswith("3\t")
+        cells = first.split("\t")
+        if mode == "rational":  # the time, its denominator D, then vertex 5's numerator
+            cells[2] = cells[1]
+        else:
+            cells[1] = "0.99"
+        path.write_text("\n".join([head, "\t".join(cells), *rest]) + "\n")
+        known = work / "known.txt"
+        lines = known.read_text().splitlines()
+        known.write_text("\n".join(ln for ln in lines if not ln.startswith("row 3 ")) + "\n")
+        assert run(capsys, *argv) == (
+            4, "", f"error 4 OutOfRange: recovered t(3,5) = {value} outside (0, 1]\n")
 
 
 class TestParserReuse:
@@ -1097,6 +1176,37 @@ class TestCorruptTokens:
         bad = [(line, token, argv[0], code, err) for (line, token, argv), (code, err)
                in zip(cases, results) if code not in (0, 2, 3, 4)]
         assert not bad, bad
+
+    def test_no_random_edit_exits_5(self, tmp_path, capsys):
+        # 38 edits (helpers.token_edits) at random places of each artifact of
+        # random_tree(3, 5) in float mode, and of the rational kernel and
+        # known files, each read by one of its readers drawn with a fixed seed
+        work, exact = tmp_path / "w", tmp_path / "r"
+        for out, mode in ((work, "float"), (exact, "rational")):
+            run(capsys, "gen", "--tree", "random", "--rout", "3", "--seed", "5",
+                "--mode", mode, "--out", str(out))
+            recovery_argv(capsys, out, "invert")  # writes in.tsv and out.tsv
+            recovery_argv(capsys, out, "estimate")  # writes batch.txt
+        rng = random.Random(17)
+        cases = []
+        sources = [(work, name) for name in self.READERS] + [(exact, "kernel.txt"),
+                                                             (exact, "known.txt")]
+        for root, name in sources:
+            clean = {other: str(root / other) for other in self.READERS}
+            for text in token_edits((root / name).read_text(), rng, 38, self.TOKENS):
+                case = tmp_path / f"c{len(cases)}"
+                case.mkdir()
+                (case / name).write_text(text)
+                files = {**clean, name: str(case / name)}
+                cases.append(self.argv(rng.choice(self.READERS[name]), files, str(case / "out")))
+        assert len(cases) == 304
+        done = subprocess.run([sys.executable, "-c", _CAPPED_MAIN], capture_output=True,
+                              text=True, env=package_env(), timeout=120,
+                              input=json.dumps(cases))
+        assert done.returncode == 0, done.stderr
+        for argv, (code, err) in zip(cases, json.loads(done.stdout)):
+            assert code in (0, 2, 3, 4), (argv, err)
+            assert re.fullmatch(f"error {code} [A-Za-z]+: [^\n]+\n" if code else "", err), err
 
 
 class TestNumeratorEdits:

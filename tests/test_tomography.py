@@ -20,7 +20,7 @@ from treetomo import (
 from treetomo.errors import (
     FormatError,
     InvalidParameter,
-    MissingKnownRow,
+    MissingRow,
     NotAChild,
     NotInLambda,
     OutOfRange,
@@ -301,9 +301,9 @@ class TestPerEdgeApi:
             {u: row for u, row in kernel.entries.items() if u != 2})
         plan = make_plan(aug, 0, 1)
         message = "^row for vertex 2 required but absent$"
-        with pytest.raises(MissingKnownRow, match=message):
+        with pytest.raises(MissingRow, match=message):
             tail_passage_probs(aug, lacking, plan)
-        with pytest.raises(MissingKnownRow, match=message):
+        with pytest.raises(MissingRow, match=message):
             unknown_edge_coefficient(aug, lacking, plan, p_out)
 
 
@@ -847,6 +847,36 @@ class TestLongChains:
                         assert plan.hull_radius == aug.hull_radius + 1
                         assert unknown_edge_coefficient(aug, kernel, plan, p_out) == \
                             explicit_edge_coefficient(aug, kernel, plan, p_in)
+
+
+class TestEveryRowFromTheLaws:
+    """A known kernel with no row: every row off the outer layer, base or
+    added, comes out of the shell recursion, the inner rows at shell r + 1."""
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    @pytest.mark.parametrize("l", [2, 3])
+    @pytest.mark.parametrize("scope", ["all", "lambda"])
+    def test_round_trips(self, mode, l, scope):
+        # exact in rational mode, within 1e-9 in float mode
+        for idx, base in enumerate(small_bases()):
+            aug = spherical_augmentation(base, l)
+            kernel = random_kernel(aug, 7 + idx, scope=scope, mode=mode)
+            rep = recover_all(aug, kernel.restricted_to(set()),
+                              *hitting_laws(aug, kernel, aug.horizon), reference=kernel)
+            assert rep.max_error <= (0 if mode == "rational" else 1e-9), (idx, rep.max_error)
+            assert labels_of(rep.kernel) == dict.fromkeys(kernel.entries, "recovered")
+
+    def test_inner_shell_reads_only_when_it_solves(self):
+        # shell r + 1 reads inner time r + 1 and outer time r + 2 when an
+        # inner row is missing; given every inner row, it reads nothing
+        aug, kernel = rand_instance(3, rout=2, mode="rational")
+        r = aug.hull_radius
+        laws = forward_pair(aug, kernel)
+        full = recover_all(aug, known_part(kernel), *laws).shell_time_reads
+        assert list(full) == list(range(r, -1, -1))
+        bare = recover_all(aug, kernel.restricted_to(set()), *laws).shell_time_reads
+        assert list(bare) == list(range(r + 1, -1, -1))
+        assert bare == {**full, r + 1: r + 2}
 
 
 class TestRecoverStar:
