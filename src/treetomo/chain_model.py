@@ -139,9 +139,9 @@ class AccRows:
     parent first, for :meth:`write`; without, it raises
     :class:`MissingRow`; no row is checked (see
     :func:`checked_rows`).  ``sizes`` counts the entries of each row.
-    :meth:`push` moves walk mass one step, ``y[v] = sum_u x[u] t(u, v)``,
-    and :meth:`pull` steps back, ``y[u] = sum_v t(u, v) x[v]``: each is one
-    ``np.add.reduceat`` over the table sorted by ``dst`` or by ``src``.
+    :meth:`push` moves walk mass one step, ``y[v] = sum_u x[u] t(u, v)``, one
+    ``np.add.reduceat`` over the table sorted by ``dst``; the inversion also
+    sums rows, each a run of ``src`` (``tails``, ``tail_starts``).
 
     Float mode: scale 1 and ``np.longdouble`` entries.  The inversion
     subtracts nearly equal hitting masses, and the extra mantissa bits keep
@@ -205,11 +205,6 @@ class AccRows:
     def push(self, x: np.ndarray) -> np.ndarray:
         y = np.zeros(len(x), x.dtype)
         y[self.heads] = np.add.reduceat((x[self.src] * self.q)[self.by_dst], self.head_starts)
-        return y
-
-    def pull(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(len(x), x.dtype)
-        y[self.tails] = np.add.reduceat(self.q * x[self.dst], self.tail_starts)
         return y
 
     def write(self, slots: np.ndarray, values: list) -> int:

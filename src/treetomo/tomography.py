@@ -25,26 +25,34 @@ since a walk that first meets ``z`` at time ``r + 1`` went straight there:
 On the inner layer itself (``k = r + 1``) there is no tail class, and the
 formula reads ``t(z, z') = p_out(r+2, z') / p_in(r+1, z)``.
 
-:func:`recover_all` runs each recursion as an array sweep over the edge
-table of :class:`~treetomo.chain_model.AccRows`, the kernel of the forward
-DP.  Per shell, the heads take one masked push up inward edges and the tails
-one masked pull along outward edges; shell ``k`` takes one pull per step of
-a first-passage recursion over shells ``k+1 .. r+1``, which serves every
-edge of the shell because a walk confined there stays in the subtree it
-started in.  With the outer layer in depth-first order, the outer vertices
-below a vertex form one block, so each edge's outer-arrival and class sums
-are one ``np.add.reduceat`` per shell.  :func:`make_plan`,
-:func:`tail_passage_probs` and :func:`unknown_edge_coefficient` give one
-edge's terms alone, with the same sweeps over the rows of ``subtree(w)`` or
-``subtree(u)``.
+:func:`recover_all` runs each recursion as array sweeps over the edge table
+of :class:`~treetomo.chain_model.AccRows`, the kernel of the forward DP, its
+rows sorted by shell so that a sweep onto one shell reads only its slots:
+per shell, one push for the heads and one pull for the tails.  Class ``l``
+of shell ``k`` (first passages from the inner to the outer layer in ``2l-1``
+steps above shell ``k``) is carried in from shell ``k+1`` if ``l <= r+1-k``,
+as reaching shell ``k+1`` and getting out takes ``2(r+1-k)+1`` steps.  Once
+shell ``k+1`` is solved, the newest class and the front ``V(x)``, a first
+outer arrival at step ``r+2-2k+|x|`` above shell ``k``, gain the straight
+walks through it, ``U(x, a) tail(a)`` with ``U`` the inward entries' product
+from ``x`` to its ancestor ``a`` there.  One pull onto each shell ``k+1 ..
+r+1``, parents from the new front and children from the old, gives the next
+front and, on the inner layer, class ``r+2-k``: ``(r+1)(r+2)/2`` one-shell
+sweeps in all.  A walk above shell ``k`` stays in the subtree it started in,
+so each sweep serves every edge of the shell; with the outer layer in
+depth-first order, the outer vertices below a vertex form one block: each
+edge's arrival and class sums are one ``np.add.reduceat`` per shell.
+:func:`make_plan`, :func:`tail_passage_probs` and
+:func:`unknown_edge_coefficient` give one edge's terms alone, with the same
+sweeps over the rows of ``subtree(w)`` or ``subtree(u)``.
 
-In rational mode the table and the laws hold integer numerators, in the
-manner of fraction-free (Bareiss) elimination: each law brings its cells as
-numerators over one denominator per time, heads, tails and tail classes are integers over known
-powers of the row scale ``D`` (rescaled when a recovered row widens ``D``),
-each class sum of an edge is one integer, and each recovered entry is one
-``Fraction``.  Float mode runs the same arrays in ``np.longdouble`` with
-every scale 1, and each recovered entry is one division.
+In rational mode the table and the laws hold integer numerators, as in
+fraction-free (Bareiss) elimination: each law's cells are numerators over one
+denominator per time; heads, tails, fronts and classes are integers over
+powers of the row scale ``D``, times ``g`` to their step counts when a solved
+row widens ``D`` by ``g``; each class sum of an edge is one integer, and each
+recovered entry one ``Fraction``.  Float mode runs the same arrays in
+``np.longdouble`` with every scale 1, each recovered entry one division.
 """
 
 from __future__ import annotations
@@ -151,46 +159,56 @@ def make_plan(aug: AugmentedTree, u: int, w: int) -> EdgeRecoveryPlan:
     return EdgeRecoveryPlan(k, u, w, aug.horizon - 2 * k, r + 2 - k, outer, inner)
 
 
-def _outer_layer(rows: AccRows, hi: int):
-    """The indicator of the outer layer (shell ``hi + 1``): the tail there."""
-    outer = rows.zeros()
-    outer[rows.norm == hi + 1] = 1
-    return outer
+class _Front:
+    """One-shell sweeps, and the tail classes at ``inner`` carried inward (see
+    the module docstring); ``along`` and ``up`` follow the rows' shell order."""
 
+    def __init__(self, rows: AccRows, r: int, inner: np.ndarray):
+        self.rows, self.r, self.inner, self.classes = rows, r, inner, []
+        norm, src, dst, shells = rows.norm, rows.src, rows.dst, np.arange(r + 4)
+        self.segs = []  # rows (by src) and push targets (by dst), stably by shell
+        for key, order in ((src, np.arange(len(src))), (dst, rows.by_dst)):
+            slots = order[np.argsort(norm[key[order]], kind="stable")]
+            ids, first = runs(key[slots])
+            first = np.append(first, len(slots))
+            self.segs.append((ids, slots, first, norm[ids].searchsorted(shells)))
+        self.ids, self.up = self.segs[0][0], self.segs[0][0].copy()
+        self.along = np.ones(len(self.ids), rows.q.dtype)
+        self.front, self.tail = rows.zeros(), rows.zeros() + (norm == r + 2)  # 1 on the outer layer
+        up = norm[dst] < norm[src]  # the inward slot of each vertex with a row
+        self.inward = np.zeros(len(norm), np.intp)
+        self.inward[src[up]] = up.nonzero()[0]
 
-def _tail_classes(rows: AccRows, shell: int, hi: int) -> list:
-    """Tail-class first-passage vectors, by vertex id.
+    def sweep(self, x: np.ndarray, shell: int, push: bool = False) -> None:
+        """Sweep ``x`` one step onto ``shell`` in place, by a push or a pull; other shells stay."""
+        ids, slots, first, at = self.segs[push]
+        a, b, rows = at[shell], at[shell + 1], self.rows
+        s = slots[first[a]:first[b]]
+        terms = x[rows.src[s]] * rows.q[s] if push else rows.q[s] * x[rows.dst[s]]
+        x[ids[a:b]] = np.add.reduceat(terms, first[a:b] - first[a])
 
-    Class ``l = 1 .. hi + 1 - shell`` holds, at each vertex with a row, the
-    probability that a walk from it first reaches the outer layer after
-    exactly ``2l-1`` steps while every earlier position lies at shells
-    ``shell+1 .. hi``, in the scale of ``rows``: in rational mode an integer
-    ``N`` for ``N / D**(2l-1)``.  Every vertex of that band must carry a row.
+    def step(self, k: int) -> list:
+        """The tail classes of shell ``k``, after those of shell ``k+1``."""
+        if k <= self.r:  # V_{k+1} and its class gain the straight walks through shell k+1
+            self.sweep(self.tail, k + 1)
+            at, rows = self.segs[0][3], self.rows
+            a, b = at[k + 1], at[k + 2]  # the rows of shells >= k+1, and >= k+2
+            s = self.inward[self.up[b:]]
+            self.along[b:] *= rows.q[s]
+            self.up[b:] = rows.dst[s]
+            self.front[self.ids[a:]] += self.along[a:] * self.tail[self.up[a:]]
+            self.classes.append(self.front[self.inner])
+        for j in range(k + 1, self.r + 2):
+            self.sweep(self.front, j)
+        return self.classes + [self.front[self.inner]]
 
-    Each step from the outer-layer indicator is one :meth:`~AccRows.pull`
-    with the vertices below the band zeroed.  The last class is read at step
-    ``last = 2(hi+1-shell) - 1`` (none at ``shell = hi + 1``), so step ``s``
-    keeps only the shells ``max(shell+1, hi-(last-s)) .. hi``: from lower
-    shells the inner layer is out of reach by step ``last``, so a vertex
-    dropped there feeds no entry, and every entry is computed by the same
-    operations as over the whole band.
-    """
-    last = 2 * (hi + 1 - shell) - 1
-    cur, out = _outer_layer(rows, hi), []
-    for s in range(1, last + 1):
-        cur = rows.pull(cur)
-        cur[rows.norm < max(shell + 1, hi - (last - s))] = 0
-        if s % 2:
-            out.append(cur)
-    return out
-
-
-def _shell_step(rows: AccRows, x, shell: int, inward: bool):
-    """One masked sweep to ``shell``: head sums :meth:`~AccRows.push` up
-    inward edges, tail sums :meth:`~AccRows.pull` back along outward ones."""
-    y = rows.push(x) if inward else rows.pull(x)
-    y[rows.norm != shell] = 0
-    return y
+    def grow(self, g: int, k: int) -> None:
+        """Rescale after shell ``k`` widened the table's scale by ``g``."""
+        norm, r = self.rows.norm, self.r
+        self.front *= g ** np.maximum(norm + r + 2 - 2 * k, 0).astype(object)
+        self.along *= g ** np.maximum(norm[self.ids] - k - 1, 0).astype(object)
+        self.tail *= g ** (r + 1 - k)
+        self.classes = [c * g ** (2 * l - 1) for l, c in enumerate(self.classes, 1)]
 
 
 def tail_passage_probs(
@@ -203,14 +221,15 @@ def tail_passage_probs(
     Entry ``(v, l)`` is the probability that a walk started at inner vertex
     ``v`` first reaches ``plan.outer_targets`` after exactly ``2l-1`` steps
     while every earlier position stays at shells ``>= plan.shell + 1``.  The
-    sweep of :func:`recover_all` over the rows of the subtree of
-    ``plan.child`` yields all entries; only rows at shells above
-    ``plan.shell`` are read.
+    classes are carried in from the inner layer to ``plan.shell`` as in
+    :func:`recover_all`, over the rows of the subtree of ``plan.child``.
     """
     rows = AccRows(aug.full, kernel, aug.full.subtree(plan.child))
-    table = _tail_classes(rows, plan.shell, plan.hull_radius + 1)
-    return {(v, l): rows.value(chi[v], 2 * l - 1)
-            for l, chi in enumerate(table, 1) for v in plan.inner_targets}
+    front = _Front(rows, plan.hull_radius, np.array(plan.inner_targets, np.intp))
+    for k in range(plan.hull_radius + 1, plan.shell - 1, -1):
+        table = front.step(k)
+    return {(v, l): rows.value(n, 2 * l - 1)
+            for l, chi in enumerate(table, 1) for v, n in zip(plan.inner_targets, chi)}
 
 
 def unknown_edge_coefficient(
@@ -235,14 +254,15 @@ def unknown_edge_coefficient(
     below = aug.full.subtree(plan.vertex)
     rows = AccRows(aug.full, kernel, below)
     r = plan.hull_radius
-    tail = rows.pull(_outer_layer(rows, r + 1))
-    head = rows.zeros()
-    for z in np.intersect1d(below, aug.inner_layer).tolist():
+    front = _Front(rows, r, inner := np.intersect1d(below, aug.inner_layer))
+    tail, head = front.tail, rows.zeros()
+    front.sweep(tail, r + 1)
+    for z in inner.tolist():
         head[z] = p_out.prob(r + 2, aug.full.children[z][0]) * rows.scale / tail[z]
     for k in range(r, plan.shell - 1, -1):
-        head = _shell_step(rows, head, k, inward=True)
+        front.sweep(head, k, push=True)
     for k in range(r, plan.shell, -1):
-        tail = _shell_step(rows, tail, k, inward=False)
+        front.sweep(tail, k)
     coef = head[plan.vertex] * tail[plan.child]
     return rows.value(coef, 2 * (r + 1 - plan.shell))
 
@@ -335,22 +355,21 @@ def recover_all(
     head = rows.zeros()
     head[inner] = lin[r + 1]  # the inner heads are numerators over q
     q = den_in[r + 1]
-    tail = _outer_layer(rows, r + 1)
+    front = _Front(rows, r, inner)
     residuals: dict[int, Number] = {}
     flags: list[tuple[str, int]] = []
     reads: dict[int, tuple[int, int]] = {}
 
     for k in range(r + 1, -1, -1):
+        chis, tail = front.step(k), front.tail
         if k <= r:  # on the inner layer, the heads and tails are as they start
-            tail = _shell_step(rows, tail, k + 1, inward=False)
-            head = _shell_step(rows, head, k, inward=True)
+            front.sweep(head, k, push=True)
             reads[k] = (r + 1 if k == r else -1, -1)
         us = (target & (full.norm == k)).nonzero()[0].tolist()
         if not us:
             continue
         hit = aug.horizon - 2 * k
         reads[k] = (hit - 1, hit)
-        chis = _tail_classes(rows, k, r + 1)
         dens = [den_out[hit]] + [
             den_in[hit - (2 * l - 1)] * rows.scale ** (2 * l - 1)
             for l in range(1, len(chis) + 1)
@@ -370,7 +389,7 @@ def recover_all(
         tops, blocks = runs(anc[r + 1 - k])
         at = np.zeros(full.vertex_count, np.intp)
         at[tops] = np.arange(len(tops))
-        cells = np.array([lout[hit]] + [lin[hit - (2 * l - 1)] * chi[inner]
+        cells = np.array([lout[hit]] + [lin[hit - (2 * l - 1)] * chi
                                         for l, chi in enumerate(chis, 1)])
         sums = np.add.reduceat(cells, blocks, axis=1)[:, at[ew]]
         total = (np.array(mults, sums.dtype)[:, None] * sums).sum(axis=0)
@@ -410,9 +429,9 @@ def recover_all(
         if clamp:
             row = row / np.repeat(child_sum + comp, lens)
         slots = ranges(np.searchsorted(rows.src, us), lens)
-        grow = rows.write(slots, row) ** (r + 1 - k)
-        if grow != 1:  # head (shell k) and tail (shell k+1) are over D**(r+1-k)
-            head, tail = head * grow, tail * grow
+        if (grow := rows.write(slots, row)) != 1:  # head (shell k) is over D**(r+1-k)
+            head = head * grow ** (r + 1 - k)
+            front.grow(grow, k)
 
     # the answer is the table, a row for every vertex off the outer layer, then
     # the empty rows given on the outer layer

@@ -726,6 +726,23 @@ def mixed_denominator_instance() -> tuple[AugmentedTree, TransitionKernel]:
     return aug, kernel_from_entries(rows, prov, RATIONAL)
 
 
+def prime_shell_instance(base: RootedTree) -> tuple[AugmentedTree, TransitionKernel]:
+    """Rational kernel on ``base`` augmented by 2 whose rows on each shell
+    are over their own odd prime (3 on shell 0, then 5, 7, 11, ...), every
+    row labelled unknown: recovered from no given row, the scale widens on
+    every shell."""
+    aug = spherical_augmentation(base, 2)
+    primes = [p for p in range(3, 400) if all(p % d for d in range(2, p))]
+    rng = np.random.default_rng(5)
+    rows = {}
+    for u in np.flatnonzero(aug.full.norm < aug.full.norm.max()).tolist():
+        nbrs, p = neighbors(aug.full, u), primes[aug.full.norm[u]]
+        cuts = np.sort(rng.choice(np.arange(1, p), len(nbrs) - 1, replace=False))
+        parts = np.diff(np.concatenate(([0], cuts, [p]))).tolist()
+        rows[u] = {v: Fraction(c, p) for v, c in zip(nbrs, parts)}
+    return aug, kernel_from_entries(rows, dict.fromkeys(rows, UNKNOWN), RATIONAL)
+
+
 def settle(value, mode: str) -> Number:
     """Cast an accumulation-type value back to the mode's public type."""
     return value if mode == RATIONAL else float(value)

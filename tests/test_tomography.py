@@ -1,5 +1,6 @@
 """Edge recovery, the shell recursion, and the star closed form."""
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,7 @@ from treetomo.errors import (
     RowSumViolation,
     ZeroDenominator,
 )
+from treetomo import tomography
 from treetomo.formats import dump_distribution, parse_distribution
 from treetomo.forward_solver import HittingDistribution, hitting_laws
 from treetomo.tomography import (
@@ -50,6 +52,7 @@ from helpers import (
     mixed_denominator_instance,
     outer_child,
     path_class_prob,
+    prime_shell_instance,
     rand_instance,
     recover_by_edges,
     recover_edge,
@@ -198,20 +201,21 @@ class TestTailClasses:
                     assert got == path_class_prob(aug, kernel, q)
 
     def test_mixed_denominators_match_oracle_exactly(self):
-        # rows over 3, 5 and 7 that vary across shells; see the helper
-        aug, kernel = mixed_denominator_instance()
-        for u in range(aug.base.vertex_count):
-            for w in aug.full.children[u]:
-                plan = make_plan(aug, u, w)
-                for (v, l), got in tail_passage_probs(aug, kernel, plan).items():
-                    q = PathClassQuery(
-                        start=v,
-                        target=frozenset(plan.outer_targets),
-                        exact_hit_time=2 * l - 1,
-                        min_shell=plan.shell + 1,
-                        max_shell_strict=plan.hull_radius + 2,
-                    )
-                    assert got == path_class_prob(aug, kernel, q)
+        # rows over 3, 5 and 7 that vary across shells, and comb(8) with a new
+        # prime on each shell; see the helpers
+        for aug, kernel in (mixed_denominator_instance(), prime_shell_instance(comb(8))):
+            for u in range(aug.base.vertex_count):
+                for w in aug.full.children[u]:
+                    plan = make_plan(aug, u, w)
+                    for (v, l), got in tail_passage_probs(aug, kernel, plan).items():
+                        q = PathClassQuery(
+                            start=v,
+                            target=frozenset(plan.outer_targets),
+                            exact_hit_time=2 * l - 1,
+                            min_shell=plan.shell + 1,
+                            max_shell_strict=plan.hull_radius + 2,
+                        )
+                        assert got == path_class_prob(aug, kernel, q)
 
 
 class TestUnknownEdgeCoefficient:
@@ -419,9 +423,11 @@ class TestRecoverAll:
             assert not rep.flags
 
     def test_round_trip_rational_exact(self):
-        # the last instance mixes rows over 3, 5 and 7 across shells
+        # the last two instances mix rows over 3, 5 and 7 across shells, and
+        # give comb(8) a new prime on each shell and no row, so the scale widens
+        # on every shell while the carried tail-class front holds values
         cases = [rand_instance(s, rout=1 + s % 3, mode="rational") for s in range(8)]
-        for aug, kernel in cases + [mixed_denominator_instance()]:
+        for aug, kernel in cases + [mixed_denominator_instance(), prime_shell_instance(comb(8))]:
             p_in, p_out = forward_pair(aug, kernel)
             rep = recover_all(aug, known_part(kernel), p_in, p_out, reference=kernel)
             assert rep.max_error == 0
@@ -429,6 +435,26 @@ class TestRecoverAll:
                 if flag == "unknown":
                     assert rep.kernel.entries[u] == kernel.entries[u]
             assert all(type(r) is Fraction and r == 0 for r in rep.residuals.values())
+
+    def test_sweep_count(self, monkeypatch):
+        # the tail classes are carried inward: shell k sweeps the front onto
+        # shells k+1 .. r+1 once each, (r+1)(r+2)/2 sweeps in all, and the
+        # heads and tails take one sweep per shell
+        aug = spherical_augmentation(comb(16), 2)
+        kernel = random_kernel(aug, 7, scope="all", mode="rational")
+        p_in, p_out = forward_pair(aug, kernel)
+        counts, sweep = Counter(), tomography._Front.sweep
+
+        def counted(front, x, shell, push=False):
+            counts["head" if push else "front" if x is front.front else "tail"] += 1
+            sweep(front, x, shell, push)
+
+        monkeypatch.setattr(tomography._Front, "sweep", counted)
+        rep = recover_all(aug, known_part(kernel), p_in, p_out, reference=kernel)
+        assert rep.max_error == 0
+        r = 16
+        assert counts["front"] <= (r + 1) * (r + 2) // 2 == 153
+        assert counts["head"] <= r + 1 and counts["tail"] <= r + 1
 
     def test_matches_per_edge_route_rational(self):
         # the per-shell tables give exactly the rows of make_plan + recover_edge
