@@ -14,8 +14,8 @@ and written as that table; the ``entries`` mapping is a read-only view of it.
 Two arithmetic modes are supported end to end: ``float`` (doubles) and
 ``rational`` (exact :class:`fractions.Fraction` entries).  Recurrences that
 multiply row entries along walks run on :class:`AccRows`, one edge table
-laid out from a kernel's table, with one sweep kernel for the forward DP
-and the inversion, which owns the accumulation representation: in float
+laid out from a kernel's table, which the forward DP and the inversion
+sweep and which owns the accumulation representation: in float
 mode, scale 1 and ``np.longdouble`` entries; in rational mode, a common
 denominator ``D`` of the rows and the integer numerators ``p * D``, so a
 mass built from ``s`` entries is an integer ``N`` standing for
@@ -29,7 +29,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 from types import MappingProxyType
 
 import numpy as np
@@ -128,8 +128,8 @@ class TransitionKernel:
 
 
 class AccRows:
-    """Kernel rows as one edge table over the directed tree edges, and the
-    one sweep kernel of the forward DP and the inversion.
+    """Kernel rows as one edge table over the directed tree edges, the one
+    the forward DP, the sampler and the inversion sweep.
 
     The table holds the row of every vertex of ``vertices`` (default: all)
     that has children, laid out from the kernel's table, one slot per
@@ -139,9 +139,10 @@ class AccRows:
     parent first, for :meth:`write`; without, it raises
     :class:`MissingRow`; no row is checked (see
     :func:`checked_rows`).  ``sizes`` counts the entries of each row.
-    :meth:`push` moves walk mass one step, ``y[v] = sum_u x[u] t(u, v)``, one
-    ``np.add.reduceat`` over the table sorted by ``dst``; the inversion also
-    sums rows, each a run of ``src`` (``tails``, ``tail_starts``).
+    Sorted by ``dst`` (``by_dst``), the slots form one run per head
+    (``heads``, ``head_starts``), so walk mass moves one step, ``y[v] =
+    sum_u x[u] t(u, v)``, by one ``np.add.reduceat`` over them; the
+    inversion also sums rows, each a run of ``src`` (``tails``, ``tail_starts``).
 
     Float mode: scale 1 and ``np.longdouble`` entries.  The inversion
     subtracts nearly equal hitting masses, and the extra mantissa bits keep
@@ -202,10 +203,22 @@ class AccRows:
         """A vector over the tree's vertices in the table's dtype."""
         return np.zeros(len(self.norm), self.q.dtype)
 
-    def push(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(len(x), x.dtype)
-        y[self.heads] = np.add.reduceat((x[self.src] * self.q)[self.by_dst], self.head_starts)
-        return y
+    def shells(self, count: int, push: bool = False) -> tuple[np.ndarray, list, list]:
+        """The one-shell sweeps onto shells ``0 .. count-1``, planned once:
+        pulls onto the rows' vertices, or pushes onto the slots' heads.
+        Returns the vertices swept, by shell then id; the cut of each shell
+        among them; and per shell its slots, their far ends, the start of
+        each vertex's segment among them, and its vertices."""
+        key, far, order = ((self.dst, self.src, self.by_dst) if push else
+                           (self.src, self.dst, np.arange(len(self.src))))
+        slots = order[np.argsort(self.norm[key[order]], kind="stable")]
+        ids, first = runs(key[slots])
+        shells = np.arange(count + 1)
+        at, cuts = self.norm[ids].searchsorted(shells), self.norm[key[slots]].searchsorted(shells)
+        first -= cuts[self.norm[ids]]  # from the first slot of the vertex's shell
+        at, cuts, far = at.tolist(), cuts.tolist(), far[slots]
+        return ids, at, [(slots[c:d], far[c:d], first[a:b], ids[a:b])
+                         for a, b, c, d in zip(at, at[1:], cuts, cuts[1:])]
 
     def write(self, slots: np.ndarray, values: list) -> int:
         """Fill table slots with row entries given as values, such as
@@ -337,7 +350,8 @@ def random_kernel(
     gammas of all randomized rows come from one ``standard_gamma`` call; the
     rows of each degree are normalized as one matrix, as numpy's Dirichlet
     sampler normalizes a row, by a running sum from the left, so every row
-    equals ``rng.dirichlet(np.ones(d))`` bit for bit.
+    equals ``rng.dirichlet(np.ones(d))`` bit for bit; in rational mode each
+    degree's matrix is then rounded to its dyadic grid at once (:func:`_on_grid`).
     """
     if scope not in (LAMBDA_ONLY, ALL_VERTICES):
         raise InvalidParameter(f"unknown scope {scope!r}")
@@ -360,37 +374,36 @@ def random_kernel(
         raise InvalidParameter(f"floor {floor} infeasible for degree-{sizes[i]} vertex {rows[i]}")
     d = sizes[drawn]
     gammas = np.random.default_rng(seed).standard_gamma(1.0, size=d.sum())
-    probs = np.empty(len(gammas))
     first = d.cumsum() - d
+    one, half = (Fraction(1), Fraction(1, 2)) if mode == RATIONAL else (1.0, 0.5)
+    values = np.where(sizes == 1, one, half).repeat(sizes)
+    slots = drawn.repeat(sizes).nonzero()[0]  # the drawn rows' slots
     for width in set(d.tolist()):  # the rows of one degree as one matrix
         cells = first[d == width, None] + np.arange(width)
         g = gammas[cells]
         # numpy's Dirichlet adds plainly, left to right, as cumsum does
-        probs[cells] = floor + (1.0 - width * floor) * (g * (1.0 / g.cumsum(axis=1)[:, -1:]))
-    one, half = (Fraction(1), Fraction(1, 2)) if mode == RATIONAL else (1.0, 0.5)
-    values = np.where(sizes == 1, one, half).repeat(sizes)
-    drawn = drawn.repeat(sizes)
-    if mode == RATIONAL:
-        grid = (_grid_row(probs[a:a + w].tolist(), floor)
-                for a, w in zip(first.tolist(), d.tolist()))
-        values[drawn] = np.fromiter(chain.from_iterable(grid), object, len(probs))
-    else:
-        values[drawn] = probs
+        probs = floor + (1.0 - width * floor) * (g * (1.0 / g.cumsum(axis=1)[:, -1:]))
+        values[slots[cells]] = _on_grid(probs, floor) if mode == RATIONAL else probs
     return TransitionKernel(rows, sizes, nbrs, values, labels, mode)
 
 
-def _grid_row(probs: list[float], floor: float) -> list[Fraction]:
-    """A drawn row rounded to a dyadic grid that leaves room above the floor
-    for every neighbor, summing exactly to one."""
-    d = len(probs)
+def _on_grid(probs: np.ndarray, floor: float) -> np.ndarray:
+    """Drawn rows of one degree, rounded half to even to a dyadic grid that
+    leaves room above the floor for every neighbor, as ``Fraction`` objects
+    summing exactly to one: the rounding remainder goes to each row's first
+    largest cell, or, where that cell drops below the floor, every other
+    cell is put on the floor."""
+    n, d = probs.shape
     den = RATIONAL_GRID
     while int(np.ceil(floor * den)) * d >= den:
         den *= 2
     lo = max(int(np.ceil(floor * den)), 1)
-    counts = [max(lo, int(round(p * den))) for p in probs]
-    counts[int(np.argmax(probs))] += den - sum(counts)
-    if min(counts) < lo:
-        # rounding pushed the largest cell below the floor: rebalance
-        counts = [lo] * d
-        counts[int(np.argmax(probs))] += den - lo * d
-    return [Fraction(c, den) for c in counts]
+    counts = np.maximum(np.rint(probs * den).astype(np.int64), lo)
+    top = np.arange(n), probs.argmax(axis=1)
+    counts[top] += den - counts.sum(axis=1)
+    low = counts.min(axis=1) < lo  # rebalance: all but the largest on the floor
+    counts[low] = lo
+    counts[top[0][low], top[1][low]] += den - lo * d
+    grid, at = np.unique(counts, return_inverse=True)
+    fracs = np.fromiter((Fraction(c, den) for c in grid.tolist()), object, len(grid))
+    return fracs[at.reshape(n, d)]

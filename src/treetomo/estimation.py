@@ -61,7 +61,7 @@ def collect_batch(
     stream is pinned: ``rng = np.random.default_rng(seed)`` makes one
     ``rng.binomial`` call per step and rank ``j``, over the rows with a
     slot ``j`` in ascending vertex order, fresh row first.  Moved counts
-    are summed by destination as :meth:`AccRows.push` sums mass.  Entries
+    are summed by destination over the runs of ``AccRows.heads``.  Entries
     are drawn as float64, so a rational kernel gives the batch of its float
     image.  ``workers`` is checked and has no effect.  A kernel that fails
     the table's check raises :class:`InvalidKernel`, as in the forward solver.

@@ -2,11 +2,12 @@
 
 The chain starts at the root and is killed on the outer layer.  For either
 boundary layer, the joint law of (first hitting time, hitting place) is
-computed by forward dynamic programming: each step is one
-:meth:`~treetomo.chain_model.AccRows.push` over the kernel's edge table, the
-sweep the inversion shares, and harvests and zeroes the mass on the target
-layer.  All sums involve nonnegative terms only, so the float path has no
-cancellation.  The vector is an ``np.longdouble`` array in float mode, and
+computed by forward dynamic programming over the kernel's edge table
+(:class:`~treetomo.chain_model.AccRows`), read once in the order of its
+heads ``dst``, where every vertex heads a run: each step is one gather, one
+multiply and one ``np.add.reduceat``, which is the next vector, and then
+harvests and zeroes the mass on the target layer.  All sums involve
+nonnegative terms only, so the float path has no cancellation.  The vector is an ``np.longdouble`` array in float mode, and
 in rational mode an object array of integer numerators over ``D**t`` at
 time ``t``, with ``D`` the lcm of the kernel's row denominators, so both
 modes run the same code and every value is exact.  Each step's harvest is
@@ -118,6 +119,8 @@ def hitting_laws(aug: AugmentedTree, kernel: TransitionKernel, t_max: int,
         raise InvalidQuery(f"unknown layer {bad[0]!r}")
     times = tuple(range(1, t_max + 1))
     dens = tuple(rows.scale**t for t in times) if rows.exact else None
+    # every vertex heads a run by dst: its parent's slot, or the root's children's
+    src, q = rows.src[rows.by_dst], rows.q[rows.by_dst]
     laws = []
     for layer in layers:
         target = sets[layer]
@@ -125,9 +128,8 @@ def hitting_laws(aug: AugmentedTree, kernel: TransitionKernel, t_max: int,
         x = rows.zeros()
         x[aug.full.root] = 1
         for row in cells:
-            y = rows.push(x)
-            row[:] = y[target]
-            y[target] = 0
-            x = y
+            x = np.add.reduceat(x[src] * q, rows.head_starts)
+            row[:] = x[target]
+            x[target] = 0
         laws.append(HittingDistribution(layer, t_max, tuple(target.tolist()), times, cells, dens))
     return tuple(laws)

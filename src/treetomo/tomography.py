@@ -26,7 +26,7 @@ On the inner layer itself (``k = r + 1``) there is no tail class, and the
 formula reads ``t(z, z') = p_out(r+2, z') / p_in(r+1, z)``.
 
 :func:`recover_all` runs each recursion as array sweeps over the edge table
-of :class:`~treetomo.chain_model.AccRows`, the kernel of the forward DP, its
+of :class:`~treetomo.chain_model.AccRows` that the forward DP sweeps, its
 rows sorted by shell so that a sweep onto one shell reads only its slots:
 per shell, one push for the heads and one pull for the tails.  Class ``l``
 of shell ``k`` (first passages from the inner to the outer layer in ``2l-1``
@@ -45,6 +45,14 @@ edge's arrival and class sums are one ``np.add.reduceat`` per shell.
 :func:`make_plan`, :func:`tail_passage_probs` and
 :func:`unknown_edge_coefficient` give one edge's terms alone, with the same
 sweeps over the rows of ``subtree(w)`` or ``subtree(u)``.
+
+Index work is planned once per call and sliced per shell: the sweeps of
+each shell (:meth:`~treetomo.chain_model.AccRows.shells`); the rows solved,
+by shell, with their child edges and their slots in the table; and, from
+one ``!=`` over the depth-first ancestor matrix, each row's block starts
+and each vertex's block.  Shell ``k`` forms its class products in one
+multiply, writes its entries straight into their slots, and orders its
+failures only when it has one.
 
 In rational mode the table and the laws hold integer numerators, as in
 fraction-free (Bareiss) elimination: each law's cells are numerators over one
@@ -73,7 +81,6 @@ from .chain_model import (
     Number,
     TransitionKernel,
     checked_rows,
-    runs,
 )
 from .errors import (
     FormatError,
@@ -165,34 +172,26 @@ class _Front:
 
     def __init__(self, rows: AccRows, r: int, inner: np.ndarray):
         self.rows, self.r, self.inner, self.classes = rows, r, inner, []
-        norm, src, dst, shells = rows.norm, rows.src, rows.dst, np.arange(r + 4)
-        self.segs = []  # rows (by src) and push targets (by dst), stably by shell
-        for key, order in ((src, np.arange(len(src))), (dst, rows.by_dst)):
-            slots = order[np.argsort(norm[key[order]], kind="stable")]
-            ids, first = runs(key[slots])
-            first = np.append(first, len(slots))
-            self.segs.append((ids, slots, first, norm[ids].searchsorted(shells)))
-        self.ids, self.up = self.segs[0][0], self.segs[0][0].copy()
+        norm, src, dst = rows.norm, rows.src, rows.dst
+        self.ids, self.at, pulls = rows.shells(r + 2)
+        self.segs, self.up = (pulls, rows.shells(r + 2, push=True)[2]), self.ids.copy()
         self.along = np.ones(len(self.ids), rows.q.dtype)
-        self.front, self.tail = rows.zeros(), rows.zeros() + (norm == r + 2)  # 1 on the outer layer
+        self.front, self.tail = rows.zeros(), rows.zeros()
+        self.tail[norm == r + 2] = 1  # on the outer layer
         up = norm[dst] < norm[src]  # the inward slot of each vertex with a row
         self.inward = np.zeros(len(norm), np.intp)
         self.inward[src[up]] = up.nonzero()[0]
 
     def sweep(self, x: np.ndarray, shell: int, push: bool = False) -> None:
         """Sweep ``x`` one step onto ``shell`` in place, by a push or a pull; other shells stay."""
-        ids, slots, first, at = self.segs[push]
-        a, b, rows = at[shell], at[shell + 1], self.rows
-        s = slots[first[a]:first[b]]
-        terms = x[rows.src[s]] * rows.q[s] if push else rows.q[s] * x[rows.dst[s]]
-        x[ids[a:b]] = np.add.reduceat(terms, first[a:b] - first[a])
+        slots, far, starts, ids = self.segs[push][shell]
+        x[ids] = np.add.reduceat(self.rows.q[slots] * x[far], starts)
 
     def step(self, k: int) -> list:
         """The tail classes of shell ``k``, after those of shell ``k+1``."""
         if k <= self.r:  # V_{k+1} and its class gain the straight walks through shell k+1
             self.sweep(self.tail, k + 1)
-            at, rows = self.segs[0][3], self.rows
-            a, b = at[k + 1], at[k + 2]  # the rows of shells >= k+1, and >= k+2
+            rows, a, b = self.rows, self.at[k + 1], self.at[k + 2]  # the rows of shells >= k+1, >= k+2
             s = self.inward[self.up[b:]]
             self.along[b:] *= rows.q[s]
             self.up[b:] = rows.dst[s]
@@ -359,15 +358,32 @@ def recover_all(
     residuals: dict[int, Number] = {}
     flags: list[tuple[str, int]] = []
     reads: dict[int, tuple[int, int]] = {}
+    # the plan every shell slices: the rows solved, by shell and id, their
+    # child edges and table slots (a blank row's inward slot first), and the
+    # depth-first blocks of each shell and the block of each vertex
+    solved = target.nonzero()[0]
+    solved = solved[np.argsort(full.norm[solved], kind="stable")]
+    cut = full.norm[solved].searchsorted(np.arange(r + 3))
+    lens = full.child_starts[solved + 1] - full.child_starts[solved]
+    ends = np.append(0, lens.cumsum())
+    ew = full.child_ids[ranges(full.child_starts[solved], lens)]
+    eu, owner = solved.repeat(lens), np.arange(len(solved)).repeat(lens)
+    inward = rows.src.searchsorted(solved)
+    outward = ranges(inward + (full.norm[solved] > 0), lens)
+    opens = np.ones(anc.shape, bool)  # where a block starts
+    np.not_equal(anc[:, 1:], anc[:, :-1], out=opens[:, 1:])
+    at = np.zeros(full.vertex_count, np.intp)
+    at[anc] = opens.cumsum(axis=1) - 1
 
     for k in range(r + 1, -1, -1):
         chis, tail = front.step(k), front.tail
         if k <= r:  # on the inner layer, the heads and tails are as they start
             front.sweep(head, k, push=True)
             reads[k] = (r + 1 if k == r else -1, -1)
-        us = (target & (full.norm == k)).nonzero()[0].tolist()
-        if not us:
+        a, b = cut[k], cut[k + 1]
+        if a == b:
             continue
+        e, f, us = ends[a], ends[b], solved[a:b].tolist()
         hit = aug.horizon - 2 * k
         reads[k] = (hit - 1, hit)
         dens = [den_out[hit]] + [
@@ -381,56 +397,47 @@ def recover_all(
         den = math.lcm(*dens)
         mults = [den // dens[0]] + [-den // d for d in dens[1:]]
         num = q * rows.scale ** (2 * (r + 1 - k))
-        lens = full.child_starts[np.add(us, 1)] - full.child_starts[us]
-        ew = full.child_ids[ranges(full.child_starts[us], lens)]
-        eu, ws = np.repeat(us, lens), ew.tolist()
         # per class, sums over the block of columns below each vertex of
         # shell k+1, each block one segment of the depth-first columns
-        tops, blocks = runs(anc[r + 1 - k])
-        at = np.zeros(full.vertex_count, np.intp)
-        at[tops] = np.arange(len(tops))
-        cells = np.array([lout[hit]] + [lin[hit - (2 * l - 1)] * chi
-                                        for l, chi in enumerate(chis, 1)])
-        sums = np.add.reduceat(cells, blocks, axis=1)[:, at[ew]]
+        cells = np.concatenate(([lout[hit]], lin[hit - 1::-2][:len(chis)] * np.array(chis)))
+        sums = np.add.reduceat(cells, opens[r + 1 - k].nonzero()[0], axis=1)[:, at[ew[e:f]]]
         total = (np.array(mults, sums.dtype)[:, None] * sums).sum(axis=0)
-        coef = head[eu] * tail[ew]
+        coef = head[eu[e:f]] * tail[ew[e:f]]
         zero = coef == 0  # refused below, and kept out of the division
         vals = rows.ratio(total * num, den * np.where(zero, 1, coef))
         off = zero | (vals <= 0) | (vals > 1 + (0 if mode == RATIONAL else FLOAT_EDGE_SLACK))
         if clamp:
             for i in np.flatnonzero(off & ~zero):
                 vals[i] = _clamp(vals[i], mode)
-        starts = np.cumsum(lens) - lens
-        child_sum = np.add.reduceat(vals, starts)
+        child_sum = np.add.reduceat(vals, ends[a:b] - e)
         comp = 1 - child_sum if k else 0 * child_sum  # the root has no inward entry
         bad = (np.array([_root_sum_off(child_sum[0], mode)]) if k == 0
                else ~((comp > 0) & (comp < 1)))
-        owner = np.repeat(np.arange(len(us)), lens)
         # failures in vertex order, each row's edges before its complement
-        for j, kind, i in sorted([(owner[i], 0, i) for i in np.flatnonzero(off)]
-                                 + [(j, 1, j) for j in np.flatnonzero(bad)]):
-            u = us[j]
+        faults = sorted([(owner[e + i] - a, 0, i) for i in np.flatnonzero(off)]
+                        + [(j, 1, j) for j in np.flatnonzero(bad)]) if off.any() or bad.any() else ()
+        for j, kind, i in faults:
+            u, w = us[j], int(ew[e + i])  # w, the edge's child, is read for an edge (kind 0)
             if kind == 0 and (zero[i] or not clamp):
-                raise (ZeroDenominator(f"edge ({u}, {ws[i]}): out-and-back coefficient is zero")
+                raise (ZeroDenominator(f"edge ({u}, {w}): out-and-back coefficient is zero")
                        if zero[i] else
-                       OutOfRange(f"recovered t({u},{ws[i]}) = {_show(vals[i])} outside (0, 1]"))
+                       OutOfRange(f"recovered t({u},{w}) = {_show(vals[i])} outside (0, 1]"))
             if kind == 1 and not clamp:
                 raise RowSumViolation(
                     f"root row sums to {_show(child_sum[j])}, expected 1" if k == 0 else
                     f"inward entry of vertex {u} is {_show(comp[j])}, outside (0, 1)")
-            flags.append(("RowSumViolation", u) if kind else ("OutOfRange", ws[i]))
+            flags.append(("RowSumViolation", u) if kind else ("OutOfRange", w))
             if kind and k:
                 comp[j] = _clamp(comp[j], mode)
         residuals.update(zip(us, rows.public(child_sum + comp - 1)))
         if not (k or clamp):  # the root row closes on its complement
             vals[-1] = 1 - vals[:-1].sum()
-        row = np.insert(vals, starts, comp) if k else vals  # in neighbor order
-        lens = lens + (k > 0)
         if clamp:
-            row = row / np.repeat(child_sum + comp, lens)
-        slots = ranges(np.searchsorted(rows.src, us), lens)
-        if (grow := rows.write(slots, row)) != 1:  # head (shell k) is over D**(r+1-k)
-            head = head * grow ** (r + 1 - k)
+            whole = child_sum + comp
+            vals, comp = vals / whole[owner[e:f] - a], comp / whole
+        slots = np.concatenate((outward[e:f], inward[a:b])) if k else outward[e:f]
+        if (grow := rows.write(slots, np.concatenate((vals, comp)) if k else vals)) != 1:
+            head = head * grow ** (r + 1 - k)  # head (shell k) is over D**(r+1-k)
             front.grow(grow, k)
 
     # the answer is the table, a row for every vertex off the outer layer, then

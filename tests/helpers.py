@@ -514,19 +514,28 @@ def dirichlet_kernel(
         raw = rng.dirichlet(np.ones(d))
         probs = floor + (1.0 - d * floor) * raw
         if mode == RATIONAL:
-            den = RATIONAL_GRID
-            while int(np.ceil(floor * den)) * d >= den:
-                den *= 2
-            lo = max(int(np.ceil(floor * den)), 1)
-            counts = [max(lo, int(round(p * den))) for p in probs]
-            counts[int(np.argmax(probs))] += den - sum(counts)
-            if min(counts) < lo:
-                counts = [lo] * d
-                counts[int(np.argmax(probs))] += den - lo * d
-            entries[u] = {v: Fraction(c, den) for v, c in zip(nbrs, counts)}
+            entries[u] = dict(zip(nbrs, _grid_row(probs.tolist(), floor)))
         else:
             entries[u] = {v: float(p) for v, p in zip(nbrs, probs)}
     return kernel_from_entries(entries, prov, mode)
+
+
+def _grid_row(probs: list[float], floor: float) -> list[Fraction]:
+    """Reference for the rational rounding of ``random_kernel``, one row at a
+    time: the row on a dyadic grid that leaves room above the floor for
+    every neighbor, summing exactly to one."""
+    d = len(probs)
+    den = RATIONAL_GRID
+    while int(np.ceil(floor * den)) * d >= den:
+        den *= 2
+    lo = max(int(np.ceil(floor * den)), 1)
+    counts = [max(lo, int(round(p * den))) for p in probs]
+    counts[int(np.argmax(probs))] += den - sum(counts)
+    if min(counts) < lo:
+        # rounding pushed the largest cell below the floor: rebalance
+        counts = [lo] * d
+        counts[int(np.argmax(probs))] += den - lo * d
+    return [Fraction(c, den) for c in counts]
 
 
 def default_augmented_kernel(

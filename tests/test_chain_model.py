@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from treetomo import (
@@ -18,6 +19,7 @@ from treetomo.forward_solver import hitting_laws
 from treetomo.tree_model import random_tree, segment, spherical_augmentation, star
 
 from helpers import (
+    _grid_row,
     broom,
     default_augmented_kernel,
     dirichlet_kernel,
@@ -200,6 +202,34 @@ class TestRandomKernel:
         row = random_kernel(aug, 5, floor=0.05, mode=RATIONAL).entries[aug.full.root]
         assert len(row) == 19 and sum(row.values()) == 1
         assert all(256 % p.denominator == 0 and p >= Fraction(1, 20) for p in row.values())
+
+    def test_grid_per_degree_equals_per_row_oracle(self):
+        # random_kernel rounds the rows of one degree as one matrix; each row
+        # must equal the per-row rounding, on grids that double for the
+        # floor, on rows that take the rebalance, mixed in one matrix with
+        # rows that do not, and on hand-made rows: p * 64 = 32.5 and 31.5
+        # round half to even, and a tied maximum takes the remainder first
+        rng = np.random.default_rng(3)
+        doubled = rebalanced = 0
+        for d in range(2, 11):
+            for floor in np.linspace(0.005, 1 / d - 1e-9, 12).tolist():
+                g = rng.standard_gamma(1.0, (250, d))
+                probs = floor + (1 - d * floor) * g / g.sum(axis=1, keepdims=True)
+                want = [_grid_row(row, floor) for row in probs.tolist()]
+                assert chain_model._on_grid(probs, floor).tolist() == want
+                den = chain_model.RATIONAL_GRID
+                while np.ceil(floor * den) * d >= den:
+                    den *= 2
+                doubled += den > chain_model.RATIONAL_GRID
+                lo = max(int(np.ceil(floor * den)), 1)
+                counts = np.maximum(np.rint(probs * den), lo)
+                rebalanced += (counts.max(axis=1) + den - counts.sum(axis=1) < lo).sum()
+        assert doubled and rebalanced
+        for row, counts in [([32.5 / 64, 31.5 / 64], [32, 32]), ([0.335, 0.335, 0.33], [22, 21, 21]),
+                            ([0.3375, 0.3375, 0.325], [21, 22, 21])]:
+            want = [Fraction(c, 64) for c in counts]
+            assert _grid_row(row, 0.05) == want
+            assert chain_model._on_grid(np.array([row]), 0.05).tolist() == [want]
 
     def test_scope_lambda_keeps_symmetric_added_rows(self, star_aug):
         k = random_kernel(star_aug, 2, scope="lambda")

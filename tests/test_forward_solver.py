@@ -12,7 +12,7 @@ from treetomo import (
 from treetomo.errors import InvalidKernel, InvalidQuery
 from treetomo.formats import dump_distribution, parse_distribution
 from treetomo.forward_solver import hitting_laws
-from treetomo.chain_model import random_kernel
+from treetomo.chain_model import AccRows, random_kernel
 from treetomo.tree_model import random_tree, segment, spherical_augmentation, star
 
 from helpers import (
@@ -21,6 +21,7 @@ from helpers import (
     TooLarge,
     broom,
     brute_force_hitting,
+    comb,
     default_augmented_kernel,
     kernel_from_entries,
     labels_of,
@@ -173,6 +174,14 @@ class TestArraySweep:
             for layer, law in zip((INNER, OUTER), hitting_laws(aug, kernel, t_max)):
                 one = first_hitting_joint(aug, kernel, layer, t_max)
                 assert (one.layer, one.t_max, one.mass) == (law.layer, law.t_max, law.mass)
+
+    @pytest.mark.parametrize("l", [2, 3])
+    def test_every_vertex_heads_a_segment(self, l):
+        # each step's sums over the table by dst are the whole next vector
+        for base in [*small_bases(), comb(4), broom(5, 5)]:
+            aug = spherical_augmentation(base, l)
+            heads = AccRows(aug.full, random_kernel(aug, 5, scope="all")).heads
+            assert heads.tolist() == list(range(aug.full.vertex_count))
 
     def test_short_horizons(self):
         aug, kernel = rand_instance(2, rout=3)

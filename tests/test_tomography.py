@@ -801,6 +801,18 @@ class TestArrayInversion:
         r = aug.hull_radius
         assert rep.times_accessed == {"inner": 3 * r + 3, "outer": 3 * r + 4}
 
+    @pytest.mark.parametrize("base, t, u", [(comb(6), 12, 5), (broom(5, 5), 8, 7)],
+                             ids=["comb6", "broom5x5"])
+    def test_strict_refuses_at_first_pinned_flag(self, base, t, u):
+        # the laws of test_clamped_diagnostics_pinned, not clamped: the row
+        # of the first flag there is refused, by its inward entry
+        aug = spherical_augmentation(base, 2)
+        kernel = random_kernel(aug, 11, scope="all", mode="rational")
+        p_in, p_out = forward_pair(aug, kernel)
+        p_out = scaled_law(p_out, Fraction(33, 32), lambda key: key[0] == t)
+        with pytest.raises(RowSumViolation, match=rf"^inward entry of vertex {u} is .*, outside \(0, 1\)$"):
+            recover_all(aug, known_part(kernel), p_in, p_out)
+
     @pytest.mark.parametrize("mode", ["rational", "float"])
     def test_first_zero_coefficient_named(self, mode):
         # broom(5, 5): no ballistic arrival at the inner children 34 and 38 of
