@@ -33,7 +33,6 @@ from .forward_solver import (
 )
 from .tomography import (
     RecoveryReport,
-    kernel_max_error,
     recover_all,
 )
 from .tree_model import (
@@ -69,7 +68,6 @@ __all__ = [
     "empirical_joint",
     "estimate_kernel",
     "first_hitting_joint",
-    "kernel_max_error",
     "random_kernel",
     "random_tree",
     "recover_all",

@@ -263,11 +263,14 @@ def _check_rows(aug: AugmentedTree, kernel: TransitionKernel,
     """The violations of :func:`validate_kernel`, absent rows allowed if
     ``partial``, and the table over ``aug.full`` (absent rows blank) they
     are read from.  A row has the tree's support if it has one entry per
-    neighbor and each slot leads to one; float sums run left to right, as ``sum`` does."""
+    neighbor, each neighbor once; float sums run left to right, as ``sum`` does."""
     full, n = aug.full, aug.full.vertex_count
     ids, at = kernel.vertices, kernel.index(n)[:n]
+    on = (ids >= 0) & (ids < n)
     out = [KernelViolation(u, "OffTree", "row of a vertex off the tree")
-           for u in sorted(ids[(ids < 0) | (ids >= n)].tolist())]
+           for u in sorted(ids[~on].tolist())]
+    out += [KernelViolation(u, "RepeatedRow", "vertex has more than one row")
+            for u in np.flatnonzero(np.bincount(ids[on], minlength=n) > 1).tolist()]
     outer = aug.outer_layer
     filled = np.concatenate((kernel.sizes, [0]))[at[outer]] > 0
     out += [KernelViolation(v, "AbsorbingRow", "outer vertex has a row")
@@ -279,8 +282,10 @@ def _check_rows(aug: AugmentedTree, kernel: TransitionKernel,
     parent, kids = full.parent, full.child_starts[1:] - full.child_starts[:-1]
     size = np.zeros(n, np.intp)
     size[kids > 0] = rows.sizes
-    near = np.bincount(src[(parent[dst] == src) | (parent[src] == dst)], minlength=n)
-    fits = (size == kids + (parent >= 0)) & (near == size)  # one entry per neighbor
+    ups = np.bincount(src[parent[src] == dst], minlength=n)  # slots to the parent
+    once = np.bincount(dst[parent[dst] == src], minlength=n) == 1  # listed once by its parent
+    fits = ((size == kids + (parent >= 0)) & (ups == (parent >= 0))
+            & (np.bincount(parent[once], minlength=n) == kids))  # each neighbor once, no more
     low, off = np.zeros(n, bool), np.ones(n, bool)
     low[rows.tails] = np.logical_or.reduceat(rows.q <= 0, starts)
     if rows.exact:  # integer numerators over the scale
@@ -304,12 +309,12 @@ def _check_rows(aug: AugmentedTree, kernel: TransitionKernel,
 
 def validate_kernel(aug: AugmentedTree, kernel: TransitionKernel) -> list[KernelViolation]:
     """Check support, positivity, row sums, outer-layer absorption, and that
-    every row belongs to a vertex of the tree.
+    each row belongs to its own vertex of the tree.
 
     Returns an empty list iff the kernel is a valid nondegenerate chain on
-    ``aug.full`` killed at the outer layer; else rows off the tree, outer
-    rows, then each vertex's first violation in vertex order.  A rational
-    kernel that holds a float entry raises :class:`InvalidKernel`.
+    ``aug.full`` killed at the outer layer; else rows off the tree, vertices with
+    more than one row, outer rows, then each vertex's first violation in vertex
+    order.  A rational kernel that holds a float entry raises :class:`InvalidKernel`.
     """
     return _check_rows(aug, kernel, False)[0]
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain_model import FLOAT, KNOWN, TransitionKernel, checked_rows, runs
+from .chain_model import FLOAT, KNOWN, TransitionKernel, checked_rows
 from .errors import InsufficientData, InvalidParameter, ZeroDenominator
 from .forward_solver import INNER, OUTER, HittingDistribution
 from .tomography import RecoveryReport, recover_all
@@ -75,8 +75,7 @@ def collect_batch(
     rows = checked_rows(aug, kernel)
     p = (rows.q / rows.scale).astype(float)
     order = np.lexsort((rows.dst, rows.src))  # rows ascending, then neighbors
-    vertex, starts = runs(rows.src[order])
-    degree = np.diff(starts, append=len(order))
+    vertex, starts, degree = rows.tails, rows.tail_starts, rows.sizes  # rows.src is sorted
     ranks = []  # per rank j: the rows that have a slot j, and those slots
     rest = np.zeros(len(starts))
     for j in reversed(range(degree.max())):

@@ -327,17 +327,19 @@ def recover_all(
     time ``3r+4`` (``3r+3`` inner), hold cells only on their own layer at
     times ``>= 1`` and be in ``known``'s mode, else :class:`FormatError`
     (see :func:`_grid`); cells past those times are checked, then ignored.
-    A ``reference`` must hold every recovered entry (:class:`FormatError`)
-    and be valid (:class:`InvalidKernel`).  Shell ``k`` is solved from its
-    swept heads, the tails of shell ``k+1`` and its tail classes (see the
-    module docstring): each child edge from its arrival decomposition, the
-    inward entry as the row complement, and a failure raises for the first
-    edge or row in vertex order, a row's edges before its complement.  The
-    root row, once its sum is within ``ROOT_SUM_TOL`` of one, closes on its
-    last entry, written as one minus the others (``clamp`` renormalizes
-    instead); ``residuals`` keeps each row's deviation from one.
-    ``shell_time_reads`` records the largest law time read for each shell
-    swept or solved, and ``times_accessed`` the largest per law.
+    Shell ``k`` is solved from its swept heads, the tails of shell ``k+1``
+    and its tail classes (see the module docstring): each child edge from its
+    arrival decomposition, the inward entry as the row complement, and a
+    failure raises for the first edge or row in vertex order, a row's edges
+    before its complement.  The root row, once its sum is within
+    ``ROOT_SUM_TOL`` of one, closes on its last entry, written as one minus
+    the others (``clamp`` renormalizes instead); ``residuals`` keeps each
+    row's deviation from one.  ``shell_time_reads`` records the largest law
+    time read for each shell swept or solved, and ``times_accessed`` the
+    largest per law.  A ``reference``, checked once the rows are solved,
+    must be rational if the answer is (:class:`FormatError`) and a valid
+    chain on the tree (:class:`InvalidKernel`), so it has one cell per slot
+    of the answer: ``max_error`` compares the recovered rows cell by cell.
     """
     r = _radius(aug)
     mode, full = known.mode, aug.full
@@ -440,8 +442,9 @@ def recover_all(
             head = head * grow ** (r + 1 - k)  # head (shell k) is over D**(r+1-k)
             front.grow(grow, k)
 
-    # the answer is the table, a row for every vertex off the outer layer, then
-    # the empty rows given on the outer layer
+    del front, chis, tail, head, anc, opens, at, lin, lout, solved, ew, eu, owner, inward, outward
+    # the shell plan freed, the answer is the table: a row for every vertex off
+    # the outer layer, then the empty rows given on the outer layer
     empty = aug.outer_layer[given[aug.outer_layer]]
     ids = np.concatenate((rows.tails, empty))
     labels = [RECOVERED if t else KNOWN for t in target[ids].tolist()]
@@ -456,38 +459,13 @@ def recover_all(
         shell_time_reads={k: max(pair) for k, pair in reads.items()},
     )
     if reference is not None:
-        report.max_error = kernel_max_error(work, reference)
-        checked_rows(aug, reference)  # its entries match; it must also be a chain
+        if mode == RATIONAL and reference.mode != RATIONAL:
+            raise FormatError("a rational answer needs a rational reference kernel")
+        checked_rows(aug, reference)  # a chain on the tree: one cell per slot of the table
+        order = np.lexsort((rows.dst, rows.src))
+        ref = reference.values[np.lexsort((reference.neighbors,
+                                           reference.vertices.repeat(reference.sizes)))]
+        on = target[rows.src[order]]  # the recovered slots, both tables in (u, v) order
+        zero = Fraction(0) if mode == RATIONAL else 0.0
+        report.max_error = max(np.abs(work.values[order][on] - ref[on]).tolist(), default=zero)
     return report
-
-
-def kernel_max_error(
-    recovered: TransitionKernel, reference: TransitionKernel
-) -> Number:
-    """Largest absolute entry difference over the rows labelled recovered,
-    read from both tables as arrays.
-
-    A reference without a row or an entry that was recovered, as from
-    another tree, raises :class:`FormatError` naming the first such entry,
-    rows and entries in table order, as does a float one of a rational answer.
-    """
-    if recovered.mode == RATIONAL and reference.mode != RATIONAL:
-        raise FormatError("a rational answer needs a rational reference kernel")
-    at = np.flatnonzero([label == RECOVERED for label in recovered.labels.tolist()])
-    # each entry (u, v) of either table as the key u * m + v, ids past m left out
-    m = int(max(recovered.vertices.max(initial=0), recovered.neighbors.max(initial=0))) + 1
-    lens = recovered.sizes[at]
-    slots = ranges(recovered.starts[at], lens)
-    want = recovered.vertices[at].repeat(lens) * m + recovered.neighbors[slots]
-    ref_u, ref_v = reference.vertices.repeat(reference.sizes), reference.neighbors
-    on = (ref_u >= 0) & (ref_u < m) & (ref_v >= 0) & (ref_v < m)
-    keys = ref_u[on] * m + ref_v[on]
-    by_key = keys.argsort()
-    i = keys[by_key].searchsorted(want)
-    found = np.concatenate((keys[by_key], [-1]))[i] == want  # -1: past the last key
-    if not found.all():
-        u, v = divmod(int(want[found.argmin()]), m)
-        raise FormatError(f"reference kernel has no entry t({u},{v}) of vertex {u}")
-    ref = reference.values[on][by_key[i]]
-    zero = Fraction(0) if recovered.mode == RATIONAL else 0.0
-    return max(np.abs(recovered.values[slots] - ref).tolist(), default=zero)

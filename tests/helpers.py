@@ -95,6 +95,14 @@ def kernel_from_entries(entries: Mapping[int, Mapping[int, Number]],
         np.array(list(map((provenance or {}).get, entries)), object), mode)
 
 
+def entry_max_error(recovered: TransitionKernel, reference: TransitionKernel) -> Number:
+    """Largest ``|recovered - reference|`` over the entries of the rows
+    ``recovered`` labels recovered, read from both kernels' ``entries``."""
+    rows = [u for u, label in labels_of(recovered).items() if label == RECOVERED]
+    return max(abs(p - reference.entries[u][v])
+               for u in rows for v, p in recovered.entries[u].items())
+
+
 def labels_of(kernel: TransitionKernel) -> dict[int, str]:
     """``u -> label`` of the labelled rows of ``kernel``, in table order."""
     labels = zip(kernel.vertices.tolist(), kernel.labels.tolist())

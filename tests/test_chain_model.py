@@ -9,6 +9,7 @@ from treetomo import (
     KNOWN,
     RATIONAL,
     UNKNOWN,
+    TransitionKernel,
     random_kernel,
     recover_all,
     validate_kernel,
@@ -100,6 +101,23 @@ class TestValidate:
         )
         bad = validate_kernel(seg_aug, k)
         assert [(v.vertex, v.kind) for v in bad] == [(42, "OffTree")]
+
+    @pytest.mark.parametrize("rows, want", [
+        # one neighbor twice: a cell per neighbor, yet not the tree's support
+        ([(0, [1]), (1, [0, 0]), (2, [1, 3])], [(1, "Support", "[0, 0] != [0, 2]")]),
+        ([(0, [1]), (1, [2, 2]), (2, [1, 3])], [(1, "Support", "[2, 2] != [0, 2]")]),
+        # vertex 2 has two rows, each valid alone
+        ([(0, [1]), (2, [1, 3]), (1, [0, 2]), (2, [3, 1])],
+         [(2, "RepeatedRow", "vertex has more than one row")]),
+    ])
+    def test_repeated_cells_and_rows_flagged(self, seg_aug, rows, want):
+        kernel = TransitionKernel(
+            np.array([u for u, _ in rows]), np.array([len(v) for _, v in rows]),
+            np.array([v for _, vs in rows for v in vs]),
+            np.array([1 / len(vs) for _, vs in rows for _ in vs]),
+            np.array([None] * len(rows), object))
+        got = validate_kernel(seg_aug, kernel)
+        assert [(v.vertex, v.kind, v.detail) for v in got] == want
 
     @staticmethod
     def pinned_kernel(case):

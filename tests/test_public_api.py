@@ -26,7 +26,6 @@ PUBLIC = [
     "empirical_joint",
     "estimate_kernel",
     "first_hitting_joint",
-    "kernel_max_error",
     "random_kernel",
     "random_tree",
     "recover_all",

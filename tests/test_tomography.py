@@ -13,13 +13,13 @@ from treetomo import (
     TransitionKernel,
     TreetomoError,
     first_hitting_joint,
-    kernel_max_error,
     random_kernel,
     recover_all,
     validate_kernel,
 )
 from treetomo.errors import (
     FormatError,
+    InvalidKernel,
     InvalidParameter,
     MissingRow,
     NotAChild,
@@ -44,6 +44,7 @@ from helpers import (
     broom,
     comb,
     default_augmented_kernel,
+    entry_max_error,
     explicit_edge_coefficient,
     kernel_from_entries,
     known_part,
@@ -436,6 +437,36 @@ class TestRecoverAll:
                     assert rep.kernel.entries[u] == kernel.entries[u]
             assert all(type(r) is Fraction and r == 0 for r in rep.residuals.values())
 
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    def test_max_error_against_another_draw(self, mode):
+        # a valid kernel of another seed on the same tree as the reference:
+        # max_error is the largest entry difference over the recovered rows
+        aug, kernel = rand_instance(5, rout=3, mode=mode)
+        other = random_kernel(aug, 8, scope="all", mode=mode)
+        rep = recover_all(aug, known_part(kernel), *forward_pair(aug, kernel), reference=other)
+        assert rep.max_error == entry_max_error(rep.kernel, other) > 0
+        assert type(rep.max_error) is (Fraction if mode == "rational" else float)
+
+    @pytest.mark.parametrize("twice", ["cell", "row"])
+    def test_reference_with_a_repeat_is_refused(self, twice):
+        # a reference with a neighbor listed twice in a row, or a vertex with
+        # two rows, is no chain: its cells do not line up with the answer's
+        aug, kernel = rand_instance(5, rout=3)
+        u, nbrs = int(kernel.vertices[0]), kernel.neighbors.copy()
+        if twice == "cell":
+            nbrs[1] = nbrs[0]
+            bad = TransitionKernel(kernel.vertices, kernel.sizes, nbrs, kernel.values,
+                                   kernel.labels)
+        else:
+            row = slice(0, kernel.sizes[0])
+            bad = TransitionKernel(
+                np.append(kernel.vertices, u), np.append(kernel.sizes, kernel.sizes[0]),
+                np.append(nbrs, nbrs[row]), np.append(kernel.values, kernel.values[row]),
+                np.append(kernel.labels, None))
+        kind = "Support" if twice == "cell" else "RepeatedRow"
+        with pytest.raises(InvalidKernel, match=f"^{kind} at vertex {u}: "):
+            recover_all(aug, known_part(kernel), *forward_pair(aug, kernel), reference=bad)
+
     def test_sweep_count(self, monkeypatch):
         # the tail classes are carried inward: shell k sweeps the front onto
         # shells k+1 .. r+1 once each, (r+1)(r+2)/2 sweeps in all, and the
@@ -665,8 +696,12 @@ class TestRecoverAll:
         laws = forward_pair(aug, kernel)
         with pytest.raises(FormatError, match="^a rational answer needs a rational reference"):
             recover_all(aug, known_part(kernel), *laws, reference=image)
+        # the mode is checked before the reference is validated: a float
+        # kernel of another tree is refused for its mode
+        _, other = rand_instance(4)
+        assert validate_kernel(aug, other)
         with pytest.raises(FormatError, match="^a rational answer needs a rational reference"):
-            kernel_max_error(recover_all(aug, known_part(kernel), *laws).kernel, image)
+            recover_all(aug, known_part(kernel), *laws, reference=other)
         rep = recover_all(aug, known_part(image), *forward_pair(aug, image), reference=kernel)
         assert type(rep.max_error) is float and rep.max_error < 1e-9
 
@@ -959,7 +994,7 @@ class TestRecoverStar:
         assert abs(closed.entries[0][1] - 0.3) < 1e-10
         assert abs(closed.entries[1][3] - 0.6) < 1e-10
         assert float(rep.max_error) < 1e-10
-        assert float(kernel_max_error(closed, kernel)) < 1e-10
+        assert float(entry_max_error(closed, kernel)) < 1e-10
 
     def test_coverage_guard(self):
         aug, kernel = symmetric_star_fixture()
