@@ -19,14 +19,17 @@ per time that holds mass.
 A kernel file is the kernel's table, one ``row u v:p ...`` line per row, read
 with one tokenization and written with one ``%`` format; ``gen`` writes the
 known rows' lines of the kernel file it formatted (:func:`known_lines`).
+:func:`write_text` writes an artifact over the bytes of the file at its path
+and then cuts it to the new length, so an existing file is never truncated
+to 0; the write is neither atomic nor synced.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import os
 import re
-import string
 from collections.abc import Iterator
 from contextlib import suppress
 from decimal import Decimal
@@ -146,7 +149,7 @@ def dump_tree(tree: RootedTree | AugmentedTree) -> str:
 
 
 _ID = "[0-9]{1,18}"  # an id within int64
-_LETTERS = string.ascii_lowercase.encode()  # the words of a tree file
+_LETTERS = b"abcdefghijklmnopqrstuvwxyz"  # the words of a tree file
 _TREE_DUMP = re.compile(f"tree {_ID} {_ID}\n(?:edge {_ID} {_ID}\n)*(?:origin {_ID} {ORIGINAL}\n)*")
 
 
@@ -407,7 +410,7 @@ def parse_batch(text: str) -> SampleBatch:
                     raise FormatError(f"negative or repeated overflow {' '.join(parts)!r}")
                 continue
             counts = batch.counts_in if parts[0] == "in" else batch.counts_out
-            t, v, c = int(parts[1]), int(parts[2]), int(parts[3])
+            t, v, c = map(int, parts[1:])
             if not 1 <= t <= batch.t_cap:
                 raise FormatError(f"time {t} outside 1..{batch.t_cap} in {' '.join(parts)!r}")
             if c < 0 or (t, v) in counts:
@@ -435,10 +438,14 @@ def dump_report(report: RecoveryReport) -> str:
 
 
 def read_text(path) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh:
         return fh.read()
 
 
 def write_text(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    # over the old bytes, then cut at the new end: a file is never truncated to
+    # 0, which makes ext4, XFS and btrfs start writeback when it is closed
+    with open(path, "w", encoding="utf-8",
+              opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
         fh.write(text)
+        fh.truncate()

@@ -717,6 +717,12 @@ def comb(r: int) -> RootedTree:
     return build_tree(edges, 0)
 
 
+def binary(d: int) -> RootedTree:
+    """The complete binary tree of depth ``d`` in heap numbering: ``v`` has
+    children ``2v + 1`` and ``2v + 2``."""
+    return build_tree([(v - 1, 2 * v + c - 1) for v in range(1, 2**d) for c in (0, 1)], 0)
+
+
 def mixed_denominator_instance() -> tuple[AugmentedTree, TransitionKernel]:
     """Rational kernel whose rows use thirds, fifths and sevenths.
 

@@ -1,5 +1,6 @@
 """Text artifact round trips and malformed-input handling."""
 
+import os
 import random
 import re
 import sys
@@ -23,6 +24,8 @@ from treetomo.formats import (
     parse_distribution,
     parse_kernel,
     parse_tree,
+    read_text,
+    write_text,
 )
 from treetomo.tomography import recover_all
 from treetomo.tree_model import (
@@ -544,3 +547,54 @@ class TestReportFormat:
         assert "mode float" in text
         assert f"max_time_read {max(rep.times_accessed.values())}" in text
         assert "max_error" in text
+
+
+class TestWriteText:
+    """An artifact is written over its old bytes and cut at the new end."""
+
+    def test_shorter_text_leaves_exactly_its_bytes(self, tmp_path):
+        path = tmp_path / "a.txt"
+        write_text(path, "mode float\nrow 0 1:0.25 2:0.75\n" * 40)
+        write_text(path, "mode float\nrow 0 1:\u00e9\n")
+        assert path.read_bytes() == "mode float\nrow 0 1:\u00e9\n".encode()
+        assert read_text(path) == "mode float\nrow 0 1:\u00e9\n"
+
+    def test_never_opened_to_truncate(self, tmp_path, monkeypatch):
+        flags = []
+        real = os.open
+        monkeypatch.setattr(os, "open", lambda p, f, *a: flags.append(f) or real(p, f, *a))
+        write_text(tmp_path / "a.txt", "x" * 10)
+        write_text(tmp_path / "a.txt", "y")
+        assert len(flags) == 2 and not any(f & os.O_TRUNC for f in flags)
+        assert (tmp_path / "a.txt").read_text() == "y"
+
+    def test_rewrite_keeps_inode_and_mode(self, tmp_path):
+        path = tmp_path / "a.txt"
+        write_text(path, "x" * 100)
+        path.chmod(0o600)
+        before = path.stat()
+        write_text(path, "y")
+        after = path.stat()
+        assert (after.st_ino, after.st_mode & 0o7777, after.st_size) == (before.st_ino, 0o600, 1)
+
+    def test_new_file_takes_the_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            write_text(tmp_path / "a.txt", "x")
+            open(tmp_path / "b.txt", "w").close()
+        finally:
+            os.umask(old)
+        assert (tmp_path / "a.txt").stat().st_mode & 0o7777 == 0o640
+        assert (tmp_path / "b.txt").stat().st_mode & 0o7777 == 0o640
+
+    def test_symlink_is_written_through(self, tmp_path):
+        target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+        write_text(target, "x" * 100)
+        link.symlink_to(target)
+        write_text(link, "y\n")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == b"y\n"
+
+    def test_directory_raises(self, tmp_path):
+        with pytest.raises(IsADirectoryError):
+            write_text(tmp_path, "x")
